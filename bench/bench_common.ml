@@ -24,9 +24,9 @@ let run ?(reps = 3) t ~name f =
   for _ = 1 to reps do
     Gc.compact ();
     let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Lbrm_run.Sockmsg.monotonic_now () in
     let ops, extra = f () in
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = Lbrm_run.Sockmsg.monotonic_now () -. t0 in
     let minor_words = Gc.minor_words () -. w0 in
     match !best with
     | Some b when b.elapsed <= elapsed -> ()

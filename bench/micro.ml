@@ -203,12 +203,12 @@ let bench_archive_churn ~ops () =
         if Log_store.mem store target then (mem_lat, mem_n)
         else (disk_lat, disk_n)
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Lbrm_run.Sockmsg.monotonic_now () in
       ignore
         (Lbrm.Logger.handle_message l ~now ~src:10
            (Message.Nack { seqs = [ target ] })
           : Lbrm.Io.action list);
-      lat.(!n) <- 1e6 *. (Unix.gettimeofday () -. t0);
+      lat.(!n) <- 1e6 *. (Lbrm_run.Sockmsg.monotonic_now () -. t0);
       incr n;
       (* Fire the request-counting window timer the serve just armed
          (the simulator's timer plane normally does this); without it

@@ -15,9 +15,6 @@
      decode_pooled    then decode vs decoding in place from the region
    - pool_cycle:      bare lease/release (the steady-state buffer path —
                       0 words/op)
-   - udp_e2e_lossy:   full protocol over real sockets: source, logger
-                      pair and 3 receivers at 20% injected loss,
-                      wall-clock paced; ops = application deliveries
 
    Full run:   dune exec bench/udp_bench.exe      (writes BENCH_udp.json)
    Smoke run:  dune exec bench/udp_bench.exe -- --smoke
@@ -31,8 +28,6 @@ module Message = Lbrm_wire.Message
 module Payload = Lbrm_wire.Payload
 module Sockmsg = Lbrm_run.Sockmsg
 module Buf_pool = Lbrm_run.Buf_pool
-module U = Lbrm_run.Udp_runtime
-module H = Lbrm_run.Handlers
 
 let suite = Bench_common.suite "lbrm-udp-transport"
 let slot = 2048
@@ -252,84 +247,6 @@ let bench_pool_cycle ~ops () =
       ("max_outstanding", float_of_int (Buf_pool.max_outstanding pool));
     ] )
 
-(* --- end-to-end lossy recovery over real sockets ----------------------- *)
-
-let e2e_cfg =
-  {
-    Lbrm.Config.default with
-    stat_ack_enabled = false;
-    h_min = 0.05;
-    nack_delay = 0.01;
-    nack_timeout = 0.15;
-    deposit_timeout = 0.2;
-  }
-
-let bench_e2e_lossy ~packets () =
-  let base_port = 49400 in
-  let rt = U.create ~loss:0.2 ~seed:11 () in
-  let src_port = base_port in
-  let source =
-    Lbrm.Source.create e2e_cfg ~self:src_port ~primary:(base_port + 1) ()
-  in
-  let primary =
-    Lbrm.Logger.create e2e_cfg ~self:(base_port + 1) ~source:src_port
-      ~rng:(Lbrm_util.Rng.create ~seed:1) ()
-  in
-  let secondary =
-    Lbrm.Logger.create e2e_cfg ~self:(base_port + 2) ~source:src_port
-      ~parent:(base_port + 1)
-      ~rng:(Lbrm_util.Rng.create ~seed:2) ()
-  in
-  U.add_agent rt ~port:src_port (H.of_source source);
-  U.add_agent rt ~port:(base_port + 1) (H.of_logger primary);
-  U.add_agent rt ~port:(base_port + 2) (H.of_logger secondary);
-  let receivers =
-    List.init 3 (fun i ->
-        let port = base_port + 3 + i in
-        let r =
-          Lbrm.Receiver.create e2e_cfg ~self:port ~source:src_port
-            ~loggers:[ base_port + 2; base_port + 1 ]
-        in
-        U.add_agent rt ~port (H.of_receiver r);
-        (r, port))
-  in
-  let group = e2e_cfg.group in
-  U.join rt ~group ~port:(base_port + 1);
-  U.join rt ~group ~port:(base_port + 2);
-  List.iter (fun (_, p) -> U.join rt ~group ~port:p) receivers;
-  U.perform rt ~port:src_port (Lbrm.Source.start source ~now:(U.now rt));
-  List.iter
-    (fun (r, port) -> U.perform rt ~port (Lbrm.Receiver.start r ~now:(U.now rt)))
-    receivers;
-  for i = 1 to packets do
-    U.perform rt ~port:src_port
-      (Lbrm.Source.send source ~now:(U.now rt) (Printf.sprintf "bench-%d" i));
-    U.run_for rt ~seconds:0.03
-  done;
-  U.run_for rt ~seconds:1.5;
-  let delivered =
-    List.fold_left (fun acc (r, _) -> acc + Lbrm.Receiver.delivered r) 0
-      receivers
-  in
-  let recovered =
-    List.fold_left (fun acc (r, _) -> acc + Lbrm.Receiver.recovered r) 0
-      receivers
-  in
-  let st = U.stats rt in
-  U.close rt;
-  ( delivered,
-    [
-      ("packets", float_of_int packets);
-      ("recovered", float_of_int recovered);
-      ("injected_drops", float_of_int st.U.dropped);
-      ("tx_batches", float_of_int st.U.tx_batches);
-      ("tx_datagrams", float_of_int st.U.tx_datagrams);
-      ("rx_batches", float_of_int st.U.rx_batches);
-      ("rx_datagrams", float_of_int st.U.rx_datagrams);
-      ("pool_fallbacks", float_of_int st.U.pool_fallbacks);
-      ("encode_failures", float_of_int st.U.encode_failures);
-    ] )
-
 (* ---------------------------------------------------------------------- *)
 
 let () =
@@ -371,8 +288,6 @@ let () =
   ignore (run "decode_fresh" (bench_decode_fresh ~ops:(scale 400_000)));
   ignore (run "decode_pooled" (bench_decode_pooled ~ops:(scale 400_000)));
   ignore (run "pool_cycle" (bench_pool_cycle ~ops:(scale 1_000_000)));
-  ignore
-    (run ~reps:1 "udp_e2e_lossy" (bench_e2e_lossy ~packets:(if smoke then 3 else 8)));
   match json with
   | Some path ->
       Bench_common.emit_json suite path;

@@ -1,0 +1,139 @@
+module Message = Lbrm_wire.Message
+module Metrics = Lbrm_util.Metrics
+open Lbrm.Io
+
+type address = Message.address
+
+type ('h, 'e) transport = {
+  now : unit -> float;
+  unicast : 'e -> dst:address -> Message.t -> int;
+  multicast : 'e -> group:int -> ttl:int option -> Message.t -> int;
+  arm : float -> (unit -> unit) -> 'h;
+  disarm : 'h -> unit;
+  join : group:int -> address -> unit;
+  leave : group:int -> address -> unit;
+  notice : notice -> unit;
+}
+
+type meter = {
+  registry : Metrics.t;
+  (* kind -> interned counter, so per-message accounting never builds a
+     "sent.<kind>" string *)
+  sent : (string, Metrics.counter) Hashtbl.t;
+  recv : (string, Metrics.counter) Hashtbl.t;
+  (* forced on the first delivery, so an idle registry stays empty *)
+  delivered : Metrics.counter Lazy.t;
+  recovered : Metrics.counter Lazy.t;
+}
+
+type ('h, 'e) agent = {
+  addr : address;
+  endpoint : 'e;
+  handlers : Handlers.t;
+  timers : (timer_key, 'h) Hashtbl.t;
+  meter : meter;
+}
+
+type ('h, 'e) t = {
+  tr : ('h, 'e) transport;
+  agents : (address, ('h, 'e) agent) Hashtbl.t;
+}
+
+let create tr = { tr; agents = Hashtbl.create 64 }
+
+let meter registry =
+  {
+    registry;
+    sent = Hashtbl.create 16;
+    recv = Hashtbl.create 16;
+    delivered = lazy (Metrics.counter registry "app.delivered");
+    recovered = lazy (Metrics.counter registry "app.recovered");
+  }
+
+let[@lint.hot] count cache registry prefix msg n =
+  let kind = Message.kind msg in
+  match Hashtbl.find cache kind with
+  | c -> Metrics.add c n
+  | exception Not_found ->
+      (let c = Metrics.counter registry (prefix ^ kind) in
+       Hashtbl.add cache kind c;
+       Metrics.add c n)
+      [@lint.alloc "first message of a kind interns its counter"]
+
+let sent agent msg n =
+  if n > 0 then count agent.meter.sent agent.meter.registry "sent." msg n
+
+let disarm t agent key =
+  match Hashtbl.find agent.timers key with
+  | h -> t.tr.disarm h
+  | exception Not_found -> ()
+
+let rec fire t agent key () =
+  Hashtbl.remove agent.timers key;
+  run t agent (agent.handlers.on_timer ~now:(t.tr.now ()) key)
+
+and run t agent = function
+  | [] -> ()
+  | action :: rest ->
+      execute t agent action;
+      run t agent rest
+
+and execute t agent = function
+  | Send (To_addr dst, msg) ->
+      sent agent msg (t.tr.unicast agent.endpoint ~dst msg)
+  | Send (To_group { group; ttl }, msg) ->
+      sent agent msg (t.tr.multicast agent.endpoint ~group ~ttl msg)
+  | Set_timer (key, delay) ->
+      (* Re-arming a live key cancels the old timer before arming anew. *)
+      disarm t agent key;
+      Hashtbl.replace agent.timers key (t.tr.arm delay (fire t agent key))
+  | Cancel_timer key ->
+      disarm t agent key;
+      Hashtbl.remove agent.timers key
+  | Deliver { seq; payload; recovered } -> (
+      Metrics.incr (Lazy.force agent.meter.delivered);
+      if recovered then Metrics.incr (Lazy.force agent.meter.recovered);
+      match agent.handlers.on_deliver with
+      | Some f -> f ~now:(t.tr.now ()) ~seq ~payload ~recovered
+      | None -> ())
+  | Notify notice -> (
+      t.tr.notice notice;
+      match agent.handlers.on_notice with
+      | Some f -> f ~now:(t.tr.now ()) notice
+      | None -> ())
+  | Join group -> t.tr.join ~group agent.addr
+  | Leave group -> t.tr.leave ~group agent.addr
+
+let[@lint.hot] receive t agent ~src msg =
+  count agent.meter.recv agent.meter.registry "recv." msg 1;
+  run t agent (agent.handlers.on_message ~now:(t.tr.now ()) ~src msg)
+
+let add t addr endpoint meter handlers =
+  assert (not (Hashtbl.mem t.agents addr));
+  let agent = { addr; endpoint; handlers; timers = Hashtbl.create 16; meter } in
+  Hashtbl.replace t.agents addr agent;
+  agent
+
+let endpoint agent = agent.endpoint
+let metrics agent = agent.meter.registry
+
+let dispatch t addr ~src msg =
+  match Hashtbl.find t.agents addr with
+  | agent -> receive t agent ~src msg
+  | exception Not_found -> ()
+
+let perform t addr actions =
+  match Hashtbl.find t.agents addr with
+  | agent -> run t agent actions
+  | exception Not_found -> ()
+
+let crash t addr =
+  match Hashtbl.find t.agents addr with
+  | agent ->
+      Hashtbl.iter (fun _ h -> t.tr.disarm h) agent.timers;
+      Hashtbl.reset agent.timers
+  | exception Not_found -> ()
+
+let remove t addr =
+  crash t addr;
+  Hashtbl.remove t.agents addr

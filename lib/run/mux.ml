@@ -3,7 +3,6 @@ module Engine = Lbrm_sim.Engine
 module Trace = Lbrm_sim.Trace
 module Message = Lbrm_wire.Message
 module Codec = Lbrm_wire.Codec
-open Lbrm.Io
 
 type envelope = { flow : int; msg : Message.t }
 
@@ -29,27 +28,20 @@ let decode s =
         | Ok msg -> Ok { flow; msg }
         | Error e -> Error e)
 
-type sub_agent = {
-  node : Lbrm_sim.Topo.node_id;
-  flow : int;
-  handlers : Handlers.t;
-  timers : (timer_key, Engine.timer) Hashtbl.t;
-}
-
 type t = {
   net : envelope Net.t;
   trace : Trace.t;
-  (* (node, flow) -> sub-agent, plus per-node flow lists for dispatch *)
-  agents : (Lbrm_sim.Topo.node_id * int, sub_agent) Hashtbl.t;
-  hosts_wired : (Lbrm_sim.Topo.node_id, unit) Hashtbl.t;
+  meter : Agent_host.meter;
+  (* flow -> the host running that flow's sub-agents *)
+  flows : (int, (Engine.timer, Lbrm_sim.Topo.node_id) Agent_host.t) Hashtbl.t;
 }
 
 let create ~engine ~topo ~trace =
   {
     net = Net.create ~engine ~topo ~size_of:wire_size ();
     trace;
-    agents = Hashtbl.create 64;
-    hosts_wired = Hashtbl.create 64;
+    meter = Agent_host.meter trace;
+    flows = Hashtbl.create 16;
   }
 
 let net t = t.net
@@ -58,72 +50,29 @@ let trace t = t.trace
 let now t = Engine.now (engine t)
 let join t ~group ~node = Net.join t.net ~group node
 
-let rec execute t agent action =
-  match action with
-  | Send (dest, msg) -> (
-      Trace.incr t.trace ("sent." ^ Message.kind msg);
-      let env = { flow = agent.flow; msg } in
-      match dest with
-      | To_addr addr -> Net.unicast t.net ~src:agent.node ~dst:addr env
-      | To_group { group; ttl } ->
-          Net.multicast t.net ?ttl ~src:agent.node ~group env)
-  | Set_timer (key, delay) ->
-      (match Hashtbl.find_opt agent.timers key with
-      | Some timer -> Engine.cancel (engine t) timer
-      | None -> ());
-      let timer =
-        Engine.schedule (engine t) ~delay (fun () ->
-            Hashtbl.remove agent.timers key;
-            let actions = agent.handlers.Handlers.on_timer ~now:(now t) key in
-            List.iter (execute t agent) actions)
-      in
-      Hashtbl.replace agent.timers key timer
-  | Cancel_timer key -> (
-      match Hashtbl.find_opt agent.timers key with
-      | Some timer ->
-          Engine.cancel (engine t) timer;
-          Hashtbl.remove agent.timers key
-      | None -> ())
-  | Deliver { seq; payload; recovered } -> (
-      Trace.incr t.trace "app.delivered";
-      match agent.handlers.Handlers.on_deliver with
-      | Some f -> f ~now:(now t) ~seq ~payload ~recovered
-      | None -> ())
-  | Notify notice -> (
-      (match notice with
-      | N_recovered { latency; _ } ->
-          Trace.incr t.trace "loss.recovered";
-          Trace.observe t.trace "recovery_latency" latency
-      | N_gap seqs -> Trace.incr ~by:(List.length seqs) t.trace "loss.gaps"
-      | _ -> ());
-      match agent.handlers.Handlers.on_notice with
-      | Some f -> f ~now:(now t) notice
-      | None -> ())
-  | Join group -> Net.join t.net ~group agent.node
-  | Leave group -> Net.leave t.net ~group agent.node
-
 let dispatch t node ~src (env : envelope) =
-  match Hashtbl.find_opt t.agents (node, env.flow) with
-  | None -> () (* not participating in that flow *)
-  | Some agent ->
-      Trace.incr t.trace ("recv." ^ Message.kind env.msg);
-      let actions =
-        agent.handlers.Handlers.on_message ~now:(now t) ~src env.msg
+  match Hashtbl.find_opt t.flows env.flow with
+  | Some host -> Agent_host.dispatch host node ~src env.msg
+  | None -> () (* no such flow *)
+
+let flow_host t flow =
+  match Hashtbl.find_opt t.flows flow with
+  | Some host -> host
+  | None ->
+      let host =
+        Sim_runtime.host t.net ~trace:t.trace ~wrap:(fun msg -> { flow; msg })
       in
-      List.iter (execute t agent) actions
+      Hashtbl.replace t.flows flow host;
+      host
 
 let attach t ~node ~flow handlers =
-  assert (not (Hashtbl.mem t.agents (node, flow)));
-  Hashtbl.replace t.agents (node, flow)
-    { node; flow; handlers; timers = Hashtbl.create 16 };
-  if not (Hashtbl.mem t.hosts_wired node) then begin
-    Hashtbl.replace t.hosts_wired node ();
-    Net.set_handler t.net node (fun ~now:_ ~src env -> dispatch t node ~src env)
-  end
+  ignore (Agent_host.add (flow_host t flow) node node t.meter handlers);
+  (* One handler per host serves all its flows; re-setting it is a no-op. *)
+  Net.set_handler t.net node (fun ~now:_ ~src env -> dispatch t node ~src env)
 
 let perform t ~node ~flow actions =
-  match Hashtbl.find_opt t.agents (node, flow) with
+  match Hashtbl.find_opt t.flows flow with
+  | Some host -> Agent_host.perform host node actions
   | None -> ()
-  | Some agent -> List.iter (execute t agent) actions
 
 let run ?until t = Engine.run ?until (engine t)

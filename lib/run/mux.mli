@@ -6,7 +6,10 @@
     secondary logger for another" (§2.2.1, footnote 5).  This runtime
     makes that concrete: every datagram is an {!envelope} — a flow id in
     front of an ordinary message — and each host runs one sub-agent per
-    flow, with timers and traffic namespaced by flow.
+    flow, with timers and traffic namespaced by flow.  Each flow is one
+    {!Agent_host} over the simulator transport ({!Sim_runtime.host}), so
+    timers are [kind_timer] engine events and the shared trace gets
+    everything {!Sim_runtime} counts.
 
     Conventions: each flow's {!Lbrm.Config.t} must use multicast group
     ids unique to that flow (simplest: [group = 2 * flow],

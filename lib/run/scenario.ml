@@ -43,7 +43,7 @@ type deployment = {
 
 let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
     ?initial_estimate ?backbone_delay ?tail_loss ?on_deliver ?on_notice
-    ?on_source_notice ?(logging = `Distributed) ?sink ?agent_metrics
+    ?on_source_notice ?(logging = `Distributed) ?sink
     ?site_population ?mcast_cache ?(archive = false) ~sites
     ~receivers_per_site () =
   assert (sites > 0 && receivers_per_site >= 0);
@@ -72,7 +72,7 @@ let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
       ~size_of:Message.wire_size ()
   in
   let trace = Trace.create () in
-  let runtime = Sim_runtime.create ?agent_metrics ~net ~trace () in
+  let runtime = Sim_runtime.create ~net ~trace () in
   let rng = Rng.split (Engine.rng engine) in
   let source_node = Builders.host wan ~site:0 1 in
   let primary_node = Builders.host wan ~site:0 2 in
@@ -617,7 +617,7 @@ let record_archive_stats d =
    primary.  Regions are consecutive runs of [sites_per_region] sites;
    each region's regional logger lives on host 3 of its first site. *)
 let hierarchical ?(cfg = Lbrm.Config.default) ?(seed = 42) ?initial_estimate
-    ?tail_loss ?on_deliver ?on_notice ?sink ?agent_metrics ~regions
+    ?tail_loss ?on_deliver ?on_notice ?sink ~regions
     ~sites_per_region ~receivers_per_site () =
   assert (regions > 0 && sites_per_region > 0 && receivers_per_site >= 0);
   let sites = regions * sites_per_region in
@@ -635,7 +635,7 @@ let hierarchical ?(cfg = Lbrm.Config.default) ?(seed = 42) ?initial_estimate
   let engine = Engine.create ~seed () in
   let net = Net.create ~engine ~topo:wan.topo ~size_of:Message.wire_size () in
   let trace = Trace.create () in
-  let runtime = Sim_runtime.create ?agent_metrics ~net ~trace () in
+  let runtime = Sim_runtime.create ~net ~trace () in
   let rng = Rng.split (Engine.rng engine) in
   let source_node = Builders.host wan ~site:0 1 in
   let primary_node = Builders.host wan ~site:0 2 in

@@ -69,7 +69,6 @@ val standard :
   ?on_source_notice:(now:float -> Lbrm.Io.notice -> unit) ->
   ?logging:[ `Distributed | `Centralized ] ->
   ?sink:Lbrm.Trace.sink ->
-  ?agent_metrics:bool ->
   ?site_population:population_spec ->
   ?mcast_cache:int ->
   ?archive:bool ->
@@ -88,8 +87,7 @@ val standard :
     hierarchies; [`Centralized] deploys no secondaries and every
     receiver NACKs the primary directly.  [sink] is shared by every
     state machine (including rebuilders' fresh instances), so its
-    stream merges all nodes' typed trace events; [agent_metrics]
-    enables per-node {!Lbrm_util.Metrics} registries in the runtime.
+    stream merges all nodes' typed trace events.
 
     [site_population] additionally deploys, at {e every} site, one
     {!Population} agent modeling [members] receivers in aggregate plus
@@ -123,7 +121,6 @@ val hierarchical :
     unit) ->
   ?on_notice:(node_id -> now:float -> Lbrm.Io.notice -> unit) ->
   ?sink:Lbrm.Trace.sink ->
-  ?agent_metrics:bool ->
   regions:int ->
   sites_per_region:int ->
   receivers_per_site:int ->

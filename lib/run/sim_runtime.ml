@@ -1,167 +1,80 @@
 module Net = Lbrm_sim.Net
 module Engine = Lbrm_sim.Engine
 module Trace = Lbrm_sim.Trace
-module Metrics = Lbrm_util.Metrics
-module Message = Lbrm_wire.Message
 open Lbrm.Io
 
-type agent = {
-  node : Lbrm_sim.Topo.node_id;
-  handlers : Handlers.t;
-  timers : (timer_key, Engine.timer) Hashtbl.t;
-  metrics : Metrics.t option; (* per-agent registry, opt-in *)
-}
-
 type t = {
-  net : Message.t Net.t;
+  net : Lbrm_wire.Message.t Net.t;
   trace : Trace.t;
-  agents : (Lbrm_sim.Topo.node_id, agent) Hashtbl.t;
-  with_metrics : bool;
-  (* Per-node registries outlive agent replacement (crash/restart):
-     the restarted process keeps accumulating into the same registry. *)
-  node_metrics : (Lbrm_sim.Topo.node_id, Metrics.t) Hashtbl.t;
+  meter : Agent_host.meter;
+  host : (Engine.timer, Lbrm_sim.Topo.node_id) Agent_host.t;
 }
 
-let create ?(agent_metrics = false) ~net ~trace () =
+let record_notice trace notice =
+  match notice with
+  | N_gap seqs -> Trace.incr ~by:(List.length seqs) trace "loss.gaps"
+  | N_silence _ -> Trace.incr trace "loss.silence"
+  | N_recovered { latency; _ } ->
+      Trace.incr trace "loss.recovered";
+      Trace.observe trace "recovery_latency" latency
+  | N_gave_up _ -> Trace.incr trace "loss.gave_up"
+  | N_primary_suspected -> Trace.incr trace "failover.suspected"
+  | N_new_primary _ -> Trace.incr trace "failover.promoted"
+  | N_epoch _ -> Trace.incr trace "statack.epochs"
+  | N_remulticast _ -> Trace.incr trace "statack.remulticast"
+  | N_estimate n -> Trace.observe trace "statack.estimate" n
+  | N_discovery _ -> Trace.incr trace "discovery.finished"
+  | N_feedback { missing; _ } ->
+      if missing > 0 then Trace.incr trace "statack.feedback_loss"
+
+let host net ~trace ~wrap =
+  let engine = Net.engine net in
+  Agent_host.create
+    {
+      now = (fun () -> Engine.now engine);
+      unicast =
+        (fun src ~dst msg ->
+          Net.unicast net ~src ~dst (wrap msg);
+          1);
+      multicast =
+        (fun src ~group ~ttl msg ->
+          Net.multicast net ?ttl ~src ~group (wrap msg);
+          1);
+      arm =
+        (fun delay fire ->
+          Engine.schedule_kind engine ~kind:Engine.kind_timer ~delay fire);
+      disarm = Engine.cancel engine;
+      join = (fun ~group node -> Net.join net ~group node);
+      leave = (fun ~group node -> Net.leave net ~group node);
+      notice = record_notice trace;
+    }
+
+let create ~net ~trace () =
   {
     net;
     trace;
-    agents = Hashtbl.create 64;
-    with_metrics = agent_metrics;
-    node_metrics = Hashtbl.create 64;
+    meter = Agent_host.meter trace;
+    host = host net ~trace ~wrap:Fun.id;
   }
 
-let metrics_for t node =
-  if not t.with_metrics then None
-  else
-    match Hashtbl.find_opt t.node_metrics node with
-    | Some m -> Some m
-    | None ->
-        let m = Metrics.create () in
-        Hashtbl.replace t.node_metrics node m;
-        Some m
-
-let agent_metrics t =
-  Hashtbl.fold (fun node m acc -> (node, m) :: acc) t.node_metrics []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 let net t = t.net
 let engine t = Net.engine t.net
 let trace t = t.trace
 let now t = Engine.now (engine t)
 let join t ~group ~node = Net.join t.net ~group node
 
-let record_notice t notice =
-  match notice with
-  | N_gap seqs -> Trace.incr ~by:(List.length seqs) t.trace "loss.gaps"
-  | N_silence _ -> Trace.incr t.trace "loss.silence"
-  | N_recovered { latency; _ } ->
-      Trace.incr t.trace "loss.recovered";
-      Trace.observe t.trace "recovery_latency" latency
-  | N_gave_up _ -> Trace.incr t.trace "loss.gave_up"
-  | N_primary_suspected -> Trace.incr t.trace "failover.suspected"
-  | N_new_primary _ -> Trace.incr t.trace "failover.promoted"
-  | N_epoch _ -> Trace.incr t.trace "statack.epochs"
-  | N_remulticast _ -> Trace.incr t.trace "statack.remulticast"
-  | N_estimate n -> Trace.observe t.trace "statack.estimate" n
-  | N_discovery _ -> Trace.incr t.trace "discovery.finished"
-  | N_feedback { missing; _ } ->
-      if missing > 0 then Trace.incr t.trace "statack.feedback_loss"
-
-let rec perform t ~node actions =
-  match Hashtbl.find_opt t.agents node with
-  | None -> ()
-  | Some agent -> List.iter (execute t agent) actions
-
-and execute t agent action =
-  match action with
-  | Send (dest, msg) -> (
-      Trace.incr t.trace ("sent." ^ Message.kind msg);
-      (match agent.metrics with
-      | Some m -> Metrics.incr (Metrics.counter m ("sent." ^ Message.kind msg))
-      | None -> ());
-      match dest with
-      | To_addr addr ->
-          Net.unicast t.net ~src:agent.node ~dst:addr msg
-      | To_group { group; ttl } ->
-          Net.multicast t.net ?ttl ~src:agent.node ~group msg)
-  | Set_timer (key, delay) ->
-      (match Hashtbl.find_opt agent.timers key with
-      | Some timer -> Engine.cancel (engine t) timer
-      | None -> ());
-      let timer =
-        Engine.schedule_kind (engine t) ~kind:Engine.kind_timer ~delay (fun () ->
-            Hashtbl.remove agent.timers key;
-            let actions =
-              agent.handlers.on_timer ~now:(now t) key
-            in
-            List.iter (execute t agent) actions)
-      in
-      Hashtbl.replace agent.timers key timer
-  | Cancel_timer key -> (
-      match Hashtbl.find_opt agent.timers key with
-      | Some timer ->
-          Engine.cancel (engine t) timer;
-          Hashtbl.remove agent.timers key
-      | None -> ())
-  | Deliver { seq; payload; recovered } -> (
-      Trace.incr t.trace "app.delivered";
-      if recovered then Trace.incr t.trace "app.recovered";
-      (match agent.metrics with
-      | Some m ->
-          Metrics.incr (Metrics.counter m "app.delivered");
-          if recovered then Metrics.incr (Metrics.counter m "app.recovered")
-      | None -> ());
-      match agent.handlers.on_deliver with
-      | Some f -> f ~now:(now t) ~seq ~payload ~recovered
-      | None -> ())
-  | Notify notice -> (
-      record_notice t notice;
-      match agent.handlers.on_notice with
-      | Some f -> f ~now:(now t) notice
-      | None -> ())
-  | Join group -> Net.join t.net ~group agent.node
-  | Leave group -> Net.leave t.net ~group agent.node
+let install t node agent =
+  Net.set_handler t.net node (fun ~now:_ ~src msg ->
+      Agent_host.receive t.host agent ~src msg)
 
 let add_agent t ~node handlers =
-  assert (not (Hashtbl.mem t.agents node));
-  let agent =
-    { node; handlers; timers = Hashtbl.create 16; metrics = metrics_for t node }
-  in
-  Hashtbl.replace t.agents node agent;
-  Net.set_handler t.net node (fun ~now:_ ~src msg ->
-      Trace.incr t.trace ("recv." ^ Message.kind msg);
-      (match agent.metrics with
-      | Some m -> Metrics.incr (Metrics.counter m ("recv." ^ Message.kind msg))
-      | None -> ());
-      let actions = handlers.Handlers.on_message ~now:(now t) ~src msg in
-      List.iter (execute t agent) actions)
-
-let inject t ~node ~src msg =
-  match Hashtbl.find_opt t.agents node with
-  | None -> ()
-  | Some agent ->
-      Trace.incr t.trace ("recv." ^ Message.kind msg);
-      (match agent.metrics with
-      | Some m -> Metrics.incr (Metrics.counter m ("recv." ^ Message.kind msg))
-      | None -> ());
-      let actions = agent.handlers.Handlers.on_message ~now:(now t) ~src msg in
-      List.iter (execute t agent) actions
-
-let cancel_timers t agent =
-  Hashtbl.iter (fun _ timer -> Engine.cancel (engine t) timer) agent.timers;
-  Hashtbl.reset agent.timers
-
-let crash t ~node =
-  match Hashtbl.find_opt t.agents node with
-  | None -> ()
-  | Some agent -> cancel_timers t agent
+  install t node (Agent_host.add t.host node node t.meter handlers)
 
 let replace_agent t ~node handlers =
-  (match Hashtbl.find_opt t.agents node with
-  | None -> ()
-  | Some agent ->
-      cancel_timers t agent;
-      Hashtbl.remove t.agents node);
+  Agent_host.remove t.host node;
   add_agent t ~node handlers
 
+let perform t ~node actions = Agent_host.perform t.host node actions
+let inject t ~node ~src msg = Agent_host.dispatch t.host node ~src msg
+let crash t ~node = Agent_host.crash t.host node
 let run ?until t = Engine.run ?until (engine t)

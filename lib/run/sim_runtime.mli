@@ -1,28 +1,27 @@
 (** Runs sans-IO LBRM agents over the discrete-event simulator.
 
-    Protocol addresses are simulator node ids.  The runtime executes
-    each agent's {!Lbrm.Io.action}s: sends become {!Lbrm_sim.Net}
-    transmissions from the agent's node, timers become engine events
-    keyed per-agent (re-arming a live key replaces it), deliveries and
-    notices invoke the agent's callbacks and update the shared
-    {!Lbrm_sim.Trace} counters ("app.delivered", "loss.recovered",
-    "recovery_latency", …). *)
+    Protocol addresses are simulator node ids.  This is the simulator
+    transport for {!Agent_host}, which executes each agent's
+    {!Lbrm.Io.action}s: sends become {!Lbrm_sim.Net} transmissions from
+    the agent's node, timers become [kind_timer] engine events keyed
+    per-agent (re-arming a live key replaces it), deliveries and notices
+    invoke the agent's callbacks.  Every agent counts into the shared
+    {!Lbrm_sim.Trace} ("sent.<kind>", "recv.<kind>", "app.delivered",
+    "loss.recovered", "recovery_latency", …). *)
 
 type t
 
 val create :
-  ?agent_metrics:bool ->
-  net:Lbrm_wire.Message.t Lbrm_sim.Net.t ->
-  trace:Lbrm_sim.Trace.t ->
-  unit ->
-  t
-(** With [agent_metrics] (default false) the runtime additionally keeps
-    a per-node {!Lbrm_util.Metrics} registry — per-kind send/receive
-    counters and delivery counts — that survives agent replacement
-    across crash/restart cycles. *)
+  net:Lbrm_wire.Message.t Lbrm_sim.Net.t -> trace:Lbrm_sim.Trace.t -> unit -> t
 
-val agent_metrics : t -> (Lbrm_sim.Topo.node_id * Lbrm_util.Metrics.t) list
-(** Per-node registries, ascending by node id; empty unless enabled. *)
+val host :
+  'm Lbrm_sim.Net.t ->
+  trace:Lbrm_sim.Trace.t ->
+  wrap:(Lbrm_wire.Message.t -> 'm) ->
+  (Lbrm_sim.Engine.timer, Lbrm_sim.Topo.node_id) Agent_host.t
+(** The simulator transport over any message carrier: sends leave as
+    [wrap msg], notices are recorded into [trace].  {!Mux} runs one per
+    flow. *)
 
 val net : t -> Lbrm_wire.Message.t Lbrm_sim.Net.t
 val engine : t -> Lbrm_sim.Engine.t

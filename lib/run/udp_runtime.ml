@@ -4,19 +4,13 @@ module Heap = Lbrm_util.Heap
 module Metrics = Lbrm_util.Metrics
 module Rng = Lbrm_util.Rng
 module Trace = Lbrm.Trace
-open Lbrm.Io
 
-type agent = {
-  port : int;
-  socket : Unix.file_descr;
-  handlers : Handlers.t;
-  timers : (timer_key, (int * timer_key) Heap.handle) Hashtbl.t;
-  metrics : Metrics.t;
-  (* kind -> interned counter, so the per-datagram accounting path never
-     builds a "sent.<kind>" string *)
-  sent_kind : (string, Metrics.counter) Hashtbl.t;
-  recv_kind : (string, Metrics.counter) Hashtbl.t;
-}
+type handle = (unit -> unit) Heap.handle
+
+(* The transport's side of an agent, handed back by the host on every
+   send. *)
+type endpoint = { port : int; socket : Unix.file_descr }
+type agent = (handle, endpoint) Agent_host.agent
 
 type stats = {
   sent : int;
@@ -33,7 +27,9 @@ type stats = {
   pool_max_outstanding : int;
 }
 
-type t = {
+(* Everything the transport touches: sockets, pool, tx stage, rx ring,
+   timer heap.  The agent host sits on top in [t]. *)
+type io = {
   ip : int; (* host-order IPv4 of bind_ip for the sendmmsg stub *)
   loss : float;
   rng : Rng.t;
@@ -46,9 +42,8 @@ type t = {
   peers : Peer_manager.t;
   sink : Trace.sink;
   runtime_metrics : Metrics.t;
-  agents : (int, agent) Hashtbl.t;
-  by_socket : (Unix.file_descr, agent) Hashtbl.t;
-  timer_heap : (int * timer_key) Heap.t; (* (port, key) at mono deadline *)
+  by_socket : (Unix.file_descr, agent) Hashtbl.t; (* for the select loop *)
+  timer_heap : (unit -> unit) Heap.t; (* expiries at mono deadline *)
   sockaddr_of : int -> Unix.sockaddr; (* cached ADDR_INET per port *)
   (* Transmit stage: up to [batch] encoded datagrams (pooled slots, all
      bound to [tx_fd]'s socket) flushed in one sendmmsg. *)
@@ -76,7 +71,127 @@ type t = {
   wbuf : Codec.Writer.t; (* growable scratch for oversize messages *)
 }
 
-let mono_now () = Sockmsg.monotonic_now ()
+type t = { io : io; host : (handle, endpoint) Agent_host.t }
+
+let elapsed io = Sockmsg.monotonic_now () -. io.started
+
+(* --- transmit --------------------------------------------------------- *)
+
+let flush_tx t =
+  if t.tx_count > 0 then begin
+    Sockmsg.send_batch ~use_mmsg:t.use_mmsg ~use_gso:t.use_gso t.tx_fd t.region
+      ~offs:t.tx_offs ~lens:t.tx_lens ~ports:t.tx_ports ~count:t.tx_count
+      ~ip:t.ip ~sockaddr:t.sockaddr_of;
+    for i = 0 to t.tx_count - 1 do
+      Buf_pool.release t.pool t.tx_bufs.(i)
+    done;
+    t.tx_batches <- t.tx_batches + 1;
+    t.tx_datagrams <- t.tx_datagrams + t.tx_count;
+    t.tx_count <- 0
+  end
+
+let encode_failure t ep msg =
+  t.encode_failures <- t.encode_failures + 1;
+  Metrics.incr (Metrics.counter t.runtime_metrics "tx.encode_failed");
+  if Trace.is_on t.sink then
+    Trace.emit t.sink ~at:(elapsed t) ~node:ep.port
+      (Trace.Encode_failed
+         { kind = Message.kind msg; size = Message.body_size msg })
+
+(* Messages too big for a pool slot (jumbo application payloads) take a
+   growable-writer + one-shot-send slow path rather than failing. *)
+let send_oversize t ep ~dst msg =
+  let w = t.wbuf in
+  Codec.Writer.reset w;
+  match Codec.encode_into w msg with
+  | Error _ -> encode_failure t ep msg
+  | Ok () ->
+      t.oversize <- t.oversize + 1;
+      t.sent <- t.sent + 1;
+      Sockmsg.send_one ep.socket (Codec.Writer.buffer w) ~off:0
+        ~len:(Codec.Writer.length w) (t.sockaddr_of dst)
+
+(* Every datagram that reaches the kernel bumps [t.sent]; the transport
+   reports the difference to the host as the "sent.<kind>" count. *)
+let send_datagram t ep ~dst msg =
+  Peer_manager.note_sent t.peers ~port:dst ~now:(elapsed t);
+  if t.loss > 0. && Rng.bernoulli t.rng ~p:t.loss then
+    t.dropped <- t.dropped + 1
+  else begin
+    (* The stage is bound to one socket per flush; agents interleave
+       rarely (only via nested perform), so this almost never fires. *)
+    if t.tx_count > 0 && t.tx_fd <> ep.socket then flush_tx t;
+    let b = Buf_pool.lease t.pool in
+    if Message.body_size msg > b.Buf_pool.cap then begin
+      Buf_pool.release t.pool b;
+      send_oversize t ep ~dst msg
+    end
+    else if Buf_pool.pooled b then begin
+      match
+        Codec.encode_at b.Buf_pool.bytes ~pos:b.Buf_pool.off
+          ~limit:(b.Buf_pool.off + b.Buf_pool.cap)
+          msg
+      with
+      | Error _ ->
+          Buf_pool.release t.pool b;
+          encode_failure t ep msg
+      | Ok size ->
+          t.tx_fd <- ep.socket;
+          let i = t.tx_count in
+          t.tx_bufs.(i) <-
+            (b [@lint.owns "staged for flush_tx, which releases after sendmmsg"]);
+          t.tx_offs.(i) <- b.Buf_pool.off;
+          t.tx_lens.(i) <- size;
+          t.tx_ports.(i) <- dst;
+          t.tx_count <- i + 1;
+          t.sent <- t.sent + 1;
+          if t.tx_count >= t.batch then flush_tx t
+    end
+    else begin
+      (* Pool exhausted: encode into the fallback buffer and send it
+         one-shot (it is not region-backed, so it cannot join a batch). *)
+      (match
+         Codec.encode_at b.Buf_pool.bytes ~pos:0 ~limit:b.Buf_pool.cap msg
+       with
+      | Error _ -> encode_failure t ep msg
+      | Ok size ->
+          t.sent <- t.sent + 1;
+          Sockmsg.send_one ep.socket b.Buf_pool.bytes ~off:0 ~len:size
+            (t.sockaddr_of dst));
+      (* Fallback buffers are not pooled, so this is a contractual no-op,
+         but it closes the lease/release bracket on this path too. *)
+      Buf_pool.release t.pool b
+    end
+  end
+
+let transport io =
+  {
+    Agent_host.now = (fun () -> elapsed io);
+    unicast =
+      (fun ep ~dst msg ->
+        let before = io.sent in
+        send_datagram io ep ~dst msg;
+        io.sent - before);
+    multicast =
+      (fun ep ~group ~ttl:_ msg ->
+        (* Unicast fan-out over live members; TTL scoping is meaningless
+           here.  Dead peers are skipped — a crashed host stops costing a
+           datagram per multicast — while Suspect ones keep receiving
+           (senders never gate on receiver health). *)
+        let before = io.sent in
+        Peer_manager.iter_live_members io.peers ~group ~except:ep.port
+          (fun port -> send_datagram io ep ~dst:port msg);
+        io.sent - before);
+    arm =
+      (fun delay fire ->
+        Heap.add io.timer_heap ~prio:(elapsed io +. delay) fire);
+    disarm = (fun h -> ignore (Heap.remove io.timer_heap h));
+    join =
+      (fun ~group port ->
+        Peer_manager.join io.peers ~group ~port ~now:(elapsed io));
+    leave = (fun ~group port -> Peer_manager.leave io.peers ~group ~port);
+    notice = ignore;
+  }
 
 let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
     ?(pool_slots = 256) ?(slot_size = 2048) ?(use_mmsg = true) ?(use_gso = true)
@@ -87,7 +202,7 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
      always have that many plus headroom for application retainers. *)
   let pool_slots = max pool_slots ((2 * batch) + 8) in
   let pool = Buf_pool.create ~slots:pool_slots ~slot_size () in
-  let started = mono_now () in
+  let started = Sockmsg.monotonic_now () in
   let ip, ip_known =
     match Sockmsg.ipv4_of_string bind_ip with
     | Some ip -> (ip, true)
@@ -102,7 +217,7 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
              ("peer.to_" ^ Peer_manager.state_label after));
         if Trace.is_on sink then
           Trace.emit sink
-            ~at:(mono_now () -. started)
+            ~at:(Sockmsg.monotonic_now () -. started)
             ~node:port
             (Trace.Peer_state
                {
@@ -132,58 +247,61 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
   in
   let tx_bufs = Array.make batch b0 in
   Buf_pool.release pool b0;
-  {
-    ip;
-    loss;
-    rng = Rng.create ~seed;
-    started;
-    use_mmsg = use_mmsg && Sockmsg.mmsg_available && ip_known;
-    use_gso;
-    batch;
-    pool;
-    region = Buf_pool.region pool;
-    peers;
-    sink;
-    runtime_metrics;
-    agents = Hashtbl.create 16;
-    by_socket = Hashtbl.create 16;
-    timer_heap = Heap.create ~dummy:(0, K_heartbeat);
-    sockaddr_of;
-    tx_fd = Unix.stdin;
-    tx_bufs;
-    tx_offs = Array.make batch 0;
-    tx_lens = Array.make batch 0;
-    tx_ports = Array.make batch 0;
-    tx_count = 0;
-    rx_offs = Array.map (fun b -> b.Buf_pool.off) rx_bufs;
-    rx_lens = Array.make batch 0;
-    rx_ports = Array.make batch 0;
-    sent = 0;
-    dropped = 0;
-    encode_failures = 0;
-    oversize = 0;
-    tx_batches = 0;
-    tx_datagrams = 0;
-    rx_batches = 0;
-    rx_datagrams = 0;
-    rx_truncated = 0;
-    wbuf = Codec.Writer.create ~size:4096 ();
-  }
+  let io =
+    {
+      ip;
+      loss;
+      rng = Rng.create ~seed;
+      started;
+      use_mmsg = use_mmsg && Sockmsg.mmsg_available && ip_known;
+      use_gso;
+      batch;
+      pool;
+      region = Buf_pool.region pool;
+      peers;
+      sink;
+      runtime_metrics;
+      by_socket = Hashtbl.create 16;
+      timer_heap = Heap.create ~dummy:ignore;
+      sockaddr_of;
+      tx_fd = Unix.stdin;
+      tx_bufs;
+      tx_offs = Array.make batch 0;
+      tx_lens = Array.make batch 0;
+      tx_ports = Array.make batch 0;
+      tx_count = 0;
+      rx_offs = Array.map (fun b -> b.Buf_pool.off) rx_bufs;
+      rx_lens = Array.make batch 0;
+      rx_ports = Array.make batch 0;
+      sent = 0;
+      dropped = 0;
+      encode_failures = 0;
+      oversize = 0;
+      tx_batches = 0;
+      tx_datagrams = 0;
+      rx_batches = 0;
+      rx_datagrams = 0;
+      rx_truncated = 0;
+      wbuf = Codec.Writer.create ~size:4096 ();
+    }
+  in
+  { io; host = Agent_host.create (transport io) }
 
-let now t = mono_now () -. t.started
-let mmsg_active t = t.use_mmsg
-let gso_active t = t.use_mmsg && t.use_gso && Sockmsg.gso_available ()
-let peers t = t.peers
-let runtime_metrics t = t.runtime_metrics
+let now t = elapsed t.io
+let mmsg_active t = t.io.use_mmsg
+let gso_active t = t.io.use_mmsg && t.io.use_gso && Sockmsg.gso_available ()
+let peers t = t.io.peers
+let runtime_metrics t = t.io.runtime_metrics
 
-let join t ~group ~port = Peer_manager.join t.peers ~group ~port ~now:(now t)
-let leave t ~group ~port = Peer_manager.leave t.peers ~group ~port
+let join t ~group ~port =
+  Peer_manager.join t.io.peers ~group ~port ~now:(now t)
 
-let datagrams_sent t = t.sent
-let datagrams_dropped t = t.dropped
-let encode_failures t = t.encode_failures
+let leave t ~group ~port = Peer_manager.leave t.io.peers ~group ~port
+let datagrams_sent t = t.io.sent
+let datagrams_dropped t = t.io.dropped
+let encode_failures t = t.io.encode_failures
 
-let stats t =
+let stats { io = t; _ } =
   {
     sent = t.sent;
     dropped = t.dropped;
@@ -200,187 +318,34 @@ let stats t =
   }
 
 let agent_metrics t =
-  Hashtbl.fold (fun port agent acc -> (port, agent.metrics) :: acc) t.agents []
+  Hashtbl.fold
+    (fun _ a acc -> ((Agent_host.endpoint a).port, Agent_host.metrics a) :: acc)
+    t.io.by_socket []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let kind_counter cache metrics prefix kind =
-  try Hashtbl.find cache kind
-  with Not_found ->
-    let c = Metrics.counter metrics (prefix ^ kind) in
-    Hashtbl.add cache kind c;
-    c
-
-(* --- transmit --------------------------------------------------------- *)
-
-let flush_tx t =
-  if t.tx_count > 0 then begin
-    Sockmsg.send_batch ~use_mmsg:t.use_mmsg ~use_gso:t.use_gso t.tx_fd t.region
-      ~offs:t.tx_offs ~lens:t.tx_lens ~ports:t.tx_ports ~count:t.tx_count
-      ~ip:t.ip ~sockaddr:t.sockaddr_of;
-    for i = 0 to t.tx_count - 1 do
-      Buf_pool.release t.pool t.tx_bufs.(i)
-    done;
-    t.tx_batches <- t.tx_batches + 1;
-    t.tx_datagrams <- t.tx_datagrams + t.tx_count;
-    t.tx_count <- 0
-  end
-
-let encode_failure t agent msg =
-  t.encode_failures <- t.encode_failures + 1;
-  Metrics.incr (Metrics.counter t.runtime_metrics "tx.encode_failed");
-  if Trace.is_on t.sink then
-    Trace.emit t.sink ~at:(now t) ~node:agent.port
-      (Trace.Encode_failed
-         { kind = Message.kind msg; size = Message.body_size msg })
-
-(* Messages too big for a pool slot (jumbo application payloads) take a
-   growable-writer + one-shot-send slow path rather than failing. *)
-let send_oversize t agent ~dst msg =
-  let w = t.wbuf in
-  Codec.Writer.reset w;
-  match Codec.encode_into w msg with
-  | Error _ -> encode_failure t agent msg
-  | Ok () ->
-      t.oversize <- t.oversize + 1;
-      t.sent <- t.sent + 1;
-      Metrics.incr
-        (kind_counter agent.sent_kind agent.metrics "sent." (Message.kind msg));
-      Sockmsg.send_one agent.socket (Codec.Writer.buffer w) ~off:0
-        ~len:(Codec.Writer.length w) (t.sockaddr_of dst)
-
-let send_datagram t agent ~dst msg =
-  Peer_manager.note_sent t.peers ~port:dst ~now:(now t);
-  if t.loss > 0. && Rng.bernoulli t.rng ~p:t.loss then
-    t.dropped <- t.dropped + 1
-  else begin
-    (* The stage is bound to one socket per flush; agents interleave
-       rarely (only via nested perform), so this almost never fires. *)
-    if t.tx_count > 0 && t.tx_fd <> agent.socket then flush_tx t;
-    let b = Buf_pool.lease t.pool in
-    if Message.body_size msg > b.Buf_pool.cap then begin
-      Buf_pool.release t.pool b;
-      send_oversize t agent ~dst msg
-    end
-    else if Buf_pool.pooled b then begin
-      match
-        Codec.encode_at b.Buf_pool.bytes ~pos:b.Buf_pool.off
-          ~limit:(b.Buf_pool.off + b.Buf_pool.cap)
-          msg
-      with
-      | Error _ ->
-          Buf_pool.release t.pool b;
-          encode_failure t agent msg
-      | Ok size ->
-          t.tx_fd <- agent.socket;
-          let i = t.tx_count in
-          t.tx_bufs.(i) <-
-            (b [@lint.owns "staged for flush_tx, which releases after sendmmsg"]);
-          t.tx_offs.(i) <- b.Buf_pool.off;
-          t.tx_lens.(i) <- size;
-          t.tx_ports.(i) <- dst;
-          t.tx_count <- i + 1;
-          t.sent <- t.sent + 1;
-          Metrics.incr
-            (kind_counter agent.sent_kind agent.metrics "sent."
-               (Message.kind msg));
-          if t.tx_count >= t.batch then flush_tx t
-    end
-    else begin
-      (* Pool exhausted: encode into the fallback buffer and send it
-         one-shot (it is not region-backed, so it cannot join a batch). *)
-      (match
-         Codec.encode_at b.Buf_pool.bytes ~pos:0 ~limit:b.Buf_pool.cap msg
-       with
-      | Error _ -> encode_failure t agent msg
-      | Ok size ->
-          t.sent <- t.sent + 1;
-          Metrics.incr
-            (kind_counter agent.sent_kind agent.metrics "sent."
-               (Message.kind msg));
-          Sockmsg.send_one agent.socket b.Buf_pool.bytes ~off:0 ~len:size
-            (t.sockaddr_of dst));
-      (* Fallback buffers are not pooled, so this is a contractual no-op,
-         but it closes the lease/release bracket on this path too. *)
-      Buf_pool.release t.pool b
-    end
-  end
-
-(* --- action execution ------------------------------------------------- *)
-
-let rec execute t agent action =
-  match action with
-  | Send (To_addr dst, msg) -> send_datagram t agent ~dst msg
-  | Send (To_group { group; ttl = _ }, msg) ->
-      (* Unicast fan-out over live members; TTL scoping is meaningless
-         here.  Dead peers are skipped — a crashed host stops costing a
-         datagram per multicast — while Suspect ones keep receiving
-         (senders never gate on receiver health). *)
-      Peer_manager.iter_live_members t.peers ~group ~except:agent.port
-        (fun port -> send_datagram t agent ~dst:port msg)
-  | Set_timer (key, delay) ->
-      (match Hashtbl.find_opt agent.timers key with
-      | Some h -> ignore (Heap.remove t.timer_heap h)
-      | None -> ());
-      let h = Heap.add t.timer_heap ~prio:(now t +. delay) (agent.port, key) in
-      Hashtbl.replace agent.timers key h
-  | Cancel_timer key -> (
-      match Hashtbl.find_opt agent.timers key with
-      | Some h ->
-          ignore (Heap.remove t.timer_heap h);
-          Hashtbl.remove agent.timers key
-      | None -> ())
-  | Deliver { seq; payload; recovered } -> (
-      Metrics.incr (Metrics.counter agent.metrics "app.delivered");
-      if recovered then
-        Metrics.incr (Metrics.counter agent.metrics "app.recovered");
-      match agent.handlers.Handlers.on_deliver with
-      | Some f -> f ~now:(now t) ~seq ~payload ~recovered
-      | None -> ())
-  | Notify notice -> (
-      match agent.handlers.Handlers.on_notice with
-      | Some f -> f ~now:(now t) notice
-      | None -> ())
-  | Join group -> join t ~group ~port:agent.port
-  | Leave group -> leave t ~group ~port:agent.port
-
-and perform t ~port actions =
-  match Hashtbl.find_opt t.agents port with
-  | None -> ()
-  | Some agent ->
-      List.iter (execute t agent) actions;
-      flush_tx t
+let perform t ~port actions =
+  Agent_host.perform t.host port actions;
+  flush_tx t.io
 
 let add_agent t ~port handlers =
-  assert (not (Hashtbl.mem t.agents port));
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.setsockopt socket Unix.SO_REUSEADDR true;
-  Unix.bind socket (t.sockaddr_of port);
+  Unix.bind socket (t.io.sockaddr_of port);
   Unix.set_nonblock socket;
-  let agent =
-    {
-      port;
-      socket;
-      handlers;
-      timers = Hashtbl.create 16;
-      metrics = Metrics.create ();
-      sent_kind = Hashtbl.create 16;
-      recv_kind = Hashtbl.create 16;
-    }
-  in
-  Hashtbl.replace t.agents port agent;
-  Hashtbl.replace t.by_socket socket agent
+  let meter = Agent_host.meter (Metrics.create ()) in
+  Hashtbl.replace t.io.by_socket socket
+    (Agent_host.add t.host port { port; socket } meter handlers)
 
 (* --- receive ---------------------------------------------------------- *)
 
-let slot_len t = Buf_pool.slot_size t.pool
-
-let drain_socket t agent =
+let drain_socket { io = t; host } agent =
+  let ep = Agent_host.endpoint agent in
   let continue = ref true in
   while !continue do
     let n =
-      Sockmsg.recv_batch ~use_mmsg:t.use_mmsg agent.socket t.region
-        ~offs:t.rx_offs ~slot:(slot_len t) ~count:t.batch ~lens:t.rx_lens
-        ~ports:t.rx_ports
+      Sockmsg.recv_batch ~use_mmsg:t.use_mmsg ep.socket t.region
+        ~offs:t.rx_offs ~slot:(Buf_pool.slot_size t.pool) ~count:t.batch
+        ~lens:t.rx_lens ~ports:t.rx_ports
     in
     if n = 0 then continue := false
     else begin
@@ -403,15 +368,8 @@ let drain_socket t agent =
           let src_port = t.rx_ports.(i) in
           match Codec.decode_bytes ~pos:t.rx_offs.(i) ~len t.region with
           | Ok msg ->
-              Peer_manager.note_recv t.peers ~port:src_port ~now:(now t);
-              Metrics.incr
-                (kind_counter agent.recv_kind agent.metrics "recv."
-                   (Message.kind msg));
-              let actions =
-                agent.handlers.Handlers.on_message ~now:(now t) ~src:src_port
-                  msg
-              in
-              List.iter (execute t agent) actions
+              Peer_manager.note_recv t.peers ~port:src_port ~now:(elapsed t);
+              Agent_host.receive host agent ~src:src_port msg
           | Error _ ->
               (* malformed datagram: drop *)
               Metrics.incr (Metrics.counter t.runtime_metrics "rx.malformed")
@@ -424,33 +382,25 @@ let drain_socket t agent =
 let fire_due_timers t =
   let continue = ref true in
   while !continue do
-    match Heap.peek t.timer_heap with
+    match Heap.peek t.io.timer_heap with
     | Some (deadline, _) when deadline <= now t -> (
-        match Heap.pop t.timer_heap with
-        | Some (_, (port, key)) -> (
-            match Hashtbl.find_opt t.agents port with
-            | Some agent ->
-                Hashtbl.remove agent.timers key;
-                let actions =
-                  agent.handlers.Handlers.on_timer ~now:(now t) key
-                in
-                List.iter (execute t agent) actions
-            | None -> ())
+        match Heap.pop t.io.timer_heap with
+        | Some (_, fire) -> fire ()
         | None -> continue := false)
     | _ -> continue := false
   done;
-  flush_tx t
+  flush_tx t.io
 
 let run_for t ~seconds =
   let stop_at = now t +. seconds in
-  let sockets () = Hashtbl.fold (fun s _ acc -> s :: acc) t.by_socket [] in
+  let sockets () = Hashtbl.fold (fun s _ acc -> s :: acc) t.io.by_socket [] in
   while now t < stop_at do
     fire_due_timers t;
-    Peer_manager.tick t.peers ~now:(now t);
+    Peer_manager.tick t.io.peers ~now:(now t);
     let timeout =
       let until_stop = stop_at -. now t in
       let until_timer =
-        match Heap.peek t.timer_heap with
+        match Heap.peek t.io.timer_heap with
         | Some (deadline, _) -> Float.max 0. (deadline -. now t)
         | None -> until_stop
       in
@@ -460,7 +410,7 @@ let run_for t ~seconds =
     | readable, _, _ ->
         List.iter
           (fun s ->
-            match Hashtbl.find_opt t.by_socket s with
+            match Hashtbl.find_opt t.io.by_socket s with
             | Some agent -> drain_socket t agent
             | None -> ())
           readable
@@ -469,7 +419,10 @@ let run_for t ~seconds =
   fire_due_timers t
 
 let close t =
-  flush_tx t;
-  Hashtbl.iter (fun _ agent -> Unix.close agent.socket) t.agents;
-  Hashtbl.reset t.agents;
-  Hashtbl.reset t.by_socket
+  flush_tx t.io;
+  Hashtbl.iter
+    (fun socket agent ->
+      Unix.close socket;
+      Agent_host.remove t.host (Agent_host.endpoint agent).port)
+    t.io.by_socket;
+  Hashtbl.reset t.io.by_socket

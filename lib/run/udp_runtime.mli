@@ -1,5 +1,6 @@
 (** Runs LBRM agents over real UDP sockets (loopback or LAN) — the
-    production transport.
+    production transport under {!Agent_host}, which executes the
+    agents' actions and keeps their counters.
 
     Protocol addresses are UDP port numbers; every agent binds
     [127.0.0.1:port] (or a given interface).  A single-threaded
@@ -120,8 +121,9 @@ val runtime_metrics : t -> Lbrm_util.Metrics.t
     [rx.truncated], [rx.malformed]. *)
 
 val agent_metrics : t -> (int * Lbrm_util.Metrics.t) list
-(** Per-agent registries (per-kind send/receive counters, delivery
-    counts), ascending by port. *)
+(** Per-agent registries, ascending by port: one ["sent.<kind>"] per
+    datagram staged, ["recv.<kind>"] per datagram decoded, and delivery
+    counts.  Notices are not recorded here. *)
 
 val close : t -> unit
 (** Flush the transmit stage and close every socket. *)

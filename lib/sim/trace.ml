@@ -1,48 +1,15 @@
+module Metrics = Lbrm_util.Metrics
 module Stats = Lbrm_util.Stats
 
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  samples : (string, Stats.Sample.t) Hashtbl.t;
-}
+type t = Metrics.t
 
-let create () = { counters = Hashtbl.create 32; samples = Hashtbl.create 16 }
-
-let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.counters name r;
-      r
-
-let incr ?(by = 1) t name =
-  let r = counter t name in
-  r := !r + by
-
-let get t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let sample t name =
-  match Hashtbl.find_opt t.samples name with
-  | Some s -> s
-  | None ->
-      let s = Stats.Sample.create () in
-      Hashtbl.add t.samples name s;
-      s
-
-let observe t name x = Stats.Sample.add (sample t name) x
-
-let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let samples t =
-  Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.samples []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.samples
+let create = Metrics.create
+let incr ?(by = 1) t name = Metrics.add (Metrics.counter t name) by
+let get = Metrics.count
+let observe t name x = Metrics.observe (Metrics.sample t name) x
+let sample = Metrics.sample
+let counters = Metrics.counters
+let samples = Metrics.samples
 
 let pp fmt t =
   List.iter (fun (k, v) -> Format.fprintf fmt "%-32s %d@." k v) (counters t);

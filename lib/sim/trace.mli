@@ -4,15 +4,18 @@
     protocol agents increment counters ("nack_sent",
     "retrans_multicast", …) and record latency samples
     ("recovery_delay", …).  The benchmark harness reads these to print
-    the paper's tables. *)
+    the paper's tables.
 
-type t
+    It is a string-keyed view over {!Lbrm_util.Metrics}, the one
+    registry type: a name is either a counter or a sample set. *)
+
+type t = Lbrm_util.Metrics.t
 
 val create : unit -> t
 
 val incr : ?by:int -> t -> string -> unit
 val get : t -> string -> int
-(** 0 if never incremented. *)
+(** 0 if never incremented; never creates the counter. *)
 
 val observe : t -> string -> float -> unit
 (** Append to the named sample set. *)
@@ -25,8 +28,6 @@ val counters : t -> (string * int) list
 
 val samples : t -> (string * Lbrm_util.Stats.Sample.t) list
 (** All sample sets, sorted by name. *)
-
-val reset : t -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Dump counters and sample summaries. *)

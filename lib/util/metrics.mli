@@ -33,6 +33,13 @@ val observe : Stats.Sample.t -> float -> unit
 
 (** {2 Reporting} *)
 
+val count : t -> string -> int
+(** A counter's value by name; 0 if absent.  Never registers. *)
+
+val counters : t -> (string * int) list
+val samples : t -> (string * Stats.Sample.t) list
+(** Just the counters / sample sets, sorted by name. *)
+
 type snapshot_value =
   | V_int of int
   | V_float of float

@@ -41,8 +41,9 @@ let envelope_roundtrip () =
     envs
 
 (* Two flows across two sites.  The host [shared] is simultaneously the
-   *secondary* logger of flow 1 and the *primary* logger of flow 2. *)
-let dual_role_logger () =
+   *secondary* logger of flow 1 and the *primary* logger of flow 2.
+   Returns the engine and trace for the accounting checks below. *)
+let dual_role_run () =
   let cfg_of flow =
     {
       Lbrm.Config.default with
@@ -167,7 +168,26 @@ let dual_role_logger () =
     (Lbrm.Logger.requests_served secondary1 > 0);
   (* Flow isolation: flow-1's secondary never logged flow-2 data. *)
   checkb "no cross-flow contamination" true
-    (Lbrm.Log_store.count (Lbrm.Logger.store secondary1) = 6)
+    (Lbrm.Log_store.count (Lbrm.Logger.store secondary1) = 6);
+  (engine, trace)
+
+let dual_role_logger () = ignore (dual_role_run ())
+
+(* Sub-agent timers are timer events, as in Sim_runtime; the only
+   untagged events are the run's own six send ticks. *)
+let timers_are_timer_events () =
+  let engine, _ = dual_role_run () in
+  checkb "mux timers are kind_timer" true
+    (Engine.kind_fired engine ~kind:Engine.kind_timer > 0);
+  checki "untagged events" 6
+    (Engine.kind_fired engine ~kind:Engine.kind_default)
+
+(* The flows count everything Sim_runtime counts, notices included. *)
+let counts_like_sim_runtime () =
+  let _, trace = dual_role_run () in
+  checkb "recovered deliveries counted" true
+    (Trace.get trace "app.recovered" > 0);
+  checkb "gaps counted" true (Trace.get trace "loss.gaps" > 0)
 
 let () =
   Alcotest.run "mux"
@@ -177,5 +197,9 @@ let () =
           Alcotest.test_case "envelope codec" `Quick envelope_roundtrip;
           Alcotest.test_case "dual-role logging process" `Quick
             dual_role_logger;
+          Alcotest.test_case "timers are timer events" `Quick
+            timers_are_timer_events;
+          Alcotest.test_case "counts what Sim_runtime counts" `Quick
+            counts_like_sim_runtime;
         ] );
     ]

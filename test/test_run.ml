@@ -1,27 +1,85 @@
 (* The runtime layer itself: action execution semantics (timer re-arm,
-   cancellation, Join/Leave), handler combination, and the canonical
+   cancellation, Join/Leave, per-kind accounting) written once and run
+   over both transports of the shared agent host — the simulator and
+   loopback UDP — plus handler combination and the canonical
    deployments' bookkeeping. *)
 
 module Sim_runtime = Lbrm_run.Sim_runtime
+module Udp_runtime = Lbrm_run.Udp_runtime
 module Handlers = Lbrm_run.Handlers
 module Scenario = Lbrm_run.Scenario
 module Engine = Lbrm_sim.Engine
 module Net = Lbrm_sim.Net
 module Builders = Lbrm_sim.Builders
 module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Message = Lbrm_wire.Message
 module Io = Lbrm.Io
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
-let checkf eps = Alcotest.check (Alcotest.float eps)
 
-let mk_runtime () =
+(* Agent [i] of a rig, whatever its transport. *)
+type rig = {
+  addr : int -> Message.address;
+  add : int -> Handlers.t -> unit;
+  perform : int -> Io.action list -> unit;
+  settle : unit -> unit; (* until in-flight traffic and due timers are done *)
+  slack : float; (* how late a timer may fire: 0 in virtual time *)
+  count : string -> int; (* summed over the transport's registries *)
+  close : unit -> unit;
+}
+
+let sim_rig () =
   let topo, _, hosts = Builders.lan ~hosts:3 () in
   let engine = Engine.create ~seed:71 () in
   let net = Net.create ~engine ~topo ~size_of:Message.wire_size () in
   let trace = Trace.create () in
-  (Sim_runtime.create ~net ~trace (), hosts)
+  let rt = Sim_runtime.create ~net ~trace () in
+  {
+    addr = (fun i -> hosts.(i));
+    add = (fun i h -> Sim_runtime.add_agent rt ~node:hosts.(i) h);
+    perform = (fun i actions -> Sim_runtime.perform rt ~node:hosts.(i) actions);
+    settle = (fun () -> Sim_runtime.run rt);
+    slack = 0.;
+    count = Trace.get trace;
+    close = ignore;
+  }
+
+(* Sandboxes without loopback sockets skip (not fail) the UDP runs:
+   socket availability is an environment fact, not a regression. *)
+let sockets_available =
+  lazy
+    (match Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 with
+    | s ->
+        let ok =
+          match Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
+          | () -> true
+          | exception Unix.Unix_error _ -> false
+        in
+        Unix.close s;
+        ok
+    | exception Unix.Unix_error _ -> false)
+
+let udp_rig ~base_port () =
+  if not (Lazy.force sockets_available) then Alcotest.skip ();
+  let window = 0.15 in
+  let rt = Udp_runtime.create () in
+  let port i = base_port + i in
+  {
+    addr = port;
+    add = (fun i h -> Udp_runtime.add_agent rt ~port:(port i) h);
+    perform = (fun i actions -> Udp_runtime.perform rt ~port:(port i) actions);
+    settle = (fun () -> Udp_runtime.run_for rt ~seconds:window);
+    slack = window;
+    count =
+      (fun name ->
+        List.fold_left
+          (fun acc (_, m) -> acc + Metrics.count m name)
+          0
+          (Udp_runtime.agent_metrics rt));
+    close = (fun () -> Udp_runtime.close rt);
+  }
 
 let null_handlers ?(on_timer = fun ~now:_ _ -> []) () =
   {
@@ -31,49 +89,99 @@ let null_handlers ?(on_timer = fun ~now:_ _ -> []) () =
     on_notice = None;
   }
 
-let timer_rearm_semantics () =
-  let rt, hosts = mk_runtime () in
+let timer_rearm_semantics rig =
   let fired = ref [] in
   let on_timer ~now key =
     fired := (now, key) :: !fired;
     []
   in
-  Sim_runtime.add_agent rt ~node:hosts.(0) (null_handlers ~on_timer ());
-  Sim_runtime.perform rt ~node:hosts.(0)
+  rig.add 0 (null_handlers ~on_timer ());
+  rig.perform 0
     [
-      Io.Set_timer (Io.K_app "x", 1.0);
-      Io.Set_timer (Io.K_app "x", 2.0) (* re-arm replaces *);
-      Io.Set_timer (Io.K_app "y", 0.5);
+      Io.Set_timer (Io.K_app "x", 0.02);
+      Io.Set_timer (Io.K_app "x", 0.05) (* re-arm replaces *);
+      Io.Set_timer (Io.K_app "y", 0.01);
       Io.Cancel_timer (Io.K_app "y");
     ];
-  Sim_runtime.run rt;
-  (match List.rev !fired with
-  | [ (at, Io.K_app "x") ] -> checkf 1e-9 "re-armed deadline" 2.0 at
+  rig.settle ();
+  rig.close ();
+  (match !fired with
+  | [ (at, Io.K_app "x") ] ->
+      checkb "not before the re-armed deadline" true (at >= 0.05 -. 1e-9);
+      checkb "at the re-armed deadline, within the transport's slack" true
+        (at <= 0.05 +. rig.slack +. 1e-9)
   | _ -> Alcotest.fail "expected exactly one firing of x");
   checkb "cancelled never fired" true
     (not (List.exists (fun (_, k) -> k = Io.K_app "y") !fired))
 
-let join_leave_actions () =
-  let rt, hosts = mk_runtime () in
+let join_leave_actions rig =
   let got = ref 0 in
-  Sim_runtime.add_agent rt ~node:hosts.(0) (null_handlers ());
-  Sim_runtime.add_agent rt ~node:hosts.(1)
+  rig.add 0 (null_handlers ());
+  rig.add 1
     {
       (null_handlers ()) with
       Handlers.on_message = (fun ~now:_ ~src:_ _ -> incr got; []);
     };
   (* Agent 1 joins group 5 via an action, gets one multicast, leaves,
      misses the second. *)
-  Sim_runtime.perform rt ~node:hosts.(1) [ Io.Join 5 ];
-  Sim_runtime.perform rt ~node:hosts.(0)
-    [ Io.Send (Io.To_group { group = 5; ttl = None }, Message.Who_is_primary) ];
-  Sim_runtime.run rt;
+  let multicast () =
+    rig.perform 0
+      [
+        Io.Send
+          (Io.To_group { group = 5; ttl = None }, Message.Who_is_primary);
+      ]
+  in
+  rig.perform 1 [ Io.Join 5 ];
+  multicast ();
+  rig.settle ();
   checki "received while joined" 1 !got;
-  Sim_runtime.perform rt ~node:hosts.(1) [ Io.Leave 5 ];
-  Sim_runtime.perform rt ~node:hosts.(0)
-    [ Io.Send (Io.To_group { group = 5; ttl = None }, Message.Who_is_primary) ];
-  Sim_runtime.run rt;
+  rig.perform 1 [ Io.Leave 5 ];
+  multicast ();
+  rig.settle ();
+  rig.close ();
   checki "not received after leaving" 1 !got
+
+(* The same action list on either transport; the host's counters. *)
+let activity_names =
+  [ "sent.nack"; "recv.nack"; "app.delivered"; "app.recovered" ]
+
+let run_activity rig =
+  rig.add 0 (null_handlers ());
+  rig.add 1 (null_handlers ());
+  rig.perform 0
+    [
+      Io.Send (Io.To_addr (rig.addr 1), Message.Nack { seqs = [ 1 ] });
+      Io.Deliver { seq = 1; payload = "x"; recovered = true };
+      Io.Deliver { seq = 2; payload = "y"; recovered = false };
+      Io.Notify (Io.N_gap [ 1; 2 ]);
+    ];
+  rig.settle ();
+  let counts = List.map (fun n -> (n, rig.count n)) activity_names in
+  let gaps = rig.count "loss.gaps" in
+  rig.close ();
+  (counts, gaps)
+
+let expected_activity =
+  [
+    ("sent.nack", 1);
+    ("recv.nack", 1);
+    ("app.delivered", 2);
+    ("app.recovered", 1);
+  ]
+
+let counts_t = Alcotest.(list (pair string int))
+
+let trace_records_activity () =
+  let counts, gaps = run_activity (sim_rig ()) in
+  Alcotest.check counts_t "host counters" expected_activity counts;
+  checki "gap notice counted" 2 gaps
+
+let transports_count_alike () =
+  let sim, _ = run_activity (sim_rig ()) in
+  let udp, gaps = run_activity (udp_rig ~base_port:48720 ()) in
+  Alcotest.check counts_t "udp counts as the simulator does" sim udp;
+  Alcotest.check counts_t "and as expected" expected_activity udp;
+  checki "notices are not recorded on sockets" 0 gaps
 
 let combined_handlers_merge () =
   let calls = ref [] in
@@ -107,24 +215,6 @@ let combined_handlers_merge () =
       "a.notice"; "b.notice" ]
     (List.rev !calls)
 
-let trace_records_sends_and_deliveries () =
-  let rt, hosts = mk_runtime () in
-  Sim_runtime.add_agent rt ~node:hosts.(0) (null_handlers ());
-  Sim_runtime.add_agent rt ~node:hosts.(1) (null_handlers ());
-  Sim_runtime.perform rt ~node:hosts.(0)
-    [
-      Io.Send (Io.To_addr hosts.(1), Message.Nack { seqs = [ 1 ] });
-      Io.Deliver { seq = 1; payload = "x"; recovered = true };
-      Io.Notify (Io.N_gap [ 1; 2 ]);
-    ];
-  Sim_runtime.run rt;
-  let trace = Sim_runtime.trace rt in
-  checki "send counted by kind" 1 (Trace.get trace "sent.nack");
-  checki "receive counted" 1 (Trace.get trace "recv.nack");
-  checki "delivery counted" 1 (Trace.get trace "app.delivered");
-  checki "recovered counted" 1 (Trace.get trace "app.recovered");
-  checki "gap notice counted" 2 (Trace.get trace "loss.gaps")
-
 let scenario_bookkeeping () =
   let d =
     Scenario.standard ~cfg:{ Lbrm.Config.default with stat_ack_enabled = false }
@@ -145,11 +235,21 @@ let () =
     [
       ( "sim-runtime",
         [
-          Alcotest.test_case "timer re-arm and cancel" `Quick
-            timer_rearm_semantics;
-          Alcotest.test_case "join/leave actions" `Quick join_leave_actions;
+          Alcotest.test_case "timer re-arm and cancel" `Quick (fun () ->
+              timer_rearm_semantics (sim_rig ()));
+          Alcotest.test_case "join/leave actions" `Quick (fun () ->
+              join_leave_actions (sim_rig ()));
           Alcotest.test_case "trace records activity" `Quick
-            trace_records_sends_and_deliveries;
+            trace_records_activity;
+        ] );
+      ( "udp-runtime",
+        [
+          Alcotest.test_case "timer re-arm and cancel" `Quick (fun () ->
+              timer_rearm_semantics (udp_rig ~base_port:48700 ()));
+          Alcotest.test_case "join/leave actions" `Quick (fun () ->
+              join_leave_actions (udp_rig ~base_port:48710 ()));
+          Alcotest.test_case "counts as the simulator does" `Quick
+            transports_count_alike;
         ] );
       ( "handlers",
         [ Alcotest.test_case "combine merges" `Quick combined_handlers_merge ] );

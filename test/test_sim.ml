@@ -399,8 +399,11 @@ let trace_counters () =
   Trace.observe t "lat" 3.;
   checkf 1e-9 "sample mean" 2.
     (Lbrm_util.Stats.Sample.mean (Trace.sample t "lat"));
-  Trace.reset t;
-  checki "reset" 0 (Trace.get t "x")
+  checkb "get never registers" false
+    (List.mem_assoc "z" (Trace.counters t));
+  Alcotest.(check (list string))
+    "counters by name" [ "x"; "y" ]
+    (List.map fst (Trace.counters t))
 
 let prop_route_triangle =
   (* On random dis_wan topologies, routed distances obey symmetry (all

@@ -442,6 +442,44 @@ let measurements : (string list * (unit -> float)) list =
           probe i
         done;
         (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+    ( [ "Agent_host.receive"; "Agent_host.count" ],
+      fun () ->
+        (* One message through the shared host's receive path over an
+           inert transport: per-kind "recv.<kind>" accounting plus an
+           empty handler.  A per-message name built by (^) would show
+           up here as words per op. *)
+        let module H = Lbrm_run.Agent_host in
+        let host =
+          H.create
+            {
+              H.now = (fun () -> 0.);
+              unicast = (fun () ~dst:_ _ -> 0);
+              multicast = (fun () ~group:_ ~ttl:_ _ -> 0);
+              arm = (fun _ _ -> ());
+              disarm = ignore;
+              join = (fun ~group:_ _ -> ());
+              leave = (fun ~group:_ _ -> ());
+              notice = ignore;
+            }
+        in
+        let handlers =
+          {
+            Lbrm_run.Handlers.on_message = (fun ~now:_ ~src:_ _ -> []);
+            on_timer = (fun ~now:_ _ -> []);
+            on_deliver = None;
+            on_notice = None;
+          }
+        in
+        let agent = H.add host 1 () (H.meter (Metrics.create ())) handlers in
+        let msg = Lbrm_wire.Message.Nack { seqs = [ 1 ] } in
+        for _ = 1 to 100 do
+          H.receive host agent ~src:2 msg
+        done;
+        let before = Gc.allocated_bytes () in
+        for _ = 1 to iters do
+          H.receive host agent ~src:2 msg
+        done;
+        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
     ( [ "Metrics.incr"; "Metrics.add" ],
       fun () ->
         let m = Metrics.create () in

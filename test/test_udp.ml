@@ -230,34 +230,6 @@ let encode_failure_is_not_loss () =
     (Lbrm_util.Metrics.value (Lbrm_util.Metrics.counter m "tx.encode_failed"));
   U.close rt
 
-let timer_rearm_and_cancel () =
-  require_sockets ();
-  (* The runtime's timer heap honours re-arming and cancellation. *)
-  let rt = U.create () in
-  let fired = ref [] in
-  let handlers =
-    {
-      H.on_message = (fun ~now:_ ~src:_ _ -> []);
-      on_timer =
-        (fun ~now:_ key ->
-          fired := key :: !fired;
-          []);
-      on_deliver = None;
-      on_notice = None;
-    }
-  in
-  U.add_agent rt ~port:48300 handlers;
-  U.perform rt ~port:48300
-    [
-      Lbrm.Io.Set_timer (Lbrm.Io.K_app "a", 0.02);
-      Lbrm.Io.Set_timer (Lbrm.Io.K_app "b", 0.02);
-      Lbrm.Io.Set_timer (Lbrm.Io.K_app "a", 0.05) (* re-arm a *);
-      Lbrm.Io.Cancel_timer (Lbrm.Io.K_app "b");
-    ];
-  U.run_for rt ~seconds:0.12;
-  checkb "a fired exactly once" true (!fired = [ Lbrm.Io.K_app "a" ]);
-  U.close rt
-
 let () =
   Alcotest.run "udp"
     [
@@ -272,7 +244,5 @@ let () =
             peer_states_follow_traffic;
           Alcotest.test_case "encode failure is not loss" `Quick
             encode_failure_is_not_loss;
-          Alcotest.test_case "timer re-arm and cancel" `Quick
-            timer_rearm_and_cancel;
         ] );
     ]
