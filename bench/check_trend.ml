@@ -12,9 +12,16 @@
    regressed *relative to the rest of the suite* trip the gate.
    [--absolute] skips the normalization (same-machine comparisons).
 
+   It also gates minor_words_per_op, which does not depend on machine
+   speed: the rows are seeded, so repeated runs agree to well under a
+   tenth of a word.  A row fails when it allocates more than 1% or half
+   a word per op over its baseline, whichever is larger, so one extra
+   word per op trips the gate on any row under 50 words/op.
+
    The parser reads only the shape bench/micro.ml emits (one benchmark
-   object per line, string [name], numeric [ops_per_sec]); it is a
-   scanner, not a JSON library, on purpose — no external deps. *)
+   object per line, string [name], numeric [ops_per_sec] and
+   [minor_words_per_op]); it is a scanner, not a JSON library, on
+   purpose — no external deps. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
@@ -81,7 +88,10 @@ let scan_float_field s key from upto =
       if !k > !j then float_of_string_opt (String.sub s !j (!k - !j))
       else None
 
-(* name -> ops_per_sec for every benchmark object in the file. *)
+type row = { ops : float; words : float option }
+
+(* name -> row for every benchmark object in the file that reports a
+   positive ops_per_sec. *)
 let parse path =
   let s = read_file path in
   let results = ref [] in
@@ -95,13 +105,18 @@ let parse path =
           | None -> String.length s
         in
         (match scan_float_field s "ops_per_sec" after upto with
-        | Some ops when ops > 0. -> results := (name, ops) :: !results
+        | Some ops when ops > 0. ->
+            let words = scan_float_field s "minor_words_per_op" after upto in
+            results := (name, { ops; words }) :: !results
         | _ -> ());
         loop upto
   in
   loop 0;
   if !results = [] then fail "check_trend: no benchmarks found in %s" path;
   List.rev !results
+
+(* Largest words/op a row may allocate against its baseline. *)
+let words_limit base = base +. Float.max 0.5 (0.01 *. base)
 
 let median xs =
   match List.sort Float.compare xs with
@@ -140,13 +155,20 @@ let () =
   in
   let baseline = parse baseline_path in
   let current = parse current_path in
-  (* Slowdown ratio per benchmark present in both files; benchmarks new
-     in [current] have no baseline and are reported informationally. *)
+  (* Per benchmark present in both files: slowdown ratio and words/op
+     (baseline, current) when both report it.  Benchmarks new in
+     [current] have no baseline and are reported informationally. *)
   let shared =
     List.filter_map
-      (fun (name, base_ops) ->
+      (fun (name, base) ->
         match List.assoc_opt name current with
-        | Some cur_ops -> Some (name, base_ops /. cur_ops)
+        | Some cur ->
+            let words =
+              match (base.words, cur.words) with
+              | Some b, Some c -> Some (b, c)
+              | _ -> None
+            in
+            Some (name, base.ops /. cur.ops, words)
         | None -> None)
       baseline
   in
@@ -154,22 +176,28 @@ let () =
     fail "check_trend: no shared benchmarks between %s and %s" baseline_path
       current_path;
   let speed_factor =
-    if !absolute then 1. else median (List.map snd shared)
+    if !absolute then 1. else median (List.map (fun (_, r, _) -> r) shared)
   in
+  let slower ratio = ratio /. speed_factor > !threshold in
+  let heavier = function Some (b, c) -> c > words_limit b | None -> false in
   let regressions =
-    List.filter
-      (fun (_, ratio) -> ratio /. speed_factor > !threshold)
-      shared
+    List.filter (fun (_, ratio, words) -> slower ratio || heavier words) shared
   in
   Printf.printf
     "check_trend: %d shared benchmark(s), machine-speed factor %.3g, \
-     threshold %.2gx\n"
+     threshold %.2gx, words/op +max(1%%, 0.5)\n"
     (List.length shared) speed_factor !threshold;
   List.iter
-    (fun (name, ratio) ->
+    (fun (name, ratio, words) ->
       let norm = ratio /. speed_factor in
-      Printf.printf "  %-28s %6.2fx %s\n" name norm
-        (if norm > !threshold then "REGRESSION"
+      let words_col =
+        match words with
+        | Some (b, c) -> Printf.sprintf "%10.4g -> %-10.4g words/op" b c
+        | None -> ""
+      in
+      Printf.printf "  %-28s %6.2fx %s %s\n" name norm words_col
+        (if slower ratio then "REGRESSION"
+         else if heavier words then "REGRESSION (words/op)"
          else if norm > 1.2 then "slower"
          else "ok"))
     shared;
@@ -179,7 +207,9 @@ let () =
         Printf.printf "  %-28s    new (no baseline)\n" name)
     current;
   if regressions <> [] then begin
-    Printf.printf "check_trend: FAIL — %d benchmark(s) regressed >%.2gx\n"
+    Printf.printf
+      "check_trend: FAIL — %d benchmark(s) regressed (>%.2gx slower or \
+       allocating more)\n"
       (List.length regressions) !threshold;
     exit 1
   end

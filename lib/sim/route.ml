@@ -9,22 +9,35 @@ type table = {
 
 type t = {
   topo : Topo.t;
-  cache : (Topo.node_id, table) Hashtbl.t;
-  (* Topo.state_epoch the cache was built at: a node or link going up or
-     down silently invalidates every table. *)
+  (* Node-indexed; [unbuilt] until the node's first query this epoch. *)
+  mutable tables : table array;
+  (* Node-indexed; [Some l] iff [l] is the node's only out-link.  Such a
+     single-homed node forwards through its neighbour's table. *)
+  mutable uplink : Topo.link option array;
+  (* Topo.state_epoch both arrays were built at: a node or link going up
+     or down, or the topology growing, invalidates every table. *)
   mutable at_epoch : int;
+  mutable built : int;
 }
 
-let create topo = { topo; cache = Hashtbl.create 16; at_epoch = Topo.state_epoch topo }
-let invalidate t = Hashtbl.reset t.cache
+let unbuilt = { dist = [||]; hops = [||]; first = [||]; children = [||] }
+let create topo = { topo; tables = [||]; uplink = [||]; at_epoch = -1; built = 0 }
+let tables_built t = t.built
 
-(* Dijkstra from [src]; also records, for each node, the first link taken
-   out of [src] and the shortest-path-tree child links. *)
-let compute t src =
+let refresh t =
   let n = Topo.node_count t.topo in
-  let dist = Array.make n infinity in
-  let hops = Array.make n (-1) in
-  let first = Array.make n None in
+  t.tables <- Array.make n unbuilt;
+  t.uplink <-
+    Array.init n (fun v ->
+        match Topo.links_from t.topo v with [ l ] -> Some l | _ -> None);
+  t.at_epoch <- Topo.state_epoch t.topo
+
+(* Dijkstra from [src] into the fresh arrays of [tbl]; also records, for
+   each node, the first link taken out of [src] and the shortest-path-tree
+   child links. *)
+let compute t src tbl =
+  let { dist; hops; first; children } = tbl in
+  let n = Array.length dist in
   let parent_link : Topo.link option array = Array.make n None in
   let visited = Array.make n false in
   let pq = Heap.create ~dummy:(-1) in
@@ -58,30 +71,51 @@ let compute t src =
         drain ()
   in
   drain ();
-  let children = Array.make n [] in
   for v = 0 to n - 1 do
     match parent_link.(v) with
     | Some link ->
         let u = Topo.link_src link in
         children.(u) <- link :: children.(u)
     | None -> ()
-  done;
-  { dist; hops; first; children }
+  done
 
-let table t src =
-  let epoch = Topo.state_epoch t.topo in
-  if epoch <> t.at_epoch then begin
-    Hashtbl.reset t.cache;
-    t.at_epoch <- epoch
-  end;
-  match Hashtbl.find_opt t.cache src with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = compute t src in
-      Hashtbl.add t.cache src tbl;
-      tbl
+let[@lint.hot] table t src =
+  if Topo.state_epoch t.topo <> t.at_epoch then refresh t;
+  let tbl = t.tables.(src) in
+  if tbl != unbuilt then tbl
+  else begin
+    let n = Array.length t.tables in
+    let tbl =
+      ({
+         dist = Array.make n infinity;
+         hops = Array.make n (-1);
+         first = Array.make n None;
+         children = Array.make n [];
+       }
+      [@lint.alloc "first use of a node's table this state epoch: one Dijkstra"])
+    in
+    compute t src tbl;
+    t.tables.(src) <- tbl;
+    t.built <- t.built + 1;
+    tbl
+  end
 
-let next_hop t ~src ~dst = (table t src).first.(dst)
+(* A single-homed [src] (one out-link [l] to [r]) builds no table: every
+   path out of it runs through [r], so Dijkstra from [src] would pick [l]
+   for exactly the destinations [r] reaches.  The packet then forwards
+   hop by hop on [r]'s own table. *)
+let[@lint.hot] next_hop t ~src ~dst =
+  if Topo.state_epoch t.topo <> t.at_epoch then refresh t;
+  match t.uplink.(src) with
+  | None -> (table t src).first.(dst)
+  | Some l as hop ->
+      let r = Topo.link_dst l in
+      if
+        dst <> src && Topo.link_up l && Topo.node_up t.topo r
+        && (dst = r || (table t r).hops.(dst) >= 0)
+      then hop
+      else None
+
 let distance t ~src ~dst = (table t src).dist.(dst)
 let hops t ~src ~dst = (table t src).hops.(dst)
 let spt_children t ~root ~node = (table t root).children.(node)

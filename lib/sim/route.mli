@@ -1,16 +1,24 @@
 (** Shortest-path routing over a topology.
 
     Routes minimize accumulated propagation delay (Dijkstra).  Tables are
-    computed lazily per source and cached; the topology must not gain
-    nodes or links after the first query (standard for these
-    simulations, where topology is fixed per run). *)
+    computed lazily per source and cached until {!Topo.state_epoch}
+    moves, which it does on every up/down flip and whenever the topology
+    gains a node or link.
+
+    A single-homed node (exactly one out-link) never builds a table for
+    {!next_hop}: it answers with that link whenever its neighbour is up
+    and reaches the destination, which is the hop Dijkstra from the node
+    would pick.  Only multi-homed nodes (routers), multicast roots
+    ({!spt_children}) and nodes asked for {!distance} or {!hops} hold a
+    table, so route memory is O(those nodes × n). *)
 
 type t
 
 val create : Topo.t -> t
 
 val next_hop : t -> src:Topo.node_id -> dst:Topo.node_id -> Topo.link option
-(** First link on the shortest path, [None] if unreachable. *)
+(** First link on the shortest path, [None] if unreachable.  Allocates
+    nothing once the tables it reads are built. *)
 
 val distance : t -> src:Topo.node_id -> dst:Topo.node_id -> float
 (** Propagation delay along the shortest path; [infinity] if
@@ -24,6 +32,6 @@ val spt_children : t -> root:Topo.node_id -> node:Topo.node_id -> Topo.link list
     (i.e. toward nodes whose shortest path from [root] runs through
     [node] via that link).  This is the multicast distribution tree. *)
 
-val invalidate : t -> unit
-(** Drop all cached tables (after mutating link loss models this is not
-    needed; only for structural changes). *)
+val tables_built : t -> int
+(** Dijkstra runs since {!create}: one per node whose table was needed,
+    per state epoch. *)

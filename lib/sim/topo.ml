@@ -33,11 +33,11 @@ and link_floats = {
   mutable busy_until : float;
 }
 
-(* [state_epoch] counts up/down flips of nodes and links.  Consumers
-   that cache anything derived from reachability (route tables, pruned
-   multicast trees) compare their build epoch against it and rebuild
-   when it has moved — the same mechanism the per-group membership
-   epochs use. *)
+(* [state_epoch] counts up/down flips of nodes and links and every node
+   or link added.  Consumers that cache anything derived from
+   reachability (route tables, pruned multicast trees) compare their
+   build epoch against it and rebuild when it has moved — the same
+   mechanism the per-group membership epochs use. *)
 type t = { mutable nodes : node array; mutable n : int; mutable state_epoch : int }
 
 let create () = { nodes = [||]; n = 0; state_epoch = 0 }
@@ -55,6 +55,7 @@ let add_node t ?label kind =
   end;
   t.nodes.(t.n) <- node;
   t.n <- t.n + 1;
+  t.state_epoch <- t.state_epoch + 1;
   id
 
 let node_count t = t.n
@@ -90,6 +91,7 @@ let add_link t ?(bandwidth = 0.) ?(delay = 0.001) ?(jitter = 0.)
     }
   in
   t.nodes.(src).out <- link :: t.nodes.(src).out;
+  t.state_epoch <- t.state_epoch + 1;
   link
 
 let add_duplex t ?bandwidth ?delay ?jitter ?queue ?loss a b =

@@ -36,11 +36,13 @@ val label : t -> node_id -> string
     Nodes and links start up.  Taking a host down makes the net layer
     drop deliveries to it and packets being forwarded through it; a down
     link refuses every transmission ({!decision.Dropped_down}).  Every
-    actual flip bumps {!state_epoch}, which route tables and cached
-    multicast trees compare against their build epoch. *)
+    actual flip, and every {!add_node} or {!add_link}, bumps
+    {!state_epoch}, which route tables and cached multicast trees
+    compare against their build epoch. *)
 
 val state_epoch : t -> int
-(** Monotone counter of up/down state changes (nodes and links). *)
+(** Monotone counter of up/down state changes (nodes and links) and of
+    topology growth. *)
 
 val node_up : t -> node_id -> bool
 val set_node_up : t -> node_id -> bool -> unit

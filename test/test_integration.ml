@@ -203,7 +203,6 @@ let discovery_finds_site_logger () =
     let h = Topo.add_node topo Lbrm_sim.Topo.Host in
     let gw = d.wan.sites.(2).Lbrm_sim.Builders.gateway in
     let _ = Lbrm_sim.Topo.add_duplex topo ~bandwidth:10e6 ~delay:0.9e-3 gw h in
-    Lbrm_sim.Route.invalidate (Lbrm_sim.Net.route (Lbrm_run.Sim_runtime.net d.runtime));
     h
   in
   ignore node;

@@ -244,6 +244,179 @@ let routing_unreachable () =
   checkb "no route" true (Route.next_hop route ~src:a ~dst:b = None);
   checkb "infinite distance" true (Route.distance route ~src:a ~dst:b = infinity)
 
+let routing_topology_growth () =
+  (* Tables cached before the topology grew must not be indexed by the
+     new node ids. *)
+  let topo = Topo.create () in
+  let a = Topo.add_node topo Host in
+  let b = Topo.add_node topo Router in
+  let ab, _ = Topo.add_duplex topo ~delay:0.001 a b in
+  let route = Route.create topo in
+  (match Route.next_hop route ~src:a ~dst:b with
+  | Some l -> checkb "a -> b over a-b" true (l == ab)
+  | None -> Alcotest.fail "b unreachable");
+  let c = Topo.add_node topo Host in
+  let _ = Topo.add_duplex topo ~delay:0.001 b c in
+  (match Route.next_hop route ~src:a ~dst:c with
+  | Some l -> checkb "a -> c leaves over a-b" true (l == ab)
+  | None -> Alcotest.fail "c unreachable after growth");
+  checkf 1e-9 "distance to the new node" 0.002 (Route.distance route ~src:a ~dst:c)
+
+(* Test-local reference: plain O(n^2) Dijkstra from [src] with the
+   simulator's fault semantics ([src] relaxes even when down, other
+   nodes only when up; down links and down nodes are never entered).
+   Returns per-node distance and first link out of [src]. *)
+let reference_routes topo src =
+  let n = Topo.node_count topo in
+  let dist = Array.make n infinity in
+  let first = Array.make n None in
+  let visited = Array.make n false in
+  dist.(src) <- 0.;
+  let rec loop () =
+    let u = ref (-1) in
+    for v = 0 to n - 1 do
+      if (not visited.(v)) && dist.(v) < infinity
+         && (!u < 0 || dist.(v) < dist.(!u))
+      then u := v
+    done;
+    if !u >= 0 then begin
+      let u = !u in
+      visited.(u) <- true;
+      if u = src || Topo.node_up topo u then
+        List.iter
+          (fun l ->
+            let v = Topo.link_dst l in
+            let d = dist.(u) +. Topo.link_delay l in
+            if Topo.link_up l && Topo.node_up topo v && d < dist.(v) then begin
+              dist.(v) <- d;
+              first.(v) <- (if u = src then Some l else first.(u))
+            end)
+          (Topo.links_from topo u);
+      loop ()
+    end
+  in
+  loop ();
+  (dist, first)
+
+(* Every (src, dst) next hop and distance agrees with the reference. *)
+let routes_match_reference topo route =
+  let n = Topo.node_count topo in
+  let ok = ref true in
+  for src = 0 to n - 1 do
+    let dist, first = reference_routes topo src in
+    for dst = 0 to n - 1 do
+      let same_hop =
+        match (Route.next_hop route ~src ~dst, first.(dst)) with
+        | None, None -> true
+        | Some l, Some l' -> l == l'
+        | _ -> false
+      in
+      if not (same_hop && Route.distance route ~src ~dst = dist.(dst)) then
+        ok := false
+    done
+  done;
+  !ok
+
+(* Random topology: multi-homed routers on a random connected mesh, stub
+   hosts (one duplex link each), and a few dual-homed hosts.  Delays are
+   random floats, so shortest paths are unique. *)
+let random_topology st =
+  let topo = Topo.create () in
+  let delay () = 0.001 +. Random.State.float st 0.01 in
+  let routers =
+    Array.init (2 + Random.State.int st 5) (fun _ -> Topo.add_node topo Router)
+  in
+  let nr = Array.length routers in
+  for i = 1 to nr - 1 do
+    let j = Random.State.int st i in
+    ignore (Topo.add_duplex topo ~delay:(delay ()) routers.(i) routers.(j))
+  done;
+  for i = 0 to nr - 1 do
+    for j = i + 1 to nr - 1 do
+      if Random.State.int st 3 = 0 && Topo.find_link topo ~src:routers.(i) ~dst:routers.(j) = None
+      then ignore (Topo.add_duplex topo ~delay:(delay ()) routers.(i) routers.(j))
+    done
+  done;
+  let pick () = routers.(Random.State.int st nr) in
+  for _ = 1 to 1 + Random.State.int st 10 do
+    let h = Topo.add_node topo Host in
+    ignore (Topo.add_duplex topo ~delay:(delay ()) h (pick ()))
+  done;
+  for _ = 1 to Random.State.int st 3 do
+    let h = Topo.add_node topo Host in
+    let r1 = routers.(0) and r2 = routers.(nr - 1) in
+    ignore (Topo.add_duplex topo ~delay:(delay ()) h r1);
+    ignore (Topo.add_duplex topo ~delay:(delay ()) h r2)
+  done;
+  topo
+
+let prop_route_delegation_equivalence =
+  QCheck.Test.make ~count:200
+    ~name:"route: stub delegation matches full Dijkstra under faults"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let topo = random_topology st in
+      let route = Route.create topo in
+      let healthy = routes_match_reference topo route in
+      (* Flip nodes and links down at random, then query the same route
+         object again: its tables must follow the state epoch. *)
+      for v = 0 to Topo.node_count topo - 1 do
+        if Random.State.int st 5 = 0 then Topo.set_node_up topo v false;
+        List.iter
+          (fun l -> if Random.State.int st 6 = 0 then Topo.set_link_up topo l false)
+          (Topo.links_from topo v)
+      done;
+      healthy && routes_match_reference topo route)
+
+let routing_dis_wan_faults () =
+  (* Figure 1 with one site's gateway down and another site's tail
+     circuit cut in one direction. *)
+  let wan = Builders.dis_wan ~sites:4 ~hosts_per_site:3 () in
+  let route = Route.create wan.topo in
+  Topo.set_node_up wan.topo wan.sites.(1).Builders.gateway false;
+  Topo.set_link_up wan.topo wan.sites.(2).Builders.tail_up false;
+  checkb "every next hop and distance matches full Dijkstra" true
+    (routes_match_reference wan.topo route)
+
+let routing_tables_for_routers_only () =
+  (* Unicast from every host of a 50 x 23 Figure-1 WAN to a primary
+     logger and back, plus one multicast from it: only routers and the
+     one multicast root may hold a table. *)
+  let wan = Builders.dis_wan ~sites:50 ~hosts_per_site:23 () in
+  let engine = Engine.create () in
+  let net = Net.create ~engine ~topo:wan.topo ~size_of:String.length () in
+  let primary = wan.sites.(0).Builders.hosts.(0) in
+  let hosts = Builders.all_hosts wan in
+  let delivered = ref 0 in
+  List.iter
+    (fun h ->
+      Net.set_handler net h (fun ~now:_ ~src:_ _ -> incr delivered);
+      Net.join net ~group:1 h)
+    hosts;
+  (* Staggered 1 ms apart so the primary's LAN queue never overflows. *)
+  List.iteri
+    (fun i h ->
+      if h <> primary then
+        Engine.post engine ~delay:(0.001 *. float_of_int i) (fun () ->
+            Net.unicast net ~src:h ~dst:primary "nack";
+            Net.unicast net ~src:primary ~dst:h "retrans"))
+    hosts;
+  Net.multicast net ~src:primary ~group:1 "data";
+  Engine.run engine;
+  let others = List.length hosts - 1 in
+  checki "every unicast and multicast copy delivered" (3 * others) !delivered;
+  let routers = ref 0 in
+  for v = 0 to Topo.node_count wan.topo - 1 do
+    if Topo.kind wan.topo v = Topo.Router then incr routers
+  done;
+  checki "Figure 1 has 101 routers" 101 !routers;
+  let built = Route.tables_built (Net.route net) in
+  checkb
+    (Printf.sprintf "%d tables <= %d routers + 1 multicast root" built !routers)
+    true
+    (built <= !routers + 1)
+
 (* ---- Net: unicast / multicast / TTL ---- *)
 
 let mk_lan hosts =
@@ -753,7 +926,8 @@ let () =
           qtest prop_engine_random_schedules;
           qtest prop_engine_fifo_ties;
         ] );
-      ("route-properties", [ qtest prop_route_triangle ]);
+      ( "route-properties",
+        [ qtest prop_route_triangle; qtest prop_route_delegation_equivalence ] );
       ( "loss",
         [
           Alcotest.test_case "bernoulli rate" `Slow loss_bernoulli_rate;
@@ -772,6 +946,12 @@ let () =
         [
           Alcotest.test_case "shortest path" `Quick routing_shortest_path;
           Alcotest.test_case "unreachable" `Quick routing_unreachable;
+          Alcotest.test_case "topology growth invalidates tables" `Quick
+            routing_topology_growth;
+          Alcotest.test_case "dis_wan with a gateway and a tail down" `Quick
+            routing_dis_wan_faults;
+          Alcotest.test_case "tables for routers and roots only" `Quick
+            routing_tables_for_routers_only;
         ] );
       ( "net",
         [

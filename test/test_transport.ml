@@ -480,6 +480,29 @@ let measurements : (string list * (unit -> float)) list =
           H.receive host agent ~src:2 msg
         done;
         (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+    ( [ "Route.next_hop"; "Route.table" ],
+      fun () ->
+        (* One forwarded unicast hop per iteration, cycling over every
+           (node, host) pair of a small Figure-1 WAN: stub hosts take the
+           delegated path, routers read their own table.  The warm-up
+           pass builds every table the cycle needs. *)
+        let module Route = Lbrm_sim.Route in
+        let wan = Lbrm_sim.Builders.dis_wan ~sites:3 ~hosts_per_site:2 () in
+        let route = Route.create wan.topo in
+        let n = Lbrm_sim.Topo.node_count wan.topo in
+        let hosts = Array.of_list (Lbrm_sim.Builders.all_hosts wan) in
+        let nh = Array.length hosts in
+        let hop i =
+          ignore (Route.next_hop route ~src:(i mod n) ~dst:hosts.(i / n mod nh))
+        in
+        for i = 0 to (n * nh) - 1 do
+          hop i
+        done;
+        let before = Gc.allocated_bytes () in
+        for i = 1 to iters do
+          hop i
+        done;
+        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
     ( [ "Metrics.incr"; "Metrics.add" ],
       fun () ->
         let m = Metrics.create () in
@@ -519,6 +542,19 @@ let manifest_zero_allocs () =
                  fn per_op))
     entries
 
+(* The CI trend gate on minor words/op: the same baseline passes against
+   itself, and one extra word/op on one row fails it. *)
+let trend_gate_words () =
+  let gate current =
+    Sys.command
+      (Printf.sprintf
+         "../bench/check_trend.exe trend_fixtures/baseline.json \
+          trend_fixtures/%s > /dev/null"
+         current)
+  in
+  checki "unchanged baseline passes" 0 (gate "baseline.json");
+  checki "one extra word/op fails" 1 (gate "one_more_word.json")
+
 let () =
   Alcotest.run "transport"
     [
@@ -555,5 +591,7 @@ let () =
         [
           Alcotest.test_case "zero-tagged manifest entries allocate nothing"
             `Quick manifest_zero_allocs;
+          Alcotest.test_case "trend gate trips on one extra word/op" `Quick
+            trend_gate_words;
         ] );
     ]
