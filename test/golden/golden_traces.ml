@@ -30,6 +30,41 @@ let lossy_events () =
   Lbrm_run.Scenario.run d ~until:30.;
   T.Collector.records collector
 
+(* test_population.ml's fault scenario (site partition, population
+   crash/restart), traced, plus two faults at site 0: its secondary
+   logger goes down, which pushes population NACKs up the hierarchy (the
+   partition alone heals inside one level's retry budget), and later a
+   partition longer than MaxIT fires the population's silence watchdog. *)
+let population_faults_events () =
+  let collector = T.Collector.create () in
+  let d =
+    Lbrm_run.Scenario.standard ~seed:23 ~initial_estimate:1000. ~sites:3
+      ~receivers_per_site:1
+      ~site_population:
+        (Lbrm_run.Scenario.population_spec ~members:200 ~lan_loss:0.005 ())
+      ~tail_loss:(fun _ -> Lbrm_sim.Loss.bernoulli 0.01)
+      ~sink:(T.Collector.sink collector) ()
+  in
+  let pop_node = snd d.populations.(1) in
+  Lbrm_run.Scenario.schedule_faults d
+    (Lbrm_sim.Fault.partition_site d.wan ~site:2 ~t0:0.45 ~t1:1.4
+    @ Lbrm_sim.Fault.outage ~at:0.9 ~downtime:0.8 pop_node
+    @ Lbrm_sim.Fault.outage ~at:0.3 ~downtime:3.0 (snd d.secondaries.(0))
+    @ Lbrm_sim.Fault.partition_site d.wan ~site:0 ~t0:4.0 ~t1:75.0);
+  Lbrm_run.Scenario.drive_periodic d ~interval:0.1 ~count:30 ();
+  Lbrm_run.Scenario.run d ~until:90.;
+  let events = T.Collector.records collector in
+  let pop_nodes = Array.to_list (Array.map snd d.populations) in
+  let escalated (r : T.record) =
+    match r.ev with
+    | T.Nack_sent { level; _ } ->
+        level >= 1 && List.mem r.node pop_nodes
+    | _ -> false
+  in
+  if T.Query.count escalated events = 0 then
+    failwith "population_faults: no population NACK escalated past level 0";
+  events
+
 let () =
   line "primary_crash" (C.primary_crash ()).C.events;
   line "primary_crash_ring"
@@ -39,4 +74,5 @@ let () =
   line "primary_crash_spill" (C.primary_crash_spill ()).C.events;
   line "secondary_crash" (C.secondary_crash ()).C.events;
   line "partition_heal" (C.partition_heal ()).C.events;
-  line "lossy_50_sites" (lossy_events ())
+  line "lossy_50_sites" (lossy_events ());
+  line "population_faults" (population_faults_events ())
