@@ -7,27 +7,14 @@ open Io
 type address = Message.address
 type seq = Seqno.t
 
-type pursuit = {
-  mutable level : int; (* index into the logger hierarchy *)
-  mutable attempts : int; (* NACKs sent so far *)
-  mutable asked_source : bool; (* Who_is_primary already tried *)
-  mutable needs_send : bool; (* include in the next NACK flush *)
-  detected_at : float;
-}
-
 type t = {
   cfg : Config.t;
   self : address;
   sink : Trace.sink;
-  source : address;
-  mutable loggers : address list;
   tracker : Gap_tracker.t;
-  pursuits : (seq, pursuit) Hashtbl.t;
-  mutable last_heard : float;
+  pursuit : Pursuit.t;
   mutable delivered : int;
   mutable recovered : int;
-  mutable gave_up : int;
-  mutable nacks_sent : int;
   mutable on_rchannel : bool; (* currently subscribed to the channel *)
   (* re-discovery of a replacement nearest logger (§2.2.1): armed when
      the current level-0 logger stops answering *)
@@ -37,25 +24,21 @@ type t = {
 }
 
 let create ?(sink = Trace.null ()) cfg ~self ~source ~loggers =
-  assert (loggers <> []);
+  let tracker = Gap_tracker.create () in
+  (* Streams start at seq 1: priming a floor of 0 makes the very first
+     arrival open a gap for any earlier packets. *)
+  if cfg.Config.recover_from_start then ignore (Gap_tracker.note tracker 0);
   {
     cfg;
     self;
     sink;
-    source;
-    loggers;
-    tracker =
-      (let tr = Gap_tracker.create () in
-       (* Streams start at seq 1: priming a floor of 0 makes the very
-          first arrival open a gap for any earlier packets. *)
-       if cfg.recover_from_start then ignore (Gap_tracker.note tr 0);
-       tr);
-    pursuits = Hashtbl.create 32;
-    last_heard = 0.;
+    tracker;
+    pursuit =
+      Pursuit.create ~sink cfg ~self ~source ~loggers
+        ~missing:(fun seq -> if Gap_tracker.is_missing tracker seq then 1 else 0)
+        ~write_off:(Gap_tracker.abandon tracker);
     delivered = 0;
     recovered = 0;
-    gave_up = 0;
-    nacks_sent = 0;
     on_rchannel = false;
     discovery = None;
     level0_failures = 0;
@@ -66,23 +49,14 @@ let highest_seen t = Option.value ~default:0 (Gap_tracker.highest t.tracker)
 let missing t = Gap_tracker.missing t.tracker
 let delivered t = t.delivered
 let recovered t = t.recovered
-let gave_up t = t.gave_up
-let nacks_sent t = t.nacks_sent
-let set_loggers t loggers = if loggers <> [] then t.loggers <- loggers
-let last_heard t = t.last_heard
-let loggers t = t.loggers
+let gave_up t = Pursuit.gave_up t.pursuit
+let nacks_sent t = Pursuit.nacks_sent t.pursuit
+let set_loggers t loggers = Pursuit.set_loggers t.pursuit loggers
+let last_heard t = Pursuit.last_heard t.pursuit
+let loggers t = Pursuit.loggers t.pursuit
 let rediscoveries t = t.rediscoveries
 let discovering t = Option.is_some t.discovery
-
-let logger_at t level = List.nth_opt t.loggers level
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
-let levels t = List.length t.loggers
-
-let arm_silence t = Set_timer (K_silence, t.cfg.max_it)
-
-let heard t ~now =
-  t.last_heard <- now;
-  arm_silence t
 
 (* --- loss pursuit ----------------------------------------------------- *)
 
@@ -96,23 +70,9 @@ let rchannel_window t =
   total 0 0.
 
 let open_pursuits t ~now seqs =
-  match
-    List.filter (fun s -> not (Hashtbl.mem t.pursuits s)) seqs
-  with
+  match Pursuit.open_ t.pursuit ~now seqs with
   | [] -> []
   | fresh ->
-      if Trace.is_on t.sink then trace t ~now (Trace.Gap_detected { seqs = fresh });
-      List.iter
-        (fun s ->
-          Hashtbl.replace t.pursuits s
-            {
-              level = 0;
-              attempts = 0;
-              asked_source = false;
-              needs_send = true;
-              detected_at = now;
-            })
-        fresh;
       let recovery =
         match t.cfg.rchannel_group with
         | None -> [ Set_timer (K_nack_flush, t.cfg.nack_delay) ]
@@ -137,20 +97,9 @@ let maybe_leave_channel t =
   | _ -> []
 
 let close_pursuit t ~now seq =
-  match Hashtbl.find_opt t.pursuits seq with
-  | None -> []
-  | Some p ->
-      Hashtbl.remove t.pursuits seq;
-      Cancel_timer (K_nack_escalate seq)
-      :: Notify (N_recovered { seq; latency = now -. p.detected_at })
-      :: maybe_leave_channel t
-
-let abandon_pursuit t ~now seq =
-  Hashtbl.remove t.pursuits seq;
-  Gap_tracker.abandon t.tracker seq;
-  t.gave_up <- t.gave_up + 1;
-  if Trace.is_on t.sink then trace t ~now (Trace.Gave_up { seq });
-  [ Cancel_timer (K_nack_escalate seq); Notify (N_gave_up seq) ]
+  match Pursuit.close t.pursuit ~now seq with
+  | [] -> []
+  | closed -> closed @ maybe_leave_channel t
 
 (* --- nearest-logger re-discovery (§2.2.1) ----------------------------- *)
 
@@ -162,13 +111,7 @@ let begin_rediscovery t ~now =
   | Some _ -> []
   | None ->
       t.level0_failures <- 0;
-      (match t.loggers with
-      | _ :: (_ :: _ as rest) ->
-          t.loggers <- rest;
-          Hashtbl.iter
-            (fun _ p -> p.level <- Stdlib.max 0 (p.level - 1))
-            t.pursuits
-      | _ -> ());
+      Pursuit.drop_nearest t.pursuit;
       let dsc = Discovery.create t.cfg in
       t.discovery <- Some dsc;
       if Trace.is_on t.sink then trace t ~now (Trace.Rediscovery Trace.D_started);
@@ -181,15 +124,7 @@ let adopt_logger t ~now logger =
   if Trace.is_on t.sink then
     trace t ~now (Trace.Rediscovery (Trace.D_adopted logger));
   t.level0_failures <- 0;
-  t.loggers <- logger :: List.filter (fun a -> a <> logger) t.loggers;
-  let any = ref false in
-  Hashtbl.iter
-    (fun _ p ->
-      any := true;
-      p.level <- 0;
-      p.needs_send <- true)
-    t.pursuits;
-  if !any then [ Set_timer (K_nack_flush, 0.) ] else []
+  Pursuit.adopt_nearest t.pursuit logger
 
 let finish_discovery t ~now =
   match t.discovery with
@@ -212,68 +147,14 @@ let note_level0_failure t ~now =
   then begin_rediscovery t ~now
   else []
 
-(* Send one NACK per hierarchy level covering every seq pursued there. *)
-let flush_nacks t ~now =
-  let by_level = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun seq p ->
-      if p.needs_send && Gap_tracker.is_missing t.tracker seq then begin
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt by_level p.level)
-        in
-        Hashtbl.replace by_level p.level (seq :: existing);
-        p.attempts <- p.attempts + 1;
-        p.needs_send <- false
-      end)
-    t.pursuits;
-  Hashtbl.fold
-    (fun level seqs acc ->
-      match logger_at t level with
-      | None -> acc
-      | Some logger ->
-          t.nacks_sent <- t.nacks_sent + 1;
-          let seqs = List.sort Seqno.compare seqs in
-          if Trace.is_on t.sink then
-            trace t ~now (Trace.Nack_sent { dest = logger; level; seqs });
-          Io.send_to logger (Message.Nack { seqs })
-          :: List.map
-               (fun s -> Set_timer (K_nack_escalate s, t.cfg.nack_timeout))
-               seqs
-          @ acc)
-    by_level []
-
 let escalate t ~now seq =
-  match Hashtbl.find_opt t.pursuits seq with
-  | None -> []
-  | Some p ->
-      if not (Gap_tracker.is_missing t.tracker seq) then begin
-        Hashtbl.remove t.pursuits seq;
-        []
-      end
-      else begin
-        (* The pending request at this pursuit's level went unanswered;
-           track level-0 silence for the re-discovery fallback. *)
-        let redisc = if p.level = 0 then note_level0_failure t ~now else [] in
-        if p.attempts < (p.level + 1) * t.cfg.nack_retry_limit then begin
-          (* Retry at the same level. *)
-          p.needs_send <- true;
-          Set_timer (K_nack_flush, 0.) :: redisc
-        end
-        else if p.level + 1 < levels t then begin
-          p.level <- p.level + 1;
-          p.needs_send <- true;
-          Set_timer (K_nack_flush, 0.) :: redisc
-        end
-        else if not p.asked_source then begin
-          (* The whole hierarchy failed: maybe the primary moved. *)
-          p.asked_source <- true;
-          p.attempts <- p.level * t.cfg.nack_retry_limit;
-          Io.send_to t.source Message.Who_is_primary
-          :: Set_timer (K_nack_escalate seq, 2. *. t.cfg.nack_timeout)
-          :: redisc
-        end
-        else abandon_pursuit t ~now seq @ redisc
-      end
+  (* Count the level-0 silence before the ladder decides: rediscovery
+     drops the nearest level, which the decision must see. *)
+  let redisc =
+    if Pursuit.unanswered_at_nearest t.pursuit seq then note_level0_failure t ~now
+    else []
+  in
+  Pursuit.escalate t.pursuit ~now seq @ redisc
 
 (* --- data-plane arrivals ---------------------------------------------- *)
 
@@ -320,14 +201,14 @@ let on_retrans t ~now ~seq ~payload =
 let handle_message t ~now ~src msg =
   match msg with
   | Message.Data { seq; payload; _ } ->
-      heard t ~now :: on_data t ~now ~seq ~payload
+      Pursuit.heard t.pursuit ~now :: on_data t ~now ~seq ~payload
   | Message.Heartbeat { seq; payload; _ } ->
-      heard t ~now :: on_heartbeat t ~now ~seq ~payload
+      Pursuit.heard t.pursuit ~now :: on_heartbeat t ~now ~seq ~payload
   | Message.Retrans { seq; payload; _ } ->
       (* The nearest logger proving itself alive clears the
          re-discovery failure count. *)
-      if logger_at t 0 = Some src then t.level0_failures <- 0;
-      heard t ~now :: on_retrans t ~now ~seq ~payload
+      if Pursuit.logger_at t.pursuit 0 = Some src then t.level0_failures <- 0;
+      Pursuit.heard t.pursuit ~now :: on_retrans t ~now ~seq ~payload
   | Message.Discovery_reply _ -> (
       match t.discovery with
       | None -> []
@@ -335,25 +216,16 @@ let handle_message t ~now ~src msg =
           match Discovery.handle_message dsc ~now ~src msg with
           | None -> []
           | Some acts -> acts @ finish_discovery t ~now))
-  | Message.Primary_is { logger } ->
-      (* Replace the last level of the hierarchy. *)
-      let rec replace_last = function
-        | [] -> [ logger ]
-        | [ _ ] -> [ logger ]
-        | x :: rest -> x :: replace_last rest
-      in
-      t.loggers <- replace_last t.loggers;
-      Hashtbl.iter (fun _ p -> p.needs_send <- true) t.pursuits;
-      [ Set_timer (K_nack_flush, 0.) ]
+  | Message.Primary_is { logger } -> Pursuit.primary_is t.pursuit logger
   | _ -> []
 
 let start t ~now =
   ignore now;
-  [ arm_silence t ]
+  [ Pursuit.arm_silence t.pursuit ]
 
 let handle_timer t ~now key =
   match key with
-  | K_nack_flush -> flush_nacks t ~now
+  | K_nack_flush -> Pursuit.flush t.pursuit ~now
   | K_nack_escalate seq -> escalate t ~now seq
   | K_discovery _ -> (
       match t.discovery with
@@ -363,30 +235,20 @@ let handle_timer t ~now key =
           | None -> []
           | Some acts -> acts @ finish_discovery t ~now))
   | K_silence ->
-      (* MaxIT passed with nothing heard: ask the nearest logger what
-         the latest packet is, in case we missed everything. *)
-      let ask =
-        match logger_at t 0 with
-        | Some logger when highest_seen t > 0 || t.last_heard > 0. ->
-            t.nacks_sent <- t.nacks_sent + 1;
-            if Trace.is_on t.sink then
-              trace t ~now (Trace.Nack_sent { dest = logger; level = 0; seqs = [] });
-            [ Io.send_to logger (Message.Nack { seqs = [] }) ]
-        | _ -> []
-      in
+      let silence = Pursuit.silence t.pursuit ~now ~highest:(highest_seen t) in
+      let last_heard = last_heard t in
       if Trace.is_on t.sink then
-        trace t ~now (Trace.Silence { elapsed = now -. t.last_heard });
+        trace t ~now (Trace.Silence { elapsed = now -. last_heard });
       (* Prolonged total silence can also mean the nearest logger died
          with the flow idle: past the deadline, go looking for a live
          one instead of NACKing a corpse forever. *)
       let redisc =
         if
-          t.last_heard > 0.
-          && now -. t.last_heard >= t.cfg.rediscovery_silence
+          last_heard > 0.
+          && now -. last_heard >= t.cfg.rediscovery_silence
           && Option.is_none t.discovery
         then begin_rediscovery t ~now
         else []
       in
-      (Notify (N_silence (now -. t.last_heard)) :: ask)
-      @ redisc @ [ arm_silence t ]
+      silence @ redisc @ [ Pursuit.arm_silence t.pursuit ]
   | _ -> []

@@ -5,7 +5,13 @@
     the nearest logging server; if a level of the hierarchy fails to
     repair within the retry budget the receiver escalates to the next
     level (secondary → … → primary), finally asking the source
-    [Who_is_primary] in case the primary moved (§2.2.3).
+    [Who_is_primary] in case the primary moved (§2.2.3).  That ladder is
+    {!Pursuit}, shared with the aggregate population; a receiver stands
+    for one member, so each seq it misses goes out in one NACK copy.
+    What stays here: delivery, the §7 retransmission channel (which
+    delays the first flush and is left once nothing is missing) and
+    expanding-ring rediscovery of a nearest logger that stopped
+    answering (§2.2.1).
 
     The receiver is {e receiver-reliable}: payloads are delivered to the
     application immediately and unordered; recovery of a given packet

@@ -1,50 +1,39 @@
 module Message = Lbrm_wire.Message
 module Site_population = Lbrm_sim.Site_population
 module Trace = Lbrm.Trace
+module Pursuit = Lbrm.Pursuit
 open Lbrm.Io
 
 type address = Message.address
 
-(* One pursuit per distinct missing seq, whatever its multiplicity —
-   mirrors Receiver's escalation ladder exactly (retry at level, climb,
-   Who_is_primary, abandon), minus rediscovery: a population pins its
-   hierarchy, so a dead secondary is escalated past, not replaced. *)
-type pursuit = {
-  mutable level : int;
-  mutable attempts : int;
-  mutable asked_source : bool;
-  mutable needs_send : bool;
-  detected_at : float;
-}
-
+(* One pursuit per distinct missing seq, whatever its multiplicity: the
+   shared ladder reads [Site_population.remaining] as its missing count.
+   No rediscovery: a population pins its hierarchy, so a dead secondary
+   is escalated past, not replaced. *)
 type t = {
   cfg : Lbrm.Config.t;
   self : address;
   sink : Trace.sink;
-  source : address;
-  mutable loggers : address list;
   model : Site_population.t;
-  pursuits : (int, pursuit) Hashtbl.t;
-  mutable last_heard : float;
-  mutable nacks_sent : int;
-  mutable nacks_represented : int;
+  pursuit : Pursuit.t;
   on_feed : tracer:int -> now:float -> src:address -> Message.t -> unit;
 }
 
 let create ?(sink = Trace.null ()) ~cfg ~self ~source ~loggers ~model ~on_feed
     () =
-  assert (loggers <> []);
   {
     cfg;
     self;
     sink;
-    source;
-    loggers;
     model;
-    pursuits = Hashtbl.create 32;
-    last_heard = 0.;
-    nacks_sent = 0;
-    nacks_represented = 0;
+    (* [remaining = 0] is [is_fully_delivered] for every pursued seq:
+       [open_site_gap] records a gap whenever the site tracker marks a
+       seq missing, so a pursued seq leaves [gaps] only once delivered
+       everywhere or written off. *)
+    pursuit =
+      Pursuit.create ~sink cfg ~self ~source ~loggers
+        ~missing:(fun seq -> Site_population.remaining model ~seq)
+        ~write_off:(fun seq -> ignore (Site_population.abandon model ~seq));
     on_feed;
   }
 
@@ -54,143 +43,13 @@ let missing t = Site_population.missing t.model
 let delivered t = Site_population.delivered t.model
 let recovered t = Site_population.recovered t.model
 let gave_up t = Site_population.gave_up t.model
-let nacks_sent t = t.nacks_sent
-let nacks_represented t = t.nacks_represented
-
-let logger_at t level = List.nth_opt t.loggers level
-let levels t = List.length t.loggers
+let nacks_sent t = Pursuit.nacks_sent t.pursuit
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
-let arm_silence t = Set_timer (K_silence, t.cfg.max_it)
-
-let heard t ~now =
-  t.last_heard <- now;
-  arm_silence t
-
-(* --- loss pursuit ------------------------------------------------------ *)
 
 let open_pursuits t ~now seqs =
-  match List.filter (fun s -> not (Hashtbl.mem t.pursuits s)) seqs with
+  match Pursuit.open_ t.pursuit ~now seqs with
   | [] -> []
-  | fresh ->
-      if Trace.is_on t.sink then
-        trace t ~now (Trace.Gap_detected { seqs = fresh });
-      List.iter
-        (fun s ->
-          Hashtbl.replace t.pursuits s
-            {
-              level = 0;
-              attempts = 0;
-              asked_source = false;
-              needs_send = true;
-              detected_at = now;
-            })
-        fresh;
-      [ Notify (N_gap fresh); Set_timer (K_nack_flush, t.cfg.nack_delay) ]
-
-let close_pursuit t ~now seq =
-  match Hashtbl.find_opt t.pursuits seq with
-  | None -> []
-  | Some p ->
-      Hashtbl.remove t.pursuits seq;
-      [
-        Cancel_timer (K_nack_escalate seq);
-        Notify (N_recovered { seq; latency = now -. p.detected_at });
-      ]
-
-let abandon_pursuit t ~now seq =
-  Hashtbl.remove t.pursuits seq;
-  let written_off = Site_population.abandon t.model ~seq in
-  ignore written_off;
-  if Trace.is_on t.sink then trace t ~now (Trace.Gave_up { seq });
-  [ Cancel_timer (K_nack_escalate seq); Notify (N_gave_up seq) ]
-
-(* Like Receiver's flush, with multiplicity: a gap missed by [m]
-   receivers is represented by [min m remcast_request_threshold] NACK
-   copies so the secondary's request-count window sees enough requests
-   to choose a site remulticast when the whole site lost a packet.
-   Copy [c] carries every seq whose copy count exceeds [c]. *)
-let flush_nacks t ~now =
-  let mult = Hashtbl.create 8 in
-  List.iter
-    (fun (s, m) -> Hashtbl.replace mult s m)
-    (Site_population.missing_seqs t.model);
-  let by_level = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun seq p ->
-      match Hashtbl.find_opt mult seq with
-      | Some m when p.needs_send ->
-          let existing =
-            Option.value ~default:[] (Hashtbl.find_opt by_level p.level)
-          in
-          let copies =
-            Stdlib.max 1 (Stdlib.min m t.cfg.remcast_request_threshold)
-          in
-          Hashtbl.replace by_level p.level ((seq, copies) :: existing);
-          p.attempts <- p.attempts + 1;
-          p.needs_send <- false;
-          t.nacks_represented <- t.nacks_represented + m
-      | _ -> ())
-    t.pursuits;
-  Hashtbl.fold
-    (fun level seqs acc ->
-      match logger_at t level with
-      | None -> acc
-      | Some logger ->
-          let seqs =
-            List.sort (fun (a, _) (b, _) -> Int.compare a b) seqs
-          in
-          let max_copies =
-            List.fold_left (fun acc (_, c) -> Stdlib.max acc c) 1 seqs
-          in
-          let sends = ref [] in
-          for c = max_copies - 1 downto 0 do
-            let batch =
-              List.filter_map
-                (fun (s, copies) -> if copies > c then Some s else None)
-                seqs
-            in
-            if batch <> [] then begin
-              t.nacks_sent <- t.nacks_sent + 1;
-              if Trace.is_on t.sink then
-                trace t ~now
-                  (Trace.Nack_sent { dest = logger; level; seqs = batch });
-              sends := Lbrm.Io.send_to logger (Message.Nack { seqs = batch })
-                       :: !sends
-            end
-          done;
-          !sends
-          @ List.map
-              (fun (s, _) -> Set_timer (K_nack_escalate s, t.cfg.nack_timeout))
-              seqs
-          @ acc)
-    by_level []
-
-let escalate t ~now seq =
-  match Hashtbl.find_opt t.pursuits seq with
-  | None -> []
-  | Some p ->
-      if Site_population.is_fully_delivered t.model ~seq then begin
-        Hashtbl.remove t.pursuits seq;
-        []
-      end
-      else if p.attempts < (p.level + 1) * t.cfg.nack_retry_limit then begin
-        p.needs_send <- true;
-        [ Set_timer (K_nack_flush, 0.) ]
-      end
-      else if p.level + 1 < levels t then begin
-        p.level <- p.level + 1;
-        p.needs_send <- true;
-        [ Set_timer (K_nack_flush, 0.) ]
-      end
-      else if not p.asked_source then begin
-        p.asked_source <- true;
-        p.attempts <- p.level * t.cfg.nack_retry_limit;
-        [
-          Lbrm.Io.send_to t.source Message.Who_is_primary;
-          Set_timer (K_nack_escalate seq, 2. *. t.cfg.nack_timeout);
-        ]
-      end
-      else abandon_pursuit t ~now seq
+  | fresh -> [ Notify (N_gap fresh); Set_timer (K_nack_flush, t.cfg.nack_delay) ]
 
 (* --- data-plane arrivals ----------------------------------------------- *)
 
@@ -231,7 +90,7 @@ let on_payload t ~now ~src ~seq msg =
     if outcome.still_missing > 0 then
       if outcome.first then open_pursuits t ~now [ seq ] else []
     else if outcome.newly_delivered > 0 || outcome.first then
-      close_pursuit t ~now seq
+      Pursuit.close t.pursuit ~now seq
     else []
   in
   own @ opened
@@ -252,43 +111,24 @@ let on_heartbeat t ~now ~src ~seq ~payload msg =
 
 let handle_message t ~now ~src msg =
   match msg with
-  | Message.Data { seq; _ } -> heard t ~now :: on_payload t ~now ~src ~seq msg
+  | Message.Data { seq; _ } | Message.Retrans { seq; _ } ->
+      Pursuit.heard t.pursuit ~now :: on_payload t ~now ~src ~seq msg
   | Message.Heartbeat { seq; payload; _ } ->
-      heard t ~now :: on_heartbeat t ~now ~src ~seq ~payload msg
-  | Message.Retrans { seq; _ } ->
-      heard t ~now :: on_payload t ~now ~src ~seq msg
-  | Message.Primary_is { logger } ->
-      let rec replace_last = function
-        | [] -> [ logger ]
-        | [ _ ] -> [ logger ]
-        | x :: rest -> x :: replace_last rest
-      in
-      t.loggers <- replace_last t.loggers;
-      Hashtbl.iter (fun _ p -> p.needs_send <- true) t.pursuits;
-      [ Set_timer (K_nack_flush, 0.) ]
+      Pursuit.heard t.pursuit ~now :: on_heartbeat t ~now ~src ~seq ~payload msg
+  | Message.Primary_is { logger } -> Pursuit.primary_is t.pursuit logger
   | _ -> []
 
 let start t ~now =
   ignore now;
-  [ arm_silence t ]
+  [ Pursuit.arm_silence t.pursuit ]
 
 let handle_timer t ~now key =
   match key with
-  | K_nack_flush -> flush_nacks t ~now
-  | K_nack_escalate seq -> escalate t ~now seq
+  | K_nack_flush -> Pursuit.flush t.pursuit ~now
+  | K_nack_escalate seq -> Pursuit.escalate t.pursuit ~now seq
   | K_silence ->
-      let ask =
-        match logger_at t 0 with
-        | Some logger
-          when Site_population.highest t.model > 0 || t.last_heard > 0. ->
-            t.nacks_sent <- t.nacks_sent + 1;
-            if Trace.is_on t.sink then
-              trace t ~now
-                (Trace.Nack_sent { dest = logger; level = 0; seqs = [] });
-            [ Lbrm.Io.send_to logger (Message.Nack { seqs = [] }) ]
-        | _ -> []
-      in
-      (Notify (N_silence (now -. t.last_heard)) :: ask) @ [ arm_silence t ]
+      Pursuit.silence t.pursuit ~now ~highest:(Site_population.highest t.model)
+      @ [ Pursuit.arm_silence t.pursuit ]
   | _ -> []
 
 let handlers ?on_notice t =

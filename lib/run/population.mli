@@ -2,20 +2,15 @@
 
     Wraps a {!Lbrm_sim.Site_population} statistical model in the wire
     protocol: one agent stands in for the whole site population on the
-    data group, mirroring {!Lbrm.Receiver}'s recovery semantics with
-    multiplicity —
-
-    - gap detection via sequence gaps and heartbeat [note_exists],
-      MaxIT silence watchdog with latest queries;
-    - batched NACKs with the same retry/level-escalation/abandon ladder
-      (per {e distinct} gap, not per modeled receiver); to preserve the
-      logger's unicast-vs-site-remulticast decision (§2.2.1's request
-      threshold), a gap missed by [m] receivers is represented by
-      [min m remcast_request_threshold] wire NACKs per round;
-    - every arriving payload is offered to the model, which samples how
-      many receivers (and which tracers) get it; sampled tracer
-      outcomes are handed to [on_feed] so the embedding can inject them
-      into real receiver machines.
+    data group.  Recovery is {!Lbrm.Pursuit}, the ladder {!Lbrm.Receiver}
+    runs, with [Site_population.remaining] as its missing count: one
+    pursuit per {e distinct} gap, and a gap missed by [m] receivers goes
+    out in [min m remcast_request_threshold] NACK copies per round so the
+    logger's unicast-vs-site-remulticast choice (§2.2.1) still sees it.
+    This module keeps only the model adapter: every arriving payload is
+    offered to the model, which samples how many receivers (and which
+    tracers) get it; sampled tracer outcomes go to [on_feed] so the
+    embedding can inject them into real receiver machines.
 
     Deliberate simplifications, documented here and in DESIGN.md: the
     population pins its logger hierarchy (no expanding-ring
@@ -63,7 +58,3 @@ val recovered : t -> int
 val gave_up : t -> int
 
 val nacks_sent : t -> int  (** wire NACK messages *)
-
-val nacks_represented : t -> int
-(** Receiver-NACKs the wire messages stood for (multiplicity-weighted:
-    what [size] individual receivers would have sent in round one). *)

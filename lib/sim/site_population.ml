@@ -72,9 +72,8 @@ let distinct_gaps t = Hashtbl.length t.gaps
 let missing t =
   Hashtbl.fold (fun _ g acc -> acc + g.remaining) t.gaps 0
 
-let missing_seqs t =
-  Hashtbl.fold (fun seq g acc -> (seq, g.remaining) :: acc) t.gaps []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let remaining t ~seq =
+  match Hashtbl.find_opt t.gaps seq with Some g -> g.remaining | None -> 0
 
 let is_fully_delivered t ~seq =
   (not (Hashtbl.mem t.gaps seq))

@@ -69,6 +69,10 @@ val on_heartbeat : t -> seq:int -> (int * int) list
 val abandon : t -> seq:int -> int
 (** Give up recovering [seq]; returns the multiplicity written off. *)
 
+val remaining : t -> seq:int -> int
+(** Receivers still missing [seq]: its gap's multiplicity, 0 when no
+    gap is live.  O(1). *)
+
 val is_fully_delivered : t -> seq:int -> bool
 (** [seq] reached the site and no receiver is still missing it. *)
 
@@ -91,9 +95,6 @@ val gave_up : t -> int  (** receiver-packet holes abandoned *)
 val missing : t -> int  (** receivers-still-missing, summed over gaps *)
 
 val distinct_gaps : t -> int  (** live gap records (the O(...) bound) *)
-
-val missing_seqs : t -> (int * int) list
-(** Live gaps as [(seq, multiplicity)], ascending. *)
 
 (** {2 Tracer cross-validation} *)
 

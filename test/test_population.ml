@@ -99,6 +99,12 @@ let model_conservation () =
     Site_population.create ~tracers:3 ~size:400 ~lan_loss:0.1
       ~rng:(Rng.split rng) ()
   in
+  (* Live gaps, ascending: every seq the drive touches is in 1..90. *)
+  let gap_seqs () =
+    List.filter
+      (fun seq -> Site_population.remaining m ~seq > 0)
+      (List.init 90 succ)
+  in
   let ops = 2000 in
   for i = 1 to ops do
     (match Rng.int rng 10 with
@@ -107,17 +113,17 @@ let model_conservation () =
         ignore (Site_population.on_packet m ~seq:(1 + Rng.int rng 80))
     | 4 | 5 | 6 ->
         (* repair round over whatever is currently missing *)
-        (match Site_population.missing_seqs m with
+        (match gap_seqs () with
         | [] -> ()
         | gaps ->
-            let s, _ = List.nth gaps (Rng.int rng (List.length gaps)) in
+            let s = List.nth gaps (Rng.int rng (List.length gaps)) in
             ignore (Site_population.on_packet m ~seq:s))
     | 7 | 8 ->
         ignore (Site_population.on_heartbeat m ~seq:(1 + Rng.int rng 90))
     | _ -> (
-        match Site_population.missing_seqs m with
+        match gap_seqs () with
         | [] -> ()
-        | (s, _) :: _ -> ignore (Site_population.abandon m ~seq:s)));
+        | s :: _ -> ignore (Site_population.abandon m ~seq:s)));
     checkb
       (Printf.sprintf "ledger balances after op %d" i)
       true (conserved m)
