@@ -217,4 +217,6 @@ let silence t ~now ~highest =
         [ Io.send_to logger (Message.Nack { seqs = [] }) ]
     | _ -> []
   in
+  if Trace.is_on t.sink then
+    trace t ~now (Trace.Silence { elapsed = now -. t.last_heard });
   Notify (N_silence (now -. t.last_heard)) :: ask

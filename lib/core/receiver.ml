@@ -237,8 +237,6 @@ let handle_timer t ~now key =
   | K_silence ->
       let silence = Pursuit.silence t.pursuit ~now ~highest:(highest_seen t) in
       let last_heard = last_heard t in
-      if Trace.is_on t.sink then
-        trace t ~now (Trace.Silence { elapsed = now -. last_heard });
       (* Prolonged total silence can also mean the nearest logger died
          with the flow idle: past the deadline, go looking for a live
          one instead of NACKing a corpse forever. *)
