@@ -139,6 +139,155 @@ let model_conservation () =
         (fed >= 0))
     (Site_population.tracer_fed m)
 
+(* --- one recovery ladder ----------------------------------------------- *)
+
+module Io = Lbrm.Io
+module Message = Lbrm_wire.Message
+
+(* The ladder's observable output: NACK and Who_is_primary sends, and
+   the K_nack_* timer actions. *)
+let ladder_action = function
+  | Io.Send (Io.To_addr a, Message.Nack { seqs }) ->
+      Some
+        (Printf.sprintf "nack->%d [%s]" a
+           (String.concat ";" (List.map string_of_int seqs)))
+  | Io.Send (Io.To_addr a, Message.Who_is_primary) ->
+      Some (Printf.sprintf "who_is_primary->%d" a)
+  | Io.Set_timer (Io.K_nack_flush, d) -> Some (Printf.sprintf "set flush %g" d)
+  | Io.Set_timer (Io.K_nack_escalate s, d) ->
+      Some (Printf.sprintf "set escalate %d %g" s d)
+  | Io.Cancel_timer Io.K_nack_flush -> Some "cancel flush"
+  | Io.Cancel_timer (Io.K_nack_escalate s) ->
+      Some (Printf.sprintf "cancel escalate %d" s)
+  | _ -> None
+
+type ladder_op =
+  | Data of int
+  | Beat of int * bool  (** seq, carries the payload *)
+  | Repair of int
+  | New_primary of int
+  | Flush
+  | Escalate of int
+  | Silence
+
+let show_op = function
+  | Data s -> Printf.sprintf "Data %d" s
+  | Beat (s, p) -> Printf.sprintf "Beat (%d, %b)" s p
+  | Repair s -> Printf.sprintf "Repair %d" s
+  | New_primary l -> Printf.sprintf "New_primary %d" l
+  | Flush -> "Flush"
+  | Escalate s -> Printf.sprintf "Escalate %d" s
+  | Silence -> "Silence"
+
+(* A retry limit of 1..3 per level and a stream of up to 120 steps over
+   seqs 1..10: short enough that one seq regularly climbs the whole
+   two-level hierarchy to Who_is_primary and abandonment. *)
+let ladder_case =
+  let open QCheck.Gen in
+  let seq = int_range 1 10 in
+  pair (int_range 1 3)
+    (list_size (int_range 1 120)
+       (frequency
+          [
+            (3, map (fun s -> Data s) seq);
+            (2, map2 (fun s p -> Beat (s, p)) (int_range 0 10) bool);
+            (2, map (fun s -> Repair s) seq);
+            (1, map (fun l -> New_primary l) (int_range 5 6));
+            (4, return Flush);
+            (6, map (fun s -> Escalate s) (int_range 1 6));
+            (1, return Silence);
+          ]))
+
+(* A receiver and a one-member lossless population, fed the same
+   arrivals and timer firings, must run the same ladder: one NACK copy
+   per gap, identical sends and timer actions in the same order.
+   Rediscovery (receiver-only) is kept from firing. *)
+let receiver_population_differential =
+  QCheck.Test.make ~count:300 ~name:"receiver and 1-member population NACK alike"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list show_op))
+       ladder_case)
+    (fun (nack_retry_limit, ops) ->
+      let cfg =
+        {
+          Lbrm.Config.default with
+          nack_retry_limit;
+          retrans_retry_limit = max_int;
+          rediscovery_silence = 1e9;
+          rchannel_group = None;
+        }
+      in
+      let self = 9 and source = 1 and loggers = [ 2; 3 ] in
+      let r = Lbrm.Receiver.create cfg ~self ~source ~loggers in
+      let model =
+        Site_population.create ~tracers:0 ~size:1 ~lan_loss:0.
+          ~rng:(Rng.create ~seed:1) ()
+      in
+      let p =
+        Population.create ~cfg ~self ~source ~loggers ~model
+          ~on_feed:(fun ~tracer:_ ~now:_ ~src:_ _ -> ())
+          ()
+      in
+      let payload = Lbrm_wire.Payload.of_string "x" in
+      let step (rs, ps) (i, op) =
+        let now = float_of_int (i + 1) in
+        let msg src m =
+          ( Lbrm.Receiver.handle_message r ~now ~src m,
+            Population.handle_message p ~now ~src m )
+        in
+        let timer k =
+          ( Lbrm.Receiver.handle_timer r ~now k,
+            Population.handle_timer p ~now k )
+        in
+        let ra, pa =
+          match op with
+          | Data seq -> msg source (Message.Data { seq; epoch = 0; payload })
+          | Beat (seq, carries) ->
+              msg source
+                (Message.Heartbeat
+                   {
+                     seq;
+                     hb_index = i;
+                     epoch = 0;
+                     payload = (if carries then Some payload else None);
+                   })
+          | Repair seq -> msg 2 (Message.Retrans { seq; epoch = 0; payload })
+          | New_primary logger -> msg source (Message.Primary_is { logger })
+          | Flush -> timer Io.K_nack_flush
+          | Escalate seq -> timer (Io.K_nack_escalate seq)
+          | Silence -> timer Io.K_silence
+        in
+        ( List.rev_append (List.filter_map ladder_action ra) rs,
+          List.rev_append (List.filter_map ladder_action pa) ps )
+      in
+      let rs, ps = List.fold_left step ([], []) (List.mapi (fun i o -> (i, o)) ops) in
+      let rs = List.rev rs and ps = List.rev ps in
+      rs = ps
+      || QCheck.Test.fail_reportf "receiver:\n  %s\npopulation:\n  %s"
+           (String.concat "\n  " rs) (String.concat "\n  " ps))
+
+(* The copy rule: with remcast_request_threshold 3, seqs missed by 1, 2
+   and 5 receivers go out as NACK copies [a;b;c], [b;c], [c]. *)
+let copy_rule () =
+  let cfg = { Lbrm.Config.default with remcast_request_threshold = 3 } in
+  let missing = function 1 -> 1 | 2 -> 2 | 3 -> 5 | _ -> 0 in
+  let pursuit =
+    Lbrm.Pursuit.create cfg ~self:9 ~source:1 ~loggers:[ 2 ] ~missing
+      ~write_off:ignore
+  in
+  ignore (Lbrm.Pursuit.open_ pursuit ~now:0. [ 1; 2; 3 ]);
+  let nacks =
+    List.filter_map
+      (function
+        | Io.Send (_, Message.Nack { seqs }) -> Some seqs | _ -> None)
+      (Lbrm.Pursuit.flush pursuit ~now:0.)
+  in
+  Alcotest.(check (list (list int)))
+    "copy c carries the seqs wanting more than c copies"
+    [ [ 1; 2; 3 ]; [ 2; 3 ]; [ 3 ] ]
+    nacks;
+  checki "one wire NACK per copy" 3 (Lbrm.Pursuit.nacks_sent pursuit)
+
 (* --- end-to-end scenarios ---------------------------------------------- *)
 
 let last_seq = 30
@@ -240,6 +389,11 @@ let () =
       ( "model",
         [ Alcotest.test_case "delivery ledger conserved" `Quick
             model_conservation ] );
+      ( "ladder",
+        [
+          QCheck_alcotest.to_alcotest receiver_population_differential;
+          Alcotest.test_case "NACK copies follow multiplicity" `Quick copy_rule;
+        ] );
       ( "scenario",
         [
           Alcotest.test_case "1k-receiver deployment recovers, tracers agree"
