@@ -99,7 +99,7 @@ val failovers : t -> int
 
     The quorum floor bookkeeping is private to the ack path; these
     re-exports exist solely so [test/test_transport.ml] can measure the
-    manifest's zero-tagged entries with [Gc.allocated_bytes]. *)
+    manifest's zero-tagged entries with [Gc.minor_words]. *)
 module Hot : sig
   val member_index : address array -> address -> int -> int
   val note_floor : t -> member:address -> floor:seq -> unit

@@ -320,7 +320,7 @@ let sockmsg_monotonic_clock () =
 (* The `zero` tag in ../lint.hotpaths claims a function's steady-state
    path allocates nothing; the [hot-alloc] pass proves the absence of
    allocation *sites* statically, and this test measures the claim
-   dynamically with Gc.allocated_bytes.  The measurement table below is
+   dynamically with Gc.minor_words.  The measurement table below is
    keyed by manifest function name and every zero-tagged entry must
    have a row, so tagging a new function in the manifest forces writing
    its measurement here. *)
@@ -356,10 +356,20 @@ module Metrics = Lbrm_util.Metrics
 
 let iters = 10_000
 
-(* Each measurement runs the op [iters] times in steady state (pools
-   warmed by the setup) and returns the words allocated over the run.
-   One measurement may vouch for several manifest entries when the ops
-   only make sense as a cycle (lease/release, put/pop). *)
+(* Minor-heap words one call of [f] allocates, averaged over [iters]
+   calls.  Gc.minor_words counts words exactly; Gc.allocated_bytes is
+   no substitute (on OCaml 5.1.1 it grows by 2 for a 2-word block). *)
+let words_per_op ~iters f =
+  let before = Gc.minor_words () in
+  for i = 1 to iters do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+(* Each measurement warms its op up (pools, tables) and returns the
+   words per op of [iters] steady-state calls.  One measurement may
+   vouch for several manifest entries when the ops only make sense as a
+   cycle (lease/release, put/pop). *)
 let measurements : (string list * (unit -> float)) list =
   [
     ( [ "Buf_pool.lease"; "Buf_pool.release" ],
@@ -368,11 +378,8 @@ let measurements : (string list * (unit -> float)) list =
         for _ = 1 to 100 do
           Buf_pool.release pool (Buf_pool.lease pool)
         done;
-        let before = Gc.allocated_bytes () in
-        for _ = 1 to iters do
-          Buf_pool.release pool (Buf_pool.lease pool)
-        done;
-        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+        words_per_op ~iters (fun _ ->
+            Buf_pool.release pool (Buf_pool.lease pool)) );
     ( [ "Heap.put" ],
       fun () ->
         (* Constant priority: float_of_int in the loop would box a
@@ -384,12 +391,9 @@ let measurements : (string list * (unit -> float)) list =
           Heap.put h ~prio:1.0 i;
           ignore (Heap.pop_exn h)
         done;
-        let before = Gc.allocated_bytes () in
-        for i = 1 to iters do
-          Heap.put h ~prio:1.0 i;
-          ignore (Heap.pop_exn h)
-        done;
-        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+        words_per_op ~iters (fun i ->
+            Heap.put h ~prio:1.0 i;
+            ignore (Heap.pop_exn h)) );
     ( [
         "Replication.member_index";
         "Replication.note_floor";
@@ -414,11 +418,7 @@ let measurements : (string list * (unit -> float)) list =
         for i = 1 to 100 do
           step i
         done;
-        let before = Gc.allocated_bytes () in
-        for i = 1 to iters do
-          step i
-        done;
-        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+        words_per_op ~iters step );
     ( [ "Archive.locate" ],
       fun () ->
         (* The disk tier's in-memory index probe: one Hashtbl.find per
@@ -437,11 +437,7 @@ let measurements : (string list * (unit -> float)) list =
         for i = 1 to 100 do
           probe i
         done;
-        let before = Gc.allocated_bytes () in
-        for i = 1 to iters do
-          probe i
-        done;
-        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+        words_per_op ~iters probe );
     ( [ "Agent_host.receive"; "Agent_host.count" ],
       fun () ->
         (* One message through the shared host's receive path over an
@@ -475,11 +471,8 @@ let measurements : (string list * (unit -> float)) list =
         for _ = 1 to 100 do
           H.receive host agent ~src:2 msg
         done;
-        let before = Gc.allocated_bytes () in
-        for _ = 1 to iters do
-          H.receive host agent ~src:2 msg
-        done;
-        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+        words_per_op ~iters (fun _ ->
+            H.receive host agent ~src:2 msg) );
     ( [ "Route.next_hop"; "Route.table" ],
       fun () ->
         (* One forwarded unicast hop per iteration, cycling over every
@@ -498,11 +491,7 @@ let measurements : (string list * (unit -> float)) list =
         for i = 0 to (n * nh) - 1 do
           hop i
         done;
-        let before = Gc.allocated_bytes () in
-        for i = 1 to iters do
-          hop i
-        done;
-        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+        words_per_op ~iters hop );
     ( [ "Metrics.incr"; "Metrics.add" ],
       fun () ->
         let m = Metrics.create () in
@@ -511,12 +500,9 @@ let measurements : (string list * (unit -> float)) list =
           Metrics.incr c;
           Metrics.add c 2
         done;
-        let before = Gc.allocated_bytes () in
-        for _ = 1 to iters do
-          Metrics.incr c;
-          Metrics.add c 2
-        done;
-        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) );
+        words_per_op ~iters (fun _ ->
+            Metrics.incr c;
+            Metrics.add c 2) );
   ]
 
 let manifest_zero_allocs () =
@@ -532,8 +518,7 @@ let manifest_zero_allocs () =
                 to test_transport.ml"
                fn)
       | Some (_, measure) ->
-          let words = measure () in
-          let per_op = words /. float_of_int iters in
+          let per_op = measure () in
           if per_op >= 0.02 then
             Alcotest.fail
               (Printf.sprintf
