@@ -18,9 +18,14 @@
    a word per op over its baseline, whichever is larger, so one extra
    word per op trips the gate on any row under 50 words/op.
 
+   Outcome fields gate exactly: a row whose [missing], [gave_up] or
+   [violations] count exceeds its baseline fails, whatever its speed.
+   The rows are seeded, so these counts are deterministic, and a
+   recovery regression that still runs fast shows up here first.
+
    The parser reads only the shape bench/micro.ml emits (one benchmark
-   object per line, string [name], numeric [ops_per_sec] and
-   [minor_words_per_op]); it is a scanner, not a JSON library, on
+   object per line, string [name], numeric [ops_per_sec],
+   [minor_words_per_op] and outcome fields); it is a scanner, not a JSON library, on
    purpose — no external deps. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
@@ -88,7 +93,13 @@ let scan_float_field s key from upto =
       if !k > !j then float_of_string_opt (String.sub s !j (!k - !j))
       else None
 
-type row = { ops : float; words : float option }
+type row = {
+  ops : float;
+  words : float option;
+  outcomes : (string * float) list; (* outcome fields the row reports *)
+}
+
+let outcome_fields = [ "missing"; "gave_up"; "violations" ]
 
 (* name -> row for every benchmark object in the file that reports a
    positive ops_per_sec. *)
@@ -107,7 +118,13 @@ let parse path =
         (match scan_float_field s "ops_per_sec" after upto with
         | Some ops when ops > 0. ->
             let words = scan_float_field s "minor_words_per_op" after upto in
-            results := (name, { ops; words }) :: !results
+            let outcomes =
+              List.filter_map
+                (fun k ->
+                  Option.map (fun v -> (k, v)) (scan_float_field s k after upto))
+                outcome_fields
+            in
+            results := (name, { ops; words; outcomes }) :: !results
         | _ -> ());
         loop upto
   in
@@ -155,9 +172,10 @@ let () =
   in
   let baseline = parse baseline_path in
   let current = parse current_path in
-  (* Per benchmark present in both files: slowdown ratio and words/op
-     (baseline, current) when both report it.  Benchmarks new in
-     [current] have no baseline and are reported informationally. *)
+  (* Per benchmark present in both files: slowdown ratio, words/op
+     (baseline, current) when both report it, and the outcome fields
+     that grew.  Benchmarks new in [current] have no baseline and are
+     reported informationally. *)
   let shared =
     List.filter_map
       (fun (name, base) ->
@@ -168,7 +186,15 @@ let () =
               | Some b, Some c -> Some (b, c)
               | _ -> None
             in
-            Some (name, base.ops /. cur.ops, words)
+            let worse =
+              List.filter_map
+                (fun (k, c) ->
+                  match List.assoc_opt k base.outcomes with
+                  | Some b when c > b -> Some (Printf.sprintf "%s %g -> %g" k b c)
+                  | _ -> None)
+                cur.outcomes
+            in
+            Some (name, base.ops /. cur.ops, words, worse)
         | None -> None)
       baseline
   in
@@ -176,19 +202,21 @@ let () =
     fail "check_trend: no shared benchmarks between %s and %s" baseline_path
       current_path;
   let speed_factor =
-    if !absolute then 1. else median (List.map (fun (_, r, _) -> r) shared)
+    if !absolute then 1. else median (List.map (fun (_, r, _, _) -> r) shared)
   in
   let slower ratio = ratio /. speed_factor > !threshold in
   let heavier = function Some (b, c) -> c > words_limit b | None -> false in
   let regressions =
-    List.filter (fun (_, ratio, words) -> slower ratio || heavier words) shared
+    List.filter
+      (fun (_, ratio, words, worse) -> slower ratio || heavier words || worse <> [])
+      shared
   in
   Printf.printf
     "check_trend: %d shared benchmark(s), machine-speed factor %.3g, \
      threshold %.2gx, words/op +max(1%%, 0.5)\n"
     (List.length shared) speed_factor !threshold;
   List.iter
-    (fun (name, ratio, words) ->
+    (fun (name, ratio, words, worse) ->
       let norm = ratio /. speed_factor in
       let words_col =
         match words with
@@ -198,6 +226,8 @@ let () =
       Printf.printf "  %-28s %6.2fx %s %s\n" name norm words_col
         (if slower ratio then "REGRESSION"
          else if heavier words then "REGRESSION (words/op)"
+         else if worse <> [] then
+           Printf.sprintf "REGRESSION (%s)" (String.concat ", " worse)
          else if norm > 1.2 then "slower"
          else "ok"))
     shared;
@@ -208,8 +238,8 @@ let () =
     current;
   if regressions <> [] then begin
     Printf.printf
-      "check_trend: FAIL — %d benchmark(s) regressed (>%.2gx slower or \
-       allocating more)\n"
+      "check_trend: FAIL — %d benchmark(s) regressed (>%.2gx slower, \
+       allocating more or worse outcomes)\n"
       (List.length regressions) !threshold;
     exit 1
   end

@@ -527,18 +527,21 @@ let manifest_zero_allocs () =
                  fn per_op))
     entries
 
-(* The CI trend gate on minor words/op: the same baseline passes against
-   itself, and one extra word/op on one row fails it. *)
+(* The CI trend gate: the same baseline passes against itself, and one
+   extra word/op, or one more missing packet, on one row fails it. *)
+let trend_gate current =
+  Sys.command
+    (Printf.sprintf
+       "../bench/check_trend.exe trend_fixtures/baseline.json \
+        trend_fixtures/%s > /dev/null"
+       current)
+
 let trend_gate_words () =
-  let gate current =
-    Sys.command
-      (Printf.sprintf
-         "../bench/check_trend.exe trend_fixtures/baseline.json \
-          trend_fixtures/%s > /dev/null"
-         current)
-  in
-  checki "unchanged baseline passes" 0 (gate "baseline.json");
-  checki "one extra word/op fails" 1 (gate "one_more_word.json")
+  checki "unchanged baseline passes" 0 (trend_gate "baseline.json");
+  checki "one extra word/op fails" 1 (trend_gate "one_more_word.json")
+
+let trend_gate_outcomes () =
+  checki "one more missing packet fails" 1 (trend_gate "one_more_missing.json")
 
 let () =
   Alcotest.run "transport"
@@ -578,5 +581,7 @@ let () =
             `Quick manifest_zero_allocs;
           Alcotest.test_case "trend gate trips on one extra word/op" `Quick
             trend_gate_words;
+          Alcotest.test_case "trend gate trips on one more missing packet"
+            `Quick trend_gate_outcomes;
         ] );
     ]
