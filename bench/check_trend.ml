@@ -25,8 +25,8 @@
 
    The parser reads only the shape bench/micro.ml emits (one benchmark
    object per line, string [name], numeric [ops_per_sec],
-   [minor_words_per_op] and outcome fields); it is a scanner, not a JSON library, on
-   purpose — no external deps. *)
+   [minor_words_per_op] and outcome fields); it is a scanner, not a
+   JSON library, on purpose — no external deps. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
@@ -121,7 +121,9 @@ let parse path =
             let outcomes =
               List.filter_map
                 (fun k ->
-                  Option.map (fun v -> (k, v)) (scan_float_field s k after upto))
+                  Option.map
+                    (fun v -> (k, v))
+                    (scan_float_field s k after upto))
                 outcome_fields
             in
             results := (name, { ops; words; outcomes }) :: !results
@@ -190,7 +192,8 @@ let () =
               List.filter_map
                 (fun (k, c) ->
                   match List.assoc_opt k base.outcomes with
-                  | Some b when c > b -> Some (Printf.sprintf "%s %g -> %g" k b c)
+                  | Some b when c > b ->
+                      Some (Printf.sprintf "%s %g -> %g" k b c)
                   | _ -> None)
                 cur.outcomes
             in
@@ -208,7 +211,8 @@ let () =
   let heavier = function Some (b, c) -> c > words_limit b | None -> false in
   let regressions =
     List.filter
-      (fun (_, ratio, words, worse) -> slower ratio || heavier words || worse <> [])
+      (fun (_, ratio, words, worse) ->
+        slower ratio || heavier words || worse <> [])
       shared
   in
   Printf.printf

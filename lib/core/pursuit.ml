@@ -49,7 +49,6 @@ let create ?(sink = Trace.null ()) cfg ~self ~source ~loggers ~missing
 let loggers t = t.loggers
 let set_loggers t loggers = if loggers <> [] then t.loggers <- loggers
 let logger_at t level = List.nth_opt t.loggers level
-let levels t = List.length t.loggers
 let last_heard t = t.last_heard
 let nacks_sent t = t.nacks_sent
 let gave_up t = t.gave_up
@@ -87,7 +86,8 @@ let open_ t ~now seqs =
   match List.filter (fun s -> not (Hashtbl.mem t.pursuits s)) seqs with
   | [] -> []
   | fresh ->
-      if Trace.is_on t.sink then trace t ~now (Trace.Gap_detected { seqs = fresh });
+      if Trace.is_on t.sink then
+        trace t ~now (Trace.Gap_detected { seqs = fresh });
       List.iter
         (fun s ->
           Hashtbl.replace t.pursuits s
@@ -147,15 +147,20 @@ let flush t ~now =
             if c < 0 then sends
             else begin
               let batch =
-                if c = 0 then seqs else List.filter (fun s -> copies t s > c) seqs
+                if c = 0 then seqs
+                else List.filter (fun s -> copies t s > c) seqs
               in
               t.nacks_sent <- t.nacks_sent + 1;
               if Trace.is_on t.sink then
-                trace t ~now (Trace.Nack_sent { dest = logger; level; seqs = batch });
-              nacks (c - 1) (Io.send_to logger (Message.Nack { seqs = batch }) :: sends)
+                trace t ~now
+                  (Trace.Nack_sent { dest = logger; level; seqs = batch });
+              nacks (c - 1)
+                (Io.send_to logger (Message.Nack { seqs = batch }) :: sends)
             end
           in
-          let most = List.fold_left (fun c s -> Stdlib.max c (copies t s)) 1 seqs in
+          let most =
+            List.fold_left (fun c s -> Stdlib.max c (copies t s)) 1 seqs
+          in
           nacks (most - 1)
             (List.map
                (fun s -> Set_timer (K_nack_escalate s, t.cfg.nack_timeout))
@@ -181,7 +186,7 @@ let escalate t ~now seq =
         p.needs_send <- true;
         [ Set_timer (K_nack_flush, 0.) ]
       end
-      else if p.level + 1 < levels t then begin
+      else if p.level + 1 < List.length t.loggers then begin
         p.level <- p.level + 1;
         p.needs_send <- true;
         [ Set_timer (K_nack_flush, 0.) ]
@@ -213,7 +218,8 @@ let silence t ~now ~highest =
     | Some logger when highest > 0 || t.last_heard > 0. ->
         t.nacks_sent <- t.nacks_sent + 1;
         if Trace.is_on t.sink then
-          trace t ~now (Trace.Nack_sent { dest = logger; level = 0; seqs = [] });
+          trace t ~now
+            (Trace.Nack_sent { dest = logger; level = 0; seqs = [] });
         [ Io.send_to logger (Message.Nack { seqs = [] }) ]
     | _ -> []
   in

@@ -35,7 +35,8 @@ let create ?(sink = Trace.null ()) cfg ~self ~source ~loggers =
     tracker;
     pursuit =
       Pursuit.create ~sink cfg ~self ~source ~loggers
-        ~missing:(fun seq -> if Gap_tracker.is_missing tracker seq then 1 else 0)
+        ~missing:(fun seq ->
+          if Gap_tracker.is_missing tracker seq then 1 else 0)
         ~write_off:(Gap_tracker.abandon tracker);
     delivered = 0;
     recovered = 0;
@@ -151,7 +152,8 @@ let escalate t ~now seq =
   (* Count the level-0 silence before the ladder decides: rediscovery
      drops the nearest level, which the decision must see. *)
   let redisc =
-    if Pursuit.unanswered_at_nearest t.pursuit seq then note_level0_failure t ~now
+    if Pursuit.unanswered_at_nearest t.pursuit seq then
+      note_level0_failure t ~now
     else []
   in
   Pursuit.escalate t.pursuit ~now seq @ redisc

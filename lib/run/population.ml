@@ -49,7 +49,8 @@ let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
 let open_pursuits t ~now seqs =
   match Pursuit.open_ t.pursuit ~now seqs with
   | [] -> []
-  | fresh -> [ Notify (N_gap fresh); Set_timer (K_nack_flush, t.cfg.nack_delay) ]
+  | fresh ->
+      [ Notify (N_gap fresh); Set_timer (K_nack_flush, t.cfg.nack_delay) ]
 
 (* --- data-plane arrivals ----------------------------------------------- *)
 

@@ -203,7 +203,8 @@ let ladder_case =
    per gap, identical sends and timer actions in the same order.
    Rediscovery (receiver-only) is kept from firing. *)
 let receiver_population_differential =
-  QCheck.Test.make ~count:300 ~name:"receiver and 1-member population NACK alike"
+  QCheck.Test.make ~count:300
+    ~name:"receiver and 1-member population NACK alike"
     (QCheck.make
        ~print:QCheck.Print.(pair int (list show_op))
        ladder_case)
@@ -260,7 +261,9 @@ let receiver_population_differential =
         ( List.rev_append (List.filter_map ladder_action ra) rs,
           List.rev_append (List.filter_map ladder_action pa) ps )
       in
-      let rs, ps = List.fold_left step ([], []) (List.mapi (fun i o -> (i, o)) ops) in
+      let rs, ps =
+        List.fold_left step ([], []) (List.mapi (fun i o -> (i, o)) ops)
+      in
       let rs = List.rev rs and ps = List.rev ps in
       rs = ps
       || QCheck.Test.fail_reportf "receiver:\n  %s\npopulation:\n  %s"
