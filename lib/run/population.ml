@@ -38,11 +38,7 @@ let create ?(sink = Trace.null ()) ~cfg ~self ~source ~loggers ~model ~on_feed
   }
 
 let model t = t.model
-let size t = Site_population.size t.model
 let missing t = Site_population.missing t.model
-let delivered t = Site_population.delivered t.model
-let recovered t = Site_population.recovered t.model
-let gave_up t = Site_population.gave_up t.model
 let nacks_sent t = Pursuit.nacks_sent t.pursuit
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
 

@@ -49,12 +49,8 @@ val handlers :
   ?on_notice:(now:float -> Lbrm.Io.notice -> unit) -> t -> Handlers.t
 
 val model : t -> Lbrm_sim.Site_population.t
-val size : t -> int
+(** The model's delivery ledger: delivered, recovered, gave up. *)
+
 val missing : t -> int  (** receivers-still-missing over live gaps *)
-
-val delivered : t -> int  (** aggregate receiver-packet deliveries *)
-
-val recovered : t -> int
-val gave_up : t -> int
 
 val nacks_sent : t -> int  (** wire NACK messages *)
