@@ -11,6 +11,8 @@
 
    Workloads:
    - engine_events:     schedule-fire timer chains through the event loop
+   - timer_rearm:       1000 live watchdog timers, each re-armed in place
+                        by every delivery to its owner (MaxIT pattern)
    - multicast_1k/10k:  one source multicasting over the paper's Figure-1
                         topology (sites x hosts LANs + T1 tails + backbone)
    - codec_roundtrip:   encode+decode of a 128-byte Data message through
@@ -72,6 +74,36 @@ let bench_engine ~events () =
   done;
   Engine.run e;
   (Engine.events_processed e, [])
+
+(* ---- engine: live timers re-armed in place ------------------------- *)
+
+(* The MaxIT watchdog pattern: every delivery re-arms its receiver's
+   live silence timer, so while traffic flows no watchdog fires and each
+   op is one delivery event plus one in-place re-key.  The watchdogs
+   fire once each after the last packet. *)
+let bench_timer_rearm ~timers ~packets () =
+  let e = Engine.create () in
+  let max_it = 0.25 and period = 0.1 in
+  let fired = ref 0 in
+  let watchdogs =
+    Array.init timers (fun _ ->
+        Engine.schedule_kind e ~kind:Engine.kind_timer ~delay:max_it (fun () ->
+            incr fired))
+  in
+  let deliver =
+    Array.init timers (fun i () ->
+        Engine.reschedule e watchdogs.(i) ~delay:max_it)
+  in
+  let hop = Array.init 64 (fun i -> 1e-4 *. float_of_int (i + 1)) in
+  let rec send p () =
+    for i = 0 to timers - 1 do
+      post e ~delay:hop.(i land 63) deliver.(i)
+    done;
+    if p + 1 < packets then post e ~delay:period (send (p + 1))
+  in
+  post e ~delay:0. (send 0);
+  Engine.run e;
+  (timers * packets, [ ("timers_fired", float_of_int !fired) ])
 
 (* ---- multicast on the Figure-1 WAN ----------------------------------- *)
 
@@ -519,6 +551,8 @@ let () =
   let scale n = if smoke then max 1 (n / 20) else n in
   let reps = if smoke then 1 else 3 in
   run_bench ~reps ~name:"engine_events" (bench_engine ~events:(scale 2_000_000));
+  run_bench ~reps ~name:"timer_rearm"
+    (bench_timer_rearm ~timers:1000 ~packets:(scale 2_000));
   run_bench ~reps ~name:"multicast_1k"
     (bench_multicast ~sites:50 ~hosts_per_site:20 ~packets:(scale 100));
   if not smoke then

@@ -33,6 +33,7 @@ type t = {
   uplink_retries : (seq, int) Hashtbl.t; (* unanswered parent asks per seq *)
   requests : (seq, request_window) Hashtbl.t;
   replica_acked : (address, seq) Hashtbl.t;
+  retry_armed : (seq, unit) Hashtbl.t; (* seqs with a K_replica_retry timer *)
   designated : (int, unit) Hashtbl.t; (* epochs we ack *)
   rng : Rng.t;
   mutable requests_served : int;
@@ -127,6 +128,7 @@ let create cfg ~self ~source ?parent ?(replicas = []) ?succ ?archive ~rng
     uplink_retries = Hashtbl.create 16;
     requests = Hashtbl.create 32;
     replica_acked = Hashtbl.create 4;
+    retry_armed = Hashtbl.create 16;
     designated = Hashtbl.create 4;
     rng;
       requests_served = 0;
@@ -420,6 +422,9 @@ let on_heartbeat t ~now ~seq ~epoch ~payload =
 
 (* --- primary duties ---------------------------------------------------- *)
 
+let replica_seq t r =
+  Option.value ~default:0 (Hashtbl.find_opt t.replica_acked r)
+
 let best_replica_seq t =
   (* §2.2.3: the replica sequence number reported to the source is the
      most up-to-date replica's contiguous mark; with no replicas the
@@ -428,15 +433,40 @@ let best_replica_seq t =
   match t.replicas with
   | [] -> own
   | replicas ->
+      List.fold_left (fun acc r -> Seqno.max acc (replica_seq t r)) 0 replicas
+
+(* The mark every replica holds: the lowest acked floor. *)
+let replicated_seq t =
+  match t.replicas with
+  | [] -> 0
+  | r :: rest ->
       List.fold_left
         (fun acc r ->
-          let s = Option.value ~default:0 (Hashtbl.find_opt t.replica_acked r) in
-          Seqno.max acc s)
-        0 replicas
+          let s = replica_seq t r in
+          if Seqno.(s < acc) then s else acc)
+        (replica_seq t r) rest
+
+(* A Replica_ack raised the replicated mark above [from]: the retry
+   timers of the seqs it now covers would only fire to find no laggard,
+   so cancel them (and only timers that are armed). *)
+let cancel_replicated t ~from =
+  let floor = replicated_seq t in
+  if Hashtbl.length t.retry_armed = 0 || not Seqno.(floor > from) then []
+  else
+    Hashtbl.fold
+      (fun seq () acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
+      t.retry_armed []
+    |> List.map (fun seq ->
+           Hashtbl.remove t.retry_armed seq;
+           Cancel_timer (K_replica_retry seq))
 
 let log_ack t =
   Message.Log_ack
     { primary_seq = durable_floor t; replica_seq = best_replica_seq t }
+
+let arm_retry t seq =
+  Hashtbl.replace t.retry_armed seq ();
+  Set_timer (K_replica_retry seq, t.cfg.deposit_timeout)
 
 let on_deposit t ~now ~seq ~epoch ~payload =
   let fresh =
@@ -450,9 +480,7 @@ let on_deposit t ~now ~seq ~epoch ~payload =
         (fun r ->
           [ Io.send_to r (Message.Replica_update { seq; epoch; payload }) ])
         t.replicas
-      @ (if t.replicas <> [] then
-           [ Set_timer (K_replica_retry seq, t.cfg.deposit_timeout) ]
-         else [])
+      @ if t.replicas <> [] then [ arm_retry t seq ] else []
     else []
   in
   let waiters =
@@ -466,14 +494,9 @@ let on_replica_retry t seq =
   (* Some replica still lacks [seq]: resend and re-arm until they all
      have it (replica failure is tolerated — Log_ack reports the best
      replica, and fail-over picks that one). *)
+  Hashtbl.remove t.retry_armed seq;
   let laggards =
-    List.filter
-      (fun r ->
-        let acked =
-          Option.value ~default:0 (Hashtbl.find_opt t.replica_acked r)
-        in
-        Seqno.(acked < seq))
-      t.replicas
+    List.filter (fun r -> Seqno.(replica_seq t r < seq)) t.replicas
   in
   match laggards with
   | [] -> []
@@ -491,7 +514,7 @@ let on_replica_retry t seq =
                      payload = Payload.of_string e.payload;
                    }))
             laggards
-          @ [ Set_timer (K_replica_retry seq, t.cfg.deposit_timeout) ])
+          @ [ arm_retry t seq ])
 
 (* --- replica duties ----------------------------------------------------- *)
 
@@ -609,9 +632,12 @@ let handle_message t ~now ~src msg =
   | Message.Replica_update { seq; epoch; payload } ->
       on_replica_update t ~now ~src ~seq ~epoch ~payload
   | Message.Replica_ack { seq } ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt t.replica_acked src) in
-      if Seqno.(seq > prev) then Hashtbl.replace t.replica_acked src seq;
-      if is_primary t then [ Io.send_to t.source (log_ack t) ] else []
+      let from = replicated_seq t in
+      if Seqno.(seq > replica_seq t src) then
+        Hashtbl.replace t.replica_acked src seq;
+      let cancels = cancel_replicated t ~from in
+      if is_primary t then Io.send_to t.source (log_ack t) :: cancels
+      else cancels
   | Message.Replica_query ->
       [ Io.send_to src (Message.Replica_status { seq = durable_floor t }) ]
   | Message.Promote { replicas } ->

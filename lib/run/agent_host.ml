@@ -9,6 +9,7 @@ type ('h, 'e) transport = {
   unicast : 'e -> dst:address -> Message.t -> int;
   multicast : 'e -> group:int -> ttl:int option -> Message.t -> int;
   arm : float -> (unit -> unit) -> 'h;
+  rearm : 'h -> float -> 'h;
   disarm : 'h -> unit;
   join : group:int -> address -> unit;
   leave : group:int -> address -> unit;
@@ -83,10 +84,15 @@ and execute t agent = function
       sent agent msg (t.tr.unicast agent.endpoint ~dst msg)
   | Send (To_group { group; ttl }, msg) ->
       sent agent msg (t.tr.multicast agent.endpoint ~group ~ttl msg)
-  | Set_timer (key, delay) ->
-      (* Re-arming a live key cancels the old timer before arming anew. *)
-      disarm t agent key;
-      Hashtbl.replace agent.timers key (t.tr.arm delay (fire t agent key))
+  | Set_timer (key, delay) -> (
+      (* A live key is re-keyed in place: same thunk, no new binding
+         unless the transport hands back a new handle. *)
+      match Hashtbl.find agent.timers key with
+      | h ->
+          let h' = t.tr.rearm h delay in
+          if h' != h then Hashtbl.replace agent.timers key h'
+      | exception Not_found ->
+          Hashtbl.replace agent.timers key (t.tr.arm delay (fire t agent key)))
   | Cancel_timer key ->
       disarm t agent key;
       Hashtbl.remove agent.timers key

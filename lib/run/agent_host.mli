@@ -1,7 +1,7 @@
 (** The one interpreter of {!Lbrm.Io.action}s, shared by every runtime.
 
     A host owns the agents (keyed by protocol address), each agent's
-    timer table (re-arming a live key cancels the old timer first), the
+    timer table (re-arming a live key moves its timer: see [rearm]), the
     dispatch of messages and timer expiries into the agent's handlers,
     and ["sent.<kind>"]/["recv.<kind>"]/["app.delivered"]/
     ["app.recovered"] counting into a {!meter}.  Wires and clocks sit
@@ -20,6 +20,13 @@ type ('h, 'e) transport = {
       (** Both return how many copies left, counted as ["sent.<kind>"]. *)
   arm : float -> (unit -> unit) -> 'h;
       (** Run the thunk after the delay unless ['h] is disarmed first. *)
+  rearm : 'h -> float -> 'h;
+      (** [rearm h delay]: move the live timer [h] to [delay] from now,
+          keeping its thunk, exactly as if [h] were disarmed and the thunk
+          armed anew (same firing order).  Returns the handle to keep,
+          which may be [h] itself.  The host calls it for [Set_timer] on
+          a key that already has a live timer; keys without one go
+          through [arm]. *)
   disarm : 'h -> unit;
   join : group:int -> address -> unit;
   leave : group:int -> address -> unit;

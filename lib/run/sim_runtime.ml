@@ -43,6 +43,10 @@ let host net ~trace ~wrap =
       arm =
         (fun delay fire ->
           Engine.schedule_kind engine ~kind:Engine.kind_timer ~delay fire);
+      rearm =
+        (fun timer delay ->
+          Engine.reschedule engine timer ~delay;
+          timer);
       disarm = Engine.cancel engine;
       join = (fun ~group node -> Net.join net ~group node);
       leave = (fun ~group node -> Net.leave net ~group node);

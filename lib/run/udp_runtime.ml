@@ -185,6 +185,10 @@ let transport io =
     arm =
       (fun delay fire ->
         Heap.add io.timer_heap ~prio:(elapsed io +. delay) fire);
+    rearm =
+      (fun h delay ->
+        ignore (Heap.remove io.timer_heap h);
+        Heap.add io.timer_heap ~prio:(elapsed io +. delay) (Heap.value h));
     disarm = (fun h -> ignore (Heap.remove io.timer_heap h));
     join =
       (fun ~group port ->

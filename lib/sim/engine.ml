@@ -14,16 +14,33 @@ module Rng = Lbrm_util.Rng
    same-instant callbacks fire FIFO and runs are bit-reproducible.
 
    Cancellation is O(1): timers unlink themselves from their bucket
-   list.  Fire-and-forget entries ([post]/[post_at]) recycle their
-   nodes through a free list, so the steady schedule-fire pattern
-   allocates nothing beyond the caller's closure; handle-bearing
+   list.  Re-keying a live timer to a later deadline ([reschedule]) is
+   O(1) too and moves nothing: the node keeps its queue position and
+   records the real key in [due]/[due_seq]; when the stale position
+   reaches the front, the node is re-inserted at the real key without
+   firing.  A node's queue key never exceeds its real key, so the front
+   is always either due or stale, and the firing order is the one
+   cancel+schedule would give.
+
+   Fire-and-forget entries ([post]/[post_at]) recycle their nodes
+   through a free list, so the steady schedule-fire pattern allocates
+   nothing beyond the caller's closure; handle-bearing
    entries ([schedule]/[at]) are never recycled because the handle
    aliases the node.  Retired nodes are blanked so the queue never
    retains fired callbacks. *)
 
+(* All floats are unboxed here; a float field of [node] itself would be
+   a pointer to a fresh box on every write. *)
+type stamps = {
+  mutable time : float; (* queue key *)
+  mutable born : float; (* virtual enqueue time, for sojourn accounting *)
+  mutable due : float; (* real deadline of a stale node *)
+}
+
 type node = {
-  mutable time : float;
+  tm : stamps;
   mutable seq : int; (* tie-break: FIFO among equal times *)
+  mutable due_seq : int; (* real seq of a stale node; -1 when current *)
   mutable bucket : int; (* absolute bucket number, floor(time / width) *)
   mutable fn : unit -> unit;
   mutable prev : node;
@@ -31,18 +48,21 @@ type node = {
   mutable live : bool; (* queued; false once fired or cancelled *)
   recyclable : bool; (* no handle escaped; safe to pool *)
   mutable kind : int; (* accounting category, [0, max_kinds) *)
-  mutable born : float; (* virtual enqueue time, for sojourn accounting *)
 }
 
 type timer = node
 
 let noop () = ()
 
+(* Sentinels never move, so they can share one never-written stamp. *)
+let sentinel_stamps = { time = infinity; born = 0.; due = infinity }
+
 let new_sentinel () =
   let rec s =
     {
-      time = infinity;
+      tm = sentinel_stamps;
       seq = max_int;
+      due_seq = -1;
       bucket = max_int;
       fn = noop;
       prev = s;
@@ -50,7 +70,6 @@ let new_sentinel () =
       live = false;
       recyclable = false;
       kind = 0;
-      born = 0.;
     }
   in
   s
@@ -123,12 +142,14 @@ let bucket_of t time =
    (one multicast fan-out) appends at the tail in O(1) instead of
    walking the whole equal-time run from the front. *)
 let rec ins_pos sent n cur =
-  if cur != sent && (n.time < cur.time || (n.time = cur.time && n.seq < cur.seq))
+  if
+    cur != sent
+    && (n.tm.time < cur.tm.time || (n.tm.time = cur.tm.time && n.seq < cur.seq))
   then ins_pos sent n cur.prev
   else cur
 
 let insert t n =
-  let b = bucket_of t n.time in
+  let b = bucket_of t n.tm.time in
   n.bucket <- b;
   let sent = Array.unsafe_get t.buckets (b land t.mask) in
   let p = ins_pos sent n sent.prev in
@@ -167,8 +188,8 @@ and direct_search t =
   for i = 0 to t.mask do
     let front = (Array.unsafe_get t.buckets i).next in
     if
-      front.time < !best.time
-      || (front.time = !best.time && front.seq < !best.seq)
+      front.tm.time < !best.tm.time
+      || (front.tm.time = !best.tm.time && front.seq < !best.seq)
     then best := front
   done;
   let n = !best in
@@ -187,7 +208,7 @@ let estimate_width t sample sample_n =
     let gaps = sample_n - 1 in
     let total = ref 0. in
     for i = 1 to gaps do
-      total := !total +. (sample.(i).time -. sample.(i - 1).time)
+      total := !total +. (sample.(i).tm.time -. sample.(i - 1).tm.time)
     done;
     let avg = !total /. float_of_int gaps in
     if avg <= 0. then t.width
@@ -195,7 +216,7 @@ let estimate_width t sample sample_n =
       let cutoff = 2. *. avg in
       let kept = ref 0 and ktotal = ref 0. in
       for i = 1 to gaps do
-        let g = sample.(i).time -. sample.(i - 1).time in
+        let g = sample.(i).tm.time -. sample.(i - 1).tm.time in
         if g <= cutoff then begin
           incr kept;
           ktotal := !ktotal +. g
@@ -274,8 +295,9 @@ let at_kind t ~kind ~time fn =
   t.next_seq <- seq + 1;
   let n =
     {
-      time;
+      tm = { time; born = now t; due = time };
       seq;
+      due_seq = -1;
       bucket = 0;
       fn;
       prev = t.nil;
@@ -283,7 +305,6 @@ let at_kind t ~kind ~time fn =
       live = true;
       recyclable = false;
       kind;
-      born = now t;
     }
   in
   enqueue_node t n;
@@ -309,18 +330,19 @@ let[@lint.hot] post_at_kind t ~kind ~time fn =
       let n = t.pool in
       t.pool <- n.next;
       t.pool_len <- t.pool_len - 1;
-      n.time <- time;
+      n.tm.time <- time;
+      n.tm.born <- now t;
       n.seq <- seq;
       n.fn <- fn;
       n.live <- true;
       n.kind <- kind;
-      n.born <- now t;
       n
     end
     else
       ({
-         time;
+         tm = { time; born = now t; due = time };
          seq;
+         due_seq = -1;
          bucket = 0;
          fn;
          prev = t.nil;
@@ -328,7 +350,6 @@ let[@lint.hot] post_at_kind t ~kind ~time fn =
          live = true;
          recyclable = true;
          kind;
-         born = now t;
        }
       [@lint.alloc "node pool empty: fresh node, recycled when it fires"])
   in
@@ -342,6 +363,34 @@ let[@lint.hot] post_kind t ~kind ~delay fn =
 
 let[@lint.hot] post t ~delay fn =
   post_at_kind t ~kind:kind_default ~time:(now t +. delay) fn
+
+(* Re-insert a node at its real key: a stale node that reached the
+   front (not a firing: no clock, counters or callback), or one whose
+   new key is earlier than its queue position. *)
+let refresh t n =
+  n.tm.time <- n.tm.due;
+  n.seq <- n.due_seq;
+  n.due_seq <- -1;
+  insert t n
+
+(* Move a live timer to [now + delay] under a fresh seq, drawn exactly
+   where cancel+schedule would draw it.  A later key leaves the node
+   queued where it is, stale (see the header); an earlier one moves it
+   now. *)
+let[@lint.hot] reschedule t n ~delay =
+  assert (delay >= 0.);
+  assert n.live;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let tm = n.tm in
+  let now = now t in
+  tm.born <- now;
+  tm.due <- now +. delay;
+  n.due_seq <- seq;
+  if tm.due < tm.time then begin
+    unlink n;
+    refresh t n
+  end
 
 (* Blank a node that left the queue so it retains nothing, and pool it
    if no handle can ever reference it again.  Pooled nodes reuse [next]
@@ -372,24 +421,31 @@ let cancel t n =
 
 let is_pending n = n.live
 
-(* Pop the minimum and run it.  The callback is read before the node is
-   retired, so re-entrant scheduling from inside [fn] is safe. *)
 let account t n =
   Array.unsafe_set t.kind_fired n.kind
     (Array.unsafe_get t.kind_fired n.kind + 1);
   Array.unsafe_set t.kind_wait n.kind
-    (Array.unsafe_get t.kind_wait n.kind +. (n.time -. n.born))
+    (Array.unsafe_get t.kind_wait n.kind +. (n.tm.time -. n.tm.born))
 
-let exec_min t =
-  let n = dequeue t 0 in
+(* Run a dequeued, current node.  The callback is read before the node
+   is retired, so re-entrant scheduling from inside [fn] is safe. *)
+let fire t n =
   t.size <- t.size - 1;
-  set_clock t n.time;
+  set_clock t n.tm.time;
   let fn = n.fn in
   account t n;
   retire t n;
   maybe_shrink t;
   t.processed <- t.processed + 1;
   fn ()
+
+let rec exec_min t =
+  let n = dequeue t 0 in
+  if n.due_seq >= 0 then begin
+    refresh t n;
+    exec_min t
+  end
+  else fire t n
 
 let every t ~period ?until fn =
   assert (period > 0.);
@@ -424,22 +480,14 @@ let run ?until t =
       let continue = ref true in
       while !continue && t.size > 0 do
         let n = dequeue t 0 in
-        if n.time <= stop then begin
-          t.size <- t.size - 1;
-          set_clock t n.time;
-          let fn = n.fn in
-          account t n;
-          retire t n;
-          maybe_shrink t;
-          t.processed <- t.processed + 1;
-          fn ()
-        end
-        else begin
+        if n.tm.time > stop then begin
           (* Not due yet: put it back untouched (same time and seq, so
              ordering is unaffected) and stop. *)
           insert t n;
           continue := false
         end
+        else if n.due_seq >= 0 then refresh t n
+        else fire t n
       done;
       set_clock t (Float.max (now t) stop);
       (* The probe above may have advanced [epoch] past buckets that

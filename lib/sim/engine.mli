@@ -68,6 +68,22 @@ val post_at_kind : t -> kind:int -> time:float -> (unit -> unit) -> unit
 val cancel : t -> timer -> unit
 (** Cancel a pending timer; no-op if it already fired or was cancelled. *)
 
+val reschedule : t -> timer -> delay:float -> unit
+(** Move a pending timer to [delay] seconds from now ([delay >= 0]),
+    keeping its callback and kind.  Observably this is {!cancel}
+    followed by {!schedule_kind}: the fresh tie-break number is drawn at
+    the same point, so every event keeps its [(time, seq)] key and the
+    firing order, {!pending}, {!events_processed} and the per-kind
+    counters are exactly what cancel+schedule would give.  The timer
+    must be pending.
+
+    It allocates nothing.  A later deadline leaves the timer where it
+    is queued and records the new key on it (a {e deferred} node); when
+    that stale position reaches the front of the queue, {!step} and
+    {!run} re-insert the node at its recorded key without firing it,
+    counting it or moving the clock.  An earlier deadline re-links the
+    timer at once. *)
+
 val is_pending : timer -> bool
 
 val every : t -> period:float -> ?until:float -> (unit -> unit) -> unit

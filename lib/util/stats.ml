@@ -28,21 +28,44 @@ let pp fmt t =
     (stddev t) t.min t.max
 
 module Sample = struct
-  type nonrec t = { acc : t; mutable xs : float array; mutable len : int }
+  (* At most [cap] values are retained.  When full, every other one is
+     dropped and the stride doubles, so the kept values are exactly the
+     observations whose index is a multiple of [stride]: an even,
+     deterministic thinning.  Count, mean and extrema come from the
+     accumulator, which sees every observation. *)
+  type nonrec t = {
+    acc : t;
+    mutable xs : float array;
+    mutable len : int;
+    mutable stride : int; (* a power of two *)
+  }
 
-  let create () = { acc = create (); xs = [||]; len = 0 }
+  let cap = 1 lsl 16
+  let create () = { acc = create (); xs = [||]; len = 0; stride = 1 }
 
   let add t x =
+    let index = t.acc.n in
     add t.acc x;
-    if t.len = Array.length t.xs then begin
-      let xs = Array.make (Stdlib.max 16 (2 * t.len)) 0. in
-      Array.blit t.xs 0 xs 0 t.len;
-      t.xs <- xs
-    end;
-    t.xs.(t.len) <- x;
-    t.len <- t.len + 1
+    if index land (t.stride - 1) = 0 then begin
+      if t.len = cap then begin
+        for i = 0 to (cap / 2) - 1 do
+          t.xs.(i) <- t.xs.(2 * i)
+        done;
+        t.len <- cap / 2;
+        t.stride <- 2 * t.stride
+      end;
+      if index land (t.stride - 1) = 0 then begin
+        if t.len = Array.length t.xs then begin
+          let xs = Array.make (Stdlib.min cap (Stdlib.max 16 (2 * t.len))) 0. in
+          Array.blit t.xs 0 xs 0 t.len;
+          t.xs <- xs
+        end;
+        t.xs.(t.len) <- x;
+        t.len <- t.len + 1
+      end
+    end
 
-  let count t = t.len
+  let count t = count t.acc
   let mean t = mean t.acc
   let stddev t = stddev t.acc
   let min t = min t.acc

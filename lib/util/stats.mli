@@ -1,9 +1,8 @@
 (** Online statistics for experiment harnesses.
 
     {!t} is a Welford accumulator (constant space: count, mean, variance,
-    extrema).  {!Sample} additionally retains every observation so that
-    percentiles can be reported; experiment sample counts here are small
-    enough that full retention is the simplest correct choice. *)
+    extrema).  {!Sample} additionally retains up to {!Sample.cap}
+    observations so that percentiles can be reported. *)
 
 type t
 (** Welford accumulator. *)
@@ -26,25 +25,39 @@ val max : t -> float
 
 val pp : Format.formatter -> t -> unit
 
-(** Full-retention sample set with percentile queries. *)
+(** Bounded sample set with percentile queries.
+
+    Every observation is retained until {!cap} are held.  From then on
+    the retained set is thinned evenly and deterministically: when full,
+    every other retained value is dropped and the stride doubles, so the
+    set holds exactly the observations whose index (from 0) is a
+    multiple of a power of two.  {!count}, {!mean}, {!stddev}, {!min}
+    and {!max} stay exact over every observation; {!percentile} and
+    {!values} are exact below the cap and approximate above it. *)
 module Sample : sig
   type t
+
+  val cap : int
+  (** Most values ever retained: [2^16]. *)
 
   val create : unit -> t
   val add : t -> float -> unit
   val count : t -> int
+  (** Observations added, retained or not. *)
+
   val mean : t -> float
   val stddev : t -> float
 
   val percentile : t -> float -> float
-  (** [percentile s p] for [p] in [\[0,100\]], by linear interpolation.
-      [nan] when empty. *)
+  (** [percentile s p] for [p] in [\[0,100\]], by linear interpolation
+      over the retained values.  [nan] when empty. *)
 
   val median : t -> float
   val min : t -> float
   val max : t -> float
   val values : t -> float array
-  (** Snapshot of all observations (unsorted, insertion order). *)
+  (** Snapshot of the retained observations (unsorted, insertion
+      order): all of them while at most {!cap} have been added. *)
 end
 
 (** Fixed-width histogram over [\[lo, hi)] with [bins] buckets;

@@ -1348,6 +1348,49 @@ let logger_replica_retry_laggards () =
   checkb "retry quiesces" true
     (Logger.handle_timer l ~now:1.2 (Io.K_replica_retry 1) = [])
 
+(* The primary cancels a seq's replica-retry timer once every replica
+   has acked it, and only timers that are still armed: one cancel per
+   armed timer, none for a retry that already fired and went quiet. *)
+let logger_replica_retry_cancelled_when_replicated () =
+  let l =
+    Logger.create plain ~self:2 ~source:1 ~replicas:[ 3; 4 ] ~rng:(rng ()) ()
+  in
+  let cancels actions =
+    List.filter_map
+      (function Io.Cancel_timer (Io.K_replica_retry s) -> Some s | _ -> None)
+      actions
+  in
+  let deposit seq =
+    timers_set
+      (Logger.handle_message l ~now:0. ~src:1
+         (Message.Log_deposit { seq; epoch = 0; payload = p "a" }))
+  in
+  let ack ~src seq =
+    cancels
+      (Logger.handle_message l ~now:0.1 ~src (Message.Replica_ack { seq }))
+  in
+  List.iter
+    (fun seq ->
+      checkb "retry armed" true
+        (List.mem_assoc (Io.K_replica_retry seq) (deposit seq)))
+    [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "one replica is not enough" [] (ack ~src:3 3);
+  Alcotest.(check (list int)) "covered seqs only" [ 1; 2 ]
+    (List.sort compare (ack ~src:4 2));
+  Alcotest.(check (list int)) "the rest" [ 3 ] (ack ~src:4 3);
+  Alcotest.(check (list int)) "never twice" [] (ack ~src:4 3);
+  (* A retry that fires with no laggard left is not re-armed, so no
+     cancel follows it. *)
+  ignore (deposit 4);
+  Alcotest.(check (list int)) "replica 4 still lags" [] (ack ~src:3 4);
+  ignore
+    (Logger.handle_message l ~now:0.2 ~src:1
+       (Message.Promote { replicas = [ 3 ] }));
+  checkb "quiet retry" true
+    (Logger.handle_timer l ~now:0.6 (Io.K_replica_retry 4) = []);
+  ignore (deposit 5);
+  Alcotest.(check (list int)) "fired timer not cancelled" [ 5 ] (ack ~src:3 5)
+
 let source_statack_remulticast_resends_data () =
   (* Full source-level stat-ack cycle driven by hand: epoch settles, a
      packet misses its acks, and the source re-multicasts the retained
@@ -1526,6 +1569,8 @@ let () =
             source_heartbeat_fields;
           Alcotest.test_case "replica retry targets laggards" `Quick
             logger_replica_retry_laggards;
+          Alcotest.test_case "replica retry cancelled when replicated" `Quick
+            logger_replica_retry_cancelled_when_replicated;
           Alcotest.test_case "source-level stat-ack re-multicast" `Quick
             source_statack_remulticast_resends_data;
         ] );

@@ -114,6 +114,31 @@ let timer_rearm_semantics rig =
   checkb "cancelled never fired" true
     (not (List.exists (fun (_, k) -> k = Io.K_app "y") !fired))
 
+(* A live key re-armed many times, to deadlines both later and earlier
+   than its current one, fires once, at the last deadline: the
+   watchdog pattern, where every arrival pushes the timer out. *)
+let timer_rearm_many rig =
+  let fired = ref [] in
+  let on_timer ~now key =
+    fired := (now, key) :: !fired;
+    []
+  in
+  rig.add 0 (null_handlers ~on_timer ());
+  let delays = [| 0.03; 0.08; 0.01; 0.06 |] in
+  for i = 0 to 49 do
+    rig.perform 0 [ Io.Set_timer (Io.K_silence, delays.(i mod 4)) ]
+  done;
+  rig.perform 0 [ Io.Set_timer (Io.K_silence, 0.04) ];
+  rig.settle ();
+  rig.close ();
+  match !fired with
+  | [ (at, Io.K_silence) ] ->
+      checkb "not before the last deadline" true (at >= 0.04 -. 1e-9);
+      checkb "at the last deadline, within the transport's slack" true
+        (at <= 0.04 +. rig.slack +. 1e-9)
+  | l ->
+      Alcotest.failf "expected exactly one firing, got %d" (List.length l)
+
 let join_leave_actions rig =
   let got = ref 0 in
   rig.add 0 (null_handlers ());
@@ -237,6 +262,8 @@ let () =
         [
           Alcotest.test_case "timer re-arm and cancel" `Quick (fun () ->
               timer_rearm_semantics (sim_rig ()));
+          Alcotest.test_case "live key re-armed many times" `Quick (fun () ->
+              timer_rearm_many (sim_rig ()));
           Alcotest.test_case "join/leave actions" `Quick (fun () ->
               join_leave_actions (sim_rig ()));
           Alcotest.test_case "trace records activity" `Quick
@@ -246,6 +273,8 @@ let () =
         [
           Alcotest.test_case "timer re-arm and cancel" `Quick (fun () ->
               timer_rearm_semantics (udp_rig ~base_port:48700 ()));
+          Alcotest.test_case "live key re-armed many times" `Quick (fun () ->
+              timer_rearm_many (udp_rig ~base_port:48730 ()));
           Alcotest.test_case "join/leave actions" `Quick (fun () ->
               join_leave_actions (udp_rig ~base_port:48710 ()));
           Alcotest.test_case "counts as the simulator does" `Quick

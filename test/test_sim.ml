@@ -717,6 +717,125 @@ let prop_engine_random_schedules =
       let out = List.rev !fired in
       out = List.sort Float.compare delays)
 
+(* Re-keying a live timer in place must be indistinguishable from
+   cancel+schedule.  Random programs of schedule/cancel/reschedule
+   (later and earlier deadlines)/post/step/run ~until drive two engines:
+   one re-keys with [Engine.reschedule], the reference cancels and
+   schedules a fresh timer with the same callback and kind.  Posts may
+   re-key a timer when they fire, as a packet arrival re-arms the MaxIT
+   watchdog.  Delays are multiples of 1/4 s, so ties are common. *)
+
+type eop =
+  | E_schedule of int * int * int (* slot, delay (quarters), kind *)
+  | E_cancel of int
+  | E_rekey of int * int (* slot, delay *)
+  | E_post of int * (int * int) option (* delay; re-key on firing *)
+  | E_step
+  | E_run_until of int (* quarters past now *)
+
+let slots = 4
+
+let pp_eop = function
+  | E_schedule (i, d, k) -> Printf.sprintf "schedule(%d,%d,k%d)" i d k
+  | E_cancel i -> Printf.sprintf "cancel(%d)" i
+  | E_rekey (i, d) -> Printf.sprintf "rekey(%d,%d)" i d
+  | E_post (d, None) -> Printf.sprintf "post(%d)" d
+  | E_post (d, Some (i, d')) -> Printf.sprintf "post(%d,rekey(%d,%d))" d i d'
+  | E_step -> "step"
+  | E_run_until d -> Printf.sprintf "until(+%d)" d
+
+let gen_eop =
+  let open QCheck.Gen in
+  let slot = int_bound (slots - 1) and delay = int_bound 12 in
+  frequency
+    [
+      (3, map3 (fun i d k -> E_schedule (i, d, k)) slot delay (int_bound 3));
+      (1, map (fun i -> E_cancel i) slot);
+      (5, map2 (fun i d -> E_rekey (i, d)) slot delay);
+      (3, map2 (fun d r -> E_post (d, r)) delay (opt (pair slot delay)));
+      (2, return E_step);
+      (2, map (fun d -> E_run_until d) (int_bound 8));
+    ]
+
+type observed =
+  | Fired of int * float (* op index of the scheduling op, clock *)
+  | Stepped of bool
+  | Clock of float * int (* after run ~until: clock, pending *)
+
+let drive_engine ~in_place ops =
+  let e = Engine.create () in
+  let log = ref [] in
+  let quarters n = 0.25 *. float_of_int n in
+  let timers = Array.make slots None in
+  let rekey i d =
+    match timers.(i) with
+    | Some (h, kind, fn) when Engine.is_pending h ->
+        if in_place then Engine.reschedule e h ~delay:(quarters d)
+        else begin
+          Engine.cancel e h;
+          let h = Engine.schedule_kind e ~kind ~delay:(quarters d) fn in
+          timers.(i) <- Some (h, kind, fn)
+        end
+    | _ -> ()
+  in
+  List.iteri
+    (fun id op ->
+      let fired () = log := Fired (id, Engine.now e) :: !log in
+      match op with
+      | E_schedule (i, d, kind) ->
+          let h = Engine.schedule_kind e ~kind ~delay:(quarters d) fired in
+          timers.(i) <- Some (h, kind, fired)
+      | E_cancel i ->
+          Option.iter (fun (h, _, _) -> Engine.cancel e h) timers.(i)
+      | E_rekey (i, d) -> rekey i d
+      | E_post (d, then_rekey) ->
+          Engine.post_kind e ~kind:Engine.kind_packet ~delay:(quarters d)
+            (fun () ->
+              fired ();
+              Option.iter (fun (i, d) -> rekey i d) then_rekey)
+      | E_step -> log := Stepped (Engine.step e) :: !log
+      | E_run_until d ->
+          Engine.run ~until:(Engine.now e +. quarters d) e;
+          log := Clock (Engine.now e, Engine.pending e) :: !log)
+    ops;
+  Engine.run e;
+  ( List.rev !log,
+    Engine.now e,
+    Engine.events_processed e,
+    List.init Engine.max_kinds (fun kind ->
+        (Engine.kind_fired e ~kind, Engine.kind_wait e ~kind)) )
+
+let prop_engine_reschedule_is_cancel_schedule =
+  QCheck.Test.make ~count:500
+    ~name:"engine: reschedule = cancel + schedule (order, clock, counters)"
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_eop ops))
+       QCheck.Gen.(list_size (1 -- 60) gen_eop))
+    (fun ops ->
+      drive_engine ~in_place:true ops = drive_engine ~in_place:false ops)
+
+(* A deferred timer whose stale queue position lies before [until]
+   neither fires, counts nor drags the clock past [until]. *)
+let engine_reschedule_defers () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let h =
+    Engine.schedule_kind e ~kind:Engine.kind_timer ~delay:1.0 (fun () ->
+        fired := Engine.now e :: !fired)
+  in
+  Engine.reschedule e h ~delay:5.0;
+  Engine.run ~until:2.0 e;
+  checkf 1e-12 "clock stops at until" 2.0 (Engine.now e);
+  checki "still pending" 1 (Engine.pending e);
+  checki "nothing processed" 0 (Engine.events_processed e);
+  checki "nothing counted" 0 (Engine.kind_fired e ~kind:Engine.kind_timer);
+  Engine.reschedule e h ~delay:0.5;
+  Engine.run e;
+  Alcotest.(check (list (float 1e-12)))
+    "fires once, at the last key" [ 2.5 ] !fired;
+  checkf 1e-12 "sojourn from the last re-key" 0.5
+    (Engine.kind_wait e ~kind:Engine.kind_timer)
+
 (* ---- fault plane ---- *)
 
 let fault_state_epoch () =
@@ -925,6 +1044,9 @@ let () =
           Alcotest.test_case "nested schedule" `Quick engine_nested_schedule;
           qtest prop_engine_random_schedules;
           qtest prop_engine_fifo_ties;
+          Alcotest.test_case "reschedule defers" `Quick
+            engine_reschedule_defers;
+          qtest prop_engine_reschedule_is_cancel_schedule;
         ] );
       ( "route-properties",
         [ qtest prop_route_triangle; qtest prop_route_delegation_equivalence ] );

@@ -452,6 +452,7 @@ let measurements : (string list * (unit -> float)) list =
               unicast = (fun () ~dst:_ _ -> 0);
               multicast = (fun () ~group:_ ~ttl:_ _ -> 0);
               arm = (fun _ _ -> ());
+              rearm = (fun h _ -> h);
               disarm = ignore;
               join = (fun ~group:_ _ -> ());
               leave = (fun ~group:_ _ -> ());
@@ -473,6 +474,48 @@ let measurements : (string list * (unit -> float)) list =
         done;
         words_per_op ~iters (fun _ ->
             H.receive host agent ~src:2 msg) );
+    ( [ "Engine.reschedule" ],
+      fun () ->
+        (* The MaxIT watchdog's pattern: live timers re-keyed on every
+           event, both directly and as a Set_timer on a live key through
+           the simulator's agent host.  Delays alternate later/earlier,
+           so the in-place and the re-linked path are both measured; the
+           action lists are built once, so only the re-key is counted. *)
+        let module Engine = Lbrm_sim.Engine in
+        let module Sim_runtime = Lbrm_run.Sim_runtime in
+        let topo, _, hosts = Lbrm_sim.Builders.lan ~hosts:1 () in
+        let engine = Engine.create () in
+        let net =
+          Lbrm_sim.Net.create ~engine ~topo
+            ~size_of:Lbrm_wire.Message.wire_size ()
+        in
+        let rt =
+          Sim_runtime.create ~net ~trace:(Lbrm_sim.Trace.create ()) ()
+        in
+        let node = hosts.(0) in
+        Sim_runtime.add_agent rt ~node
+          {
+            Lbrm_run.Handlers.on_message = (fun ~now:_ ~src:_ _ -> []);
+            on_timer = (fun ~now:_ _ -> []);
+            on_deliver = None;
+            on_notice = None;
+          };
+        let timers =
+          Array.init 64 (fun _ -> Engine.schedule engine ~delay:1.0 ignore)
+        in
+        let later = [ Lbrm.Io.Set_timer (Lbrm.Io.K_silence, 2.0) ]
+        and earlier = [ Lbrm.Io.Set_timer (Lbrm.Io.K_silence, 1.0) ] in
+        Sim_runtime.perform rt ~node earlier;
+        let rekey i =
+          let odd = i land 1 = 1 in
+          Engine.reschedule engine timers.(i land 63)
+            ~delay:(if odd then 1.0 else 2.0);
+          Sim_runtime.perform rt ~node (if odd then earlier else later)
+        in
+        for i = 1 to 100 do
+          rekey i
+        done;
+        words_per_op ~iters rekey );
     ( [ "Route.next_hop"; "Route.table" ],
       fun () ->
         (* One forwarded unicast hop per iteration, cycling over every

@@ -299,6 +299,65 @@ let stats_percentiles () =
   checkf "p0" 1. (Stats.Sample.percentile s 0.);
   checkf "p100" 100. (Stats.Sample.percentile s 100.)
 
+(* Percentile of a sorted array, by the interpolation Sample documents. *)
+let naive_percentile sorted p =
+  let n = Array.length sorted in
+  let rank = p /. 100. *. float_of_int (n - 1) in
+  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+  let frac = rank -. floor rank in
+  (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
+
+let sample_of n f =
+  let s = Stats.Sample.create () in
+  for i = 0 to n - 1 do
+    Stats.Sample.add s (f i)
+  done;
+  s
+
+let stats_prop_sample_exact_below_cap =
+  QCheck.Test.make ~count:12 ~name:"stats: sample exact up to the cap"
+    QCheck.(pair (int_range 1 Stats.Sample.cap) small_nat)
+    (fun (n, seed) ->
+      let rng = Rng.create ~seed in
+      let xs = Array.init n (fun _ -> Rng.float rng 1000.) in
+      let s = sample_of n (Array.get xs) in
+      let sorted = Array.copy xs in
+      Array.sort Float.compare sorted;
+      Stats.Sample.count s = n
+      && Stats.Sample.values s = xs
+      && List.for_all
+           (fun p -> Stats.Sample.percentile s p = naive_percentile sorted p)
+           [ 0.; 1.; 25.; 50.; 90.; 99.; 100. ])
+
+let stats_prop_sample_bounded_above_cap =
+  let cap = Stats.Sample.cap in
+  QCheck.Test.make ~count:6
+    ~name:"stats: sample bounded and even above the cap"
+    QCheck.(pair (int_range (cap + 1) (4 * cap)) small_nat)
+    (fun (n, seed) ->
+      let rng = Rng.create ~seed in
+      let xs = Array.init n (fun _ -> Rng.float rng 1.) in
+      let s = sample_of n (Array.get xs) in
+      let kept = Stats.Sample.values s in
+      let len = Array.length kept in
+      (* The retained values are the observations at a power-of-two
+         stride, from the first one on. *)
+      let stride = (n + len - 1) / len in
+      let stride_ok =
+        stride land (stride - 1) = 0
+        && Array.for_all2 ( = ) kept (Array.init len (fun i -> xs.(i * stride)))
+      in
+      let near p want tol =
+        Float.abs (Stats.Sample.percentile s p -. want) < tol
+      in
+      len <= cap
+      && len > cap / 2
+      && stride_ok
+      && Stats.Sample.count s = n
+      && Stats.Sample.min s = Array.fold_left Float.min infinity xs
+      && Stats.Sample.max s = Array.fold_left Float.max neg_infinity xs
+      && near 50. 0.5 0.02 && near 90. 0.9 0.02 && near 99. 0.99 0.01)
+
 let stats_prop_mean_matches =
   QCheck.Test.make ~name:"stats: welford mean = naive mean"
     QCheck.(list_of_size Gen.(1 -- 200) (float_bound_inclusive 1000.))
@@ -457,6 +516,8 @@ let () =
         [
           Alcotest.test_case "welford" `Quick stats_welford;
           Alcotest.test_case "percentiles" `Quick stats_percentiles;
+          qtest stats_prop_sample_exact_below_cap;
+          qtest stats_prop_sample_bounded_above_cap;
           Alcotest.test_case "histogram" `Quick histogram_buckets;
           qtest stats_prop_mean_matches;
         ] );
