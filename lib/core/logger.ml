@@ -448,17 +448,34 @@ let replicated_seq t =
 
 (* A Replica_ack raised the replicated mark above [from]: the retry
    timers of the seqs it now covers would only fire to find no laggard,
-   so cancel them (and only timers that are armed). *)
+   so cancel them (and only timers that are armed).  The cost is the
+   smaller of the newly covered span and the armed set: a laggard
+   catching up one seq per ack walks its span, while a first ack after
+   a long silence or a promotion scans the armed set instead. *)
 let cancel_replicated t ~from =
   let floor = replicated_seq t in
-  if Hashtbl.length t.retry_armed = 0 || not Seqno.(floor > from) then []
+  let span = Seqno.diff floor from in
+  let cancel acc seq =
+    if Hashtbl.mem t.retry_armed seq then begin
+      Hashtbl.remove t.retry_armed seq;
+      Cancel_timer (K_replica_retry seq) :: acc
+    end
+    else acc
+  in
+  let armed = Hashtbl.length t.retry_armed in
+  if span <= 0 || armed = 0 then []
+  else if span <= armed then begin
+    let acc = ref [] in
+    for i = 1 to span do
+      acc := cancel !acc (Seqno.add from i)
+    done;
+    !acc
+  end
   else
     Hashtbl.fold
       (fun seq () acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
       t.retry_armed []
-    |> List.map (fun seq ->
-           Hashtbl.remove t.retry_armed seq;
-           Cancel_timer (K_replica_retry seq))
+    |> List.fold_left cancel []
 
 let log_ack t =
   Message.Log_ack

@@ -9,7 +9,7 @@ type ('h, 'e) transport = {
   unicast : 'e -> dst:address -> Message.t -> int;
   multicast : 'e -> group:int -> ttl:int option -> Message.t -> int;
   arm : float -> (unit -> unit) -> 'h;
-  rearm : 'h -> float -> 'h;
+  rearm : 'h -> float -> unit;
   disarm : 'h -> unit;
   join : group:int -> address -> unit;
   leave : group:int -> address -> unit;
@@ -85,12 +85,9 @@ and execute t agent = function
   | Send (To_group { group; ttl }, msg) ->
       sent agent msg (t.tr.multicast agent.endpoint ~group ~ttl msg)
   | Set_timer (key, delay) -> (
-      (* A live key is re-keyed in place: same thunk, no new binding
-         unless the transport hands back a new handle. *)
+      (* A live key is re-keyed in place: same handle, same thunk. *)
       match Hashtbl.find agent.timers key with
-      | h ->
-          let h' = t.tr.rearm h delay in
-          if h' != h then Hashtbl.replace agent.timers key h'
+      | h -> t.tr.rearm h delay
       | exception Not_found ->
           Hashtbl.replace agent.timers key (t.tr.arm delay (fire t agent key)))
   | Cancel_timer key ->

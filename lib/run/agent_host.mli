@@ -20,13 +20,12 @@ type ('h, 'e) transport = {
       (** Both return how many copies left, counted as ["sent.<kind>"]. *)
   arm : float -> (unit -> unit) -> 'h;
       (** Run the thunk after the delay unless ['h] is disarmed first. *)
-  rearm : 'h -> float -> 'h;
+  rearm : 'h -> float -> unit;
       (** [rearm h delay]: move the live timer [h] to [delay] from now,
-          keeping its thunk, exactly as if [h] were disarmed and the thunk
-          armed anew (same firing order).  Returns the handle to keep,
-          which may be [h] itself.  The host calls it for [Set_timer] on
-          a key that already has a live timer; keys without one go
-          through [arm]. *)
+          keeping its handle and thunk, exactly as if [h] were disarmed
+          and the thunk armed anew (same firing order).  The host calls
+          it for [Set_timer] on a key that already has a live timer;
+          keys without one go through [arm]. *)
   disarm : 'h -> unit;
   join : group:int -> address -> unit;
   leave : group:int -> address -> unit;

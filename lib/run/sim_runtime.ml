@@ -43,10 +43,7 @@ let host net ~trace ~wrap =
       arm =
         (fun delay fire ->
           Engine.schedule_kind engine ~kind:Engine.kind_timer ~delay fire);
-      rearm =
-        (fun timer delay ->
-          Engine.reschedule engine timer ~delay;
-          timer);
+      rearm = (fun timer delay -> Engine.reschedule engine timer ~delay);
       disarm = Engine.cancel engine;
       join = (fun ~group node -> Net.join net ~group node);
       leave = (fun ~group node -> Net.leave net ~group node);

@@ -186,9 +186,7 @@ let transport io =
       (fun delay fire ->
         Heap.add io.timer_heap ~prio:(elapsed io +. delay) fire);
     rearm =
-      (fun h delay ->
-        ignore (Heap.remove io.timer_heap h);
-        Heap.add io.timer_heap ~prio:(elapsed io +. delay) (Heap.value h));
+      (fun h delay -> Heap.move io.timer_heap h ~prio:(elapsed io +. delay));
     disarm = (fun h -> ignore (Heap.remove io.timer_heap h));
     join =
       (fun ~group port ->

@@ -14,13 +14,9 @@ module Rng = Lbrm_util.Rng
    same-instant callbacks fire FIFO and runs are bit-reproducible.
 
    Cancellation is O(1): timers unlink themselves from their bucket
-   list.  Re-keying a live timer to a later deadline ([reschedule]) is
-   O(1) too and moves nothing: the node keeps its queue position and
-   records the real key in [due]/[due_seq]; when the stale position
-   reaches the front, the node is re-inserted at the real key without
-   firing.  A node's queue key never exceeds its real key, so the front
-   is always either due or stale, and the firing order is the one
-   cancel+schedule would give.
+   list.  Re-keying a live timer ([reschedule]) unlinks the node and
+   re-inserts it under a fresh key, so a handle-bearing timer can be
+   moved any number of times without allocating.
 
    Fire-and-forget entries ([post]/[post_at]) recycle their nodes
    through a free list, so the steady schedule-fire pattern allocates
@@ -34,13 +30,11 @@ module Rng = Lbrm_util.Rng
 type stamps = {
   mutable time : float; (* queue key *)
   mutable born : float; (* virtual enqueue time, for sojourn accounting *)
-  mutable due : float; (* real deadline of a stale node *)
 }
 
 type node = {
   tm : stamps;
   mutable seq : int; (* tie-break: FIFO among equal times *)
-  mutable due_seq : int; (* real seq of a stale node; -1 when current *)
   mutable bucket : int; (* absolute bucket number, floor(time / width) *)
   mutable fn : unit -> unit;
   mutable prev : node;
@@ -55,14 +49,13 @@ type timer = node
 let noop () = ()
 
 (* Sentinels never move, so they can share one never-written stamp. *)
-let sentinel_stamps = { time = infinity; born = 0.; due = infinity }
+let sentinel_stamps = { time = infinity; born = 0. }
 
 let new_sentinel () =
   let rec s =
     {
       tm = sentinel_stamps;
       seq = max_int;
-      due_seq = -1;
       bucket = max_int;
       fn = noop;
       prev = s;
@@ -295,9 +288,8 @@ let at_kind t ~kind ~time fn =
   t.next_seq <- seq + 1;
   let n =
     {
-      tm = { time; born = now t; due = time };
+      tm = { time; born = now t };
       seq;
-      due_seq = -1;
       bucket = 0;
       fn;
       prev = t.nil;
@@ -340,9 +332,8 @@ let[@lint.hot] post_at_kind t ~kind ~time fn =
     end
     else
       ({
-         tm = { time; born = now t; due = time };
+         tm = { time; born = now t };
          seq;
-         due_seq = -1;
          bucket = 0;
          fn;
          prev = t.nil;
@@ -364,33 +355,20 @@ let[@lint.hot] post_kind t ~kind ~delay fn =
 let[@lint.hot] post t ~delay fn =
   post_at_kind t ~kind:kind_default ~time:(now t +. delay) fn
 
-(* Re-insert a node at its real key: a stale node that reached the
-   front (not a firing: no clock, counters or callback), or one whose
-   new key is earlier than its queue position. *)
-let refresh t n =
-  n.tm.time <- n.tm.due;
-  n.seq <- n.due_seq;
-  n.due_seq <- -1;
-  insert t n
-
 (* Move a live timer to [now + delay] under a fresh seq, drawn exactly
-   where cancel+schedule would draw it.  A later key leaves the node
-   queued where it is, stale (see the header); an earlier one moves it
-   now. *)
+   where cancel+schedule would draw it, so its new (time, seq) key is
+   theirs. *)
 let[@lint.hot] reschedule t n ~delay =
   assert (delay >= 0.);
   assert n.live;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let tm = n.tm in
   let now = now t in
-  tm.born <- now;
-  tm.due <- now +. delay;
-  n.due_seq <- seq;
-  if tm.due < tm.time then begin
-    unlink n;
-    refresh t n
-  end
+  unlink n;
+  n.tm.time <- now +. delay;
+  n.tm.born <- now;
+  n.seq <- seq;
+  insert t n
 
 (* Blank a node that left the queue so it retains nothing, and pool it
    if no handle can ever reference it again.  Pooled nodes reuse [next]
@@ -427,7 +405,7 @@ let account t n =
   Array.unsafe_set t.kind_wait n.kind
     (Array.unsafe_get t.kind_wait n.kind +. (n.tm.time -. n.tm.born))
 
-(* Run a dequeued, current node.  The callback is read before the node
+(* Run a dequeued node.  The callback is read before the node
    is retired, so re-entrant scheduling from inside [fn] is safe. *)
 let fire t n =
   t.size <- t.size - 1;
@@ -439,13 +417,7 @@ let fire t n =
   t.processed <- t.processed + 1;
   fn ()
 
-let rec exec_min t =
-  let n = dequeue t 0 in
-  if n.due_seq >= 0 then begin
-    refresh t n;
-    exec_min t
-  end
-  else fire t n
+let exec_min t = fire t (dequeue t 0)
 
 let every t ~period ?until fn =
   assert (period > 0.);
@@ -486,7 +458,6 @@ let run ?until t =
           insert t n;
           continue := false
         end
-        else if n.due_seq >= 0 then refresh t n
         else fire t n
       done;
       set_clock t (Float.max (now t) stop);

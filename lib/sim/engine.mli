@@ -75,14 +75,8 @@ val reschedule : t -> timer -> delay:float -> unit
     the same point, so every event keeps its [(time, seq)] key and the
     firing order, {!pending}, {!events_processed} and the per-kind
     counters are exactly what cancel+schedule would give.  The timer
-    must be pending.
-
-    It allocates nothing.  A later deadline leaves the timer where it
-    is queued and records the new key on it (a {e deferred} node); when
-    that stale position reaches the front of the queue, {!step} and
-    {!run} re-insert the node at its recorded key without firing it,
-    counting it or moving the clock.  An earlier deadline re-links the
-    timer at once. *)
+    must be pending.  The timer is unlinked and re-inserted under its
+    new key; this allocates nothing. *)
 
 val is_pending : timer -> bool
 

@@ -182,3 +182,14 @@ let remove t h =
     ignore (remove_at t h.index);
     true
   end
+
+(* Same key as [remove] then [add] would give, sifted from where the
+   node sits. *)
+let[@lint.hot] move t h ~prio =
+  let i = h.index in
+  if i < 0 then invalid_arg "Heap.move: entry not in the heap";
+  h.prio <- prio;
+  h.seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  sift_down t i h;
+  if h.index = i then sift_up t i h

@@ -59,6 +59,13 @@ val remove : 'a t -> 'a handle -> bool
 (** Cancel an entry.  Returns [false] if it was already popped or
     removed (idempotent). *)
 
+val move : 'a t -> 'a handle -> prio:float -> unit
+(** Give a live entry a new priority.  Its place in the order is
+    exactly that of {!remove} followed by {!add} of the same value (it
+    takes a fresh tie-break number), but the handle stays valid and no
+    node is allocated.  @raise Invalid_argument if the entry is not in
+    the heap. *)
+
 val value : 'a handle -> 'a
 (** The value carried by a handle.  Stays readable after the entry
     leaves the heap (the handle itself keeps it alive). *)

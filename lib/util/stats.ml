@@ -47,6 +47,8 @@ module Sample = struct
     let index = t.acc.n in
     add t.acc x;
     if index land (t.stride - 1) = 0 then begin
+      (* Full: [index] is then [cap * stride], a multiple of the doubled
+         stride too, so [x] is kept after thinning. *)
       if t.len = cap then begin
         for i = 0 to (cap / 2) - 1 do
           t.xs.(i) <- t.xs.(2 * i)
@@ -54,15 +56,13 @@ module Sample = struct
         t.len <- cap / 2;
         t.stride <- 2 * t.stride
       end;
-      if index land (t.stride - 1) = 0 then begin
-        if t.len = Array.length t.xs then begin
-          let xs = Array.make (Stdlib.min cap (Stdlib.max 16 (2 * t.len))) 0. in
-          Array.blit t.xs 0 xs 0 t.len;
-          t.xs <- xs
-        end;
-        t.xs.(t.len) <- x;
-        t.len <- t.len + 1
-      end
+      if t.len = Array.length t.xs then begin
+        let xs = Array.make (Stdlib.min cap (Stdlib.max 16 (2 * t.len))) 0. in
+        Array.blit t.xs 0 xs 0 t.len;
+        t.xs <- xs
+      end;
+      t.xs.(t.len) <- x;
+      t.len <- t.len + 1
     end
 
   let count t = count t.acc

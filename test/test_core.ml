@@ -799,7 +799,9 @@ let logger_primary_acks_deposits () =
   | _ -> Alcotest.fail "expected Log_ack with own seq standing in for replica")
 
 let logger_primary_with_replicas () =
-  let l = Logger.create plain ~self:2 ~source:1 ~replicas:[ 3 ] ~rng:(rng ()) () in
+  let l =
+    Logger.create plain ~self:2 ~source:1 ~replicas:[ 3 ] ~rng:(rng ()) ()
+  in
   let a = Logger.handle_message l ~now:0. ~src:1
       (Message.Log_deposit { seq = 1; epoch = 0; payload = p "a" })
   in
@@ -1389,7 +1391,22 @@ let logger_replica_retry_cancelled_when_replicated () =
   checkb "quiet retry" true
     (Logger.handle_timer l ~now:0.6 (Io.K_replica_retry 4) = []);
   ignore (deposit 5);
-  Alcotest.(check (list int)) "fired timer not cancelled" [ 5 ] (ack ~src:3 5)
+  Alcotest.(check (list int)) "fired timer not cancelled" [ 5 ] (ack ~src:3 5);
+  (* An ack covering far more seqs than are armed (here the first ack
+     after seqs 1..99 went by unseen) cancels just the armed ones. *)
+  let l =
+    Logger.create plain ~self:2 ~source:1 ~replicas:[ 3 ] ~rng:(rng ()) ()
+  in
+  List.iter
+    (fun seq ->
+      ignore
+        (Logger.handle_message l ~now:0. ~src:1
+           (Message.Log_deposit { seq; epoch = 0; payload = p "a" })))
+    [ 100; 101 ];
+  Alcotest.(check (list int)) "wide span, armed only" [ 100 ]
+    (cancels
+       (Logger.handle_message l ~now:0.1 ~src:3
+          (Message.Replica_ack { seq = 100 })))
 
 let source_statack_remulticast_resends_data () =
   (* Full source-level stat-ack cycle driven by hand: epoch settles, a

@@ -814,9 +814,9 @@ let prop_engine_reschedule_is_cancel_schedule =
     (fun ops ->
       drive_engine ~in_place:true ops = drive_engine ~in_place:false ops)
 
-(* A deferred timer whose stale queue position lies before [until]
-   neither fires, counts nor drags the clock past [until]. *)
-let engine_reschedule_defers () =
+(* A timer moved from before [until] to after it neither fires, counts
+   nor drags the clock past [until]; moved back, it fires once. *)
+let engine_reschedule_past_until () =
   let e = Engine.create () in
   let fired = ref [] in
   let h =
@@ -1044,8 +1044,8 @@ let () =
           Alcotest.test_case "nested schedule" `Quick engine_nested_schedule;
           qtest prop_engine_random_schedules;
           qtest prop_engine_fifo_ties;
-          Alcotest.test_case "reschedule defers" `Quick
-            engine_reschedule_defers;
+          Alcotest.test_case "reschedule past until" `Quick
+            engine_reschedule_past_until;
           qtest prop_engine_reschedule_is_cancel_schedule;
         ] );
       ( "route-properties",

@@ -191,6 +191,43 @@ let heap_prop_model =
       done;
       !ok)
 
+(* [move] must order an entry exactly as remove-then-add does.  Two
+   heaps run one random program of add/put/move/pop over a few handle
+   slots, one moving in place, the other removing and re-adding the
+   value; priorities are small integers so ties are common. *)
+let heap_prop_move =
+  let slots = 4 in
+  QCheck.Test.make ~count:300 ~name:"heap: move = remove + add"
+    QCheck.(list (triple (int_bound 3) (int_bound (slots - 1)) (int_bound 6)))
+    (fun ops ->
+      let run ~in_place =
+        let h = Heap.create ~dummy:(-1) in
+        let hs = Array.make slots None in
+        let out = ref [] in
+        List.iteri
+          (fun id (tag, i, p) ->
+            let prio = float_of_int p in
+            match tag with
+            | 0 -> hs.(i) <- Some (Heap.add h ~prio id)
+            | 1 -> Heap.put h ~prio id
+            | 2 -> (
+                match hs.(i) with
+                | Some hd when Heap.is_live hd ->
+                    if in_place then Heap.move h hd ~prio
+                    else begin
+                      ignore (Heap.remove h hd);
+                      hs.(i) <- Some (Heap.add h ~prio (Heap.value hd))
+                    end
+                | _ -> ())
+            | _ -> out := Heap.pop h :: !out)
+          ops;
+        while not (Heap.is_empty h) do
+          out := Heap.pop h :: !out
+        done;
+        !out
+      in
+      run ~in_place:true = run ~in_place:false)
+
 (* Slot blanking: once an entry leaves the heap (pop or remove), the
    backing array and node pool must not keep its value alive.  Weak
    pointers observe collection while the heap itself stays live. *)
@@ -499,6 +536,7 @@ let () =
           qtest heap_prop_sorted;
           qtest heap_prop_remove_consistent;
           qtest heap_prop_model;
+          qtest heap_prop_move;
         ] );
       ( "rng",
         [
