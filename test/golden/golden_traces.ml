@@ -65,6 +65,67 @@ let population_faults_events () =
     failwith "population_faults: no population NACK escalated past level 0";
   events
 
+(* The regional tier (3 regions x 3 sites x 2 receivers) under uniform
+   tail loss: receivers NACK their site secondary, secondaries their
+   regional logger, regionals the primary. *)
+let hierarchical_events () =
+  let collector = T.Collector.create () in
+  let d =
+    Lbrm_run.Scenario.hierarchical ~seed:29 ~regions:3 ~sites_per_region:3
+      ~receivers_per_site:2
+      ~tail_loss:(fun _ -> Lbrm_sim.Loss.bernoulli 0.05)
+      ~sink:(T.Collector.sink collector) ()
+  in
+  Lbrm_run.Scenario.drive_periodic d ~interval:0.2 ~count:40 ();
+  Lbrm_run.Scenario.run d ~until:40.;
+  T.Collector.records collector
+
+(* Every restartable role goes down once: each log host of a ring
+   replica set with disk tiers, each site secondary, receiver,
+   aggregate population and tracer receiver takes a 1.5 s outage, the
+   outages staggered 0.25 s apart across the stream. *)
+let restart_all_ring_events () =
+  let collector = T.Collector.create () in
+  let cfg =
+    {
+      Lbrm.Config.default with
+      h_min = 0.25;
+      h_max = 2.0;
+      max_it = 4.0;
+      replication = Lbrm.Config.R_ring;
+      deposit_timeout = 0.3;
+      deposit_backoff = 2.0;
+      deposit_timeout_max = 0.6;
+      nack_timeout = 0.6;
+      nack_retry_limit = 8;
+    }
+  in
+  let d =
+    Lbrm_run.Scenario.standard ~cfg ~seed:19 ~replica_count:2 ~archive:true
+      ~initial_estimate:100.
+      ~site_population:(Lbrm_run.Scenario.population_spec ~members:50 ())
+      ~tail_loss:(fun _ -> Lbrm_sim.Loss.bernoulli 0.02)
+      ~sink:(T.Collector.sink collector) ~sites:3 ~receivers_per_site:2 ()
+  in
+  let module S = Lbrm_run.Scenario in
+  let hosts a = Array.to_list (Array.map snd a) in
+  let nodes =
+    (d.S.primary_node :: List.map snd d.S.replicas)
+    @ hosts d.S.secondaries @ hosts d.S.receivers @ hosts d.S.populations
+    @ hosts d.S.tracer_receivers
+  in
+  S.schedule_faults d
+    (List.concat
+       (List.mapi
+          (fun i node ->
+            Lbrm_sim.Fault.outage
+              ~at:(0.5 +. (0.25 *. float_of_int i))
+              ~downtime:1.5 node)
+          nodes));
+  S.drive_periodic d ~interval:0.1 ~count:80 ();
+  S.run d ~until:40.;
+  T.Collector.records collector
+
 let () =
   line "primary_crash" (C.primary_crash ()).C.events;
   line "primary_crash_ring"
@@ -75,4 +136,6 @@ let () =
   line "secondary_crash" (C.secondary_crash ()).C.events;
   line "partition_heal" (C.partition_heal ()).C.events;
   line "lossy_50_sites" (lossy_events ());
-  line "population_faults" (population_faults_events ())
+  line "population_faults" (population_faults_events ());
+  line "hierarchical" (hierarchical_events ());
+  line "restart_all_ring" (restart_all_ring_events ())
