@@ -18,7 +18,7 @@ type deployment = {
   runtime : Sim_runtime.t;
   wan : Builders.wan;
   cfg : Lbrm.Config.t;
-  mutable source : Lbrm.Source.t;
+  source : Lbrm.Source.t;
   source_node : node_id;
   mutable primary : Lbrm.Logger.t;
   primary_node : node_id;
@@ -30,7 +30,7 @@ type deployment = {
   populations : (Population.t * node_id) array;
   tracer_receivers : (Lbrm.Receiver.t * node_id) array;
   (* regional (mid-tier) loggers, when a hierarchy was requested *)
-  regionals : (Lbrm.Logger.t * node_id) list;
+  mutable regionals : (Lbrm.Logger.t * node_id) list;
   (* per-receiver delivered seqs, for completeness checks *)
   delivered : (node_id, (int, unit) Hashtbl.t) Hashtbl.t;
   (* node -> fresh-machine factory, run when a crashed node restarts *)
@@ -41,58 +41,87 @@ type deployment = {
   archives : (node_id, Lbrm.Archive.t) Hashtbl.t;
 }
 
-let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
-    ?initial_estimate ?backbone_delay ?tail_loss ?on_deliver ?on_notice
-    ?on_source_notice ?(logging = `Distributed) ?sink
-    ?site_population ?mcast_cache ?(archive = false) ~sites
-    ~receivers_per_site () =
-  assert (sites > 0 && receivers_per_site >= 0);
-  let delivered_table = Hashtbl.create 64 in
-  let reserved = 3 + replica_count in
-  (* Populated sites append one aggregate-population host plus its
-     tracer hosts after the individual receivers. *)
+let swap node m entries =
+  List.map (fun (m0, n) -> if n = node then (m, n) else (m0, n)) entries
+
+(* The one deployment builder behind {!standard} and {!hierarchical}.
+   Host layout per site: host 0 is the site's secondary logger; at site
+   0, hosts 1 and 2 are the source and the primary and hosts
+   3…2+replica_count its replicas; with a regional tier
+   ([sites_per_region]) host 3+replica_count of each region's first
+   site is the regional logger, the slot reserved at every site.  The
+   receivers follow, then a populated site's population host and its
+   tracers.
+
+   Each role has one factory that makes the machine and installs it with
+   [Sim_runtime.replace_agent] (removing an absent agent is a no-op), so
+   the build and the restart rebuilders share it.  The build makes
+   machines in role order — source, primary, replicas, regionals,
+   secondaries, receivers, then per site the population model and its
+   tracers — which is the [Rng.split] order; then it joins, then starts
+   everything. *)
+let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
+    ?on_notice ?on_source_notice ~logging ?sink ?site_population ?mcast_cache
+    ~archive ?sites_per_region ~sites ~receivers_per_site () =
+  let regional_slot = 3 + replica_count in
+  let reserved =
+    if Option.is_some sites_per_region then regional_slot + 1
+    else regional_slot
+  in
   let pop_base = reserved + receivers_per_site in
   let pop_hosts =
     match site_population with None -> 0 | Some s -> 1 + s.tracers
   in
   let wan =
-    Builders.dis_wan ?backbone_delay ~sites
-      ~hosts_per_site:(pop_base + pop_hosts) ()
+    Builders.dis_wan ~sites ~hosts_per_site:(pop_base + pop_hosts) ()
   in
-  (match tail_loss with
-  | None -> ()
-  | Some f ->
+  Option.iter
+    (fun f ->
       Array.iteri
         (fun i site ->
           Lbrm_sim.Topo.set_link_loss site.Builders.tail_down (f i))
-        wan.sites);
+        wan.sites)
+    tail_loss;
   let engine = Engine.create ~seed () in
   let net =
     Net.create ?mcast_cache_size:mcast_cache ~engine ~topo:wan.topo
       ~size_of:Message.wire_size ()
   in
-  let trace = Trace.create () in
-  let runtime = Sim_runtime.create ~net ~trace () in
+  let runtime = Sim_runtime.create ~net ~trace:(Trace.create ()) () in
   let rng = Rng.split (Engine.rng engine) in
-  let source_node = Builders.host wan ~site:0 1 in
-  let primary_node = Builders.host wan ~site:0 2 in
-  let replica_nodes =
-    List.init replica_count (fun i -> Builders.host wan ~site:0 (3 + i))
-  in
+  let host site i = Builders.host wan ~site i in
+  let source_node = host 0 1 and primary_node = host 0 2 in
+  let replica_nodes = List.init replica_count (fun i -> host 0 (3 + i)) in
   let source =
     Lbrm.Source.create cfg ~self:source_node ~primary:primary_node
       ~replicas:replica_nodes ?initial_estimate ?sink ()
   in
+  Sim_runtime.replace_agent runtime ~node:source_node
+    (Handlers.of_source ?on_notice:on_source_notice source);
+  (* At build time this is [primary_node]; at a restart it is whoever
+     fail-over left in the role while the node was down. *)
+  let current_primary () = Lbrm.Source.primary source in
+  (* A region's logger sits at its first site. *)
+  let regional_of site =
+    match sites_per_region with
+    | None -> []
+    | Some k -> [ host (site / k * k) regional_slot ]
+  in
+  (* A site's recovery hierarchy, nearest first. *)
+  let hierarchy site =
+    match logging with
+    | `Centralized -> [ current_primary () ]
+    | `Distributed ->
+        (host site 0 :: regional_of site) @ [ current_primary () ]
+  in
   (* Disk tiers: one persistent in-memory fs per log host.  The fs
      outlives the logger machine — a crash loses the machine (and its
      in-memory store) but not the "disk", exactly as a restart would
-     find real files — so the rebuilder's reopen recovers segments,
+     find real files — so a rebuilt logger's reopen recovers segments,
      index and low-water mark from what was durably written. *)
   let archive_fs : (node_id, Lbrm.Archive.fs) Hashtbl.t = Hashtbl.create 8 in
-  let archive_handles : (node_id, Lbrm.Archive.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let make_archive node =
+  let archives : (node_id, Lbrm.Archive.t) Hashtbl.t = Hashtbl.create 8 in
+  let open_archive node =
     if not archive then None
     else
       let fs =
@@ -111,13 +140,14 @@ let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
           (Printf.sprintf "logger-%d.log" node)
       with
       | Ok a ->
-          Hashtbl.replace archive_handles node a;
+          Hashtbl.replace archives node a;
           Some a
       | Error e -> failwith (Printf.sprintf "archive open (node %d): %s" node e)
   in
   (* Under ring replication the log hosts form an ordered chain
      head -> replica_1 -> ... -> replica_n (tail); each member knows only
      its successor.  Under primary/quorum there is no chain. *)
+  let log_hosts = primary_node :: replica_nodes in
   let ring_succ node =
     match cfg.Lbrm.Config.replication with
     | Lbrm.Config.R_ring ->
@@ -126,195 +156,150 @@ let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
           | _ :: rest -> next rest
           | [] -> None
         in
-        next (primary_node :: replica_nodes)
+        next log_hosts
     | Lbrm.Config.R_primary | Lbrm.Config.R_quorum -> None
   in
-  let primary =
-    Lbrm.Logger.create cfg ~self:primary_node ~source:source_node
-      ~replicas:replica_nodes
-      ?succ:(ring_succ primary_node)
-      ?archive:(make_archive primary_node)
-      ~rng:(Rng.split rng) ?sink ()
+  let notice node = Option.map (fun f ~now n -> f node ~now n) on_notice in
+  (* A logger whose parent would be itself heads the replica set: the
+     other log hosts are its replicas and, under ring replication, its
+     original successor follows it.  Any other logger is a plain
+     secondary of [parent]; a later Ring_set can splice a demoted log
+     host back into a chain. *)
+  let logger ~rng ?succ ~parent node =
+    let l =
+      if parent = node then
+        Lbrm.Logger.create cfg ~self:node ~source:source_node
+          ~replicas:(List.filter (fun n -> n <> node) log_hosts)
+          ?succ:(ring_succ node) ?archive:(open_archive node)
+          ~rng:(Rng.split rng) ?sink ()
+      else
+        Lbrm.Logger.create cfg ~self:node ~source:source_node ~parent ?succ
+          ?archive:(open_archive node) ~rng:(Rng.split rng) ?sink ()
+    in
+    Sim_runtime.replace_agent runtime ~node (Handlers.of_logger l);
+    l
   in
+  let delivered = Hashtbl.create 64 in
+  let receiver ~site node =
+    let r =
+      Lbrm.Receiver.create ?sink cfg ~self:node ~source:source_node
+        ~loggers:(hierarchy site)
+    in
+    let seen =
+      match Hashtbl.find_opt delivered node with
+      | Some seen -> seen
+      | None ->
+          let seen = Hashtbl.create 64 in
+          Hashtbl.replace delivered node seen;
+          seen
+    in
+    let deliver ~now ~seq ~payload ~recovered =
+      Hashtbl.replace seen seq ();
+      match on_deliver with
+      | Some f -> f node ~now ~seq ~payload ~recovered
+      | None -> ()
+    in
+    Sim_runtime.replace_agent runtime ~node
+      (Handlers.of_receiver ~on_deliver:deliver ?on_notice:(notice node) r);
+    (r, node)
+  in
+  (* An aggregate population: one protocol agent standing in for
+     [members] receivers, feeding its [tracers] real cross-check
+     receivers (via Sim_runtime.inject) exactly the loss outcomes the
+     model sampled for them. *)
+  let population ~rng spec site =
+    let node = host site pop_base in
+    let model =
+      Site_population.create ~tracers:spec.tracers ~size:spec.members
+        ~lan_loss:spec.lan_loss ~rng:(Rng.split rng) ()
+    in
+    let p =
+      Population.create ?sink ~cfg ~self:node ~source:source_node
+        ~loggers:(hierarchy site) ~model
+        ~on_feed:(fun ~tracer ~now:_ ~src msg ->
+          Sim_runtime.inject runtime
+            ~node:(host site (pop_base + 1 + tracer))
+            ~src msg)
+        ()
+    in
+    Sim_runtime.replace_agent runtime ~node
+      (Population.handlers ?on_notice:(notice node) p);
+    (p, node)
+  in
+  let primary = logger ~rng ~parent:primary_node primary_node in
   let replicas =
     List.map
       (fun node ->
-        ( Lbrm.Logger.create cfg ~self:node ~source:source_node
-            ~parent:primary_node
-            ?succ:(ring_succ node)
-            ?archive:(make_archive node)
-            ~rng:(Rng.split rng) ?sink (),
-          node ))
+        (logger ~rng ?succ:(ring_succ node) ~parent:primary_node node, node))
       replica_nodes
+  in
+  let regionals =
+    match sites_per_region with
+    | None -> []
+    | Some k ->
+        List.init (sites / k) (fun r ->
+            let node = host (r * k) regional_slot in
+            (logger ~rng ~parent:primary_node node, node))
+  in
+  (* A site secondary's parent is the next logger up its hierarchy. *)
+  let secondary ~rng site =
+    let node = host site 0 in
+    (logger ~rng ~parent:(List.nth (hierarchy site) 1) node, node)
   in
   let secondaries =
     match logging with
     | `Centralized -> [||]
-    | `Distributed ->
-        Array.map
-          (fun site ->
-            let node = site.Builders.hosts.(0) in
-            ( Lbrm.Logger.create cfg ~self:node ~source:source_node
-                ~parent:primary_node
-                ?archive:(make_archive node)
-                ~rng:(Rng.split rng) ?sink (),
-              node ))
-          wan.sites
+    | `Distributed -> Array.init sites (secondary ~rng)
   in
   let receivers =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun site_idx site ->
-              let hierarchy =
-                match logging with
-                | `Centralized -> [ primary_node ]
-                | `Distributed ->
-                    [ site.Builders.hosts.(0); primary_node ]
-              in
-              List.init receivers_per_site (fun j ->
-                  let node = site.Builders.hosts.(reserved + j) in
-                  let r =
-                    Lbrm.Receiver.create ?sink cfg ~self:node
-                      ~source:source_node ~loggers:hierarchy
-                  in
-                  ignore site_idx;
-                  (r, node)))
-            (Array.to_list wan.sites)))
+    Array.init (sites * receivers_per_site) (fun i ->
+        let site = i / receivers_per_site in
+        receiver ~site (host site (reserved + (i mod receivers_per_site))))
   in
-  let site_hierarchy site =
-    match logging with
-    | `Centralized -> [ primary_node ]
-    | `Distributed -> [ site.Builders.hosts.(0); primary_node ]
-  in
-  let tracer_nodes_of site spec =
-    Array.init spec.tracers (fun j -> site.Builders.hosts.(pop_base + 1 + j))
-  in
-  (* Aggregate populations: one protocol agent per site standing in for
-     [members] receivers, plus [tracers] real cross-check receivers fed
-     via Sim_runtime.inject with exactly the loss outcomes the model
-     sampled for them.  All Rng splits here are guarded by the option so
-     population-free deployments stay bit-identical to before. *)
+  (* Population Rng splits stay behind the option, so population-free
+     deployments draw nothing here. *)
   let populations, tracer_receivers =
     match site_population with
     | None -> ([||], [||])
     | Some spec ->
         let rows =
-          List.init sites (fun site_idx ->
-              let site = wan.sites.(site_idx) in
-              let node = site.Builders.hosts.(pop_base) in
-              let tracer_nodes = tracer_nodes_of site spec in
-              let hierarchy = site_hierarchy site in
-              let model =
-                Site_population.create ~tracers:spec.tracers
-                  ~size:spec.members ~lan_loss:spec.lan_loss
-                  ~rng:(Rng.split rng) ()
-              in
-              let p =
-                Population.create ?sink ~cfg ~self:node ~source:source_node
-                  ~loggers:hierarchy ~model
-                  ~on_feed:(fun ~tracer ~now:_ ~src msg ->
-                    Sim_runtime.inject runtime ~node:tracer_nodes.(tracer)
-                      ~src msg)
-                  ()
-              in
-              let ts =
-                Array.to_list
-                  (Array.map
-                     (fun tnode ->
-                       ( Lbrm.Receiver.create ?sink cfg ~self:tnode
-                           ~source:source_node ~loggers:hierarchy,
-                         tnode ))
-                     tracer_nodes)
-              in
-              ((p, node), ts))
+          Array.init sites (fun site ->
+              let p = population ~rng spec site in
+              ( p,
+                Array.init spec.tracers (fun j ->
+                    receiver ~site (host site (pop_base + 1 + j))) ))
         in
-        ( Array.of_list (List.map fst rows),
-          Array.of_list (List.concat_map snd rows) )
+        ( Array.map fst rows,
+          Array.concat (Array.to_list (Array.map snd rows)) )
   in
-  (* Install agents. *)
-  Sim_runtime.add_agent runtime ~node:source_node
-    (Handlers.of_source ?on_notice:on_source_notice source);
-  Sim_runtime.add_agent runtime ~node:primary_node (Handlers.of_logger primary);
-  List.iter
-    (fun (l, node) -> Sim_runtime.add_agent runtime ~node (Handlers.of_logger l))
-    replicas;
-  Array.iter
-    (fun (l, node) -> Sim_runtime.add_agent runtime ~node (Handlers.of_logger l))
-    secondaries;
-  Array.iter
-    (fun (r, node) ->
-      let seen = Hashtbl.create 64 in
-      Hashtbl.replace delivered_table node seen;
-      let deliver ~now ~seq ~payload ~recovered =
-        Hashtbl.replace seen seq ();
-        match on_deliver with
-        | Some f -> f node ~now ~seq ~payload ~recovered
-        | None -> ()
-      in
-      let notice =
-        Option.map (fun f ~now n -> f node ~now n) on_notice
-      in
-      Sim_runtime.add_agent runtime ~node
-        (Handlers.of_receiver ~on_deliver:deliver ?on_notice:notice r))
-    receivers;
-  Array.iter
-    (fun (p, node) ->
-      let notice = Option.map (fun f ~now n -> f node ~now n) on_notice in
-      Sim_runtime.add_agent runtime ~node (Population.handlers ?on_notice:notice p))
-    populations;
-  Array.iter
-    (fun (r, node) ->
-      let seen = Hashtbl.create 64 in
-      Hashtbl.replace delivered_table node seen;
-      let deliver ~now ~seq ~payload ~recovered =
-        Hashtbl.replace seen seq ();
-        match on_deliver with
-        | Some f -> f node ~now ~seq ~payload ~recovered
-        | None -> ()
-      in
-      let notice = Option.map (fun f ~now n -> f node ~now n) on_notice in
-      Sim_runtime.add_agent runtime ~node
-        (Handlers.of_receiver ~on_deliver:deliver ?on_notice:notice r))
-    tracer_receivers;
   (* Group membership: loggers and receivers listen on the data group;
      loggers answer discovery.  Population agents listen on the data
      group for their whole site; tracer receivers join nothing — they
      see multicast traffic only through the population's sampled feed. *)
-  let join_data node = Sim_runtime.join runtime ~group:cfg.group ~node in
-  let join_disc node =
-    Sim_runtime.join runtime ~group:cfg.discovery_group ~node
+  let join group (_, node) = Sim_runtime.join runtime ~group ~node in
+  let join_logger l =
+    join cfg.group l;
+    join cfg.discovery_group l
   in
-  join_data primary_node;
-  join_disc primary_node;
-  List.iter
-    (fun (_, node) ->
-      join_data node;
-      join_disc node)
-    replicas;
-  Array.iter
-    (fun (_, node) ->
-      join_data node;
-      join_disc node)
-    secondaries;
-  Array.iter (fun (_, node) -> join_data node) receivers;
-  Array.iter (fun (_, node) -> join_data node) populations;
-  (* Kick everything off. *)
-  let now = Engine.now engine in
+  join_logger (primary, primary_node);
+  List.iter join_logger replicas;
+  List.iter join_logger regionals;
+  Array.iter join_logger secondaries;
+  Array.iter (join cfg.group) receivers;
+  Array.iter (join cfg.group) populations;
+  let start_receiver (r, node) =
+    Sim_runtime.perform runtime ~node
+      (Lbrm.Receiver.start r ~now:(Sim_runtime.now runtime))
+  in
+  let start_population (p, node) =
+    Sim_runtime.perform runtime ~node
+      (Population.start p ~now:(Sim_runtime.now runtime))
+  in
   Sim_runtime.perform runtime ~node:source_node
-    (Lbrm.Source.start source ~now);
-  Array.iter
-    (fun (r, node) ->
-      Sim_runtime.perform runtime ~node (Lbrm.Receiver.start r ~now))
-    receivers;
-  Array.iter
-    (fun (p, node) ->
-      Sim_runtime.perform runtime ~node (Population.start p ~now))
-    populations;
-  Array.iter
-    (fun (r, node) ->
-      Sim_runtime.perform runtime ~node (Lbrm.Receiver.start r ~now))
-    tracer_receivers;
+    (Lbrm.Source.start source ~now:(Sim_runtime.now runtime));
+  Array.iter start_receiver receivers;
+  Array.iter start_population populations;
+  Array.iter start_receiver tracer_receivers;
   let d =
     {
       runtime;
@@ -329,178 +314,76 @@ let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
       receivers;
       populations;
       tracer_receivers;
-      regionals = [];
-      delivered = delivered_table;
+      regionals;
+      delivered;
       rebuilders = Hashtbl.create 16;
-      archives = archive_handles;
+      archives;
     }
   in
   (* Restart factories.  A restarted process has no soft state, so every
-     rebuilder creates the state machine from scratch — empty log store,
-     fresh discovery — and re-homes it on whoever the source currently
-     considers primary (fail-over may have moved the role while the node
-     was down).  [fault_rng] is split after all existing streams so that
-     deployments that never crash are bit-identical to before. *)
+     rebuilder makes its machine from scratch through the role's factory
+     — empty log store, fresh discovery, a fresh population model —
+     homed on whoever the source currently considers primary.  Unlike
+     the build, a replica that comes back while not primary has no
+     successor.  [fault_rng] is split after all build streams, so
+     deployments that never crash are unaffected by it. *)
   let fault_rng = Rng.split rng in
-  let current_primary () = Lbrm.Source.primary d.source in
-  let logger_rebuilder node update =
-    Hashtbl.replace d.rebuilders node (fun () ->
-        let current = current_primary () in
-        let l =
-          if current = node then
-            (* Restarted while still (or again) the primary: resume the
-               role, with the other log hosts as its replicas (and, under
-               ring replication, its original successor). *)
-            let others =
-              List.filter (fun n -> n <> node) (primary_node :: replica_nodes)
-            in
-            Lbrm.Logger.create cfg ~self:node ~source:source_node
-              ~replicas:others
-              ?succ:(ring_succ node)
-              ?archive:(make_archive node)
-              ~rng:(Rng.split fault_rng) ?sink ()
-          else
-            (* A demoted ring/quorum member returns as a plain secondary
-               of whoever now heads the replica set; a later Ring_set can
-               splice it back into a chain. *)
-            Lbrm.Logger.create cfg ~self:node ~source:source_node
-              ~parent:current
-              ?archive:(make_archive node)
-              ~rng:(Rng.split fault_rng) ?sink ()
-        in
-        update l;
-        Sim_runtime.replace_agent runtime ~node (Handlers.of_logger l))
-  in
-  logger_rebuilder primary_node (fun l -> d.primary <- l);
+  let rebuild node f = Hashtbl.replace d.rebuilders node f in
+  let relog node = logger ~rng:fault_rng ~parent:(current_primary ()) node in
+  rebuild primary_node (fun () -> d.primary <- relog primary_node);
   List.iter
     (fun (_, node) ->
-      logger_rebuilder node (fun l ->
-          d.replicas <-
-            List.map
-              (fun (l0, n) -> if n = node then (l, n) else (l0, n))
-              d.replicas))
+      rebuild node (fun () -> d.replicas <- swap node (relog node) d.replicas))
     replicas;
+  List.iter
+    (fun (_, node) ->
+      rebuild node (fun () ->
+          d.regionals <- swap node (relog node) d.regionals))
+    regionals;
   Array.iteri
-    (fun i (_, node) ->
-      logger_rebuilder node (fun l -> d.secondaries.(i) <- (l, node)))
+    (fun site (_, node) ->
+      rebuild node (fun () ->
+          d.secondaries.(site) <- secondary ~rng:fault_rng site))
     secondaries;
-  Array.iteri
-    (fun i (_, node) ->
-      let site_secondary =
-        match logging with
-        | `Centralized -> None
-        | `Distributed ->
-            let found = ref None in
-            Array.iter
-              (fun site ->
-                if Array.exists (fun h -> h = node) site.Builders.hosts then
-                  found := Some site.Builders.hosts.(0))
-              wan.sites;
-            !found
-      in
-      Hashtbl.replace d.rebuilders node (fun () ->
-          let hierarchy =
-            match site_secondary with
-            | None -> [ current_primary () ]
-            | Some s -> [ s; current_primary () ]
-          in
-          let r =
-            Lbrm.Receiver.create ?sink cfg ~self:node ~source:source_node
-              ~loggers:hierarchy
-          in
-          d.receivers.(i) <- (r, node);
-          let seen = Hashtbl.find delivered_table node in
-          let deliver ~now ~seq ~payload ~recovered =
-            Hashtbl.replace seen seq ();
-            match on_deliver with
-            | Some f -> f node ~now ~seq ~payload ~recovered
-            | None -> ()
-          in
-          let notice = Option.map (fun f ~now n -> f node ~now n) on_notice in
-          Sim_runtime.replace_agent runtime ~node
-            (Handlers.of_receiver ~on_deliver:deliver ?on_notice:notice r);
-          Sim_runtime.perform runtime ~node
-            (Lbrm.Receiver.start r ~now:(Sim_runtime.now runtime))))
-    receivers;
-  (match site_population with
-  | None -> ()
-  | Some spec ->
-      (* A restarted population rejoins from scratch: fresh model (the
-         crashed process's aggregate state is soft), fresh tracers. *)
+  let rebuild_receiver into i (_, node) =
+    rebuild node (fun () ->
+        let site = Option.get (Builders.site_of_host wan node) in
+        into.(i) <- receiver ~site node;
+        start_receiver into.(i))
+  in
+  Array.iteri (rebuild_receiver d.receivers) receivers;
+  Array.iteri (rebuild_receiver d.tracer_receivers) tracer_receivers;
+  Option.iter
+    (fun spec ->
       Array.iteri
-        (fun site_idx (_, node) ->
-          let site = wan.sites.(site_idx) in
-          let tracer_nodes = tracer_nodes_of site spec in
-          Hashtbl.replace d.rebuilders node (fun () ->
-              let hierarchy =
-                match logging with
-                | `Centralized -> [ current_primary () ]
-                | `Distributed ->
-                    [ site.Builders.hosts.(0); current_primary () ]
-              in
-              let model =
-                Site_population.create ~tracers:spec.tracers
-                  ~size:spec.members ~lan_loss:spec.lan_loss
-                  ~rng:(Rng.split fault_rng) ()
-              in
-              let p =
-                Population.create ?sink ~cfg ~self:node ~source:source_node
-                  ~loggers:hierarchy ~model
-                  ~on_feed:(fun ~tracer ~now:_ ~src msg ->
-                    Sim_runtime.inject runtime ~node:tracer_nodes.(tracer)
-                      ~src msg)
-                  ()
-              in
-              d.populations.(site_idx) <- (p, node);
-              let notice =
-                Option.map (fun f ~now n -> f node ~now n) on_notice
-              in
-              Sim_runtime.replace_agent runtime ~node
-                (Population.handlers ?on_notice:notice p);
-              Sim_runtime.perform runtime ~node
-                (Population.start p ~now:(Sim_runtime.now runtime))))
-        populations;
-      Array.iteri
-        (fun i (_, node) ->
-          let site = wan.sites.(i / Stdlib.max 1 spec.tracers) in
-          Hashtbl.replace d.rebuilders node (fun () ->
-              let hierarchy =
-                match logging with
-                | `Centralized -> [ current_primary () ]
-                | `Distributed ->
-                    [ site.Builders.hosts.(0); current_primary () ]
-              in
-              let r =
-                Lbrm.Receiver.create ?sink cfg ~self:node
-                  ~source:source_node ~loggers:hierarchy
-              in
-              d.tracer_receivers.(i) <- (r, node);
-              let seen = Hashtbl.find delivered_table node in
-              let deliver ~now ~seq ~payload ~recovered =
-                Hashtbl.replace seen seq ();
-                match on_deliver with
-                | Some f -> f node ~now ~seq ~payload ~recovered
-                | None -> ()
-              in
-              let notice =
-                Option.map (fun f ~now n -> f node ~now n) on_notice
-              in
-              Sim_runtime.replace_agent runtime ~node
-                (Handlers.of_receiver ~on_deliver:deliver ?on_notice:notice r);
-              Sim_runtime.perform runtime ~node
-                (Lbrm.Receiver.start r ~now:(Sim_runtime.now runtime))))
-        tracer_receivers);
+        (fun site (_, node) ->
+          rebuild node (fun () ->
+              d.populations.(site) <- population ~rng:fault_rng spec site;
+              start_population d.populations.(site)))
+        populations)
+    site_population;
   d
 
-let crash d ~node =
-  Lbrm_sim.Topo.set_node_up d.wan.Builders.topo node false;
-  Sim_runtime.crash d.runtime ~node
+let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
+    ?initial_estimate ?tail_loss ?on_deliver ?on_notice ?on_source_notice
+    ?(logging = `Distributed) ?sink ?site_population ?mcast_cache
+    ?(archive = false) ~sites ~receivers_per_site () =
+  assert (sites > 0 && receivers_per_site >= 0);
+  build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
+    ?on_notice ?on_source_notice ~logging ?sink ?site_population ?mcast_cache
+    ~archive ~sites ~receivers_per_site ()
 
-let restart d ~node =
-  Lbrm_sim.Topo.set_node_up d.wan.Builders.topo node true;
-  match Hashtbl.find_opt d.rebuilders node with
-  | Some rebuild -> rebuild ()
-  | None -> ()
+(* A three-level logger hierarchy (the paper's §7 "multi-level hierarchy
+   of logging servers" future-work item): receivers NACK their site
+   secondary, secondaries NACK a regional logger, regionals NACK the
+   primary.  Regions are consecutive runs of [sites_per_region] sites. *)
+let hierarchical ?(cfg = Lbrm.Config.default) ?(seed = 42) ?initial_estimate
+    ?tail_loss ?on_deliver ?on_notice ?sink ~regions ~sites_per_region
+    ~receivers_per_site () =
+  assert (regions > 0 && sites_per_region > 0 && receivers_per_site >= 0);
+  build ~cfg ~seed ~replica_count:0 ?initial_estimate ?tail_loss ?on_deliver
+    ?on_notice ~logging:`Distributed ?sink ~archive:false ~sites_per_region
+    ~sites:(regions * sites_per_region) ~receivers_per_site ()
 
 let schedule_faults ?(on_crash = fun _ -> ()) ?(on_restart = fun _ -> ()) d
     events =
@@ -610,142 +493,3 @@ let record_archive_stats d =
          add "archive.rotations" (Lbrm.Archive.rotations a);
          add "archive.compactions" (Lbrm.Archive.compactions a);
          add "archive.segments" (List.length (Lbrm.Archive.segments a)))
-
-(* A three-level logger hierarchy (the paper's Â§7 "multi-level hierarchy
-   of logging servers" future-work item): receivers NACK their site
-   secondary, secondaries NACK a regional logger, regionals NACK the
-   primary.  Regions are consecutive runs of [sites_per_region] sites;
-   each region's regional logger lives on host 3 of its first site. *)
-let hierarchical ?(cfg = Lbrm.Config.default) ?(seed = 42) ?initial_estimate
-    ?tail_loss ?on_deliver ?on_notice ?sink ~regions
-    ~sites_per_region ~receivers_per_site () =
-  assert (regions > 0 && sites_per_region > 0 && receivers_per_site >= 0);
-  let sites = regions * sites_per_region in
-  let delivered_table = Hashtbl.create 64 in
-  let reserved = 4 in
-  let wan =
-    Builders.dis_wan ~sites ~hosts_per_site:(reserved + receivers_per_site) ()
-  in
-  (match tail_loss with
-  | None -> ()
-  | Some f ->
-      Array.iteri
-        (fun i site -> Lbrm_sim.Topo.set_link_loss site.Builders.tail_down (f i))
-        wan.sites);
-  let engine = Engine.create ~seed () in
-  let net = Net.create ~engine ~topo:wan.topo ~size_of:Message.wire_size () in
-  let trace = Trace.create () in
-  let runtime = Sim_runtime.create ~net ~trace () in
-  let rng = Rng.split (Engine.rng engine) in
-  let source_node = Builders.host wan ~site:0 1 in
-  let primary_node = Builders.host wan ~site:0 2 in
-  let source =
-    Lbrm.Source.create cfg ~self:source_node ~primary:primary_node
-      ?initial_estimate ?sink ()
-  in
-  let primary =
-    Lbrm.Logger.create cfg ~self:primary_node ~source:source_node
-      ~rng:(Rng.split rng) ?sink ()
-  in
-  let region_of site = site / sites_per_region in
-  let regional_node r = Builders.host wan ~site:(r * sites_per_region) 3 in
-  let regionals =
-    List.init regions (fun r ->
-        ( Lbrm.Logger.create cfg ~self:(regional_node r) ~source:source_node
-            ~parent:primary_node ~rng:(Rng.split rng) ?sink (),
-          regional_node r ))
-  in
-  let secondaries =
-    Array.mapi
-      (fun i site ->
-        let node = site.Builders.hosts.(0) in
-        ( Lbrm.Logger.create cfg ~self:node ~source:source_node
-            ~parent:(regional_node (region_of i))
-            ~rng:(Rng.split rng) ?sink (),
-          node ))
-      wan.sites
-  in
-  let receivers =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun site_idx site ->
-              let hierarchy =
-                [
-                  site.Builders.hosts.(0);
-                  regional_node (region_of site_idx);
-                  primary_node;
-                ]
-              in
-              List.init receivers_per_site (fun j ->
-                  let node = site.Builders.hosts.(reserved + j) in
-                  ( Lbrm.Receiver.create ?sink cfg ~self:node
-                      ~source:source_node ~loggers:hierarchy,
-                    node )))
-            (Array.to_list wan.sites)))
-  in
-  Sim_runtime.add_agent runtime ~node:source_node (Handlers.of_source source);
-  Sim_runtime.add_agent runtime ~node:primary_node (Handlers.of_logger primary);
-  List.iter
-    (fun (l, node) -> Sim_runtime.add_agent runtime ~node (Handlers.of_logger l))
-    regionals;
-  Array.iter
-    (fun (l, node) -> Sim_runtime.add_agent runtime ~node (Handlers.of_logger l))
-    secondaries;
-  Array.iter
-    (fun (r, node) ->
-      let seen = Hashtbl.create 64 in
-      Hashtbl.replace delivered_table node seen;
-      let deliver ~now ~seq ~payload ~recovered =
-        Hashtbl.replace seen seq ();
-        match on_deliver with
-        | Some f -> f node ~now ~seq ~payload ~recovered
-        | None -> ()
-      in
-      let notice = Option.map (fun f ~now n -> f node ~now n) on_notice in
-      Sim_runtime.add_agent runtime ~node
-        (Handlers.of_receiver ~on_deliver:deliver ?on_notice:notice r))
-    receivers;
-  let join_data node = Sim_runtime.join runtime ~group:cfg.group ~node in
-  let join_disc node =
-    Sim_runtime.join runtime ~group:cfg.discovery_group ~node
-  in
-  join_data primary_node;
-  join_disc primary_node;
-  List.iter
-    (fun (_, node) ->
-      join_data node;
-      join_disc node)
-    regionals;
-  Array.iter
-    (fun (_, node) ->
-      join_data node;
-      join_disc node)
-    secondaries;
-  Array.iter (fun (_, node) -> join_data node) receivers;
-  let now = Engine.now engine in
-  Sim_runtime.perform runtime ~node:source_node (Lbrm.Source.start source ~now);
-  Array.iter
-    (fun (r, node) ->
-      Sim_runtime.perform runtime ~node (Lbrm.Receiver.start r ~now))
-    receivers;
-  {
-    runtime;
-    wan;
-    cfg;
-    source;
-    source_node;
-    primary;
-    primary_node;
-    replicas = [];
-    secondaries;
-    receivers;
-    populations = [||];
-    tracer_receivers = [||];
-    regionals;
-    delivered = delivered_table;
-    (* no restart support in the hierarchical builder (yet): restarted
-       nodes come back up silent *)
-    rebuilders = Hashtbl.create 1;
-    archives = Hashtbl.create 1;
-  }

@@ -22,7 +22,7 @@ type deployment = {
   runtime : Sim_runtime.t;
   wan : Lbrm_sim.Builders.wan;
   cfg : Lbrm.Config.t;
-  mutable source : Lbrm.Source.t;
+  source : Lbrm.Source.t;
   source_node : node_id;
   mutable primary : Lbrm.Logger.t;
       (** the machine currently installed at [primary_node] — after a
@@ -38,8 +38,9 @@ type deployment = {
   tracer_receivers : (Lbrm.Receiver.t * node_id) array;
       (** the populations' tracer cross-check receivers, site-major
           ([tracers] per site) *)
-  regionals : (Lbrm.Logger.t * node_id) list;
-      (** mid-tier loggers (only from {!hierarchical}) *)
+  mutable regionals : (Lbrm.Logger.t * node_id) list;
+      (** mid-tier loggers (only from {!hierarchical}); a restarted
+          regional's fresh machine replaces the crashed one here *)
   delivered : (node_id, (int, unit) Hashtbl.t) Hashtbl.t;
       (** per-receiver-node set of delivered sequence numbers *)
   rebuilders : (node_id, unit -> unit) Hashtbl.t;
@@ -56,7 +57,6 @@ val standard :
   ?seed:int ->
   ?replica_count:int ->
   ?initial_estimate:float ->
-  ?backbone_delay:(int -> float) ->
   ?tail_loss:(int -> Lbrm_sim.Loss.t) ->
   ?on_deliver:
     (node_id ->
@@ -129,7 +129,11 @@ val hierarchical :
 (** Three-level recovery hierarchy (the paper's §7 multi-level
     future-work item): receiver → site secondary → regional logger →
     primary.  Regions are consecutive runs of [sites_per_region] sites;
-    region r's logger lives at its first site.  No replicas. *)
+    region r's logger lives on host 3 of its first site, a slot
+    reserved at every site.  No replicas.  It is {!standard}'s builder
+    with one more tier, so its nodes restart the same way: a regional
+    logger re-homes on the current primary, a site secondary on its
+    regional. *)
 
 (** {2 Fault injection}
 
@@ -139,11 +143,11 @@ val hierarchical :
     completely quiet.  Restarting marks the host up and runs the node's
     rebuilder: a {e fresh} state machine — empty log store, no pursuit
     state, new discovery — homed on whoever the source currently
-    considers primary.  This makes rejoin after a crash real rather than
-    a resumption. *)
-
-val crash : deployment -> node:node_id -> unit
-val restart : deployment -> node:node_id -> unit
+    considers primary (a site secondary of a {!hierarchical} deployment
+    on its regional logger).  This makes rejoin after a crash real
+    rather than a resumption.  Both builders register a rebuilder for
+    every node but the source, through the same per-role factories that
+    built the deployment. *)
 
 val schedule_faults :
   ?on_crash:(node_id -> unit) ->

@@ -295,6 +295,30 @@ let hierarchy_end_to_end () =
     checkb "everywhere" true (Scenario.delivered_everywhere d seq)
   done
 
+let hierarchy_regional_restart () =
+  (* Region 1's logger is down through a loss burst in its region.  On
+     restart its rebuilder installs a fresh machine homed on the
+     primary, and the region's receivers still recover every packet. *)
+  let d =
+    Scenario.hierarchical ~cfg:plain_cfg ~seed:43 ~regions:3
+      ~sites_per_region:3 ~receivers_per_site:2
+      ~tail_loss:(fun site ->
+        if site >= 3 && site < 6 then Loss.burst_windows [ (2.9, 6.1) ]
+        else Loss.none)
+      ()
+  in
+  let old, node = List.nth d.regionals 1 in
+  Scenario.schedule_faults d
+    (Lbrm_sim.Fault.outage ~at:2.5 ~downtime:4.0 node);
+  Scenario.drive_periodic d ~interval:1.0 ~count:10 ();
+  Scenario.run d ~until:90.;
+  let fresh, _ = List.find (fun (_, n) -> n = node) d.regionals in
+  checkb "regional rebuilt" true (fresh != old);
+  checki "nothing missing" 0 (Scenario.total_missing d);
+  for seq = 1 to 10 do
+    checkb "everywhere" true (Scenario.delivered_everywhere d seq)
+  done
+
 let piggyback_heartbeats_end_to_end () =
   (* With payload-carrying heartbeats, losses of small packets heal via
      the next heartbeat: zero NACKs. *)
@@ -426,6 +450,8 @@ let () =
         [
           Alcotest.test_case "3-level hierarchy end to end" `Quick
             hierarchy_end_to_end;
+          Alcotest.test_case "3-level hierarchy regional restart" `Quick
+            hierarchy_regional_restart;
           Alcotest.test_case "piggyback heartbeats end to end" `Quick
             piggyback_heartbeats_end_to_end;
           Alcotest.test_case "retransmission channel" `Quick
