@@ -8,10 +8,14 @@ type site = {
 
 type wan = { topo : Topo.t; backbone : Topo.node_id; sites : site array }
 
-let dis_wan ?(lan_bandwidth = 10e6) ?(lan_delay = 0.9e-3)
-    ?(tail_bandwidth = 1.544e6) ?(tail_delay = 2e-3)
-    ?(backbone_bandwidth = 45e6) ?(backbone_delay = fun _ -> 17e-3) ~sites
-    ~hosts_per_site () =
+let lan_bandwidth = 10e6
+let lan_delay = 0.9e-3
+let tail_bandwidth = 1.544e6
+let tail_delay = 2e-3
+let backbone_bandwidth = 45e6
+let backbone_delay = 17e-3
+
+let dis_wan ~sites ~hosts_per_site () =
   assert (sites > 0 && hosts_per_site > 0);
   let topo = Topo.create () in
   let backbone = Topo.add_node topo ~label:"backbone" Router in
@@ -20,8 +24,9 @@ let dis_wan ?(lan_bandwidth = 10e6) ?(lan_delay = 0.9e-3)
       Topo.add_node topo ~label:(Printf.sprintf "gw%d" i) Router
     in
     let edge = Topo.add_node topo ~label:(Printf.sprintf "edge%d" i) Router in
-    let _bb = Topo.add_duplex topo ~bandwidth:backbone_bandwidth
-        ~delay:(backbone_delay i) backbone edge
+    let _bb =
+      Topo.add_duplex topo ~bandwidth:backbone_bandwidth ~delay:backbone_delay
+        backbone edge
     in
     let tail_up, tail_down =
       Topo.add_duplex topo ~bandwidth:tail_bandwidth ~delay:tail_delay
@@ -56,13 +61,16 @@ let site_of_host w h =
     w.sites;
   !found
 
-let lan ?(bandwidth = 10e6) ?(delay = 0.9e-3) ?jitter ~hosts () =
+let lan ~hosts () =
   let topo = Topo.create () in
   let switch = Topo.add_node topo ~label:"switch" Router in
   let hs =
     Array.init hosts (fun i ->
         let h = Topo.add_node topo ~label:(Printf.sprintf "h%d" i) Host in
-        let _ = Topo.add_duplex topo ~bandwidth ~delay ?jitter switch h in
+        let _ =
+          Topo.add_duplex topo ~bandwidth:lan_bandwidth ~delay:lan_delay
+            switch h
+        in
         h)
   in
   (topo, switch, hs)

@@ -20,18 +20,8 @@ type wan = {
   sites : site array;
 }
 
-val dis_wan :
-  ?lan_bandwidth:float ->
-  ?lan_delay:float ->
-  ?tail_bandwidth:float ->
-  ?tail_delay:float ->
-  ?backbone_bandwidth:float ->
-  ?backbone_delay:(int -> float) ->
-  sites:int ->
-  hosts_per_site:int ->
-  unit ->
-  wan
-(** Defaults: 10 Mbit/s LAN at 0.9 ms; 1.544 Mbit/s (T1) tail at 2 ms;
+val dis_wan : sites:int -> hosts_per_site:int -> unit -> wan
+(** Links: 10 Mbit/s LAN at 0.9 ms; 1.544 Mbit/s (T1) tail at 2 ms;
     45 Mbit/s backbone segments at 17 ms (so cross-site RTT ≈ 80 ms and
     intra-site RTT ≈ 3.6 ms, matching the paper's §2.2.2 ping
     numbers). *)
@@ -44,11 +34,6 @@ val all_hosts : wan -> Topo.node_id list
 val site_of_host : wan -> Topo.node_id -> int option
 (** Which site a host belongs to. *)
 
-val lan :
-  ?bandwidth:float ->
-  ?delay:float ->
-  ?jitter:float ->
-  hosts:int ->
-  unit ->
-  Topo.t * Topo.node_id * Topo.node_id array
-(** Single-switch LAN: returns (topology, switch router, hosts). *)
+val lan : hosts:int -> unit -> Topo.t * Topo.node_id * Topo.node_id array
+(** Single-switch LAN of {!dis_wan}'s LAN links (10 Mbit/s, 0.9 ms):
+    returns (topology, switch router, hosts). *)
