@@ -97,7 +97,14 @@ let rediscovery_count (d : Scenario.deployment) =
     (fun acc (r, _) -> acc + Lbrm.Receiver.rediscoveries r)
     0 d.receivers
 
-let finish ~name d tk collector extra =
+(* Scenario names carry the non-default strategy as a suffix so matrix
+   runs ("primary_crash_ring", …) stay distinguishable in reports. *)
+let strategy_name base = function
+  | Lbrm.Config.R_primary -> base
+  | r -> base ^ "_" ^ Lbrm.Config.replication_label r
+
+let finish base (d : Scenario.deployment) tk collector extra =
+  let name = strategy_name base d.cfg.Lbrm.Config.replication in
   let trace = Scenario.trace d in
   let events = Ev.Collector.records collector in
   let violations = common_violations d tk @ extra in
@@ -135,11 +142,41 @@ let chaos_cfg ?(h_min = 0.25) ?(replication = Lbrm.Config.R_primary) () =
     nack_retry_limit = 8;
   }
 
-(* Scenario names carry the non-default strategy as a suffix so matrix
-   runs ("primary_crash_ring", …) stay distinguishable in reports. *)
-let strategy_name base = function
-  | Lbrm.Config.R_primary -> base
-  | r -> base ^ "_" ^ Lbrm.Config.replication_label r
+(* Every scenario's deployment: a standard one whose machines share a
+   collector's sink, with every delivery counted by a duplicate
+   tracker. *)
+let deploy ~cfg ~seed ?replica_count ~initial_estimate ?tail_loss ?archive
+    ~sites ~receivers_per_site () =
+  let tk = tracker () in
+  let collector = Ev.Collector.create () in
+  let d =
+    Scenario.standard ~cfg ~seed ?replica_count ~initial_estimate ?tail_loss
+      ~on_deliver:(fun node ~now:_ ~seq ~payload:_ ~recovered:_ ->
+        track tk node seq)
+      ~sink:(Ev.Collector.sink collector) ?archive ~sites ~receivers_per_site
+      ()
+  in
+  (d, tk, collector)
+
+(* The exactly-one-Promote invariant and the fail-over latency come
+   straight off the typed trace: one F_promoted record, stamped at the
+   instant the source switched primaries.  Returns the promotion
+   records and the violations. *)
+let promoted_once d collector ~crash_at =
+  let promotions = Ev.Query.promotions (Ev.Collector.records collector) in
+  (match promotions with
+  | { Ev.at; _ } :: _ ->
+      Trace.observe (Scenario.trace d) "failover_latency" (at -. crash_at)
+  | [] -> ());
+  ( promotions,
+    match promotions with
+    | [ _ ] -> []
+    | [] -> [ "no Promote in the trace within the horizon" ]
+    | ps ->
+        [
+          Printf.sprintf "expected exactly 1 Promote in the trace, saw %d"
+            (List.length ps);
+        ] )
 
 (* ---- scripted scenarios ---------------------------------------------- *)
 
@@ -150,15 +187,9 @@ let strategy_name base = function
    of the new primary. *)
 let primary_crash ?(seed = 11) ?h_min ?replication () =
   let crash_at = 3.0 and restart_at = 10.0 and horizon = 30.0 in
-  let tk = tracker () in
-  let collector = Ev.Collector.create () in
-  let sink = Ev.Collector.sink collector in
-  let d =
-    Scenario.standard ~cfg:(chaos_cfg ?h_min ?replication ()) ~seed ~replica_count:2
-      ~initial_estimate:12.
-      ~on_deliver:(fun node ~now:_ ~seq ~payload:_ ~recovered:_ ->
-        track tk node seq)
-      ~sink ~sites:4 ~receivers_per_site:3 ()
+  let d, tk, collector =
+    deploy ~cfg:(chaos_cfg ?h_min ?replication ()) ~seed ~replica_count:2
+      ~initial_estimate:12. ~sites:4 ~receivers_per_site:3 ()
   in
   Scenario.drive_periodic d ~interval:0.05 ~count:100 ();
   Scenario.schedule_faults d
@@ -166,34 +197,16 @@ let primary_crash ?(seed = 11) ?h_min ?replication () =
     (Fault.outage ~at:crash_at ~downtime:(restart_at -. crash_at)
        d.Scenario.primary_node);
   Scenario.run d ~until:horizon;
-  let trace = Scenario.trace d in
-  (* The exactly-one-Promote invariant, the fail-over latency and the
-     window of loss all come straight off the typed trace: one
-     F_promoted record, stamped at the instant the source switched
-     primaries, carrying the count of retained packets above the new
-     floor that the strategy left un-durable (and the source must now
-     re-deposit). *)
-  let promotions = Ev.Query.promotions (Ev.Collector.records collector) in
+  let promotions, extra = promoted_once d collector ~crash_at in
+  (* The promotion also carries the window of loss: the count of
+     retained packets above the new floor that the strategy left
+     un-durable (and the source must now re-deposit). *)
   (match promotions with
-  | ({ Ev.at; _ } as r) :: _ ->
-      Trace.observe trace "failover_latency" (at -. crash_at);
-      (match r.Ev.ev with
-      | Ev.Failover_step (Ev.F_promoted { redeposits; _ }) ->
-          Trace.observe trace "window_of_loss" (float_of_int redeposits)
-      | _ -> ())
-  | [] -> ());
-  let extra =
-    match promotions with
-    | [ _ ] -> []
-    | [] -> [ "no Promote in the trace within the horizon" ]
-    | ps ->
-        [ Printf.sprintf "expected exactly 1 Promote in the trace, saw %d"
-            (List.length ps) ]
-  in
-  let name =
-    strategy_name "primary_crash" d.Scenario.cfg.Lbrm.Config.replication
-  in
-  finish ~name d tk collector extra
+  | { Ev.ev = Ev.Failover_step (Ev.F_promoted { redeposits; _ }); _ } :: _ ->
+      Trace.observe (Scenario.trace d) "window_of_loss"
+        (float_of_int redeposits)
+  | _ -> ());
+  finish "primary_crash" d tk collector extra
 
 (* Primary crash with the disk tier attached and a store small enough
    that most of the history has already spilled to segments before the
@@ -212,9 +225,6 @@ let primary_crash ?(seed = 11) ?h_min ?replication () =
 let primary_crash_spill ?(seed = 11) ?h_min ?replication () =
   let crash_at = 3.0 and restart_at = 10.0 and horizon = 40.0 in
   let cut_site = 2 and cut_t0 = 2.1 and cut_t1 = 12.1 in
-  let tk = tracker () in
-  let collector = Ev.Collector.create () in
-  let sink = Ev.Collector.sink collector in
   (* Keep_last 8 forces eviction after a fraction of the 100-packet
      stream; 2 KiB segments force rotations, so the reopen path walks a
      multi-segment manifest rather than one active file. *)
@@ -225,11 +235,9 @@ let primary_crash_spill ?(seed = 11) ?h_min ?replication () =
       archive_segment_bytes = 2048;
     }
   in
-  let d =
-    Scenario.standard ~cfg ~seed ~replica_count:2 ~initial_estimate:12.
-      ~on_deliver:(fun node ~now:_ ~seq ~payload:_ ~recovered:_ ->
-        track tk node seq)
-      ~sink ~archive:true ~sites:4 ~receivers_per_site:3 ()
+  let d, tk, collector =
+    deploy ~cfg ~seed ~replica_count:2 ~initial_estimate:12. ~archive:true
+      ~sites:4 ~receivers_per_site:3 ()
   in
   Scenario.drive_periodic d ~interval:0.05 ~count:100 ();
   Scenario.schedule_faults d
@@ -240,19 +248,7 @@ let primary_crash_spill ?(seed = 11) ?h_min ?replication () =
     (Fault.partition_site d.Scenario.wan ~site:cut_site ~t0:cut_t0 ~t1:cut_t1);
   Scenario.run d ~until:horizon;
   Scenario.record_archive_stats d;
-  let trace = Scenario.trace d in
-  let promotions = Ev.Query.promotions (Ev.Collector.records collector) in
-  (match promotions with
-  | { Ev.at; _ } :: _ -> Trace.observe trace "failover_latency" (at -. crash_at)
-  | [] -> ());
-  let promote_extra =
-    match promotions with
-    | [ _ ] -> []
-    | [] -> [ "no Promote in the trace within the horizon" ]
-    | ps ->
-        [ Printf.sprintf "expected exactly 1 Promote in the trace, saw %d"
-            (List.length ps) ]
-  in
+  let _, promote_extra = promoted_once d collector ~crash_at in
   (* The restarted ex-primary reopened the surviving archive.  Its
      durability floor must be seeded from the recovered low-water mark
      and must never overstate: every sequence number at or below the
@@ -287,14 +283,12 @@ let primary_crash_spill ?(seed = 11) ?h_min ?replication () =
         else []
   in
   let tier_extra =
-    if Trace.get trace "archive.read" = 0 then
+    if Trace.get (Scenario.trace d) "archive.read" = 0 then
       [ "no retransmission was ever served from the disk tier" ]
     else []
   in
-  let name =
-    strategy_name "primary_crash_spill" d.Scenario.cfg.Lbrm.Config.replication
-  in
-  finish ~name d tk collector (promote_extra @ spill_extra @ tier_extra)
+  finish "primary_crash_spill" d tk collector
+    (promote_extra @ spill_extra @ tier_extra)
 
 (* A site's secondary logger dies under ongoing tail loss: that site's
    receivers burn through [retrans_retry_limit] unanswered requests,
@@ -304,19 +298,12 @@ let primary_crash_spill ?(seed = 11) ?h_min ?replication () =
 let secondary_crash ?(seed = 12) ?h_min ?replication () =
   let crash_at = 3.0 and restart_at = 20.0 and horizon = 40.0 in
   let lossy_site = 1 in
-  let tk = tracker () in
-  let collector = Ev.Collector.create () in
-  let sink = Ev.Collector.sink collector in
-  let d =
-    Scenario.standard
-      ~cfg:(chaos_cfg ?h_min ?replication ())
-      ~seed ~initial_estimate:9.
+  let d, tk, collector =
+    deploy ~cfg:(chaos_cfg ?h_min ?replication ()) ~seed ~initial_estimate:9.
       ~tail_loss:(fun site ->
         if site = lossy_site then Lbrm_sim.Loss.bernoulli 0.15
         else Lbrm_sim.Loss.none)
-      ~on_deliver:(fun node ~now:_ ~seq ~payload:_ ~recovered:_ ->
-        track tk node seq)
-      ~sink ~sites:3 ~receivers_per_site:3 ()
+      ~sites:3 ~receivers_per_site:3 ()
   in
   Scenario.drive_periodic d ~interval:0.05 ~count:100 ();
   let _, victim = d.Scenario.secondaries.(lossy_site) in
@@ -347,10 +334,7 @@ let secondary_crash ?(seed = 12) ?h_min ?replication () =
                node))
       orphans
   in
-  let name =
-    strategy_name "secondary_crash" d.Scenario.cfg.Lbrm.Config.replication
-  in
-  finish ~name d tk collector extra
+  finish "secondary_crash" d tk collector extra
 
 (* A whole site drops off the WAN for four seconds and heals.  Nothing
    is deliverable during the cut, so the test is pure log-based catch-up
@@ -360,14 +344,9 @@ let secondary_crash ?(seed = 12) ?h_min ?replication () =
 let partition_heal ?(seed = 13) ?replication () =
   let t0 = 2.1 and t1 = 6.1 and horizon = 30.0 in
   let cut_site = 3 in
-  let tk = tracker () in
-  let collector = Ev.Collector.create () in
-  let sink = Ev.Collector.sink collector in
-  let d =
-    Scenario.standard ~cfg:(chaos_cfg ?replication ()) ~seed ~initial_estimate:12.
-      ~on_deliver:(fun node ~now:_ ~seq ~payload:_ ~recovered:_ ->
-        track tk node seq)
-      ~sink ~sites:4 ~receivers_per_site:3 ()
+  let d, tk, collector =
+    deploy ~cfg:(chaos_cfg ?replication ()) ~seed ~initial_estimate:12.
+      ~sites:4 ~receivers_per_site:3 ()
   in
   Scenario.drive_periodic d ~interval:0.05 ~count:160 ();
   Scenario.schedule_faults d
@@ -388,10 +367,7 @@ let partition_heal ?(seed = 13) ?replication () =
       [ Printf.sprintf "partition must not trigger fail-over (saw %d)" promos ]
     else []
   in
-  let name =
-    strategy_name "partition_heal" d.Scenario.cfg.Lbrm.Config.replication
-  in
-  finish ~name d tk collector extra
+  finish "partition_heal" d tk collector extra
 
 (* Seeded random soak: crash/restart cycles over loggers and a sample of
    receivers plus transient site partitions, drawn from a schedule RNG
@@ -401,15 +377,9 @@ let partition_heal ?(seed = 13) ?replication () =
 let random_chaos ?(seed = 42) ?(crashes = 3) ?(partitions = 2) ?replication ()
     =
   let horizon = 20.0 and quiesce = 40.0 in
-  let tk = tracker () in
-  let collector = Ev.Collector.create () in
-  let sink = Ev.Collector.sink collector in
-  let d =
-    Scenario.standard ~cfg:(chaos_cfg ?replication ()) ~seed ~replica_count:1
-      ~initial_estimate:8.
-      ~on_deliver:(fun node ~now:_ ~seq ~payload:_ ~recovered:_ ->
-        track tk node seq)
-      ~sink ~sites:4 ~receivers_per_site:2 ()
+  let d, tk, collector =
+    deploy ~cfg:(chaos_cfg ?replication ()) ~seed ~replica_count:1
+      ~initial_estimate:8. ~sites:4 ~receivers_per_site:2 ()
   in
   Scenario.drive_periodic d ~interval:0.1 ~count:100 ();
   let hosts =
@@ -429,10 +399,7 @@ let random_chaos ?(seed = 42) ?(crashes = 3) ?(partitions = 2) ?replication ()
     ~on_restart:(fun node -> forget_node tk node)
     events;
   Scenario.run d ~until:quiesce;
-  let name =
-    strategy_name "random_chaos" d.Scenario.cfg.Lbrm.Config.replication
-  in
-  finish ~name d tk collector []
+  finish "random_chaos" d tk collector []
 
 let run_scripted ?h_min ?replication () =
   [
