@@ -707,7 +707,7 @@ let e_implosion () =
      of group size (2.3.1 suggests k between 5 and 20)."
 
 (* ------------------------------------------------------------------ *)
-(* e_hier - multi-level logger hierarchy (Â§7 future work)            *)
+(* e_hier - multi-level logger hierarchy (§7 future work)             *)
 (* ------------------------------------------------------------------ *)
 
 let hier_nacks_at_primary ~levels =
@@ -758,7 +758,7 @@ let e_hier () =
      region instead of one per site (%d -> %d here).\n" n2 n3
 
 (* ------------------------------------------------------------------ *)
-(* e_piggyback - payload-carrying heartbeats (Â§7 option)             *)
+(* e_piggyback - payload-carrying heartbeats (§7 option)              *)
 (* ------------------------------------------------------------------ *)
 
 let piggyback_run ~enabled =
