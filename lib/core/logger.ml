@@ -485,33 +485,13 @@ let arm_retry t seq =
   Hashtbl.replace t.retry_armed seq ();
   Set_timer (K_replica_retry seq, t.cfg.deposit_timeout)
 
-let on_deposit t ~now ~seq ~epoch ~payload =
-  let fresh =
-    Log_store.add t.store ~now ~seq ~epoch ~payload:(Payload.to_owned payload)
-  in
-  ignore (Gap_tracker.note t.tracker seq);
-  advance_floor t;
-  let to_replicas =
-    if fresh then
-      List.concat_map
-        (fun r ->
-          [ Io.send_to r (Message.Replica_update { seq; epoch; payload }) ])
-        t.replicas
-      @ if t.replicas <> [] then [ arm_retry t seq ] else []
-    else []
-  in
-  let waiters =
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
-  in
-  (Io.send_to t.source (log_ack t) :: to_replicas) @ waiters
-
-let on_replica_retry t seq =
-  (* Some replica still lacks [seq]: resend and re-arm until they all
-     have it (replica failure is tolerated — Log_ack reports the best
-     replica, and fail-over picks that one). *)
-  Hashtbl.remove t.retry_armed seq;
+(* Send [seq] to every replica that has not acked it and (re)arm its
+   retry, until they all have it (replica failure is tolerated —
+   Log_ack reports the best replica, and fail-over picks that one).
+   The primary may already have logged [seq] off the data group before
+   the deposit arrived, so this runs on every deposit, fresh or not.
+   The [~now:0.] lookup never expires an entry under [Keep_for]. *)
+let replicate t seq =
   let laggards =
     List.filter (fun r -> Seqno.(replica_seq t r < seq)) t.replicas
   in
@@ -532,6 +512,22 @@ let on_replica_retry t seq =
                    }))
             laggards
           @ [ arm_retry t seq ])
+
+let on_deposit t ~now ~seq ~epoch ~payload =
+  ignore
+    (Log_store.add t.store ~now ~seq ~epoch ~payload:(Payload.to_owned payload));
+  ignore (Gap_tracker.note t.tracker seq);
+  advance_floor t;
+  let waiters =
+    match Log_store.get t.store ~now seq with
+    | Some e -> satisfy_waiters t ~now e
+    | None -> []
+  in
+  (Io.send_to t.source (log_ack t) :: replicate t seq) @ waiters
+
+let on_replica_retry t seq =
+  Hashtbl.remove t.retry_armed seq;
+  replicate t seq
 
 (* --- replica duties ----------------------------------------------------- *)
 

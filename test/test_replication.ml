@@ -371,6 +371,49 @@ let window_of_loss_primary_k_unacked () =
   Alcotest.(check (list int))
     "window = packets above the replica floor" [ 7; 8; 9; 10; 11 ] redeposited
 
+(* ---- primary strategy: replica fan-out -------------------------------- *)
+
+(* The head logger also listens on the data group, so it usually logs
+   the multicast before the unicast deposit arrives.  The deposit must
+   still reach every replica, or no replica ever acks and the source's
+   durable floor never moves. *)
+let primary_replicates_seq_logged_off_the_group () =
+  let l =
+    Logger.create plain ~self:2 ~source:1 ~replicas:[ 3; 4 ] ~rng:(rng ()) ()
+  in
+  ignore
+    (Logger.handle_message l ~now:0. ~src:1
+       (Message.Data { seq = 1; epoch = 0; payload = p "a" }));
+  let a =
+    Logger.handle_message l ~now:0.01 ~src:1
+      (Message.Log_deposit { seq = 1; epoch = 0; payload = p "a" })
+  in
+  List.iter
+    (fun r ->
+      match unicasts_to r a with
+      | [ Message.Replica_update { seq = 1; payload; _ } ] ->
+          checks "payload" "a" (pstr payload)
+      | _ -> Alcotest.fail (Printf.sprintf "replica %d missed the update" r))
+    [ 3; 4 ];
+  checkb "replica retry armed" true
+    (List.mem_assoc (Io.K_replica_retry 1) (timers_set a))
+
+(* End to end, every strategy makes the whole stream durable. *)
+let durable_reaches_last_seq () =
+  List.iter
+    (fun replication ->
+      let d =
+        Scenario.standard
+          ~cfg:{ Config.default with replication }
+          ~replica_count:2 ~sites:4 ~receivers_per_site:2 ~seed:1 ()
+      in
+      Scenario.drive_periodic d ~interval:0.02 ~count:100 ();
+      Scenario.run d ~until:30.;
+      checki
+        (Config.replication_label replication ^ ": durable")
+        100 (Source.durable d.Scenario.source))
+    [ Config.R_primary; Config.R_ring; Config.R_quorum ]
+
 (* ---- satellite: archive degradation on Fs_error ----------------------- *)
 
 let archive_degrades_gracefully () =
@@ -525,6 +568,13 @@ let () =
             quorum_logger_acks_own_floor;
           Alcotest.test_case "promotes highest floor, single shot" `Quick
             quorum_promotes_highest_floor;
+        ] );
+      ( "primary",
+        [
+          Alcotest.test_case "replicates a seq logged off the group" `Quick
+            primary_replicates_seq_logged_off_the_group;
+          Alcotest.test_case "every strategy makes the stream durable" `Quick
+            durable_reaches_last_seq;
         ] );
       ( "window-of-loss",
         [
