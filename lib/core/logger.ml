@@ -268,6 +268,19 @@ let lookup t ~now seq =
               Some { Log_store.seq; epoch; payload; logged_at = now }
           | None -> None))
 
+(* The two shapes a repair takes: unicast to one requester, or a
+   site-scoped re-multicast (§2.2.1). *)
+let unicast_repair t ~now dest (e : Log_store.entry) =
+  if Trace.is_on t.sink then
+    trace t ~now (Trace.Retrans { seq = e.seq; mode = Trace.R_unicast dest });
+  Io.send_to dest (retrans_msg e)
+
+let site_repair t ~now (e : Log_store.entry) =
+  t.remulticasts <- t.remulticasts + 1;
+  if Trace.is_on t.sink then
+    trace t ~now (Trace.Retrans { seq = e.seq; mode = Trace.R_site_mcast });
+  Io.send ~ttl:t.cfg.site_ttl ~group:t.cfg.group (retrans_msg e)
+
 (* Decide unicast vs site-scoped multicast for a repair (§2.2.1): a
    *secondary* logger re-multicasts into its site when enough requests
    for the same packet arrive within a window, or — since its own loss
@@ -288,20 +301,11 @@ let serve t ~now ~requester (e : Log_store.entry) =
     if (not (is_primary t)) && w.count >= threshold && not w.multicast_done
     then begin
       w.multicast_done <- true;
-      t.remulticasts <- t.remulticasts + 1;
-      if Trace.is_on t.sink then
-        trace t ~now (Trace.Retrans { seq = e.seq; mode = Trace.R_site_mcast });
       [
-        Io.send ~ttl:t.cfg.site_ttl ~group:t.cfg.group (retrans_msg e);
-        Set_timer (K_remcast e.seq, t.cfg.remcast_window);
+        site_repair t ~now e; Set_timer (K_remcast e.seq, t.cfg.remcast_window);
       ]
     end
-    else begin
-      if Trace.is_on t.sink then
-        trace t ~now
-          (Trace.Retrans { seq = e.seq; mode = Trace.R_unicast requester });
-      [ Io.send_to requester (retrans_msg e) ]
-    end
+    else [ unicast_repair t ~now requester e ]
   in
   if w.count = 1 then
     Set_timer (K_remcast e.seq, t.cfg.remcast_window) :: actions
@@ -314,9 +318,7 @@ let on_nack t ~now ~src seqs =
       match Log_store.newest t.store with
       | Some e ->
           t.requests_served <- t.requests_served + 1;
-          if Trace.is_on t.sink then
-            trace t ~now (Trace.Retrans { seq = e.seq; mode = Trace.R_unicast src });
-          [ Io.send_to src (retrans_msg e) ]
+          [ unicast_repair t ~now src e ]
       | None -> [])
   | seqs ->
       List.concat_map
@@ -339,14 +341,7 @@ let on_nack t ~now ~src seqs =
               else [])
         seqs
 
-(* --- logging the data plane ------------------------------------------- *)
-
-let maybe_stat_ack t ~epoch ~seq =
-  if Hashtbl.mem t.designated epoch then
-    [
-      Io.send_to t.source (Message.Stat_ack { epoch; seq; logger = t.self });
-    ]
-  else []
+(* --- logging ----------------------------------------------------------- *)
 
 let maybe_leave_channel t =
   match t.cfg.rchannel_group with
@@ -356,14 +351,16 @@ let maybe_leave_channel t =
       [ Leave channel ]
   | _ -> []
 
-(* [payload] arrives as a view over the receive path; the store owns its
-   entries, so copy out exactly once here. *)
-let log_packet t ~now ~seq ~epoch ~payload ~recovered =
-  let fresh =
+(* The one logging step every path shares — data, repairs, deposits,
+   replica updates and ring forwards: store, trace, advance the floor,
+   and chase whatever gap the seq reveals.  [payload] arrives as a view
+   over the receive path; the store owns its entries, so copy out
+   exactly once here. *)
+let ingest t ~now ~seq ~epoch ~payload ~recovered =
+  if
     Log_store.add t.store ~now ~seq ~epoch ~payload:(Payload.to_owned payload)
-  in
-  if fresh && Trace.is_on t.sink then
-    trace t ~now (Trace.Log_write { seq; recovered });
+    && Trace.is_on t.sink
+  then trace t ~now (Trace.Log_write { seq; recovered });
   advance_floor t;
   Hashtbl.remove t.uplink_asked seq;
   Hashtbl.remove t.uplink_retries seq;
@@ -373,52 +370,36 @@ let log_packet t ~now ~seq ~epoch ~payload ~recovered =
   | Fills_gap -> maybe_leave_channel t
   | First | In_order | Duplicate -> []
 
-let satisfy_waiters t ~now (e : Log_store.entry) =
-  match Hashtbl.find_opt t.pending_up e.seq with
+(* Serve the requesters that were waiting on [seq] from upstream. *)
+let satisfy_waiters t ~now seq =
+  match Log_store.get t.store ~now seq with
   | None -> []
-  | Some waiters ->
-      Hashtbl.remove t.pending_up e.seq;
-      let ws = !waiters in
-      t.requests_served <- t.requests_served + List.length ws;
-      Cancel_timer (K_uplink_nack e.seq)
-      ::
-      (if
-         (not (is_primary t))
-         && List.length ws >= t.cfg.remcast_request_threshold
-       then begin
-         t.remulticasts <- t.remulticasts + 1;
-         if Trace.is_on t.sink then
-           trace t ~now
-             (Trace.Retrans { seq = e.seq; mode = Trace.R_site_mcast });
-         [ Io.send ~ttl:t.cfg.site_ttl ~group:t.cfg.group (retrans_msg e) ]
-       end
-       else
-         List.map
-           (fun wtr ->
-             if Trace.is_on t.sink then
-               trace t ~now
-                 (Trace.Retrans { seq = e.seq; mode = Trace.R_unicast wtr });
-             Io.send_to wtr (retrans_msg e))
-           ws)
+  | Some e -> (
+      match Hashtbl.find_opt t.pending_up seq with
+      | None -> []
+      | Some waiters ->
+          Hashtbl.remove t.pending_up seq;
+          let ws = !waiters in
+          t.requests_served <- t.requests_served + List.length ws;
+          Cancel_timer (K_uplink_nack seq)
+          ::
+          (if
+             (not (is_primary t))
+             && List.length ws >= t.cfg.remcast_request_threshold
+           then [ site_repair t ~now e ]
+           else List.map (fun wtr -> unicast_repair t ~now wtr e) ws))
 
-let on_data t ~now ~seq ~epoch ~payload =
-  let log_actions = log_packet t ~now ~seq ~epoch ~payload ~recovered:false in
-  let stat = maybe_stat_ack t ~epoch ~seq in
-  let waiters =
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
+(* [Data], [Heartbeat] and [Retrans] (from our parent, or a sibling's
+   site multicast): log it, stat-ack if designated, and pass it on to
+   whoever is waiting. *)
+let on_data t ~now ~seq ~epoch ~payload ~recovered =
+  let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered in
+  let stat =
+    if Hashtbl.mem t.designated epoch then
+      [ Io.send_to t.source (Message.Stat_ack { epoch; seq; logger = t.self }) ]
+    else []
   in
-  log_actions @ stat @ waiters
-
-let on_heartbeat t ~now ~seq ~epoch ~payload =
-  match payload with
-  | Some p when seq > 0 -> on_data t ~now ~seq ~epoch ~payload:p
-  | _ ->
-      if seq = 0 then []
-      else
-        let newly = Gap_tracker.note_exists t.tracker seq in
-        note_gaps t newly
+  gaps @ stat @ satisfy_waiters t ~now seq
 
 (* --- primary duties ---------------------------------------------------- *)
 
@@ -481,93 +462,44 @@ let log_ack t =
   Message.Log_ack
     { primary_seq = durable_floor t; replica_seq = best_replica_seq t }
 
-let arm_retry t seq =
-  Hashtbl.replace t.retry_armed seq ();
-  Set_timer (K_replica_retry seq, t.cfg.deposit_timeout)
-
-(* Send [seq] to every replica that has not acked it and (re)arm its
-   retry, until they all have it (replica failure is tolerated —
-   Log_ack reports the best replica, and fail-over picks that one).
-   The primary may already have logged [seq] off the data group before
-   the deposit arrived, so this runs on every deposit, fresh or not.
-   The [~now:0.] lookup never expires an entry under [Keep_for]. *)
+(* The one replica fan-out, run by every deposit (fresh or not: the
+   primary may have logged [seq] off the data group first) and by the
+   retry timer.  Send [seq] to every replica that has not acked it and
+   (re)arm the retry until they all have it (replica failure is
+   tolerated — Log_ack reports the best replica, and fail-over picks
+   that one).  The [~now:0.] lookup never expires an entry under
+   [Keep_for]. *)
 let replicate t seq =
   let laggards =
     List.filter (fun r -> Seqno.(replica_seq t r < seq)) t.replicas
   in
-  match laggards with
-  | [] -> []
-  | _ -> (
-      match Log_store.get t.store ~now:0. seq with
-      | None -> []
-      | Some e ->
-          List.map
-            (fun r ->
-              Io.send_to r
-                (Message.Replica_update
-                   {
-                     seq = e.seq;
-                     epoch = e.epoch;
-                     payload = Payload.of_string e.payload;
-                   }))
-            laggards
-          @ [ arm_retry t seq ])
+  match (laggards, Log_store.get t.store ~now:0. seq) with
+  | [], _ | _, None -> []
+  | _, Some e ->
+      let payload = Payload.of_string e.payload in
+      let update = Message.Replica_update { seq; epoch = e.epoch; payload } in
+      Hashtbl.replace t.retry_armed seq ();
+      List.map (fun r -> Io.send_to r update) laggards
+      @ [ Set_timer (K_replica_retry seq, t.cfg.deposit_timeout) ]
 
 let on_deposit t ~now ~seq ~epoch ~payload =
-  ignore
-    (Log_store.add t.store ~now ~seq ~epoch ~payload:(Payload.to_owned payload));
-  ignore (Gap_tracker.note t.tracker seq);
-  advance_floor t;
-  let waiters =
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
-  in
-  (Io.send_to t.source (log_ack t) :: replicate t seq) @ waiters
+  let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered:false in
+  let waiters = satisfy_waiters t ~now seq in
+  (Io.send_to t.source (log_ack t) :: replicate t seq) @ gaps @ waiters
 
-let on_replica_retry t seq =
-  Hashtbl.remove t.retry_armed seq;
-  replicate t seq
-
-(* --- replica duties ----------------------------------------------------- *)
-
-let on_replica_update t ~now ~src ~seq ~epoch ~payload =
-  ignore
-    (Log_store.add t.store ~now ~seq ~epoch ~payload:(Payload.to_owned payload));
-  ignore (Gap_tracker.note t.tracker seq);
-  advance_floor t;
-  [ Io.send_to src (Message.Replica_ack { seq = durable_floor t }) ]
-
-(* --- ring and quorum replication duties --------------------------------- *)
+(* --- ring and quorum member duties -------------------------------------- *)
 
 (* Ring member: log, then pass the deposit down the chain; the tail
    acks the source with its contiguous floor — which, because every
    upstream member logged before forwarding, is the whole ring's
    durability mark.  Duplicates are forwarded too: a source retry
-   re-walks the chain and repairs whatever a downstream member lost. *)
+   re-walks the chain and repairs whatever a downstream member lost.
+   A dropped forward upstream shows as a gap here, which [ingest]
+   chases through the parent so the chain self-heals even before the
+   source's retry re-walks it. *)
 let on_ring_forward t ~now ~seq ~epoch ~payload =
-  let fresh =
-    Log_store.add t.store ~now ~seq ~epoch ~payload:(Payload.to_owned payload)
-  in
-  if fresh && Trace.is_on t.sink then
-    trace t ~now (Trace.Log_write { seq; recovered = false });
-  advance_floor t;
-  (* A dropped forward upstream shows as a gap here; chase it through the
-     parent so the chain self-heals even before the source's retry
-     re-walks it. *)
-  let gap_actions =
-    match Gap_tracker.note t.tracker seq with
-    | Gap_opened gaps -> note_gaps t gaps
-    | Fills_gap -> maybe_leave_channel t
-    | First | In_order | Duplicate -> []
-  in
-  let waiters =
-    gap_actions
-    @
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
-  in
+  let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered:false in
+  let waiters = gaps @ satisfy_waiters t ~now seq in
   match t.succ with
   | Some next ->
       if Trace.is_on t.sink then
@@ -579,54 +511,31 @@ let on_ring_forward t ~now ~seq ~epoch ~payload =
 
 (* Quorum member: every member (primary or not) logs the multicast
    deposit and acks its own contiguous floor straight back to the
-   source, which counts floors toward the majority. *)
+   source, which counts floors toward the majority.  A lost deposit
+   multicast shows as a gap, chased through the parent so this
+   member's floor (and thus the quorum) keeps moving. *)
 let on_quorum_deposit t ~now ~seq ~epoch ~payload =
-  let fresh =
-    Log_store.add t.store ~now ~seq ~epoch ~payload:(Payload.to_owned payload)
-  in
-  if fresh && Trace.is_on t.sink then
-    trace t ~now (Trace.Log_write { seq; recovered = false });
-  advance_floor t;
-  (* A lost deposit multicast shows as a gap; chase it through the
-     parent so this member's floor (and thus the quorum) keeps moving. *)
-  let gap_actions =
-    match Gap_tracker.note t.tracker seq with
-    | Gap_opened gaps -> note_gaps t gaps
-    | Fills_gap -> maybe_leave_channel t
-    | First | In_order | Duplicate -> []
-  in
+  let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered:false in
   let floor = durable_floor t in
   if Trace.is_on t.sink then trace t ~now (Trace.Quorum_acked { seq; floor });
-  let waiters =
-    gap_actions
-    @
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
-  in
-  Io.send_to t.source (Message.Quorum_ack { seq = floor }) :: waiters
+  Io.send_to t.source (Message.Quorum_ack { seq = floor })
+  :: gaps
+  @ satisfy_waiters t ~now seq
 
 (* --- dispatch ------------------------------------------------------------ *)
 
 let handle_message t ~now ~src msg =
   match msg with
-  | Message.Data { seq; epoch; payload } -> on_data t ~now ~seq ~epoch ~payload
-  | Message.Heartbeat { seq; epoch; payload; _ } ->
-      on_heartbeat t ~now ~seq ~epoch ~payload
+  | Message.Data { seq; epoch; payload } ->
+      on_data t ~now ~seq ~epoch ~payload ~recovered:false
+  | Message.Heartbeat { seq; epoch; payload = Some payload; _ } when seq > 0 ->
+      on_data t ~now ~seq ~epoch ~payload ~recovered:false
+  | Message.Heartbeat { seq = 0; _ } -> []
+  | Message.Heartbeat { seq; _ } ->
+      note_gaps t (Gap_tracker.note_exists t.tracker seq)
   | Message.Nack { seqs } -> on_nack t ~now ~src seqs
   | Message.Retrans { seq; epoch; payload } ->
-      (* From our parent (or a sibling's site multicast): log it, pass it
-         on to whoever is waiting, and stat-ack if designated. *)
-      let log_actions =
-        log_packet t ~now ~seq ~epoch ~payload ~recovered:true
-      in
-      let stat = maybe_stat_ack t ~epoch ~seq in
-      let waiters =
-        match Log_store.get t.store ~now seq with
-        | Some e -> satisfy_waiters t ~now e
-        | None -> []
-      in
-      log_actions @ stat @ waiters
+      on_data t ~now ~seq ~epoch ~payload ~recovered:true
   | Message.Log_deposit { seq; epoch; payload } -> (
       match t.cfg.replication with
       | Config.R_quorum -> on_quorum_deposit t ~now ~seq ~epoch ~payload
@@ -643,7 +552,10 @@ let handle_message t ~now ~src msg =
       t.parent <- (if head = t.self then None else Some head);
       []
   | Message.Replica_update { seq; epoch; payload } ->
-      on_replica_update t ~now ~src ~seq ~epoch ~payload
+      let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered:false in
+      Io.send_to src (Message.Replica_ack { seq = durable_floor t })
+      :: gaps
+      @ satisfy_waiters t ~now seq
   | Message.Replica_ack { seq } ->
       let from = replicated_seq t in
       if Seqno.(seq > replica_seq t src) then
@@ -713,5 +625,7 @@ let handle_timer t ~now key =
   | K_remcast seq ->
       Hashtbl.remove t.requests seq;
       []
-  | K_replica_retry seq -> on_replica_retry t seq
+  | K_replica_retry seq ->
+      Hashtbl.remove t.retry_armed seq;
+      replicate t seq
   | _ -> []

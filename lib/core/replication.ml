@@ -151,21 +151,49 @@ let release_events t moved = if moved then [ E_release t.durable ] else []
 
 (* --- deposit routing --------------------------------------------------- *)
 
-let deposit t ~now ~seq ~epoch ~payload =
-  Hashtbl.replace t.retries seq 0;
-  if Trace.is_on t.sink then trace t ~now (Trace.Deposit_sent { seq; attempt = 0 });
+let resend t ~now ~seq ~epoch ~payload ~attempt =
+  if Trace.is_on t.sink then trace t ~now (Trace.Deposit_sent { seq; attempt });
   let pv = Payload.of_string payload in
-  let arm = Set_timer (K_deposit seq, Config.deposit_delay t.cfg ~attempt:0) in
+  let arm = Set_timer (K_deposit seq, Config.deposit_delay t.cfg ~attempt) in
   match t.cfg.replication with
   | Config.R_primary ->
       [ Io.send_to t.primary (Message.Log_deposit { seq; epoch; payload = pv }); arm ]
   | Config.R_ring ->
       [ Io.send_to t.primary (Message.Ring_forward { seq; epoch; payload = pv }); arm ]
   | Config.R_quorum ->
-      Array.fold_right
-        (fun m acc ->
-          Io.send_to m (Message.Log_deposit { seq; epoch; payload = pv }) :: acc)
-        t.members [ arm ]
+      (* only the members whose floor is still below [seq] *)
+      let sends = ref [ arm ] in
+      for i = Array.length t.members - 1 downto 0 do
+        if Seqno.(t.floors.(i) < seq) then
+          sends :=
+            Io.send_to t.members.(i)
+              (Message.Log_deposit { seq; epoch; payload = pv })
+            :: !sends
+      done;
+      !sends
+
+(* A first deposit (or a re-deposit after promotion) starts a fresh
+   retry count.  Every member floor the source knows is below [seq]
+   then, so [resend]'s quorum filter reaches every member. *)
+let deposit t ~now ~seq ~epoch ~payload =
+  Hashtbl.replace t.retries seq 0;
+  resend t ~now ~seq ~epoch ~payload ~attempt:0
+
+(* --- fail-over outcomes ------------------------------------------------ *)
+
+let kept t ~now =
+  if Trace.is_on t.sink then
+    trace t ~now (Trace.Failover_step (Trace.F_kept t.primary));
+  E_kept t.primary
+
+(* [primary] now leads; the owner re-deposits what it retains above
+   [floor]. *)
+let promoted t ~now ~primary ~floor =
+  if Trace.is_on t.sink then
+    trace t ~now
+      (Trace.Failover_step
+         (Trace.F_promoted { primary; redeposits = t.retained_above floor }));
+  E_promoted { primary; floor }
 
 (* --- fail-over: primary and ring (query round) ------------------------- *)
 
@@ -206,11 +234,7 @@ let sort_statuses statuses =
 
 let finish_primary t ~now statuses =
   match sort_statuses statuses with
-  | [] ->
-      (* No replica answered; keep trying the old primary. *)
-      if Trace.is_on t.sink then
-        trace t ~now (Trace.Failover_step (Trace.F_kept t.primary));
-      ([], [ E_kept t.primary ])
+  | [] -> ([], [ kept t ~now ]) (* no replica answered: keep the old one *)
   | (best, best_seq) :: _ ->
       let others = List.filter (fun r -> r <> best) t.replicas in
       (* [Promote] is wire-bounded to [Codec.promote_max] replicas;
@@ -226,20 +250,12 @@ let finish_primary t ~now statuses =
       let cancels = clear_all_retries t in
       t.primary <- best;
       t.replicas <- others;
-      if Trace.is_on t.sink then
-        trace t ~now
-          (Trace.Failover_step
-             (Trace.F_promoted
-                { primary = best; redeposits = t.retained_above best_seq }));
-      ( Io.send_to best (Message.Promote { replicas = others }) :: cancels,
-        [ E_promoted { primary = best; floor = best_seq } ] )
+      let ev = promoted t ~now ~primary:best ~floor:best_seq in
+      (Io.send_to best (Message.Promote { replicas = others }) :: cancels, [ ev ])
 
 let finish_ring t ~now statuses =
   match sort_statuses statuses with
-  | [] ->
-      if Trace.is_on t.sink then
-        trace t ~now (Trace.Failover_step (Trace.F_kept t.primary));
-      ([], [ E_kept t.primary ])
+  | [] -> ([], [ kept t ~now ])
   | ((head, _) :: _ as order) ->
       let order = List.filteri (fun i _ -> i < Lbrm_wire.Codec.promote_max) order in
       let cancels = clear_all_retries t in
@@ -262,12 +278,8 @@ let finish_ring t ~now statuses =
       in
       t.primary <- head;
       t.replicas <- List.map fst (List.tl order);
-      if Trace.is_on t.sink then
-        trace t ~now
-          (Trace.Failover_step
-             (Trace.F_promoted
-                { primary = head; redeposits = t.retained_above min_floor }));
-      (ring_sets order @ cancels, [ E_promoted { primary = head; floor = min_floor } ])
+      let ev = promoted t ~now ~primary:head ~floor:min_floor in
+      (ring_sets order @ cancels, [ ev ])
 
 let finish_failover t ~now =
   match t.failover with
@@ -296,9 +308,7 @@ let quorum_suspect t ~now =
   let best_member = t.members.(!best) and best_floor = t.floors.(!best) in
   if best_member = t.primary then begin
     (* the laggards are a minority; the primary stands *)
-    if Trace.is_on t.sink then
-      trace t ~now (Trace.Failover_step (Trace.F_kept t.primary));
-    ([], [ E_suspected; E_kept t.primary ])
+    ([], [ E_suspected; kept t ~now ])
   end
   else begin
     t.failovers_done <- t.failovers_done + 1;
@@ -312,14 +322,9 @@ let quorum_suspect t ~now =
       List.filteri (fun i _ -> i < Lbrm_wire.Codec.promote_max) others
     in
     set_members t ~primary:best_member ~replicas:others;
-    if Trace.is_on t.sink then
-      trace t ~now
-        (Trace.Failover_step
-           (Trace.F_promoted
-              { primary = best_member; redeposits = t.retained_above best_floor }));
+    let ev = promoted t ~now ~primary:best_member ~floor:best_floor in
     ( Io.send_to best_member (Message.Promote { replicas = others }) :: cancels,
-      [ E_suspected; E_promoted { primary = best_member; floor = best_floor } ]
-    )
+      [ E_suspected; ev ] )
   end
 
 (* --- acks -------------------------------------------------------------- *)
@@ -369,27 +374,6 @@ let on_message t ~now ~src msg =
       | Normal -> ());
       Some ([], [])
   | _ -> None
-
-let resend t ~now ~seq ~epoch ~payload ~attempt =
-  if Trace.is_on t.sink then trace t ~now (Trace.Deposit_sent { seq; attempt });
-  let pv = Payload.of_string payload in
-  let arm = Set_timer (K_deposit seq, Config.deposit_delay t.cfg ~attempt) in
-  match t.cfg.replication with
-  | Config.R_primary ->
-      [ Io.send_to t.primary (Message.Log_deposit { seq; epoch; payload = pv }); arm ]
-  | Config.R_ring ->
-      [ Io.send_to t.primary (Message.Ring_forward { seq; epoch; payload = pv }); arm ]
-  | Config.R_quorum ->
-      (* only the members whose floor is still below [seq] *)
-      let sends = ref [ arm ] in
-      for i = Array.length t.members - 1 downto 0 do
-        if Seqno.(t.floors.(i) < seq) then
-          sends :=
-            Io.send_to t.members.(i)
-              (Message.Log_deposit { seq; epoch; payload = pv })
-            :: !sends
-      done;
-      !sends
 
 let on_deposit_timeout t ~now ~seq ~lookup =
   match Hashtbl.find_opt t.retries seq with

@@ -414,6 +414,55 @@ let durable_reaches_last_seq () =
         100 (Source.durable d.Scenario.source))
     [ Config.R_primary; Config.R_ring; Config.R_quorum ]
 
+(* ---- one ingest path: every logging entry behaves alike --------------- *)
+
+(* A replica update is a logging path like any other: it answers the
+   requesters that were waiting on the seq from upstream. *)
+let replica_update_serves_waiters () =
+  let l = Logger.create plain ~self:3 ~source:1 ~parent:2 ~rng:(rng ()) () in
+  let a =
+    Logger.handle_message l ~now:0. ~src:10 (Message.Nack { seqs = [ 5 ] })
+  in
+  checkb "chased upstream" true (unicasts_to 2 a <> []);
+  let a =
+    Logger.handle_message l ~now:0.1 ~src:2
+      (Message.Replica_update { seq = 5; epoch = 0; payload = p "e" })
+  in
+  match unicasts_to 10 a with
+  | [ Message.Retrans { seq = 5; payload; _ } ] ->
+      checks "payload" "e" (pstr payload)
+  | _ -> Alcotest.fail "the waiting requester was not served"
+
+let log_writes (c : T.Collector.t) =
+  List.filter_map
+    (fun (r : T.record) ->
+      match r.T.ev with
+      | T.Log_write { seq; recovered } -> Some (r.T.node, seq, recovered)
+      | _ -> None)
+    (T.Collector.records c)
+
+(* Every fresh log is traced, whichever message brought it. *)
+let fresh_deposit_and_update_trace_log_write () =
+  let c = T.Collector.create () in
+  let sink = T.Collector.sink c in
+  let primary =
+    Logger.create plain ~self:2 ~source:1 ~replicas:[ 3 ] ~rng:(rng ()) ~sink
+      ()
+  in
+  let replica =
+    Logger.create plain ~self:3 ~source:1 ~parent:2 ~rng:(rng ()) ~sink ()
+  in
+  let dep = Message.Log_deposit { seq = 1; epoch = 0; payload = p "a" } in
+  ignore (Logger.handle_message primary ~now:0. ~src:1 dep);
+  ignore
+    (Logger.handle_message replica ~now:0.01 ~src:2
+       (Message.Replica_update { seq = 1; epoch = 0; payload = p "a" }));
+  (* A duplicate deposit is not a fresh log. *)
+  ignore (Logger.handle_message primary ~now:0.02 ~src:1 dep);
+  Alcotest.(check (list (triple int int bool)))
+    "one Log_write per fresh log" [ (2, 1, false); (3, 1, false) ]
+    (log_writes c)
+
 (* ---- satellite: archive degradation on Fs_error ----------------------- *)
 
 let archive_degrades_gracefully () =
@@ -575,6 +624,13 @@ let () =
             primary_replicates_seq_logged_off_the_group;
           Alcotest.test_case "every strategy makes the stream durable" `Quick
             durable_reaches_last_seq;
+        ] );
+      ( "ingest",
+        [
+          Alcotest.test_case "replica update serves waiters" `Quick
+            replica_update_serves_waiters;
+          Alcotest.test_case "fresh deposit and update trace Log_write" `Quick
+            fresh_deposit_and_update_trace_log_write;
         ] );
       ( "window-of-loss",
         [
