@@ -19,7 +19,9 @@
    word per op trips the gate on any row under 50 words/op.
 
    Outcome fields gate exactly: a row whose [missing], [gave_up] or
-   [violations] count exceeds its baseline fails, whatever its speed.
+   [violations] count exceeds its baseline fails, whatever its speed,
+   and so does a row whose [durable] floor (the source's durably
+   logged seq at the end of a chaos drill) falls below its baseline.
    The rows are seeded, so these counts are deterministic, and a
    recovery regression that still runs fast shows up here first.
 
@@ -99,7 +101,10 @@ type row = {
   outcomes : (string * float) list; (* outcome fields the row reports *)
 }
 
-let outcome_fields = [ "missing"; "gave_up"; "violations" ]
+(* Outcome fields, each with whether a higher value is better. *)
+let outcome_fields =
+  [ ("missing", false); ("gave_up", false); ("violations", false);
+    ("durable", true) ]
 
 (* name -> row for every benchmark object in the file that reports a
    positive ops_per_sec. *)
@@ -120,7 +125,7 @@ let parse path =
             let words = scan_float_field s "minor_words_per_op" after upto in
             let outcomes =
               List.filter_map
-                (fun k ->
+                (fun (k, _) ->
                   Option.map
                     (fun v -> (k, v))
                     (scan_float_field s k after upto))
@@ -192,7 +197,9 @@ let () =
               List.filter_map
                 (fun (k, c) ->
                   match List.assoc_opt k base.outcomes with
-                  | Some b when c > b ->
+                  | Some b
+                    when (if List.assoc k outcome_fields then c < b else c > b)
+                    ->
                       Some (Printf.sprintf "%s %g -> %g" k b c)
                   | _ -> None)
                 cur.outcomes

@@ -514,6 +514,7 @@ let bench_chaos () =
       ("rediscovery_latency_p99", Sample.percentile rl 99.);
       ("failovers", float_of_int p.Chaos.failovers);
       ("rediscoveries", float_of_int s.Chaos.rediscoveries);
+      ("durable", float_of_int p.Chaos.durable);
     ] )
 
 (* The same primary-crash drill under the ring / quorum strategies: the
@@ -533,6 +534,7 @@ let bench_chaos_strategy ~replication () =
       ("failover_latency", Sample.median fl);
       ("window_of_loss", Sample.median wl);
       ("failovers", float_of_int p.Chaos.failovers);
+      ("durable", float_of_int p.Chaos.durable);
     ] )
 
 (* ---------------------------------------------------------------------- *)

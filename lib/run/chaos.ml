@@ -13,6 +13,7 @@ type outcome = {
   failovers : int;
   rediscoveries : int;
   delivered : int;
+  durable : int;
   trace : Trace.t;
   events : Ev.record list;
   digest : string;
@@ -114,6 +115,7 @@ let finish base (d : Scenario.deployment) tk collector extra =
     failovers = Lbrm.Source.failovers d.Scenario.source;
     rediscoveries = rediscovery_count d;
     delivered = Trace.get trace "app.delivered";
+    durable = Lbrm.Source.durable d.Scenario.source;
     trace;
     events;
     digest = digest_of_trace trace;

@@ -32,6 +32,8 @@ type outcome = {
   rediscoveries : int;
       (** receivers that replaced a dead logger via discovery *)
   delivered : int;  (** total application deliveries *)
+  durable : int;
+      (** the source's durable floor at the end ({!Lbrm.Source.durable}) *)
   trace : Lbrm_sim.Trace.t;
   events : Lbrm.Trace.record list;
       (** the merged typed trace of every node, in emission order —

@@ -585,7 +585,8 @@ let manifest_zero_allocs () =
     entries
 
 (* The CI trend gate: the same baseline passes against itself, and one
-   extra word/op, or one more missing packet, on one row fails it. *)
+   extra word/op, one more missing packet, or a durable floor one seq
+   lower, on one row fails it. *)
 let trend_gate current =
   Sys.command
     (Printf.sprintf
@@ -599,6 +600,9 @@ let trend_gate_words () =
 
 let trend_gate_outcomes () =
   checki "one more missing packet fails" 1 (trend_gate "one_more_missing.json")
+
+let trend_gate_durable () =
+  checki "one less durable seq fails" 1 (trend_gate "one_less_durable.json")
 
 let () =
   Alcotest.run "transport"
@@ -640,5 +644,7 @@ let () =
             trend_gate_words;
           Alcotest.test_case "trend gate trips on one more missing packet"
             `Quick trend_gate_outcomes;
+          Alcotest.test_case "trend gate trips on one less durable seq"
+            `Quick trend_gate_durable;
         ] );
     ]
