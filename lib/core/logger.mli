@@ -5,9 +5,12 @@
     of the distributed logging architecture":
 
     - {b primary} ([parent = None]): receives reliable [Log_deposit]s
-      from the source, streams [Replica_update]s to its replicas, and
-      acknowledges the source with both its own and the best replica's
-      contiguous sequence (§2.2.3);
+      from the source, acknowledges each with both its own and the best
+      replica's contiguous sequence, and replicates every deposit to
+      the replicas that lack it — a [Replica_update] to each replica
+      whose acked floor is below the seq, retried until it acks, even
+      when the primary already logged the seq off the data group
+      (§2.2.3);
     - {b secondary} ([parent = Some _]): listens on the data multicast
       group, logs everything, recovers its own losses from its parent,
       and serves its site's retransmission requests — unicast normally,
@@ -15,10 +18,18 @@
       arrive in a window (§2.2.1);
     - {b replica}: passive copy fed by the primary, promotable on
       fail-over;
+    - {b ring} and {b quorum} members: log each deposit, then forward
+      it down the chain or ack their own floor;
     - every secondary also participates in statistical acknowledgement
       (volunteering as Designated Acker with probability [p_ack]) and in
       group-size probing (§2.3), and answers expanding-ring discovery
-      queries (§2.2.1). *)
+      queries (§2.2.1).
+
+    Every path that logs a packet — data, repairs, deposits, replica
+    updates, ring forwards — runs the same step: store it, trace
+    {!Trace.Log_write} when the seq is fresh, advance the durability
+    floor, chase any gap it reveals, and serve requesters waiting on
+    it.  Each message then adds only its own reply. *)
 
 type address = Lbrm_wire.Message.address
 type seq = Lbrm_util.Seqno.t
