@@ -116,7 +116,7 @@ let bench_multicast ~sites ~hosts_per_site ~packets () =
     Net.create ~engine ~topo:wan.topo ~size_of:String.length ()
   in
   let delivered = ref 0 in
-  let handler ~now:_ ~src:_ _ = incr delivered in
+  let handler ~src:_ _ = incr delivered in
   List.iter
     (fun h ->
       Net.join net ~group:1 h;
@@ -370,7 +370,7 @@ let bench_churn ~ops () =
   let hosts = Array.of_list (Builders.all_hosts wan) in
   let n = Array.length hosts in
   let src = hosts.(0) in
-  Array.iter (fun h -> Net.set_handler net h (fun ~now:_ ~src:_ _ -> ())) hosts;
+  Array.iter (fun h -> Net.set_handler net h (fun ~src:_ _ -> ())) hosts;
   (* Stable group 7 plus initial members everywhere. *)
   for i = 1 to n - 1 do
     Net.join net ~group:7 hosts.(i);

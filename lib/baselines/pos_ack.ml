@@ -87,12 +87,12 @@ let deploy ~net ~trace ~config ~group ~source ~receivers =
       acks = 0;
     }
   in
-  Net.set_handler net source (fun ~now:_ ~src:_ msg -> source_handle t msg);
+  Net.set_handler net source (fun ~src:_ msg -> source_handle t msg);
   List.iter
     (fun node ->
       Net.join net ~group node;
       let seen = Hashtbl.create 64 in
-      Net.set_handler net node (fun ~now:_ ~src:_ msg ->
+      Net.set_handler net node (fun ~src:_ msg ->
           match msg with
           | Data { seq; _ } | Retrans { seq; _ } ->
               Hashtbl.replace seen seq ();

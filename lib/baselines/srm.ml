@@ -208,7 +208,7 @@ let deploy ~net ~trace ~config ~group ~source ~members =
      multicasts fixed-interval session messages — the "fixed heartbeat"
      style loss detection wb relies on (§6). *)
   Net.join net ~group source;
-  Net.set_handler net source (fun ~now:_ ~src:_ msg ->
+  Net.set_handler net source (fun ~src:_ msg ->
       match msg with
       | Request { seq } -> (
           Trace.incr trace "srm.member_msgs";
@@ -238,7 +238,7 @@ let deploy ~net ~trace ~config ~group ~source ~members =
       in
       Hashtbl.replace t.members node m;
       Net.join net ~group node;
-      Net.set_handler net node (fun ~now:_ ~src msg ->
+      Net.set_handler net node (fun ~src msg ->
           member_handle t m ~src msg))
     members;
   t

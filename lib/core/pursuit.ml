@@ -24,6 +24,7 @@ type t = {
   pursuits : (seq, pursuit) Hashtbl.t;
   by_level : (int, seq list) Hashtbl.t; (* flush scratch *)
   mutable last_heard : float;
+  arm_silence : action; (* built once: re-armed on every arrival *)
   mutable nacks_sent : int;
   mutable gave_up : int;
 }
@@ -42,6 +43,7 @@ let create ?(sink = Trace.null ()) cfg ~self ~source ~loggers ~missing
     pursuits = Hashtbl.create 32;
     by_level = Hashtbl.create 4;
     last_heard = 0.;
+    arm_silence = Set_timer (K_silence, cfg.Config.max_it);
     nacks_sent = 0;
     gave_up = 0;
   }
@@ -204,7 +206,7 @@ let escalate t ~now seq =
 
 (* --- silence ---------------------------------------------------------- *)
 
-let arm_silence t = Set_timer (K_silence, t.cfg.max_it)
+let arm_silence t = t.arm_silence
 
 let heard t ~now =
   t.last_heard <- now;

@@ -69,17 +69,26 @@ let disarm t agent key =
   | h -> t.tr.disarm h
   | exception Not_found -> ()
 
+(* [now] is the clock reading the handler saw, reused for every
+   [Deliver] and [Notify] its actions carry: one read per dispatch.
+   [perform] runs actions outside any dispatch and passes [unread], so
+   the clock is read only if an action needs it. *)
+let unread = Float.nan
+
+let clock t now = if Float.is_nan now then t.tr.now () else now
+
 let rec fire t agent key () =
   Hashtbl.remove agent.timers key;
-  run t agent (agent.handlers.on_timer ~now:(t.tr.now ()) key)
+  let now = t.tr.now () in
+  run t agent ~now (agent.handlers.on_timer ~now key)
 
-and run t agent = function
+and run t agent ~now = function
   | [] -> ()
   | action :: rest ->
-      execute t agent action;
-      run t agent rest
+      execute t agent ~now action;
+      run t agent ~now rest
 
-and execute t agent = function
+and execute t agent ~now = function
   | Send (To_addr dst, msg) ->
       sent agent msg (t.tr.unicast agent.endpoint ~dst msg)
   | Send (To_group { group; ttl }, msg) ->
@@ -97,19 +106,20 @@ and execute t agent = function
       Metrics.incr (Lazy.force agent.meter.delivered);
       if recovered then Metrics.incr (Lazy.force agent.meter.recovered);
       match agent.handlers.on_deliver with
-      | Some f -> f ~now:(t.tr.now ()) ~seq ~payload ~recovered
+      | Some f -> f ~now:(clock t now) ~seq ~payload ~recovered
       | None -> ())
   | Notify notice -> (
       t.tr.notice notice;
       match agent.handlers.on_notice with
-      | Some f -> f ~now:(t.tr.now ()) notice
+      | Some f -> f ~now:(clock t now) notice
       | None -> ())
   | Join group -> t.tr.join ~group agent.addr
   | Leave group -> t.tr.leave ~group agent.addr
 
 let[@lint.hot] receive t agent ~src msg =
   count agent.meter.recv agent.meter.registry "recv." msg 1;
-  run t agent (agent.handlers.on_message ~now:(t.tr.now ()) ~src msg)
+  let now = t.tr.now () in
+  run t agent ~now (agent.handlers.on_message ~now ~src msg)
 
 let add t addr endpoint meter handlers =
   assert (not (Hashtbl.mem t.agents addr));
@@ -127,7 +137,7 @@ let dispatch t addr ~src msg =
 
 let perform t addr actions =
   match Hashtbl.find t.agents addr with
-  | agent -> run t agent actions
+  | agent -> run t agent ~now:unread actions
   | exception Not_found -> ()
 
 let crash t addr =

@@ -63,3 +63,7 @@ val dispatch :
 (** {!receive} by address; no-op if no agent is installed there. *)
 
 val perform : ('h, 'e) t -> address -> Lbrm.Io.action list -> unit
+(** Execute actions for the agent at the address, outside any dispatch
+    (no-op if none is installed).  The clock is read only for a
+    [Deliver] or [Notify]; {!receive} and timer expiries read it once
+    and hand that reading to the handler and to all its actions. *)

@@ -68,7 +68,7 @@ let flow_host t flow =
 let attach t ~node ~flow handlers =
   ignore (Agent_host.add (flow_host t flow) node node t.meter handlers);
   (* One handler per host serves all its flows; re-setting it is a no-op. *)
-  Net.set_handler t.net node (fun ~now:_ ~src env -> dispatch t node ~src env)
+  Net.set_handler t.net node (fun ~src env -> dispatch t node ~src env)
 
 let perform t ~node ~flow actions =
   match Hashtbl.find_opt t.flows flow with

@@ -65,7 +65,7 @@ let now t = Engine.now (engine t)
 let join t ~group ~node = Net.join t.net ~group node
 
 let install t node agent =
-  Net.set_handler t.net node (fun ~now:_ ~src msg ->
+  Net.set_handler t.net node (fun ~src msg ->
       Agent_host.receive t.host agent ~src msg)
 
 let add_agent t ~node handlers =

@@ -1,4 +1,4 @@
-type 'msg handler = now:float -> src:Topo.node_id -> 'msg -> unit
+type 'msg handler = src:Topo.node_id -> 'msg -> unit
 
 (* Multicast state is tracked per group:
 
@@ -54,7 +54,7 @@ let loopback_delay = 50e-6
 
 let default_cache_size = 512
 
-let noop_handler ~now:_ ~src:_ _ = ()
+let noop_handler ~src:_ _ = ()
 
 (* Avalanching integer mix (splitmix-style finalizer) so that XORing
    member ids never cancels structurally related node numbers. *)
@@ -161,10 +161,15 @@ let deliver t ~src ~dst msg =
   (* A crashed host's handler goes quiet: packets addressed to it are
      dropped on arrival, including ones already in flight at crash
      time. *)
-  if Topo.node_up t.topo dst then
-    (Array.unsafe_get t.handlers dst) ~now:(Engine.now t.engine) ~src msg
+  if Topo.node_up t.topo dst then (Array.unsafe_get t.handlers dst) ~src msg
 
-let observe t link msg = List.iter (fun f -> f link msg) t.observers
+(* Matching on the list first keeps the unobserved hop from building
+   the iteration closure. *)
+let observe t link msg =
+  match t.observers with
+  | [] -> ()
+  | observers -> List.iter (fun f -> f link msg) observers
+
 let on_link_transit t f = t.observers <- f :: t.observers
 
 (* An in-flight unicast packet.  One mutable record and one arrival
@@ -189,15 +194,15 @@ let unicast t ?(ttl = 64) ~src ~dst msg =
         | None -> ()
         | Some link -> (
             observe t link msg;
-            let now = Engine.now t.engine in
-            match
-              Topo.transmit_decision link ~rng:t.rng ~now ~size:(t.size_of msg)
-            with
-            | Topo.Deliver arrival ->
-                fl.f_node <- Topo.link_dst link;
-                fl.f_ttl <- fl.f_ttl - 1;
-                Engine.post_at_kind t.engine ~kind:Engine.kind_packet ~time:arrival arrive
-            | Topo.Dropped_loss | Topo.Dropped_queue | Topo.Dropped_down -> ())
+            if
+              Topo.transmit link ~rng:t.rng ~now:(Engine.now t.engine)
+                ~size:(t.size_of msg)
+            then begin
+              fl.f_node <- Topo.link_dst link;
+              fl.f_ttl <- fl.f_ttl - 1;
+              Engine.post_at_kind t.engine ~kind:Engine.kind_packet
+                ~time:(Topo.arrival link) arrive
+            end)
     in
     arrive ()
   end
@@ -319,28 +324,34 @@ let multicast t ?(ttl = 64) ~src ~group msg =
      turns ~N leaf events per router into one. *)
   let run = ref [||] in
   let run_len = ref 0 in
-  let run_time = ref neg_infinity in
+  (* A one-slot float array holds its float flat: updating it boxes
+     nothing, where a [float ref] would box every new time. *)
+  let run_time = [| neg_infinity |] in
   let flush () =
     let n = !run_len in
     if n > 0 then begin
       let children = Array.sub !run 0 n in
       run_len := 0;
-      Engine.post_at_kind t.engine ~kind:Engine.kind_packet ~time:!run_time (fun () ->
+      Engine.post_at_kind t.engine ~kind:Engine.kind_packet ~time:run_time.(0) (fun () ->
           Array.iter
             (fun c ->
               if c <> src && member_mask t g c then deliver t ~src ~dst:c msg)
             children)
     end
   in
-  let push_leaf child a =
-    if !run_len > 0 && a <> !run_time then flush ();
+  (* Takes the link, not its arrival time: a float argument would be
+     boxed at every call, where reading [Topo.arrival] here is a flat
+     load once the compiler inlines it. *)
+  let push_leaf link =
+    let a = Topo.arrival link in
+    if !run_len > 0 && a <> run_time.(0) then flush ();
     if !run_len = Array.length !run then begin
       let bigger = Array.make (Stdlib.max 8 (2 * Array.length !run)) 0 in
       Array.blit !run 0 bigger 0 !run_len;
       run := bigger
     end;
-    run_time := a;
-    !run.(!run_len) <- child;
+    run_time.(0) <- a;
+    !run.(!run_len) <- Topo.link_dst link;
     incr run_len
   in
   (* One flight per concurrently in-flight copy of the packet: a linear
@@ -348,25 +359,24 @@ let multicast t ?(ttl = 64) ~src ~group msg =
      arrival closure; only branch points spawn new flights. *)
   let rec launch fl arrive link =
     observe t link msg;
-    let now = Engine.now t.engine in
-    match Topo.transmit_decision link ~rng:t.rng ~now ~size with
-    | Topo.Deliver arrival_time ->
-        fl.f_node <- Topo.link_dst link;
-        fl.f_ttl <- fl.f_ttl - 1;
-        Engine.post_at_kind t.engine ~kind:Engine.kind_packet ~time:arrival_time arrive
-    | Topo.Dropped_loss | Topo.Dropped_queue | Topo.Dropped_down -> ()
+    if Topo.transmit link ~rng:t.rng ~now:(Engine.now t.engine) ~size then begin
+      fl.f_node <- Topo.link_dst link;
+      fl.f_ttl <- fl.f_ttl - 1;
+      Engine.post_at_kind t.engine ~kind:Engine.kind_packet
+        ~time:(Topo.arrival link) arrive
+    end
   and fan_out node budget =
-    (* Offer the packet on every child link of [node]; budget > 0. *)
+    (* Offer the packet on every child link of [node]; budget > 0.  The
+       clock cannot move during the loop, so it is read (and boxed) once
+       for all the links. *)
+    let now = Engine.now t.engine in
     List.iter
       (fun link ->
         let child = Topo.link_dst link in
         match Array.unsafe_get tree child with
-        | [] -> (
+        | [] ->
             observe t link msg;
-            let now = Engine.now t.engine in
-            match Topo.transmit_decision link ~rng:t.rng ~now ~size with
-            | Topo.Deliver a -> push_leaf child a
-            | Topo.Dropped_loss | Topo.Dropped_queue | Topo.Dropped_down -> ())
+            if Topo.transmit link ~rng:t.rng ~now ~size then push_leaf link
         | _ ->
             (* Keep sequence order exact: the pending leaf run precedes
                this child's arrival event. *)

@@ -13,8 +13,9 @@
 
 type 'msg t
 
-type 'msg handler = now:float -> src:Topo.node_id -> 'msg -> unit
-(** Receive callback installed on a host. *)
+type 'msg handler = src:Topo.node_id -> 'msg -> unit
+(** Receive callback installed on a host.  It carries no clock: a
+    handler that needs the time reads it from the engine. *)
 
 val create :
   ?mcast_cache_size:int ->

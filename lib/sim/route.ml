@@ -4,7 +4,9 @@ type table = {
   dist : float array;
   hops : int array;
   first : Topo.link option array; (* first link out of the source *)
-  children : Topo.link list array; (* SPT child links per node *)
+  (* SPT child links per node; [||] unless the source is a multicast
+     root ({!spt_children}), the only reader. *)
+  children : Topo.link list array;
 }
 
 type t = {
@@ -33,12 +35,15 @@ let refresh t =
   t.at_epoch <- Topo.state_epoch t.topo
 
 (* Dijkstra from [src] into the fresh arrays of [tbl]; also records, for
-   each node, the first link taken out of [src] and the shortest-path-tree
-   child links. *)
+   each node, the first link taken out of [src] and, when [tbl] has room
+   for them, the shortest-path-tree child links. *)
 let compute t src tbl =
   let { dist; hops; first; children } = tbl in
   let n = Array.length dist in
-  let parent_link : Topo.link option array = Array.make n None in
+  let with_children = Array.length children > 0 in
+  let parent_link : Topo.link option array =
+    Array.make (if with_children then n else 0) None
+  in
   let visited = Array.make n false in
   let pq = Heap.create ~dummy:(-1) in
   dist.(src) <- 0.;
@@ -57,7 +62,7 @@ let compute t src tbl =
             then begin
               dist.(v) <- nd;
               hops.(v) <- hops.(u) + 1;
-              parent_link.(v) <- Some link;
+              if with_children then parent_link.(v) <- Some link;
               first.(v) <- (if u = src then Some link else first.(u));
               ignore (Heap.add pq ~prio:nd v)
             end
@@ -71,7 +76,7 @@ let compute t src tbl =
         drain ()
   in
   drain ();
-  for v = 0 to n - 1 do
+  for v = 0 to Array.length parent_link - 1 do
     match parent_link.(v) with
     | Some link ->
         let u = Topo.link_src link in
@@ -79,26 +84,28 @@ let compute t src tbl =
     | None -> ()
   done
 
+let build t src ~children =
+  let n = Array.length t.tables in
+  let tbl =
+    {
+      dist = Array.make n infinity;
+      hops = Array.make n (-1);
+      first = Array.make n None;
+      children = (if children then Array.make n [] else [||]);
+    }
+  in
+  compute t src tbl;
+  t.tables.(src) <- tbl;
+  t.built <- t.built + 1;
+  tbl
+
 let[@lint.hot] table t src =
   if Topo.state_epoch t.topo <> t.at_epoch then refresh t;
   let tbl = t.tables.(src) in
   if tbl != unbuilt then tbl
-  else begin
-    let n = Array.length t.tables in
-    let tbl =
-      ({
-         dist = Array.make n infinity;
-         hops = Array.make n (-1);
-         first = Array.make n None;
-         children = Array.make n [];
-       }
-      [@lint.alloc "first use of a node's table this state epoch: one Dijkstra"])
-    in
-    compute t src tbl;
-    t.tables.(src) <- tbl;
-    t.built <- t.built + 1;
-    tbl
-  end
+  else
+    (* First use of the node's table this state epoch: one Dijkstra. *)
+    build t src ~children:false
 
 (* A single-homed [src] (one out-link [l] to [r]) builds no table: every
    path out of it runs through [r], so Dijkstra from [src] would pick [l]
@@ -118,4 +125,14 @@ let[@lint.hot] next_hop t ~src ~dst =
 
 let distance t ~src ~dst = (table t src).dist.(dst)
 let hops t ~src ~dst = (table t src).hops.(dst)
-let spt_children t ~root ~node = (table t root).children.(node)
+(* A root's table is built with its children in the same Dijkstra.  Only
+   a node whose table already served {!distance} or {!hops} before it
+   first multicast pays a second run. *)
+let spt_children t ~root ~node =
+  if Topo.state_epoch t.topo <> t.at_epoch then refresh t;
+  let tbl = t.tables.(root) in
+  let tbl =
+    if Array.length tbl.children > 0 then tbl
+    else build t root ~children:true
+  in
+  tbl.children.(node)

@@ -10,7 +10,8 @@
     and reaches the destination, which is the hop Dijkstra from the node
     would pick.  Only multi-homed nodes (routers), multicast roots
     ({!spt_children}) and nodes asked for {!distance} or {!hops} hold a
-    table, so route memory is O(those nodes × n). *)
+    table, so route memory is O(those nodes × n).  Only a multicast
+    root's table carries the shortest-path-tree children. *)
 
 type t
 
@@ -30,7 +31,10 @@ val hops : t -> src:Topo.node_id -> dst:Topo.node_id -> int
 val spt_children : t -> root:Topo.node_id -> node:Topo.node_id -> Topo.link list
 (** Outgoing links of [node] in the shortest-path tree rooted at [root]
     (i.e. toward nodes whose shortest path from [root] runs through
-    [node] via that link).  This is the multicast distribution tree. *)
+    [node] via that link).  This is the multicast distribution tree.
+    The root's first call builds its table, children included, in one
+    Dijkstra run; a root whose table was built earlier without them (by
+    {!distance} or {!hops}) is rebuilt once. *)
 
 val tables_built : t -> int
 (** Dijkstra runs since {!create}: one per node whose table was needed,

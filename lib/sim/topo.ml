@@ -24,13 +24,14 @@ and link = {
 }
 
 (* All-float record: stored flat (unboxed), so the transmit hot path
-   reads one contiguous block and updating [busy_until] allocates
-   nothing. *)
+   reads one contiguous block and updating [busy_until] or [arrival]
+   allocates nothing. *)
 and link_floats = {
   bandwidth : float; (* bits/s; 0 = infinite *)
   delay : float;
   mutable jitter : float; (* mean of exponential extra delay; 0 = none *)
   mutable busy_until : float;
+  mutable arrival : float; (* far-end arrival of the last accepted packet *)
 }
 
 (* [state_epoch] counts up/down flips of nodes and links and every node
@@ -78,7 +79,7 @@ let add_link t ?(bandwidth = 0.) ?(delay = 0.001) ?(jitter = 0.)
     {
       src;
       dst;
-      fl = { bandwidth; delay; jitter; busy_until = 0. };
+      fl = { bandwidth; delay; jitter; busy_until = 0.; arrival = 0. };
       queue_limit = queue;
       loss;
       link_up = true;
@@ -122,17 +123,15 @@ let set_link_up t l up =
     t.state_epoch <- t.state_epoch + 1
   end
 
-type decision = Deliver of float | Dropped_loss | Dropped_queue | Dropped_down
-
-let transmit_decision l ~rng ~now ~size =
+let[@lint.hot] transmit l ~rng ~now ~size =
   l.sent <- l.sent + 1;
   if not l.link_up then begin
     l.down_drops <- l.down_drops + 1;
-    Dropped_down
+    false
   end
   else if Loss.drops l.loss ~rng ~now then begin
     l.lost <- l.lost + 1;
-    Dropped_loss
+    false
   end
   else begin
     let fl = l.fl in
@@ -147,7 +146,7 @@ let transmit_decision l ~rng ~now ~size =
     in
     if queued_pkts >= l.queue_limit then begin
       l.queue_drops <- l.queue_drops + 1;
-      Dropped_queue
+      false
     end
     else begin
       let start = Float.max now fl.busy_until in
@@ -160,9 +159,12 @@ let transmit_decision l ~rng ~now ~size =
         if fl.jitter > 0. then Lbrm_util.Rng.exponential rng ~mean:fl.jitter
         else 0.
       in
-      Deliver (fl.busy_until +. fl.delay +. extra)
+      fl.arrival <- fl.busy_until +. fl.delay +. extra;
+      true
     end
   end
+
+let arrival l = l.fl.arrival
 
 let packets_sent l = l.sent
 let packets_delivered l = l.delivered

@@ -35,7 +35,7 @@ val label : t -> node_id -> string
 
     Nodes and links start up.  Taking a host down makes the net layer
     drop deliveries to it and packets being forwarded through it; a down
-    link refuses every transmission ({!decision.Dropped_down}).  Every
+    link refuses every transmission (counted in {!drops_down}).  Every
     actual flip, and every {!add_node} or {!add_link}, bumps
     {!state_epoch}, which route tables and cached multicast trees
     compare against their build epoch. *)
@@ -98,19 +98,21 @@ val set_link_jitter : link -> float -> unit
 
 (** {2 Link transmission bookkeeping}
 
-    The net layer calls {!transmit_decision}; counters accumulate. *)
+    The net layer calls {!transmit}; counters accumulate. *)
 
-type decision =
-  | Deliver of float  (** arrival time at the far end *)
-  | Dropped_loss
-  | Dropped_queue
-  | Dropped_down  (** the link is administratively down *)
-
-val transmit_decision :
-  link -> rng:Lbrm_util.Rng.t -> now:float -> size:int -> decision
+val transmit : link -> rng:Lbrm_util.Rng.t -> now:float -> size:int -> bool
 (** Account for one packet of [size] bytes entering the link at [now]:
     apply the loss model, then the bounded output queue and
-    serialization at the link bandwidth, then propagation delay. *)
+    serialization at the link bandwidth, then propagation delay.
+    [true] when the packet gets through, its far-end arrival time then
+    readable with {!arrival}; [false] when it was dropped, the reason
+    counted in {!drops_down}, {!drops_loss} or {!drops_queue}.
+    Allocates nothing: the arrival is stored in the link's flat float
+    record, not returned in a block. *)
+
+val arrival : link -> float
+(** Arrival time at the far end of the last packet {!transmit}
+    accepted on the link. *)
 
 (** {2 Counters} *)
 

@@ -1,7 +1,6 @@
-type t = {
-  mutable highest : Seqno.t option;
-  missing : (Seqno.t, unit) Hashtbl.t;
-}
+(* [hi] is the highest number seen, or [none] before the first arrival:
+   an int, so recording an in-order arrival allocates nothing. *)
+type t = { mutable hi : Seqno.t; missing : (Seqno.t, unit) Hashtbl.t }
 
 type verdict =
   | First
@@ -10,40 +9,47 @@ type verdict =
   | Duplicate
   | Gap_opened of Seqno.t list
 
-let create () = { highest = None; missing = Hashtbl.create 16 }
+let none = -1
+let create () = { hi = none; missing = Hashtbl.create 16 }
+
+(* Called for non-empty gaps only: the in-order path never builds the
+   closure. *)
+let mark_missing t gap = List.iter (fun s -> Hashtbl.replace t.missing s ()) gap
 
 let note t seq =
-  match t.highest with
-  | None ->
-      t.highest <- Some seq;
-      First
-  | Some hi ->
-      if Seqno.(seq > hi) then begin
-        let gap = Seqno.range hi seq in
-        List.iter (fun s -> Hashtbl.replace t.missing s ()) gap;
-        t.highest <- Some seq;
-        if gap = [] then In_order else Gap_opened gap
-      end
-      else if Hashtbl.mem t.missing seq then begin
-        Hashtbl.remove t.missing seq;
-        Fills_gap
-      end
-      else Duplicate
+  let hi = t.hi in
+  if hi = none then begin
+    t.hi <- seq;
+    First
+  end
+  else if Seqno.(seq > hi) then begin
+    t.hi <- seq;
+    match Seqno.range hi seq with
+    | [] -> In_order
+    | gap ->
+        mark_missing t gap;
+        Gap_opened gap
+  end
+  else if Hashtbl.mem t.missing seq then begin
+    Hashtbl.remove t.missing seq;
+    Fills_gap
+  end
+  else Duplicate
 
 let note_exists t seq =
-  match t.highest with
-  | None ->
-      t.highest <- Some seq;
-      Hashtbl.replace t.missing seq ();
-      [ seq ]
-  | Some hi ->
-      if Seqno.(seq > hi) then begin
-        let gap = Seqno.range hi seq @ [ seq ] in
-        List.iter (fun s -> Hashtbl.replace t.missing s ()) gap;
-        t.highest <- Some seq;
-        gap
-      end
-      else []
+  let hi = t.hi in
+  if hi = none then begin
+    t.hi <- seq;
+    Hashtbl.replace t.missing seq ();
+    [ seq ]
+  end
+  else if Seqno.(seq > hi) then begin
+    let gap = Seqno.range hi seq @ [ seq ] in
+    mark_missing t gap;
+    t.hi <- seq;
+    gap
+  end
+  else []
 
 let missing t =
   Hashtbl.fold (fun s () acc -> s :: acc) t.missing []
@@ -51,7 +57,7 @@ let missing t =
 
 let missing_count t = Hashtbl.length t.missing
 let is_missing t s = Hashtbl.mem t.missing s
-let highest t = t.highest
+let highest t = if t.hi = none then None else Some t.hi
 
 let abandon t s = Hashtbl.remove t.missing s
 
@@ -66,7 +72,7 @@ let forget_below t floor =
   dropped
 
 let pp fmt t =
-  match t.highest with
+  match highest t with
   | None -> Format.fprintf fmt "<empty>"
   | Some hi ->
       Format.fprintf fmt "highest=%a missing=[%a]" Seqno.pp hi

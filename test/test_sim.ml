@@ -182,13 +182,11 @@ let link_serialization () =
   (* 1 Mbit/s, 10 ms propagation: a 1250-byte packet serializes in 10 ms. *)
   let l = Topo.add_link topo ~bandwidth:1e6 ~delay:0.01 ~src:a ~dst:b () in
   let rng = Rng.create ~seed:8 in
-  (match Topo.transmit_decision l ~rng ~now:0. ~size:1250 with
-  | Topo.Deliver at -> checkf 1e-9 "tx + prop" 0.02 at
-  | _ -> Alcotest.fail "dropped");
+  checkb "first accepted" true (Topo.transmit l ~rng ~now:0. ~size:1250);
+  checkf 1e-9 "tx + prop" 0.02 (Topo.arrival l);
   (* Second packet queues behind the first. *)
-  (match Topo.transmit_decision l ~rng ~now:0. ~size:1250 with
-  | Topo.Deliver at -> checkf 1e-9 "queued behind" 0.03 at
-  | _ -> Alcotest.fail "dropped");
+  checkb "second accepted" true (Topo.transmit l ~rng ~now:0. ~size:1250);
+  checkf 1e-9 "queued behind" 0.03 (Topo.arrival l);
   checki "delivered counter" 2 (Topo.packets_delivered l);
   checki "bytes" 2500 (Topo.bytes_delivered l)
 
@@ -200,23 +198,21 @@ let link_queue_overflow () =
   in
   let rng = Rng.create ~seed:9 in
   let outcomes =
-    List.init 5 (fun _ -> Topo.transmit_decision l ~rng ~now:0. ~size:1250)
+    List.init 5 (fun _ -> Topo.transmit l ~rng ~now:0. ~size:1250)
   in
-  let drops =
-    List.length
-      (List.filter (function Topo.Dropped_queue -> true | _ -> false) outcomes)
-  in
+  let drops = List.length (List.filter not outcomes) in
   checkb "some queue drops" true (drops >= 2);
-  checki "counter matches" drops (Topo.drops_queue l)
+  checki "counter matches" drops (Topo.drops_queue l);
+  checki "no loss drops" 0 (Topo.drops_loss l);
+  checki "no down drops" 0 (Topo.drops_down l)
 
 let link_infinite_bandwidth () =
   let topo = Topo.create () in
   let a = Topo.add_node topo Host and b = Topo.add_node topo Host in
   let l = Topo.add_link topo ~delay:0.005 ~src:a ~dst:b () in
   let rng = Rng.create ~seed:10 in
-  match Topo.transmit_decision l ~rng ~now:1. ~size:1000000 with
-  | Topo.Deliver at -> checkf 1e-9 "pure propagation" 1.005 at
-  | _ -> Alcotest.fail "dropped"
+  checkb "accepted" true (Topo.transmit l ~rng ~now:1. ~size:1000000);
+  checkf 1e-9 "pure propagation" 1.005 (Topo.arrival l)
 
 (* ---- Routing ---- *)
 
@@ -391,7 +387,7 @@ let routing_tables_for_routers_only () =
   let delivered = ref 0 in
   List.iter
     (fun h ->
-      Net.set_handler net h (fun ~now:_ ~src:_ _ -> incr delivered);
+      Net.set_handler net h (fun ~src:_ _ -> incr delivered);
       Net.join net ~group:1 h)
     hosts;
   (* Staggered 1 ms apart so the primary's LAN queue never overflows. *)
@@ -428,7 +424,7 @@ let mk_lan hosts =
 let net_unicast () =
   let engine, net, _, hs = mk_lan 3 in
   let got = ref [] in
-  Net.set_handler net hs.(1) (fun ~now:_ ~src msg -> got := (src, msg) :: !got);
+  Net.set_handler net hs.(1) (fun ~src msg -> got := (src, msg) :: !got);
   Net.unicast net ~src:hs.(0) ~dst:hs.(1) "hello";
   Engine.run engine;
   (match !got with
@@ -442,7 +438,7 @@ let net_unicast () =
 let net_loopback () =
   let engine, net, _, hs = mk_lan 1 in
   let got = ref 0 in
-  Net.set_handler net hs.(0) (fun ~now:_ ~src:_ _ -> incr got);
+  Net.set_handler net hs.(0) (fun ~src:_ _ -> incr got);
   Net.unicast net ~src:hs.(0) ~dst:hs.(0) "self";
   Engine.run engine;
   checki "delivered to self" 1 !got
@@ -451,7 +447,7 @@ let net_multicast_membership () =
   let engine, net, _, hs = mk_lan 4 in
   let counts = Array.make 4 0 in
   Array.iteri
-    (fun i h -> Net.set_handler net h (fun ~now:_ ~src:_ _ -> counts.(i) <- counts.(i) + 1))
+    (fun i h -> Net.set_handler net h (fun ~src:_ _ -> counts.(i) <- counts.(i) + 1))
     hs;
   Net.join net ~group:7 hs.(1);
   Net.join net ~group:7 hs.(2);
@@ -463,8 +459,8 @@ let net_multicast_membership () =
 let net_multicast_sender_excluded () =
   let engine, net, _, hs = mk_lan 2 in
   let self = ref 0 and other = ref 0 in
-  Net.set_handler net hs.(0) (fun ~now:_ ~src:_ _ -> incr self);
-  Net.set_handler net hs.(1) (fun ~now:_ ~src:_ _ -> incr other);
+  Net.set_handler net hs.(0) (fun ~src:_ _ -> incr self);
+  Net.set_handler net hs.(1) (fun ~src:_ _ -> incr other);
   Net.join net ~group:1 hs.(0);
   Net.join net ~group:1 hs.(1);
   Net.multicast net ~src:hs.(0) ~group:1 "m";
@@ -484,7 +480,7 @@ let net_multicast_shared_link_once () =
   Array.iter
     (fun h ->
       Net.join net ~group:1 h;
-      Net.set_handler net h (fun ~now:_ ~src:_ _ -> incr got))
+      Net.set_handler net h (fun ~src:_ _ -> incr got))
     wan.sites.(1).hosts;
   Net.multicast net ~src:wan.sites.(0).hosts.(0) ~group:1 "m";
   Engine.run engine;
@@ -505,8 +501,8 @@ let net_ttl_scoping () =
   let h_remote = wan.sites.(1).hosts.(0) in
   Net.join net ~group:1 h_local;
   Net.join net ~group:1 h_remote;
-  Net.set_handler net h_local (fun ~now:_ ~src:_ _ -> incr local);
-  Net.set_handler net h_remote (fun ~now:_ ~src:_ _ -> incr remote);
+  Net.set_handler net h_local (fun ~src:_ _ -> incr local);
+  Net.set_handler net h_remote (fun ~src:_ _ -> incr remote);
   Net.multicast net ~ttl:2 ~src:wan.sites.(0).hosts.(0) ~group:1 "m";
   Engine.run engine;
   checki "local sibling reached" 1 !local;
@@ -515,7 +511,7 @@ let net_ttl_scoping () =
 let net_leave () =
   let engine, net, _, hs = mk_lan 2 in
   let got = ref 0 in
-  Net.set_handler net hs.(1) (fun ~now:_ ~src:_ _ -> incr got);
+  Net.set_handler net hs.(1) (fun ~src:_ _ -> incr got);
   Net.join net ~group:1 hs.(1);
   Net.multicast net ~src:hs.(0) ~group:1 "a";
   Engine.run engine;
@@ -523,6 +519,29 @@ let net_leave () =
   Net.multicast net ~src:hs.(0) ~group:1 "b";
   Engine.run engine;
   checki "one delivery" 1 !got
+
+(* The transit observer sees every link offering: a multicast over the
+   50 x 23 Figure-1 WAN crosses each of its 1250 tree links once (the
+   group holds every host), and a cross-site unicast adds its 6 hops. *)
+let net_link_transits_observed () =
+  let wan = Builders.dis_wan ~sites:50 ~hosts_per_site:23 () in
+  let engine = Engine.create () in
+  let net = Net.create ~engine ~topo:wan.topo ~size_of:String.length () in
+  List.iter (fun h -> Net.join net ~group:1 h) (Builders.all_hosts wan);
+  let transits = ref 0 in
+  Net.on_link_transit net (fun _ _ -> incr transits);
+  let primary = wan.sites.(0).Builders.hosts.(0) in
+  Net.multicast net ~src:primary ~group:1 "data";
+  Net.unicast net ~src:wan.sites.(1).Builders.hosts.(0) ~dst:primary "nack";
+  Engine.run engine;
+  checki "every transit reported" 1256 !transits;
+  let offered = ref 0 in
+  for v = 0 to Topo.node_count wan.topo - 1 do
+    List.iter
+      (fun l -> offered := !offered + Topo.packets_sent l)
+      (Topo.links_from wan.topo v)
+  done;
+  checki "one report per link offering" !offered !transits
 
 let net_rtt_symmetry () =
   let wan = Builders.dis_wan ~sites:2 ~hosts_per_site:2 () in
@@ -612,7 +631,7 @@ let net_mcast_cache_churn () =
   let hosts = Array.of_list (Builders.all_hosts wan) in
   let n = Array.length hosts in
   let src = hosts.(0) in
-  Array.iter (fun h -> Net.set_handler net h (fun ~now:_ ~src:_ _ -> ())) hosts;
+  Array.iter (fun h -> Net.set_handler net h (fun ~src:_ _ -> ())) hosts;
   (* Group 7 is stable; groups 0..6 churn below. *)
   for i = 1 to n - 1 do
     Net.join net ~group:7 hosts.(i);
@@ -668,7 +687,7 @@ let net_mcast_cache_cap () =
   let src = hosts.(0) in
   let delivered = ref 0 in
   Array.iter
-    (fun h -> Net.set_handler net h (fun ~now:_ ~src:_ _ -> incr delivered))
+    (fun h -> Net.set_handler net h (fun ~src:_ _ -> incr delivered))
     hosts;
   for i = 1 to n - 1 do
     Net.join net ~group:(i mod 5) hosts.(i)
@@ -860,7 +879,7 @@ let fault_down_node_drops_delivery () =
   let engine, net, _, hs = mk_lan 3 in
   let topo = Net.topo net in
   let got = ref 0 in
-  Net.set_handler net hs.(1) (fun ~now:_ ~src:_ _ -> incr got);
+  Net.set_handler net hs.(1) (fun ~src:_ _ -> incr got);
   Topo.set_node_up topo hs.(1) false;
   Net.unicast net ~src:hs.(0) ~dst:hs.(1) "x";
   Engine.run engine;
@@ -871,7 +890,7 @@ let fault_down_node_drops_delivery () =
   checki "delivered after restart" 1 !got
 
 let fault_down_link_counted () =
-  (* Fresh routes and trees never include a down link, so Dropped_down
+  (* Fresh routes and trees never include a down link, so a down-link drop
      accounts for packets already in flight: the multicast tree is
      captured at launch, and a link that dies while the packet crosses
      the LAN eats it at the switch. *)
@@ -879,7 +898,7 @@ let fault_down_link_counted () =
   let topo = Net.topo net in
   let got = ref 0 in
   Net.join net ~group:1 hs.(1);
-  Net.set_handler net hs.(1) (fun ~now:_ ~src:_ _ -> incr got);
+  Net.set_handler net hs.(1) (fun ~src:_ _ -> incr got);
   let link =
     match Topo.find_link topo ~src:switch ~dst:hs.(1) with
     | Some l -> l
@@ -931,7 +950,7 @@ let fault_multicast_tree_invalidation () =
     (fun h ->
       Hashtbl.replace counts h 0;
       Net.join net ~group:1 h;
-      Net.set_handler net h (fun ~now:_ ~src:_ _ ->
+      Net.set_handler net h (fun ~src:_ _ ->
           Hashtbl.replace counts h (1 + Hashtbl.find counts h)))
     members;
   let src = wan.sites.(0).Builders.hosts.(0) in
@@ -1089,6 +1108,8 @@ let () =
           Alcotest.test_case "leave" `Quick net_leave;
           Alcotest.test_case "RTTs match the paper's scenario" `Quick
             net_rtt_symmetry;
+          Alcotest.test_case "every link transit observed" `Quick
+            net_link_transits_observed;
           Alcotest.test_case "mcast cache bounded under churn" `Slow
             net_mcast_cache_churn;
           Alcotest.test_case "mcast cache cap enforced" `Quick

@@ -530,6 +530,35 @@ let measurements : (string list * (unit -> float)) list =
           rekey i
         done;
         words_per_op ~iters rekey );
+    ( [ "Topo.transmit" ],
+      fun () ->
+        (* Link offerings alternating between a 10 Mbit/s link, whose
+           64-packet queue fills and drains as the clock alternates
+           between two constant instants, and a link that is down: the
+           accepted path writes the arrival into the link's flat float
+           record, the drop paths only count.  Both links are lossless,
+           so the row measures the link, not a loss model's draw. *)
+        let module Topo = Lbrm_sim.Topo in
+        let topo = Topo.create () in
+        let a = Topo.add_node topo Topo.Host
+        and b = Topo.add_node topo Topo.Host in
+        let up =
+          Topo.add_link topo ~bandwidth:10e6 ~delay:0.001 ~queue:64 ~src:a
+            ~dst:b ()
+        and down = Topo.add_link topo ~src:b ~dst:a () in
+        Topo.set_link_up topo down false;
+        let rng = Lbrm_util.Rng.create ~seed:3 in
+        let offer i =
+          let link = if i land 3 = 0 then down else up in
+          ignore
+            (Topo.transmit link ~rng
+               ~now:(if i land 1 = 1 then 1.0 else 2.0)
+               ~size:128)
+        in
+        for i = 1 to 100 do
+          offer i
+        done;
+        words_per_op ~iters offer );
     ( [ "Route.next_hop"; "Route.table" ],
       fun () ->
         (* One forwarded unicast hop per iteration, cycling over every
@@ -583,6 +612,74 @@ let manifest_zero_allocs () =
                   tags it zero"
                  fn per_op))
     entries
+
+(* --- Words per delivery on the simulator's two hottest paths ------------- *)
+
+(* A warm multicast over the paper's Figure-1 WAN at DIS scale (50 sites
+   of 23 hosts): every link offering, arrival event and handler call it
+   costs, divided by the copies delivered.  The link decision, the
+   observer hook and the handler's clock allocate nothing, so what is
+   left is the per-event closures and the boxed arrival times. *)
+let multicast_words_per_delivery () =
+  let module Engine = Lbrm_sim.Engine in
+  let module Net = Lbrm_sim.Net in
+  let module Builders = Lbrm_sim.Builders in
+  let wan = Builders.dis_wan ~sites:50 ~hosts_per_site:23 () in
+  let engine = Engine.create () in
+  let net = Net.create ~engine ~topo:wan.topo ~size_of:String.length () in
+  let delivered = ref 0 in
+  let handler ~src:_ _ = incr delivered in
+  List.iter
+    (fun h ->
+      Net.join net ~group:1 h;
+      Net.set_handler net h handler)
+    (Builders.all_hosts wan);
+  let src = wan.sites.(0).Builders.hosts.(0) in
+  let payload = String.make 128 'd' in
+  let send () =
+    Net.multicast net ~src ~group:1 payload;
+    Engine.run engine
+  in
+  for _ = 1 to 3 do
+    send ()
+  done;
+  let sends = 20 in
+  delivered := 0;
+  let before = Gc.minor_words () in
+  for _ = 1 to sends do
+    send ()
+  done;
+  let words = Gc.minor_words () -. before in
+  checki "every member but the source, every send" (sends * 1149) !delivered;
+  let per = words /. float_of_int !delivered in
+  if per > 6.0 then
+    Alcotest.failf "warm multicast allocates %.2f words per delivery (max 6)"
+      per
+
+(* The receiver's in-order Data: the watchdog re-arm is a prebuilt
+   action and the gap tracker's floor is an int, so all that is left is
+   the [Deliver] block and the two cons cells of the returned list. *)
+let receiver_in_order_words () =
+  let module Message = Lbrm_wire.Message in
+  let r =
+    Lbrm.Receiver.create Lbrm.Config.default ~self:10 ~source:1 ~loggers:[ 2 ]
+  in
+  let payload = Lbrm_wire.Payload.of_string (String.make 128 'd') in
+  let warm = 100 in
+  let msgs =
+    Array.init (warm + iters) (fun i ->
+        Message.Data { seq = i + 1; epoch = 0; payload })
+  in
+  let data i =
+    ignore (Lbrm.Receiver.handle_message r ~now:1.0 ~src:1 msgs.(i))
+  in
+  for i = 0 to warm - 1 do
+    data i
+  done;
+  let per = words_per_op ~iters (fun i -> data (warm + i - 1)) in
+  checki "every packet delivered" (warm + iters) (Lbrm.Receiver.delivered r);
+  if per > 12.0 then
+    Alcotest.failf "in-order Data allocates %.2f words per call (max 12)" per
 
 (* The CI trend gate: the same baseline passes against itself, and one
    extra word/op, one more missing packet, or a durable floor one seq
@@ -640,6 +737,10 @@ let () =
         [
           Alcotest.test_case "zero-tagged manifest entries allocate nothing"
             `Quick manifest_zero_allocs;
+          Alcotest.test_case "warm WAN multicast: at most 6 words per delivery"
+            `Quick multicast_words_per_delivery;
+          Alcotest.test_case "receiver in-order Data: at most 12 words" `Quick
+            receiver_in_order_words;
           Alcotest.test_case "trend gate trips on one extra word/op" `Quick
             trend_gate_words;
           Alcotest.test_case "trend gate trips on one more missing packet"
