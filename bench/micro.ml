@@ -228,7 +228,7 @@ let bench_archive_churn ~ops () =
     ignore
       (Lbrm.Logger.handle_message l ~now ~src:1
          (Message.Data { seq = i; epoch = 0; payload })
-        : Lbrm.Io.action list);
+        : Lbrm.Io.out);
     if i mod 5 = 0 && i > 2100 then begin
       let target = if i mod 10 = 0 then i - 3 else i - 2000 in
       let lat, n =
@@ -239,7 +239,7 @@ let bench_archive_churn ~ops () =
       ignore
         (Lbrm.Logger.handle_message l ~now ~src:10
            (Message.Nack { seqs = [ target ] })
-          : Lbrm.Io.action list);
+          : Lbrm.Io.out);
       lat.(!n) <- 1e6 *. (Lbrm_run.Sockmsg.monotonic_now () -. t0);
       incr n;
       (* Fire the request-counting window timer the serve just armed
@@ -247,7 +247,7 @@ let bench_archive_churn ~ops () =
          the per-seq windows accrete for the whole run. *)
       ignore
         (Lbrm.Logger.handle_timer l ~now (Lbrm.Io.K_remcast target)
-          : Lbrm.Io.action list)
+          : Lbrm.Io.out)
     end;
     if i mod 4096 = 0 then
       ignore (Lbrm.Logger.compact_archive l ~now ~floor:(i - 8192) : int);

@@ -13,15 +13,18 @@ type t
 
 val create : Config.t -> t
 
-val start : t -> now:float -> Io.action list
+(** The search pushes its actions into the embedding machine's buffer. *)
+
+val start : t -> Io.out -> now:float -> unit
 (** Send the first (TTL 1) query. *)
 
 val handle_message :
-  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Io.action list option
-(** Consume [Discovery_reply]; [None] if the message is not ours. *)
+  t -> Io.out -> now:float -> src:address -> Lbrm_wire.Message.t -> bool
+(** Consume [Discovery_reply]; [false] if the message is not ours. *)
 
-val handle_timer : t -> now:float -> Io.timer_key -> Io.action list option
-(** Consume [K_discovery _] round timeouts. *)
+val handle_timer : t -> Io.out -> now:float -> Io.timer_key -> bool
+(** Consume [K_discovery _] round timeouts; [false] if the key is not
+    ours. *)
 
 val result : t -> address option
 (** The discovered logger, once any. *)

@@ -103,3 +103,82 @@ let pp_action fmt = function
 
 let send ?ttl ~group msg = Send (To_group { group; ttl }, msg)
 let send_to addr msg = Send (To_addr addr, msg)
+
+type out = {
+  mutable acts : action array;
+  mutable len : int;
+  mutable mark : int;
+  mutable draining : int; (* host drains in progress *)
+}
+
+(* Fills every slot at or past [len]: a drained action must not stay
+   reachable from the (long-lived) array, or the next minor collection
+   would promote it. *)
+let hole = Leave (-1)
+
+let out () = { acts = [||]; len = 0; mark = 0; draining = 0 }
+let mark o = o.mark
+let length o = o.len
+let get o i = o.acts.(i)
+
+let[@lint.hot] push o a =
+  let cap = Array.length o.acts in
+  if o.len = cap then begin
+    let acts =
+      (Array.make (Stdlib.max 8 (2 * cap)) hole
+      [@lint.alloc "buffer full: doubled, then reused by every later call"])
+    in
+    Array.blit o.acts 0 acts 0 o.len;
+    o.acts <- acts
+  end;
+  o.acts.(o.len) <- a;
+  o.len <- o.len + 1
+
+let[@lint.hot] truncate o n =
+  for i = n to o.len - 1 do
+    o.acts.(i) <- hole
+  done;
+  o.len <- n;
+  if o.mark > n then o.mark <- n
+
+(* Outside a drain nothing before this call is still wanted: a result
+   that was never performed is dropped here rather than kept forever. *)
+let begin_call o =
+  if o.draining = 0 && o.len > 0 then truncate o 0;
+  o.mark <- o.len
+
+let discard o = truncate o o.mark
+
+let start_drain o =
+  o.draining <- o.draining + 1;
+  o.mark
+
+let end_drain o from =
+  truncate o from;
+  o.draining <- o.draining - 1
+
+let reverse o lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let a = o.acts.(!lo) in
+    o.acts.(!lo) <- o.acts.(!hi);
+    o.acts.(!hi) <- a;
+    incr lo;
+    decr hi
+  done
+
+let hoist o ~at ~from =
+  reverse o at (from - 1);
+  reverse o from (o.len - 1);
+  reverse o at (o.len - 1)
+
+let collect o =
+  let rec build i acc = if i < o.mark then acc else build (i - 1) (o.acts.(i) :: acc) in
+  let l = build (o.len - 1) [] in
+  discard o;
+  l
+
+let of_list l =
+  let o = out () in
+  List.iter (push o) l;
+  o

@@ -1,10 +1,37 @@
 (** Sans-IO interface between protocol state machines and runtimes.
 
-    Every LBRM role (source, receiver, logger) is a pure-ish state
-    machine: calls return a list of {!action}s, and a runtime (simulated
-    or real-socket) executes them — sending packets, arming timers,
-    delivering payloads to the application.  This keeps every protocol
-    rule unit-testable without a network. *)
+    Every LBRM role (source, receiver, logger) is a state machine that
+    does no IO of its own: each call pushes the {!action}s it decides on
+    (send a packet, arm a timer, deliver a payload) into an {!out}
+    buffer, and a runtime (simulated or real-socket) drains the buffer
+    and executes them.  This keeps every protocol rule unit-testable
+    without a network.
+
+    {b Buffer ownership.}  Each machine owns one {!out} and returns it
+    from every entry point ([start], [send], [handle_message],
+    [handle_timer]); sub-machines ({!Pursuit}, {!Discovery}) push into
+    the buffer of the machine that embeds them.  An entry point first
+    calls {!begin_call}, which marks the buffer's current end: the
+    call's actions are the ones from {!mark} to {!length}.  The buffer
+    grows to the largest call's size and is reused, so a call allocates
+    only the action blocks it pushes.
+
+    {b Validity.}  The returned buffer holds the call's actions until
+    they are drained (by the host, or by {!collect}), or until the next
+    entry into the same machine, whichever comes first: outside a
+    drain, {!begin_call} drops whatever an earlier call left behind.
+    Perform a result before calling into the machine again; a result
+    that is ignored is simply dropped by the next call.
+
+    {b Nested calls.}  Draining can re-enter the machine being drained:
+    an application callback run by a [Deliver] or [Notify] may call
+    [Source.send] and perform its result.  While a drain is in progress
+    ({!start_drain} .. {!end_drain}) the nested call appends after the
+    actions still being drained and marks its own start.  Each drain
+    runs from the mark it read when it began and truncates back to that
+    mark when done, so every action of both calls runs exactly once:
+    the outer call's in order, the nested call's at the point the
+    callback performed them. *)
 
 type address = Lbrm_wire.Message.address
 type seq = Lbrm_util.Seqno.t
@@ -76,3 +103,54 @@ val send : ?ttl:int -> group:int -> Lbrm_wire.Message.t -> action
 
 val send_to : address -> Lbrm_wire.Message.t -> action
 (** Unicast send helper. *)
+
+(** {2 Action buffers} *)
+
+type out
+(** A grow-only action array plus its length and the start {!mark} of
+    the latest call. *)
+
+val out : unit -> out
+(** A fresh, empty buffer. *)
+
+val begin_call : out -> unit
+(** Start a new call: mark the current end as its first action, after
+    dropping any undrained actions if no drain is in progress. *)
+
+val push : out -> action -> unit
+(** Append one action.  Allocates only when the array must grow. *)
+
+val mark : out -> int
+(** Index of the latest call's first action. *)
+
+val length : out -> int
+val get : out -> int -> action
+
+val truncate : out -> int -> unit
+(** [truncate o n] drops the actions from index [n] on, clearing their
+    slots so the buffer keeps no drained action alive. *)
+
+val discard : out -> unit
+(** Drop the latest call's actions: [truncate o (mark o)]. *)
+
+val start_drain : out -> int
+(** A host begins draining the latest call: returns its {!mark}, the
+    index to drain from. *)
+
+val end_drain : out -> int -> unit
+(** [end_drain o from]: the drain that started at [from] is done;
+    truncate back to it. *)
+
+val hoist : out -> at:int -> from:int -> unit
+(** [hoist o ~at ~from] moves the actions pushed from index [from] on
+    ahead of those in [\[at, from)], keeping the order within each
+    part.  OCaml evaluates [a @ b] and [a :: b] right to left, so a
+    handler that must run [b]'s side effects (and trace events) first
+    but list [a]'s actions first runs [b], then [a], then hoists. *)
+
+val collect : out -> action list
+(** The latest call's actions as a list, removed from the buffer: the
+    list view unit tests assert on. *)
+
+val of_list : action list -> out
+(** A fresh buffer holding the actions, as one call. *)

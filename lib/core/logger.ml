@@ -40,6 +40,7 @@ type t = {
   mutable remulticasts : int;
   mutable uplink_nacks : int;
   mutable on_rchannel : bool; (* subscribed to the retransmission channel *)
+  out : Io.out; (* this machine's action buffer *)
 }
 
 (* Advance the tiered contiguous floor across memory and disk.  Only
@@ -135,6 +136,7 @@ let create cfg ~self ~source ?parent ?(replicas = []) ?succ ?archive ~rng
       remulticasts = 0;
       uplink_nacks = 0;
       on_rchannel = false;
+      out = Io.out ();
     }
   in
   cell := Some t;
@@ -187,16 +189,17 @@ let ask_parent t ~now seqs =
       seqs
   in
   match (t.parent, fresh) with
-  | None, _ | _, [] -> []
+  | None, _ | _, [] -> ()
   | Some parent, fresh ->
       List.iter (fun s -> Hashtbl.replace t.uplink_asked s now) fresh;
       t.uplink_nacks <- t.uplink_nacks + 1;
       if Trace.is_on t.sink then
         trace t ~now (Trace.Uplink_nack { dest = parent; seqs = fresh });
-      Io.send_to parent (Message.Nack { seqs = fresh })
-      :: List.map
-           (fun s -> Set_timer (K_uplink_nack s, t.cfg.uplink_nack_timeout))
-           fresh
+      Io.push t.out (Io.send_to parent (Message.Nack { seqs = fresh }));
+      List.iter
+        (fun s ->
+          Io.push t.out (Set_timer (K_uplink_nack s, t.cfg.uplink_nack_timeout)))
+        fresh
 
 (* Time a packet can still appear on the retransmission channel. *)
 let rchannel_window t =
@@ -214,9 +217,9 @@ let note_gaps t newly_missing =
      channel configured, subscribe there first and only chase the parent
      for packets the channel no longer carries. *)
   match newly_missing with
-  | [] -> []
+  | [] -> ()
   | _ ->
-      let delay, join =
+      let delay =
         match t.cfg.rchannel_group with
         | None ->
             (* 2.3.2: when statistical acking runs and t_wait exceeds
@@ -228,13 +231,15 @@ let note_gaps t newly_missing =
                 Float.max 0. (t.cfg.t_wait_init -. t.cfg.h_min)
               else 0.
             in
-            (t.cfg.nack_delay +. statack_grace, [])
+            t.cfg.nack_delay +. statack_grace
         | Some channel ->
             t.on_rchannel <- true;
-            (rchannel_window t +. t.cfg.nack_delay, [ Join channel ])
+            Io.push t.out (Join channel);
+            rchannel_window t +. t.cfg.nack_delay
       in
-      join
-      @ List.map (fun s -> Set_timer (K_uplink_nack s, delay)) newly_missing
+      List.iter
+        (fun s -> Io.push t.out (Set_timer (K_uplink_nack s, delay)))
+        newly_missing
 
 (* --- serving requests -------------------------------------------------- *)
 
@@ -297,19 +302,15 @@ let serve t ~now ~requester (e : Log_store.entry) =
     else t.cfg.remcast_request_threshold
   in
   t.requests_served <- t.requests_served + 1;
-  let actions =
-    if (not (is_primary t)) && w.count >= threshold && not w.multicast_done
-    then begin
-      w.multicast_done <- true;
-      [
-        site_repair t ~now e; Set_timer (K_remcast e.seq, t.cfg.remcast_window);
-      ]
-    end
-    else [ unicast_repair t ~now requester e ]
-  in
   if w.count = 1 then
-    Set_timer (K_remcast e.seq, t.cfg.remcast_window) :: actions
-  else actions
+    Io.push t.out (Set_timer (K_remcast e.seq, t.cfg.remcast_window));
+  if (not (is_primary t)) && w.count >= threshold && not w.multicast_done
+  then begin
+    w.multicast_done <- true;
+    Io.push t.out (site_repair t ~now e);
+    Io.push t.out (Set_timer (K_remcast e.seq, t.cfg.remcast_window))
+  end
+  else Io.push t.out (unicast_repair t ~now requester e)
 
 let on_nack t ~now ~src seqs =
   match seqs with
@@ -318,10 +319,10 @@ let on_nack t ~now ~src seqs =
       match Log_store.newest t.store with
       | Some e ->
           t.requests_served <- t.requests_served + 1;
-          [ unicast_repair t ~now src e ]
-      | None -> [])
+          Io.push t.out (unicast_repair t ~now src e)
+      | None -> ())
   | seqs ->
-      List.concat_map
+      List.iter
         (fun seq ->
           match lookup t ~now seq with
           | Some e -> serve t ~now ~requester:src e
@@ -337,8 +338,7 @@ let on_nack t ~now ~src seqs =
                     l
               in
               if not (List.mem src !waiters) then waiters := src :: !waiters;
-              if List.length !waiters = 1 then ask_parent t ~now [ seq ]
-              else [])
+              if List.length !waiters = 1 then ask_parent t ~now [ seq ])
         seqs
 
 (* --- logging ----------------------------------------------------------- *)
@@ -348,8 +348,8 @@ let maybe_leave_channel t =
   | Some channel
     when t.on_rchannel && Gap_tracker.missing_count t.tracker = 0 ->
       t.on_rchannel <- false;
-      [ Leave channel ]
-  | _ -> []
+      Io.push t.out (Leave channel)
+  | _ -> ()
 
 (* The one logging step every path shares — data, repairs, deposits,
    replica updates and ring forwards: store, trace, advance the floor,
@@ -368,38 +368,36 @@ let ingest t ~now ~seq ~epoch ~payload ~recovered =
   match Gap_tracker.note t.tracker seq with
   | Gap_opened gaps -> note_gaps t gaps
   | Fills_gap -> maybe_leave_channel t
-  | First | In_order | Duplicate -> []
+  | First | In_order | Duplicate -> ()
 
 (* Serve the requesters that were waiting on [seq] from upstream. *)
 let satisfy_waiters t ~now seq =
   match Log_store.get t.store ~now seq with
-  | None -> []
+  | None -> ()
   | Some e -> (
       match Hashtbl.find_opt t.pending_up seq with
-      | None -> []
+      | None -> ()
       | Some waiters ->
           Hashtbl.remove t.pending_up seq;
           let ws = !waiters in
           t.requests_served <- t.requests_served + List.length ws;
-          Cancel_timer (K_uplink_nack seq)
-          ::
-          (if
-             (not (is_primary t))
-             && List.length ws >= t.cfg.remcast_request_threshold
-           then [ site_repair t ~now e ]
-           else List.map (fun wtr -> unicast_repair t ~now wtr e) ws))
+          Io.push t.out (Cancel_timer (K_uplink_nack seq));
+          if
+            (not (is_primary t))
+            && List.length ws >= t.cfg.remcast_request_threshold
+          then Io.push t.out (site_repair t ~now e)
+          else
+            List.iter (fun wtr -> Io.push t.out (unicast_repair t ~now wtr e)) ws)
 
 (* [Data], [Heartbeat] and [Retrans] (from our parent, or a sibling's
    site multicast): log it, stat-ack if designated, and pass it on to
    whoever is waiting. *)
 let on_data t ~now ~seq ~epoch ~payload ~recovered =
-  let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered in
-  let stat =
-    if Hashtbl.mem t.designated epoch then
-      [ Io.send_to t.source (Message.Stat_ack { epoch; seq; logger = t.self }) ]
-    else []
-  in
-  gaps @ stat @ satisfy_waiters t ~now seq
+  ingest t ~now ~seq ~epoch ~payload ~recovered;
+  if Hashtbl.mem t.designated epoch then
+    Io.push t.out
+      (Io.send_to t.source (Message.Stat_ack { epoch; seq; logger = t.self }));
+  satisfy_waiters t ~now seq
 
 (* --- primary duties ---------------------------------------------------- *)
 
@@ -436,27 +434,25 @@ let replicated_seq t =
 let cancel_replicated t ~from =
   let floor = replicated_seq t in
   let span = Seqno.diff floor from in
-  let cancel acc seq =
+  let cancel seq =
     if Hashtbl.mem t.retry_armed seq then begin
       Hashtbl.remove t.retry_armed seq;
-      Cancel_timer (K_replica_retry seq) :: acc
+      Io.push t.out (Cancel_timer (K_replica_retry seq))
     end
-    else acc
   in
+  (* Cancels go out highest seq first, or in the reverse of the armed
+     set's fold order. *)
   let armed = Hashtbl.length t.retry_armed in
-  if span <= 0 || armed = 0 then []
-  else if span <= armed then begin
-    let acc = ref [] in
-    for i = 1 to span do
-      acc := cancel !acc (Seqno.add from i)
-    done;
-    !acc
-  end
+  if span <= 0 || armed = 0 then ()
+  else if span <= armed then
+    for i = span downto 1 do
+      cancel (Seqno.add from i)
+    done
   else
     Hashtbl.fold
       (fun seq () acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
       t.retry_armed []
-    |> List.fold_left cancel []
+    |> List.rev |> List.iter cancel
 
 let log_ack t =
   Message.Log_ack
@@ -474,18 +470,25 @@ let replicate t seq =
     List.filter (fun r -> Seqno.(replica_seq t r < seq)) t.replicas
   in
   match (laggards, Log_store.get t.store ~now:0. seq) with
-  | [], _ | _, None -> []
+  | [], _ | _, None -> ()
   | _, Some e ->
       let payload = Payload.of_string e.payload in
       let update = Message.Replica_update { seq; epoch = e.epoch; payload } in
       Hashtbl.replace t.retry_armed seq ();
-      List.map (fun r -> Io.send_to r update) laggards
-      @ [ Set_timer (K_replica_retry seq, t.cfg.deposit_timeout) ]
+      List.iter (fun r -> Io.push t.out (Io.send_to r update)) laggards;
+      Io.push t.out (Set_timer (K_replica_retry seq, t.cfg.deposit_timeout))
 
+(* Logging and serving waiters come first; the ack and the replica
+   fan-out go out ahead of their actions.  The same holds for the
+   member duties below. *)
 let on_deposit t ~now ~seq ~epoch ~payload =
-  let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered:false in
-  let waiters = satisfy_waiters t ~now seq in
-  (Io.send_to t.source (log_ack t) :: replicate t seq) @ gaps @ waiters
+  let at = Io.length t.out in
+  ingest t ~now ~seq ~epoch ~payload ~recovered:false;
+  satisfy_waiters t ~now seq;
+  let from = Io.length t.out in
+  Io.push t.out (Io.send_to t.source (log_ack t));
+  replicate t seq;
+  Io.hoist t.out ~at ~from
 
 (* --- ring and quorum member duties -------------------------------------- *)
 
@@ -498,16 +501,20 @@ let on_deposit t ~now ~seq ~epoch ~payload =
    chases through the parent so the chain self-heals even before the
    source's retry re-walks it. *)
 let on_ring_forward t ~now ~seq ~epoch ~payload =
-  let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered:false in
-  let waiters = gaps @ satisfy_waiters t ~now seq in
-  match t.succ with
+  let at = Io.length t.out in
+  ingest t ~now ~seq ~epoch ~payload ~recovered:false;
+  satisfy_waiters t ~now seq;
+  let from = Io.length t.out in
+  (match t.succ with
   | Some next ->
       if Trace.is_on t.sink then
         trace t ~now (Trace.Ring_forwarded { seq; dest = next });
-      Io.send_to next (Message.Ring_forward { seq; epoch; payload }) :: waiters
+      Io.push t.out
+        (Io.send_to next (Message.Ring_forward { seq; epoch; payload }))
   | None ->
-      Io.send_to t.source (Message.Ring_ack { seq = durable_floor t })
-      :: waiters
+      Io.push t.out
+        (Io.send_to t.source (Message.Ring_ack { seq = durable_floor t })));
+  Io.hoist t.out ~at ~from
 
 (* Quorum member: every member (primary or not) logs the multicast
    deposit and acks its own contiguous floor straight back to the
@@ -515,22 +522,34 @@ let on_ring_forward t ~now ~seq ~epoch ~payload =
    multicast shows as a gap, chased through the parent so this
    member's floor (and thus the quorum) keeps moving. *)
 let on_quorum_deposit t ~now ~seq ~epoch ~payload =
-  let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered:false in
+  let at = Io.length t.out in
+  ingest t ~now ~seq ~epoch ~payload ~recovered:false;
   let floor = durable_floor t in
   if Trace.is_on t.sink then trace t ~now (Trace.Quorum_acked { seq; floor });
-  Io.send_to t.source (Message.Quorum_ack { seq = floor })
-  :: gaps
-  @ satisfy_waiters t ~now seq
+  let from = Io.length t.out in
+  Io.push t.out (Io.send_to t.source (Message.Quorum_ack { seq = floor }));
+  Io.hoist t.out ~at ~from;
+  satisfy_waiters t ~now seq
+
+let on_replica_update t ~now ~src ~seq ~epoch ~payload =
+  let at = Io.length t.out in
+  ingest t ~now ~seq ~epoch ~payload ~recovered:false;
+  satisfy_waiters t ~now seq;
+  let from = Io.length t.out in
+  Io.push t.out (Io.send_to src (Message.Replica_ack { seq = durable_floor t }));
+  Io.hoist t.out ~at ~from
 
 (* --- dispatch ------------------------------------------------------------ *)
 
-let handle_message t ~now ~src msg =
+let reply t dst msg = Io.push t.out (Io.send_to dst msg)
+
+let dispatch t ~now ~src msg =
   match msg with
   | Message.Data { seq; epoch; payload } ->
       on_data t ~now ~seq ~epoch ~payload ~recovered:false
   | Message.Heartbeat { seq; epoch; payload = Some payload; _ } when seq > 0 ->
       on_data t ~now ~seq ~epoch ~payload ~recovered:false
-  | Message.Heartbeat { seq = 0; _ } -> []
+  | Message.Heartbeat { seq = 0; _ } -> ()
   | Message.Heartbeat { seq; _ } ->
       note_gaps t (Gap_tracker.note_exists t.tracker seq)
   | Message.Nack { seqs } -> on_nack t ~now ~src seqs
@@ -540,43 +559,36 @@ let handle_message t ~now ~src msg =
       match t.cfg.replication with
       | Config.R_quorum -> on_quorum_deposit t ~now ~seq ~epoch ~payload
       | Config.R_primary | Config.R_ring ->
-          if is_primary t then on_deposit t ~now ~seq ~epoch ~payload else [])
+          if is_primary t then on_deposit t ~now ~seq ~epoch ~payload)
   | Message.Ring_forward { seq; epoch; payload } -> (
       match t.cfg.replication with
       | Config.R_ring -> on_ring_forward t ~now ~seq ~epoch ~payload
-      | Config.R_primary | Config.R_quorum -> [])
+      | Config.R_primary | Config.R_quorum -> ())
   | Message.Ring_set { succ; head } ->
       (* Ring repair: adopt the new successor and re-home on the new
          head (demoting an old head that survived with a lower floor). *)
       t.succ <- succ;
-      t.parent <- (if head = t.self then None else Some head);
-      []
+      t.parent <- (if head = t.self then None else Some head)
   | Message.Replica_update { seq; epoch; payload } ->
-      let gaps = ingest t ~now ~seq ~epoch ~payload ~recovered:false in
-      Io.send_to src (Message.Replica_ack { seq = durable_floor t })
-      :: gaps
-      @ satisfy_waiters t ~now seq
+      on_replica_update t ~now ~src ~seq ~epoch ~payload
   | Message.Replica_ack { seq } ->
       let from = replicated_seq t in
       if Seqno.(seq > replica_seq t src) then
         Hashtbl.replace t.replica_acked src seq;
-      let cancels = cancel_replicated t ~from in
-      if is_primary t then Io.send_to t.source (log_ack t) :: cancels
-      else cancels
+      if is_primary t then reply t t.source (log_ack t);
+      cancel_replicated t ~from
   | Message.Replica_query ->
-      [ Io.send_to src (Message.Replica_status { seq = durable_floor t }) ]
+      reply t src (Message.Replica_status { seq = durable_floor t })
   | Message.Promote { replicas } ->
       t.parent <- None;
-      t.replicas <- replicas;
-      []
+      t.replicas <- replicas
   | Message.Primary_is { logger } ->
       (* Answer to the Who_is_primary we send after repeated unanswered
          uplink NACKs: our parent is dead and the primary moved.
          Re-home; the armed K_uplink_nack timers will re-ask the new
          parent. *)
       if logger = t.self then t.parent <- None
-      else if not (is_primary t) then t.parent <- Some logger;
-      []
+      else if not (is_primary t) then t.parent <- Some logger
   | Message.Acker_select { epoch; p_ack } ->
       if (not (is_primary t)) && Rng.bernoulli t.rng ~p:p_ack then begin
         Hashtbl.replace t.designated epoch ();
@@ -584,48 +596,49 @@ let handle_message t ~now ~src msg =
         Hashtbl.iter
           (fun e () -> if e < epoch - 1 then Hashtbl.remove t.designated e)
           (Hashtbl.copy t.designated);
-        [ Io.send_to t.source (Message.Acker_reply { epoch; logger = t.self }) ]
+        reply t t.source (Message.Acker_reply { epoch; logger = t.self })
       end
-      else []
   | Message.Probe { round; p } ->
       if (not (is_primary t)) && Rng.bernoulli t.rng ~p then
-        [ Io.send_to t.source (Message.Probe_reply { round; logger = t.self }) ]
-      else []
+        reply t t.source (Message.Probe_reply { round; logger = t.self })
   | Message.Discovery_query { nonce } ->
-      [ Io.send_to src (Message.Discovery_reply { nonce; logger = t.self }) ]
+      reply t src (Message.Discovery_reply { nonce; logger = t.self })
   | Message.Replica_status _ | Message.Log_ack _ | Message.Acker_reply _
   | Message.Stat_ack _ | Message.Probe_reply _ | Message.Discovery_reply _
   | Message.Who_is_primary | Message.Ring_ack _ | Message.Quorum_ack _ ->
-      []
+      ()
+
+let handle_message t ~now ~src msg =
+  Io.begin_call t.out;
+  dispatch t ~now ~src msg;
+  t.out
 
 let handle_timer t ~now key =
-  match key with
+  Io.begin_call t.out;
+  (match key with
   | K_uplink_nack seq ->
       (* Either our own gap-chase delay expired or a parent request went
          unanswered: (re)try if the packet is still absent. *)
       if Log_store.mem t.store seq then begin
         Hashtbl.remove t.uplink_asked seq;
-        Hashtbl.remove t.uplink_retries seq;
-        []
+        Hashtbl.remove t.uplink_retries seq
       end
       else begin
         let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.uplink_retries seq) in
         Hashtbl.replace t.uplink_retries seq n;
-        let ask = ask_parent t ~now [ seq ] in
         (* The parent has been silent for a whole retry budget: it may
            be dead and replaced (§2.2.3).  Ask the source who the
-           primary is now; every further budget's worth of silence asks
-           again. *)
+           primary is now, ahead of the retry; every further budget's
+           worth of silence asks again. *)
         if
           (not (is_primary t))
           && n mod Stdlib.max 1 t.cfg.nack_retry_limit = 0
-        then Io.send_to t.source Message.Who_is_primary :: ask
-        else ask
+        then reply t t.source Message.Who_is_primary;
+        ask_parent t ~now [ seq ]
       end
-  | K_remcast seq ->
-      Hashtbl.remove t.requests seq;
-      []
+  | K_remcast seq -> Hashtbl.remove t.requests seq
   | K_replica_retry seq ->
       Hashtbl.remove t.retry_armed seq;
       replicate t seq
-  | _ -> []
+  | _ -> ());
+  t.out

@@ -61,9 +61,11 @@ val create :
     low-water mark. *)
 
 val handle_message :
-  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Io.action list
+  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Io.out
+(** Pushes into the logger's own action buffer and returns it (see
+    {!Io.out}); so does {!handle_timer}. *)
 
-val handle_timer : t -> now:float -> Io.timer_key -> Io.action list
+val handle_timer : t -> now:float -> Io.timer_key -> Io.out
 
 (** {2 Introspection} *)
 

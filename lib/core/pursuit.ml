@@ -56,19 +56,19 @@ let nacks_sent t = t.nacks_sent
 let gave_up t = t.gave_up
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
 
-let resend_all t =
+let resend_all t out =
   Hashtbl.iter (fun _ p -> p.needs_send <- true) t.pursuits;
-  [ Set_timer (K_nack_flush, 0.) ]
+  Io.push out (Set_timer (K_nack_flush, 0.))
 
 (* --- logger hierarchy ------------------------------------------------- *)
 
-let primary_is t logger =
+let primary_is t out logger =
   let rec replace_last = function
     | [] | [ _ ] -> [ logger ]
     | x :: rest -> x :: replace_last rest
   in
   t.loggers <- replace_last t.loggers;
-  resend_all t
+  resend_all t out
 
 let drop_nearest t =
   match t.loggers with
@@ -77,10 +77,10 @@ let drop_nearest t =
       Hashtbl.iter (fun _ p -> p.level <- Stdlib.max 0 (p.level - 1)) t.pursuits
   | _ -> ()
 
-let adopt_nearest t logger =
+let adopt_nearest t out logger =
   t.loggers <- logger :: List.filter (fun a -> a <> logger) t.loggers;
   Hashtbl.iter (fun _ p -> p.level <- 0) t.pursuits;
-  if Hashtbl.length t.pursuits = 0 then [] else resend_all t
+  if Hashtbl.length t.pursuits > 0 then resend_all t out
 
 (* --- pursuits --------------------------------------------------------- *)
 
@@ -103,29 +103,32 @@ let open_ t ~now seqs =
         fresh;
       fresh
 
-let close t ~now seq =
+let close t out ~now seq =
   match Hashtbl.find_opt t.pursuits seq with
-  | None -> []
+  | None -> false
   | Some p ->
       Hashtbl.remove t.pursuits seq;
-      [
-        Cancel_timer (K_nack_escalate seq);
-        Notify (N_recovered { seq; latency = now -. p.detected_at });
-      ]
+      Io.push out (Cancel_timer (K_nack_escalate seq));
+      Io.push out (Notify (N_recovered { seq; latency = now -. p.detected_at }));
+      true
 
-let abandon t ~now seq =
+let abandon t out ~now seq =
   Hashtbl.remove t.pursuits seq;
   t.write_off seq;
   t.gave_up <- t.gave_up + 1;
   if Trace.is_on t.sink then trace t ~now (Trace.Gave_up { seq });
-  [ Cancel_timer (K_nack_escalate seq); Notify (N_gave_up seq) ]
+  Io.push out (Cancel_timer (K_nack_escalate seq));
+  Io.push out (Notify (N_gave_up seq))
 
 let copies t seq =
   Stdlib.max 1 (Stdlib.min (t.missing seq) t.cfg.remcast_request_threshold)
 
 (* One NACK per hierarchy level covering every seq due there, in as
-   many copies as its most-missed seq asks for. *)
-let flush t ~now =
+   many copies as its most-missed seq asks for.  Levels go out in the
+   reverse of hash-bucket order, each as its copies (copy 0 first) and
+   then its escalation timers; each level's copies are traced last copy
+   first, levels in bucket order. *)
+let flush t out ~now =
   Hashtbl.reset t.by_level;
   Hashtbl.iter
     (fun seq p ->
@@ -138,71 +141,67 @@ let flush t ~now =
         p.needs_send <- false
       end)
     t.pursuits;
-  Hashtbl.fold
-    (fun level seqs acc ->
-      match logger_at t level with
-      | None -> acc
-      | Some logger ->
-          let seqs = List.sort Seqno.compare seqs in
-          (* Built from the last copy back, so copy 0 is sent first. *)
-          let rec nacks c sends =
-            if c < 0 then sends
-            else begin
-              let batch =
-                if c = 0 then seqs
-                else List.filter (fun s -> copies t s > c) seqs
-              in
+  let batch seqs c =
+    if c = 0 then seqs else List.filter (fun s -> copies t s > c) seqs
+  in
+  (* (level, logger, seqs ascending, copies), last bucket first *)
+  let due =
+    Hashtbl.fold
+      (fun level seqs acc ->
+        match logger_at t level with
+        | None -> acc
+        | Some logger ->
+            let seqs = List.sort Seqno.compare seqs in
+            let most =
+              List.fold_left (fun c s -> Stdlib.max c (copies t s)) 1 seqs
+            in
+            for c = most - 1 downto 0 do
               t.nacks_sent <- t.nacks_sent + 1;
               if Trace.is_on t.sink then
                 trace t ~now
-                  (Trace.Nack_sent { dest = logger; level; seqs = batch });
-              nacks (c - 1)
-                (Io.send_to logger (Message.Nack { seqs = batch }) :: sends)
-            end
-          in
-          let most =
-            List.fold_left (fun c s -> Stdlib.max c (copies t s)) 1 seqs
-          in
-          nacks (most - 1)
-            (List.map
-               (fun s -> Set_timer (K_nack_escalate s, t.cfg.nack_timeout))
-               seqs
-            @ acc))
-    t.by_level []
+                  (Trace.Nack_sent { dest = logger; level; seqs = batch seqs c })
+            done;
+            (logger, seqs, most) :: acc)
+      t.by_level []
+  in
+  List.iter
+    (fun (logger, seqs, most) ->
+      for c = 0 to most - 1 do
+        Io.push out (Io.send_to logger (Message.Nack { seqs = batch seqs c }))
+      done;
+      List.iter
+        (fun s -> Io.push out (Set_timer (K_nack_escalate s, t.cfg.nack_timeout)))
+        seqs)
+    due
 
 let unanswered_at_nearest t seq =
   match Hashtbl.find_opt t.pursuits seq with
   | Some p -> p.level = 0 && t.missing seq > 0
   | None -> false
 
-let escalate t ~now seq =
+let escalate t out ~now seq =
   match Hashtbl.find_opt t.pursuits seq with
-  | None -> []
+  | None -> ()
   | Some p ->
-      if t.missing seq = 0 then begin
-        Hashtbl.remove t.pursuits seq;
-        []
-      end
+      if t.missing seq = 0 then Hashtbl.remove t.pursuits seq
       else if p.attempts < (p.level + 1) * t.cfg.nack_retry_limit then begin
         (* Retry at the same level. *)
         p.needs_send <- true;
-        [ Set_timer (K_nack_flush, 0.) ]
+        Io.push out (Set_timer (K_nack_flush, 0.))
       end
       else if p.level + 1 < List.length t.loggers then begin
         p.level <- p.level + 1;
         p.needs_send <- true;
-        [ Set_timer (K_nack_flush, 0.) ]
+        Io.push out (Set_timer (K_nack_flush, 0.))
       end
       else if not p.asked_source then begin
         (* The whole hierarchy failed: maybe the primary moved. *)
         p.asked_source <- true;
         p.attempts <- p.level * t.cfg.nack_retry_limit;
-        [
-          Io.send_to t.source Message.Who_is_primary;
-          Set_timer (K_nack_escalate seq, 2. *. t.cfg.nack_timeout);
-        ]
+        Io.push out (Io.send_to t.source Message.Who_is_primary);
+        Io.push out (Set_timer (K_nack_escalate seq, 2. *. t.cfg.nack_timeout))
       end
-      else abandon t ~now seq
+      else abandon t out ~now seq
 
 (* --- silence ---------------------------------------------------------- *)
 
@@ -214,7 +213,7 @@ let heard t ~now =
 
 (* MaxIT passed with nothing heard: ask the nearest logger what the
    latest packet is, in case we missed everything. *)
-let silence t ~now ~highest =
+let silence t out ~now ~highest =
   let ask =
     match logger_at t 0 with
     | Some logger when highest > 0 || t.last_heard > 0. ->
@@ -222,9 +221,12 @@ let silence t ~now ~highest =
         if Trace.is_on t.sink then
           trace t ~now
             (Trace.Nack_sent { dest = logger; level = 0; seqs = [] });
-        [ Io.send_to logger (Message.Nack { seqs = [] }) ]
-    | _ -> []
+        Some logger
+    | _ -> None
   in
   if Trace.is_on t.sink then
     trace t ~now (Trace.Silence { elapsed = now -. t.last_heard });
-  Notify (N_silence (now -. t.last_heard)) :: ask
+  Io.push out (Notify (N_silence (now -. t.last_heard)));
+  Option.iter
+    (fun logger -> Io.push out (Io.send_to logger (Message.Nack { seqs = [] })))
+    ask

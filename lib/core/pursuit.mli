@@ -14,7 +14,10 @@
     seq and its next escalation drops the pursuit.  For [m > 0] a round
     sends [max 1 (min m remcast_request_threshold)] NACK copies, copy [c]
     carrying every seq whose copy count exceeds [c], so a secondary's
-    request-count window can choose a site remulticast (§2.2.1). *)
+    request-count window can choose a site remulticast (§2.2.1).
+
+    The ladder has no buffer of its own: every call that acts pushes
+    into the [Io.out] of the machine that embeds it. *)
 
 type address = Lbrm_wire.Message.address
 type seq = Lbrm_util.Seqno.t
@@ -37,25 +40,26 @@ val set_loggers : t -> address list -> unit  (** ignores [[]] *)
 
 val logger_at : t -> int -> address option
 
-val primary_is : t -> address -> Io.action list
+val primary_is : t -> Io.out -> address -> unit
 (** Replace the last level and re-send every pursuit. *)
 
 val drop_nearest : t -> unit
 (** Drop level 0 (keeping one level); pursuits move one level nearer. *)
 
-val adopt_nearest : t -> address -> Io.action list
+val adopt_nearest : t -> Io.out -> address -> unit
 (** Put a logger first and re-send every pursuit to it from level 0. *)
 
 val open_ : t -> now:float -> seq list -> seq list
 (** Pursue the seqs not yet pursued and return them; the caller arms
     [K_nack_flush]. *)
 
-val close : t -> now:float -> seq -> Io.action list
-(** [seq] was repaired; [[]] if it was not pursued. *)
+val close : t -> Io.out -> now:float -> seq -> bool
+(** [seq] was repaired; [false] (and nothing pushed) if it was not
+    pursued. *)
 
-val flush : t -> now:float -> Io.action list  (** [K_nack_flush] *)
+val flush : t -> Io.out -> now:float -> unit  (** [K_nack_flush] *)
 
-val escalate : t -> now:float -> seq -> Io.action list
+val escalate : t -> Io.out -> now:float -> seq -> unit
 (** [K_nack_escalate seq]: retry, climb, [Who_is_primary] (re-armed at
     [2 * nack_timeout]), abandon. *)
 
@@ -66,7 +70,7 @@ val heard : t -> now:float -> Io.action  (** re-arms the watchdog *)
 
 val arm_silence : t -> Io.action
 
-val silence : t -> now:float -> highest:seq -> Io.action list
+val silence : t -> Io.out -> now:float -> highest:seq -> unit
 (** [K_silence], before re-arming: report it and, once the flow is
     known, send the nearest logger a latest query. *)
 

@@ -35,13 +35,16 @@ val create :
     [sink] receives typed trace events (gaps, NACKs, deliveries,
     rediscovery steps); disabled by default. *)
 
-val start : t -> now:float -> Io.action list
+(** Each entry point pushes its actions into the receiver's own buffer
+    and returns it (see {!Io.out}). *)
+
+val start : t -> now:float -> Io.out
 (** Arm the MaxIT silence watchdog. *)
 
 val handle_message :
-  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Io.action list
+  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Io.out
 
-val handle_timer : t -> now:float -> Io.timer_key -> Io.action list
+val handle_timer : t -> now:float -> Io.timer_key -> Io.out
 
 (** {2 Introspection} *)
 

@@ -23,6 +23,7 @@ type t = {
   mutable evict_floor : seq; (* cap eviction already swept up to here *)
   mutable heartbeats_sent : int;
   mutable data_multicasts : int;
+  out : Io.out; (* this machine's action buffer *)
 }
 
 let create cfg ~self ~primary ?(replicas = []) ?initial_estimate
@@ -50,6 +51,7 @@ let create cfg ~self ~primary ?(replicas = []) ?initial_estimate
     evict_floor = 0;
     heartbeats_sent = 0;
     data_multicasts = 0;
+    out = Io.out ();
   }
 
 let last_seq t = t.seq
@@ -66,36 +68,38 @@ let failovers t = Replication.failovers t.rep
 let group t = t.cfg.group
 
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
+let push t a = Io.push t.out a
+
+(* The embedded stat-ack and replication machines still return lists. *)
+let push_all t actions = List.iter (Io.push t.out) actions
 
 (* Translate stat-ack events into source behaviour. *)
 let apply_events t ~now events =
-  List.concat_map
+  List.iter
     (fun (ev : Stat_ack.event) ->
       match ev with
       | Epoch_started { epoch; expected; p_ack } ->
           t.epoch <- epoch;
-          [ Notify (N_epoch { epoch; expected_acks = expected; p_ack }) ]
-      | Probing_done est -> [ Notify (N_estimate est) ]
+          push t (Notify (N_epoch { epoch; expected_acks = expected; p_ack }))
+      | Probing_done est -> push t (Notify (N_estimate est))
       | Feedback { seq; missing; expected } ->
-          [ Notify (N_feedback { seq; missing; expected }) ]
+          push t (Notify (N_feedback { seq; missing; expected }))
       | Tracking_done seq ->
           (* §2.3.2: payloads are retained for the stat-ack window even
              after the log replicas hold them; now both conditions met. *)
-          if Seqno.(seq <= t.released) then Hashtbl.remove t.retained seq;
-          []
+          if Seqno.(seq <= t.released) then Hashtbl.remove t.retained seq
       | Remulticast seq -> (
           match Hashtbl.find_opt t.retained seq with
-          | None -> [] (* already released: receivers recover via loggers *)
+          | None -> () (* already released: receivers recover via loggers *)
           | Some (payload, _) ->
               t.data_multicasts <- t.data_multicasts + 1;
               if Trace.is_on t.sink then
                 trace t ~now (Trace.Retrans { seq; mode = Trace.R_stat });
-              [
-                Notify (N_remulticast seq);
-                Io.send ~group:(group t)
-                  (Message.Data
-                     { seq; epoch = t.epoch; payload = Payload.of_string payload });
-              ]))
+              push t (Notify (N_remulticast seq));
+              push t
+                (Io.send ~group:(group t)
+                   (Message.Data
+                      { seq; epoch = t.epoch; payload = Payload.of_string payload }))))
     events
 
 (* Soft cap on the replay table (§2.3.2 meets fail-over): entries that
@@ -125,7 +129,7 @@ let enforce_retain_bound t =
    outcomes) into source behaviour: release replay buffers, notify, and
    re-deposit everything a newly promoted leader lacks. *)
 let apply_rep_events t ~now events =
-  List.concat_map
+  List.iter
     (fun (ev : Replication.event) ->
       match ev with
       | Replication.E_release floor ->
@@ -142,31 +146,38 @@ let apply_rep_events t ~now events =
           in
           List.iter (Hashtbl.remove t.retained) release;
           if Seqno.(floor > t.released) then t.released <- floor;
-          enforce_retain_bound t;
-          []
-      | Replication.E_suspected -> [ Notify N_primary_suspected ]
-      | Replication.E_kept primary -> [ Notify (N_new_primary primary) ]
+          enforce_retain_bound t
+      | Replication.E_suspected -> push t (Notify N_primary_suspected)
+      | Replication.E_kept primary -> push t (Notify (N_new_primary primary))
       | Replication.E_promoted { primary; floor } ->
           (* Reliably hand every retained packet above [floor] to the
-             new leader, with fresh retry clocks. *)
+             new leader, with fresh retry clocks.  Deposits run in the
+             table's fold order; their actions go out last deposit
+             first. *)
           let redeposits =
             Hashtbl.fold
               (fun seq (payload, epoch) acc ->
                 if Seqno.(seq > floor) then
-                  Replication.deposit t.rep ~now ~seq ~epoch ~payload @ acc
+                  Replication.deposit t.rep ~now ~seq ~epoch ~payload :: acc
                 else acc)
               t.retained []
           in
-          Notify (N_new_primary primary) :: redeposits)
+          push t (Notify (N_new_primary primary));
+          List.iter (push_all t) redeposits)
     events
 
 let arm_heartbeat t = Set_timer (K_heartbeat, Heartbeat.next_delay t.hb)
 
 let start t ~now =
+  Io.begin_call t.out;
   let stat_actions, events = Stat_ack.start t.stat ~now in
-  (arm_heartbeat t :: stat_actions) @ apply_events t ~now events
+  push t (arm_heartbeat t);
+  push_all t stat_actions;
+  apply_events t ~now events;
+  t.out
 
 let send t ~now payload =
+  Io.begin_call t.out;
   t.seq <- Seqno.succ t.seq;
   let seq = t.seq in
   t.last_payload <- payload;
@@ -177,17 +188,19 @@ let send t ~now payload =
   if Trace.is_on t.sink then trace t ~now (Trace.Send { seq });
   let deposit = Replication.deposit t.rep ~now ~seq ~epoch:t.epoch ~payload in
   let stat_actions = Stat_ack.on_data_sent t.stat ~now seq in
-  let rchannel_actions =
-    match t.cfg.rchannel_group with
-    | None -> []
-    | Some _ ->
-        Hashtbl.replace t.rchannel_buf seq payload;
-        [ Set_timer (K_rchannel (seq, 0), t.cfg.h_min) ]
-  in
-  (Io.send ~group:(group t)
-     (Message.Data { seq; epoch = t.epoch; payload = Payload.of_string payload })
-  :: deposit)
-  @ [ arm_heartbeat t ] @ rchannel_actions @ stat_actions
+  push t
+    (Io.send ~group:(group t)
+       (Message.Data
+          { seq; epoch = t.epoch; payload = Payload.of_string payload }));
+  push_all t deposit;
+  push t (arm_heartbeat t);
+  (match t.cfg.rchannel_group with
+  | None -> ()
+  | Some _ ->
+      Hashtbl.replace t.rchannel_buf seq payload;
+      push t (Set_timer (K_rchannel (seq, 0), t.cfg.h_min)));
+  push_all t stat_actions;
+  t.out
 
 (* --- heartbeats ------------------------------------------------------ *)
 
@@ -218,34 +231,45 @@ let on_heartbeat_due t ~now =
     trace t ~now
       (Trace.Heartbeat_phase
          { hb_index = t.hb_index; interval = Heartbeat.interval t.hb; seq = t.seq });
-  [ Io.send ~group:(group t) msg; arm_heartbeat t ]
+  push t (Io.send ~group:(group t) msg);
+  push t (arm_heartbeat t)
 
 (* --- dispatch --------------------------------------------------------- *)
 
 let handle_message t ~now ~src msg =
-  match Stat_ack.on_message t.stat ~now ~src msg with
-  | Some (actions, events) -> actions @ apply_events t ~now events
+  Io.begin_call t.out;
+  (match Stat_ack.on_message t.stat ~now ~src msg with
+  | Some (actions, events) ->
+      push_all t actions;
+      apply_events t ~now events
   | None -> (
       match Replication.on_message t.rep ~now ~src msg with
-      | Some (actions, events) -> actions @ apply_rep_events t ~now events
+      | Some (actions, events) ->
+          push_all t actions;
+          apply_rep_events t ~now events
       | None -> (
           match msg with
           | Message.Who_is_primary ->
-              [
-                Io.send_to src
-                  (Message.Primary_is { logger = Replication.primary t.rep });
-              ]
-          | _ -> []))
+              push t
+                (Io.send_to src
+                   (Message.Primary_is { logger = Replication.primary t.rep }))
+          | _ -> ())));
+  t.out
 
 let handle_timer t ~now key =
-  match Stat_ack.on_timer t.stat ~now key with
-  | Some (actions, events) -> actions @ apply_events t ~now events
+  Io.begin_call t.out;
+  (match Stat_ack.on_timer t.stat ~now key with
+  | Some (actions, events) ->
+      push_all t actions;
+      apply_events t ~now events
   | None -> (
       match
         Replication.on_timer t.rep ~now key
           ~lookup:(Hashtbl.find_opt t.retained)
       with
-      | Some (actions, events) -> actions @ apply_rep_events t ~now events
+      | Some (actions, events) ->
+          push_all t actions;
+          apply_rep_events t ~now events
       | None -> (
           match key with
           | K_heartbeat -> on_heartbeat_due t ~now
@@ -258,22 +282,18 @@ let handle_timer t ~now key =
               | Some channel, Some payload ->
                   if Trace.is_on t.sink then
                     trace t ~now (Trace.Retrans { seq; mode = Trace.R_rchannel });
-                  let copy =
-                    Io.send ~group:channel
-                      (Message.Retrans
-                         { seq; epoch = t.epoch; payload = Payload.of_string payload })
-                  in
-                  if k + 1 >= t.cfg.rchannel_copies then begin
-                    Hashtbl.remove t.rchannel_buf seq;
-                    [ copy ]
-                  end
+                  push t
+                    (Io.send ~group:channel
+                       (Message.Retrans
+                          { seq; epoch = t.epoch; payload = Payload.of_string payload }));
+                  if k + 1 >= t.cfg.rchannel_copies then
+                    Hashtbl.remove t.rchannel_buf seq
                   else
-                    [
-                      copy;
-                      Set_timer
-                        ( K_rchannel (seq, k + 1),
-                          t.cfg.h_min *. (t.cfg.backoff ** float_of_int (k + 1))
-                        );
-                    ]
-              | _ -> [])
-          | _ -> []))
+                    push t
+                      (Set_timer
+                         ( K_rchannel (seq, k + 1),
+                           t.cfg.h_min *. (t.cfg.backoff ** float_of_int (k + 1))
+                         ))
+              | _ -> ())
+          | _ -> ())));
+  t.out

@@ -39,16 +39,19 @@ val create :
     phases, fail-over steps, stat-ack re-multicasts); it is shared with
     the embedded {!Stat_ack} machine and disabled by default. *)
 
-val start : t -> now:float -> Io.action list
+(** Each entry point pushes its actions into the source's own buffer
+    and returns it (see {!Io.out}). *)
+
+val start : t -> now:float -> Io.out
 (** Arm the heartbeat timer and begin statistical acknowledgement. *)
 
-val send : t -> now:float -> string -> Io.action list
+val send : t -> now:float -> string -> Io.out
 (** Multicast an application payload. *)
 
 val handle_message :
-  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Io.action list
+  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Io.out
 
-val handle_timer : t -> now:float -> Io.timer_key -> Io.action list
+val handle_timer : t -> now:float -> Io.timer_key -> Io.out
 
 (** {2 Introspection} *)
 

@@ -1,6 +1,7 @@
 module Message = Lbrm_wire.Message
 module Metrics = Lbrm_util.Metrics
-open Lbrm.Io
+module Io = Lbrm.Io
+open Io
 
 type address = Message.address
 
@@ -82,11 +83,20 @@ let rec fire t agent key () =
   let now = t.tr.now () in
   run t agent ~now (agent.handlers.on_timer ~now key)
 
-and run t agent ~now = function
-  | [] -> ()
-  | action :: rest ->
-      execute t agent ~now action;
-      run t agent ~now rest
+(* Execute the latest call's actions, then drop them.  A callback may
+   re-enter the machine and perform a nested call: its actions land
+   after [length] and are drained and truncated by the nested drain, so
+   this one still sees exactly its own. *)
+and run t agent ~now out =
+  let from = Io.start_drain out in
+  drain t agent ~now out ~from from
+
+and[@lint.hot] drain t agent ~now out ~from i =
+  if i < Io.length out then begin
+    execute t agent ~now (Io.get out i);
+    drain t agent ~now out ~from (i + 1)
+  end
+  else Io.end_drain out from
 
 and execute t agent ~now = function
   | Send (To_addr dst, msg) ->
@@ -135,10 +145,10 @@ let dispatch t addr ~src msg =
   | agent -> receive t agent ~src msg
   | exception Not_found -> ()
 
-let perform t addr actions =
+let perform t addr out =
   match Hashtbl.find t.agents addr with
-  | agent -> run t agent ~now:unread actions
-  | exception Not_found -> ()
+  | agent -> run t agent ~now:unread out
+  | exception Not_found -> Io.discard out
 
 let crash t addr =
   match Hashtbl.find t.agents addr with

@@ -56,14 +56,16 @@ val remove : ('h, 'e) t -> address -> unit
 
 val receive :
   ('h, 'e) t -> ('h, 'e) agent -> src:address -> Lbrm_wire.Message.t -> unit
-(** Count ["recv.<kind>"], run [on_message] and execute its actions. *)
+(** Count ["recv.<kind>"], run [on_message] and drain its actions. *)
 
 val dispatch :
   ('h, 'e) t -> address -> src:address -> Lbrm_wire.Message.t -> unit
 (** {!receive} by address; no-op if no agent is installed there. *)
 
-val perform : ('h, 'e) t -> address -> Lbrm.Io.action list -> unit
-(** Execute actions for the agent at the address, outside any dispatch
-    (no-op if none is installed).  The clock is read only for a
+val perform : ('h, 'e) t -> address -> Lbrm.Io.out -> unit
+(** Drain a call's actions for the agent at the address, outside any
+    dispatch: execute the actions from {!Lbrm.Io.mark} on, in order,
+    then truncate the buffer back to that mark (see {!Lbrm.Io} for
+    nested calls).  With no agent installed the actions are dropped.  The clock is read only for a
     [Deliver] or [Notify]; {!receive} and timer expiries read it once
     and hand that reading to the handler and to all its actions. *)

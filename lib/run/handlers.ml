@@ -1,9 +1,8 @@
 type address = Lbrm_wire.Message.address
 
 type t = {
-  on_message :
-    now:float -> src:address -> Lbrm_wire.Message.t -> Lbrm.Io.action list;
-  on_timer : now:float -> Lbrm.Io.timer_key -> Lbrm.Io.action list;
+  on_message : now:float -> src:address -> Lbrm_wire.Message.t -> Lbrm.Io.out;
+  on_timer : now:float -> Lbrm.Io.timer_key -> Lbrm.Io.out;
   on_deliver :
     (now:float ->
     seq:Lbrm_util.Seqno.t ->
@@ -36,35 +35,4 @@ let of_logger logger =
     on_timer = Lbrm.Logger.handle_timer logger;
     on_deliver = None;
     on_notice = None;
-  }
-
-let combine a b =
-  {
-    on_message =
-      (fun ~now ~src msg ->
-        (* Explicit lets pin a-before-b evaluation (side-effect order). *)
-        let first = a.on_message ~now ~src msg in
-        let second = b.on_message ~now ~src msg in
-        first @ second);
-    on_timer =
-      (fun ~now key ->
-        let first = a.on_timer ~now key in
-        let second = b.on_timer ~now key in
-        first @ second);
-    on_deliver =
-      (match (a.on_deliver, b.on_deliver) with
-      | None, d | d, None -> d
-      | Some da, Some db ->
-          Some
-            (fun ~now ~seq ~payload ~recovered ->
-              da ~now ~seq ~payload ~recovered;
-              db ~now ~seq ~payload ~recovered));
-    on_notice =
-      (match (a.on_notice, b.on_notice) with
-      | None, n | n, None -> n
-      | Some na, Some nb ->
-          Some
-            (fun ~now notice ->
-              na ~now notice;
-              nb ~now notice));
   }

@@ -70,9 +70,9 @@ let attach t ~node ~flow handlers =
   (* One handler per host serves all its flows; re-setting it is a no-op. *)
   Net.set_handler t.net node (fun ~src env -> dispatch t node ~src env)
 
-let perform t ~node ~flow actions =
+let perform t ~node ~flow out =
   match Hashtbl.find_opt t.flows flow with
-  | Some host -> Agent_host.perform host node actions
-  | None -> ()
+  | Some host -> Agent_host.perform host node out
+  | None -> Lbrm.Io.discard out
 
 let run ?until t = Engine.run ?until (engine t)

@@ -42,8 +42,8 @@ val attach :
 val join : t -> group:int -> node:Lbrm_sim.Topo.node_id -> unit
 
 val perform :
-  t -> node:Lbrm_sim.Topo.node_id -> flow:int -> Lbrm.Io.action list -> unit
-(** Execute actions on behalf of a sub-agent (start/app sends). *)
+  t -> node:Lbrm_sim.Topo.node_id -> flow:int -> Lbrm.Io.out -> unit
+(** Drain a call's actions on behalf of a sub-agent (start/app sends). *)
 
 val run : ?until:float -> t -> unit
 val now : t -> float

@@ -17,6 +17,7 @@ type t = {
   model : Site_population.t;
   pursuit : Pursuit.t;
   on_feed : tracer:int -> now:float -> src:address -> Message.t -> unit;
+  out : Lbrm.Io.out; (* this machine's action buffer *)
 }
 
 let create ?(sink = Trace.null ()) ~cfg ~self ~source ~loggers ~model ~on_feed
@@ -35,6 +36,7 @@ let create ?(sink = Trace.null ()) ~cfg ~self ~source ~loggers ~model ~on_feed
         ~missing:(fun seq -> Site_population.remaining model ~seq)
         ~write_off:(fun seq -> ignore (Site_population.abandon model ~seq));
     on_feed;
+    out = Lbrm.Io.out ();
   }
 
 let model t = t.model
@@ -44,9 +46,10 @@ let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
 
 let open_pursuits t ~now seqs =
   match Pursuit.open_ t.pursuit ~now seqs with
-  | [] -> []
+  | [] -> ()
   | fresh ->
-      [ Notify (N_gap fresh); Set_timer (K_nack_flush, t.cfg.nack_delay) ]
+      Lbrm.Io.push t.out (Notify (N_gap fresh));
+      Lbrm.Io.push t.out (Set_timer (K_nack_flush, t.cfg.nack_delay))
 
 (* --- data-plane arrivals ----------------------------------------------- *)
 
@@ -78,19 +81,19 @@ let on_payload t ~now ~src ~seq msg =
              repaired = outcome.newly_delivered;
              remaining = outcome.still_missing;
            });
-  let opened =
-    match outcome.opened with
-    | [] -> []
-    | pairs -> open_pursuits t ~now (List.map fst pairs)
-  in
-  let own =
-    if outcome.still_missing > 0 then
-      if outcome.first then open_pursuits t ~now [ seq ] else []
-    else if outcome.newly_delivered > 0 || outcome.first then
-      Pursuit.close t.pursuit ~now seq
-    else []
-  in
-  own @ opened
+  (* Gaps the packet reveals are opened (and traced) first, but the
+     packet's own actions go out ahead of theirs. *)
+  let at = Lbrm.Io.length t.out in
+  (match outcome.opened with
+  | [] -> ()
+  | pairs -> open_pursuits t ~now (List.map fst pairs));
+  let from = Lbrm.Io.length t.out in
+  (if outcome.still_missing > 0 then begin
+     if outcome.first then open_pursuits t ~now [ seq ]
+   end
+   else if outcome.newly_delivered > 0 || outcome.first then
+     ignore (Pursuit.close t.pursuit t.out ~now seq : bool));
+  Lbrm.Io.hoist t.out ~at ~from
 
 let on_heartbeat t ~now ~src ~seq ~payload msg =
   match payload with
@@ -101,32 +104,44 @@ let on_heartbeat t ~now ~src ~seq ~payload msg =
       for i = 0 to Site_population.tracers t.model - 1 do
         t.on_feed ~tracer:i ~now ~src msg
       done;
-      if seq = 0 then []
-      else
+      if seq <> 0 then
         let newly = Site_population.on_heartbeat t.model ~seq in
         open_pursuits t ~now (List.map fst newly)
 
+(* The watchdog re-arm goes first; the arrival paths never read
+   [last_heard]. *)
 let handle_message t ~now ~src msg =
-  match msg with
+  let out = t.out in
+  Lbrm.Io.begin_call out;
+  (match msg with
   | Message.Data { seq; _ } | Message.Retrans { seq; _ } ->
-      Pursuit.heard t.pursuit ~now :: on_payload t ~now ~src ~seq msg
+      Lbrm.Io.push out (Pursuit.heard t.pursuit ~now);
+      on_payload t ~now ~src ~seq msg
   | Message.Heartbeat { seq; payload; _ } ->
-      Pursuit.heard t.pursuit ~now :: on_heartbeat t ~now ~src ~seq ~payload msg
-  | Message.Primary_is { logger } -> Pursuit.primary_is t.pursuit logger
-  | _ -> []
+      Lbrm.Io.push out (Pursuit.heard t.pursuit ~now);
+      on_heartbeat t ~now ~src ~seq ~payload msg
+  | Message.Primary_is { logger } -> Pursuit.primary_is t.pursuit out logger
+  | _ -> ());
+  out
 
 let start t ~now =
   ignore now;
-  [ Pursuit.arm_silence t.pursuit ]
+  Lbrm.Io.begin_call t.out;
+  Lbrm.Io.push t.out (Pursuit.arm_silence t.pursuit);
+  t.out
 
 let handle_timer t ~now key =
-  match key with
-  | K_nack_flush -> Pursuit.flush t.pursuit ~now
-  | K_nack_escalate seq -> Pursuit.escalate t.pursuit ~now seq
+  let out = t.out in
+  Lbrm.Io.begin_call out;
+  (match key with
+  | K_nack_flush -> Pursuit.flush t.pursuit out ~now
+  | K_nack_escalate seq -> Pursuit.escalate t.pursuit out ~now seq
   | K_silence ->
-      Pursuit.silence t.pursuit ~now ~highest:(Site_population.highest t.model)
-      @ [ Pursuit.arm_silence t.pursuit ]
-  | _ -> []
+      Pursuit.silence t.pursuit out ~now
+        ~highest:(Site_population.highest t.model);
+      Lbrm.Io.push out (Pursuit.arm_silence t.pursuit)
+  | _ -> ());
+  out
 
 let handlers ?on_notice t =
   {

@@ -37,12 +37,15 @@ val create :
     [on_feed ~tracer] fires, during message handling, once per tracer
     the model sampled as receiving the payload being processed. *)
 
+(** Each entry point pushes into the population's own action buffer
+    and returns it (see {!Lbrm.Io.out}). *)
+
 val handle_message :
-  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Lbrm.Io.action list
+  t -> now:float -> src:address -> Lbrm_wire.Message.t -> Lbrm.Io.out
 
-val handle_timer : t -> now:float -> Lbrm.Io.timer_key -> Lbrm.Io.action list
+val handle_timer : t -> now:float -> Lbrm.Io.timer_key -> Lbrm.Io.out
 
-val start : t -> now:float -> Lbrm.Io.action list
+val start : t -> now:float -> Lbrm.Io.out
 (** Arm the MaxIT silence watchdog. *)
 
 val handlers :

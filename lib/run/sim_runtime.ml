@@ -75,7 +75,7 @@ let replace_agent t ~node handlers =
   Agent_host.remove t.host node;
   add_agent t ~node handlers
 
-let perform t ~node actions = Agent_host.perform t.host node actions
+let perform t ~node out = Agent_host.perform t.host node out
 let inject t ~node ~src msg = Agent_host.dispatch t.host node ~src msg
 let crash t ~node = Agent_host.crash t.host node
 let run ?until t = Engine.run ?until (engine t)

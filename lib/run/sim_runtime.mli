@@ -41,8 +41,8 @@ val replace_agent : t -> node:Lbrm_sim.Topo.node_id -> Handlers.t -> unit
     cancelled; the old state machine is unreachable afterwards, so the
     restarted process genuinely rejoins from scratch. *)
 
-val perform : t -> node:Lbrm_sim.Topo.node_id -> Lbrm.Io.action list -> unit
-(** Execute actions on behalf of an agent — used to kick off machines
+val perform : t -> node:Lbrm_sim.Topo.node_id -> Lbrm.Io.out -> unit
+(** Drain a call's actions on behalf of an agent — used to kick off machines
     ([Source.start], [Receiver.start]) or to inject application sends. *)
 
 val inject : t -> node:Lbrm_sim.Topo.node_id -> src:Lbrm_wire.Message.address ->

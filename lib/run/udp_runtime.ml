@@ -325,8 +325,8 @@ let agent_metrics t =
     t.io.by_socket []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let perform t ~port actions =
-  Agent_host.perform t.host port actions;
+let perform t ~port out =
+  Agent_host.perform t.host port out;
   flush_tx t.io
 
 let add_agent t ~port handlers =

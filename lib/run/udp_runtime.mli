@@ -95,8 +95,8 @@ val add_agent : t -> port:int -> Handlers.t -> unit
 val join : t -> group:int -> port:int -> unit
 val leave : t -> group:int -> port:int -> unit
 
-val perform : t -> port:int -> Lbrm.Io.action list -> unit
-(** Execute actions for an agent (kick-off, application sends).  Any
+val perform : t -> port:int -> Lbrm.Io.out -> unit
+(** Drain a call's actions for an agent (kick-off, application sends).  Any
     staged datagrams are flushed before returning. *)
 
 val run_for : t -> seconds:float -> unit

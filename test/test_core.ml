@@ -7,10 +7,10 @@ module Config = Lbrm.Config
 module Log_store = Lbrm.Log_store
 module Group_estimate = Lbrm.Group_estimate
 module Stat_ack = Lbrm.Stat_ack
-module Source = Lbrm.Source
-module Receiver = Lbrm.Receiver
-module Logger = Lbrm.Logger
-module Discovery = Lbrm.Discovery
+module Source = List_view.Source
+module Receiver = List_view.Receiver
+module Logger = List_view.Logger
+module Discovery = List_view.Discovery
 module Rng = Lbrm_util.Rng
 
 (* Shorthand for building wire payload views in message literals. *)

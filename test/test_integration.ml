@@ -185,14 +185,20 @@ let discovery_finds_site_logger () =
   in
   let node = snd (List.hd (Scenario.site_receivers d ~site:2)) in
   let disc = Lbrm.Discovery.create plain_cfg in
+  let out = Lbrm.Io.out () in
+  let step f =
+    Lbrm.Io.begin_call out;
+    ignore (f out : bool);
+    out
+  in
   let dh =
     {
       Lbrm_run.Handlers.on_message =
         (fun ~now ~src msg ->
-          Option.value ~default:[] (Lbrm.Discovery.handle_message disc ~now ~src msg));
+          step (fun out -> Lbrm.Discovery.handle_message disc out ~now ~src msg));
       on_timer =
         (fun ~now key ->
-          Option.value ~default:[] (Lbrm.Discovery.handle_timer disc ~now key));
+          step (fun out -> Lbrm.Discovery.handle_timer disc out ~now key));
       on_deliver = None;
       on_notice = None;
     }
@@ -208,7 +214,9 @@ let discovery_finds_site_logger () =
   ignore node;
   Lbrm_run.Sim_runtime.add_agent d.runtime ~node:probe_host dh;
   Lbrm_run.Sim_runtime.perform d.runtime ~node:probe_host
-    (Lbrm.Discovery.start disc ~now:0.);
+    (step (fun out ->
+         Lbrm.Discovery.start disc out ~now:0.;
+         true));
   Scenario.run d ~until:5.;
   let site_logger = snd d.secondaries.(2) in
   Alcotest.check (Alcotest.option Alcotest.int) "found own site logger"

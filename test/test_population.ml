@@ -8,7 +8,7 @@ module Site_population = Lbrm_sim.Site_population
 module Loss = Lbrm_sim.Loss
 module Fault = Lbrm_sim.Fault
 module Scenario = Lbrm_run.Scenario
-module Population = Lbrm_run.Population
+module Population = List_view.Population
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -233,11 +233,11 @@ let receiver_population_differential =
       let step (rs, ps) (i, op) =
         let now = float_of_int (i + 1) in
         let msg src m =
-          ( Lbrm.Receiver.handle_message r ~now ~src m,
+          ( List_view.Receiver.handle_message r ~now ~src m,
             Population.handle_message p ~now ~src m )
         in
         let timer k =
-          ( Lbrm.Receiver.handle_timer r ~now k,
+          ( List_view.Receiver.handle_timer r ~now k,
             Population.handle_timer p ~now k )
         in
         let ra, pa =
@@ -283,7 +283,7 @@ let copy_rule () =
     List.filter_map
       (function
         | Io.Send (_, Message.Nack { seqs }) -> Some seqs | _ -> None)
-      (Lbrm.Pursuit.flush pursuit ~now:0.)
+      (List_view.Pursuit.flush pursuit ~now:0.)
   in
   Alcotest.(check (list (list int)))
     "copy c carries the seqs wanting more than c copies"

@@ -7,8 +7,8 @@
 module Message = Lbrm_wire.Message
 module Io = Lbrm.Io
 module Config = Lbrm.Config
-module Source = Lbrm.Source
-module Logger = Lbrm.Logger
+module Source = List_view.Source
+module Logger = List_view.Logger
 module Log_store = Lbrm.Log_store
 module T = Lbrm.Trace
 module Chaos = Lbrm_run.Chaos

@@ -23,8 +23,9 @@ let checkb = Alcotest.check Alcotest.bool
 type rig = {
   addr : int -> Message.address;
   add : int -> Handlers.t -> unit;
-  perform : int -> Io.action list -> unit;
+  perform : int -> Io.out -> unit;
   settle : unit -> unit; (* until in-flight traffic and due timers are done *)
+  run_for : float -> unit; (* a bounded run, for agents that never go idle *)
   slack : float; (* how late a timer may fire: 0 in virtual time *)
   count : string -> int; (* summed over the transport's registries *)
   close : unit -> unit;
@@ -41,6 +42,8 @@ let sim_rig () =
     add = (fun i h -> Sim_runtime.add_agent rt ~node:hosts.(i) h);
     perform = (fun i actions -> Sim_runtime.perform rt ~node:hosts.(i) actions);
     settle = (fun () -> Sim_runtime.run rt);
+    run_for =
+      (fun s -> Sim_runtime.run ~until:(Sim_runtime.now rt +. s) rt);
     slack = 0.;
     count = Trace.get trace;
     close = ignore;
@@ -71,6 +74,7 @@ let udp_rig ~base_port () =
     add = (fun i h -> Udp_runtime.add_agent rt ~port:(port i) h);
     perform = (fun i actions -> Udp_runtime.perform rt ~port:(port i) actions);
     settle = (fun () -> Udp_runtime.run_for rt ~seconds:window);
+    run_for = (fun seconds -> Udp_runtime.run_for rt ~seconds);
     slack = window;
     count =
       (fun name ->
@@ -81,9 +85,12 @@ let udp_rig ~base_port () =
     close = (fun () -> Udp_runtime.close rt);
   }
 
-let null_handlers ?(on_timer = fun ~now:_ _ -> []) () =
+(* Handlers that act never return this one, always empty, buffer. *)
+let no_actions = Io.out ()
+
+let null_handlers ?(on_timer = fun ~now:_ _ -> no_actions) () =
   {
-    Handlers.on_message = (fun ~now:_ ~src:_ _ -> []);
+    Handlers.on_message = (fun ~now:_ ~src:_ _ -> no_actions);
     on_timer;
     on_deliver = None;
     on_notice = None;
@@ -93,16 +100,17 @@ let timer_rearm_semantics rig =
   let fired = ref [] in
   let on_timer ~now key =
     fired := (now, key) :: !fired;
-    []
+    no_actions
   in
   rig.add 0 (null_handlers ~on_timer ());
   rig.perform 0
-    [
-      Io.Set_timer (Io.K_app "x", 0.02);
-      Io.Set_timer (Io.K_app "x", 0.05) (* re-arm replaces *);
-      Io.Set_timer (Io.K_app "y", 0.01);
-      Io.Cancel_timer (Io.K_app "y");
-    ];
+    (Io.of_list
+       [
+         Io.Set_timer (Io.K_app "x", 0.02);
+         Io.Set_timer (Io.K_app "x", 0.05) (* re-arm replaces *);
+         Io.Set_timer (Io.K_app "y", 0.01);
+         Io.Cancel_timer (Io.K_app "y");
+       ]);
   rig.settle ();
   rig.close ();
   (match !fired with
@@ -121,14 +129,14 @@ let timer_rearm_many rig =
   let fired = ref [] in
   let on_timer ~now key =
     fired := (now, key) :: !fired;
-    []
+    no_actions
   in
   rig.add 0 (null_handlers ~on_timer ());
   let delays = [| 0.03; 0.08; 0.01; 0.06 |] in
   for i = 0 to 49 do
-    rig.perform 0 [ Io.Set_timer (Io.K_silence, delays.(i mod 4)) ]
+    rig.perform 0 (Io.of_list [ Io.Set_timer (Io.K_silence, delays.(i mod 4)) ])
   done;
-  rig.perform 0 [ Io.Set_timer (Io.K_silence, 0.04) ];
+  rig.perform 0 (Io.of_list [ Io.Set_timer (Io.K_silence, 0.04) ]);
   rig.settle ();
   rig.close ();
   match !fired with
@@ -145,22 +153,26 @@ let join_leave_actions rig =
   rig.add 1
     {
       (null_handlers ()) with
-      Handlers.on_message = (fun ~now:_ ~src:_ _ -> incr got; []);
+      Handlers.on_message =
+        (fun ~now:_ ~src:_ _ ->
+          incr got;
+          no_actions);
     };
   (* Agent 1 joins group 5 via an action, gets one multicast, leaves,
      misses the second. *)
   let multicast () =
     rig.perform 0
-      [
-        Io.Send
-          (Io.To_group { group = 5; ttl = None }, Message.Who_is_primary);
-      ]
+      (Io.of_list
+         [
+           Io.Send
+             (Io.To_group { group = 5; ttl = None }, Message.Who_is_primary);
+         ])
   in
-  rig.perform 1 [ Io.Join 5 ];
+  rig.perform 1 (Io.of_list [ Io.Join 5 ]);
   multicast ();
   rig.settle ();
   checki "received while joined" 1 !got;
-  rig.perform 1 [ Io.Leave 5 ];
+  rig.perform 1 (Io.of_list [ Io.Leave 5 ]);
   multicast ();
   rig.settle ();
   rig.close ();
@@ -174,12 +186,13 @@ let run_activity rig =
   rig.add 0 (null_handlers ());
   rig.add 1 (null_handlers ());
   rig.perform 0
-    [
-      Io.Send (Io.To_addr (rig.addr 1), Message.Nack { seqs = [ 1 ] });
-      Io.Deliver { seq = 1; payload = "x"; recovered = true };
-      Io.Deliver { seq = 2; payload = "y"; recovered = false };
-      Io.Notify (Io.N_gap [ 1; 2 ]);
-    ];
+    (Io.of_list
+       [
+         Io.Send (Io.To_addr (rig.addr 1), Message.Nack { seqs = [ 1 ] });
+         Io.Deliver { seq = 1; payload = "x"; recovered = true };
+         Io.Deliver { seq = 2; payload = "y"; recovered = false };
+         Io.Notify (Io.N_gap [ 1; 2 ]);
+       ]);
   rig.settle ();
   let counts = List.map (fun n -> (n, rig.count n)) activity_names in
   let gaps = rig.count "loss.gaps" in
@@ -208,37 +221,77 @@ let transports_count_alike () =
   Alcotest.check counts_t "and as expected" expected_activity udp;
   checki "notices are not recorded on sockets" 0 gaps
 
-let combined_handlers_merge () =
-  let calls = ref [] in
-  let mk tag =
-    {
-      Handlers.on_message =
-        (fun ~now:_ ~src:_ _ ->
-          calls := (tag ^ ".msg") :: !calls;
-          []);
-      on_timer =
-        (fun ~now:_ _ ->
-          calls := (tag ^ ".timer") :: !calls;
-          []);
-      on_deliver =
-        Some
-          (fun ~now:_ ~seq:_ ~payload:_ ~recovered:_ ->
-            calls := (tag ^ ".deliver") :: !calls);
-      on_notice =
-        Some (fun ~now:_ _ -> calls := (tag ^ ".notice") :: !calls);
-    }
+(* An application callback re-enters the machine being drained: a
+   [Notify] makes the app call into the same machine and perform the
+   nested call's actions before the outer drain goes on.  Every action
+   of both calls runs once, in order, and the buffer ends empty — for a
+   call the host performs and for one it receives. *)
+let nested_call_during_drain rig =
+  let out = Io.out () in
+  let call actions =
+    Io.begin_call out;
+    List.iter (Io.push out) actions;
+    out
   in
-  let h = Handlers.combine (mk "a") (mk "b") in
-  ignore (h.Handlers.on_message ~now:0. ~src:1 Message.Who_is_primary);
-  ignore (h.Handlers.on_timer ~now:0. (Io.K_app "t"));
-  (Option.get h.Handlers.on_deliver) ~now:0. ~seq:1 ~payload:"" ~recovered:false;
-  (Option.get h.Handlers.on_notice) ~now:0. (Io.N_silence 1.);
-  Alcotest.check
-    (Alcotest.list Alcotest.string)
-    "both sides saw every event"
-    [ "a.msg"; "b.msg"; "a.timer"; "b.timer"; "a.deliver"; "b.deliver";
-      "a.notice"; "b.notice" ]
-    (List.rev !calls)
+  let deliver seq = Io.Deliver { seq; payload = ""; recovered = false } in
+  let ran = ref [] in
+  let outer () = call [ deliver 1; Io.Notify (Io.N_estimate 1.); deliver 2 ] in
+  rig.add 0
+    {
+      Handlers.on_message = (fun ~now:_ ~src:_ _ -> outer ());
+      on_timer = (fun ~now:_ _ -> no_actions);
+      on_deliver =
+        Some (fun ~now:_ ~seq ~payload:_ ~recovered:_ -> ran := seq :: !ran);
+      on_notice =
+        Some
+          (fun ~now:_ -> function
+            | Io.N_estimate _ ->
+                ran := 0 :: !ran;
+                rig.perform 0 (call [ deliver 10; deliver 11 ])
+            | _ -> ());
+    };
+  rig.add 1 (null_handlers ());
+  let expected = [ 1; 0; 10; 11; 2 ] in
+  rig.perform 0 (outer ());
+  Alcotest.(check (list int)) "performed call" expected (List.rev !ran);
+  checki "buffer drained" 0 (Io.length out);
+  ran := [];
+  rig.perform 1
+    (Io.of_list [ Io.Send (Io.To_addr (rig.addr 0), Message.Who_is_primary) ]);
+  rig.settle ();
+  rig.close ();
+  Alcotest.(check (list int)) "received call" expected (List.rev !ran);
+  checki "buffer drained after receive" 0 (Io.length out)
+
+(* The same rule with a real machine: when the source's first epoch
+   settles, its notice makes the application send from inside the timer
+   expiry's drain.  The data packet goes out exactly once, to the one
+   group member, and the heartbeat the source armed first still beats. *)
+let source_sends_from_notice rig =
+  let cfg = Lbrm.Config.default in
+  let source =
+    Lbrm.Source.create cfg ~self:(rig.addr 0) ~primary:(rig.addr 1)
+      ~initial_estimate:1. ()
+  in
+  let sent = ref 0 in
+  let on_notice ~now = function
+    | Io.N_epoch _ ->
+        incr sent;
+        rig.perform 0 (Lbrm.Source.send source ~now "nested")
+    | _ -> ()
+  in
+  rig.add 0 (Handlers.of_source ~on_notice source);
+  rig.add 1 (null_handlers ());
+  rig.perform 1 (Io.of_list [ Io.Join cfg.group ]);
+  rig.perform 0 (Lbrm.Source.start source ~now:0.);
+  (* The source heartbeats forever: run past the epoch settling only. *)
+  rig.run_for 1.0;
+  let data = rig.count "sent.data" and beats = rig.count "sent.heartbeat" in
+  rig.close ();
+  checki "the app sent from the notice" 1 !sent;
+  checki "one data multicast" 1 (Lbrm.Source.data_multicasts source);
+  checki "one copy left" 1 data;
+  checkb "the heartbeat armed at start beats" true (beats >= 1)
 
 let scenario_bookkeeping () =
   let d =
@@ -268,6 +321,10 @@ let () =
               join_leave_actions (sim_rig ()));
           Alcotest.test_case "trace records activity" `Quick
             trace_records_activity;
+          Alcotest.test_case "nested call during a drain" `Quick (fun () ->
+              nested_call_during_drain (sim_rig ()));
+          Alcotest.test_case "source sends from a notice" `Quick (fun () ->
+              source_sends_from_notice (sim_rig ()));
         ] );
       ( "udp-runtime",
         [
@@ -279,9 +336,11 @@ let () =
               join_leave_actions (udp_rig ~base_port:48710 ()));
           Alcotest.test_case "counts as the simulator does" `Quick
             transports_count_alike;
+          Alcotest.test_case "nested call during a drain" `Quick (fun () ->
+              nested_call_during_drain (udp_rig ~base_port:48740 ()));
+          Alcotest.test_case "source sends from a notice" `Quick (fun () ->
+              source_sends_from_notice (udp_rig ~base_port:48750 ()));
         ] );
-      ( "handlers",
-        [ Alcotest.test_case "combine merges" `Quick combined_handlers_merge ] );
       ( "scenario",
         [ Alcotest.test_case "bookkeeping" `Quick scenario_bookkeeping ] );
     ]

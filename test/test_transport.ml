@@ -452,12 +452,19 @@ let measurements : (string list * (unit -> float)) list =
           probe i
         done;
         words_per_op ~iters probe );
-    ( [ "Agent_host.receive"; "Agent_host.count" ],
+    ( [
+        "Agent_host.receive";
+        "Agent_host.count";
+        "Agent_host.drain";
+        "Io.push";
+        "Io.truncate";
+      ],
       fun () ->
         (* One message through the shared host's receive path over an
-           inert transport: per-kind "recv.<kind>" accounting plus an
-           empty handler.  A per-message name built by (^) would show
-           up here as words per op. *)
+           inert transport: per-kind "recv.<kind>" accounting, then a
+           handler that pushes two prebuilt actions into its buffer and
+           the host's drain of it.  A per-message name built by (^), or
+           a list built per call, would show up here as words per op. *)
         let module H = Lbrm_run.Agent_host in
         let host =
           H.create
@@ -473,10 +480,18 @@ let measurements : (string list * (unit -> float)) list =
               notice = ignore;
             }
         in
+        let out = Lbrm.Io.out () in
+        let mcast = Lbrm.Io.send ~group:1 Lbrm_wire.Message.Who_is_primary
+        and notice = Lbrm.Io.Notify (Lbrm.Io.N_gave_up 1) in
         let handlers =
           {
-            Lbrm_run.Handlers.on_message = (fun ~now:_ ~src:_ _ -> []);
-            on_timer = (fun ~now:_ _ -> []);
+            Lbrm_run.Handlers.on_message =
+              (fun ~now:_ ~src:_ _ ->
+                Lbrm.Io.begin_call out;
+                Lbrm.Io.push out mcast;
+                Lbrm.Io.push out notice;
+                out);
+            on_timer = (fun ~now:_ _ -> out);
             on_deliver = None;
             on_notice = None;
           }
@@ -493,8 +508,7 @@ let measurements : (string list * (unit -> float)) list =
         (* The MaxIT watchdog's pattern: live timers re-keyed on every
            event, both directly and as a Set_timer on a live key through
            the simulator's agent host.  Delays alternate later/earlier;
-           the action lists are built once, so only the re-key is
-           counted. *)
+           the actions are built once, so only the re-key is counted. *)
         let module Engine = Lbrm_sim.Engine in
         let module Sim_runtime = Lbrm_run.Sim_runtime in
         let topo, _, hosts = Lbrm_sim.Builders.lan ~hosts:1 () in
@@ -507,24 +521,30 @@ let measurements : (string list * (unit -> float)) list =
           Sim_runtime.create ~net ~trace:(Lbrm_sim.Trace.create ()) ()
         in
         let node = hosts.(0) in
+        let out = Lbrm.Io.out () in
         Sim_runtime.add_agent rt ~node
           {
-            Lbrm_run.Handlers.on_message = (fun ~now:_ ~src:_ _ -> []);
-            on_timer = (fun ~now:_ _ -> []);
+            Lbrm_run.Handlers.on_message = (fun ~now:_ ~src:_ _ -> out);
+            on_timer = (fun ~now:_ _ -> out);
             on_deliver = None;
             on_notice = None;
           };
         let timers =
           Array.init 64 (fun _ -> Engine.schedule engine ~delay:1.0 ignore)
         in
-        let later = [ Lbrm.Io.Set_timer (Lbrm.Io.K_silence, 2.0) ]
-        and earlier = [ Lbrm.Io.Set_timer (Lbrm.Io.K_silence, 1.0) ] in
-        Sim_runtime.perform rt ~node earlier;
+        let later = Lbrm.Io.Set_timer (Lbrm.Io.K_silence, 2.0)
+        and earlier = Lbrm.Io.Set_timer (Lbrm.Io.K_silence, 1.0) in
+        let perform action =
+          Lbrm.Io.begin_call out;
+          Lbrm.Io.push out action;
+          Sim_runtime.perform rt ~node out
+        in
+        perform earlier;
         let rekey i =
           let odd = i land 1 = 1 in
           Engine.reschedule engine timers.(i land 63)
             ~delay:(if odd then 1.0 else 2.0);
-          Sim_runtime.perform rt ~node (if odd then earlier else later)
+          perform (if odd then earlier else later)
         in
         for i = 1 to 100 do
           rekey i
@@ -656,30 +676,66 @@ let multicast_words_per_delivery () =
     Alcotest.failf "warm multicast allocates %.2f words per delivery (max 6)"
       per
 
-(* The receiver's in-order Data: the watchdog re-arm is a prebuilt
-   action and the gap tracker's floor is an int, so all that is left is
-   the [Deliver] block and the two cons cells of the returned list. *)
-let receiver_in_order_words () =
+(* Words per call of [f] over [warm + iters] prebuilt in-order Data
+   messages, after [warm] unmeasured calls. *)
+let in_order_words f =
   let module Message = Lbrm_wire.Message in
-  let r =
-    Lbrm.Receiver.create Lbrm.Config.default ~self:10 ~source:1 ~loggers:[ 2 ]
-  in
   let payload = Lbrm_wire.Payload.of_string (String.make 128 'd') in
   let warm = 100 in
   let msgs =
     Array.init (warm + iters) (fun i ->
         Message.Data { seq = i + 1; epoch = 0; payload })
   in
-  let data i =
-    ignore (Lbrm.Receiver.handle_message r ~now:1.0 ~src:1 msgs.(i))
-  in
   for i = 0 to warm - 1 do
-    data i
+    f msgs.(i)
   done;
-  let per = words_per_op ~iters (fun i -> data (warm + i - 1)) in
-  checki "every packet delivered" (warm + iters) (Lbrm.Receiver.delivered r);
-  if per > 12.0 then
-    Alcotest.failf "in-order Data allocates %.2f words per call (max 12)" per
+  words_per_op ~iters (fun i -> f msgs.(warm + i - 1))
+
+let gate what ~max per =
+  if per > max then
+    Alcotest.failf "%s allocates %.2f words per call (max %g)" what per max
+
+(* The receiver's in-order Data: the watchdog re-arm is a prebuilt
+   action, the gap tracker's floor is an int and the actions go into the
+   receiver's reusable buffer, so all that is left is the [Deliver]
+   block. *)
+let receiver_in_order_words () =
+  let r =
+    Lbrm.Receiver.create Lbrm.Config.default ~self:10 ~source:1 ~loggers:[ 2 ]
+  in
+  let per =
+    in_order_words (fun m ->
+        ignore (Lbrm.Receiver.handle_message r ~now:1.0 ~src:1 m))
+  in
+  checki "every packet delivered" (100 + iters) (Lbrm.Receiver.delivered r);
+  gate "in-order Data" ~max:4.0 per
+
+(* A secondary logger's in-order Data: the log entry and its store
+   bookkeeping; the (empty) action buffer costs nothing. *)
+let logger_in_order_words () =
+  let l =
+    Lbrm.Logger.create Lbrm.Config.default ~self:5 ~source:1 ~parent:2
+      ~rng:(Lbrm_util.Rng.create ~seed:3) ()
+  in
+  let per =
+    in_order_words (fun m ->
+        ignore (Lbrm.Logger.handle_message l ~now:1.0 ~src:1 m))
+  in
+  gate "secondary logger in-order Data" ~max:9.5 per
+
+(* One application send: the Data and deposit messages, their actions,
+   the retained payload and the stat-ack and replication bookkeeping. *)
+let source_send_words () =
+  let s =
+    Lbrm.Source.create Lbrm.Config.default ~self:1 ~primary:2
+      ~initial_estimate:10. ()
+  in
+  let payload = String.make 128 'x' in
+  let send _ = ignore (Lbrm.Source.send s ~now:1.0 payload) in
+  for i = 1 to 100 do
+    send i
+  done;
+  gate "Source.send" ~max:64.5 (words_per_op ~iters send)
 
 (* The CI trend gate: the same baseline passes against itself, and one
    extra word/op, one more missing packet, or a durable floor one seq
@@ -739,8 +795,11 @@ let () =
             `Quick manifest_zero_allocs;
           Alcotest.test_case "warm WAN multicast: at most 6 words per delivery"
             `Quick multicast_words_per_delivery;
-          Alcotest.test_case "receiver in-order Data: at most 12 words" `Quick
+          Alcotest.test_case "receiver in-order Data gate" `Quick
             receiver_in_order_words;
+          Alcotest.test_case "logger in-order Data gate" `Quick
+            logger_in_order_words;
+          Alcotest.test_case "Source.send gate" `Quick source_send_words;
           Alcotest.test_case "trend gate trips on one extra word/op" `Quick
             trend_gate_words;
           Alcotest.test_case "trend gate trips on one more missing packet"

@@ -204,10 +204,11 @@ let encode_failure_is_not_loss () =
      encode-failure counter and tx.encode_failed metric — never in
      [dropped], which is reserved for injected loss. *)
   let rt = U.create () in
+  let none = Lbrm.Io.out () in
   let handlers =
     {
-      H.on_message = (fun ~now:_ ~src:_ _ -> []);
-      on_timer = (fun ~now:_ _ -> []);
+      H.on_message = (fun ~now:_ ~src:_ _ -> none);
+      on_timer = (fun ~now:_ _ -> none);
       on_deliver = None;
       on_notice = None;
     }
@@ -216,11 +217,13 @@ let encode_failure_is_not_loss () =
   U.add_agent rt ~port:48601 handlers;
   let too_long = List.init 65537 (fun i -> i) in
   U.perform rt ~port:48600
-    [
-      Lbrm.Io.Send (Lbrm.Io.To_addr 48601, Lbrm_wire.Message.Nack { seqs = too_long });
-      Lbrm.Io.Send
-        (Lbrm.Io.To_addr 48601, Lbrm_wire.Message.Replica_ack { seq = 1 });
-    ];
+    (Lbrm.Io.of_list
+       [
+         Lbrm.Io.Send
+           (Lbrm.Io.To_addr 48601, Lbrm_wire.Message.Nack { seqs = too_long });
+         Lbrm.Io.Send
+           (Lbrm.Io.To_addr 48601, Lbrm_wire.Message.Replica_ack { seq = 1 });
+       ]);
   U.run_for rt ~seconds:0.05;
   checki "encode failure counted" 1 (U.encode_failures rt);
   checki "not counted as loss" 0 (U.datagrams_dropped rt);
