@@ -111,49 +111,45 @@ type out = {
   mutable draining : int; (* host drains in progress *)
 }
 
-(* Fills every slot at or past [len]: a drained action must not stay
-   reachable from the (long-lived) array, or the next minor collection
-   would promote it. *)
+(* Fills the slots past the first growth's copy.  Drained slots are not
+   cleared: clearing costs a write barrier per action on every call,
+   while an action left behind is only kept alive (and promoted at most
+   once) until a later call overwrites its slot. *)
 let hole = Leave (-1)
 
 let out () = { acts = [||]; len = 0; mark = 0; draining = 0 }
-let mark o = o.mark
-let length o = o.len
-let get o i = o.acts.(i)
+let[@inline] mark o = o.mark
+let[@inline] length o = o.len
+let[@inline] get o i = o.acts.(i)
 
-let[@lint.hot] push o a =
-  let cap = Array.length o.acts in
-  if o.len = cap then begin
-    let acts =
-      (Array.make (Stdlib.max 8 (2 * cap)) hole
-      [@lint.alloc "buffer full: doubled, then reused by every later call"])
-    in
-    Array.blit o.acts 0 acts 0 o.len;
-    o.acts <- acts
-  end;
-  o.acts.(o.len) <- a;
+let grow o =
+  let acts = Array.make (Stdlib.max 8 (2 * o.len)) hole in
+  Array.blit o.acts 0 acts 0 o.len;
+  o.acts <- acts
+
+(* [grow] doubles the array when it is full; every later call reuses it. *)
+let[@lint.hot] [@inline] push o a =
+  if o.len = Array.length o.acts then grow o;
+  Array.unsafe_set o.acts o.len a;
   o.len <- o.len + 1
 
-let[@lint.hot] truncate o n =
-  for i = n to o.len - 1 do
-    o.acts.(i) <- hole
-  done;
+let[@lint.hot] [@inline] truncate o n =
   o.len <- n;
   if o.mark > n then o.mark <- n
 
 (* Outside a drain nothing before this call is still wanted: a result
    that was never performed is dropped here rather than kept forever. *)
-let begin_call o =
+let[@inline] begin_call o =
   if o.draining = 0 && o.len > 0 then truncate o 0;
   o.mark <- o.len
 
 let discard o = truncate o o.mark
 
-let start_drain o =
+let[@inline] start_drain o =
   o.draining <- o.draining + 1;
   o.mark
 
-let end_drain o from =
+let[@inline] end_drain o from =
   truncate o from;
   o.draining <- o.draining - 1
 

@@ -127,8 +127,9 @@ val length : out -> int
 val get : out -> int -> action
 
 val truncate : out -> int -> unit
-(** [truncate o n] drops the actions from index [n] on, clearing their
-    slots so the buffer keeps no drained action alive. *)
+(** [truncate o n] drops the actions from index [n] on.  Their slots
+    are not cleared: a dropped action stays reachable until a later call
+    overwrites it, which costs less than a write barrier per action. *)
 
 val discard : out -> unit
 (** Drop the latest call's actions: [truncate o (mark o)]. *)

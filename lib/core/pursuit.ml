@@ -23,7 +23,8 @@ type t = {
   mutable loggers : address list;
   pursuits : (seq, pursuit) Hashtbl.t;
   by_level : (int, seq list) Hashtbl.t; (* flush scratch *)
-  mutable last_heard : float;
+  last_heard : float array;
+      (* one slot: every arrival writes it unboxed, with no write barrier *)
   arm_silence : action; (* built once: re-armed on every arrival *)
   mutable nacks_sent : int;
   mutable gave_up : int;
@@ -42,7 +43,7 @@ let create ?(sink = Trace.null ()) cfg ~self ~source ~loggers ~missing
     loggers;
     pursuits = Hashtbl.create 32;
     by_level = Hashtbl.create 4;
-    last_heard = 0.;
+    last_heard = [| 0. |];
     arm_silence = Set_timer (K_silence, cfg.Config.max_it);
     nacks_sent = 0;
     gave_up = 0;
@@ -51,7 +52,7 @@ let create ?(sink = Trace.null ()) cfg ~self ~source ~loggers ~missing
 let loggers t = t.loggers
 let set_loggers t loggers = if loggers <> [] then t.loggers <- loggers
 let logger_at t level = List.nth_opt t.loggers level
-let last_heard t = t.last_heard
+let last_heard t = t.last_heard.(0)
 let nacks_sent t = t.nacks_sent
 let gave_up t = t.gave_up
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
@@ -103,14 +104,19 @@ let open_ t ~now seqs =
         fresh;
       fresh
 
+(* In-order arrivals close nothing: skip the hash when nothing is
+   pursued. *)
 let close t out ~now seq =
-  match Hashtbl.find_opt t.pursuits seq with
-  | None -> false
-  | Some p ->
-      Hashtbl.remove t.pursuits seq;
-      Io.push out (Cancel_timer (K_nack_escalate seq));
-      Io.push out (Notify (N_recovered { seq; latency = now -. p.detected_at }));
-      true
+  if Hashtbl.length t.pursuits = 0 then false
+  else
+    match Hashtbl.find_opt t.pursuits seq with
+    | None -> false
+    | Some p ->
+        Hashtbl.remove t.pursuits seq;
+        Io.push out (Cancel_timer (K_nack_escalate seq));
+        Io.push out
+          (Notify (N_recovered { seq; latency = now -. p.detected_at }));
+        true
 
 let abandon t out ~now seq =
   Hashtbl.remove t.pursuits seq;
@@ -208,7 +214,7 @@ let escalate t out ~now seq =
 let arm_silence t = t.arm_silence
 
 let heard t ~now =
-  t.last_heard <- now;
+  t.last_heard.(0) <- now;
   arm_silence t
 
 (* MaxIT passed with nothing heard: ask the nearest logger what the
@@ -216,7 +222,7 @@ let heard t ~now =
 let silence t out ~now ~highest =
   let ask =
     match logger_at t 0 with
-    | Some logger when highest > 0 || t.last_heard > 0. ->
+    | Some logger when highest > 0 || last_heard t > 0. ->
         t.nacks_sent <- t.nacks_sent + 1;
         if Trace.is_on t.sink then
           trace t ~now
@@ -225,8 +231,8 @@ let silence t out ~now ~highest =
     | _ -> None
   in
   if Trace.is_on t.sink then
-    trace t ~now (Trace.Silence { elapsed = now -. t.last_heard });
-  Io.push out (Notify (N_silence (now -. t.last_heard)));
+    trace t ~now (Trace.Silence { elapsed = now -. last_heard t });
+  Io.push out (Notify (N_silence (now -. last_heard t)));
   Option.iter
     (fun logger -> Io.push out (Io.send_to logger (Message.Nack { seqs = [] })))
     ask

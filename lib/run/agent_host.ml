@@ -85,18 +85,14 @@ let rec fire t agent key () =
 
 (* Execute the latest call's actions, then drop them.  A callback may
    re-enter the machine and perform a nested call: its actions land
-   after [length] and are drained and truncated by the nested drain, so
-   this one still sees exactly its own. *)
-and run t agent ~now out =
+   after this call's and the nested drain truncates them away before
+   the callback returns, so this loop still sees exactly its own. *)
+and[@lint.hot] run t agent ~now out =
   let from = Io.start_drain out in
-  drain t agent ~now out ~from from
-
-and[@lint.hot] drain t agent ~now out ~from i =
-  if i < Io.length out then begin
-    execute t agent ~now (Io.get out i);
-    drain t agent ~now out ~from (i + 1)
-  end
-  else Io.end_drain out from
+  for i = from to Io.length out - 1 do
+    execute t agent ~now (Io.get out i)
+  done;
+  Io.end_drain out from
 
 and execute t agent ~now = function
   | Send (To_addr dst, msg) ->

@@ -455,7 +455,7 @@ let measurements : (string list * (unit -> float)) list =
     ( [
         "Agent_host.receive";
         "Agent_host.count";
-        "Agent_host.drain";
+        "Agent_host.run";
         "Io.push";
         "Io.truncate";
       ],
