@@ -192,10 +192,13 @@ let ask_parent t ~now seqs =
   | None, _ | _, [] -> ()
   | Some parent, fresh ->
       List.iter (fun s -> Hashtbl.replace t.uplink_asked s now) fresh;
-      t.uplink_nacks <- t.uplink_nacks + 1;
-      if Trace.is_on t.sink then
-        trace t ~now (Trace.Uplink_nack { dest = parent; seqs = fresh });
-      Io.push t.out (Io.send_to parent (Message.Nack { seqs = fresh }));
+      List.iter
+        (fun seqs ->
+          t.uplink_nacks <- t.uplink_nacks + 1;
+          if Trace.is_on t.sink then
+            trace t ~now (Trace.Uplink_nack { dest = parent; seqs });
+          Io.push t.out (Io.send_to parent (Message.Nack { seqs })))
+        (Lbrm_wire.Codec.nack_batches fresh);
       List.iter
         (fun s ->
           Io.push t.out (Set_timer (K_uplink_nack s, t.cfg.uplink_nack_timeout)))

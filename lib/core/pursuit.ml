@@ -1,4 +1,5 @@
 module Message = Lbrm_wire.Message
+module Codec = Lbrm_wire.Codec
 module Seqno = Lbrm_util.Seqno
 open Io
 
@@ -130,10 +131,11 @@ let copies t seq =
   Stdlib.max 1 (Stdlib.min (t.missing seq) t.cfg.remcast_request_threshold)
 
 (* One NACK per hierarchy level covering every seq due there, in as
-   many copies as its most-missed seq asks for.  Levels go out in the
-   reverse of hash-bucket order, each as its copies (copy 0 first) and
-   then its escalation timers; each level's copies are traced last copy
-   first, levels in bucket order. *)
+   many copies as its most-missed seq asks for, each copy cut into
+   NACKs that fit a datagram slot.  Levels go out in the reverse of
+   hash-bucket order, each as its copies (copy 0 first) and then its
+   escalation timers; each level's copies are traced last copy first,
+   levels in bucket order. *)
 let flush t out ~now =
   Hashtbl.reset t.by_level;
   Hashtbl.iter
@@ -150,7 +152,7 @@ let flush t out ~now =
   let batch seqs c =
     if c = 0 then seqs else List.filter (fun s -> copies t s > c) seqs
   in
-  (* (level, logger, seqs ascending, copies), last bucket first *)
+  (* (logger, seqs ascending, NACKs by copy), last bucket first *)
   let due =
     Hashtbl.fold
       (fun level seqs acc ->
@@ -161,20 +163,24 @@ let flush t out ~now =
             let most =
               List.fold_left (fun c s -> Stdlib.max c (copies t s)) 1 seqs
             in
-            for c = most - 1 downto 0 do
-              t.nacks_sent <- t.nacks_sent + 1;
-              if Trace.is_on t.sink then
-                trace t ~now
-                  (Trace.Nack_sent { dest = logger; level; seqs = batch seqs c })
-            done;
-            (logger, seqs, most) :: acc)
+            let nacks =
+              List.init most (fun c -> Codec.nack_batches (batch seqs c))
+            in
+            List.iter
+              (List.iter (fun seqs ->
+                   t.nacks_sent <- t.nacks_sent + 1;
+                   if Trace.is_on t.sink then
+                     trace t ~now (Trace.Nack_sent { dest = logger; level; seqs })))
+              (List.rev nacks);
+            (logger, seqs, nacks) :: acc)
       t.by_level []
   in
   List.iter
-    (fun (logger, seqs, most) ->
-      for c = 0 to most - 1 do
-        Io.push out (Io.send_to logger (Message.Nack { seqs = batch seqs c }))
-      done;
+    (fun (logger, seqs, nacks) ->
+      List.iter
+        (List.iter (fun seqs ->
+             Io.push out (Io.send_to logger (Message.Nack { seqs }))))
+        nacks;
       List.iter
         (fun s -> Io.push out (Set_timer (K_nack_escalate s, t.cfg.nack_timeout)))
         seqs)

@@ -18,7 +18,7 @@ type t = {
   mutable max_outstanding : int;
 }
 
-let create ?(slots = 256) ?(slot_size = 2048) () =
+let create ?(slots = 256) ?(slot_size = Lbrm_wire.Codec.slot_size) () =
   let nslots = max 1 slots in
   let slot_size = max 64 slot_size in
   let region = Bytes.create (nslots * slot_size) in

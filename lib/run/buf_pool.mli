@@ -22,7 +22,8 @@ type buf = private {
 type t
 
 val create : ?slots:int -> ?slot_size:int -> unit -> t
-(** Defaults: 256 slots of 2048 bytes (512 KiB region). *)
+(** Defaults: 256 slots of {!Lbrm_wire.Codec.slot_size} (2048) bytes,
+    a 512 KiB region. *)
 
 val region : t -> Bytes.t
 (** The backing region all pooled slots alias. *)

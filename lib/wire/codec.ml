@@ -177,6 +177,22 @@ let tag_of = function
 
 let nack_max = 65536
 let promote_max = 1024
+let slot_size = 2048
+
+(* A NACK encodes as a tag byte, a 4-byte count and 4 bytes per seq. *)
+let nack_seqs_max = (slot_size - 5) / 4
+
+let nack_batches seqs =
+  let rec cut n batch acc = function
+    | [] -> List.rev (if n = 0 then acc else List.rev batch :: acc)
+    | s :: rest ->
+        if n = nack_seqs_max then cut 1 [ s ] (List.rev batch :: acc) rest
+        else cut (n + 1) (s :: batch) acc rest
+  in
+  match seqs with
+  | [] -> []
+  | _ when List.compare_length_with seqs nack_seqs_max <= 0 -> [ seqs ]
+  | _ -> cut 0 [] [] seqs
 
 (* Same limits the decoder enforces, checked before a single byte is
    written so a rejected message never dirties the caller's writer. *)

@@ -103,6 +103,19 @@ val promote_max : int
 (** Largest replica-floor list a [Promote] may carry; protocol code
     must truncate before encoding. *)
 
+val slot_size : int
+(** Bytes in one datagram slot of the UDP runtime's buffer pool (2048);
+    a message longer than that is dropped on receive as truncated. *)
+
+val nack_seqs_max : int
+(** Most seqs one [Nack] may carry and still fit a {!slot_size} slot:
+    [(slot_size - 5) / 4] = 510.  Protocol code splits longer batches
+    with {!nack_batches}, in both runtimes alike. *)
+
+val nack_batches : int list -> int list list
+(** The seqs in order, cut into runs of at most {!nack_seqs_max}; [[]]
+    for no seqs. *)
+
 val encode : Message.t -> (string, error) result
 (** Serialize one message into a fresh exactly-sized string.
     [Error (Bad_value _)] when a sequence list exceeds {!nack_max} /

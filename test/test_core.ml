@@ -1447,6 +1447,51 @@ let prop_source_send_always_deposits =
       List.mem "data" (sent_kinds actions)
       && List.mem "log_deposit" (sent_kinds actions))
 
+(* However large a gap, every NACK a flush sends encodes within one
+   datagram slot, and copy 0 carries every pursued seq exactly once, in
+   ascending order; extra copies for multiply-missed seqs fit too. *)
+let prop_flush_nacks_fit_slot =
+  QCheck.Test.make ~count:100 ~name:"pursuit: every flushed NACK fits the slot"
+    (* no shrinker: shrinking a 1600-seq gap set one element at a time
+       would outlast any test budget *)
+    (QCheck.make
+       ~print:(fun (seqs, most) ->
+         Printf.sprintf "%d seqs, up to %d copies" (List.length seqs) most)
+       QCheck.Gen.(
+         pair (list_size (0 -- 1600) (int_range 1 100_000)) (int_range 1 4)))
+    (fun (seqs, most) ->
+      let seqs = List.sort_uniq Int.compare seqs in
+      let pursuit =
+        Lbrm.Pursuit.create
+          { cfg with remcast_request_threshold = most }
+          ~self:9 ~source:1 ~loggers:[ 2 ]
+          ~missing:(fun s -> 1 + (s mod most))
+          ~write_off:ignore
+      in
+      ignore (Lbrm.Pursuit.open_ pursuit ~now:0. seqs);
+      let nacks =
+        List.filter_map
+          (function
+            | Io.Send (_, (Message.Nack _ as m)) -> Some m | _ -> None)
+          (List_view.Pursuit.flush pursuit ~now:0.)
+      in
+      let fits m =
+        match Lbrm_wire.Codec.encode m with
+        | Ok s -> String.length s <= Lbrm_wire.Codec.slot_size
+        | Error _ -> false
+      in
+      let copy0 =
+        (* copy 0's NACKs come first and, between them, carry every seq *)
+        let n = List.length seqs in
+        let rec take acc got = function
+          | Message.Nack { seqs } :: rest when got < n ->
+              take (List.rev_append seqs acc) (got + List.length seqs) rest
+          | _ -> List.rev acc
+        in
+        take [] 0 nacks
+      in
+      List.for_all fits nacks && List.equal Int.equal copy0 seqs)
+
 let () =
   Alcotest.run "core"
     [
@@ -1503,6 +1548,7 @@ let () =
         ] );
       ( "receiver",
         [
+          qtest prop_flush_nacks_fit_slot;
           Alcotest.test_case "delivers in order" `Quick
             receiver_delivers_in_order;
           Alcotest.test_case "gap NACKs local logger" `Quick

@@ -64,6 +64,41 @@ let burst_loss_recovery () =
     checkb "everywhere" true (Scenario.delivered_everywhere d seq)
   done
 
+(* A 600-packet burst on one site's tail: the receivers there find one
+   600-seq gap, more than one datagram slot's worth of NACK.  Every
+   NACK goes out cut to fit the slot, and every packet is recovered. *)
+let burst_600_recovers_everything () =
+  let collector = Lbrm.Trace.Collector.create () in
+  let count = 700 and interval = 0.005 in
+  let d =
+    Scenario.standard ~cfg:plain_cfg ~seed:5 ~sites:2 ~receivers_per_site:2
+      ~sink:(Lbrm.Trace.Collector.sink collector)
+      ~tail_loss:(fun site ->
+        if site = 1 then Loss.burst_windows [ (0.5, 0.5 +. (600. *. interval)) ]
+        else Loss.none)
+      ()
+  in
+  Scenario.drive_periodic d ~interval ~count ();
+  Scenario.run d ~until:60.;
+  checki "nothing missing at the end" 0 (Scenario.total_missing d);
+  for seq = 1 to count do
+    checkb "everywhere" true (Scenario.delivered_everywhere d seq)
+  done;
+  let nacks =
+    List.filter_map
+      (fun (r : Lbrm.Trace.record) ->
+        match r.ev with
+        | Lbrm.Trace.Nack_sent { seqs; _ } | Lbrm.Trace.Uplink_nack { seqs; _ }
+          ->
+            Some (List.length seqs)
+        | _ -> None)
+      (Lbrm.Trace.Collector.records collector)
+  in
+  checkb "a gap wider than one NACK" true
+    (List.exists (fun n -> n = Lbrm_wire.Codec.nack_seqs_max) nacks);
+  checkb "every NACK fits a datagram slot" true
+    (List.for_all (fun n -> n <= Lbrm_wire.Codec.nack_seqs_max) nacks)
+
 let secondary_shields_primary () =
   (* §2.2.2: when a whole site loses a packet, the tail circuit carries
      one NACK (the secondary's), not one per receiver. *)
@@ -414,6 +449,8 @@ let () =
           Alcotest.test_case "lossless delivery" `Quick lossless_delivery;
           Alcotest.test_case "random tail loss recovered" `Quick
             random_loss_recovery;
+          Alcotest.test_case "600-packet burst recovers everything" `Quick
+            burst_600_recovers_everything;
           Alcotest.test_case "burst outage recovered" `Quick
             burst_loss_recovery;
         ] );

@@ -161,6 +161,23 @@ let nack_at_bound_roundtrips () =
   | Ok _ -> Alcotest.fail "encoded an over-long nack"
   | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
 
+(* A NACK of [nack_seqs_max] seqs fits one datagram slot and one more
+   seq would not; [nack_batches] cuts any list at that bound, in order. *)
+let nack_fits_the_slot () =
+  let nack n = Message.Nack { seqs = List.init n (fun i -> i + 1) } in
+  checkb "the bound fits" true
+    (Message.body_size (nack Codec.nack_seqs_max) <= Codec.slot_size);
+  checkb "one more does not" true
+    (Message.body_size (nack (Codec.nack_seqs_max + 1)) > Codec.slot_size);
+  let seqs = List.init ((2 * Codec.nack_seqs_max) + 1) (fun i -> i + 1) in
+  let batches = Codec.nack_batches seqs in
+  Alcotest.(check (list int))
+    "batch sizes"
+    [ Codec.nack_seqs_max; Codec.nack_seqs_max; 1 ]
+    (List.map List.length batches);
+  checkb "order kept" true (List.equal Int.equal seqs (List.concat batches));
+  Alcotest.(check (list (list int))) "nothing to send" [] (Codec.nack_batches [])
+
 let promote_at_bound () =
   (* Fail-over Promotes carry replica floors; at [promote_max] they
      round-trip, one past it the encoder returns a typed error without
@@ -391,6 +408,8 @@ let () =
             nack_at_bound_roundtrips;
           Alcotest.test_case "promote at the 1024 bound" `Quick
             promote_at_bound;
+          Alcotest.test_case "nack fits the datagram slot" `Quick
+            nack_fits_the_slot;
           Alcotest.test_case "encode_at fills slots in place" `Quick
             encode_at_slots;
         ] );
