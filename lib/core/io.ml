@@ -111,10 +111,10 @@ type out = {
   mutable draining : int; (* host drains in progress *)
 }
 
-(* Fills the slots past the first growth's copy.  Drained slots are not
-   cleared: clearing costs a write barrier per action on every call,
-   while an action left behind is only kept alive (and promoted at most
-   once) until a later call overwrites its slot. *)
+(* Fills every slot at or past [len].  A drained action must not stay
+   reachable from the long-lived array: the next minor collection would
+   promote it, and on the simulator's receive path that costs more than
+   the store that clears the slot. *)
 let hole = Leave (-1)
 
 let out () = { acts = [||]; len = 0; mark = 0; draining = 0 }
@@ -122,18 +122,21 @@ let[@inline] mark o = o.mark
 let[@inline] length o = o.len
 let[@inline] get o i = o.acts.(i)
 
+(* [push] doubles a full array; every later call reuses it. *)
 let grow o =
   let acts = Array.make (Stdlib.max 8 (2 * o.len)) hole in
   Array.blit o.acts 0 acts 0 o.len;
   o.acts <- acts
 
-(* [grow] doubles the array when it is full; every later call reuses it. *)
 let[@lint.hot] [@inline] push o a =
   if o.len = Array.length o.acts then grow o;
   Array.unsafe_set o.acts o.len a;
   o.len <- o.len + 1
 
 let[@lint.hot] [@inline] truncate o n =
+  for i = n to o.len - 1 do
+    Array.unsafe_set o.acts i hole
+  done;
   o.len <- n;
   if o.mark > n then o.mark <- n
 
@@ -169,7 +172,9 @@ let hoist o ~at ~from =
   reverse o at (o.len - 1)
 
 let collect o =
-  let rec build i acc = if i < o.mark then acc else build (i - 1) (o.acts.(i) :: acc) in
+  let rec build i acc =
+    if i < o.mark then acc else build (i - 1) (o.acts.(i) :: acc)
+  in
   let l = build (o.len - 1) [] in
   discard o;
   l

@@ -127,9 +127,8 @@ val length : out -> int
 val get : out -> int -> action
 
 val truncate : out -> int -> unit
-(** [truncate o n] drops the actions from index [n] on.  Their slots
-    are not cleared: a dropped action stays reachable until a later call
-    overwrites it, which costs less than a write barrier per action. *)
+(** [truncate o n] drops the actions from index [n] on, clearing their
+    slots so the buffer keeps no dropped action alive. *)
 
 val discard : out -> unit
 (** Drop the latest call's actions: [truncate o (mark o)]. *)

@@ -130,12 +130,37 @@ let abandon t out ~now seq =
 let copies t seq =
   Stdlib.max 1 (Stdlib.min (t.missing seq) t.cfg.remcast_request_threshold)
 
+(* Copy [c] of a level's NACK, cut into NACKs that fit a datagram slot:
+   every seq for copy 0, the seqs wanting more than [c] copies after. *)
+let copy_nacks t seqs c =
+  Codec.nack_batches
+    (if c = 0 then seqs else List.filter (fun s -> copies t s > c) seqs)
+
+let rec trace_nacks t ~now ~dest ~level = function
+  | [] -> ()
+  | seqs :: rest ->
+      t.nacks_sent <- t.nacks_sent + 1;
+      if Trace.is_on t.sink then
+        trace t ~now (Trace.Nack_sent { dest; level; seqs });
+      trace_nacks t ~now ~dest ~level rest
+
+let rec push_nacks out dest = function
+  | [] -> ()
+  | seqs :: rest ->
+      Io.push out (Io.send_to dest (Message.Nack { seqs }));
+      push_nacks out dest rest
+
+let rec push_escalations t out = function
+  | [] -> ()
+  | s :: rest ->
+      Io.push out (Set_timer (K_nack_escalate s, t.cfg.nack_timeout));
+      push_escalations t out rest
+
 (* One NACK per hierarchy level covering every seq due there, in as
-   many copies as its most-missed seq asks for, each copy cut into
-   NACKs that fit a datagram slot.  Levels go out in the reverse of
-   hash-bucket order, each as its copies (copy 0 first) and then its
-   escalation timers; each level's copies are traced last copy first,
-   levels in bucket order. *)
+   many copies as its most-missed seq asks for.  Levels go out in the
+   reverse of hash-bucket order, each as its copies (copy 0 first) and
+   then its escalation timers; each level's copies are traced last copy
+   first, levels in bucket order. *)
 let flush t out ~now =
   Hashtbl.reset t.by_level;
   Hashtbl.iter
@@ -149,10 +174,7 @@ let flush t out ~now =
         p.needs_send <- false
       end)
     t.pursuits;
-  let batch seqs c =
-    if c = 0 then seqs else List.filter (fun s -> copies t s > c) seqs
-  in
-  (* (logger, seqs ascending, NACKs by copy), last bucket first *)
+  (* (logger, seqs ascending, copies), last bucket first *)
   let due =
     Hashtbl.fold
       (fun level seqs acc ->
@@ -163,27 +185,18 @@ let flush t out ~now =
             let most =
               List.fold_left (fun c s -> Stdlib.max c (copies t s)) 1 seqs
             in
-            let nacks =
-              List.init most (fun c -> Codec.nack_batches (batch seqs c))
-            in
-            List.iter
-              (List.iter (fun seqs ->
-                   t.nacks_sent <- t.nacks_sent + 1;
-                   if Trace.is_on t.sink then
-                     trace t ~now (Trace.Nack_sent { dest = logger; level; seqs })))
-              (List.rev nacks);
-            (logger, seqs, nacks) :: acc)
+            for c = most - 1 downto 0 do
+              trace_nacks t ~now ~dest:logger ~level (copy_nacks t seqs c)
+            done;
+            (logger, seqs, most) :: acc)
       t.by_level []
   in
   List.iter
-    (fun (logger, seqs, nacks) ->
-      List.iter
-        (List.iter (fun seqs ->
-             Io.push out (Io.send_to logger (Message.Nack { seqs }))))
-        nacks;
-      List.iter
-        (fun s -> Io.push out (Set_timer (K_nack_escalate s, t.cfg.nack_timeout)))
-        seqs)
+    (fun (logger, seqs, most) ->
+      for c = 0 to most - 1 do
+        push_nacks out logger (copy_nacks t seqs c)
+      done;
+      push_escalations t out seqs)
     due
 
 let unanswered_at_nearest t seq =

@@ -19,10 +19,10 @@ type ('h, 'e) transport = {
 
 type meter = {
   registry : Metrics.t;
-  (* kind -> interned counter, so per-message accounting never builds a
-     "sent.<kind>" string *)
-  sent : (string, Metrics.counter) Hashtbl.t;
-  recv : (string, Metrics.counter) Hashtbl.t;
+  (* wire tag -> interned counter, so per-message accounting neither
+     builds a "sent.<kind>" string nor hashes the kind *)
+  sent : Metrics.counter option array;
+  recv : Metrics.counter option array;
   (* forced on the first delivery, so an idle registry stays empty *)
   delivered : Metrics.counter Lazy.t;
   recovered : Metrics.counter Lazy.t;
@@ -46,19 +46,19 @@ let create tr = { tr; agents = Hashtbl.create 64 }
 let meter registry =
   {
     registry;
-    sent = Hashtbl.create 16;
-    recv = Hashtbl.create 16;
+    sent = Array.make Lbrm_wire.Codec.tags None;
+    recv = Array.make Lbrm_wire.Codec.tags None;
     delivered = lazy (Metrics.counter registry "app.delivered");
     recovered = lazy (Metrics.counter registry "app.recovered");
   }
 
 let[@lint.hot] count cache registry prefix msg n =
-  let kind = Message.kind msg in
-  match Hashtbl.find cache kind with
-  | c -> Metrics.add c n
-  | exception Not_found ->
-      (let c = Metrics.counter registry (prefix ^ kind) in
-       Hashtbl.add cache kind c;
+  let tag = Lbrm_wire.Codec.tag_of msg in
+  match cache.(tag) with
+  | Some c -> Metrics.add c n
+  | None ->
+      (let c = Metrics.counter registry (prefix ^ Message.kind msg) in
+       cache.(tag) <- Some c;
        Metrics.add c n)
       [@lint.alloc "first message of a kind interns its counter"]
 

@@ -175,6 +175,8 @@ let tag_of = function
   | Ring_set _ -> 22
   | Quorum_ack _ -> 23
 
+let tags = 24
+
 let nack_max = 65536
 let promote_max = 1024
 let slot_size = 2048

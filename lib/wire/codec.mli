@@ -95,6 +95,11 @@ module Reader : sig
   val remaining : t -> int
 end
 
+val tag_of : Message.t -> int
+(** The message's one-byte wire tag, in [\[0, tags)]. *)
+
+val tags : int
+
 val nack_max : int
 (** Largest sequence list a [Nack] may carry (decoder-enforced; the
     encoder refuses to build anything bigger). *)
