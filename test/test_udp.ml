@@ -233,6 +233,43 @@ let encode_failure_is_not_loss () =
     (Lbrm_util.Metrics.value (Lbrm_util.Metrics.counter m "tx.encode_failed"));
   U.close rt
 
+(* A receiver that joins after 600 packets went out finds one 600-seq
+   gap on its first arrival ([recover_from_start]): more than a
+   datagram slot's worth of NACK.  The NACKs go out cut to fit the
+   2048-byte receive slot, so the logger reads every one whole and
+   every packet is repaired.  A single 600-seq NACK (2405 bytes) would
+   arrive truncated, be dropped, and leave the gap open for good. *)
+let burst_600_recovered () =
+  require_sockets ();
+  let cfg = { cfg with recover_from_start = true } in
+  let s = make_session ~cfg ~base_port:48900 ~loss:0. ~receiver_count:0 () in
+  for i = 1 to 600 do
+    send s (Printf.sprintf "burst-%d" i);
+    if i mod 50 = 0 then U.run_for s.rt ~seconds:0.01
+  done;
+  U.run_for s.rt ~seconds:0.1;
+  let port = 48903 in
+  let r =
+    Lbrm.Receiver.create cfg ~self:port ~source:s.src_port
+      ~loggers:[ 48902; 48901 ]
+  in
+  U.add_agent s.rt ~port (H.of_receiver r);
+  U.join s.rt ~group:cfg.group ~port;
+  U.perform s.rt ~port (Lbrm.Receiver.start r ~now:(U.now s.rt));
+  send s "burst-601";
+  let rec wait n =
+    if n > 0 && Lbrm.Receiver.delivered r < 601 then begin
+      U.run_for s.rt ~seconds:0.1;
+      wait (n - 1)
+    end
+  in
+  wait 30;
+  let truncated = (U.stats s.rt).rx_truncated in
+  U.close s.rt;
+  checki "nothing arrived truncated" 0 truncated;
+  checki "every packet delivered" 601 (Lbrm.Receiver.delivered r);
+  checkb "the gap took more than one NACK" true (Lbrm.Receiver.nacks_sent r >= 2)
+
 let () =
   Alcotest.run "udp"
     [
@@ -247,5 +284,7 @@ let () =
             peer_states_follow_traffic;
           Alcotest.test_case "encode failure is not loss" `Quick
             encode_failure_is_not_loss;
+          Alcotest.test_case "600-packet burst recovered" `Quick
+            burst_600_recovered;
         ] );
     ]
