@@ -118,7 +118,6 @@ type out = {
 let hole = Leave (-1)
 
 let out () = { acts = [||]; len = 0; mark = 0; draining = 0 }
-let[@inline] mark o = o.mark
 let[@inline] length o = o.len
 let[@inline] get o i = o.acts.(i)
 

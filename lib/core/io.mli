@@ -12,7 +12,7 @@
     [handle_timer]); sub-machines ({!Pursuit}, {!Discovery}) push into
     the buffer of the machine that embeds them.  An entry point first
     calls {!begin_call}, which marks the buffer's current end: the
-    call's actions are the ones from {!mark} to {!length}.  The buffer
+    call's actions are the ones from that mark to {!length}.  The buffer
     grows to the largest call's size and is reused, so a call allocates
     only the action blocks it pushes.
 
@@ -107,8 +107,8 @@ val send_to : address -> Lbrm_wire.Message.t -> action
 (** {2 Action buffers} *)
 
 type out
-(** A grow-only action array plus its length and the start {!mark} of
-    the latest call. *)
+(** A grow-only action array plus its length and the index where the
+    latest call's actions start (its mark). *)
 
 val out : unit -> out
 (** A fresh, empty buffer. *)
@@ -120,26 +120,20 @@ val begin_call : out -> unit
 val push : out -> action -> unit
 (** Append one action.  Allocates only when the array must grow. *)
 
-val mark : out -> int
-(** Index of the latest call's first action. *)
-
 val length : out -> int
 val get : out -> int -> action
 
-val truncate : out -> int -> unit
-(** [truncate o n] drops the actions from index [n] on, clearing their
-    slots so the buffer keeps no dropped action alive. *)
-
 val discard : out -> unit
-(** Drop the latest call's actions: [truncate o (mark o)]. *)
+(** Drop the latest call's actions, clearing their slots so the buffer
+    keeps no dropped action alive. *)
 
 val start_drain : out -> int
-(** A host begins draining the latest call: returns its {!mark}, the
-    index to drain from. *)
+(** A host begins draining the latest call: returns the index of its
+    first action, the index to drain from. *)
 
 val end_drain : out -> int -> unit
-(** [end_drain o from]: the drain that started at [from] is done;
-    truncate back to it. *)
+(** [end_drain o from]: the drain that started at [from] is done; drop
+    every action from [from] on, as {!discard} does. *)
 
 val hoist : out -> at:int -> from:int -> unit
 (** [hoist o ~at ~from] moves the actions pushed from index [from] on
