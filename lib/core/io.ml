@@ -117,13 +117,22 @@ type out = {
    the store that clears the slot. *)
 let hole = Leave (-1)
 
-let out () = { acts = [||]; len = 0; mark = 0; draining = 0 }
+(* Eight slots hold every call on the simulator's common paths; the
+   literal is allocated inline, which keeps building a thousand-machine
+   deployment cheap. *)
+let out () =
+  {
+    acts = [| hole; hole; hole; hole; hole; hole; hole; hole |];
+    len = 0;
+    mark = 0;
+    draining = 0;
+  }
 let[@inline] length o = o.len
 let[@inline] get o i = o.acts.(i)
 
 (* [push] doubles a full array; every later call reuses it. *)
 let grow o =
-  let acts = Array.make (Stdlib.max 8 (2 * o.len)) hole in
+  let acts = Array.make (2 * o.len) hole in
   Array.blit o.acts 0 acts 0 o.len;
   o.acts <- acts
 
