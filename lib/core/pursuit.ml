@@ -42,7 +42,10 @@ let create ?(sink = Trace.null ()) cfg ~self ~source ~loggers ~missing
     missing;
     write_off;
     loggers;
-    pursuits = Hashtbl.create 32;
+    (* A receiver pursues a handful of seqs at a time; the table grows
+       for a burst.  Starting small keeps a thousand-receiver deployment
+       cheap to build. *)
+    pursuits = Hashtbl.create 8;
     by_level = Hashtbl.create 4;
     last_heard = [| 0. |];
     arm_silence = Set_timer (K_silence, cfg.Config.max_it);
