@@ -1548,7 +1548,6 @@ let () =
         ] );
       ( "receiver",
         [
-          qtest prop_flush_nacks_fit_slot;
           Alcotest.test_case "delivers in order" `Quick
             receiver_delivers_in_order;
           Alcotest.test_case "gap NACKs local logger" `Quick
@@ -1569,6 +1568,7 @@ let () =
             receiver_rediscovery_after_unanswered;
           Alcotest.test_case "rediscovery on prolonged silence" `Quick
             receiver_silence_triggers_rediscovery;
+          qtest prop_flush_nacks_fit_slot;
         ] );
       ( "logger",
         [

@@ -449,10 +449,10 @@ let () =
           Alcotest.test_case "lossless delivery" `Quick lossless_delivery;
           Alcotest.test_case "random tail loss recovered" `Quick
             random_loss_recovery;
-          Alcotest.test_case "600-packet burst recovers everything" `Quick
-            burst_600_recovers_everything;
           Alcotest.test_case "burst outage recovered" `Quick
             burst_loss_recovery;
+          Alcotest.test_case "600-packet burst recovers everything" `Quick
+            burst_600_recovers_everything;
         ] );
       ( "distributed-logging",
         [

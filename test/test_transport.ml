@@ -797,14 +797,14 @@ let () =
             `Quick multicast_words_per_delivery;
           Alcotest.test_case "receiver in-order Data gate" `Quick
             receiver_in_order_words;
-          Alcotest.test_case "logger in-order Data gate" `Quick
-            logger_in_order_words;
-          Alcotest.test_case "Source.send gate" `Quick source_send_words;
           Alcotest.test_case "trend gate trips on one extra word/op" `Quick
             trend_gate_words;
           Alcotest.test_case "trend gate trips on one more missing packet"
             `Quick trend_gate_outcomes;
           Alcotest.test_case "trend gate trips on one less durable seq"
             `Quick trend_gate_durable;
+          Alcotest.test_case "logger in-order Data gate" `Quick
+            logger_in_order_words;
+          Alcotest.test_case "Source.send gate" `Quick source_send_words;
         ] );
     ]

@@ -408,10 +408,10 @@ let () =
             nack_at_bound_roundtrips;
           Alcotest.test_case "promote at the 1024 bound" `Quick
             promote_at_bound;
-          Alcotest.test_case "nack fits the datagram slot" `Quick
-            nack_fits_the_slot;
           Alcotest.test_case "encode_at fills slots in place" `Quick
             encode_at_slots;
+          Alcotest.test_case "nack fits the datagram slot" `Quick
+            nack_fits_the_slot;
         ] );
       ( "properties",
         [
