@@ -145,6 +145,7 @@ let create cfg ~self ~source ?parent ?(replicas = []) ?succ ?archive ~rng
 
 let is_primary t = t.parent = None
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
+let reply t dst msg = Io.push t.out (Io.send_to dst msg)
 let store t = t.store
 let self t = t.self
 let requests_served t = t.requests_served
@@ -197,11 +198,11 @@ let ask_parent t ~now seqs =
           t.uplink_nacks <- t.uplink_nacks + 1;
           if Trace.is_on t.sink then
             trace t ~now (Trace.Uplink_nack { dest = parent; seqs });
-          Io.push t.out (Io.send_to parent (Message.Nack { seqs })))
+          reply t parent (Message.Nack { seqs }))
         (Lbrm_wire.Codec.nack_batches fresh);
+      let timeout = t.cfg.uplink_nack_timeout in
       List.iter
-        (fun s ->
-          Io.push t.out (Set_timer (K_uplink_nack s, t.cfg.uplink_nack_timeout)))
+        (fun s -> Io.push t.out (Set_timer (K_uplink_nack s, timeout)))
         fresh
 
 (* Time a packet can still appear on the retransmission channel. *)
@@ -390,7 +391,9 @@ let satisfy_waiters t ~now seq =
             && List.length ws >= t.cfg.remcast_request_threshold
           then Io.push t.out (site_repair t ~now e)
           else
-            List.iter (fun wtr -> Io.push t.out (unicast_repair t ~now wtr e)) ws)
+            List.iter
+              (fun wtr -> Io.push t.out (unicast_repair t ~now wtr e))
+              ws)
 
 (* [Data], [Heartbeat] and [Retrans] (from our parent, or a sibling's
    site multicast): log it, stat-ack if designated, and pass it on to
@@ -398,8 +401,7 @@ let satisfy_waiters t ~now seq =
 let on_data t ~now ~seq ~epoch ~payload ~recovered =
   ingest t ~now ~seq ~epoch ~payload ~recovered;
   if Hashtbl.mem t.designated epoch then
-    Io.push t.out
-      (Io.send_to t.source (Message.Stat_ack { epoch; seq; logger = t.self }));
+    reply t t.source (Message.Stat_ack { epoch; seq; logger = t.self });
   satisfy_waiters t ~now seq
 
 (* --- primary duties ---------------------------------------------------- *)
@@ -478,7 +480,7 @@ let replicate t seq =
       let payload = Payload.of_string e.payload in
       let update = Message.Replica_update { seq; epoch = e.epoch; payload } in
       Hashtbl.replace t.retry_armed seq ();
-      List.iter (fun r -> Io.push t.out (Io.send_to r update)) laggards;
+      List.iter (fun r -> reply t r update) laggards;
       Io.push t.out (Set_timer (K_replica_retry seq, t.cfg.deposit_timeout))
 
 (* Logging and serving waiters come first; the ack and the replica
@@ -489,7 +491,7 @@ let on_deposit t ~now ~seq ~epoch ~payload =
   ingest t ~now ~seq ~epoch ~payload ~recovered:false;
   satisfy_waiters t ~now seq;
   let from = Io.length t.out in
-  Io.push t.out (Io.send_to t.source (log_ack t));
+  reply t t.source (log_ack t);
   replicate t seq;
   Io.hoist t.out ~at ~from
 
@@ -512,11 +514,9 @@ let on_ring_forward t ~now ~seq ~epoch ~payload =
   | Some next ->
       if Trace.is_on t.sink then
         trace t ~now (Trace.Ring_forwarded { seq; dest = next });
-      Io.push t.out
-        (Io.send_to next (Message.Ring_forward { seq; epoch; payload }))
+      reply t next (Message.Ring_forward { seq; epoch; payload })
   | None ->
-      Io.push t.out
-        (Io.send_to t.source (Message.Ring_ack { seq = durable_floor t })));
+      reply t t.source (Message.Ring_ack { seq = durable_floor t }));
   Io.hoist t.out ~at ~from
 
 (* Quorum member: every member (primary or not) logs the multicast
@@ -530,7 +530,7 @@ let on_quorum_deposit t ~now ~seq ~epoch ~payload =
   let floor = durable_floor t in
   if Trace.is_on t.sink then trace t ~now (Trace.Quorum_acked { seq; floor });
   let from = Io.length t.out in
-  Io.push t.out (Io.send_to t.source (Message.Quorum_ack { seq = floor }));
+  reply t t.source (Message.Quorum_ack { seq = floor });
   Io.hoist t.out ~at ~from;
   satisfy_waiters t ~now seq
 
@@ -539,12 +539,10 @@ let on_replica_update t ~now ~src ~seq ~epoch ~payload =
   ingest t ~now ~seq ~epoch ~payload ~recovered:false;
   satisfy_waiters t ~now seq;
   let from = Io.length t.out in
-  Io.push t.out (Io.send_to src (Message.Replica_ack { seq = durable_floor t }));
+  reply t src (Message.Replica_ack { seq = durable_floor t });
   Io.hoist t.out ~at ~from
 
 (* --- dispatch ------------------------------------------------------------ *)
-
-let reply t dst msg = Io.push t.out (Io.send_to dst msg)
 
 let dispatch t ~now ~src msg =
   match msg with

@@ -148,7 +148,8 @@ let escalate t ~now seq =
      drops the nearest level, which the decision must see.  Its actions
      still go out after the ladder's. *)
   let at = Io.length t.out in
-  if Pursuit.unanswered_at_nearest t.pursuit seq then note_level0_failure t ~now;
+  if Pursuit.unanswered_at_nearest t.pursuit seq then
+    note_level0_failure t ~now;
   let from = Io.length t.out in
   Pursuit.escalate t.pursuit t.out ~now seq;
   Io.hoist t.out ~at ~from
@@ -227,7 +228,8 @@ let handle_message t ~now ~src msg =
       match t.discovery with
       | None -> ()
       | Some dsc ->
-          discovery_step t ~now (Discovery.handle_message dsc out ~now ~src msg))
+          discovery_step t ~now
+            (Discovery.handle_message dsc out ~now ~src msg))
   | Message.Primary_is { logger } -> Pursuit.primary_is t.pursuit out logger
   | _ -> ());
   out

@@ -96,10 +96,10 @@ let apply_events t ~now events =
               if Trace.is_on t.sink then
                 trace t ~now (Trace.Retrans { seq; mode = Trace.R_stat });
               push t (Notify (N_remulticast seq));
+              let payload = Payload.of_string payload in
               push t
                 (Io.send ~group:(group t)
-                   (Message.Data
-                      { seq; epoch = t.epoch; payload = Payload.of_string payload }))))
+                   (Message.Data { seq; epoch = t.epoch; payload }))))
     events
 
 (* Soft cap on the replay table (§2.3.2 meets fail-over): entries that
@@ -282,18 +282,16 @@ let handle_timer t ~now key =
               | Some channel, Some payload ->
                   if Trace.is_on t.sink then
                     trace t ~now (Trace.Retrans { seq; mode = Trace.R_rchannel });
+                  let payload = Payload.of_string payload in
                   push t
                     (Io.send ~group:channel
-                       (Message.Retrans
-                          { seq; epoch = t.epoch; payload = Payload.of_string payload }));
+                       (Message.Retrans { seq; epoch = t.epoch; payload }));
                   if k + 1 >= t.cfg.rchannel_copies then
                     Hashtbl.remove t.rchannel_buf seq
                   else
+                    let gap = t.cfg.backoff ** float_of_int (k + 1) in
                     push t
-                      (Set_timer
-                         ( K_rchannel (seq, k + 1),
-                           t.cfg.h_min *. (t.cfg.backoff ** float_of_int (k + 1))
-                         ))
+                      (Set_timer (K_rchannel (seq, k + 1), t.cfg.h_min *. gap))
               | _ -> ())
           | _ -> ())));
   t.out

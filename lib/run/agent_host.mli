@@ -64,8 +64,8 @@ val dispatch :
 
 val perform : ('h, 'e) t -> address -> Lbrm.Io.out -> unit
 (** Drain a call's actions for the agent at the address, outside any
-    dispatch: execute the actions from {!Lbrm.Io.mark} on, in order,
-    then truncate the buffer back to that mark (see {!Lbrm.Io} for
-    nested calls).  With no agent installed the actions are dropped.  The clock is read only for a
-    [Deliver] or [Notify]; {!receive} and timer expiries read it once
-    and hand that reading to the handler and to all its actions. *)
+    dispatch: execute them in order, then drop them from the buffer
+    (see {!Lbrm.Io} for nested calls).  With no agent installed the
+    actions are dropped.  The clock is read only for a [Deliver] or
+    [Notify]; {!receive} and timer expiries read it once and hand that
+    reading to the handler and to all its actions. *)

@@ -196,7 +196,8 @@ let transport io =
   }
 
 let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
-    ?(pool_slots = 256) ?(slot_size = Lbrm_wire.Codec.slot_size) ?(use_mmsg = true) ?(use_gso = true)
+    ?(pool_slots = 256) ?(slot_size = Lbrm_wire.Codec.slot_size)
+    ?(use_mmsg = true) ?(use_gso = true)
     ?(sink = Trace.null ()) ?suspect_after ?dead_after () =
   let batch = max 1 (min batch Sockmsg.batch_max) in
   (* The receive ring owns [batch] slots for the process lifetime and

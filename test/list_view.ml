@@ -8,7 +8,10 @@ module Source = struct
 
   let start t ~now = Io.collect (start t ~now)
   let send t ~now payload = Io.collect (send t ~now payload)
-  let handle_message t ~now ~src msg = Io.collect (handle_message t ~now ~src msg)
+
+  let handle_message t ~now ~src msg =
+    Io.collect (handle_message t ~now ~src msg)
+
   let handle_timer t ~now key = Io.collect (handle_timer t ~now key)
 end
 
@@ -16,14 +19,19 @@ module Receiver = struct
   include Lbrm.Receiver
 
   let start t ~now = Io.collect (start t ~now)
-  let handle_message t ~now ~src msg = Io.collect (handle_message t ~now ~src msg)
+
+  let handle_message t ~now ~src msg =
+    Io.collect (handle_message t ~now ~src msg)
+
   let handle_timer t ~now key = Io.collect (handle_timer t ~now key)
 end
 
 module Logger = struct
   include Lbrm.Logger
 
-  let handle_message t ~now ~src msg = Io.collect (handle_message t ~now ~src msg)
+  let handle_message t ~now ~src msg =
+    Io.collect (handle_message t ~now ~src msg)
+
   let handle_timer t ~now key = Io.collect (handle_timer t ~now key)
 end
 
@@ -31,7 +39,10 @@ module Population = struct
   include Lbrm_run.Population
 
   let start t ~now = Io.collect (start t ~now)
-  let handle_message t ~now ~src msg = Io.collect (handle_message t ~now ~src msg)
+
+  let handle_message t ~now ~src msg =
+    Io.collect (handle_message t ~now ~src msg)
+
   let handle_timer t ~now key = Io.collect (handle_timer t ~now key)
 end
 
@@ -50,8 +61,12 @@ module Discovery = struct
   include Lbrm.Discovery
 
   let start t ~now = into (fun out -> start t out ~now)
-  let handle_message t ~now ~src msg = consumed (fun out -> handle_message t out ~now ~src msg)
-  let handle_timer t ~now key = consumed (fun out -> handle_timer t out ~now key)
+
+  let handle_message t ~now ~src msg =
+    consumed (fun out -> handle_message t out ~now ~src msg)
+
+  let handle_timer t ~now key =
+    consumed (fun out -> handle_timer t out ~now key)
 end
 
 module Pursuit = struct

@@ -230,7 +230,8 @@ let discovery_finds_site_logger () =
     {
       Lbrm_run.Handlers.on_message =
         (fun ~now ~src msg ->
-          step (fun out -> Lbrm.Discovery.handle_message disc out ~now ~src msg));
+          step (fun out ->
+              Lbrm.Discovery.handle_message disc out ~now ~src msg));
       on_timer =
         (fun ~now key ->
           step (fun out -> Lbrm.Discovery.handle_timer disc out ~now key));

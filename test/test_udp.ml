@@ -268,7 +268,8 @@ let burst_600_recovered () =
   U.close s.rt;
   checki "nothing arrived truncated" 0 truncated;
   checki "every packet delivered" 601 (Lbrm.Receiver.delivered r);
-  checkb "the gap took more than one NACK" true (Lbrm.Receiver.nacks_sent r >= 2)
+  checkb "the gap took more than one NACK" true
+    (Lbrm.Receiver.nacks_sent r >= 2)
 
 let () =
   Alcotest.run "udp"

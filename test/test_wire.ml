@@ -176,7 +176,8 @@ let nack_fits_the_slot () =
     [ Codec.nack_seqs_max; Codec.nack_seqs_max; 1 ]
     (List.map List.length batches);
   checkb "order kept" true (List.equal Int.equal seqs (List.concat batches));
-  Alcotest.(check (list (list int))) "nothing to send" [] (Codec.nack_batches [])
+  Alcotest.(check (list (list int)))
+    "nothing to send" [] (Codec.nack_batches [])
 
 let promote_at_bound () =
   (* Fail-over Promotes carry replica floors; at [promote_max] they
