@@ -131,17 +131,14 @@ let member t ~group ~port =
   | Some g -> array_mem g.members port
   | None -> false
 
-let iter_live_members t ~group ~except f =
+let iter_members t ~group ~except f =
   match Hashtbl.find_opt t.groups group with
   | None -> ()
   | Some g ->
       let m = g.members in
       for i = 0 to Array.length m - 1 do
         let port = m.(i) in
-        if port <> except then
-          match find t port with
-          | Some { st = Dead; _ } -> ()
-          | Some _ | None -> f port
+        if port <> except then f port
       done
 
 let group_size t ~group =

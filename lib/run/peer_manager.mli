@@ -16,10 +16,12 @@
     Any received datagram makes a peer [Active] — including reviving a
     [Dead] one (LBRM peers are long-lived; a rebooted simulator host
     rejoins with the same port).  Group membership is an index over
-    peers: fan-out iterates a group's members and skips only [Dead]
-    peers, so a crashed host stops costing a datagram per multicast
-    while a merely [Suspect] one keeps receiving (the paper's
-    receiver-reliable stance: senders never gate on receiver health).
+    peers, and fan-out sends to every member whatever its state.
+    Liveness is for observability only: an LBRM receiver that sees no
+    loss sends nothing, so a healthy one ages to [Dead], and it must
+    keep receiving data and heartbeats or it could not even detect a
+    gap (the paper's receiver-reliable stance: senders never gate on
+    receiver health).
 
     Every transition is reported through [on_transition] so the runtime
     can mirror it into the Trace/Metrics planes. *)
@@ -76,10 +78,10 @@ val leave : t -> group:int -> port:int -> unit
 
 val member : t -> group:int -> port:int -> bool
 
-val iter_live_members : t -> group:int -> except:int -> (int -> unit) -> unit
-(** Apply to every member of [group] except [except] whose state is not
-    [Dead] — the multicast-emulation fan-out walk.  Iteration order is
-    ascending port (deterministic, unlike a raw Hashtbl walk). *)
+val iter_members : t -> group:int -> except:int -> (int -> unit) -> unit
+(** Apply to every member of [group] except [except], in any state —
+    the multicast-emulation fan-out walk.  Iteration order is ascending
+    port (deterministic, unlike a raw Hashtbl walk). *)
 
 val group_size : t -> group:int -> int
 (** Members in any state. *)

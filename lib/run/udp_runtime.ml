@@ -174,12 +174,11 @@ let transport io =
         io.sent - before);
     multicast =
       (fun ep ~group ~ttl:_ msg ->
-        (* Unicast fan-out over live members; TTL scoping is meaningless
-           here.  Dead peers are skipped — a crashed host stops costing a
-           datagram per multicast — while Suspect ones keep receiving
-           (senders never gate on receiver health). *)
+        (* Unicast fan-out over every member; TTL scoping is meaningless
+           here.  A receiver that sees no loss never speaks, so its peer
+           state decays to Dead: senders never gate on receiver health. *)
         let before = io.sent in
-        Peer_manager.iter_live_members io.peers ~group ~except:ep.port
+        Peer_manager.iter_members io.peers ~group ~except:ep.port
           (fun port -> send_datagram io ep ~dst:port msg);
         io.sent - before);
     arm =

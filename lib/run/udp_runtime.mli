@@ -24,12 +24,13 @@
     {b Peers}: a {!Peer_manager} tracks every remote endpoint's
     liveness (Connecting/Active/Suspect/Dead) from received traffic;
     transitions surface as {!Lbrm.Trace.Peer_state} events and runtime
-    metrics.  Group membership lives in the same registry.
+    metrics.  Liveness is observability only: no send is gated on it.
+    Group membership lives in the same registry.
 
     {b Multicast emulation}: the sealed environment offers no
     multicast-capable network, so group sends fan out as unicast
-    datagrams over the membership index (one copy per non-[Dead]
-    member).  This preserves LBRM's delivery semantics; TTL scoping is
+    datagrams over the membership index (one copy per member but the
+    sender).  This preserves LBRM's delivery semantics; TTL scoping is
     a no-op (scope control is exercised in the simulator).  See
     DESIGN.md "Real transport".
 

@@ -86,7 +86,7 @@ let pm_sends_never_gate () =
     "traffic counted" (Some (2, 1))
     (P.traffic pm ~port:5)
 
-let pm_fanout_skips_dead_only () =
+let pm_fanout_reaches_every_member () =
   let pm = P.create ~suspect_after:1.0 ~dead_after:5.0 () in
   List.iter (fun p -> P.join pm ~group:1 ~port:p ~now:0.0) [ 13; 11; 12 ];
   P.note_recv pm ~port:11 ~now:4.8 (* stays active *);
@@ -96,12 +96,13 @@ let pm_fanout_skips_dead_only () =
   check_state "suspect keeps receiving" (Some P.Suspect) (P.state pm ~port:12);
   check_state "silent member died" (Some P.Dead) (P.state pm ~port:13);
   let walked = ref [] in
-  P.iter_live_members pm ~group:1 ~except:0 (fun p -> walked := p :: !walked);
+  P.iter_members pm ~group:1 ~except:0 (fun p -> walked := p :: !walked);
   Alcotest.(check (list int))
-    "dead skipped, ascending order" [ 11; 12 ] (List.rev !walked);
+    "dead member still receives, ascending order" [ 11; 12; 13 ]
+    (List.rev !walked);
   let walked = ref [] in
-  P.iter_live_members pm ~group:1 ~except:12 (fun p -> walked := p :: !walked);
-  Alcotest.(check (list int)) "except honored" [ 11 ] (List.rev !walked);
+  P.iter_members pm ~group:1 ~except:12 (fun p -> walked := p :: !walked);
+  Alcotest.(check (list int)) "except honored" [ 11; 13 ] (List.rev !walked);
   checki "group_size counts every state" 3 (P.group_size pm ~group:1);
   checkb "dead member still a member" true (P.member pm ~group:1 ~port:13);
   P.leave pm ~group:1 ~port:11;
@@ -768,8 +769,8 @@ let () =
             pm_transitions_observed;
           Alcotest.test_case "sends never gate liveness" `Quick
             pm_sends_never_gate;
-          Alcotest.test_case "fan-out skips dead only" `Quick
-            pm_fanout_skips_dead_only;
+          Alcotest.test_case "fan-out reaches every member" `Quick
+            pm_fanout_reaches_every_member;
           Alcotest.test_case "counts" `Quick pm_counts;
         ] );
       ( "buf_pool",

@@ -271,6 +271,43 @@ let burst_600_recovered () =
   checkb "the gap took more than one NACK" true
     (Lbrm.Receiver.nacks_sent r >= 2)
 
+(* LBRM receivers send nothing while they see no loss, so the peer
+   registry ages a healthy receiver to Dead after [dead_after] of
+   silence.  Liveness is observability only: the fan-out must keep
+   sending it data and heartbeats, or it could not even detect a gap. *)
+let silent_receiver_keeps_receiving () =
+  require_sockets ();
+  let module P = Lbrm_run.Peer_manager in
+  let rt = U.create ~suspect_after:0.25 ~dead_after:0.7 () in
+  let src_port = 48700 and logger_port = 48701 and port = 48702 in
+  let source = Lbrm.Source.create cfg ~self:src_port ~primary:logger_port () in
+  let logger =
+    Lbrm.Logger.create cfg ~self:logger_port ~source:src_port
+      ~rng:(Lbrm_util.Rng.create ~seed:1) ()
+  in
+  let r =
+    Lbrm.Receiver.create cfg ~self:port ~source:src_port
+      ~loggers:[ logger_port ]
+  in
+  U.add_agent rt ~port:src_port (H.of_source source);
+  U.add_agent rt ~port:logger_port (H.of_logger logger);
+  U.add_agent rt ~port (H.of_receiver r);
+  U.join rt ~group:cfg.group ~port:logger_port;
+  U.join rt ~group:cfg.group ~port;
+  U.perform rt ~port:src_port (Lbrm.Source.start source ~now:(U.now rt));
+  U.perform rt ~port (Lbrm.Receiver.start r ~now:(U.now rt));
+  for i = 1 to 60 do
+    U.perform rt ~port:src_port
+      (Lbrm.Source.send source ~now:(U.now rt) (Printf.sprintf "quiet-%d" i));
+    U.run_for rt ~seconds:0.05
+  done;
+  U.run_for rt ~seconds:0.2;
+  let state = P.state (U.peers rt) ~port in
+  U.close rt;
+  checkb "the silent receiver aged to Dead" true (state = Some P.Dead);
+  checki "every packet delivered" 60 (Lbrm.Receiver.delivered r);
+  checki "no NACK needed" 0 (Lbrm.Receiver.nacks_sent r)
+
 let () =
   Alcotest.run "udp"
     [
@@ -287,5 +324,7 @@ let () =
             encode_failure_is_not_loss;
           Alcotest.test_case "600-packet burst recovered" `Quick
             burst_600_recovered;
+          Alcotest.test_case "silent receiver keeps receiving" `Quick
+            silent_receiver_keeps_receiving;
         ] );
     ]
