@@ -6,13 +6,16 @@
    - udp_unbatched:   the pre-optimization per-packet path — one fresh
                       encode, one fresh sockaddr, one sendto and one
                       recvfrom syscall per datagram
-   - udp_batched:     recvmmsg/sendmmsg over Buf_pool slots, encode_at /
-                      decode_bytes in place; the [speedup_vs_unbatched]
-                      extra is the acceptance ratio
+   - udp_batched:     recvmmsg/sendmmsg over Buf_pool slots, encoded and
+                      decoded in place by the codec's cores through a
+                      kept writer and reader, as the runtime does; the
+                      [speedup_vs_unbatched] extra is the acceptance ratio
    - encode_fresh /   per-datagram serialization cost: a fresh string
-     encode_pooled    per message vs Codec.encode_at into a leased slot
+     encode_pooled    per message vs Codec.encode_at_exn into a leased
+                      slot (0 words/op)
    - decode_fresh /   per-datagram parse cost: copy into a fresh buffer
-     decode_pooled    then decode vs decoding in place from the region
+     decode_pooled    then decode vs Codec.decode_bytes_exn in place from
+                      the region (only the message: 8 words/op)
    - pool_cycle:      bare lease/release (the steady-state buffer path —
                       0 words/op)
 
@@ -86,14 +89,16 @@ let pump_batched ~use_gso ~packets () =
   let sockaddr p = Unix.ADDR_INET (Unix.inet_addr_loopback, p) in
   let use_mmsg = Sockmsg.mmsg_available in
   let gso0, mmsg0, _ = Sockmsg.tx_tiers () in
+  let w = Codec.Writer.create () and r = Codec.Reader.create "" in
   let decoded = ref 0 and lost = ref 0 in
   for _ = 1 to packets / batch do
     for i = 0 to batch - 1 do
       match
-        Codec.encode_at region ~pos:tx_offs.(i) ~limit:(tx_offs.(i) + slot) msg
+        Codec.encode_at_exn w region ~pos:tx_offs.(i)
+          ~limit:(tx_offs.(i) + slot) msg
       with
-      | Ok size -> tx_lens.(i) <- size
-      | Error _ -> assert false
+      | size -> tx_lens.(i) <- size
+      | exception Codec.Malformed _ -> assert false
     done;
     Sockmsg.send_batch ~use_mmsg ~use_gso tx region ~offs:tx_offs ~lens:tx_lens
       ~ports:tx_ports ~count:batch ~ip ~sockaddr;
@@ -111,9 +116,11 @@ let pump_batched ~use_gso ~packets () =
       end
       else begin
         for i = 0 to n - 1 do
-          match Codec.decode_bytes ~pos:rx_offs.(i) ~len:rx_lens.(i) region with
-          | Ok _ -> incr decoded
-          | Error _ -> ()
+          match
+            Codec.decode_bytes_exn r region ~pos:rx_offs.(i) ~len:rx_lens.(i)
+          with
+          | _ -> incr decoded
+          | exception Codec.Malformed _ -> ()
         done;
         got := !got + n
       end
@@ -185,15 +192,16 @@ let bench_encode_fresh ~ops () =
 
 let bench_encode_pooled ~ops () =
   let pool = Buf_pool.create ~slots:4 ~slot_size:slot () in
+  let w = Codec.Writer.create () in
   for _ = 1 to ops do
     let b = Buf_pool.lease pool in
     (match
-       Codec.encode_at b.Buf_pool.bytes ~pos:b.Buf_pool.off
+       Codec.encode_at_exn w b.Buf_pool.bytes ~pos:b.Buf_pool.off
          ~limit:(b.Buf_pool.off + b.Buf_pool.cap)
          msg
      with
-    | Ok _ -> ()
-    | Error _ -> ());
+    | _ -> ()
+    | exception Codec.Malformed _ -> ());
     Buf_pool.release pool b
   done;
   (ops, [ ("fallbacks", float_of_int (Buf_pool.fallback_allocs pool)) ])
@@ -225,11 +233,12 @@ let bench_decode_pooled ~ops () =
     | Ok n -> n
     | Error _ -> assert false
   in
+  let r = Codec.Reader.create "" in
   let ok = ref 0 in
   for _ = 1 to ops do
-    match Codec.decode_bytes ~pos:b.Buf_pool.off ~len b.Buf_pool.bytes with
-    | Ok _ -> incr ok
-    | Error _ -> ()
+    match Codec.decode_bytes_exn r b.Buf_pool.bytes ~pos:b.Buf_pool.off ~len with
+    | _ -> incr ok
+    | exception Codec.Malformed _ -> ()
   done;
   Buf_pool.release pool b;
   assert (!ok = ops);

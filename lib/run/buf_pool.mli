@@ -2,10 +2,13 @@
     over one backing region (the style of uberhf's [mem_pool_quotes]).
 
     The batched transport leases slots for receive scatter and transmit
-    gather; {!Codec.decode_bytes} parses in place at a slot's offset and
-    {!Codec.encode_at} serializes straight into one, so the steady-state
-    datagram path allocates nothing: slot handles are preallocated and
-    reused, and lease/release is a stack push/pop.
+    gather; {!Lbrm_wire.Codec.decode_bytes_exn} parses in place at a
+    slot's offset through the runtime's kept reader and
+    {!Lbrm_wire.Codec.encode_at_exn} serializes straight into one
+    through its kept writer, so the steady-state datagram path allocates
+    nothing but the decoded message: slot handles are preallocated and
+    reused, and lease/release is a stack push/pop.  The pool owns the
+    bytes; the runtime's reader and writer only point into them.
 
     When every slot is out, {!lease} degrades to a fresh heap allocation
     (a {e fallback} buf, [slot = -1]) instead of failing — counted in

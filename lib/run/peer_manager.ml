@@ -1,6 +1,7 @@
 (* Peer registry with liveness states; see peer_manager.mli for the
    state machine.  Group membership is kept as a sorted port array per
-   group so the fan-out walk is deterministic and allocation-free. *)
+   group, which the runtime's fan-out walks directly: deterministic and
+   allocation-free. *)
 
 type state = Connecting | Active | Suspect | Dead
 
@@ -51,25 +52,35 @@ let transition t peer after =
 
 let find t port = Hashtbl.find_opt t.peers port
 
+let register t ~port ~now =
+  let p =
+    { port; st = Connecting; last_recv = now; sent_to = 0; recv_from = 0 }
+  in
+  Hashtbl.add t.peers port p;
+  p
+
 let ensure t ~port ~now =
-  if not (Hashtbl.mem t.peers port) then
-    Hashtbl.add t.peers port
-      { port; st = Connecting; last_recv = now; sent_to = 0; recv_from = 0 }
+  if not (Hashtbl.mem t.peers port) then ignore (register t ~port ~now)
 
-let note_recv t ~port ~now =
-  ensure t ~port ~now;
-  match find t port with
-  | None -> ()
-  | Some p ->
-      p.last_recv <- now;
-      p.recv_from <- p.recv_from + 1;
-      transition t p Active
+(* The per-datagram pair: a known peer is one [Hashtbl.find] and no
+   allocation; [now] is stored as the caller's box, never re-boxed. *)
+let[@lint.hot] note_recv t ~port ~now =
+  let p =
+    match Hashtbl.find t.peers port with
+    | p -> p
+    | exception Not_found -> register t ~port ~now
+  in
+  p.last_recv <- now;
+  p.recv_from <- p.recv_from + 1;
+  transition t p Active
 
-let note_sent t ~port ~now =
-  ensure t ~port ~now;
-  match find t port with
-  | None -> ()
-  | Some p -> p.sent_to <- p.sent_to + 1
+let[@lint.hot] note_sent t ~port ~now =
+  let p =
+    match Hashtbl.find t.peers port with
+    | p -> p
+    | exception Not_found -> register t ~port ~now
+  in
+  p.sent_to <- p.sent_to + 1
 
 let state t ~port = Option.map (fun p -> p.st) (find t port)
 let last_recv t ~port = Option.map (fun p -> p.last_recv) (find t port)
@@ -131,15 +142,10 @@ let member t ~group ~port =
   | Some g -> array_mem g.members port
   | None -> false
 
-let iter_members t ~group ~except f =
-  match Hashtbl.find_opt t.groups group with
-  | None -> ()
-  | Some g ->
-      let m = g.members in
-      for i = 0 to Array.length m - 1 do
-        let port = m.(i) in
-        if port <> except then f port
-      done
+let members t ~group =
+  match Hashtbl.find t.groups group with
+  | g -> g.members
+  | exception Not_found -> [||]
 
 let group_size t ~group =
   match Hashtbl.find_opt t.groups group with

@@ -24,7 +24,12 @@
     receiver health).
 
     Every transition is reported through [on_transition] so the runtime
-    can mirror it into the Trace/Metrics planes. *)
+    can mirror it into the Trace/Metrics planes.
+
+    Clock readings are coarse by design: the UDP runtime reads its clock
+    once per receive batch and once per send call, and passes that one
+    reading to {!note_recv}/{!note_sent} for every datagram of the batch
+    or fan-out (a silence of seconds is measured against it). *)
 
 type state = Connecting | Active | Suspect | Dead
 
@@ -51,11 +56,12 @@ val ensure : t -> port:int -> now:float -> unit
 
 val note_recv : t -> port:int -> now:float -> unit
 (** A datagram arrived from [port]: registers the peer if unknown and
-    moves it to [Active] from any state. *)
+    moves it to [Active] from any state.  For a known peer this
+    allocates nothing. *)
 
 val note_sent : t -> port:int -> now:float -> unit
 (** A datagram was sent to [port] (bookkeeping only — sends never
-    change liveness). *)
+    change liveness); registers the peer if unknown. *)
 
 val state : t -> port:int -> state option
 
@@ -78,10 +84,11 @@ val leave : t -> group:int -> port:int -> unit
 
 val member : t -> group:int -> port:int -> bool
 
-val iter_members : t -> group:int -> except:int -> (int -> unit) -> unit
-(** Apply to every member of [group] except [except], in any state —
-    the multicast-emulation fan-out walk.  Iteration order is ascending
-    port (deterministic, unlike a raw Hashtbl walk). *)
+val members : t -> group:int -> int array
+(** The ports of [group] in every state, ascending (deterministic,
+    unlike a raw Hashtbl walk); [[||]] for an unknown group.  The
+    runtime's multicast fan-out walks this array directly.  The array
+    is replaced, never mutated, by {!join}/{!leave}: do not mutate it. *)
 
 val group_size : t -> group:int -> int
 (** Members in any state. *)

@@ -44,7 +44,13 @@ type io = {
   runtime_metrics : Metrics.t;
   by_socket : (Unix.file_descr, agent) Hashtbl.t; (* for the select loop *)
   timer_heap : (unit -> unit) Heap.t; (* expiries at mono deadline *)
+  mutable sockets : Unix.file_descr list; (* select set; by_socket's keys *)
   sockaddr_of : int -> Unix.sockaddr; (* cached ADDR_INET per port *)
+  (* The last clock reading, taken once per receive batch and once per
+     send call.  Stored boxed: every peer update of that batch or
+     fan-out passes the same box instead of boxing a reading of its
+     own. *)
+  mutable clock : float;
   (* Transmit stage: up to [batch] encoded datagrams (pooled slots, all
      bound to [tx_fd]'s socket) flushed in one sendmmsg. *)
   mutable tx_fd : Unix.file_descr; (* meaningful iff tx_count > 0 *)
@@ -68,12 +74,17 @@ type io = {
   mutable rx_batches : int;
   mutable rx_datagrams : int;
   mutable rx_truncated : int;
-  wbuf : Codec.Writer.t; (* growable scratch for oversize messages *)
+  (* The codec's kept cursors, re-aimed at every slot: decode and
+     encode allocate neither. *)
+  reader : Codec.Reader.t;
+  writer : Codec.Writer.t;
+  mutable jumbo : Bytes.t; (* grown scratch for oversize messages *)
 }
 
 type t = { io : io; host : (handle, endpoint) Agent_host.t }
 
 let elapsed io = Sockmsg.monotonic_now () -. io.started
+let read_clock io = io.clock <- elapsed io
 
 (* --- transmit --------------------------------------------------------- *)
 
@@ -99,22 +110,24 @@ let encode_failure t ep msg =
          { kind = Message.kind msg; size = Message.body_size msg })
 
 (* Messages too big for a pool slot (jumbo application payloads) take a
-   growable-writer + one-shot-send slow path rather than failing. *)
+   growable-scratch + one-shot-send slow path rather than failing.  The
+   scratch grows only once the message has validated. *)
 let send_oversize t ep ~dst msg =
-  let w = t.wbuf in
-  Codec.Writer.reset w;
+  let w = Codec.Writer.wrap t.jumbo in
   match Codec.encode_into w msg with
   | Error _ -> encode_failure t ep msg
   | Ok () ->
+      t.jumbo <- Codec.Writer.buffer w;
       t.oversize <- t.oversize + 1;
       t.sent <- t.sent + 1;
-      Sockmsg.send_one ep.socket (Codec.Writer.buffer w) ~off:0
-        ~len:(Codec.Writer.length w) (t.sockaddr_of dst)
+      Sockmsg.send_one ep.socket t.jumbo ~off:0 ~len:(Codec.Writer.length w)
+        (t.sockaddr_of dst)
 
 (* Every datagram that reaches the kernel bumps [t.sent]; the transport
-   reports the difference to the host as the "sent.<kind>" count. *)
+   reports the difference to the host as the "sent.<kind>" count.  The
+   caller has read the clock for this send call. *)
 let send_datagram t ep ~dst msg =
-  Peer_manager.note_sent t.peers ~port:dst ~now:(elapsed t);
+  Peer_manager.note_sent t.peers ~port:dst ~now:t.clock;
   if t.loss > 0. && Rng.bernoulli t.rng ~p:t.loss then
     t.dropped <- t.dropped + 1
   else begin
@@ -128,14 +141,14 @@ let send_datagram t ep ~dst msg =
     end
     else if Buf_pool.pooled b then begin
       match
-        Codec.encode_at b.Buf_pool.bytes ~pos:b.Buf_pool.off
+        Codec.encode_at_exn t.writer b.Buf_pool.bytes ~pos:b.Buf_pool.off
           ~limit:(b.Buf_pool.off + b.Buf_pool.cap)
           msg
       with
-      | Error _ ->
+      | exception Codec.Malformed _ ->
           Buf_pool.release t.pool b;
           encode_failure t ep msg
-      | Ok size ->
+      | size ->
           t.tx_fd <- ep.socket;
           let i = t.tx_count in
           t.tx_bufs.(i) <-
@@ -151,10 +164,11 @@ let send_datagram t ep ~dst msg =
       (* Pool exhausted: encode into the fallback buffer and send it
          one-shot (it is not region-backed, so it cannot join a batch). *)
       (match
-         Codec.encode_at b.Buf_pool.bytes ~pos:0 ~limit:b.Buf_pool.cap msg
+         Codec.encode_at_exn t.writer b.Buf_pool.bytes ~pos:0
+           ~limit:b.Buf_pool.cap msg
        with
-      | Error _ -> encode_failure t ep msg
-      | Ok size ->
+      | exception Codec.Malformed _ -> encode_failure t ep msg
+      | size ->
           t.sent <- t.sent + 1;
           Sockmsg.send_one ep.socket b.Buf_pool.bytes ~off:0 ~len:size
             (t.sockaddr_of dst));
@@ -164,23 +178,30 @@ let send_datagram t ep ~dst msg =
     end
   end
 
+(* Unicast fan-out over every member but the sender, walking the group's
+   port array in place; TTL scoping is meaningless here.  A receiver
+   that sees no loss never speaks, so its peer state decays to Dead:
+   senders never gate on receiver health. *)
+let[@lint.hot] fan_out t ep ~group msg =
+  let members = Peer_manager.members t.peers ~group in
+  let before = t.sent in
+  read_clock t;
+  for i = 0 to Array.length members - 1 do
+    let port = members.(i) in
+    if port <> ep.port then send_datagram t ep ~dst:port msg
+  done;
+  t.sent - before
+
 let transport io =
   {
     Agent_host.now = (fun () -> elapsed io);
     unicast =
       (fun ep ~dst msg ->
         let before = io.sent in
+        read_clock io;
         send_datagram io ep ~dst msg;
         io.sent - before);
-    multicast =
-      (fun ep ~group ~ttl:_ msg ->
-        (* Unicast fan-out over every member; TTL scoping is meaningless
-           here.  A receiver that sees no loss never speaks, so its peer
-           state decays to Dead: senders never gate on receiver health. *)
-        let before = io.sent in
-        Peer_manager.iter_members io.peers ~group ~except:ep.port
-          (fun port -> send_datagram io ep ~dst:port msg);
-        io.sent - before);
+    multicast = (fun ep ~group ~ttl:_ msg -> fan_out io ep ~group msg);
     arm =
       (fun delay fire ->
         Heap.add io.timer_heap ~prio:(elapsed io +. delay) fire);
@@ -265,7 +286,9 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
       runtime_metrics;
       by_socket = Hashtbl.create 16;
       timer_heap = Heap.create ~dummy:ignore;
+      sockets = [];
       sockaddr_of;
+      clock = 0.;
       tx_fd = Unix.stdin;
       tx_bufs;
       tx_offs = Array.make batch 0;
@@ -284,7 +307,9 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
       rx_batches = 0;
       rx_datagrams = 0;
       rx_truncated = 0;
-      wbuf = Codec.Writer.create ~size:4096 ();
+      reader = Codec.Reader.create "";
+      writer = Codec.Writer.wrap Bytes.empty;
+      jumbo = Bytes.create 4096;
     }
   in
   { io; host = Agent_host.create (transport io) }
@@ -336,7 +361,8 @@ let add_agent t ~port handlers =
   Unix.set_nonblock socket;
   let meter = Agent_host.meter (Metrics.create ()) in
   Hashtbl.replace t.io.by_socket socket
-    (Agent_host.add t.host port { port; socket } meter handlers)
+    (Agent_host.add t.host port { port; socket } meter handlers);
+  t.io.sockets <- Hashtbl.fold (fun s _ acc -> s :: acc) t.io.by_socket []
 
 (* --- receive ---------------------------------------------------------- *)
 
@@ -351,6 +377,7 @@ let drain_socket { io = t; host } agent =
     in
     if n = 0 then continue := false
     else begin
+      read_clock t;
       t.rx_batches <- t.rx_batches + 1;
       t.rx_datagrams <- t.rx_datagrams + n;
       for i = 0 to n - 1 do
@@ -361,18 +388,20 @@ let drain_socket { io = t; host } agent =
           Metrics.incr (Metrics.counter t.runtime_metrics "rx.truncated")
         end
         else begin
-          (* Decode in place from slot [i] of the pool region.  Payload
-             views alias the slot, which is safe because all of this
-             datagram's actions — including re-encoding forwards (the
-             transmit stage copies bytes immediately) and [to_owned] at
-             retention points — run to completion before the next
-             [recv_batch] refills the ring. *)
+          (* Decode in place from slot [i] of the pool region through
+             the kept reader.  Payload views alias the slot, which is
+             safe because all of this datagram's actions — including
+             re-encoding forwards (the transmit stage copies bytes
+             immediately) and [to_owned] at retention points — run to
+             completion before the next [recv_batch] refills the ring. *)
           let src_port = t.rx_ports.(i) in
-          match Codec.decode_bytes ~pos:t.rx_offs.(i) ~len t.region with
-          | Ok msg ->
-              Peer_manager.note_recv t.peers ~port:src_port ~now:(elapsed t);
+          match
+            Codec.decode_bytes_exn t.reader t.region ~pos:t.rx_offs.(i) ~len
+          with
+          | msg ->
+              Peer_manager.note_recv t.peers ~port:src_port ~now:t.clock;
               Agent_host.receive host agent ~src:src_port msg
-          | Error _ ->
+          | exception Codec.Malformed _ ->
               (* malformed datagram: drop *)
               Metrics.incr (Metrics.counter t.runtime_metrics "rx.malformed")
         end
@@ -381,41 +410,38 @@ let drain_socket { io = t; host } agent =
   done;
   flush_tx t
 
+(* [min_prio] is [infinity] on an empty heap, so the guard needs no
+   option. *)
 let fire_due_timers t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.io.timer_heap with
-    | Some (deadline, _) when deadline <= now t -> (
-        match Heap.pop t.io.timer_heap with
-        | Some (_, fire) -> fire ()
-        | None -> continue := false)
-    | _ -> continue := false
+  let heap = t.io.timer_heap in
+  while Heap.min_prio heap <= now t do
+    let fire = Heap.pop_exn heap in
+    fire ()
   done;
   flush_tx t.io
 
+let rec drain_readable t = function
+  | [] -> ()
+  | s :: rest ->
+      (match Hashtbl.find t.io.by_socket s with
+      | agent -> drain_socket t agent
+      | exception Not_found -> ());
+      drain_readable t rest
+
 let run_for t ~seconds =
   let stop_at = now t +. seconds in
-  let sockets () = Hashtbl.fold (fun s _ acc -> s :: acc) t.io.by_socket [] in
   while now t < stop_at do
     fire_due_timers t;
     Peer_manager.tick t.io.peers ~now:(now t);
     let timeout =
-      let until_stop = stop_at -. now t in
-      let until_timer =
-        match Heap.peek t.io.timer_heap with
-        | Some (deadline, _) -> Float.max 0. (deadline -. now t)
-        | None -> until_stop
-      in
-      Float.max 0.0005 (Float.min until_stop until_timer)
+      let now = now t in
+      let until_stop = stop_at -. now
+      and until_timer = Heap.min_prio t.io.timer_heap -. now in
+      let wait = if until_timer < until_stop then until_timer else until_stop in
+      if wait > 0.0005 then wait else 0.0005
     in
-    match Unix.select (sockets ()) [] [] timeout with
-    | readable, _, _ ->
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt t.io.by_socket s with
-            | Some agent -> drain_socket t agent
-            | None -> ())
-          readable
+    match Unix.select t.io.sockets [] [] timeout with
+    | readable, _, _ -> drain_readable t readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   fire_due_timers t
@@ -427,4 +453,5 @@ let close t =
       Unix.close socket;
       Agent_host.remove t.host (Agent_host.endpoint agent).port)
     t.io.by_socket;
-  Hashtbl.reset t.io.by_socket
+  Hashtbl.reset t.io.by_socket;
+  t.io.sockets <- []

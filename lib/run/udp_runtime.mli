@@ -10,16 +10,26 @@
 
     {b Batched syscalls}: receive scatters up to [batch] datagrams per
     [recvmmsg] into a ring of {!Buf_pool} slots and decodes each in
-    place ({!Lbrm_wire.Codec.decode_bytes}); transmit encodes into
-    leased slots ({!Lbrm_wire.Codec.encode_at}) and flushes up to
+    place ({!Lbrm_wire.Codec.decode_bytes_exn}); transmit encodes into
+    leased slots ({!Lbrm_wire.Codec.encode_at_exn}) and flushes up to
     [batch] per staged batch, where {!Sockmsg} tiers each flush: runs
     of equal-size datagrams to one peer (retransmission bursts) leave
     as single UDP GSO super-datagrams, mixed stretches via [sendmmsg].
     Where the stubs are unavailable (or [~use_mmsg:false]), the same
     paths fall back to portable per-datagram [sendto]/[recvfrom] inside
-    {!Sockmsg}.  The steady-state hot path performs no per-datagram
-    allocation: slots, length/port arrays and metric counter handles
-    are all preallocated.
+    {!Sockmsg}.
+
+    {b Allocation}: the runtime owns one codec [Reader], re-aimed at
+    every received slot, and one [Writer], re-aimed at every transmit
+    slot, so the only per-datagram allocation is the decoded message
+    itself.  {!Lbrm_wire.Codec.Malformed} is the malformed path: a
+    datagram that raises it on decode is dropped and counted in
+    [rx.malformed], never dispatched; a message that raises it on
+    encode is counted in {!encode_failures}.  The clock is read once
+    per receive batch and once per send call, and that one reading is
+    what {!Peer_manager} records for every datagram of it.  Slots,
+    length/port arrays and metric counter handles are all
+    preallocated.
 
     {b Peers}: a {!Peer_manager} tracks every remote endpoint's
     liveness (Connecting/Active/Suspect/Dead) from received traffic;
@@ -30,7 +40,7 @@
     {b Multicast emulation}: the sealed environment offers no
     multicast-capable network, so group sends fan out as unicast
     datagrams over the membership index (one copy per member but the
-    sender).  This preserves LBRM's delivery semantics; TTL scoping is
+    sender, walking the group's port array in place).  This preserves LBRM's delivery semantics; TTL scoping is
     a no-op (scope control is exercised in the simulator).  See
     DESIGN.md "Real transport".
 
@@ -45,7 +55,8 @@ type t
 type stats = {
   sent : int;  (** datagrams handed to the kernel *)
   dropped : int;  (** by the loss-injection hook only *)
-  encode_failures : int;  (** refused by {!Lbrm_wire.Codec.validate} *)
+  encode_failures : int;
+      (** refused by the encoder ({!Lbrm_wire.Codec.Malformed}) *)
   oversize : int;  (** sent via the growable-writer slow path *)
   tx_batches : int;
   tx_datagrams : int;  (** datagrams through staged batches *)

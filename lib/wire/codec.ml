@@ -21,6 +21,11 @@ module Writer = struct
   let buffer t = t.buf
   let contents t = Bytes.sub_string t.buf 0 t.pos
 
+  (* Point a kept writer at [buf.[pos ..)] without allocating. *)
+  let retarget t buf pos =
+    t.buf <- buf;
+    t.pos <- pos
+
   let ensure t n =
     let need = t.pos + n in
     if need > Bytes.length t.buf then begin
@@ -71,18 +76,20 @@ module Writer = struct
     t.pos <- t.pos + n
 end
 
-(* Decode failures travel as an exception internally so the hot path is
-   straight-line code — no closure per [Result.bind] and no [Ok] box per
-   field read.  [decode] catches it at the message boundary; nothing
-   escapes the module. *)
-exception Fail of error
+(* Failures travel as an exception so the hot path is straight-line
+   code — no closure per [Result.bind] and no [Ok] box per field read.
+   The in-place cores raise it to their callers; the result-returning
+   wrappers catch it at the message boundary. *)
+exception Malformed of error
 
-let fail e = raise_notrace (Fail e)
+let fail e = raise_notrace (Malformed e)
 
 (* Positional parser over a [pos, limit) window of a string; payloads
-   come back as views over that window, never as copies. *)
+   come back as views over that window, never as copies.  Every field
+   is mutable so the decode core can re-aim a kept reader at each
+   datagram. *)
 module Reader = struct
-  type t = { src : string; mutable pos : int; limit : int }
+  type t = { mutable src : string; mutable pos : int; mutable limit : int }
 
   let create ?(pos = 0) ?len src =
     let slen = String.length src in
@@ -127,7 +134,7 @@ module Reader = struct
 
   (* Result-returning wrappers — the public face used by application
      codecs, where per-field boxing doesn't matter. *)
-  let wrap f t = match f t with v -> Ok v | exception Fail e -> Error e
+  let wrap f t = match f t with v -> Ok v | exception Malformed e -> Error e
   let u8 t = wrap u8_exn t
   let u16 t = wrap u16_exn t
   let u32 t = wrap u32_exn t
@@ -201,11 +208,11 @@ let nack_batches seqs =
 let[@lint.hot] validate (m : Message.t) =
   match m with
   | Nack { seqs } when List.compare_length_with seqs nack_max > 0 ->
-      Error (Bad_value "nack list too long")
+      fail (Bad_value "nack list too long")
   | Promote { replicas } when List.compare_length_with replicas promote_max > 0
     ->
-      Error (Bad_value "replica list too long")
-  | _ -> Ok ()
+      fail (Bad_value "replica list too long")
+  | _ -> ()
 
 (* One reservation, then tight unchecked-growth writes: the worst-case
    burst NACK (65536 seqs) costs a single [ensure]. *)
@@ -288,17 +295,31 @@ let[@lint.hot] write_body w (m : Message.t) =
       Writer.u32 w head
   | Quorum_ack { seq } -> Writer.u32 w seq
 
+(* The encode core: serialize straight into [buf.[pos .. limit)]
+   through the caller's kept writer (the UDP runtime fills pooled
+   sendmmsg slots this way) and return the size.  [body_size] is exact,
+   so the slot bound is checked once up front and the writer can never
+   grow — on [Malformed] the buffer is untouched. *)
+let[@lint.hot] encode_at_exn w buf ~pos ~limit (m : Message.t) =
+  validate m;
+  let size = Message.body_size m in
+  if pos < 0 || limit > Bytes.length buf || size > limit - pos then
+    fail (Bad_value "message exceeds slot");
+  Writer.retarget w buf pos;
+  write_body w m;
+  assert (Writer.length w - pos = size && Writer.buffer w == buf);
+  size
+
 let encode_into w (m : Message.t) =
   match validate m with
-  | Error _ as e -> e
-  | Ok () ->
+  | () ->
       write_body w m;
       Ok ()
+  | exception Malformed e -> Error e
 
 let encode (m : Message.t) =
   match validate m with
-  | Error _ as e -> e
-  | Ok () ->
+  | () ->
       (* [body_size] is exact (round-trip tests pin it), so the buffer
          never grows and can be handed out without a trailing copy. *)
       let buf = Bytes.create (Message.body_size m) in
@@ -308,28 +329,12 @@ let encode (m : Message.t) =
         (if Writer.length w = Bytes.length buf && Writer.buffer w == buf then
            Bytes.unsafe_to_string buf
          else Writer.contents w)
+  | exception Malformed e -> Error e
 
-(* Batch-encode entry point: serialize straight into a caller-owned
-   slot of a shared backing region (the UDP runtime's buffer pool fills
-   sendmmsg batches this way).  [body_size] is exact, so the slot bound
-   is checked once up front and the writer can never grow — on [Error]
-   the region is untouched. *)
-let[@lint.hot] encode_at buf ~pos ~limit (m : Message.t) =
-  match validate m with
-  | Error _ as e -> e
-  | Ok () ->
-      let size = Message.body_size m in
-      if pos < 0 || limit > Bytes.length buf || size > limit - pos then
-        Error (Bad_value "message exceeds slot")
-      else begin
-        let w =
-          ({ Writer.buf; pos }
-          [@lint.alloc "one short-lived two-word writer per datagram"])
-        in
-        write_body w m;
-        assert (w.Writer.pos - pos = size && w.Writer.buf == buf);
-        (Ok size [@lint.alloc "result boxing of the written size"])
-      end
+let encode_at buf ~pos ~limit (m : Message.t) =
+  match encode_at_exn (Writer.wrap buf) buf ~pos ~limit m with
+  | size -> Ok size
+  | exception Malformed e -> Error e
 
 let decode_seq_array r ~max ~what =
   let n = Reader.u32_exn r in
@@ -427,28 +432,35 @@ let decode_body tag r : Message.t =
   | 23 -> Message.Quorum_ack { seq = u32_exn r }
   | t -> fail (Bad_tag t)
 
-let[@lint.hot] decode ?pos ?len s =
-  match
-    let r = Reader.create ?pos ?len s in
-    let msg = decode_body (Reader.u8_exn r) r in
-    (match Reader.remaining r with
-    | 0 -> ()
-    | n ->
-        (fail (Trailing n)
-        [@lint.alloc "malformed datagram: error construction on the drop path"]));
-    msg
-  with
-  | msg -> (Ok msg [@lint.alloc "result boxing of the decoded message"])
-  | exception Fail e ->
-      (Error e
-      [@lint.alloc "malformed datagram: error construction on the drop path"])
-  | exception Invalid_argument _ -> Error Truncated
+(* The parser core: re-aim the caller's kept reader at
+   [s.[pos .. pos+len)] and parse exactly one message from it.  The
+   message (and its payload view) is the only allocation. *)
+let[@lint.hot] decode_exn r s ~pos ~len =
+  if pos < 0 || len < 0 || len > String.length s - pos then fail Truncated;
+  r.Reader.src <- s;
+  r.Reader.pos <- pos;
+  r.Reader.limit <- pos + len;
+  let msg = decode_body (Reader.u8_exn r) r in
+  (match Reader.remaining r with
+  | 0 -> ()
+  | n ->
+      (fail (Trailing n)
+      [@lint.alloc "malformed datagram: error construction on the drop path"]));
+  msg
 
-let[@lint.hot] decode_bytes ?pos ?len b =
+let[@lint.hot] decode_bytes_exn r b ~pos ~len =
   (* The string view is an unsafe cast: sound because decode only reads,
      but any payload views escape with the buffer's lifetime — owners
      must [Payload.to_owned] before the buffer is refilled. *)
-  decode ?pos ?len (Bytes.unsafe_to_string b)
+  decode_exn r (Bytes.unsafe_to_string b) ~pos ~len
+
+let decode ?(pos = 0) ?len s =
+  let len = match len with Some n -> n | None -> String.length s - pos in
+  match decode_exn (Reader.create s) s ~pos ~len with
+  | msg -> Ok msg
+  | exception Malformed e -> Error e
+
+let decode_bytes ?pos ?len b = decode ?pos ?len (Bytes.unsafe_to_string b)
 
 let roundtrip_size_matches m =
   match encode m with

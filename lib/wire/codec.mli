@@ -1,21 +1,27 @@
 (** Binary encoding of {!Message.t}.
 
     Big-endian, length-delimited fields; a one-byte tag selects the
-    variant.  Decoding is total: malformed input yields an {!error}
-    rather than an exception.
+    variant.
 
-    The codec is a zero-copy wire path:
-    - {!encode_into} writes into a caller-supplied reusable {!Writer}
-      scratch buffer — no [Buffer.t], no intermediate strings, and no
-      allocation at all once the scratch has grown to packet size;
-    - {!decode} returns payload-bearing messages whose payloads are
-      {!Payload.t} views over the input, with {!Payload.to_owned} as the
-      explicit copy-out escape hatch;
-    - {!decode_bytes} parses straight out of a reusable receive buffer
-      (views are valid only until the buffer is refilled).
+    There is one parser and one encoder, each an in-place core that
+    works through a caller-owned, reusable {!Reader} or {!Writer} and
+    reports failure by raising {!Malformed}:
+    - {!decode_exn}/{!decode_bytes_exn} re-aim a kept reader at a window
+      of the input and return the message; its payload is a
+      {!Payload.t} view over the input, with {!Payload.to_owned} as the
+      explicit copy-out.  The message is the only allocation.
+    - {!encode_at_exn} writes one message into a slot of a caller's
+      buffer through a kept writer and returns its size: no allocation.
 
-    The {!Writer}/{!Reader} primitives are exposed for application
-    payloads (the DIS PDUs reuse them). *)
+    The UDP runtime owns one reader for receive and one writer for
+    transmit and calls the cores directly; every call site must handle
+    {!Malformed} (the lint's [decode-totality] rule checks it).
+
+    {!decode}, {!decode_bytes}, {!encode}, {!encode_into} and
+    {!encode_at} are thin total wrappers over the cores: they take no
+    reader or writer of their own, and turn {!Malformed} into
+    [Error].  The {!Writer}/{!Reader} primitives are also exposed for
+    application payloads (the DIS PDUs reuse them). *)
 
 type error =
   | Truncated  (** input ended mid-field *)
@@ -25,6 +31,11 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
+
+exception Malformed of error
+(** Raised by the in-place cores: the input is malformed, or the
+    message fails validation or does not fit its slot.  It is the
+    malformed path of the runtime, not a bug: drop the datagram. *)
 
 (** Append-only big-endian serializer over a growable [Bytes] scratch.
     [reset] + re-encode reuses the buffer, so a long-lived writer makes
@@ -79,6 +90,7 @@ module Reader : sig
 
   val create : ?pos:int -> ?len:int -> string -> t
   (** Parser over [src.[pos .. pos+len)] (defaults: the whole string).
+      A kept reader can be handed to {!decode_exn}, which re-aims it.
       @raise Invalid_argument when the window is out of bounds. *)
 
   val u8 : t -> (int, error) result
@@ -121,6 +133,18 @@ val nack_batches : int list -> int list list
 (** The seqs in order, cut into runs of at most {!nack_seqs_max}; [[]]
     for no seqs. *)
 
+val encode_at_exn :
+  Writer.t -> Bytes.t -> pos:int -> limit:int -> Message.t -> int
+(** The encode core: serialize one message directly into
+    [buf.[pos .. limit)] through the writer (which is re-aimed there;
+    its own scratch is not used) and return the encoded length, never
+    growing or reallocating the buffer and allocating nothing.  Because
+    {!Message.body_size} is exact, the slot bound is checked once before
+    any byte is written.
+    @raise Malformed [(Bad_value _)] when a sequence list exceeds
+    {!nack_max}/{!promote_max} or the message does not fit the slot; the
+    buffer is then untouched. *)
+
 val encode : Message.t -> (string, error) result
 (** Serialize one message into a fresh exactly-sized string.
     [Error (Bad_value _)] when a sequence list exceeds {!nack_max} /
@@ -134,24 +158,29 @@ val encode_into : Writer.t -> Message.t -> (unit, error) result
 
 val encode_at :
   Bytes.t -> pos:int -> limit:int -> Message.t -> (int, error) result
-(** Batch-encode entry point: serialize one message directly into
-    [buf.[pos .. limit)], never growing or reallocating the buffer, and
-    return the encoded length.  Because {!Message.body_size} is exact,
-    the slot bound is checked once before any byte is written — on
-    [Error] (validation failure, or the message does not fit the slot)
-    the buffer is untouched.  This is how the batched UDP runtime fills
-    [sendmmsg] slots of a pooled backing region with zero copies. *)
+(** {!encode_at_exn} through a fresh writer, with [Error] for
+    {!Malformed}; the buffer is untouched on [Error]. *)
+
+val decode_exn : Reader.t -> string -> pos:int -> len:int -> Message.t
+(** The parser core: re-aim the reader at [s.[pos .. pos+len)] and parse
+    exactly one message from it; leftover bytes within the window are an
+    error.  Payloads are views over [s].
+    @raise Malformed when the window is out of bounds ([Truncated]) or
+    the bytes are not one well-formed message. *)
+
+val decode_bytes_exn : Reader.t -> Bytes.t -> pos:int -> len:int -> Message.t
+(** Same, reading directly from a byte buffer (e.g. a pooled receive
+    slot) without copying it to a string first.  Payload views alias
+    the buffer: they are invalidated when it is refilled, so retainers
+    must {!Payload.to_owned} first. *)
 
 val decode : ?pos:int -> ?len:int -> string -> (Message.t, error) result
-(** Parse exactly one message from the given window (default: the whole
-    string); leftover bytes within the window are an error.  Payloads
-    are views over [s]. *)
+(** {!decode_exn} through a fresh reader over the given window (default:
+    the whole string), with [Error] for {!Malformed}. *)
 
 val decode_bytes : ?pos:int -> ?len:int -> Bytes.t -> (Message.t, error) result
-(** Same, reading directly from a byte buffer (e.g. a reused socket
-    receive buffer) without copying it to a string first.  Payload views
-    alias the buffer: they are invalidated when it is refilled, so
-    retainers must {!Payload.to_owned} first. *)
+(** {!decode} over a byte buffer; views alias it as with
+    {!decode_bytes_exn}. *)
 
 val roundtrip_size_matches : Message.t -> bool
 (** Whether [String.length (encode m) + header = Message.wire_size m] —

@@ -22,3 +22,13 @@ let decode_piped s = Result.to_option (Codec.decode s)
 
 let guarded f = try f () with Invalid_argument m -> m
 let reraise f = try f () with e -> raise e
+
+(* The raising cores where Codec.Malformed is handled. *)
+let decode_in_place r s =
+  match Codec.decode_exn r s ~pos:0 ~len:(String.length s) with
+  | m -> Some m
+  | exception Codec.Malformed _ -> None
+
+let encode_in_place w b m =
+  try Codec.encode_at_exn w b ~pos:0 ~limit:(Bytes.length b) m
+  with Codec.Malformed _ -> -1

@@ -33,6 +33,9 @@ let expected =
     ("decode-totality", fx "bad_decode.ml", 6);
     ("decode-totality", fx "bad_decode.ml", 7);
     ("decode-totality", fx "bad_decode.ml", 12);
+    ("decode-totality", fx "bad_decode.ml", 17);
+    ("decode-totality", fx "bad_decode.ml", 20);
+    ("decode-totality", fx "bad_decode.ml", 23);
     ("catch-all", fx "bad_exn.ml", 4);
     ("catch-all", fx "bad_exn.ml", 5);
     ("obj-magic", fx "bad_exn.ml", 6);

@@ -308,6 +308,116 @@ let silent_receiver_keeps_receiving () =
   checki "every packet delivered" 60 (Lbrm.Receiver.delivered r);
   checki "no NACK needed" 0 (Lbrm.Receiver.nacks_sent r)
 
+(* Agents that only count what reaches their [on_message]. *)
+let counting_agent rt ~port =
+  let seen = ref 0 and none = Lbrm.Io.out () in
+  U.add_agent rt ~port
+    {
+      H.on_message =
+        (fun ~now:_ ~src:_ _ ->
+          incr seen;
+          none);
+      on_timer = (fun ~now:_ _ -> none);
+      on_deliver = None;
+      on_notice = None;
+    };
+  seen
+
+(* Datagrams from a plain socket, outside any runtime. *)
+let send_raw ~port datagrams =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  let dst = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  List.iter
+    (fun d -> ignore (Unix.sendto_substring s d 0 (String.length d) [] dst))
+    datagrams;
+  Unix.close s
+
+let malformed_dropped () =
+  require_sockets ();
+  let rt = U.create () in
+  let port = 48800 in
+  let seen = counting_agent rt ~port in
+  let valid =
+    match Lbrm_wire.Codec.encode Lbrm_wire.Message.Who_is_primary with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "Who_is_primary did not encode"
+  in
+  let data =
+    match
+      Lbrm_wire.Codec.encode
+        (Lbrm_wire.Message.Data
+           { seq = 1; epoch = 0; payload = Lbrm_wire.Payload.of_string "abc" })
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "Data did not encode"
+  in
+  send_raw ~port
+    [
+      "\xff\x00" (* unknown tag *);
+      String.sub data 0 (String.length data - 1) (* truncated *);
+      valid ^ "\x00" (* trailing byte *);
+      valid;
+    ];
+  U.run_for rt ~seconds:0.05;
+  let m = U.runtime_metrics rt in
+  let malformed =
+    Lbrm_util.Metrics.value (Lbrm_util.Metrics.counter m "rx.malformed")
+  in
+  let recv =
+    Lbrm_util.Metrics.(
+      value (counter (List.assoc port (U.agent_metrics rt)) "recv.who_is_primary"))
+  in
+  U.close rt;
+  checki "three malformed datagrams counted" 3 malformed;
+  checki "only the well-formed one dispatched" 1 !seen;
+  checki "and counted as received" 1 recv
+
+(* A message bigger than the sender's pool slot leaves through the
+   oversize path; a receiver with big enough slots reads it, and one
+   whose slots are too small drops it as truncated. *)
+let oversize_sent_truncated_dropped () =
+  require_sockets ();
+  let small () = U.create ~slot_size:256 () in
+  let tx = small () and big = U.create () and trunc = small () in
+  let a = 48820 and b = 48821 and c = 48822 in
+  ignore (counting_agent tx ~port:a);
+  let seen_big = counting_agent big ~port:b
+  and seen_trunc = counting_agent trunc ~port:c in
+  let data =
+    Lbrm_wire.Message.Data
+      {
+        seq = 1;
+        epoch = 0;
+        payload = Lbrm_wire.Payload.of_string (String.make 1000 'j');
+      }
+  in
+  U.perform tx ~port:a
+    (Lbrm.Io.of_list [ Lbrm.Io.send_to b data; Lbrm.Io.send_to c data ]);
+  U.run_for big ~seconds:0.05;
+  U.run_for trunc ~seconds:0.05;
+  let st = U.stats tx and truncated = (U.stats trunc).rx_truncated in
+  List.iter U.close [ tx; big; trunc ];
+  checki "both sent" 2 st.sent;
+  checki "both through the oversize path" 2 st.oversize;
+  checki "no encode failure" 0 st.encode_failures;
+  checki "read whole by a big-slot receiver" 1 !seen_big;
+  checki "truncated at a small-slot receiver" 1 truncated;
+  checki "and not dispatched there" 0 !seen_trunc
+
+(* The fan-out sends one copy to every member but the sender. *)
+let multicast_skips_sender () =
+  require_sockets ();
+  let rt = U.create () in
+  let a = 48810 and b = 48811 and c = 48812 in
+  let seen = List.map (fun port -> counting_agent rt ~port) [ a; b; c ] in
+  List.iter (fun port -> U.join rt ~group:1 ~port) [ a; b; c ];
+  U.perform rt ~port:a
+    (Lbrm.Io.of_list [ Lbrm.Io.send ~group:1 Lbrm_wire.Message.Who_is_primary ]);
+  U.run_for rt ~seconds:0.05;
+  U.close rt;
+  checki "one datagram per other member" 2 (U.datagrams_sent rt);
+  Alcotest.(check (list int)) "received" [ 0; 1; 1 ] (List.map ( ! ) seen)
+
 let () =
   Alcotest.run "udp"
     [
@@ -326,5 +436,11 @@ let () =
             burst_600_recovered;
           Alcotest.test_case "silent receiver keeps receiving" `Quick
             silent_receiver_keeps_receiving;
+          Alcotest.test_case "malformed datagrams dropped" `Quick
+            malformed_dropped;
+          Alcotest.test_case "multicast skips only the sender" `Quick
+            multicast_skips_sender;
+          Alcotest.test_case "oversize sent, truncated dropped" `Quick
+            oversize_sent_truncated_dropped;
         ] );
     ]

@@ -323,6 +323,44 @@ let prop_mutation_fuzz =
             | Error _ -> false)
       end)
 
+(* The runtime's receive path decodes through one kept reader, re-aimed
+   at a window of a slot region whose other bytes are junk.  On a valid
+   encoding, a truncated one, junk, or a valid one with trailing bytes,
+   it must agree with [Codec.decode] of the bare string on the message
+   and on the error.  The reader is shared by every case, so state left
+   over from one input would show in the next. *)
+let kept_reader = Codec.Reader.create ""
+
+let in_place region ~pos ~len =
+  match Codec.decode_bytes_exn kept_reader region ~pos ~len with
+  | m -> Ok m
+  | exception Codec.Malformed e -> Error e
+
+let gen_wire =
+  let open QCheck.Gen in
+  let valid = map encode_exn gen_message in
+  oneof
+    [
+      valid;
+      map2 (fun s n -> String.sub s 0 (n mod String.length s)) valid nat;
+      string_size ~gen:char (0 -- 64);
+      map2 ( ^ ) valid (string_size ~gen:char (1 -- 8));
+    ]
+
+let prop_in_place_agrees =
+  QCheck.Test.make ~count:1000
+    ~name:"codec: in-place decode agrees with decode"
+    QCheck.(
+      triple (make ~print:String.escaped gen_wire) (int_bound 64) char)
+    (fun (s, off, fill) ->
+      let len = String.length s in
+      let region = Bytes.make (off + len + 16) fill in
+      Bytes.blit_string s 0 region off len;
+      match (in_place region ~pos:off ~len, Codec.decode s) with
+      | Ok a, Ok b -> Message.equal a b
+      | Error a, Error b -> a = b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 let encode_at_slots () =
   (* [encode_at] is the batched runtime's entry point: it must place the
      message exactly at [pos], never touch bytes outside [pos, pos+size),
@@ -423,5 +461,6 @@ let () =
           qtest prop_mutation_fuzz;
           qtest prop_promote_bound;
           qtest prop_control_classification;
+          qtest prop_in_place_agrees;
         ] );
     ]

@@ -25,7 +25,11 @@
      [decode-totality]  every Codec.decode/decode_bytes result is
                         matched on both Ok and Error (or handed whole
                         to a handler); never get_ok'd, ignored or
-                        asserted away.
+                        asserted away.  The raising cores
+                        (decode_exn, decode_bytes_exn, encode_at_exn)
+                        are called only where Codec.Malformed is
+                        handled: a match's scrutinee with an
+                        `exception Malformed` case, or a try body.
      [raw-socket]       no direct Unix.sendto/recvfrom anywhere except
                         lib/run/sockmsg.ml, the transport's single
                         kernel-facing choke point (batching, fallback
@@ -246,12 +250,22 @@ let rec is_decode_app e =
       | _ -> false)
   | _ -> false
 
+(* The codec's raising cores: each reports malformed input (or an
+   unencodable message) as [Codec.Malformed]. *)
+let is_raising_core p =
+  match Path.last p with
+  | "decode_exn" | "decode_bytes_exn" | "encode_at_exn" ->
+      has_prefix ~prefix:"Codec." (norm_path p)
+  | _ -> false
+
 (* --- the walker -------------------------------------------------------- *)
 
 type ctx = {
   src : string; (* source path as recorded in the cmt *)
   protocol : bool; (* rules 1 and 2 apply *)
   mutable sorted_depth : int; (* > 0: inside an argument of a sort *)
+  mutable malformed_handled : int;
+      (* > 0: inside code whose Codec.Malformed is caught right here *)
   mutable out : finding list;
 }
 
@@ -321,6 +335,14 @@ let is_assert_false e =
 
 let case_rhs_unreachable c = is_assert_false c.c_rhs
 
+(* A match case [exception Malformed _] (or an or-pattern holding one). *)
+let rec handles_malformed : type k. k general_pattern -> bool =
+ fun p ->
+  match p.pat_desc with
+  | Tpat_exception e -> pattern_mentions_constr "Malformed" e
+  | Tpat_or (a, b, _) -> handles_malformed a || handles_malformed b
+  | _ -> false
+
 let lazy_env e = lazy (try Envaux.env_of_only_summary e.exp_env with _ -> e.exp_env)
 
 (* The polymorphic comparison/hash primitives live in the Stdlib unit;
@@ -386,6 +408,11 @@ let inspect_ident ctx e p =
 
 let inspect ctx e =
   (match e.exp_desc with
+  | Texp_ident (p, _, _) when is_raising_core p && ctx.malformed_handled = 0 ->
+      emit ctx ~loc:e.exp_loc ~rule:"decode-totality"
+        (Printf.sprintf
+           "%s raises Codec.Malformed: call it as the scrutinee of a match             with an `exception Codec.Malformed _` case (or in a try that             handles it)"
+           (Path.last p))
   | Texp_ident (p, _, _) -> inspect_ident ctx e p
   | Texp_try (_, cases) ->
       List.iter
@@ -448,9 +475,31 @@ let inspect ctx e =
 
 let make_iterator ctx =
   let open Tast_iterator in
+  let handled sub x =
+    ctx.malformed_handled <- ctx.malformed_handled + 1;
+    sub.expr sub x;
+    ctx.malformed_handled <- ctx.malformed_handled - 1
+  in
   let expr sub e =
     inspect ctx e;
     match e.exp_desc with
+    | Texp_match (scrut, cases, _)
+      when List.exists (fun c -> handles_malformed c.c_lhs) cases ->
+        handled sub scrut;
+        List.iter (sub.case sub) cases
+    | Texp_try (body, cases)
+      when List.exists
+             (fun c -> pattern_mentions_constr "Malformed" c.c_lhs)
+             cases ->
+        handled sub body;
+        List.iter (sub.case sub) cases
+    | Texp_function _ ->
+        (* A closure runs later, outside any handler around its
+           construction. *)
+        let saved = ctx.malformed_handled in
+        ctx.malformed_handled <- 0;
+        default_iterator.expr sub e;
+        ctx.malformed_handled <- saved
     | Texp_apply (f, args) when is_sort_app f ->
         (* Arguments of a sort are, by construction, order-laundered. *)
         sub.expr sub f;
@@ -517,7 +566,13 @@ let lint_cmt ?(all_rules = false) ?(root = ".") ?manifest ?telemetry path =
       in
       Load_path.init ~auto_include:Load_path.no_auto_include dirs;
       let ctx =
-        { src; protocol = all_rules || classify src; sorted_depth = 0; out = [] }
+        {
+          src;
+          protocol = all_rules || classify src;
+          sorted_depth = 0;
+          malformed_handled = 0;
+          out = [];
+        }
       in
       let it = make_iterator ctx in
       it.structure it str;
