@@ -52,34 +52,29 @@ let transition t peer after =
 
 let find t port = Hashtbl.find_opt t.peers port
 
-let register t ~port ~now =
-  let p =
-    { port; st = Connecting; last_recv = now; sent_to = 0; recv_from = 0 }
-  in
-  Hashtbl.add t.peers port p;
-  p
+(* A known peer costs one [Hashtbl.find] and allocates nothing; an
+   unknown one is registered. *)
+let peer t ~port ~now =
+  match Hashtbl.find t.peers port with
+  | p -> p
+  | exception Not_found ->
+      let p =
+        { port; st = Connecting; last_recv = now; sent_to = 0; recv_from = 0 }
+      in
+      Hashtbl.add t.peers port p;
+      p
 
-let ensure t ~port ~now =
-  if not (Hashtbl.mem t.peers port) then ignore (register t ~port ~now)
+let ensure t ~port ~now = ignore (peer t ~port ~now)
 
-(* The per-datagram pair: a known peer is one [Hashtbl.find] and no
-   allocation; [now] is stored as the caller's box, never re-boxed. *)
+(* [now] is the caller's boxed clock reading, stored as it is. *)
 let[@lint.hot] note_recv t ~port ~now =
-  let p =
-    match Hashtbl.find t.peers port with
-    | p -> p
-    | exception Not_found -> register t ~port ~now
-  in
+  let p = peer t ~port ~now in
   p.last_recv <- now;
   p.recv_from <- p.recv_from + 1;
   transition t p Active
 
 let[@lint.hot] note_sent t ~port ~now =
-  let p =
-    match Hashtbl.find t.peers port with
-    | p -> p
-    | exception Not_found -> register t ~port ~now
-  in
+  let p = peer t ~port ~now in
   p.sent_to <- p.sent_to + 1
 
 let state t ~port = Option.map (fun p -> p.st) (find t port)

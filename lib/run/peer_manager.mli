@@ -52,7 +52,7 @@ val create :
 
 val ensure : t -> port:int -> now:float -> unit
 (** Register a peer if unknown (entering [Connecting]); no-op
-    otherwise.  Called for every fan-out destination and group join. *)
+    otherwise.  Called for every group join. *)
 
 val note_recv : t -> port:int -> now:float -> unit
 (** A datagram arrived from [port]: registers the peer if unknown and
