@@ -236,7 +236,9 @@ let bench_decode_pooled ~ops () =
   let r = Codec.Reader.create "" in
   let ok = ref 0 in
   for _ = 1 to ops do
-    match Codec.decode_bytes_exn r b.Buf_pool.bytes ~pos:b.Buf_pool.off ~len with
+    match
+      Codec.decode_bytes_exn r b.Buf_pool.bytes ~pos:b.Buf_pool.off ~len
+    with
     | _ -> incr ok
     | exception Codec.Malformed _ -> ()
   done;

@@ -364,8 +364,8 @@ let malformed_dropped () =
     Lbrm_util.Metrics.value (Lbrm_util.Metrics.counter m "rx.malformed")
   in
   let recv =
-    Lbrm_util.Metrics.(
-      value (counter (List.assoc port (U.agent_metrics rt)) "recv.who_is_primary"))
+    let am = List.assoc port (U.agent_metrics rt) in
+    Lbrm_util.Metrics.(value (counter am "recv.who_is_primary"))
   in
   U.close rt;
   checki "three malformed datagrams counted" 3 malformed;
@@ -412,7 +412,8 @@ let multicast_skips_sender () =
   let seen = List.map (fun port -> counting_agent rt ~port) [ a; b; c ] in
   List.iter (fun port -> U.join rt ~group:1 ~port) [ a; b; c ];
   U.perform rt ~port:a
-    (Lbrm.Io.of_list [ Lbrm.Io.send ~group:1 Lbrm_wire.Message.Who_is_primary ]);
+    (Lbrm.Io.of_list
+       [ Lbrm.Io.send ~group:1 Lbrm_wire.Message.Who_is_primary ]);
   U.run_for rt ~seconds:0.05;
   U.close rt;
   checki "one datagram per other member" 2 (U.datagrams_sent rt);

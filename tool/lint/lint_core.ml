@@ -411,7 +411,9 @@ let inspect ctx e =
   | Texp_ident (p, _, _) when is_raising_core p && ctx.malformed_handled = 0 ->
       emit ctx ~loc:e.exp_loc ~rule:"decode-totality"
         (Printf.sprintf
-           "%s raises Codec.Malformed: call it as the scrutinee of a match             with an `exception Codec.Malformed _` case (or in a try that             handles it)"
+           "%s raises Codec.Malformed: call it as the scrutinee of a match \
+            with an `exception Codec.Malformed _` case (or in a try that \
+            handles it)"
            (Path.last p))
   | Texp_ident (p, _, _) -> inspect_ident ctx e p
   | Texp_try (_, cases) ->
