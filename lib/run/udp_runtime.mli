@@ -40,9 +40,9 @@
     {b Multicast emulation}: the sealed environment offers no
     multicast-capable network, so group sends fan out as unicast
     datagrams over the membership index (one copy per member but the
-    sender, walking the group's port array in place).  This preserves LBRM's delivery semantics; TTL scoping is
-    a no-op (scope control is exercised in the simulator).  See
-    DESIGN.md "Real transport".
+    sender, walking the group's port array in place).  This preserves
+    LBRM's delivery semantics; TTL scoping is a no-op (scope control is
+    exercised in the simulator).  See DESIGN.md "Real transport".
 
     {b Loss injection}: [loss] drops outgoing datagrams with the given
     probability — real loopback never loses packets, and exercising
@@ -57,7 +57,7 @@ type stats = {
   dropped : int;  (** by the loss-injection hook only *)
   encode_failures : int;
       (** refused by the encoder ({!Lbrm_wire.Codec.Malformed}) *)
-  oversize : int;  (** sent via the growable-writer slow path *)
+  oversize : int;  (** sent via the growable-scratch slow path *)
   tx_batches : int;
   tx_datagrams : int;  (** datagrams through staged batches *)
   rx_batches : int;

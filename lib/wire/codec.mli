@@ -17,11 +17,12 @@
     transmit and calls the cores directly; every call site must handle
     {!Malformed} (the lint's [decode-totality] rule checks it).
 
-    {!decode}, {!decode_bytes}, {!encode}, {!encode_into} and
-    {!encode_at} are thin total wrappers over the cores: they take no
-    reader or writer of their own, and turn {!Malformed} into
-    [Error].  The {!Writer}/{!Reader} primitives are also exposed for
-    application payloads (the DIS PDUs reuse them). *)
+    {!decode}, {!decode_bytes} and {!encode_at} are thin total
+    wrappers over the cores: each builds a fresh reader or writer and
+    turns {!Malformed} into [Error].  {!encode} and {!encode_into}
+    share the encoder's validation and field writer.  The
+    {!Writer}/{!Reader} primitives are also exposed for application
+    payloads (the DIS PDUs reuse them). *)
 
 type error =
   | Truncated  (** input ended mid-field *)
