@@ -56,7 +56,7 @@ let fsync path =
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ()))
+        (fun () -> Unix.fsync fd))
 
 let real : Lbrm.Archive.fs =
   {

@@ -1111,6 +1111,17 @@ let archive_real_fs () =
   Lbrm.Archive.close c;
   List.iter (fun f -> if Sys.file_exists f then Sys.remove f) leftovers
 
+let archive_real_fsync_errors () =
+  (* A failed fsync must surface: the archive fsyncs the active segment
+     before every low-water record, and a swallowed failure would let
+     that record claim data that never reached disk.  fsync on a
+     character device fails with EINVAL on Linux. *)
+  match Lbrm_run.File_ops.real.fsync "/dev/null" with
+  | () -> Alcotest.fail "fsync of /dev/null reported success"
+  | exception Lbrm.Archive.Fs_error msg ->
+      checkb "names the call and the path" true
+        (String.starts_with ~prefix:"fsync /dev/null: " msg)
+
 let logger_serves_from_archive () =
   (* Bounded memory + archive: old packets evicted from RAM are still
      servable from disk. *)
@@ -1611,6 +1622,8 @@ let () =
             archive_reappend_noop_after_restart;
           Alcotest.test_case "real fs roundtrip + torn tail" `Quick
             archive_real_fs;
+          Alcotest.test_case "real fs fsync surfaces errors" `Quick
+            archive_real_fsync_errors;
           Alcotest.test_case "logger serves from disk" `Quick
             logger_serves_from_archive;
         ] );
