@@ -1111,6 +1111,62 @@ let archive_real_fs () =
   Lbrm.Archive.close c;
   List.iter (fun f -> if Sys.file_exists f then Sys.remove f) leftovers
 
+(* The on-disk format, pinned: a fixed history — out-of-order seqs, a
+   duplicate, an explicit rotate, enough records for low-water records
+   and rotations, a compaction — and the MD5 of every file it leaves.
+   The expected digests were recorded before the encoder and the seal
+   were rewritten to write into flat bytes and arrays, so segments,
+   sidecars and manifest stay byte-identical across such rewrites. *)
+let archive_format_pinned () =
+  let fs = Lbrm.Archive.in_memory () in
+  let a =
+    Result.get_ok
+      (Lbrm.Archive.open_ ~segment_bytes:160 ~index_stride:2 ~lwm_stride:4 ~fs
+         "pin.log")
+  in
+  let append seq =
+    Lbrm.Archive.append a ~seq ~epoch:(seq mod 5)
+      ~payload:(String.init (seq mod 23) (fun i -> Char.chr (97 + ((seq + i) mod 26))))
+  in
+  List.iter append [ 3; 1; 2; 6; 5; 4 ];
+  Lbrm.Archive.append a ~seq:2 ~epoch:7 ~payload:"duplicate";
+  Lbrm.Archive.rotate a;
+  List.iter append [ 9; 7; 8; 12; 10; 11; 13; 15; 14; 16; 18; 17; 20; 19 ];
+  checki "compacted two segments" 2
+    (List.length (Lbrm.Archive.compact a ~floor:12));
+  List.iter append [ 22; 21; 23; 24 ];
+  Lbrm.Archive.close a;
+  (* A lost sidecar is rebuilt from its data file on reopen. *)
+  fs.remove "pin.log.000003.idx";
+  let b =
+    Result.get_ok
+      (Lbrm.Archive.open_ ~segment_bytes:160 ~index_stride:2 ~lwm_stride:4 ~fs
+         "pin.log")
+  in
+  checki "floor" 24 (Lbrm.Archive.low_water b);
+  let digests =
+    List.map
+      (fun path ->
+        let len = fs.Lbrm.Archive.size path in
+        (path, Digest.to_hex (Digest.string (fs.read_at path ~pos:0 ~len))))
+      (Lbrm.Archive.files b)
+  in
+  Alcotest.(check (list (pair string string)))
+    "file digests"
+    [
+      ("pin.log.manifest", "8b3e9b5790fb19da44fcca5bfacab3c4");
+      ("pin.log.000003.seg", "757c833c04162d8e290a2dd0f6be9d52");
+      ("pin.log.000003.idx", "fc123137bd78f811ef092c5f3e3250f3");
+      ("pin.log.000004.seg", "8dfd0e7395793a75db0c291da7cb8826");
+      ("pin.log.000004.idx", "ffc8d6e0edf0a18398d2b6aa9a838a9c");
+      ("pin.log.000005.seg", "72fc7ec875b79ed13feda6a4d9205de6");
+    ]
+    digests;
+  checkb "compacted files removed" false
+    (List.exists fs.exists
+       [ "pin.log.000001.seg"; "pin.log.000001.idx"; "pin.log.000002.seg" ]);
+  Lbrm.Archive.close b
+
 let archive_real_fsync_errors () =
   (* A failed fsync must surface: the archive fsyncs the active segment
      before every low-water record, and a swallowed failure would let
@@ -1622,6 +1678,8 @@ let () =
             archive_reappend_noop_after_restart;
           Alcotest.test_case "real fs roundtrip + torn tail" `Quick
             archive_real_fs;
+          Alcotest.test_case "on-disk format pinned" `Quick
+            archive_format_pinned;
           Alcotest.test_case "real fs fsync surfaces errors" `Quick
             archive_real_fsync_errors;
           Alcotest.test_case "logger serves from disk" `Quick
