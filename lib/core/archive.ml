@@ -54,38 +54,36 @@ exception Fs_error of string
 
 let fs_error fmt = Printf.ksprintf (fun s -> raise (Fs_error s)) fmt
 
-(* In-memory fake: one growable string per path.  Deterministic, no
-   ambient state; crash-recovery tests produce a torn tail by
-   truncating mid-record. *)
+(* In-memory fake: one growable buffer per path, so an append copies
+   only the appended bytes.  Deterministic, no ambient state;
+   crash-recovery tests produce a torn tail by truncating mid-record. *)
 let in_memory () =
-  let files : (string, string ref) Hashtbl.t = Hashtbl.create 4 in
-  let get path =
-    match Hashtbl.find_opt files path with
-    | Some r -> r
-    | None ->
-        let r = ref "" in
-        Hashtbl.replace files path r;
-        r
-  in
+  let files : (string, Buffer.t) Hashtbl.t = Hashtbl.create 4 in
   {
     exists = (fun path -> Hashtbl.mem files path);
     size = (fun path -> match Hashtbl.find_opt files path with
-                        | Some r -> String.length !r
+                        | Some b -> Buffer.length b
                         | None -> 0);
     read_at =
       (fun path ~pos ~len ->
         match Hashtbl.find_opt files path with
         | None -> ""
-        | Some r ->
-            let n = String.length !r in
-            if pos >= n then ""
-            else String.sub !r pos (Stdlib.min len (n - pos)));
-    append = (fun path data -> let r = get path in r := !r ^ data);
+        | Some b ->
+            let n = Buffer.length b in
+            if pos >= n then "" else Buffer.sub b pos (Stdlib.min len (n - pos)));
+    append =
+      (fun path data ->
+        match Hashtbl.find_opt files path with
+        | Some b -> Buffer.add_string b data
+        | None ->
+            let b = Buffer.create (Stdlib.max 64 (String.length data)) in
+            Buffer.add_string b data;
+            Hashtbl.replace files path b);
     truncate =
       (fun path ~len ->
         match Hashtbl.find_opt files path with
         | None -> fs_error "truncate %s: no such file" path
-        | Some r -> if String.length !r > len then r := String.sub !r 0 len);
+        | Some b -> if Buffer.length b > len then Buffer.truncate b len);
     remove = (fun path -> Hashtbl.remove files path);
     fsync = (fun _ -> ());
   }
