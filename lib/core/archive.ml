@@ -33,6 +33,14 @@
    1..L are all on disk; it deliberately excludes the in-memory store so
    a floor recovered after a crash never overstates what survived.
 
+   [append] runs for every packet a logger's store evicts, so it keeps
+   its allocation to the record itself: each record (data or manifest)
+   is encoded into one exactly-sized [Bytes] handed to [fs.append] as a
+   string without a copy, the active segment's path and the manifest's
+   are formatted once (at open and at rotation), and the membership
+   and contiguity walks are plain recursions.  A seal builds its
+   sidecar from flat int arrays that live only for the seal.
+
    All file access goes through an injected {!fs} record: lib/core is
    sans-IO, so the real (Unix-backed) implementation lives in
    Lbrm_run.File_ops and tests can drive the archive against the
@@ -113,12 +121,14 @@ type sealed = {
 
 type t = {
   base : string;
+  manifest : string; (* manifest path, formatted once at open *)
   fs : fs;
   segment_bytes : int;
   index_stride : int;
   lwm_stride : int;
   mutable sealed : sealed list; (* ascending id order *)
   mutable active_id : int;
+  mutable active_seg : string; (* active segment path, set with active_id *)
   active_index : (Seqno.t, int) Hashtbl.t; (* seq -> record offset *)
   mutable active_size : int; (* valid bytes in the active segment *)
   mutable active_min : Seqno.t;
@@ -137,10 +147,15 @@ let seg_path base id = Printf.sprintf "%s.%06d.seg" base id
 let idx_path base id = Printf.sprintf "%s.%06d.idx" base id
 let manifest_path base = base ^ ".manifest"
 
-let checksum ~seq ~epoch ~payload =
-  let acc = ref (magic + seq + epoch + String.length payload) in
-  String.iter (fun c -> acc := (!acc * 31) + Char.code c) payload;
-  !acc land 0x3fffffff
+let rec fold_payload payload i n acc =
+  if i = n then acc
+  else
+    fold_payload payload (i + 1) n
+      ((acc * 31) + Char.code (String.unsafe_get payload i))
+
+let[@lint.hot] checksum ~seq ~epoch ~payload =
+  let n = String.length payload in
+  fold_payload payload 0 n (magic + seq + epoch + n) land 0x3fffffff
 
 let mcheck ~kind ~a ~b ~c ~d =
   let acc = (((((((manifest_magic * 31) + kind) * 31) + a) * 31) + b) * 31) + c in
@@ -152,24 +167,25 @@ let record_length payload = header_length + String.length payload + 4
 let get_u16 s pos = (Char.code s.[pos] lsl 8) lor Char.code s.[pos + 1]
 let get_u32 s pos = (get_u16 s pos lsl 16) lor get_u16 s (pos + 2)
 
-let put_u16 b v =
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
+let set_u16 b pos v = Bytes.set_uint16_be b pos (v land 0xffff)
 
-let put_u32 b v =
-  put_u16 b ((v lsr 16) land 0xffff);
-  put_u16 b (v land 0xffff)
+let set_u32 b pos v =
+  set_u16 b pos (v lsr 16);
+  set_u16 b (pos + 2) v
 
+(* Every record is encoded straight into one exactly-sized [Bytes] and
+   handed to [fs.append] as a string without a copy: nothing touches
+   the bytes afterwards. *)
 let log_manifest t ~kind ~a ~b ~c ~d =
-  let buf = Buffer.create manifest_record_length in
-  put_u16 buf manifest_magic;
-  Buffer.add_char buf (Char.chr kind);
-  put_u32 buf a;
-  put_u32 buf b;
-  put_u32 buf c;
-  put_u32 buf d;
-  put_u32 buf (mcheck ~kind ~a ~b ~c ~d);
-  t.fs.append (manifest_path t.base) (Buffer.contents buf)
+  let r = Bytes.create manifest_record_length in
+  set_u16 r 0 manifest_magic;
+  Bytes.set_uint8 r 2 kind;
+  set_u32 r 3 a;
+  set_u32 r 7 b;
+  set_u32 r 11 c;
+  set_u32 r 15 d;
+  set_u32 r 19 (mcheck ~kind ~a ~b ~c ~d);
+  t.fs.append t.manifest (Bytes.unsafe_to_string r)
 
 (* Read one data record at [pos] of segment file [path]; None on
    EOF/corruption (incl. short reads: a torn tail).  The payload string
@@ -199,32 +215,47 @@ let read_data_record t path pos =
 let idx_check_entry acc ~seq ~pos ~len =
   (((((((acc * 31) + seq) * 31) + pos) * 31) + len) land 0x3fffffff)
 
-(* [entries] sorted by seq. *)
-let write_idx t id entries =
-  let n = List.length entries in
-  let b = Buffer.create (idx_header_length + (n * idx_entry_length) + 4) in
-  put_u16 b idx_magic;
-  put_u32 b n;
+(* The sidecar of segment [id]: entry [i] is [(seqs.(i), poss.(i),
+   lens.(i))], sorted by seq. *)
+let write_idx t id seqs poss lens =
+  let n = Array.length seqs in
+  let b = Bytes.create (idx_header_length + (n * idx_entry_length) + 4) in
+  set_u16 b 0 idx_magic;
+  set_u32 b 2 n;
   let acc = ref ((idx_magic + n) land 0x3fffffff) in
-  List.iter
-    (fun (seq, pos, len) ->
-      put_u32 b seq;
-      put_u32 b pos;
-      put_u32 b len;
-      acc := idx_check_entry !acc ~seq ~pos ~len)
-    entries;
-  put_u32 b !acc;
+  for i = 0 to n - 1 do
+    let off = idx_header_length + (i * idx_entry_length) in
+    set_u32 b off seqs.(i);
+    set_u32 b (off + 4) poss.(i);
+    set_u32 b (off + 8) lens.(i);
+    acc := idx_check_entry !acc ~seq:seqs.(i) ~pos:poss.(i) ~len:lens.(i)
+  done;
+  set_u32 b (Bytes.length b - 4) !acc;
   let ip = idx_path t.base id in
   if t.fs.exists ip then t.fs.truncate ip ~len:0;
-  t.fs.append ip (Buffer.contents b);
+  t.fs.append ip (Bytes.unsafe_to_string b);
   t.fs.fsync ip
 
-let make_checkpoints t seqs_at =
-  (* [seqs_at rank] for ranks 0..count-1; returns the sparse key array *)
-  fun count ->
-   let ncp = (count + t.index_stride - 1) / t.index_stride in
-   Array.init (Stdlib.max ncp 1) (fun j ->
-       if j * t.index_stride < count then seqs_at (j * t.index_stride) else 0)
+(* The sparse key array over [count] sorted seqs, [seq_at rank] for
+   ranks 0..count-1. *)
+let checkpoints t count seq_at =
+  let ncp = (count + t.index_stride - 1) / t.index_stride in
+  Array.init (Stdlib.max ncp 1) (fun j ->
+      if j * t.index_stride < count then seq_at (j * t.index_stride) else 0)
+
+(* The in-memory view of sealed segment [id] holding the sorted [seqs]. *)
+let sealed_of t id seqs =
+  let n = Array.length seqs in
+  if n = 0 then
+    { s_id = id; s_min = 1; s_max = 0; s_count = 0; s_keys = [| 0 |] }
+  else
+    {
+      s_id = id;
+      s_min = seqs.(0);
+      s_max = seqs.(n - 1);
+      s_count = n;
+      s_keys = checkpoints t n (Array.get seqs);
+    }
 
 (* Load a sealed segment's sparse index from its sidecar; None if the
    sidecar is missing or fails validation. *)
@@ -261,7 +292,7 @@ let load_idx t id =
                 s_min = seq_at 0;
                 s_max = seq_at (n - 1);
                 s_count = n;
-                s_keys = (make_checkpoints t seq_at) n;
+                s_keys = checkpoints t n seq_at;
               }
         end
 
@@ -286,26 +317,13 @@ let rebuild_sealed t id =
   ignore
     (scan_segment t (seg_path t.base id) (fun ~seq ~epoch:_ ~payload ~pos ->
          entries := (seq, pos, record_length payload) :: !entries));
-  let entries =
-    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !entries
-  in
-  write_idx t id entries;
-  let n = List.length entries in
-  let arr = Array.of_list entries in
-  let seq_at rank =
-    let s, _, _ = arr.(rank) in
-    s
-  in
-  if n = 0 then
-    { s_id = id; s_min = 1; s_max = 0; s_count = 0; s_keys = [| 0 |] }
-  else
-    {
-      s_id = id;
-      s_min = seq_at 0;
-      s_max = seq_at (n - 1);
-      s_count = n;
-      s_keys = (make_checkpoints t seq_at) n;
-    }
+  let entries = Array.of_list !entries in
+  Array.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) entries;
+  let seqs = Array.map (fun (seq, _, _) -> seq) entries in
+  write_idx t id seqs
+    (Array.map (fun (_, pos, _) -> pos) entries)
+    (Array.map (fun (_, _, len) -> len) entries);
+  sealed_of t id seqs
 
 let load_sealed t id =
   match load_idx t id with Some s -> s | None -> rebuild_sealed t id
@@ -358,36 +376,39 @@ let[@lint.hot] locate t seq =
   | pos -> pos
   | exception Not_found -> -1
 
-let mem t seq =
-  Hashtbl.mem t.active_index seq
-  || List.exists (fun s -> sealed_mem t s seq) t.sealed
+let rec sealed_has t seq = function
+  | [] -> false
+  | s :: rest -> sealed_mem t s seq || sealed_has t seq rest
+
+let mem t seq = Hashtbl.mem t.active_index seq || sealed_has t seq t.sealed
 
 (* ---------- low-water mark ---------- *)
 
+(* The top of the dense sealed segment holding [next], or -1. *)
+let rec dense_top next = function
+  | [] -> -1
+  | s :: rest ->
+      if
+        s.s_count > 0
+        && s.s_min <= next
+        && next <= s.s_max
+        && s.s_count = s.s_max - s.s_min + 1
+      then s.s_max
+      else dense_top next rest
+
 (* Advance the archive-only contiguity floor.  Fully-contiguous sealed
    segments are jumped over without touching disk. *)
-let advance_contig t =
-  let progressing = ref true in
-  while !progressing do
-    let next = t.contig + 1 in
-    let jumped =
-      List.exists
-        (fun s ->
-          if
-            s.s_count > 0
-            && s.s_min <= next
-            && next <= s.s_max
-            && s.s_count = s.s_max - s.s_min + 1
-          then begin
-            t.contig <- s.s_max;
-            true
-          end
-          else false)
-        t.sealed
-    in
-    if not jumped then
-      if mem t next then t.contig <- next else progressing := false
-  done
+let rec advance_contig t =
+  let next = t.contig + 1 in
+  let top = dense_top next t.sealed in
+  if top >= 0 then begin
+    t.contig <- top;
+    advance_contig t
+  end
+  else if mem t next then begin
+    t.contig <- next;
+    advance_contig t
+  end
 
 let persist_lwm t =
   if t.contig > t.persisted_lwm then begin
@@ -395,16 +416,19 @@ let persist_lwm t =
        mark itself: a crash may then lose the L record (the floor
        understates, which is safe) but never the data under a surviving
        L record (which would overstate). *)
-    let sp = seg_path t.base t.active_id in
-    if t.fs.exists sp then t.fs.fsync sp;
+    if t.fs.exists t.active_seg then t.fs.fsync t.active_seg;
     log_manifest t ~kind:kind_lwm ~a:t.contig ~b:0 ~c:0 ~d:0;
     t.persisted_lwm <- t.contig
   end
 
 (* ---------- open ---------- *)
 
+let activate t id =
+  t.active_id <- id;
+  t.active_seg <- seg_path t.base id
+
 let scan_active t =
-  let sp = seg_path t.base t.active_id in
+  let sp = t.active_seg in
   let valid =
     scan_segment t sp (fun ~seq ~epoch:_ ~payload:_ ~pos ->
         if not (Hashtbl.mem t.active_index seq) then
@@ -472,12 +496,14 @@ let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?(lwm_stride = 32)
     let t =
       {
         base;
+        manifest = mpath;
         fs;
         segment_bytes;
         index_stride;
         lwm_stride;
         sealed = [];
         active_id = 0;
+        active_seg = "";
         active_index = Hashtbl.create 256;
         active_size = 0;
         active_min = max_int;
@@ -514,11 +540,11 @@ let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?(lwm_stride = 32)
     (match List.rev open_ids with
     | [] ->
         let id = !max_id + 1 in
-        t.active_id <- id;
+        activate t id;
         log_manifest t ~kind:kind_activate ~a:id ~b:0 ~c:0 ~d:0
     | id :: stale ->
         List.iter (fun sid -> rescan_and_seal t sid) (List.rev stale);
-        t.active_id <- id;
+        activate t id;
         scan_active t);
     advance_contig t;
     Ok t
@@ -526,50 +552,76 @@ let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?(lwm_stride = 32)
 
 (* ---------- rotation & append ---------- *)
 
+(* In-place ascending heap sort.  The stdlib's sorts allocate as they
+   go (an exception per sift, a closure per merge): about 3 words per
+   element, which a seal would charge to every append. *)
+let rec sift (a : int array) i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift a c n
+    end
+  end
+
+let sort_ints a =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift a 0 last
+  done
+
+(* Rank of [pos] in the ascending [offs.(lo..hi)], which holds it. *)
+let rec rank_of (offs : int array) pos lo hi =
+  let mid = (lo + hi) / 2 in
+  if offs.(mid) < pos then rank_of offs pos (mid + 1) hi
+  else if offs.(mid) > pos then rank_of offs pos lo (mid - 1)
+  else mid
+
 let seal_active t =
-  if Hashtbl.length t.active_index > 0 then begin
-    let sp = seg_path t.base t.active_id in
-    t.fs.fsync sp;
-    (* Derive record lengths from consecutive offsets: records in the
-       active segment are laid out back to back. *)
-    let by_pos =
-      Hashtbl.fold (fun seq pos acc -> (pos, seq) :: acc) t.active_index []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let n = Hashtbl.length t.active_index in
+  if n > 0 then begin
+    t.fs.fsync t.active_seg;
+    (* The sidecar comes from two flat arrays, the seqs and the record
+       offsets, each sorted.  Records in the active segment lie back to
+       back, so a record's length is the distance to the next offset. *)
+    let seqs = Array.make n 0 and offs = Array.make n 0 in
+    let k = ref 0 in
+    Hashtbl.iter
+      (fun seq pos ->
+        seqs.(!k) <- seq;
+        offs.(!k) <- pos;
+        incr k)
+      t.active_index;
+    sort_ints seqs;
+    sort_ints offs;
+    let poss = Array.map (Hashtbl.find t.active_index) seqs in
+    let lens =
+      Array.map
+        (fun pos ->
+          let r = rank_of offs pos 0 (n - 1) in
+          (if r + 1 < n then offs.(r + 1) else t.active_size) - pos)
+        poss
     in
-    let rec lens = function
-      | [] -> []
-      | [ (pos, seq) ] -> [ (seq, pos, t.active_size - pos) ]
-      | (pos, seq) :: ((next, _) :: _ as rest) ->
-          (seq, pos, next - pos) :: lens rest
-    in
-    let entries =
-      List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) (lens by_pos)
-    in
-    write_idx t t.active_id entries;
-    let n = List.length entries in
-    let arr = Array.of_list entries in
-    let seq_at rank =
-      let s, _, _ = arr.(rank) in
-      s
-    in
-    let s =
-      {
-        s_id = t.active_id;
-        s_min = t.active_min;
-        s_max = t.active_max;
-        s_count = n;
-        s_keys = (make_checkpoints t seq_at) n;
-      }
-    in
+    write_idx t t.active_id seqs poss lens;
+    let s = sealed_of t t.active_id seqs in
     log_manifest t ~kind:kind_seal ~a:t.active_id ~b:s.s_min ~c:s.s_max
       ~d:s.s_count;
     t.sealed <- t.sealed @ [ s ];
     t.sealed_records <- t.sealed_records + n;
     t.last_sealed <- t.active_id;
     t.rotations <- t.rotations + 1;
-    t.active_id <- t.active_id + 1;
+    activate t (t.active_id + 1);
     log_manifest t ~kind:kind_activate ~a:t.active_id ~b:0 ~c:0 ~d:0;
-    t.fs.fsync (manifest_path t.base);
+    t.fs.fsync t.manifest;
     Hashtbl.reset t.active_index;
     t.active_size <- 0;
     t.active_min <- max_int;
@@ -578,22 +630,29 @@ let seal_active t =
 
 let rotate = seal_active
 
-let append t ~seq ~epoch ~payload =
+(* Every eviction at every logger lands here: the record string and
+   its index bucket are the only allocations (enforced by
+   [lint.hotpaths] and a Gc gate in test_transport). *)
+let[@lint.hot] append t ~seq ~epoch ~payload =
   if not (mem t seq) then begin
-    let len = record_length payload in
+    let plen = String.length payload in
+    let len = header_length + plen + 4 in
     if Hashtbl.length t.active_index > 0 && t.active_size + len > t.segment_bytes
     then seal_active t;
     let pos = t.active_size in
-    let b = Buffer.create len in
-    put_u16 b magic;
-    put_u32 b seq;
-    put_u32 b epoch;
-    put_u32 b (String.length payload);
-    Buffer.add_string b payload;
-    put_u32 b (checksum ~seq ~epoch ~payload);
-    t.fs.append (seg_path t.base t.active_id) (Buffer.contents b);
+    let b =
+      (Bytes.create len [@lint.alloc "the record, handed over as the string fs.append writes"])
+    in
+    set_u16 b 0 magic;
+    set_u32 b 2 seq;
+    set_u32 b 6 epoch;
+    set_u32 b 10 plen;
+    Bytes.blit_string payload 0 b header_length plen;
+    set_u32 b (header_length + plen) (checksum ~seq ~epoch ~payload);
+    t.fs.append t.active_seg (Bytes.unsafe_to_string b);
     t.active_size <- pos + len;
-    Hashtbl.replace t.active_index seq pos;
+    (Hashtbl.replace t.active_index seq pos
+     [@lint.alloc "the record's index bucket, reset at the next seal"]);
     if seq < t.active_min then t.active_min <- seq;
     if seq > t.active_max then t.active_max <- seq;
     if t.contig + 1 = seq then advance_contig t;
@@ -606,7 +665,7 @@ let find t seq =
   let result =
     match locate t seq with
     | pos when pos >= 0 -> (
-        match read_data_record t (seg_path t.base t.active_id) pos with
+        match read_data_record t t.active_seg pos with
         | Some (s, epoch, payload) when Int.equal s seq -> Some (epoch, payload)
         | _ -> None)
     | _ ->
@@ -648,15 +707,13 @@ let compact t ~floor =
 let count t = t.sealed_records + Hashtbl.length t.active_index
 
 let sync t =
-  let sp = seg_path t.base t.active_id in
-  if t.fs.exists sp then t.fs.fsync sp;
+  if t.fs.exists t.active_seg then t.fs.fsync t.active_seg;
   persist_lwm t;
-  let mp = manifest_path t.base in
-  if t.fs.exists mp then t.fs.fsync mp
+  if t.fs.exists t.manifest then t.fs.fsync t.manifest
 
 let close t = sync t
 let path t = t.base
-let active_path t = seg_path t.base t.active_id
+let active_path t = t.active_seg
 let active_size t = t.active_size
 let low_water t = t.contig
 let rotations t = t.rotations
@@ -667,11 +724,11 @@ let last_sealed t = t.last_sealed
 let segments t = List.map (fun s -> s.s_id) t.sealed @ [ t.active_id ]
 
 let files t =
-  manifest_path t.base
+  t.manifest
   :: List.concat_map
        (fun s -> [ seg_path t.base s.s_id; idx_path t.base s.s_id ])
        t.sealed
-  @ [ seg_path t.base t.active_id ]
+  @ [ t.active_seg ]
 
 let iter f t =
   List.iter
@@ -681,5 +738,5 @@ let iter f t =
            (fun ~seq ~epoch ~payload ~pos:_ -> f ~seq ~epoch ~payload)))
     t.sealed;
   ignore
-    (scan_segment t (seg_path t.base t.active_id)
+    (scan_segment t t.active_seg
        (fun ~seq ~epoch ~payload ~pos:_ -> f ~seq ~epoch ~payload))

@@ -80,7 +80,19 @@ val append : t -> seq:Lbrm_util.Seqno.t -> epoch:int -> payload:string -> unit
     fsyncs the sealed segment and its sidecar).  Re-appending a
     sequence number already held by {e any} live segment — active or
     sealed, including segments recovered across a reopen — is a
-    no-op. *)
+    no-op.
+
+    This is the spill every eviction runs, so it is allocation-light:
+    the record is encoded straight into one exactly-sized string that
+    is handed to [fs.append] without a copy, the active segment's and
+    the manifest's paths are formatted once (at open and at rotation),
+    and the record's index bucket is the only other allocation (a
+    [lint.hotpaths] entry).  A failed [fs.append] leaves no index
+    entry. *)
+
+val checksum : seq:int -> epoch:int -> payload:string -> int
+(** The checksum that closes a data record (30 bits).  Exposed so its
+    allocation-freedom can be measured. *)
 
 val find : t -> Lbrm_util.Seqno.t -> (int * string) option
 (** [(epoch, payload)] if the sequence number is archived.  Active-

@@ -494,6 +494,20 @@ let measurements : (string list * (unit -> float)) list =
           probe i
         done;
         words_per_op ~iters probe );
+    ( [ "Archive.checksum" ],
+      fun () ->
+        (* The closing checksum of a 128-byte data record: a plain
+           recursion over the payload, no closure. *)
+        let payload = String.make 128 'c' in
+        let sum seq =
+          ignore
+            (Sys.opaque_identity
+               (Lbrm.Archive.checksum ~seq ~epoch:1 ~payload))
+        in
+        for i = 1 to 100 do
+          sum i
+        done;
+        words_per_op ~iters sum );
     ( [
         "Agent_host.receive";
         "Agent_host.count";
@@ -801,6 +815,50 @@ let in_place_decode_words () =
   done;
   gate "in-place Data decode" ~max:8.0 (words_per_op ~iters decode)
 
+(* A filesystem that keeps nothing: what [Archive.append] allocates
+   itself, without the cost of a real write. *)
+let discarding_fs : Lbrm.Archive.fs =
+  {
+    exists = (fun _ -> false);
+    size = (fun _ -> 0);
+    read_at = (fun _ ~pos:_ ~len:_ -> "");
+    append = (fun _ _ -> ());
+    truncate = (fun _ ~len:_ -> ());
+    remove = ignore;
+    fsync = ignore;
+  }
+
+(* One spill of a 128-byte payload into the default 256 KiB segments:
+   the 146-byte record string (20 words) and its index bucket (4). The
+   seals within the run build arrays of 1 795 entries, which go
+   straight to the major heap, and the low-water records every 32
+   appends cost 4 words each. *)
+let archive_append_words () =
+  let a =
+    Result.get_ok (Lbrm.Archive.open_ ~fs:discarding_fs "transport-spill.log")
+  in
+  let payload = String.make 128 'a' in
+  let spill seq = Lbrm.Archive.append a ~seq ~epoch:1 ~payload in
+  for seq = 1 to 100 do
+    spill seq
+  done;
+  let per = words_per_op ~iters (fun i -> spill (100 + i)) in
+  checki "every record indexed" (100 + iters) (Lbrm.Archive.count a);
+  gate "Archive.append" ~max:25.0 per
+
+(* A real append into a temp file: open, write and close allocate
+   nothing on the success path. *)
+let file_append_words () =
+  let path = Filename.temp_file "lbrm_transport" ".seg" in
+  let append = Lbrm_run.File_ops.real.append in
+  let record = String.make 146 'r' in
+  for _ = 1 to 10 do
+    append path record
+  done;
+  let per = words_per_op ~iters:1000 (fun _ -> append path record) in
+  Sys.remove path;
+  gate "File_ops.append" ~max:0.0 per
+
 (* The CI trend gate: the same baseline passes against itself, and one
    extra word/op, one more missing packet, or a durable floor one seq
    lower, on one row fails it. *)
@@ -872,5 +930,7 @@ let () =
           Alcotest.test_case "Source.send gate" `Quick source_send_words;
           Alcotest.test_case "in-place Data decode gate" `Quick
             in_place_decode_words;
+          Alcotest.test_case "Archive.append gate" `Quick archive_append_words;
+          Alcotest.test_case "File_ops.append gate" `Quick file_append_words;
         ] );
     ]
