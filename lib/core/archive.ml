@@ -67,6 +67,14 @@ let fs_error fmt = Printf.ksprintf (fun s -> raise (Fs_error s)) fmt
    crash-recovery tests produce a torn tail by truncating mid-record. *)
 let in_memory () =
   let files : (string, Buffer.t) Hashtbl.t = Hashtbl.create 4 in
+  let get path =
+    match Hashtbl.find_opt files path with
+    | Some b -> b
+    | None ->
+        let b = Buffer.create 256 in
+        Hashtbl.replace files path b;
+        b
+  in
   {
     exists = (fun path -> Hashtbl.mem files path);
     size = (fun path -> match Hashtbl.find_opt files path with
@@ -79,14 +87,7 @@ let in_memory () =
         | Some b ->
             let n = Buffer.length b in
             if pos >= n then "" else Buffer.sub b pos (Stdlib.min len (n - pos)));
-    append =
-      (fun path data ->
-        match Hashtbl.find_opt files path with
-        | Some b -> Buffer.add_string b data
-        | None ->
-            let b = Buffer.create (Stdlib.max 64 (String.length data)) in
-            Buffer.add_string b data;
-            Hashtbl.replace files path b);
+    append = (fun path data -> Buffer.add_string (get path) data);
     truncate =
       (fun path ~len ->
         match Hashtbl.find_opt files path with
@@ -635,8 +636,7 @@ let rotate = seal_active
    [lint.hotpaths] and a Gc gate in test_transport). *)
 let[@lint.hot] append t ~seq ~epoch ~payload =
   if not (mem t seq) then begin
-    let plen = String.length payload in
-    let len = header_length + plen + 4 in
+    let len = record_length payload and plen = String.length payload in
     if Hashtbl.length t.active_index > 0 && t.active_size + len > t.segment_bytes
     then seal_active t;
     let pos = t.active_size in
