@@ -1113,10 +1113,9 @@ let archive_real_fs () =
 
 (* The on-disk format, pinned: a fixed history — out-of-order seqs, a
    duplicate, an explicit rotate, enough records for low-water records
-   and rotations, a compaction — and the MD5 of every file it leaves.
-   The expected digests were recorded before the encoder and the seal
-   were rewritten to write into flat bytes and arrays, so segments,
-   sidecars and manifest stay byte-identical across such rewrites. *)
+   and rotations, a compaction, a reopen — and the MD5 of every file it
+   leaves.  Any change to how records, sidecars or manifest entries are
+   encoded must leave these digests as they are. *)
 let archive_format_pinned () =
   let fs = Lbrm.Archive.in_memory () in
   let a =
