@@ -465,7 +465,7 @@ let bench_replication ~replication ~ops () =
   let rep =
     Lbrm.Replication.create cfg ~self:1 ~primary:2
       ~replicas:(List.tl members)
-      ~retained_above:(fun _ -> 0)
+      ~retained:(fun () -> 0)
       ()
   in
   let payload = String.make 128 'x' in

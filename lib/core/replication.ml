@@ -9,7 +9,7 @@ type seq = Seqno.t
 type event =
   | E_release of seq
   | E_suspected
-  | E_promoted of { primary : address; floor : seq }
+  | E_promoted of address
   | E_kept of address
 
 type failover =
@@ -20,7 +20,7 @@ type t = {
   cfg : Config.t;
   self : address;
   sink : Trace.sink;
-  retained_above : seq -> int; (* owner's replay-table census, for traces *)
+  retained : unit -> int; (* owner's replay-table size, for traces *)
   mutable primary : address; (* deposit target: primary logger / ring head *)
   mutable replicas : address list; (* remaining members, ring order *)
   retries : (seq, int) Hashtbl.t;
@@ -64,14 +64,14 @@ let set_members t ~primary ~replicas =
       t.scratch <- Array.make n 0;
       t.q <- (n + 2) / 2
 
-let create cfg ~self ~primary ?(replicas = []) ~retained_above
+let create cfg ~self ~primary ?(replicas = []) ~retained
     ?(sink = Trace.null ()) () =
   let t =
     {
       cfg;
       self;
       sink;
-      retained_above;
+      retained;
       primary;
       replicas;
       retries = Hashtbl.create 64;
@@ -186,14 +186,13 @@ let kept t ~now =
     trace t ~now (Trace.Failover_step (Trace.F_kept t.primary));
   E_kept t.primary
 
-(* [primary] now leads; the owner re-deposits what it retains above
-   [floor]. *)
-let promoted t ~now ~primary ~floor =
+(* [primary] now leads; the owner re-deposits everything it retains. *)
+let promoted t ~now ~primary =
   if Trace.is_on t.sink then
     trace t ~now
       (Trace.Failover_step
-         (Trace.F_promoted { primary; redeposits = t.retained_above floor }));
-  E_promoted { primary; floor }
+         (Trace.F_promoted { primary; redeposits = t.retained () }));
+  E_promoted primary
 
 (* --- fail-over: primary and ring (query round) ------------------------- *)
 
@@ -235,7 +234,7 @@ let sort_statuses statuses =
 let finish_primary t ~now statuses =
   match sort_statuses statuses with
   | [] -> ([], [ kept t ~now ]) (* no replica answered: keep the old one *)
-  | (best, best_seq) :: _ ->
+  | (best, _) :: _ ->
       let others = List.filter (fun r -> r <> best) t.replicas in
       (* [Promote] is wire-bounded to [Codec.promote_max] replicas;
          never build an unencodable one.  Replicas beyond the bound are
@@ -250,7 +249,7 @@ let finish_primary t ~now statuses =
       let cancels = clear_all_retries t in
       t.primary <- best;
       t.replicas <- others;
-      let ev = promoted t ~now ~primary:best ~floor:best_seq in
+      let ev = promoted t ~now ~primary:best in
       (Io.send_to best (Message.Promote { replicas = others }) :: cancels, [ ev ])
 
 let finish_ring t ~now statuses =
@@ -259,16 +258,6 @@ let finish_ring t ~now statuses =
   | ((head, _) :: _ as order) ->
       let order = List.filteri (fun i _ -> i < Lbrm_wire.Codec.promote_max) order in
       let cancels = clear_all_retries t in
-      (* Re-deposit from the slowest survivor's floor: the head re-walks
-         the chain, so every member regains what it missed. *)
-      let min_floor =
-        match order with
-        | (_, s0) :: rest ->
-            List.fold_left
-              (fun acc (_, s) -> if Seqno.(s < acc) then s else acc)
-              s0 rest
-        | [] -> 0
-      in
       let rec ring_sets = function
         | [] -> []
         | [ (m, _) ] -> [ Io.send_to m (Message.Ring_set { succ = None; head }) ]
@@ -278,7 +267,7 @@ let finish_ring t ~now statuses =
       in
       t.primary <- head;
       t.replicas <- List.map fst (List.tl order);
-      let ev = promoted t ~now ~primary:head ~floor:min_floor in
+      let ev = promoted t ~now ~primary:head in
       (ring_sets order @ cancels, [ ev ])
 
 let finish_failover t ~now =
@@ -305,7 +294,7 @@ let quorum_suspect t ~now =
       || (t.floors.(i) = t.floors.(!best) && t.members.(i) < t.members.(!best))
     then best := i
   done;
-  let best_member = t.members.(!best) and best_floor = t.floors.(!best) in
+  let best_member = t.members.(!best) in
   if best_member = t.primary then begin
     (* the laggards are a minority; the primary stands *)
     ([], [ E_suspected; kept t ~now ])
@@ -322,7 +311,7 @@ let quorum_suspect t ~now =
       List.filteri (fun i _ -> i < Lbrm_wire.Codec.promote_max) others
     in
     set_members t ~primary:best_member ~replicas:others;
-    let ev = promoted t ~now ~primary:best_member ~floor:best_floor in
+    let ev = promoted t ~now ~primary:best_member in
     ( Io.send_to best_member (Message.Promote { replicas = others }) :: cancels,
       [ E_suspected; ev ] )
   end

@@ -36,9 +36,9 @@ type event =
       (** the durability floor advanced: retained payloads at or below
           it may be released (subject to the stat-ack window) *)
   | E_suspected  (** deposit target suspected dead *)
-  | E_promoted of { primary : address; floor : seq }
-      (** fail-over completed: [primary] now leads; re-deposit every
-          retained packet above [floor] *)
+  | E_promoted of address
+      (** fail-over completed: the address now leads; re-deposit every
+          retained packet *)
   | E_kept of address  (** fail-over found no better candidate *)
 
 type t
@@ -48,15 +48,14 @@ val create :
   self:address ->
   primary:address ->
   ?replicas:address list ->
-  retained_above:(seq -> int) ->
+  retained:(unit -> int) ->
   ?sink:Trace.sink ->
   unit ->
   t
 (** [primary] is the deposit target (primary logger / ring head);
     [replicas] the remaining replica-set members, in ring order for
-    [R_ring].  [retained_above floor] reports how many payloads the
-    owner still retains above [floor] (the [F_promoted] trace's
-    re-deposit count). *)
+    [R_ring].  [retained ()] reports how many payloads the owner still
+    retains (the [F_promoted] trace's re-deposit count). *)
 
 val deposit :
   t -> now:float -> seq:seq -> epoch:int -> payload:string -> Io.action list

@@ -29,16 +29,14 @@ type t = {
 let create cfg ~self ~primary ?(replicas = []) ?initial_estimate
     ?(sink = Trace.null ()) () =
   let retained = Hashtbl.create 64 in
-  let retained_above floor =
-    Hashtbl.fold
-      (fun seq _ n -> if Seqno.(seq > floor) then n + 1 else n)
-      retained 0
-  in
   {
     cfg;
     self;
     sink;
-    rep = Replication.create cfg ~self ~primary ~replicas ~retained_above ~sink ();
+    rep =
+      Replication.create cfg ~self ~primary ~replicas
+        ~retained:(fun () -> Hashtbl.length retained)
+        ~sink ();
     hb = Heartbeat.of_config cfg;
     stat = Stat_ack.create cfg ~self ?initial_estimate ~sink ();
     seq = 0;
@@ -149,21 +147,19 @@ let apply_rep_events t ~now events =
           enforce_retain_bound t
       | Replication.E_suspected -> push t (Notify N_primary_suspected)
       | Replication.E_kept primary -> push t (Notify (N_new_primary primary))
-      | Replication.E_promoted { primary; floor } ->
-          (* Reliably hand every retained packet above [floor] to the
-             new leader, with fresh retry clocks.  Deposits run in the
-             table's fold order; their actions go out last deposit
-             first. *)
-          let redeposits =
-            Hashtbl.fold
-              (fun seq (payload, epoch) acc ->
-                if Seqno.(seq > floor) then
-                  Replication.deposit t.rep ~now ~seq ~epoch ~payload :: acc
-                else acc)
-              t.retained []
-          in
+      | Replication.E_promoted primary ->
+          (* Reliably hand every retained packet to the new leader, in
+             ascending seq order with fresh retry clocks.  Survivors
+             that already hold a packet still ack the re-deposit: after
+             a promotion that lands past the last send, those acks are
+             the only ones left to raise the durable floor. *)
           push t (Notify (N_new_primary primary));
-          List.iter (push_all t) redeposits)
+          Hashtbl.fold (fun seq _ acc -> seq :: acc) t.retained []
+          |> List.sort Seqno.compare
+          |> List.iter (fun seq ->
+                 let payload, epoch = Hashtbl.find t.retained seq in
+                 push_all t
+                   (Replication.deposit t.rep ~now ~seq ~epoch ~payload)))
     events
 
 let arm_heartbeat t = Set_timer (K_heartbeat, Heartbeat.next_delay t.hb)

@@ -83,8 +83,27 @@ let completeness_violations (d : Scenario.deployment) =
     d.receivers;
   List.rev !vs
 
+(* Liveness of the durable floor: once the run has quiesced with a
+   majority of the replica set up, every packet the source sent must be
+   durable under whatever strategy is active. *)
+let durable_violations (d : Scenario.deployment) =
+  let members = d.primary_node :: List.map snd d.replicas in
+  let up =
+    List.length
+      (List.filter (Lbrm_sim.Topo.node_up d.wan.Builders.topo) members)
+  in
+  let last = Lbrm.Source.last_seq d.source in
+  let durable = Lbrm.Source.durable d.source in
+  if 2 * up > List.length members && durable <> last then
+    [
+      Printf.sprintf "durable floor %d below last seq %d with %d of %d \
+                      loggers up" durable last up (List.length members);
+    ]
+  else []
+
 let common_violations d tk =
   completeness_violations d
+  @ durable_violations d
   @ (if tk.dups > 0 then
        [ Printf.sprintf "%d duplicate deliveries" tk.dups ]
      else [])
@@ -201,8 +220,8 @@ let primary_crash ?(seed = 11) ?h_min ?replication () =
   Scenario.run d ~until:horizon;
   let promotions, extra = promoted_once d collector ~crash_at in
   (* The promotion also carries the window of loss: the count of
-     retained packets above the new floor that the strategy left
-     un-durable (and the source must now re-deposit). *)
+     packets the source still retained, all of which it re-deposits
+     with the new leader. *)
   (match promotions with
   | { Ev.ev = Ev.Failover_step (Ev.F_promoted { redeposits; _ }); _ } :: _ ->
       Trace.observe (Scenario.trace d) "window_of_loss"

@@ -11,6 +11,9 @@
     - {e duplicate-free}: no receiver incarnation handed the same
       sequence number to the application twice;
     - {e nothing abandoned}: no recovery exhausted its retry budget;
+    - {e durable}: with a majority of the replica set up at the end,
+      the source's durable floor reached its last sequence number,
+      under every replication strategy;
     - scenario-specific expectations (exactly one fail-over, every
       orphaned receiver rediscovered a logger, a partition never causes
       fail-over, …).
@@ -59,8 +62,8 @@ val primary_crash :
     flight; it restarts at t = 10 s as a secondary of whichever logger
     the source promoted.  Expects exactly one fail-over under every
     strategy, records its latency, and records the promotion's
-    re-deposit count as the ["window_of_loss"] sample (packets the
-    strategy left un-durable at the new floor). *)
+    re-deposit count as the ["window_of_loss"] sample (the packets the
+    source still retained, all re-deposited with the new leader). *)
 
 val primary_crash_spill :
   ?seed:int ->

@@ -464,7 +464,7 @@ let measurements : (string list * (unit -> float)) list =
         in
         let rep =
           Lbrm.Replication.create cfg ~self:1 ~primary:2 ~replicas:[ 3; 4; 5 ]
-            ~retained_above:(fun _ -> 0)
+            ~retained:(fun () -> 0)
             ()
         in
         let step floor =
