@@ -465,18 +465,17 @@ let bench_replication ~replication ~ops () =
   let rep =
     Lbrm.Replication.create cfg ~self:1 ~primary:2
       ~replicas:(List.tl members)
-      ~retained:(fun () -> 0)
+      ~retained:(Hashtbl.create 1)
       ()
   in
+  let out = Lbrm.Io.out () in
   let payload = String.make 128 'x' in
   for seq = 1 to ops do
-    ignore
-      (Lbrm.Replication.deposit rep ~now:0.0 ~seq ~epoch:1 ~payload
-        : Lbrm.Io.action list);
+    (* Each op is one call: drop the previous op's actions. *)
+    Lbrm.Io.begin_call out;
+    Lbrm.Replication.deposit rep out ~now:0.0 ~seq ~epoch:1 ~payload;
     let ack msg src =
-      ignore
-        (Lbrm.Replication.on_message rep ~now:0.0 ~src msg
-          : (Lbrm.Io.action list * Lbrm.Replication.event list) option)
+      ignore (Lbrm.Replication.on_message rep out ~now:0.0 ~src msg : bool)
     in
     match replication with
     | Lbrm.Config.R_primary ->

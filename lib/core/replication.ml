@@ -6,12 +6,6 @@ open Io
 type address = Message.address
 type seq = Seqno.t
 
-type event =
-  | E_release of seq
-  | E_suspected
-  | E_promoted of address
-  | E_kept of address
-
 type failover =
   | Normal
   | Querying of { mutable statuses : (address * seq) list; round : int }
@@ -20,7 +14,7 @@ type t = {
   cfg : Config.t;
   self : address;
   sink : Trace.sink;
-  retained : unit -> int; (* owner's replay-table size, for traces *)
+  retained : (seq, string * int) Hashtbl.t; (* owner's replay table, read-only *)
   mutable primary : address; (* deposit target: primary logger / ring head *)
   mutable replicas : address list; (* remaining members, ring order *)
   retries : (seq, int) Hashtbl.t;
@@ -133,72 +127,83 @@ let advance t ~now ~durable ~acked =
     trace t ~now (Trace.Ack_floor { durable = t.durable; acked = t.acked });
   moved
 
-let stop_retries_upto t floor =
-  let stop =
-    Hashtbl.fold
-      (fun seq _ acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
-      t.retries []
-  in
-  List.iter (Hashtbl.remove t.retries) stop;
-  List.map (fun seq -> Cancel_timer (K_deposit seq)) stop
+(* Cancel the retry clocks of [seqs] and forget them. *)
+let stop_retries t out seqs =
+  List.iter
+    (fun seq ->
+      Hashtbl.remove t.retries seq;
+      Io.push out (Cancel_timer (K_deposit seq)))
+    seqs
 
-let clear_all_retries t =
-  let stale = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.retries [] in
-  List.iter (Hashtbl.remove t.retries) stale;
-  List.map (fun seq -> Cancel_timer (K_deposit seq)) stale
+let stop_retries_upto t out floor =
+  stop_retries t out
+    (Hashtbl.fold
+       (fun seq _ acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
+       t.retries [])
 
-let release_events t moved = if moved then [ E_release t.durable ] else []
+let clear_all_retries t out =
+  stop_retries t out (Hashtbl.fold (fun seq _ acc -> seq :: acc) t.retries [])
 
 (* --- deposit routing --------------------------------------------------- *)
 
-let resend t ~now ~seq ~epoch ~payload ~attempt =
+let resend t out ~now ~seq ~epoch ~payload ~attempt =
   if Trace.is_on t.sink then trace t ~now (Trace.Deposit_sent { seq; attempt });
   let pv = Payload.of_string payload in
-  let arm = Set_timer (K_deposit seq, Config.deposit_delay t.cfg ~attempt) in
-  match t.cfg.replication with
+  (match t.cfg.replication with
   | Config.R_primary ->
-      [ Io.send_to t.primary (Message.Log_deposit { seq; epoch; payload = pv }); arm ]
+      Io.push out
+        (Io.send_to t.primary (Message.Log_deposit { seq; epoch; payload = pv }))
   | Config.R_ring ->
-      [ Io.send_to t.primary (Message.Ring_forward { seq; epoch; payload = pv }); arm ]
+      Io.push out
+        (Io.send_to t.primary (Message.Ring_forward { seq; epoch; payload = pv }))
   | Config.R_quorum ->
       (* only the members whose floor is still below [seq] *)
-      let sends = ref [ arm ] in
-      for i = Array.length t.members - 1 downto 0 do
+      for i = 0 to Array.length t.members - 1 do
         if Seqno.(t.floors.(i) < seq) then
-          sends :=
-            Io.send_to t.members.(i)
-              (Message.Log_deposit { seq; epoch; payload = pv })
-            :: !sends
-      done;
-      !sends
+          Io.push out
+            (Io.send_to t.members.(i)
+               (Message.Log_deposit { seq; epoch; payload = pv }))
+      done);
+  Io.push out (Set_timer (K_deposit seq, Config.deposit_delay t.cfg ~attempt))
 
 (* A first deposit (or a re-deposit after promotion) starts a fresh
    retry count.  Every member floor the source knows is below [seq]
    then, so [resend]'s quorum filter reaches every member. *)
-let deposit t ~now ~seq ~epoch ~payload =
+let deposit t out ~now ~seq ~epoch ~payload =
   Hashtbl.replace t.retries seq 0;
-  resend t ~now ~seq ~epoch ~payload ~attempt:0
+  resend t out ~now ~seq ~epoch ~payload ~attempt:0
 
 (* --- fail-over outcomes ------------------------------------------------ *)
 
-let kept t ~now =
+let suspected out = Io.push out (Notify N_primary_suspected)
+
+let kept t out ~now =
   if Trace.is_on t.sink then
     trace t ~now (Trace.Failover_step (Trace.F_kept t.primary));
-  E_kept t.primary
+  Io.push out (Notify (N_new_primary t.primary))
 
-(* [primary] now leads; the owner re-deposits everything it retains. *)
-let promoted t ~now ~primary =
+(* [primary] now leads: hand it every retained packet, in ascending seq
+   order with fresh retry clocks.  Survivors that already hold a packet
+   still ack the re-deposit: after a promotion that lands past the last
+   send, those acks are the only ones left to raise the durable
+   floor. *)
+let promoted t out ~now ~primary =
   if Trace.is_on t.sink then
     trace t ~now
       (Trace.Failover_step
-         (Trace.F_promoted { primary; redeposits = t.retained () }));
-  E_promoted primary
+         (Trace.F_promoted { primary; redeposits = Hashtbl.length t.retained }));
+  Io.push out (Notify (N_new_primary primary));
+  Hashtbl.fold (fun seq _ acc -> seq :: acc) t.retained []
+  |> List.sort Seqno.compare
+  |> List.iter (fun seq ->
+         let payload, epoch = Hashtbl.find t.retained seq in
+         deposit t out ~now ~seq ~epoch ~payload)
 
 (* --- fail-over: primary and ring (query round) ------------------------- *)
 
-let begin_failover t ~now =
+let begin_failover t out ~now =
   match t.failover with
-  | Querying _ -> ([], [])
+  | Querying _ -> ()
   | Normal ->
       if Trace.is_on t.sink then trace t ~now (Trace.Failover_step Trace.F_suspected);
       let targets =
@@ -208,8 +213,7 @@ let begin_failover t ~now =
             t.primary :: t.replicas
         | Config.R_primary | Config.R_quorum -> t.replicas
       in
-      if targets = [] then ([], [ E_suspected ])
-      else begin
+      if targets <> [] then begin
         t.failovers_done <- t.failovers_done + 1;
         t.failover <- Querying { statuses = []; round = t.failovers_done };
         if Trace.is_on t.sink then
@@ -217,10 +221,11 @@ let begin_failover t ~now =
             (Trace.Failover_step
                (Trace.F_query
                   { round = t.failovers_done; replicas = List.length targets }));
-        ( Set_timer (K_failover t.failovers_done, 2. *. t.cfg.deposit_timeout)
-          :: List.map (fun r -> Io.send_to r Message.Replica_query) targets,
-          [ E_suspected ] )
-      end
+        Io.push out
+          (Set_timer (K_failover t.failovers_done, 2. *. t.cfg.deposit_timeout));
+        List.iter (fun r -> Io.push out (Io.send_to r Message.Replica_query)) targets
+      end;
+      suspected out
 
 (* Most-up-to-date first; ties broken by address so fail-over outcomes
    never depend on response arrival order. *)
@@ -231,9 +236,9 @@ let sort_statuses statuses =
       if c <> 0 then c else Int.compare a b)
     statuses
 
-let finish_primary t ~now statuses =
+let finish_primary t out ~now statuses =
   match sort_statuses statuses with
-  | [] -> ([], [ kept t ~now ]) (* no replica answered: keep the old one *)
+  | [] -> kept t out ~now (* no replica answered: keep the old one *)
   | (best, _) :: _ ->
       let others = List.filter (fun r -> r <> best) t.replicas in
       (* [Promote] is wire-bounded to [Codec.promote_max] replicas;
@@ -243,48 +248,39 @@ let finish_primary t ~now statuses =
       let others =
         List.filteri (fun i _ -> i < Lbrm_wire.Codec.promote_max) others
       in
+      Io.push out (Io.send_to best (Message.Promote { replicas = others }));
       (* Every pending deposit retry was aimed at the dead primary; left
          armed, the first to fire would start a second, spurious
-         fail-over round.  The owner re-deposits with fresh clocks. *)
-      let cancels = clear_all_retries t in
+         fail-over round.  The re-deposits start fresh clocks. *)
+      clear_all_retries t out;
       t.primary <- best;
       t.replicas <- others;
-      let ev = promoted t ~now ~primary:best in
-      (Io.send_to best (Message.Promote { replicas = others }) :: cancels, [ ev ])
+      promoted t out ~now ~primary:best
 
-let finish_ring t ~now statuses =
+let rec ring_sets out ~head = function
+  | [] -> ()
+  | [ (m, _) ] -> Io.push out (Io.send_to m (Message.Ring_set { succ = None; head }))
+  | (m, _) :: ((next, _) :: _ as rest) ->
+      Io.push out (Io.send_to m (Message.Ring_set { succ = Some next; head }));
+      ring_sets out ~head rest
+
+let finish_ring t out ~now statuses =
   match sort_statuses statuses with
-  | [] -> ([], [ kept t ~now ])
-  | ((head, _) :: _ as order) ->
+  | [] -> kept t out ~now
+  | (head, _) :: _ as order ->
       let order = List.filteri (fun i _ -> i < Lbrm_wire.Codec.promote_max) order in
-      let cancels = clear_all_retries t in
-      let rec ring_sets = function
-        | [] -> []
-        | [ (m, _) ] -> [ Io.send_to m (Message.Ring_set { succ = None; head }) ]
-        | (m, _) :: ((next, _) :: _ as rest) ->
-            Io.send_to m (Message.Ring_set { succ = Some next; head })
-            :: ring_sets rest
-      in
+      ring_sets out ~head order;
+      clear_all_retries t out;
       t.primary <- head;
       t.replicas <- List.map fst (List.tl order);
-      let ev = promoted t ~now ~primary:head in
-      (ring_sets order @ cancels, [ ev ])
-
-let finish_failover t ~now =
-  match t.failover with
-  | Normal -> ([], [])
-  | Querying { statuses; _ } -> (
-      t.failover <- Normal;
-      match t.cfg.replication with
-      | Config.R_ring -> finish_ring t ~now statuses
-      | Config.R_primary | Config.R_quorum -> finish_primary t ~now statuses)
+      promoted t out ~now ~primary:head
 
 (* --- fail-over: quorum (immediate, ack-floor based) -------------------- *)
 
 (* Deposit retries against [seq] exhausted with the serving primary's
    floor still below it: the primary is suspected dead.  No query round
    — the ack floors already say who is most up to date. *)
-let quorum_suspect t ~now =
+let quorum_suspect t out ~now =
   if Trace.is_on t.sink then trace t ~now (Trace.Failover_step Trace.F_suspected);
   let n = Array.length t.members in
   let best = ref 0 in
@@ -297,11 +293,11 @@ let quorum_suspect t ~now =
   let best_member = t.members.(!best) in
   if best_member = t.primary then begin
     (* the laggards are a minority; the primary stands *)
-    ([], [ E_suspected; kept t ~now ])
+    suspected out;
+    kept t out ~now
   end
   else begin
     t.failovers_done <- t.failovers_done + 1;
-    let cancels = clear_all_retries t in
     let others =
       Array.fold_right
         (fun m acc -> if m = best_member then acc else m :: acc)
@@ -310,31 +306,30 @@ let quorum_suspect t ~now =
     let others =
       List.filteri (fun i _ -> i < Lbrm_wire.Codec.promote_max) others
     in
+    Io.push out (Io.send_to best_member (Message.Promote { replicas = others }));
+    clear_all_retries t out;
     set_members t ~primary:best_member ~replicas:others;
-    let ev = promoted t ~now ~primary:best_member in
-    ( Io.send_to best_member (Message.Promote { replicas = others }) :: cancels,
-      [ E_suspected; ev ] )
+    suspected out;
+    promoted t out ~now ~primary:best_member
   end
 
 (* --- acks -------------------------------------------------------------- *)
 
-let on_log_ack t ~now ~primary_seq ~replica_seq =
+let on_log_ack t out ~now ~primary_seq ~replica_seq =
   if Trace.is_on t.sink then
     trace t ~now (Trace.Deposit_acked { primary_seq; replica_seq });
   (* Deposits at or below the primary's contiguous mark stop retrying;
      buffers at or below the best replica's mark are durable (§2.2.3). *)
-  let cancels = stop_retries_upto t primary_seq in
-  let moved = advance t ~now ~durable:replica_seq ~acked:primary_seq in
-  (cancels, release_events t moved)
+  stop_retries_upto t out primary_seq;
+  advance t ~now ~durable:replica_seq ~acked:primary_seq
 
-let on_ring_ack t ~now ~floor =
+let on_ring_ack t out ~now ~floor =
   (* The tail's cumulative floor: everything at or below it is logged by
      every ring member. *)
-  let cancels = stop_retries_upto t floor in
-  let moved = advance t ~now ~durable:floor ~acked:floor in
-  (cancels, release_events t moved)
+  stop_retries_upto t out floor;
+  advance t ~now ~durable:floor ~acked:floor
 
-let on_quorum_ack t ~now ~member ~floor =
+let on_quorum_ack t out ~now ~member ~floor =
   note_floor t ~member ~floor;
   sort_floors t;
   let n = Array.length t.scratch in
@@ -344,44 +339,42 @@ let on_quorum_ack t ~now ~member ~floor =
   (* A retry clock only stops once *every* member holds the seq: a
      durable-but-unfinished deposit must keep probing, or a dead
      primary would go unnoticed until the next send. *)
-  let cancels = stop_retries_upto t slowest in
-  let moved = advance t ~now ~durable ~acked in
-  (cancels, release_events t moved)
+  stop_retries_upto t out slowest;
+  advance t ~now ~durable ~acked
 
 (* --- dispatch ---------------------------------------------------------- *)
 
-let on_message t ~now ~src msg =
+let on_message t out ~now ~src msg =
   match (msg : Message.t) with
   | Message.Log_ack { primary_seq; replica_seq } ->
-      Some (on_log_ack t ~now ~primary_seq ~replica_seq)
-  | Message.Ring_ack { seq } -> Some (on_ring_ack t ~now ~floor:seq)
+      on_log_ack t out ~now ~primary_seq ~replica_seq
+  | Message.Ring_ack { seq } -> on_ring_ack t out ~now ~floor:seq
   | Message.Quorum_ack { seq } ->
-      Some (on_quorum_ack t ~now ~member:src ~floor:seq)
+      on_quorum_ack t out ~now ~member:src ~floor:seq
   | Message.Replica_status { seq } ->
       (match t.failover with
       | Querying q -> q.statuses <- (src, seq) :: q.statuses
       | Normal -> ());
-      Some ([], [])
-  | _ -> None
+      false
+  | _ -> false
 
-let on_deposit_timeout t ~now ~seq ~lookup =
+let on_deposit_timeout t out ~now ~seq =
   match Hashtbl.find_opt t.retries seq with
-  | None -> ([], [])
+  | None -> ()
   | Some attempts ->
-      if attempts >= t.cfg.deposit_retry_limit then
+      if attempts >= t.cfg.deposit_retry_limit then (
         match t.cfg.replication with
-        | Config.R_primary | Config.R_ring -> begin_failover t ~now
+        | Config.R_primary | Config.R_ring -> begin_failover t out ~now
         | Config.R_quorum ->
             Hashtbl.remove t.retries seq;
             let pi = member_index t.members t.primary 0 in
-            if pi >= 0 && Seqno.(t.floors.(pi) >= seq) then
-              (* the primary holds it: only minority laggards are
-                 behind, and they catch up by gap-chasing *)
-              ([], [])
-            else quorum_suspect t ~now
+            (* If the primary holds it, only minority laggards are
+               behind, and they catch up by gap-chasing. *)
+            if not (pi >= 0 && Seqno.(t.floors.(pi) >= seq)) then
+              quorum_suspect t out ~now)
       else begin
         Hashtbl.replace t.retries seq (attempts + 1);
-        match lookup seq with
+        match Hashtbl.find_opt t.retained seq with
         | None -> (
             match t.cfg.replication with
             | Config.R_quorum
@@ -392,27 +385,28 @@ let on_deposit_timeout t ~now ~seq ~lookup =
                    it.  Nothing to resend, yet the clock must keep
                    running: this timer chain is the only dead-primary
                    detector the strategy has. *)
-                ( [
-                    Set_timer
-                      ( K_deposit seq,
-                        Config.deposit_delay t.cfg ~attempt:(attempts + 1) );
-                  ],
-                  [] )
-            | _ ->
-                Hashtbl.remove t.retries seq;
-                ([], []))
+                Io.push out
+                  (Set_timer
+                     ( K_deposit seq,
+                       Config.deposit_delay t.cfg ~attempt:(attempts + 1) ))
+            | _ -> Hashtbl.remove t.retries seq)
         | Some (payload, epoch) ->
-            (resend t ~now ~seq ~epoch ~payload ~attempt:(attempts + 1), [])
+            resend t out ~now ~seq ~epoch ~payload ~attempt:(attempts + 1)
       end
 
-let on_timer t ~now key ~lookup =
+let on_timer t out ~now key =
   match (key : Io.timer_key) with
-  | K_deposit seq -> Some (on_deposit_timeout t ~now ~seq ~lookup)
+  | K_deposit seq -> on_deposit_timeout t out ~now ~seq
   | K_failover round -> (
       match t.failover with
-      | Querying { round = r; _ } when r = round -> Some (finish_failover t ~now)
-      | Querying _ | Normal -> Some ([], []))
-  | _ -> None
+      | Querying { statuses; round = r } when r = round -> (
+          t.failover <- Normal;
+          match t.cfg.replication with
+          | Config.R_ring -> finish_ring t out ~now statuses
+          | Config.R_primary | Config.R_quorum ->
+              finish_primary t out ~now statuses)
+      | Querying _ | Normal -> ())
+  | _ -> ()
 
 module Hot = struct
   let member_index = member_index

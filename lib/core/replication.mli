@@ -23,23 +23,14 @@
 
     All strategies share the exponential deposit-retry backoff
     ({!Config.deposit_delay}) and the [K_deposit]/[K_failover] timer
-    keys.  The machine is sans-IO: it returns {!Io.action}s plus
-    {!event}s that tell the owning {!Source} what changed (release
-    floor advanced, fail-over outcome) so the source can release or
-    re-deposit its retained payloads. *)
+    keys.  The machine is sans-IO: every call pushes its actions into
+    the owning {!Source}'s buffer, fail-over notices included.  It reads
+    the source's replay table to retry deposits and, after a promotion,
+    to re-deposit every retained packet with the new leader; the source
+    alone releases payloads from that table. *)
 
 type address = Lbrm_wire.Message.address
 type seq = Lbrm_util.Seqno.t
-
-type event =
-  | E_release of seq
-      (** the durability floor advanced: retained payloads at or below
-          it may be released (subject to the stat-ack window) *)
-  | E_suspected  (** deposit target suspected dead *)
-  | E_promoted of address
-      (** fail-over completed: the address now leads; re-deposit every
-          retained packet *)
-  | E_kept of address  (** fail-over found no better candidate *)
 
 type t
 
@@ -48,36 +39,35 @@ val create :
   self:address ->
   primary:address ->
   ?replicas:address list ->
-  retained:(unit -> int) ->
+  retained:(seq, string * int) Hashtbl.t ->
   ?sink:Trace.sink ->
   unit ->
   t
 (** [primary] is the deposit target (primary logger / ring head);
     [replicas] the remaining replica-set members, in ring order for
-    [R_ring].  [retained ()] reports how many payloads the owner still
-    retains (the [F_promoted] trace's re-deposit count). *)
+    [R_ring].  [retained] is the owner's replay table, mapping each seq
+    to its payload and the epoch it was sent in; the machine only reads
+    it. *)
+
+(** Each call below pushes its actions into the owner's buffer. *)
 
 val deposit :
-  t -> now:float -> seq:seq -> epoch:int -> payload:string -> Io.action list
+  t -> Io.out -> now:float -> seq:seq -> epoch:int -> payload:string -> unit
 (** Route one deposit under the active strategy and arm its retry
-    timer.  Also used by the owner to re-deposit after [E_promoted]. *)
+    timer. *)
 
 val on_message :
-  t ->
-  now:float ->
-  src:address ->
-  Lbrm_wire.Message.t ->
-  (Io.action list * event list) option
-(** [None] if the message is not replication traffic. *)
+  t -> Io.out -> now:float -> src:address -> Lbrm_wire.Message.t -> bool
+(** Handle acks and replica status replies; [true] when the durable or
+    acked floor moved, so the owner may release retained payloads at or
+    below {!durable} (subject to the stat-ack window).  Other messages
+    are ignored. *)
 
-val on_timer :
-  t ->
-  now:float ->
-  Io.timer_key ->
-  lookup:(seq -> (string * int) option) ->
-  (Io.action list * event list) option
-(** [lookup seq] returns the retained [(payload, epoch)] for retries;
-    [None] if the timer key is not replication-owned. *)
+val on_timer : t -> Io.out -> now:float -> Io.timer_key -> unit
+(** Handle [K_deposit] (retry, or suspect the target once the budget is
+    spent) and [K_failover] (finish a query round); other keys are
+    ignored.  A promotion re-deposits every retained packet, in
+    ascending seq order. *)
 
 (** {2 Introspection} *)
 

@@ -34,11 +34,8 @@ type t = {
 }
 
 type event =
-  | Remulticast of seq
-  | Epoch_started of { epoch : int; expected : int; p_ack : float }
-  | Probing_done of float
   | Tracking_done of seq
-  | Feedback of { seq : seq; missing : int; expected : int }
+  | Remulticast of { seq : seq; missing : int; expected : int }
 
 let create (cfg : Config.t) ~self ?initial_estimate ?(sink = Trace.null ())
     () =
@@ -85,7 +82,7 @@ let p_ack_for t =
   let n = Float.max 1. t.n_sl in
   Float.min 1. (float_of_int t.cfg.k_ackers /. n)
 
-let begin_epoch_setup t =
+let begin_epoch_setup t out =
   t.next_epoch <- Stdlib.max (t.epoch + 1) (t.next_epoch + 1);
   let p_ack = p_ack_for t in
   Hashtbl.replace t.epochs t.next_epoch (Hashtbl.create 32);
@@ -97,16 +94,14 @@ let begin_epoch_setup t =
   Hashtbl.iter
     (fun e _ -> if e < t.epoch then Hashtbl.remove t.epochs e)
     (Hashtbl.copy t.epochs);
-  [
-    Io.send ~group:(group t)
-      (Message.Acker_select { epoch = t.next_epoch; p_ack });
-    Set_timer (K_epoch_settle t.next_epoch, 2. *. t.t_wait);
-    Set_timer (K_epoch_start, t.cfg.epoch_interval);
-  ]
+  Io.push out
+    (Io.send ~group:(group t)
+       (Message.Acker_select { epoch = t.next_epoch; p_ack }));
+  Io.push out (Set_timer (K_epoch_settle t.next_epoch, 2. *. t.t_wait));
+  Io.push out (Set_timer (K_epoch_start, t.cfg.epoch_interval))
 
-let settle_epoch t ~now e =
-  if e <> t.next_epoch then ([], [])
-  else begin
+let settle_epoch t out ~now e =
+  if e = t.next_epoch then begin
     t.epoch <- e;
     let tbl =
       Option.value ~default:(Hashtbl.create 1) (Hashtbl.find_opt t.epochs e)
@@ -117,33 +112,32 @@ let settle_epoch t ~now e =
     if Trace.is_on t.sink then
       trace t ~now
         (Trace.Epoch_settled { epoch = e; expected = t.expected; p_ack });
-    ([], [ Epoch_started { epoch = e; expected = t.expected; p_ack } ])
+    Io.push out (Notify (N_epoch { epoch = e; expected_acks = t.expected; p_ack }))
   end
 
-let start t ~now =
-  ignore now;
-  if not t.cfg.stat_ack_enabled then ([], [])
-  else
+(* One step of Bolot-style probing (§2.3.3): multicast the next round,
+   or adopt the settled estimate and set up the first epoch. *)
+let probe t out = function
+  | Group_estimate.Probing.Probe { round; p } ->
+      Io.push out (Io.send ~group:(group t) (Message.Probe { round; p }));
+      Io.push out (Set_timer (K_probe round, 2. *. t.t_wait))
+  | Group_estimate.Probing.Done est ->
+      t.n_sl <- est;
+      t.probing <- None;
+      Hashtbl.reset t.probe_replies;
+      begin_epoch_setup t out;
+      Io.push out (Notify (N_estimate est))
+
+let start t out =
+  if t.cfg.stat_ack_enabled then
     match t.probing with
-    | Some probing -> (
-        match Group_estimate.Probing.start probing with
-        | Probe { round; p } ->
-            ( [
-                Io.send ~group:(group t) (Message.Probe { round; p });
-                Set_timer (K_probe round, 2. *. t.t_wait);
-              ],
-              [] )
-        | Done est ->
-            t.n_sl <- est;
-            t.probing <- None;
-            (begin_epoch_setup t, [ Probing_done est ]))
-    | None -> (begin_epoch_setup t, [])
+    | Some probing -> probe t out (Group_estimate.Probing.start probing)
+    | None -> begin_epoch_setup t out
 
 (* --- per-packet accounting ------------------------------------------ *)
 
-let on_data_sent t ~now seq =
-  if (not t.cfg.stat_ack_enabled) || t.epoch = 0 then []
-  else begin
+let on_data_sent t out ~now seq =
+  if t.cfg.stat_ack_enabled && t.epoch <> 0 then begin
     Hashtbl.replace t.pending seq
       {
         sent_at = now;
@@ -153,7 +147,7 @@ let on_data_sent t ~now seq =
         last_ack_at = now;
         remulticasts = 0;
       };
-    [ Set_timer (K_twait seq, t.t_wait) ]
+    Io.push out (Set_timer (K_twait seq, t.t_wait))
   end
 
 let refine_estimate t ~p_epoch ~k' =
@@ -177,6 +171,15 @@ let is_designated t ~epoch ~logger =
   | None -> false
   | Some tbl -> Hashtbl.mem tbl logger
 
+(* ACK collection for [seq] is over: report the outcome and let the
+   source drop the payload. *)
+let tracking_done t out ~now seq ~missing ~expected =
+  Hashtbl.remove t.pending seq;
+  if Trace.is_on t.sink then
+    trace t ~now (Trace.Stat_feedback { seq; missing; expected });
+  Io.push out (Notify (N_feedback { seq; missing; expected }));
+  Some (Tracking_done seq)
+
 (* --- message handling ----------------------------------------------- *)
 
 let on_acker_reply t ~epoch ~logger =
@@ -185,20 +188,17 @@ let on_acker_reply t ~epoch ~logger =
     match Hashtbl.find_opt t.epochs epoch with
     | Some tbl -> Hashtbl.replace tbl logger ()
     | None -> ()
-  end;
-  ([], [])
+  end
 
-let on_stat_ack t ~now ~epoch ~seq ~logger =
-  if Group_estimate.Hotlist.is_ignored t.hotlist logger then ([], [])
+let on_stat_ack t out ~now ~epoch ~seq ~logger =
+  if Group_estimate.Hotlist.is_ignored t.hotlist logger then None
   else if not (is_designated t ~epoch ~logger) then begin
     Group_estimate.Hotlist.note_unsolicited t.hotlist logger;
-    ([], [])
+    None
   end
   else
     match Hashtbl.find_opt t.pending seq with
-    | None -> ([], [])
-    | Some p when p.p_epoch <> epoch -> ([], [])
-    | Some p ->
+    | Some p when p.p_epoch = epoch ->
         p.acks <- p.acks + 1;
         p.last_ack_at <- now;
         if p.acks >= p.expected then begin
@@ -206,75 +206,53 @@ let on_stat_ack t ~now ~epoch ~seq ~logger =
              count into the population estimate, then stop tracking. *)
           update_t_wait t (now -. p.sent_at);
           refine_estimate t ~p_epoch:p.p_epoch ~k':p.acks;
-          Hashtbl.remove t.pending seq;
-          if Trace.is_on t.sink then
-            trace t ~now
-              (Trace.Stat_feedback { seq; missing = 0; expected = p.expected });
-          ( [ Cancel_timer (K_twait seq) ],
-            [
-              Tracking_done seq;
-              Feedback { seq; missing = 0; expected = p.expected };
-            ] )
+          Io.push out (Cancel_timer (K_twait seq));
+          tracking_done t out ~now seq ~missing:0 ~expected:p.expected
         end
-        else ([], [])
+        else None
+    | Some _ | None -> None
 
 let on_probe_reply t ~round =
-  (match t.probing with
+  match t.probing with
   | Some _ ->
       let c = Option.value ~default:0 (Hashtbl.find_opt t.probe_replies round) in
       Hashtbl.replace t.probe_replies round (c + 1)
-  | None -> ());
-  ([], [])
+  | None -> ()
 
-let on_message t ~now ~src msg =
+let on_message t out ~now msg =
   if not t.cfg.stat_ack_enabled then None
   else
     match msg with
     | Message.Acker_reply { epoch; logger } ->
-        ignore src;
-        Some (on_acker_reply t ~epoch ~logger)
+        on_acker_reply t ~epoch ~logger;
+        None
     | Message.Stat_ack { epoch; seq; logger } ->
-        Some (on_stat_ack t ~now ~epoch ~seq ~logger)
+        on_stat_ack t out ~now ~epoch ~seq ~logger
     | Message.Probe_reply { round; logger = _ } ->
-        Some (on_probe_reply t ~round)
+        on_probe_reply t ~round;
+        None
     | _ -> None
 
 (* --- timers ---------------------------------------------------------- *)
 
-let on_probe_timeout t round =
+let on_probe_timeout t out round =
   match t.probing with
-  | None -> ([], [])
-  | Some probing -> (
+  | None -> ()
+  | Some probing ->
       let replies =
         Option.value ~default:0 (Hashtbl.find_opt t.probe_replies round)
       in
-      match Group_estimate.Probing.round_finished probing ~replies with
-      | Probe { round = r; p } ->
-          ( [
-              Io.send ~group:(group t) (Message.Probe { round = r; p });
-              Set_timer (K_probe r, 2. *. t.t_wait);
-            ],
-            [] )
-      | Done est ->
-          t.n_sl <- est;
-          t.probing <- None;
-          Hashtbl.reset t.probe_replies;
-          (begin_epoch_setup t, [ Probing_done est ]))
+      probe t out (Group_estimate.Probing.round_finished probing ~replies)
 
-let on_twait t ~now seq =
+let on_twait t out ~now seq =
   match Hashtbl.find_opt t.pending seq with
-  | None -> ([], [])
+  | None -> None
   | Some p ->
       let missing = p.expected - p.acks in
       refine_estimate t ~p_epoch:p.p_epoch ~k':p.acks;
       if p.acks > 0 then update_t_wait t (p.last_ack_at -. p.sent_at);
-      if missing <= 0 then begin
-        Hashtbl.remove t.pending seq;
-        if Trace.is_on t.sink then
-          trace t ~now
-            (Trace.Stat_feedback { seq; missing = 0; expected = p.expected });
-        ([], [ Tracking_done seq; Feedback { seq; missing = 0; expected = p.expected } ])
-      end
+      if missing <= 0 then
+        tracking_done t out ~now seq ~missing:0 ~expected:p.expected
       else begin
         let per_acker =
           if p.expected = 0 then t.n_sl
@@ -292,30 +270,27 @@ let on_twait t ~now seq =
           if Trace.is_on t.sink then
             trace t ~now
               (Trace.Stat_feedback { seq; missing; expected = p.expected });
-          ( [ Set_timer (K_twait seq, t.t_wait) ],
-            [ Remulticast seq; Feedback { seq; missing; expected = p.expected } ] )
+          Io.push out (Set_timer (K_twait seq, t.t_wait));
+          Some (Remulticast { seq; missing; expected = p.expected })
         end
-        else begin
+        else
           (* Isolated loss (or retry budget exhausted): unicast NACK
              service will handle it. *)
-          Hashtbl.remove t.pending seq;
-          if Trace.is_on t.sink then
-            trace t ~now
-              (Trace.Stat_feedback { seq; missing; expected = p.expected });
-          ( [],
-            [
-              Tracking_done seq;
-              Feedback { seq; missing; expected = p.expected };
-            ] )
-        end
+          tracking_done t out ~now seq ~missing ~expected:p.expected
       end
 
-let on_timer t ~now key =
+let on_timer t out ~now key =
   if not t.cfg.stat_ack_enabled then None
   else
     match key with
-    | K_probe round -> Some (on_probe_timeout t round)
-    | K_epoch_start -> Some (begin_epoch_setup t, [])
-    | K_epoch_settle e -> Some (settle_epoch t ~now e)
-    | K_twait seq -> Some (on_twait t ~now seq)
+    | K_probe round ->
+        on_probe_timeout t out round;
+        None
+    | K_epoch_start ->
+        begin_epoch_setup t out;
+        None
+    | K_epoch_settle e ->
+        settle_epoch t out ~now e;
+        None
+    | K_twait seq -> on_twait t out ~now seq
     | _ -> None

@@ -9,9 +9,10 @@
     sites trigger an immediate multicast retransmission, otherwise
     recovery is left to unicast NACK service.
 
-    The machine is sans-IO: it returns {!Io.action}s plus {!event}s that
-    the embedding {!Source} interprets (e.g. re-multicasting a retained
-    payload). *)
+    The machine is sans-IO: every call pushes its actions into the
+    embedding {!Source}'s buffer, notices included, and returns the
+    {!event} the source must act on, if any (dropping or re-multicasting
+    a retained payload). *)
 
 type address = Lbrm_wire.Message.address
 type seq = Lbrm_util.Seqno.t
@@ -20,16 +21,15 @@ type t
 
 (** Decisions surfaced to the source. *)
 type event =
-  | Remulticast of seq
-      (** §2.3.2: missing ACKs represent a significant number of sites *)
-  | Epoch_started of { epoch : int; expected : int; p_ack : float }
-      (** subsequent data packets should carry this epoch *)
-  | Probing_done of float  (** initial N_sl estimate settled *)
   | Tracking_done of seq
       (** ACK collection for this packet is over; the source no longer
-          needs the payload for a potential re-multicast *)
-  | Feedback of { seq : seq; missing : int; expected : int }
-      (** per-packet ACK outcome — the §5 congestion signal *)
+          needs the payload for a potential re-multicast.  The machine
+          has pushed the packet's [N_feedback] notice. *)
+  | Remulticast of { seq : seq; missing : int; expected : int }
+      (** §2.3.2: missing ACKs represent a significant number of sites.
+          The source re-multicasts the payload, then pushes the
+          [N_feedback] notice (the §5 congestion signal) with these
+          counts. *)
 
 val create :
   Config.t ->
@@ -44,7 +44,11 @@ val create :
     {!Trace.Stat_feedback} events (disabled by default); the embedding
     {!Source} passes its own sink down. *)
 
-val start : t -> now:float -> Io.action list * event list
+(** Each call below pushes its actions into the embedder's buffer. *)
+
+val start : t -> Io.out -> unit
+(** Begin probing, or set up the first epoch.  Settling an epoch pushes
+    an [N_epoch] notice, and the end of probing an [N_estimate]. *)
 
 val epoch : t -> int
 (** Epoch number new data packets should carry (0 before the first
@@ -68,18 +72,15 @@ val designated : t -> address list
 val ignored_ackers : t -> address list
 (** Hotlisted (faulty) loggers whose ACKs are discarded. *)
 
-val on_data_sent : t -> now:float -> seq -> Io.action list
+val on_data_sent : t -> Io.out -> now:float -> seq -> unit
 (** Register a just-multicast data packet and arm its [t_wait] timer.
-    No-op (empty) when statistical acking is disabled or no epoch is
-    current yet. *)
+    No-op when statistical acking is disabled or no epoch is current
+    yet. *)
 
-val on_message :
-  t -> now:float -> src:address -> Lbrm_wire.Message.t ->
-  (Io.action list * event list) option
-(** Consume Acker_reply / Stat_ack / Probe_reply; [None] if the message
-    is not for this machine. *)
+val on_message : t -> Io.out -> now:float -> Lbrm_wire.Message.t -> event option
+(** Handle Acker_reply / Stat_ack / Probe_reply.  [None] when the
+    source has nothing to do, including for every other message. *)
 
-val on_timer :
-  t -> now:float -> Io.timer_key -> (Io.action list * event list) option
-(** Consume K_probe / K_epoch_start / K_epoch_settle / K_twait;
-    [None] if the key is not ours. *)
+val on_timer : t -> Io.out -> now:float -> Io.timer_key -> event option
+(** Handle K_probe / K_epoch_start / K_epoch_settle / K_twait.  [None]
+    when the source has nothing to do, including for every other key. *)

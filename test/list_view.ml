@@ -74,3 +74,19 @@ module Pursuit = struct
 
   let flush t ~now = into (fun out -> flush t out ~now)
 end
+
+(* The source's sub-machines return the event the source acts on, if
+   any, alongside the actions. *)
+let with_event f =
+  let out = Io.out () in
+  let ev = f out in
+  (Io.collect out, ev)
+
+module Stat_ack = struct
+  include Lbrm.Stat_ack
+
+  let start t = into (fun out -> start t out)
+  let on_data_sent t ~now seq = into (fun out -> on_data_sent t out ~now seq)
+  let on_message t ~now msg = with_event (fun out -> on_message t out ~now msg)
+  let on_timer t ~now key = with_event (fun out -> on_timer t out ~now key)
+end

@@ -6,7 +6,7 @@ module Io = Lbrm.Io
 module Config = Lbrm.Config
 module Log_store = Lbrm.Log_store
 module Group_estimate = Lbrm.Group_estimate
-module Stat_ack = Lbrm.Stat_ack
+module Stat_ack = List_view.Stat_ack
 module Source = List_view.Source
 module Receiver = List_view.Receiver
 module Logger = List_view.Logger
@@ -252,7 +252,7 @@ let statack_cfg =
   { cfg with k_ackers = 3; t_wait_init = 0.2; remcast_site_threshold = 2. }
 
 let settle_first_epoch sa ~ackers =
-  let actions, _ = Stat_ack.start sa ~now:0. in
+  let actions = Stat_ack.start sa in
   (* Expect the Acker_select multicast. *)
   checkb "acker_select sent" true
     (List.exists
@@ -260,17 +260,14 @@ let settle_first_epoch sa ~ackers =
        (multicasts actions));
   List.iter
     (fun logger ->
-      ignore (Stat_ack.on_message sa ~now:0.01 ~src:logger
+      ignore (Stat_ack.on_message sa ~now:0.01
                 (Message.Acker_reply { epoch = 1; logger })))
     ackers;
-  let r = Stat_ack.on_timer sa ~now:0.4 (Io.K_epoch_settle 1) in
-  match r with
-  | Some (_, events) ->
-      checkb "epoch started" true
-        (List.exists
-           (function Stat_ack.Epoch_started _ -> true | _ -> false)
-           events)
-  | None -> Alcotest.fail "settle not handled"
+  let actions, _ = Stat_ack.on_timer sa ~now:0.4 (Io.K_epoch_settle 1) in
+  checkb "epoch started" true
+    (List.exists
+       (function Io.N_epoch { epoch = 1; _ } -> true | _ -> false)
+       (notices actions))
 
 let statack_epoch_lifecycle () =
   let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
@@ -286,18 +283,15 @@ let statack_complete_acks_release () =
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   checkb "pending" true (Stat_ack.is_pending sa 5);
   let feed logger =
-    Stat_ack.on_message sa ~now:1.05 ~src:logger
+    Stat_ack.on_message sa ~now:1.05
       (Message.Stat_ack { epoch = 1; seq = 5; logger })
   in
   ignore (feed 101);
   ignore (feed 102);
-  (match feed 103 with
-  | Some (actions, events) ->
-      checkb "twait cancelled" true
-        (List.mem (Io.Cancel_timer (Io.K_twait 5)) actions);
-      checkb "tracking done" true
-        (List.mem (Stat_ack.Tracking_done 5) events)
-  | None -> Alcotest.fail "stat_ack not consumed");
+  let actions, ev = feed 103 in
+  checkb "twait cancelled" true
+    (List.mem (Io.Cancel_timer (Io.K_twait 5)) actions);
+  checkb "tracking done" true (ev = Some (Stat_ack.Tracking_done 5));
   checkb "no longer pending" false (Stat_ack.is_pending sa 5)
 
 let statack_missing_acks_remulticast () =
@@ -307,17 +301,17 @@ let statack_missing_acks_remulticast () =
   (* Only one of three acks: 2 missing ackers represent ~2/3 of the ~10
      site estimate >= threshold 2 -> re-multicast. *)
   ignore
-    (Stat_ack.on_message sa ~now:1.02 ~src:101
+    (Stat_ack.on_message sa ~now:1.02
        (Message.Stat_ack { epoch = 1; seq = 5; logger = 101 }));
-  match Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) with
-  | Some (actions, events) ->
-      checkb "remulticast decided" true
-        (List.mem (Stat_ack.Remulticast 5) events);
-      checkb "fresh twait armed" true
-        (List.exists
-           (function Io.K_twait 5, _ -> true | _ -> false)
-           (timers_set actions))
-  | None -> Alcotest.fail "twait not handled"
+  let actions, ev = Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) in
+  checkb "remulticast decided" true
+    (match ev with
+    | Some (Stat_ack.Remulticast { seq = 5; _ }) -> true
+    | _ -> false);
+  checkb "fresh twait armed" true
+    (List.exists
+       (function Io.K_twait 5, _ -> true | _ -> false)
+       (timers_set actions))
 
 let statack_single_site_loss_unicast () =
   (* With expected ~= N_sl (every site acks), one missing ack represents
@@ -330,17 +324,14 @@ let statack_single_site_loss_unicast () =
   settle_first_epoch sa ~ackers:[ 101; 102; 103 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   ignore
-    (Stat_ack.on_message sa ~now:1.02 ~src:101
+    (Stat_ack.on_message sa ~now:1.02
        (Message.Stat_ack { epoch = 1; seq = 5; logger = 101 }));
   ignore
-    (Stat_ack.on_message sa ~now:1.02 ~src:102
+    (Stat_ack.on_message sa ~now:1.02
        (Message.Stat_ack { epoch = 1; seq = 5; logger = 102 }));
-  match Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) with
-  | Some (_, events) ->
-      checkb "left to unicast NACK service" false
-        (List.exists (function Stat_ack.Remulticast _ -> true | _ -> false) events);
-      checkb "tracking closed" true (List.mem (Stat_ack.Tracking_done 5) events)
-  | None -> Alcotest.fail "twait not handled"
+  let _, ev = Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) in
+  checkb "left to unicast NACK service, tracking closed" true
+    (ev = Some (Stat_ack.Tracking_done 5))
 
 let statack_hotlist_unsolicited () =
   let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
@@ -349,7 +340,7 @@ let statack_hotlist_unsolicited () =
   (* 999 never volunteered; after enough unsolicited acks it is ignored. *)
   for _ = 1 to cfg.hotlist_threshold do
     ignore
-      (Stat_ack.on_message sa ~now:1.01 ~src:999
+      (Stat_ack.on_message sa ~now:1.01
          (Message.Stat_ack { epoch = 1; seq = 5; logger = 999 }))
   done;
   Alcotest.check (Alcotest.list Alcotest.int) "hotlisted" [ 999 ]
@@ -361,7 +352,7 @@ let statack_twait_adapts () =
   let before = Stat_ack.t_wait sa in
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   ignore
-    (Stat_ack.on_message sa ~now:1.01 ~src:101
+    (Stat_ack.on_message sa ~now:1.01
        (Message.Stat_ack { epoch = 1; seq = 5; logger = 101 }));
   checkb "t_wait shrank toward fast rtt" true (Stat_ack.t_wait sa < before)
 
@@ -1242,17 +1233,11 @@ let statack_emits_feedback () =
   settle_first_epoch sa ~ackers:[ 101; 102; 103 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   ignore
-    (Stat_ack.on_message sa ~now:1.02 ~src:101
+    (Stat_ack.on_message sa ~now:1.02
        (Message.Stat_ack { epoch = 1; seq = 5; logger = 101 }));
-  match Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) with
-  | Some (_, events) ->
-      checkb "feedback carries the miss count" true
-        (List.exists
-           (function
-             | Stat_ack.Feedback { seq = 5; missing = 2; expected = 3 } -> true
-             | _ -> false)
-           events)
-  | None -> Alcotest.fail "twait not handled"
+  let _, ev = Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) in
+  checkb "feedback carries the miss count" true
+    (ev = Some (Stat_ack.Remulticast { seq = 5; missing = 2; expected = 3 }))
 
 let logger_statack_grace_delay () =
   (* 2.3.2: with statistical acking on and t_wait > h_min, a secondary
@@ -1371,16 +1356,13 @@ let statack_previous_epoch_overlap () =
   ignore (Stat_ack.on_timer sa ~now:1.01 Io.K_epoch_start);
   (* ...but epoch-1 acks for the pending packet still count. *)
   let feed logger =
-    Stat_ack.on_message sa ~now:1.05 ~src:logger
+    Stat_ack.on_message sa ~now:1.05
       (Message.Stat_ack { epoch = 1; seq = 5; logger })
   in
   ignore (feed 101);
   ignore (feed 102);
-  (match feed 103 with
-  | Some (_, events) ->
-      checkb "completed across the epoch boundary" true
-        (List.mem (Stat_ack.Tracking_done 5) events)
-  | None -> Alcotest.fail "ack not consumed")
+  checkb "completed across the epoch boundary" true
+    (snd (feed 103) = Some (Stat_ack.Tracking_done 5))
 
 let source_heartbeat_fields () =
   let s = Source.create plain ~self:1 ~primary:2 () in

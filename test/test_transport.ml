@@ -464,7 +464,7 @@ let measurements : (string list * (unit -> float)) list =
         in
         let rep =
           Lbrm.Replication.create cfg ~self:1 ~primary:2 ~replicas:[ 3; 4; 5 ]
-            ~retained:(fun () -> 0)
+            ~retained:(Hashtbl.create 1)
             ()
         in
         let step floor =
@@ -780,18 +780,20 @@ let logger_in_order_words () =
   gate "secondary logger in-order Data" ~max:9.5 per
 
 (* One application send: the Data and deposit messages, their actions,
-   the retained payload and the stat-ack and replication bookkeeping. *)
-let source_send_words () =
+   the retained payload and the stat-ack and replication bookkeeping.
+   Quorum sends one deposit per replica-set member. *)
+let source_send_words replication ~max () =
   let s =
-    Lbrm.Source.create Lbrm.Config.default ~self:1 ~primary:2
-      ~initial_estimate:10. ()
+    Lbrm.Source.create
+      { Lbrm.Config.default with replication }
+      ~self:1 ~primary:2 ~replicas:[ 3; 4 ] ~initial_estimate:10. ()
   in
   let payload = String.make 128 'x' in
   let send _ = ignore (Lbrm.Source.send s ~now:1.0 payload) in
   for i = 1 to 100 do
     send i
   done;
-  gate "Source.send" ~max:64.5 (words_per_op ~iters send)
+  gate "Source.send" ~max (words_per_op ~iters send)
 
 (* A Data datagram decoded in place from a receive slot through a kept
    reader: the [Data] record and its payload view (4 words each) are
@@ -927,7 +929,10 @@ let () =
             `Quick trend_gate_durable;
           Alcotest.test_case "logger in-order Data gate" `Quick
             logger_in_order_words;
-          Alcotest.test_case "Source.send gate" `Quick source_send_words;
+          Alcotest.test_case "Source.send gate" `Quick
+            (source_send_words Lbrm.Config.R_primary ~max:48.5);
+          Alcotest.test_case "Source.send gate, quorum" `Quick
+            (source_send_words Lbrm.Config.R_quorum ~max:66.5);
           Alcotest.test_case "in-place Data decode gate" `Quick
             in_place_decode_words;
           Alcotest.test_case "Archive.append gate" `Quick archive_append_words;
