@@ -14,7 +14,6 @@ type ('h, 'e) transport = {
   disarm : 'h -> unit;
   join : group:int -> address -> unit;
   leave : group:int -> address -> unit;
-  notice : notice -> unit;
 }
 
 type meter = {
@@ -26,6 +25,10 @@ type meter = {
   (* forced on the first delivery, so an idle registry stays empty *)
   delivered : Metrics.counter Lazy.t;
   recovered : Metrics.counter Lazy.t;
+  (* notice slot (see [record_notice]) -> interned counter *)
+  notices : Metrics.counter option array;
+  recovery_latency : Lbrm_util.Stats.Sample.t Lazy.t;
+  estimate : Lbrm_util.Stats.Sample.t Lazy.t;
 }
 
 type ('h, 'e) agent = {
@@ -43,6 +46,20 @@ type ('h, 'e) t = {
 
 let create tr = { tr; agents = Hashtbl.create 64 }
 
+let notice_names =
+  [|
+    "loss.gaps";
+    "loss.silence";
+    "loss.recovered";
+    "loss.gave_up";
+    "failover.suspected";
+    "failover.promoted";
+    "statack.epochs";
+    "statack.remulticast";
+    "discovery.finished";
+    "statack.feedback_loss";
+  |]
+
 let meter registry =
   {
     registry;
@@ -50,6 +67,9 @@ let meter registry =
     recv = Array.make Lbrm_wire.Codec.tags None;
     delivered = lazy (Metrics.counter registry "app.delivered");
     recovered = lazy (Metrics.counter registry "app.recovered");
+    notices = Array.make (Array.length notice_names) None;
+    recovery_latency = lazy (Metrics.sample registry "recovery_latency");
+    estimate = lazy (Metrics.sample registry "statack.estimate");
   }
 
 let[@lint.hot] count cache registry prefix msg n =
@@ -64,6 +84,31 @@ let[@lint.hot] count cache registry prefix msg n =
 
 let sent agent msg n =
   if n > 0 then count agent.meter.sent agent.meter.registry "sent." msg n
+
+let note meter slot n =
+  match meter.notices.(slot) with
+  | Some c -> Metrics.add c n
+  | None ->
+      let c = Metrics.counter meter.registry notice_names.(slot) in
+      meter.notices.(slot) <- Some c;
+      Metrics.add c n
+
+(* Runtime-side notice accounting: the same counters and samples on
+   every transport. *)
+let record_notice meter = function
+  | N_gap seqs -> note meter 0 (List.length seqs)
+  | N_silence _ -> note meter 1 1
+  | N_recovered { latency; _ } ->
+      note meter 2 1;
+      Metrics.observe (Lazy.force meter.recovery_latency) latency
+  | N_gave_up _ -> note meter 3 1
+  | N_primary_suspected -> note meter 4 1
+  | N_new_primary _ -> note meter 5 1
+  | N_epoch _ -> note meter 6 1
+  | N_remulticast _ -> note meter 7 1
+  | N_estimate n -> Metrics.observe (Lazy.force meter.estimate) n
+  | N_discovery _ -> note meter 8 1
+  | N_feedback { missing; _ } -> if missing > 0 then note meter 9 1
 
 let disarm t agent key =
   match Hashtbl.find agent.timers key with
@@ -115,7 +160,7 @@ and execute t agent ~now = function
       | Some f -> f ~now:(clock t now) ~seq ~payload ~recovered
       | None -> ())
   | Notify notice -> (
-      t.tr.notice notice;
+      record_notice agent.meter notice;
       match agent.handlers.on_notice with
       | Some f -> f ~now:(clock t now) notice
       | None -> ())

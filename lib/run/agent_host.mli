@@ -3,8 +3,9 @@
     A host owns the agents (keyed by protocol address), each agent's
     timer table (re-arming a live key moves its timer: see [rearm]), the
     dispatch of messages and timer expiries into the agent's handlers,
-    and ["sent.<kind>"]/["recv.<kind>"]/["app.delivered"]/
-    ["app.recovered"] counting into a {!meter}.  Wires and clocks sit
+    ["sent.<kind>"]/["recv.<kind>"]/["app.delivered"]/
+    ["app.recovered"] counting and the accounting of every [Notify]
+    (["loss.gaps"], ["recovery_latency"], ...) into a {!meter}.  Wires and clocks sit
     behind a {!transport}: the simulator ({!Sim_runtime}, {!Mux}) and
     real sockets ({!Udp_runtime}) are just different transports.  Each
     agent carries the transport's endpoint (['e]: a node id, a socket),
@@ -29,15 +30,14 @@ type ('h, 'e) transport = {
   disarm : 'h -> unit;
   join : group:int -> address -> unit;
   leave : group:int -> address -> unit;
-  notice : Lbrm.Io.notice -> unit;  (** Runtime-side notice accounting. *)
 }
 
 type ('h, 'e) t
 type ('h, 'e) agent
 
 type meter
-(** A registry plus its counter handles, each interned on first use
-    (so name-sorted listings gain no zero entries). *)
+(** A registry plus its counter and sample handles, each interned on
+    first use (so name-sorted listings gain no zero entries). *)
 
 val meter : Lbrm_util.Metrics.t -> meter
 val create : ('h, 'e) transport -> ('h, 'e) t

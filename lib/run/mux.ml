@@ -60,7 +60,7 @@ let flow_host t flow =
   | Some host -> host
   | None ->
       let host =
-        Sim_runtime.host t.net ~trace:t.trace ~wrap:(fun msg -> { flow; msg })
+        Sim_runtime.host t.net ~wrap:(fun msg -> { flow; msg })
       in
       Hashtbl.replace t.flows flow host;
       host

@@ -1,7 +1,6 @@
 module Net = Lbrm_sim.Net
 module Engine = Lbrm_sim.Engine
 module Trace = Lbrm_sim.Trace
-open Lbrm.Io
 
 type t = {
   net : Lbrm_wire.Message.t Net.t;
@@ -10,24 +9,7 @@ type t = {
   host : (Engine.timer, Lbrm_sim.Topo.node_id) Agent_host.t;
 }
 
-let record_notice trace notice =
-  match notice with
-  | N_gap seqs -> Trace.incr ~by:(List.length seqs) trace "loss.gaps"
-  | N_silence _ -> Trace.incr trace "loss.silence"
-  | N_recovered { latency; _ } ->
-      Trace.incr trace "loss.recovered";
-      Trace.observe trace "recovery_latency" latency
-  | N_gave_up _ -> Trace.incr trace "loss.gave_up"
-  | N_primary_suspected -> Trace.incr trace "failover.suspected"
-  | N_new_primary _ -> Trace.incr trace "failover.promoted"
-  | N_epoch _ -> Trace.incr trace "statack.epochs"
-  | N_remulticast _ -> Trace.incr trace "statack.remulticast"
-  | N_estimate n -> Trace.observe trace "statack.estimate" n
-  | N_discovery _ -> Trace.incr trace "discovery.finished"
-  | N_feedback { missing; _ } ->
-      if missing > 0 then Trace.incr trace "statack.feedback_loss"
-
-let host net ~trace ~wrap =
+let host net ~wrap =
   let engine = Net.engine net in
   Agent_host.create
     {
@@ -47,7 +29,6 @@ let host net ~trace ~wrap =
       disarm = Engine.cancel engine;
       join = (fun ~group node -> Net.join net ~group node);
       leave = (fun ~group node -> Net.leave net ~group node);
-      notice = record_notice trace;
     }
 
 let create ~net ~trace () =
@@ -55,7 +36,7 @@ let create ~net ~trace () =
     net;
     trace;
     meter = Agent_host.meter trace;
-    host = host net ~trace ~wrap:Fun.id;
+    host = host net ~wrap:Fun.id;
   }
 
 let net t = t.net

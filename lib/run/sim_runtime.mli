@@ -16,12 +16,10 @@ val create :
 
 val host :
   'm Lbrm_sim.Net.t ->
-  trace:Lbrm_sim.Trace.t ->
   wrap:(Lbrm_wire.Message.t -> 'm) ->
   (Lbrm_sim.Engine.timer, Lbrm_sim.Topo.node_id) Agent_host.t
 (** The simulator transport over any message carrier: sends leave as
-    [wrap msg], notices are recorded into [trace].  {!Mux} runs one per
-    flow. *)
+    [wrap msg].  {!Mux} runs one per flow. *)
 
 val net : t -> Lbrm_wire.Message.t Lbrm_sim.Net.t
 val engine : t -> Lbrm_sim.Engine.t

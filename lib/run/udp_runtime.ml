@@ -212,7 +212,6 @@ let transport io =
       (fun ~group port ->
         Peer_manager.join io.peers ~group ~port ~now:(elapsed io));
     leave = (fun ~group port -> Peer_manager.leave io.peers ~group ~port);
-    notice = ignore;
   }
 
 let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)

@@ -533,7 +533,6 @@ let measurements : (string list * (unit -> float)) list =
               disarm = ignore;
               join = (fun ~group:_ _ -> ());
               leave = (fun ~group:_ _ -> ());
-              notice = ignore;
             }
         in
         let out = Lbrm.Io.out () in

@@ -120,6 +120,34 @@ let lossy_udp_recovers () =
     (List.exists (fun (r, _) -> Lbrm.Receiver.recovered r > 0) s.receivers);
   U.close s.rt
 
+(* A live session accounts for notices as the simulator does: the gaps
+   the receivers noticed and the latency of each repair. *)
+let lossy_udp_records_notices () =
+  require_sockets ();
+  let s = make_session ~base_port:48830 ~loss:0.3 ~receiver_count:3 () in
+  for i = 1 to 8 do
+    send s (Printf.sprintf "udp-%d" i);
+    U.run_for s.rt ~seconds:0.05
+  done;
+  U.run_for s.rt ~seconds:1.5;
+  let registries = List.map snd (U.agent_metrics s.rt) in
+  let gaps =
+    List.fold_left
+      (fun n m -> n + Lbrm_util.Metrics.count m "loss.gaps")
+      0 registries
+  and latencies =
+    List.fold_left
+      (fun n m ->
+        match List.assoc_opt "recovery_latency" (Lbrm_util.Metrics.samples m) with
+        | Some sample -> n + Lbrm_util.Stats.Sample.count sample
+        | None -> n)
+      0 registries
+  in
+  U.close s.rt;
+  checkb "losses were actually injected" true (U.datagrams_dropped s.rt > 0);
+  checkb "gaps counted" true (gaps > 0);
+  checkb "recovery latency sampled" true (latencies > 0)
+
 let fallback_path_recovers () =
   require_sockets ();
   (* Same lossy scenario, forced onto the portable per-datagram
@@ -443,5 +471,7 @@ let () =
             multicast_skips_sender;
           Alcotest.test_case "oversize sent, truncated dropped" `Quick
             oversize_sent_truncated_dropped;
+          Alcotest.test_case "notices recorded under loss" `Quick
+            lossy_udp_records_notices;
         ] );
     ]
