@@ -146,19 +146,21 @@ let bench_codec ~ops () =
     | Ok s -> String.length s
     | Error _ -> assert false
   in
-  (* The runtime pattern: one long-lived scratch writer, encode into it,
-     decode straight back out of its buffer.  The only per-op allocation
-     left is the decoded message and its payload view. *)
-  let w = Codec.Writer.create ~size:(Message.body_size msg) () in
+  (* The runtime pattern: one long-lived writer and slot, encode into
+     the slot in place, decode straight back out of it.  The only per-op
+     allocation left is the decoded message and its payload view. *)
+  let w = Codec.Writer.create () in
+  let slot = Bytes.create (Message.body_size msg) in
   let ok = ref 0 in
   for _ = 1 to ops do
-    Codec.Writer.reset w;
-    (match Codec.encode_into w msg with Ok () -> () | Error _ -> ());
     match
-      Codec.decode_bytes ~len:(Codec.Writer.length w) (Codec.Writer.buffer w)
+      Codec.encode_at_exn w slot ~pos:0 ~limit:(Bytes.length slot) msg
     with
-    | Ok _ -> incr ok
-    | Error _ -> ()
+    | exception Codec.Malformed _ -> ()
+    | len -> (
+        match Codec.decode_bytes ~len slot with
+        | Ok _ -> incr ok
+        | Error _ -> ())
   done;
   assert (!ok = ops);
   (ops, [ ("wire_bytes", float_of_int bytes_per_op) ])

@@ -149,19 +149,17 @@ let pump_batched ~use_gso ~packets () =
 let pump_unbatched ~packets () =
   let tx = make_socket () and rx = make_socket () in
   let dst_port = port_of rx in
-  let w = Codec.Writer.create ~size:slot () in
+  let w = Codec.Writer.create () and tbuf = Bytes.create slot in
   let rbuf = Bytes.create (2 * slot) in
   let offs = [| 0; slot |] in
   let lens = Array.make 2 0 and ports = Array.make 2 0 in
   let decoded = ref 0 and lost = ref 0 in
   for _ = 1 to packets do
-    Codec.Writer.reset w;
-    (match Codec.encode_into w msg with
-    | Ok () ->
-        Sockmsg.send_one tx (Codec.Writer.buffer w) ~off:0
-          ~len:(Codec.Writer.length w)
+    (match Codec.encode_at_exn w tbuf ~pos:0 ~limit:slot msg with
+    | len ->
+        Sockmsg.send_one tx tbuf ~off:0 ~len
           (Unix.ADDR_INET (Unix.inet_addr_loopback, dst_port))
-    | Error _ -> assert false);
+    | exception Codec.Malformed _ -> assert false);
     if drain_wait rx then begin
       let n =
         Sockmsg.recv_batch ~use_mmsg:false rx rbuf ~offs ~slot ~count:2 ~lens

@@ -8,12 +8,15 @@ type envelope = { flow : int; msg : Message.t }
 
 let wire_size e = 4 + Message.wire_size e.msg
 
+(* One exactly-sized buffer: the flow prefix, then the message written
+   in place after it. *)
 let encode e =
-  let w = Codec.Writer.create ~size:(4 + Message.body_size e.msg) () in
+  let buf = Bytes.create (4 + Message.body_size e.msg) in
+  let w = Codec.Writer.wrap buf in
   Codec.Writer.u32 w e.flow;
-  match Codec.encode_into w e.msg with
-  | Ok () -> Ok (Codec.Writer.contents w)
-  | Error _ as e -> e
+  match Codec.encode_at_exn w buf ~pos:4 ~limit:(Bytes.length buf) e.msg with
+  | _ -> Ok (Bytes.unsafe_to_string buf)
+  | exception Codec.Malformed err -> Error err
 
 let decode s =
   if String.length s < 4 then Error Codec.Truncated

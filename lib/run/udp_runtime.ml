@@ -110,18 +110,18 @@ let encode_failure t ep msg =
          { kind = Message.kind msg; size = Message.body_size msg })
 
 (* Messages too big for a pool slot (jumbo application payloads) take a
-   growable-scratch + one-shot-send slow path rather than failing.  The
-   scratch grows only once the message has validated. *)
+   growable-scratch + one-shot-send slow path rather than failing: the
+   scratch grows to the message's exact size, then the encode core
+   writes into it. *)
 let send_oversize t ep ~dst msg =
-  let w = Codec.Writer.wrap t.jumbo in
-  match Codec.encode_into w msg with
-  | Error _ -> encode_failure t ep msg
-  | Ok () ->
-      t.jumbo <- Codec.Writer.buffer w;
+  let size = Message.body_size msg in
+  if Bytes.length t.jumbo < size then t.jumbo <- Bytes.create size;
+  match Codec.encode_at_exn t.writer t.jumbo ~pos:0 ~limit:size msg with
+  | exception Codec.Malformed _ -> encode_failure t ep msg
+  | len ->
       t.oversize <- t.oversize + 1;
       t.sent <- t.sent + 1;
-      Sockmsg.send_one ep.socket t.jumbo ~off:0 ~len:(Codec.Writer.length w)
-        (t.sockaddr_of dst)
+      Sockmsg.send_one ep.socket t.jumbo ~off:0 ~len (t.sockaddr_of dst)
 
 (* Every datagram that reaches the kernel bumps [t.sent]; the transport
    reports the difference to the host as the "sent.<kind>" count.  The

@@ -16,7 +16,6 @@ module Writer = struct
 
   let create ?(size = 256) () = { buf = Bytes.create (max 8 size); pos = 0 }
   let wrap buf = { buf; pos = 0 }
-  let reset t = t.pos <- 0
   let length t = t.pos
   let buffer t = t.buf
   let contents t = Bytes.sub_string t.buf 0 t.pos
@@ -309,13 +308,6 @@ let[@lint.hot] encode_at_exn w buf ~pos ~limit (m : Message.t) =
   write_body w m;
   assert (Writer.length w - pos = size && Writer.buffer w == buf);
   size
-
-let encode_into w (m : Message.t) =
-  match validate m with
-  | () ->
-      write_body w m;
-      Ok ()
-  | exception Malformed e -> Error e
 
 let encode (m : Message.t) =
   match validate m with

@@ -19,8 +19,8 @@
 
     {!decode}, {!decode_bytes} and {!encode_at} are thin total
     wrappers over the cores: each builds a fresh reader or writer and
-    turns {!Malformed} into [Error].  {!encode} and {!encode_into}
-    share the encoder's validation and field writer.  The
+    turns {!Malformed} into [Error].  {!encode} shares the encoder's
+    validation and field writer.  The
     {!Writer}/{!Reader} primitives are also exposed for application
     payloads (the DIS PDUs reuse them). *)
 
@@ -38,9 +38,8 @@ exception Malformed of error
     message fails validation or does not fit its slot.  It is the
     malformed path of the runtime, not a bug: drop the datagram. *)
 
-(** Append-only big-endian serializer over a growable [Bytes] scratch.
-    [reset] + re-encode reuses the buffer, so a long-lived writer makes
-    the encode path allocation-free. *)
+(** Append-only big-endian serializer over a growable [Bytes] scratch;
+    {!encode_at_exn} re-aims a kept one at a caller's slot. *)
 module Writer : sig
   type t
 
@@ -50,16 +49,6 @@ module Writer : sig
   val wrap : Bytes.t -> t
   (** Writer over caller-supplied scratch; replaced (not mutated) if the
       encoding outgrows it. *)
-
-  val reset : t -> unit
-  (** Rewind to the start, keeping the scratch for reuse. *)
-
-  val length : t -> int
-  (** Bytes written since creation/[reset]. *)
-
-  val buffer : t -> Bytes.t
-  (** Underlying scratch; only the first [length t] bytes are
-      meaningful.  Valid until the next write grows the buffer. *)
 
   val contents : t -> string
   (** Copy of the written bytes. *)
@@ -151,11 +140,6 @@ val encode : Message.t -> (string, error) result
     [Error (Bad_value _)] when a sequence list exceeds {!nack_max} /
     {!promote_max} — the same limits {!decode} enforces, so every
     encodable message round-trips. *)
-
-val encode_into : Writer.t -> Message.t -> (unit, error) result
-(** Append one message to a writer (the zero-copy hot path: keep the
-    writer, [Writer.reset] between packets).  Validates before writing:
-    on [Error] the writer is untouched. *)
 
 val encode_at :
   Bytes.t -> pos:int -> limit:int -> Message.t -> (int, error) result

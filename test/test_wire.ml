@@ -194,11 +194,15 @@ let promote_at_bound () =
   | Error (Codec.Bad_value _) -> ()
   | Ok _ -> Alcotest.fail "encoded an over-long promote"
   | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e));
-  let w = Codec.Writer.create () in
-  Codec.Writer.u8 w 0x55;
-  match Codec.encode_into w (Message.Promote { replicas = over }) with
-  | Error _ -> checki "writer untouched on error" 1 (Codec.Writer.length w)
-  | Ok () -> Alcotest.fail "encode_into accepted an over-long promote"
+  let buf = Bytes.make 8192 'U' in
+  match
+    Codec.encode_at buf ~pos:0 ~limit:(Bytes.length buf)
+      (Message.Promote { replicas = over })
+  with
+  | Error _ ->
+      checkb "buffer untouched on error" true
+        (Bytes.for_all (fun c -> c = 'U') buf)
+  | Ok _ -> Alcotest.fail "encode_at accepted an over-long promote"
 
 (* ---- Property tests over random messages ---- *)
 
