@@ -14,7 +14,7 @@ type t = {
   cfg : Config.t;
   self : address;
   sink : Trace.sink;
-  retained : (seq, string * int) Hashtbl.t; (* owner's replay table, read-only *)
+  retained : (seq, string * int) Hashtbl.t; (* owner's replay table *)
   mutable primary : address; (* deposit target: primary logger / ring head *)
   mutable replicas : address list; (* remaining members, ring order *)
   retries : (seq, int) Hashtbl.t;
@@ -152,10 +152,12 @@ let resend t out ~now ~seq ~epoch ~payload ~attempt =
   (match t.cfg.replication with
   | Config.R_primary ->
       Io.push out
-        (Io.send_to t.primary (Message.Log_deposit { seq; epoch; payload = pv }))
+        (Io.send_to t.primary
+           (Message.Log_deposit { seq; epoch; payload = pv }))
   | Config.R_ring ->
       Io.push out
-        (Io.send_to t.primary (Message.Ring_forward { seq; epoch; payload = pv }))
+        (Io.send_to t.primary
+           (Message.Ring_forward { seq; epoch; payload = pv }))
   | Config.R_quorum ->
       (* only the members whose floor is still below [seq] *)
       for i = 0 to Array.length t.members - 1 do
@@ -191,7 +193,8 @@ let promoted t out ~now ~primary =
   if Trace.is_on t.sink then
     trace t ~now
       (Trace.Failover_step
-         (Trace.F_promoted { primary; redeposits = Hashtbl.length t.retained }));
+         (Trace.F_promoted
+            { primary; redeposits = Hashtbl.length t.retained }));
   Io.push out (Notify (N_new_primary primary));
   Hashtbl.fold (fun seq _ acc -> seq :: acc) t.retained []
   |> List.sort Seqno.compare
@@ -222,8 +225,11 @@ let begin_failover t out ~now =
                (Trace.F_query
                   { round = t.failovers_done; replicas = List.length targets }));
         Io.push out
-          (Set_timer (K_failover t.failovers_done, 2. *. t.cfg.deposit_timeout));
-        List.iter (fun r -> Io.push out (Io.send_to r Message.Replica_query)) targets
+          (Set_timer
+             (K_failover t.failovers_done, 2. *. t.cfg.deposit_timeout));
+        List.iter
+          (fun r -> Io.push out (Io.send_to r Message.Replica_query))
+          targets
       end;
       suspected out
 
@@ -259,7 +265,8 @@ let finish_primary t out ~now statuses =
 
 let rec ring_sets out ~head = function
   | [] -> ()
-  | [ (m, _) ] -> Io.push out (Io.send_to m (Message.Ring_set { succ = None; head }))
+  | [ (m, _) ] ->
+      Io.push out (Io.send_to m (Message.Ring_set { succ = None; head }))
   | (m, _) :: ((next, _) :: _ as rest) ->
       Io.push out (Io.send_to m (Message.Ring_set { succ = Some next; head }));
       ring_sets out ~head rest
@@ -306,7 +313,8 @@ let quorum_suspect t out ~now =
     let others =
       List.filteri (fun i _ -> i < Lbrm_wire.Codec.promote_max) others
     in
-    Io.push out (Io.send_to best_member (Message.Promote { replicas = others }));
+    Io.push out
+      (Io.send_to best_member (Message.Promote { replicas = others }));
     clear_all_retries t out;
     set_members t ~primary:best_member ~replicas:others;
     suspected out;

@@ -112,7 +112,8 @@ let settle_epoch t out ~now e =
     if Trace.is_on t.sink then
       trace t ~now
         (Trace.Epoch_settled { epoch = e; expected = t.expected; p_ack });
-    Io.push out (Notify (N_epoch { epoch = e; expected_acks = t.expected; p_ack }))
+    Io.push out
+      (Notify (N_epoch { epoch = e; expected_acks = t.expected; p_ack }))
   end
 
 (* One step of Bolot-style probing (§2.3.3): multicast the next round,

@@ -3,11 +3,12 @@
     A host owns the agents (keyed by protocol address), each agent's
     timer table (re-arming a live key moves its timer: see [rearm]), the
     dispatch of messages and timer expiries into the agent's handlers,
-    ["sent.<kind>"]/["recv.<kind>"]/["app.delivered"]/
-    ["app.recovered"] counting and the accounting of every [Notify]
-    (["loss.gaps"], ["recovery_latency"], ...) into a {!meter}.  Wires and clocks sit
-    behind a {!transport}: the simulator ({!Sim_runtime}, {!Mux}) and
-    real sockets ({!Udp_runtime}) are just different transports.  Each
+    and ["sent.<kind>"]/["recv.<kind>"]/["app.delivered"]/
+    ["app.recovered"] counting plus the accounting of every [Notify]
+    (["loss.gaps"], ["recovery_latency"], ...) into a {!meter}.  Wires
+    and clocks sit behind a {!transport}: the simulator ({!Sim_runtime},
+    {!Mux}) and real sockets ({!Udp_runtime}) are just different
+    transports.  Each
     agent carries the transport's endpoint (['e]: a node id, a socket),
     handed back on every send so the transport never looks it up. *)
 

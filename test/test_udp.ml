@@ -138,7 +138,9 @@ let lossy_udp_records_notices () =
   and latencies =
     List.fold_left
       (fun n m ->
-        match List.assoc_opt "recovery_latency" (Lbrm_util.Metrics.samples m) with
+        match
+          List.assoc_opt "recovery_latency" (Lbrm_util.Metrics.samples m)
+        with
         | Some sample -> n + Lbrm_util.Stats.Sample.count sample
         | None -> n)
       0 registries
