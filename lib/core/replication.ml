@@ -127,7 +127,6 @@ let advance t ~now ~durable ~acked =
     trace t ~now (Trace.Ack_floor { durable = t.durable; acked = t.acked });
   moved
 
-(* Cancel the retry clocks of [seqs] and forget them. *)
 let stop_retries t out seqs =
   List.iter
     (fun seq ->

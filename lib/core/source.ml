@@ -61,7 +61,6 @@ let group t = t.cfg.group
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
 let push t a = Io.push t.out a
 
-(* Act on a stat-ack decision. *)
 let on_stat_event t ~now (ev : Stat_ack.event) =
   match ev with
   | Tracking_done seq ->
