@@ -20,7 +20,7 @@ type t = {
   rchannel_buf : (seq, string) Hashtbl.t; (* awaiting channel copies *)
   mutable evict_floor : seq; (* cap eviction already swept up to here *)
   mutable heartbeats_sent : int;
-  mutable data_multicasts : int;
+  mutable sends : int;
   out : Io.out; (* this machine's action buffer *)
 }
 
@@ -33,7 +33,7 @@ let create cfg ~self ~primary ?(replicas = []) ?initial_estimate
     sink;
     rep = Replication.create cfg ~self ~primary ~replicas ~retained ~sink ();
     hb = Heartbeat.of_config cfg;
-    stat = Stat_ack.create cfg ~self ?initial_estimate ~sink ();
+    stat = Stat_ack.create cfg ~self ~retained ?initial_estimate ~sink ();
     seq = 0;
     hb_index = 0;
     last_payload = "";
@@ -41,7 +41,7 @@ let create cfg ~self ~primary ?(replicas = []) ?initial_estimate
     rchannel_buf = Hashtbl.create 64;
     evict_floor = 0;
     heartbeats_sent = 0;
-    data_multicasts = 0;
+    sends = 0;
     out = Io.out ();
   }
 
@@ -53,7 +53,7 @@ let released t = Replication.durable t.rep
 let durable t = Replication.durable t.rep
 let stat t = t.stat
 let heartbeats_sent t = t.heartbeats_sent
-let data_multicasts t = t.data_multicasts
+let data_multicasts t = t.sends + Stat_ack.remulticasts t.stat
 let failovers t = Replication.failovers t.rep
 
 let group t = t.cfg.group
@@ -61,25 +61,11 @@ let group t = t.cfg.group
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
 let push t a = Io.push t.out a
 
-let on_stat_event t ~now (ev : Stat_ack.event) =
-  match ev with
-  | Tracking_done seq ->
-      (* §2.3.2: payloads are retained for the stat-ack window even
-         after the log replicas hold them; now both conditions met. *)
-      if Seqno.(seq <= released t) then Hashtbl.remove t.retained seq
-  | Remulticast { seq; missing; expected } ->
-      (match Hashtbl.find_opt t.retained seq with
-      | None -> () (* already released: receivers recover via loggers *)
-      | Some (payload, _) ->
-          t.data_multicasts <- t.data_multicasts + 1;
-          if Trace.is_on t.sink then
-            trace t ~now (Trace.Retrans { seq; mode = Trace.R_stat });
-          push t (Notify (N_remulticast seq));
-          let payload = Payload.of_string payload in
-          push t
-            (Io.send ~group:(group t)
-               (Message.Data { seq; epoch = current_epoch t; payload })));
-      push t (Notify (N_feedback { seq; missing; expected }))
+(* §2.3.2: payloads are retained for the stat-ack window even after
+   the log replicas hold them; once ACK collection for [seq] is over,
+   both conditions are met. *)
+let tracking_done t seq =
+  if Seqno.(seq <= released t) then Hashtbl.remove t.retained seq
 
 (* Soft cap on the replay table (§2.3.2 meets fail-over): entries that
    the log infrastructure has both acknowledged and made durable are
@@ -136,7 +122,7 @@ let send t ~now payload =
   Hashtbl.replace t.retained seq (payload, epoch);
   enforce_retain_bound t;
   Heartbeat.on_data t.hb;
-  t.data_multicasts <- t.data_multicasts + 1;
+  t.sends <- t.sends + 1;
   if Trace.is_on t.sink then trace t ~now (Trace.Send { seq });
   push t
     (Io.send ~group:(group t)
@@ -194,7 +180,7 @@ let handle_message t ~now ~src msg =
            (Message.Primary_is { logger = Replication.primary t.rep }))
   | _ -> (
       match Stat_ack.on_message t.stat t.out ~now msg with
-      | Some ev -> on_stat_event t ~now ev
+      | Some seq -> tracking_done t seq
       | None ->
           if Replication.on_message t.rep t.out ~now ~src msg then release t));
   t.out
@@ -223,6 +209,6 @@ let handle_timer t ~now key =
   | K_rchannel (seq, k) -> on_rchannel_due t ~now seq k
   | _ -> (
       match Stat_ack.on_timer t.stat t.out ~now key with
-      | Some ev -> on_stat_event t ~now ev
+      | Some seq -> tracking_done t seq
       | None -> Replication.on_timer t.rep t.out ~now key));
   t.out

@@ -1,4 +1,5 @@
 module Message = Lbrm_wire.Message
+module Payload = Lbrm_wire.Payload
 module Seqno = Lbrm_util.Seqno
 open Io
 
@@ -18,6 +19,7 @@ type t = {
   cfg : Config.t;
   self : address;
   sink : Trace.sink;
+  retained : (seq, string * int) Hashtbl.t; (* owner's replay table *)
   mutable n_sl : float;
   mutable t_wait : float;
   mutable epoch : int; (* epoch current data packets carry; 0 = none *)
@@ -31,18 +33,16 @@ type t = {
   mutable probing : Group_estimate.Probing.t option;
   probe_replies : (int, int) Hashtbl.t;
   max_remulticasts : int;
+  mutable remulticasts_sent : int;
 }
 
-type event =
-  | Tracking_done of seq
-  | Remulticast of { seq : seq; missing : int; expected : int }
-
-let create (cfg : Config.t) ~self ?initial_estimate ?(sink = Trace.null ())
-    () =
+let create (cfg : Config.t) ~self ~retained ?initial_estimate
+    ?(sink = Trace.null ()) () =
   {
     cfg;
     self;
     sink;
+    retained;
     n_sl = Option.value ~default:0. initial_estimate;
     t_wait = cfg.t_wait_init;
     epoch = 0;
@@ -58,6 +58,7 @@ let create (cfg : Config.t) ~self ?initial_estimate ?(sink = Trace.null ())
       | None -> Some (Group_estimate.Probing.create ()));
     probe_replies = Hashtbl.create 8;
     max_remulticasts = 2;
+    remulticasts_sent = 0;
   }
 
 let epoch t = t.epoch
@@ -66,6 +67,7 @@ let n_sl t = t.n_sl
 let t_wait t = t.t_wait
 let expected_acks t = t.expected
 let ignored_ackers t = Group_estimate.Hotlist.ignored t.hotlist
+let remulticasts t = t.remulticasts_sent
 
 let designated t =
   match Hashtbl.find_opt t.epochs t.epoch with
@@ -179,7 +181,22 @@ let tracking_done t out ~now seq ~missing ~expected =
   if Trace.is_on t.sink then
     trace t ~now (Trace.Stat_feedback { seq; missing; expected });
   Io.push out (Notify (N_feedback { seq; missing; expected }));
-  Some (Tracking_done seq)
+  Some seq
+
+(* §2.3.2: multicast the retained payload again.  One already released
+   is not resent: receivers recover it from the loggers. *)
+let remulticast t out ~now seq =
+  match Hashtbl.find_opt t.retained seq with
+  | None -> ()
+  | Some (payload, _) ->
+      t.remulticasts_sent <- t.remulticasts_sent + 1;
+      if Trace.is_on t.sink then
+        trace t ~now (Trace.Retrans { seq; mode = Trace.R_stat });
+      Io.push out (Notify (N_remulticast seq));
+      let payload = Payload.of_string payload in
+      Io.push out
+        (Io.send ~group:(group t)
+           (Message.Data { seq; epoch = t.epoch; payload }))
 
 (* --- message handling ----------------------------------------------- *)
 
@@ -272,7 +289,10 @@ let on_twait t out ~now seq =
             trace t ~now
               (Trace.Stat_feedback { seq; missing; expected = p.expected });
           Io.push out (Set_timer (K_twait seq, t.t_wait));
-          Some (Remulticast { seq; missing; expected = p.expected })
+          remulticast t out ~now seq;
+          Io.push out
+            (Notify (N_feedback { seq; missing; expected = p.expected }));
+          None
         end
         else
           (* Isolated loss (or retry budget exhausted): unicast NACK

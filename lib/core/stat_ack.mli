@@ -10,38 +10,30 @@
     recovery is left to unicast NACK service.
 
     The machine is sans-IO: every call pushes its actions into the
-    embedding {!Source}'s buffer, notices included, and returns the
-    {!event} the source must act on, if any (dropping or re-multicasting
-    a retained payload). *)
+    embedding {!Source}'s buffer, notices and re-multicasts included.
+    It reads the source's replay table for the payload to re-multicast,
+    and tells the source when ACK collection for a packet is over, so
+    the source can drop the payload. *)
 
 type address = Lbrm_wire.Message.address
 type seq = Lbrm_util.Seqno.t
 
 type t
 
-(** Decisions surfaced to the source. *)
-type event =
-  | Tracking_done of seq
-      (** ACK collection for this packet is over; the source no longer
-          needs the payload for a potential re-multicast.  The machine
-          has pushed the packet's [N_feedback] notice. *)
-  | Remulticast of { seq : seq; missing : int; expected : int }
-      (** §2.3.2: missing ACKs represent a significant number of sites.
-          The source re-multicasts the payload, then pushes the
-          [N_feedback] notice (the §5 congestion signal) with these
-          counts. *)
-
 val create :
   Config.t ->
   self:address ->
+  retained:(seq, string * int) Hashtbl.t ->
   ?initial_estimate:float ->
   ?sink:Trace.sink ->
   unit ->
   t
-(** Without [initial_estimate], {!start} begins with a Bolot-style
-    probing phase (§2.3.3); with it, the first epoch starts
-    immediately.  [sink] receives {!Trace.Epoch_settled} and
-    {!Trace.Stat_feedback} events (disabled by default); the embedding
+(** [retained] is the embedding {!Source}'s replay table (seq to
+    payload and epoch at send), read only to re-multicast.  Without
+    [initial_estimate], {!start} begins with a Bolot-style probing
+    phase (§2.3.3); with it, the first epoch starts immediately.
+    [sink] receives {!Trace.Epoch_settled}, {!Trace.Stat_feedback} and
+    {!Trace.Retrans} events (disabled by default); the embedding
     {!Source} passes its own sink down. *)
 
 (** Each call below pushes its actions into the embedder's buffer. *)
@@ -72,15 +64,26 @@ val designated : t -> address list
 val ignored_ackers : t -> address list
 (** Hotlisted (faulty) loggers whose ACKs are discarded. *)
 
+val remulticasts : t -> int
+(** Data re-multicasts sent (§2.3.2). *)
+
 val on_data_sent : t -> Io.out -> now:float -> seq -> unit
 (** Register a just-multicast data packet and arm its [t_wait] timer.
     No-op when statistical acking is disabled or no epoch is current
     yet. *)
 
-val on_message : t -> Io.out -> now:float -> Lbrm_wire.Message.t -> event option
-(** Handle Acker_reply / Stat_ack / Probe_reply.  [None] when the
-    source has nothing to do, including for every other message. *)
+(** The two handlers return [Some seq] when ACK collection for [seq] is
+    over: the machine has pushed the packet's [N_feedback] notice (the
+    §5 congestion signal) and no longer needs the payload.  A [K_twait]
+    whose missing ACKs represent enough sites (§2.3.2) instead pushes a
+    fresh [K_twait], re-multicasts the retained payload ([N_remulticast]
+    then [Data]; nothing if the payload is gone), pushes [N_feedback]
+    and returns [None]. *)
 
-val on_timer : t -> Io.out -> now:float -> Io.timer_key -> event option
-(** Handle K_probe / K_epoch_start / K_epoch_settle / K_twait.  [None]
-    when the source has nothing to do, including for every other key. *)
+val on_message : t -> Io.out -> now:float -> Lbrm_wire.Message.t -> seq option
+(** Handle Acker_reply / Stat_ack / Probe_reply; [None] for every other
+    message. *)
+
+val on_timer : t -> Io.out -> now:float -> Io.timer_key -> seq option
+(** Handle K_probe / K_epoch_start / K_epoch_settle / K_twait; [None]
+    for every other key. *)

@@ -270,7 +270,8 @@ let settle_first_epoch sa ~ackers =
        (notices actions))
 
 let statack_epoch_lifecycle () =
-  let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
+  let sa = Stat_ack.create statack_cfg ~self:0 ~retained:(Hashtbl.create 1)
+      ~initial_estimate:10. () in
   settle_first_epoch sa ~ackers:[ 101; 102; 103 ];
   checki "epoch 1 current" 1 (Stat_ack.epoch sa);
   checki "expected 3" 3 (Stat_ack.expected_acks sa);
@@ -278,7 +279,8 @@ let statack_epoch_lifecycle () =
     (Stat_ack.designated sa)
 
 let statack_complete_acks_release () =
-  let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
+  let sa = Stat_ack.create statack_cfg ~self:0 ~retained:(Hashtbl.create 1)
+      ~initial_estimate:10. () in
   settle_first_epoch sa ~ackers:[ 101; 102; 103 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   checkb "pending" true (Stat_ack.is_pending sa 5);
@@ -289,13 +291,18 @@ let statack_complete_acks_release () =
   ignore (feed 101);
   ignore (feed 102);
   let actions, ev = feed 103 in
-  checkb "twait cancelled" true
-    (List.mem (Io.Cancel_timer (Io.K_twait 5)) actions);
-  checkb "tracking done" true (ev = Some (Stat_ack.Tracking_done 5));
+  checkb "twait cancelled, then full-count feedback" true
+    (actions
+    = [
+        Io.Cancel_timer (Io.K_twait 5);
+        Io.Notify (Io.N_feedback { seq = 5; missing = 0; expected = 3 });
+      ]);
+  checkb "tracking done" true (ev = Some 5);
   checkb "no longer pending" false (Stat_ack.is_pending sa 5)
 
 let statack_missing_acks_remulticast () =
-  let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
+  let sa = Stat_ack.create statack_cfg ~self:0 ~retained:(Hashtbl.create 1)
+      ~initial_estimate:10. () in
   settle_first_epoch sa ~ackers:[ 101; 102; 103 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   (* Only one of three acks: 2 missing ackers represent ~2/3 of the ~10
@@ -304,10 +311,7 @@ let statack_missing_acks_remulticast () =
     (Stat_ack.on_message sa ~now:1.02
        (Message.Stat_ack { epoch = 1; seq = 5; logger = 101 }));
   let actions, ev = Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) in
-  checkb "remulticast decided" true
-    (match ev with
-    | Some (Stat_ack.Remulticast { seq = 5; _ }) -> true
-    | _ -> false);
+  checkb "still tracking" true (ev = None);
   checkb "fresh twait armed" true
     (List.exists
        (function Io.K_twait 5, _ -> true | _ -> false)
@@ -319,7 +323,7 @@ let statack_single_site_loss_unicast () =
   let sa =
     Stat_ack.create
       { statack_cfg with remcast_site_threshold = 2. }
-      ~self:0 ~initial_estimate:3. ()
+      ~self:0 ~retained:(Hashtbl.create 1) ~initial_estimate:3. ()
   in
   settle_first_epoch sa ~ackers:[ 101; 102; 103 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
@@ -330,11 +334,11 @@ let statack_single_site_loss_unicast () =
     (Stat_ack.on_message sa ~now:1.02
        (Message.Stat_ack { epoch = 1; seq = 5; logger = 102 }));
   let _, ev = Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) in
-  checkb "left to unicast NACK service, tracking closed" true
-    (ev = Some (Stat_ack.Tracking_done 5))
+  checkb "left to unicast NACK service, tracking closed" true (ev = Some 5)
 
 let statack_hotlist_unsolicited () =
-  let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
+  let sa = Stat_ack.create statack_cfg ~self:0 ~retained:(Hashtbl.create 1)
+      ~initial_estimate:10. () in
   settle_first_epoch sa ~ackers:[ 101 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   (* 999 never volunteered; after enough unsolicited acks it is ignored. *)
@@ -347,7 +351,8 @@ let statack_hotlist_unsolicited () =
     (Stat_ack.ignored_ackers sa)
 
 let statack_twait_adapts () =
-  let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
+  let sa = Stat_ack.create statack_cfg ~self:0 ~retained:(Hashtbl.create 1)
+      ~initial_estimate:10. () in
   settle_first_epoch sa ~ackers:[ 101 ];
   let before = Stat_ack.t_wait sa in
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
@@ -1229,15 +1234,28 @@ let pacer_ceiling () =
   checkf 1e-9 "no-op on empty epochs" before (Lbrm.Pacer.interval p)
 
 let statack_emits_feedback () =
-  let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
+  let retained = Hashtbl.create 1 in
+  Hashtbl.replace retained 5 ("five", 1);
+  let sa =
+    Stat_ack.create statack_cfg ~self:0 ~retained ~initial_estimate:10. ()
+  in
   settle_first_epoch sa ~ackers:[ 101; 102; 103 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   ignore
     (Stat_ack.on_message sa ~now:1.02
        (Message.Stat_ack { epoch = 1; seq = 5; logger = 101 }));
-  let _, ev = Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) in
-  checkb "feedback carries the miss count" true
-    (ev = Some (Stat_ack.Remulticast { seq = 5; missing = 2; expected = 3 }))
+  let actions, _ = Stat_ack.on_timer sa ~now:1.2 (Io.K_twait 5) in
+  checkb "re-multicast, then feedback carrying the miss count" true
+    (match actions with
+    | [
+     Io.Set_timer (Io.K_twait 5, _);
+     Io.Notify (Io.N_remulticast 5);
+     Io.Send (_, Message.Data { seq = 5; epoch = 1; _ });
+     Io.Notify (Io.N_feedback { seq = 5; missing = 2; expected = 3 });
+    ] ->
+        true
+    | _ -> false);
+  checki "one re-multicast" 1 (Stat_ack.remulticasts sa)
 
 let logger_statack_grace_delay () =
   (* 2.3.2: with statistical acking on and t_wait > h_min, a secondary
@@ -1349,7 +1367,8 @@ let statack_previous_epoch_overlap () =
   (* 2.3.1: "the source ... expects some overlap in acking between
      epochs" - a packet sent in epoch 1 can still be completed by
      epoch-1 designated ackers after epoch 2 has been announced. *)
-  let sa = Stat_ack.create statack_cfg ~self:0 ~initial_estimate:10. () in
+  let sa = Stat_ack.create statack_cfg ~self:0 ~retained:(Hashtbl.create 1)
+      ~initial_estimate:10. () in
   settle_first_epoch sa ~ackers:[ 101; 102; 103 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   (* Epoch 2 setup begins (periodic timer)... *)
@@ -1362,7 +1381,7 @@ let statack_previous_epoch_overlap () =
   ignore (feed 101);
   ignore (feed 102);
   checkb "completed across the epoch boundary" true
-    (snd (feed 103) = Some (Stat_ack.Tracking_done 5))
+    (snd (feed 103) = Some 5)
 
 let source_heartbeat_fields () =
   let s = Source.create plain ~self:1 ~primary:2 () in
@@ -1482,6 +1501,49 @@ let source_statack_remulticast_resends_data () =
        (multicasts a));
   checkb "notified" true
     (List.exists (function Io.N_remulticast 1 -> true | _ -> false) (notices a))
+
+(* The source's stat-ack notices on both of ACK collection's endings:
+   a re-multicast followed by its feedback, and a full ACK count. *)
+let source_statack_feedback_notices () =
+  let cfg = { statack_cfg with k_ackers = 2 } in
+  let s = Source.create cfg ~self:1 ~primary:2 ~initial_estimate:10. () in
+  ignore (Source.start s ~now:0.);
+  List.iter
+    (fun logger ->
+      ignore
+        (Source.handle_message s ~now:0.01 ~src:logger
+           (Message.Acker_reply { epoch = 1; logger })))
+    [ 101; 102 ];
+  ignore (Source.handle_timer s ~now:0.4 (Io.K_epoch_settle 1));
+  let shape = function
+    | Io.Set_timer (Io.K_twait seq, _) -> Printf.sprintf "twait %d" seq
+    | Io.Cancel_timer (Io.K_twait seq) -> Printf.sprintf "cancel %d" seq
+    | Io.Notify (Io.N_remulticast seq) -> Printf.sprintf "remulticast %d" seq
+    | Io.Send (_, Message.Data { seq; _ }) -> Printf.sprintf "data %d" seq
+    | Io.Notify (Io.N_feedback { seq; missing; expected }) ->
+        Printf.sprintf "feedback %d %d/%d" seq missing expected
+    | a -> Format.asprintf "%a" Io.pp_action a
+  in
+  let shapes = Alcotest.(check (list string)) in
+  ignore (Source.send s ~now:1. "one");
+  shapes "re-multicast, then its feedback"
+    [ "twait 1"; "remulticast 1"; "data 1"; "feedback 1 2/2" ]
+    (List.map shape (Source.handle_timer s ~now:1.3 (Io.K_twait 1)));
+  checki "send plus re-multicast" 2 (Source.data_multicasts s);
+  ignore (Source.send s ~now:2. "two");
+  ignore
+    (Source.handle_message s ~now:2.01 ~src:2
+       (Message.Log_ack { primary_seq = 2; replica_seq = 2 }));
+  checki "both still retained for stat-ack" 2 (Source.retained s);
+  let ack logger =
+    Source.handle_message s ~now:2.05 ~src:logger
+      (Message.Stat_ack { epoch = 1; seq = 2; logger })
+  in
+  ignore (ack 101);
+  shapes "full ACK count: cancel, then feedback"
+    [ "cancel 2"; "feedback 2 0/2" ]
+    (List.map shape (ack 102));
+  checki "acked and durable: dropped" 1 (Source.retained s)
 
 (* ---- a tiny action-shape property ---- *)
 
@@ -1688,6 +1750,8 @@ let () =
             logger_replica_retry_cancelled_when_replicated;
           Alcotest.test_case "source-level stat-ack re-multicast" `Quick
             source_statack_remulticast_resends_data;
+          Alcotest.test_case "source-level stat-ack feedback notices" `Quick
+            source_statack_feedback_notices;
         ] );
       ( "pacer",
         [
