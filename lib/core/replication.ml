@@ -168,8 +168,9 @@ let resend t out ~now ~seq ~epoch ~payload ~attempt =
   Io.push out (Set_timer (K_deposit seq, Config.deposit_delay t.cfg ~attempt))
 
 (* A first deposit (or a re-deposit after promotion) starts a fresh
-   retry count.  Every member floor the source knows is below [seq]
-   then, so [resend]'s quorum filter reaches every member. *)
+   retry count.  Under quorum at least one member floor the source
+   knows is below [seq] then ([promoted] leaves out what every member
+   holds), so [resend]'s filter always sends a deposit. *)
 let deposit t out ~now ~seq ~epoch ~payload =
   Hashtbl.replace t.retries seq 0;
   resend t out ~now ~seq ~epoch ~payload ~attempt:0
@@ -186,20 +187,34 @@ let kept t out ~now =
 (* [primary] now leads: hand it every retained packet, in ascending seq
    order with fresh retry clocks.  Survivors that already hold a packet
    still ack the re-deposit: after a promotion that lands past the last
-   send, those acks are the only ones left to raise the durable
-   floor. *)
+   send, those acks are the only ones left to raise the durable floor.
+   Under quorum the source knows every member's floor, so packets at or
+   below the slowest one are held by all and are left out. *)
 let promoted t out ~now ~primary =
+  let held =
+    match t.cfg.replication with
+    | Config.R_primary | Config.R_ring -> 0
+    | Config.R_quorum ->
+        Array.fold_left
+          (fun lo f -> if Seqno.(f < lo) then f else lo)
+          t.floors.(0) t.floors
+  in
+  let seqs =
+    Hashtbl.fold
+      (fun seq _ acc -> if Seqno.(seq > held) then seq :: acc else acc)
+      t.retained []
+    |> List.sort Seqno.compare
+  in
   if Trace.is_on t.sink then
     trace t ~now
       (Trace.Failover_step
-         (Trace.F_promoted
-            { primary; redeposits = Hashtbl.length t.retained }));
+         (Trace.F_promoted { primary; redeposits = List.length seqs }));
   Io.push out (Notify (N_new_primary primary));
-  Hashtbl.fold (fun seq _ acc -> seq :: acc) t.retained []
-  |> List.sort Seqno.compare
-  |> List.iter (fun seq ->
-         let payload, epoch = Hashtbl.find t.retained seq in
-         deposit t out ~now ~seq ~epoch ~payload)
+  List.iter
+    (fun seq ->
+      let payload, epoch = Hashtbl.find t.retained seq in
+      deposit t out ~now ~seq ~epoch ~payload)
+    seqs
 
 (* --- fail-over: primary and ring (query round) ------------------------- *)
 

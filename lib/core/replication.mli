@@ -26,7 +26,7 @@
     keys.  The machine is sans-IO: every call pushes its actions into
     the owning {!Source}'s buffer, fail-over notices included.  It reads
     the source's replay table to retry deposits and, after a promotion,
-    to re-deposit every retained packet with the new leader; the source
+    to re-deposit retained packets with the new leader; the source
     alone releases payloads from that table. *)
 
 type address = Lbrm_wire.Message.address
@@ -67,7 +67,8 @@ val on_timer : t -> Io.out -> now:float -> Io.timer_key -> unit
 (** Handle [K_deposit] (retry, or suspect the target once the budget is
     spent) and [K_failover] (finish a query round); other keys are
     ignored.  A promotion re-deposits every retained packet, in
-    ascending seq order. *)
+    ascending seq order; under quorum it leaves out the packets every
+    member's known floor covers. *)
 
 (** {2 Introspection} *)
 

@@ -33,8 +33,9 @@ type failover_step =
   | F_query of { round : int; replicas : int }
       (** [Replica_query] multicast to the replica set *)
   | F_promoted of { primary : address; redeposits : int }
-      (** most up-to-date replica promoted; every retained packet
-          re-deposited *)
+      (** most up-to-date replica promoted; [redeposits] retained
+          packets re-deposited (under quorum, those some member
+          lacks) *)
   | F_kept of address  (** no replica answered; old primary kept *)
 
 type rediscovery_step =

@@ -203,7 +203,7 @@ let promoted_once d collector ~crash_at =
 
 (* Primary logger dies mid-stream with deposits outstanding: the source
    must suspect it, poll the replicas (Replica_query / Replica_status),
-   promote the most up-to-date one and re-deposit from its floor — all
+   promote the most up-to-date one and re-deposit what it retains — all
    over the simulated WAN.  The crashed node later restarts as a replica
    of the new primary. *)
 let primary_crash ?(seed = 11) ?h_min ?replication () =
@@ -220,8 +220,7 @@ let primary_crash ?(seed = 11) ?h_min ?replication () =
   Scenario.run d ~until:horizon;
   let promotions, extra = promoted_once d collector ~crash_at in
   (* The promotion also carries the window of loss: the count of
-     packets the source still retained, all of which it re-deposits
-     with the new leader. *)
+     retained packets the source re-deposits with the new leader. *)
   (match promotions with
   | { Ev.ev = Ev.Failover_step (Ev.F_promoted { redeposits; _ }); _ } :: _ ->
       Trace.observe (Scenario.trace d) "window_of_loss"

@@ -62,8 +62,8 @@ val primary_crash :
     flight; it restarts at t = 10 s as a secondary of whichever logger
     the source promoted.  Expects exactly one fail-over under every
     strategy, records its latency, and records the promotion's
-    re-deposit count as the ["window_of_loss"] sample (the packets the
-    source still retained, all re-deposited with the new leader). *)
+    re-deposit count as the ["window_of_loss"] sample (the retained
+    packets the source re-deposited with the new leader). *)
 
 val primary_crash_spill :
   ?seed:int ->
