@@ -22,11 +22,19 @@ type meter = {
      builds a "sent.<kind>" string nor hashes the kind *)
   sent : Metrics.counter option array;
   recv : Metrics.counter option array;
-  (* forced on the first delivery, so an idle registry stays empty *)
+  (* each forced on first use, so an idle registry stays empty *)
   delivered : Metrics.counter Lazy.t;
   recovered : Metrics.counter Lazy.t;
-  (* notice slot (see [record_notice]) -> interned counter *)
-  notices : Metrics.counter option array;
+  gaps : Metrics.counter Lazy.t;
+  silences : Metrics.counter Lazy.t;
+  repaired : Metrics.counter Lazy.t;
+  gave_up : Metrics.counter Lazy.t;
+  suspected : Metrics.counter Lazy.t;
+  promoted : Metrics.counter Lazy.t;
+  epochs : Metrics.counter Lazy.t;
+  remulticasts : Metrics.counter Lazy.t;
+  discoveries : Metrics.counter Lazy.t;
+  feedback_loss : Metrics.counter Lazy.t;
   recovery_latency : Lbrm_util.Stats.Sample.t Lazy.t;
   estimate : Lbrm_util.Stats.Sample.t Lazy.t;
 }
@@ -46,20 +54,6 @@ type ('h, 'e) t = {
 
 let create tr = { tr; agents = Hashtbl.create 64 }
 
-let notice_names =
-  [|
-    "loss.gaps";
-    "loss.silence";
-    "loss.recovered";
-    "loss.gave_up";
-    "failover.suspected";
-    "failover.promoted";
-    "statack.epochs";
-    "statack.remulticast";
-    "discovery.finished";
-    "statack.feedback_loss";
-  |]
-
 let meter registry =
   {
     registry;
@@ -67,7 +61,16 @@ let meter registry =
     recv = Array.make Lbrm_wire.Codec.tags None;
     delivered = lazy (Metrics.counter registry "app.delivered");
     recovered = lazy (Metrics.counter registry "app.recovered");
-    notices = Array.make (Array.length notice_names) None;
+    gaps = lazy (Metrics.counter registry "loss.gaps");
+    silences = lazy (Metrics.counter registry "loss.silence");
+    repaired = lazy (Metrics.counter registry "loss.recovered");
+    gave_up = lazy (Metrics.counter registry "loss.gave_up");
+    suspected = lazy (Metrics.counter registry "failover.suspected");
+    promoted = lazy (Metrics.counter registry "failover.promoted");
+    epochs = lazy (Metrics.counter registry "statack.epochs");
+    remulticasts = lazy (Metrics.counter registry "statack.remulticast");
+    discoveries = lazy (Metrics.counter registry "discovery.finished");
+    feedback_loss = lazy (Metrics.counter registry "statack.feedback_loss");
     recovery_latency = lazy (Metrics.sample registry "recovery_latency");
     estimate = lazy (Metrics.sample registry "statack.estimate");
   }
@@ -85,30 +88,24 @@ let[@lint.hot] count cache registry prefix msg n =
 let sent agent msg n =
   if n > 0 then count agent.meter.sent agent.meter.registry "sent." msg n
 
-let note meter slot n =
-  match meter.notices.(slot) with
-  | Some c -> Metrics.add c n
-  | None ->
-      let c = Metrics.counter meter.registry notice_names.(slot) in
-      meter.notices.(slot) <- Some c;
-      Metrics.add c n
+let note counter n = Metrics.add (Lazy.force counter) n
 
 (* Runtime-side notice accounting: the same counters and samples on
    every transport. *)
 let record_notice meter = function
-  | N_gap seqs -> note meter 0 (List.length seqs)
-  | N_silence _ -> note meter 1 1
+  | N_gap seqs -> note meter.gaps (List.length seqs)
+  | N_silence _ -> note meter.silences 1
   | N_recovered { latency; _ } ->
-      note meter 2 1;
+      note meter.repaired 1;
       Metrics.observe (Lazy.force meter.recovery_latency) latency
-  | N_gave_up _ -> note meter 3 1
-  | N_primary_suspected -> note meter 4 1
-  | N_new_primary _ -> note meter 5 1
-  | N_epoch _ -> note meter 6 1
-  | N_remulticast _ -> note meter 7 1
+  | N_gave_up _ -> note meter.gave_up 1
+  | N_primary_suspected -> note meter.suspected 1
+  | N_new_primary _ -> note meter.promoted 1
+  | N_epoch _ -> note meter.epochs 1
+  | N_remulticast _ -> note meter.remulticasts 1
   | N_estimate n -> Metrics.observe (Lazy.force meter.estimate) n
-  | N_discovery _ -> note meter 8 1
-  | N_feedback { missing; _ } -> if missing > 0 then note meter 9 1
+  | N_discovery _ -> note meter.discoveries 1
+  | N_feedback { missing; _ } -> if missing > 0 then note meter.feedback_loss 1
 
 let disarm t agent key =
   match Hashtbl.find agent.timers key with
