@@ -1478,33 +1478,8 @@ let logger_replica_retry_cancelled_when_replicated () =
 let source_statack_remulticast_resends_data () =
   (* Full source-level stat-ack cycle driven by hand: epoch settles, a
      packet misses its acks, and the source re-multicasts the retained
-     payload as a fresh Data packet. *)
-  let cfg = { statack_cfg with k_ackers = 2 } in
-  let s = Source.create cfg ~self:1 ~primary:2 ~initial_estimate:10. () in
-  ignore (Source.start s ~now:0.);
-  ignore
-    (Source.handle_message s ~now:0.01 ~src:101
-       (Message.Acker_reply { epoch = 1; logger = 101 }));
-  ignore
-    (Source.handle_message s ~now:0.01 ~src:102
-       (Message.Acker_reply { epoch = 1; logger = 102 }));
-  ignore (Source.handle_timer s ~now:0.4 (Io.K_epoch_settle 1));
-  checki "epoch live" 1 (Source.current_epoch s);
-  ignore (Source.send s ~now:1. "precious");
-  (* No acks arrive; the decision timer fires. *)
-  let a = Source.handle_timer s ~now:1.3 (Io.K_twait 1) in
-  checkb "re-multicast of the retained payload" true
-    (List.exists
-       (function
-         | _, _, Message.Data { seq = 1; payload = pl; _ } -> pstr pl = "precious"
-         | _ -> false)
-       (multicasts a));
-  checkb "notified" true
-    (List.exists (function Io.N_remulticast 1 -> true | _ -> false) (notices a))
-
-(* The source's stat-ack notices on both of ACK collection's endings:
-   a re-multicast followed by its feedback, and a full ACK count. *)
-let source_statack_feedback_notices () =
+     payload as a fresh Data packet before the round's feedback; a
+     second packet ends with a full ACK count. *)
   let cfg = { statack_cfg with k_ackers = 2 } in
   let s = Source.create cfg ~self:1 ~primary:2 ~initial_estimate:10. () in
   ignore (Source.start s ~now:0.);
@@ -1515,19 +1490,22 @@ let source_statack_feedback_notices () =
            (Message.Acker_reply { epoch = 1; logger })))
     [ 101; 102 ];
   ignore (Source.handle_timer s ~now:0.4 (Io.K_epoch_settle 1));
+  checki "epoch live" 1 (Source.current_epoch s);
   let shape = function
     | Io.Set_timer (Io.K_twait seq, _) -> Printf.sprintf "twait %d" seq
     | Io.Cancel_timer (Io.K_twait seq) -> Printf.sprintf "cancel %d" seq
     | Io.Notify (Io.N_remulticast seq) -> Printf.sprintf "remulticast %d" seq
-    | Io.Send (_, Message.Data { seq; _ }) -> Printf.sprintf "data %d" seq
+    | Io.Send (_, Message.Data { seq; payload; _ }) ->
+        Printf.sprintf "data %d %s" seq (pstr payload)
     | Io.Notify (Io.N_feedback { seq; missing; expected }) ->
         Printf.sprintf "feedback %d %d/%d" seq missing expected
     | a -> Format.asprintf "%a" Io.pp_action a
   in
   let shapes = Alcotest.(check (list string)) in
-  ignore (Source.send s ~now:1. "one");
-  shapes "re-multicast, then its feedback"
-    [ "twait 1"; "remulticast 1"; "data 1"; "feedback 1 2/2" ]
+  ignore (Source.send s ~now:1. "precious");
+  (* No acks arrive; the decision timer fires. *)
+  shapes "re-multicast of the retained payload, then its feedback"
+    [ "twait 1"; "remulticast 1"; "data 1 precious"; "feedback 1 2/2" ]
     (List.map shape (Source.handle_timer s ~now:1.3 (Io.K_twait 1)));
   checki "send plus re-multicast" 2 (Source.data_multicasts s);
   ignore (Source.send s ~now:2. "two");
@@ -1750,8 +1728,6 @@ let () =
             logger_replica_retry_cancelled_when_replicated;
           Alcotest.test_case "source-level stat-ack re-multicast" `Quick
             source_statack_remulticast_resends_data;
-          Alcotest.test_case "source-level stat-ack feedback notices" `Quick
-            source_statack_feedback_notices;
         ] );
       ( "pacer",
         [
