@@ -134,14 +134,22 @@ let stop_retries t out seqs =
       Io.push out (Cancel_timer (K_deposit seq)))
     seqs
 
+(* Cancels leave in seq order, not the table's bucket order.  Most acks
+   settle at most one seq, which needs no sort: List.sort allocates its
+   closures even for an empty list. *)
 let stop_retries_upto t out floor =
-  stop_retries t out
-    (Hashtbl.fold
-       (fun seq _ acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
-       t.retries [])
+  match
+    Hashtbl.fold
+      (fun seq _ acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
+      t.retries []
+  with
+  | ([] | [ _ ]) as seqs -> stop_retries t out seqs
+  | seqs -> stop_retries t out (List.sort Seqno.compare seqs)
 
 let clear_all_retries t out =
-  stop_retries t out (Hashtbl.fold (fun seq _ acc -> seq :: acc) t.retries [])
+  match Hashtbl.fold (fun seq _ acc -> seq :: acc) t.retries [] with
+  | ([] | [ _ ]) as seqs -> stop_retries t out seqs
+  | seqs -> stop_retries t out (List.sort Seqno.compare seqs)
 
 (* --- deposit routing --------------------------------------------------- *)
 

@@ -1,17 +1,15 @@
 module Message = Lbrm_wire.Message
 module Metrics = Lbrm_util.Metrics
+module Engine = Lbrm_sim.Engine
 module Io = Lbrm.Io
 open Io
 
 type address = Message.address
 
-type ('h, 'e) transport = {
-  now : unit -> float;
+type 'e transport = {
+  engine : Engine.t;
   unicast : 'e -> dst:address -> Message.t -> int;
   multicast : 'e -> group:int -> ttl:int option -> Message.t -> int;
-  arm : float -> (unit -> unit) -> 'h;
-  rearm : 'h -> float -> unit;
-  disarm : 'h -> unit;
   join : group:int -> address -> unit;
   leave : group:int -> address -> unit;
 }
@@ -39,17 +37,17 @@ type meter = {
   estimate : Lbrm_util.Stats.Sample.t Lazy.t;
 }
 
-type ('h, 'e) agent = {
+type 'e agent = {
   addr : address;
   endpoint : 'e;
   handlers : Handlers.t;
-  timers : (timer_key, 'h) Hashtbl.t;
+  timers : (timer_key, Engine.timer) Hashtbl.t;
   meter : meter;
 }
 
-type ('h, 'e) t = {
-  tr : ('h, 'e) transport;
-  agents : (address, ('h, 'e) agent) Hashtbl.t;
+type 'e t = {
+  tr : 'e transport;
+  agents : (address, 'e agent) Hashtbl.t;
 }
 
 let create tr = { tr; agents = Hashtbl.create 64 }
@@ -107,9 +105,9 @@ let record_notice meter = function
   | N_discovery _ -> note meter.discoveries 1
   | N_feedback { missing; _ } -> if missing > 0 then note meter.feedback_loss 1
 
-let disarm t agent key =
+let cancel t agent key =
   match Hashtbl.find agent.timers key with
-  | h -> t.tr.disarm h
+  | timer -> Engine.cancel t.tr.engine timer
   | exception Not_found -> ()
 
 (* [now] is the clock reading the handler saw, reused for every
@@ -118,11 +116,11 @@ let disarm t agent key =
    the clock is read only if an action needs it. *)
 let unread = Float.nan
 
-let clock t now = if Float.is_nan now then t.tr.now () else now
+let clock t now = if Float.is_nan now then Engine.now t.tr.engine else now
 
 let rec fire t agent key () =
   Hashtbl.remove agent.timers key;
-  let now = t.tr.now () in
+  let now = Engine.now t.tr.engine in
   run t agent ~now (agent.handlers.on_timer ~now key)
 
 (* Execute the latest call's actions, then drop them.  A callback may
@@ -142,13 +140,16 @@ and execute t agent ~now = function
   | Send (To_group { group; ttl }, msg) ->
       sent agent msg (t.tr.multicast agent.endpoint ~group ~ttl msg)
   | Set_timer (key, delay) -> (
-      (* A live key is re-keyed in place: same handle, same thunk. *)
+      (* A live key is re-keyed in place: same node, same thunk, the
+         order cancel+schedule would give. *)
       match Hashtbl.find agent.timers key with
-      | h -> t.tr.rearm h delay
+      | timer -> Engine.reschedule t.tr.engine timer ~delay
       | exception Not_found ->
-          Hashtbl.replace agent.timers key (t.tr.arm delay (fire t agent key)))
+          Hashtbl.replace agent.timers key
+            (Engine.schedule_kind t.tr.engine ~kind:Engine.kind_timer ~delay
+               (fire t agent key)))
   | Cancel_timer key ->
-      disarm t agent key;
+      cancel t agent key;
       Hashtbl.remove agent.timers key
   | Deliver { seq; payload; recovered } -> (
       Metrics.incr (Lazy.force agent.meter.delivered);
@@ -164,9 +165,8 @@ and execute t agent ~now = function
   | Join group -> t.tr.join ~group agent.addr
   | Leave group -> t.tr.leave ~group agent.addr
 
-let[@lint.hot] receive t agent ~src msg =
+let[@lint.hot] receive t agent ~now ~src msg =
   count agent.meter.recv agent.meter.registry "recv." msg 1;
-  let now = t.tr.now () in
   run t agent ~now (agent.handlers.on_message ~now ~src msg)
 
 let add t addr endpoint meter handlers =
@@ -178,9 +178,9 @@ let add t addr endpoint meter handlers =
 let endpoint agent = agent.endpoint
 let metrics agent = agent.meter.registry
 
-let dispatch t addr ~src msg =
+let dispatch t addr ~now ~src msg =
   match Hashtbl.find t.agents addr with
-  | agent -> receive t agent ~src msg
+  | agent -> receive t agent ~now ~src msg
   | exception Not_found -> ()
 
 let perform t addr out =
@@ -191,7 +191,8 @@ let perform t addr out =
 let crash t addr =
   match Hashtbl.find t.agents addr with
   | agent ->
-      Hashtbl.iter (fun _ h -> t.tr.disarm h) agent.timers;
+      Hashtbl.iter (fun _ timer -> Engine.cancel t.tr.engine timer)
+        agent.timers;
       Hashtbl.reset agent.timers
   | exception Not_found -> ()
 

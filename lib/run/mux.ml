@@ -36,7 +36,7 @@ type t = {
   trace : Trace.t;
   meter : Agent_host.meter;
   (* flow -> the host running that flow's sub-agents *)
-  flows : (int, (Engine.timer, Lbrm_sim.Topo.node_id) Agent_host.t) Hashtbl.t;
+  flows : (int, Lbrm_sim.Topo.node_id Agent_host.t) Hashtbl.t;
 }
 
 let create ~engine ~topo ~trace =
@@ -55,7 +55,7 @@ let join t ~group ~node = Net.join t.net ~group node
 
 let dispatch t node ~src (env : envelope) =
   match Hashtbl.find_opt t.flows env.flow with
-  | Some host -> Agent_host.dispatch host node ~src env.msg
+  | Some host -> Agent_host.dispatch host node ~now:(now t) ~src env.msg
   | None -> () (* no such flow *)
 
 let flow_host t flow =

@@ -6,14 +6,13 @@ type t = {
   net : Lbrm_wire.Message.t Net.t;
   trace : Trace.t;
   meter : Agent_host.meter;
-  host : (Engine.timer, Lbrm_sim.Topo.node_id) Agent_host.t;
+  host : Lbrm_sim.Topo.node_id Agent_host.t;
 }
 
 let host net ~wrap =
-  let engine = Net.engine net in
   Agent_host.create
     {
-      now = (fun () -> Engine.now engine);
+      engine = Net.engine net;
       unicast =
         (fun src ~dst msg ->
           Net.unicast net ~src ~dst (wrap msg);
@@ -22,11 +21,6 @@ let host net ~wrap =
         (fun src ~group ~ttl msg ->
           Net.multicast net ?ttl ~src ~group (wrap msg);
           1);
-      arm =
-        (fun delay fire ->
-          Engine.schedule_kind engine ~kind:Engine.kind_timer ~delay fire);
-      rearm = (fun timer delay -> Engine.reschedule engine timer ~delay);
-      disarm = Engine.cancel engine;
       join = (fun ~group node -> Net.join net ~group node);
       leave = (fun ~group node -> Net.leave net ~group node);
     }
@@ -47,7 +41,7 @@ let join t ~group ~node = Net.join t.net ~group node
 
 let install t node agent =
   Net.set_handler t.net node (fun ~src msg ->
-      Agent_host.receive t.host agent ~src msg)
+      Agent_host.receive t.host agent ~now:(now t) ~src msg)
 
 let add_agent t ~node handlers =
   install t node (Agent_host.add t.host node node t.meter handlers)
@@ -57,6 +51,9 @@ let replace_agent t ~node handlers =
   add_agent t ~node handlers
 
 let perform t ~node out = Agent_host.perform t.host node out
-let inject t ~node ~src msg = Agent_host.dispatch t.host node ~src msg
+
+let inject t ~node ~src msg =
+  Agent_host.dispatch t.host node ~now:(now t) ~src msg
+
 let crash t ~node = Agent_host.crash t.host node
 let run ?until t = Engine.run ?until (engine t)

@@ -17,7 +17,7 @@ val create :
 val host :
   'm Lbrm_sim.Net.t ->
   wrap:(Lbrm_wire.Message.t -> 'm) ->
-  (Lbrm_sim.Engine.timer, Lbrm_sim.Topo.node_id) Agent_host.t
+  Lbrm_sim.Topo.node_id Agent_host.t
 (** The simulator transport over any message carrier: sends leave as
     [wrap msg].  {!Mux} runs one per flow. *)
 

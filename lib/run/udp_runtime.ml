@@ -1,16 +1,14 @@
 module Codec = Lbrm_wire.Codec
 module Message = Lbrm_wire.Message
-module Heap = Lbrm_util.Heap
+module Engine = Lbrm_sim.Engine
 module Metrics = Lbrm_util.Metrics
 module Rng = Lbrm_util.Rng
 module Trace = Lbrm.Trace
 
-type handle = (unit -> unit) Heap.handle
-
 (* The transport's side of an agent, handed back by the host on every
    send. *)
 type endpoint = { port : int; socket : Unix.file_descr }
-type agent = (handle, endpoint) Agent_host.agent
+type agent = endpoint Agent_host.agent
 
 type stats = {
   sent : int;
@@ -28,7 +26,8 @@ type stats = {
 }
 
 (* Everything the transport touches: sockets, pool, tx stage, rx ring,
-   timer heap.  The agent host sits on top in [t]. *)
+   and the engine whose queue holds the agents' timers.  The agent host
+   sits on top in [t]. *)
 type io = {
   ip : int; (* host-order IPv4 of bind_ip for the sendmmsg stub *)
   loss : float;
@@ -43,13 +42,13 @@ type io = {
   sink : Trace.sink;
   runtime_metrics : Metrics.t;
   by_socket : (Unix.file_descr, agent) Hashtbl.t; (* for the select loop *)
-  timer_heap : (unit -> unit) Heap.t; (* expiries at mono deadline *)
+  engine : Engine.t; (* its clock is [clock], moved by [read_clock] *)
   mutable sockets : Unix.file_descr list; (* select set; by_socket's keys *)
   sockaddr_of : int -> Unix.sockaddr; (* cached ADDR_INET per port *)
-  (* The last clock reading, taken once per receive batch and once per
-     send call.  Stored boxed: every peer update of that batch or
-     fan-out passes the same box instead of boxing a reading of its
-     own. *)
+  (* The last clock reading, taken once per receive batch, send call,
+     perform and loop turn; the engine's clock follows it.  Stored
+     boxed: every peer update and handler of that batch or fan-out
+     gets the same box instead of boxing a reading of its own. *)
   mutable clock : float;
   (* Transmit stage: up to [batch] encoded datagrams (pooled slots, all
      bound to [tx_fd]'s socket) flushed in one sendmmsg. *)
@@ -81,10 +80,15 @@ type io = {
   mutable jumbo : Bytes.t; (* grown scratch for oversize messages *)
 }
 
-type t = { io : io; host : (handle, endpoint) Agent_host.t }
+type t = { io : io; host : endpoint Agent_host.t }
 
 let elapsed io = Sockmsg.monotonic_now () -. io.started
-let read_clock io = io.clock <- elapsed io
+
+(* Moving the engine's clock fires nothing: timers that fall due wait
+   for the event loop's [fire_due_timers]. *)
+let read_clock io =
+  io.clock <- elapsed io;
+  Engine.advance io.engine io.clock
 
 (* --- transmit --------------------------------------------------------- *)
 
@@ -194,7 +198,7 @@ let[@lint.hot] fan_out t ep ~group msg =
 
 let transport io =
   {
-    Agent_host.now = (fun () -> elapsed io);
+    Agent_host.engine = io.engine;
     unicast =
       (fun ep ~dst msg ->
         let before = io.sent in
@@ -202,12 +206,6 @@ let transport io =
         send_datagram io ep ~dst msg;
         io.sent - before);
     multicast = (fun ep ~group ~ttl:_ msg -> fan_out io ep ~group msg);
-    arm =
-      (fun delay fire ->
-        Heap.add io.timer_heap ~prio:(elapsed io +. delay) fire);
-    rearm =
-      (fun h delay -> Heap.move io.timer_heap h ~prio:(elapsed io +. delay));
-    disarm = (fun h -> ignore (Heap.remove io.timer_heap h));
     join =
       (fun ~group port ->
         Peer_manager.join io.peers ~group ~port ~now:(elapsed io));
@@ -284,7 +282,7 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
       sink;
       runtime_metrics;
       by_socket = Hashtbl.create 16;
-      timer_heap = Heap.create ~dummy:ignore;
+      engine = Engine.create ();
       sockets = [];
       sockaddr_of;
       clock = 0.;
@@ -350,6 +348,7 @@ let agent_metrics t =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let perform t ~port out =
+  read_clock t.io;
   Agent_host.perform t.host port out;
   flush_tx t.io
 
@@ -399,7 +398,7 @@ let drain_socket { io = t; host } agent =
           with
           | msg ->
               Peer_manager.note_recv t.peers ~port:src_port ~now:t.clock;
-              Agent_host.receive host agent ~src:src_port msg
+              Agent_host.receive host agent ~now:t.clock ~src:src_port msg
           | exception Codec.Malformed _ ->
               (* malformed datagram: drop *)
               Metrics.incr (Metrics.counter t.runtime_metrics "rx.malformed")
@@ -409,14 +408,9 @@ let drain_socket { io = t; host } agent =
   done;
   flush_tx t
 
-(* [min_prio] is [infinity] on an empty heap, so the guard needs no
-   option. *)
 let fire_due_timers t =
-  let heap = t.io.timer_heap in
-  while Heap.min_prio heap <= now t do
-    let fire = Heap.pop_exn heap in
-    fire ()
-  done;
+  read_clock t.io;
+  Engine.run ~until:t.io.clock t.io.engine;
   flush_tx t.io
 
 let rec drain_readable t = function
@@ -435,7 +429,7 @@ let run_for t ~seconds =
     let timeout =
       let now = now t in
       let until_stop = stop_at -. now
-      and until_timer = Heap.min_prio t.io.timer_heap -. now in
+      and until_timer = Engine.next_time t.io.engine -. now in
       let wait = if until_timer < until_stop then until_timer else until_stop in
       if wait > 0.0005 then wait else 0.0005
     in

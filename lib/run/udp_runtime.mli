@@ -4,9 +4,14 @@
 
     Protocol addresses are UDP port numbers; every agent binds
     [127.0.0.1:port] (or a given interface).  A single-threaded
-    select(2) loop drives socket reads and a monotonic-clock timer heap
-    ([clock_gettime(CLOCK_MONOTONIC)] via {!Sockmsg} — immune to NTP
-    steps, unlike the wall clock).
+    select(2) loop drives socket reads and the agents' timers, which
+    are events of the runtime's own {!Lbrm_sim.Engine}: its clock
+    follows the monotonic clock ([clock_gettime(CLOCK_MONOTONIC)] via
+    {!Sockmsg} — immune to NTP steps, unlike the wall clock), moved
+    forward at every clock reading, and the loop fires what is due,
+    then sleeps until the next deadline.  A handler sees the batch's
+    or the loop's clock reading, not a fresh one per datagram or per
+    timer.
 
     {b Batched syscalls}: receive scatters up to [batch] datagrams per
     [recvmmsg] into a ring of {!Buf_pool} slots and decodes each in
@@ -108,8 +113,9 @@ val join : t -> group:int -> port:int -> unit
 val leave : t -> group:int -> port:int -> unit
 
 val perform : t -> port:int -> Lbrm.Io.out -> unit
-(** Drain a call's actions for an agent (kick-off, application sends).  Any
-    staged datagrams are flushed before returning. *)
+(** Drain a call's actions for an agent (kick-off, application sends)
+    after reading the clock, so its timers count from now.  Any staged
+    datagrams are flushed before returning. *)
 
 val run_for : t -> seconds:float -> unit
 (** Drive the event loop for a wall-clock duration. *)

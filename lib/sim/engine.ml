@@ -177,6 +177,14 @@ let rec dequeue t scanned =
   end
 
 and direct_search t =
+  let n = front_min t in
+  t.epoch <- n.bucket;
+  unlink n;
+  n
+
+(* The earliest queued node, or [t.nil] (time [infinity]) when the
+   queue is empty: each list is sorted, so it is the least front. *)
+and front_min t =
   let best = ref t.nil in
   for i = 0 to t.mask do
     let front = (Array.unsafe_get t.buckets i).next in
@@ -185,10 +193,7 @@ and direct_search t =
       || (front.tm.time = !best.tm.time && front.seq < !best.seq)
     then best := front
   done;
-  let n = !best in
-  t.epoch <- n.bucket;
-  unlink n;
-  n
+  !best
 
 (* Retune the bucket width from a sample of up to 25 exact minima
    (Brown's heuristic): average the inter-event gaps, discard outliers
@@ -249,7 +254,12 @@ let resize t nbuckets' =
   t.mask <- nbuckets' - 1;
   t.width <- w;
   t.inv_width <- 1. /. w;
-  t.epoch <- bucket_of t (now t);
+  (* Start the scan at the clock, or at the earliest event if a clock
+     moved by [advance] has left it overdue. *)
+  t.epoch <-
+    bucket_of t
+      (if sample_n > 0 && sample.(0).tm.time < now t then sample.(0).tm.time
+       else now t);
   for i = 0 to sample_n - 1 do
     insert t sample.(i)
   done;
@@ -409,7 +419,8 @@ let account t n =
    is retired, so re-entrant scheduling from inside [fn] is safe. *)
 let fire t n =
   t.size <- t.size - 1;
-  set_clock t n.tm.time;
+  (* An overdue event fires at the clock: time never moves back. *)
+  if n.tm.time > now t then set_clock t n.tm.time;
   let fn = n.fn in
   account t n;
   retire t n;
@@ -449,22 +460,27 @@ let run ?until t =
   match until with
   | None -> while t.size > 0 do exec_min t done
   | Some stop ->
-      let continue = ref true in
-      while !continue && t.size > 0 do
+      let next = ref t.nil in
+      while !next == t.nil && t.size > 0 do
         let n = dequeue t 0 in
         if n.tm.time > stop then begin
           (* Not due yet: put it back untouched (same time and seq, so
              ordering is unaffected) and stop. *)
           insert t n;
-          continue := false
+          next := n
         end
         else fire t n
       done;
       set_clock t (Float.max (now t) stop);
       (* The probe above may have advanced [epoch] past buckets that
          future inserts (at times >= clock) could still land in; rewind
-         it so the no-event-before-epoch invariant holds. *)
-      t.epoch <- bucket_of t (now t)
+         it so the no-event-before-epoch invariant holds, to the
+         earliest event if the clock has passed it. *)
+      let first = !next.tm.time in
+      t.epoch <- bucket_of t (if first < now t then first else now t)
+
+let advance t time = if time > now t then set_clock t time
+let next_time t = (front_min t).tm.time
 
 let pending t = t.size
 let events_processed t = t.processed

@@ -1,9 +1,12 @@
-(** Discrete-event simulation engine.
+(** Discrete-event simulation engine, and the timer queue of every
+    runtime.
 
-    A single-threaded event loop over virtual time.  Callbacks scheduled
-    for the same instant fire in FIFO order.  All randomness used by a
-    simulation should derive from {!rng} (or splits of it) so that runs
-    are reproducible from the seed. *)
+    A single-threaded event loop.  Callbacks scheduled for the same
+    instant fire in FIFO order.  Under the simulator the clock is
+    virtual and jumps to each event; a wall-clock runtime moves it with
+    {!advance} and fires what is due with [run ~until:(now t)].  All
+    randomness used by a simulation should derive from {!rng} (or
+    splits of it) so that runs are reproducible from the seed. *)
 
 type t
 
@@ -14,7 +17,8 @@ val create : ?seed:int -> unit -> t
 (** Fresh engine at time 0.  Default seed is 42. *)
 
 val now : t -> float
-(** Current virtual time, in seconds. *)
+(** Current time, in seconds: virtual under the simulator, since the
+    runtime's creation under a wall clock. *)
 
 val rng : t -> Lbrm_util.Rng.t
 (** The engine's root random stream. *)
@@ -90,7 +94,19 @@ val step : t -> bool
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue; with [until], stop once virtual time would
-    exceed it (the clock is left at [until]). *)
+    exceed it (the clock is left at [until], or where it was if that is
+    later).  An event whose time the clock has already passed fires at
+    the clock: the clock never moves back. *)
+
+val advance : t -> float -> unit
+(** Move the clock forward to the given time without firing anything
+    (no-op if it is not later than {!now}).  Events it passes stay
+    queued, in order, until the next {!step} or {!run}. *)
+
+val next_time : t -> float
+(** Time of the earliest queued event, [infinity] when none is.  Scans
+    every bucket front: meant for a wall-clock loop's sleep, not for
+    the simulator's hot path. *)
 
 val pending : t -> int
 (** Number of queued events. *)

@@ -48,7 +48,7 @@ let compute t src tbl =
   let pq = Heap.create ~dummy:(-1) in
   dist.(src) <- 0.;
   hops.(src) <- 0;
-  ignore (Heap.add pq ~prio:0. src);
+  Heap.add pq ~prio:0. src;
   let rec drain () =
     match Heap.pop pq with
     | None -> ()
@@ -64,7 +64,7 @@ let compute t src tbl =
               hops.(v) <- hops.(u) + 1;
               if with_children then parent_link.(v) <- Some link;
               first.(v) <- (if u = src then Some link else first.(u));
-              ignore (Heap.add pq ~prio:nd v)
+              Heap.add pq ~prio:nd v
             end
           in
           (* A down node neither originates nor forwards; [src] itself

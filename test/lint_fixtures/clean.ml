@@ -15,6 +15,15 @@ let acks (pending : (int, Lbrm_wire.Message.t) Hashtbl.t) : Io.action list =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map (fun (_, msg) -> Io.Send (Io.To_addr 1, msg))
 
+(* So is a traversal handed, sorted, to a call that pushes into an
+   Io.out. *)
+let cancel_all out seqs =
+  List.iter (fun seq -> Io.push out (Io.Cancel_timer (Io.K_deposit seq))) seqs
+
+let stop (retries : (int, unit) Hashtbl.t) out =
+  cancel_all out
+    (List.sort Int.compare (Hashtbl.fold (fun seq () acc -> seq :: acc) retries []))
+
 let decode_total s =
   match Codec.decode s with Ok m -> Some m | Error _ -> None
 

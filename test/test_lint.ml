@@ -40,6 +40,8 @@ let expected =
     ("catch-all", fx "bad_exn.ml", 5);
     ("obj-magic", fx "bad_exn.ml", 6);
     ("hashtbl-order", fx "bad_hashtbl.ml", 7);
+    ("hashtbl-order", fx "bad_hashtbl.ml", 15);
+    ("hashtbl-order", fx "bad_hashtbl.ml", 21);
     ("hot-alloc", fx "bad_hot.ml", 6);
     (* tuple *)
     ("hot-alloc", fx "bad_hot.ml", 7);

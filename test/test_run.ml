@@ -147,6 +147,33 @@ let timer_rearm_many rig =
   | l ->
       Alcotest.failf "expected exactly one firing, got %d" (List.length l)
 
+(* Equal deadlines fire in the order they were armed, and a re-armed
+   key takes its turn afresh: three keys armed with one delay in one
+   call, then the first re-armed, fire 2, 3, 1 on either transport. *)
+let equal_deadline_ties rig =
+  let fired = ref [] in
+  let on_timer ~now:_ key =
+    fired := key :: !fired;
+    no_actions
+  in
+  rig.add 0 (null_handlers ~on_timer ());
+  let key i = Io.K_app (string_of_int i) in
+  rig.perform 0
+    (Io.of_list
+       [
+         Io.Set_timer (key 1, 0.02);
+         Io.Set_timer (key 2, 0.02);
+         Io.Set_timer (key 3, 0.02);
+         Io.Set_timer (key 1, 0.02);
+       ]);
+  rig.settle ();
+  rig.close ();
+  Alcotest.(check (list string))
+    "fire order" [ "2"; "3"; "1" ]
+    (List.rev_map
+       (function Io.K_app s -> s | _ -> Alcotest.fail "unexpected key")
+       !fired)
+
 let join_leave_actions rig =
   let got = ref 0 in
   rig.add 0 (null_handlers ());
@@ -317,6 +344,8 @@ let () =
               timer_rearm_semantics (sim_rig ()));
           Alcotest.test_case "live key re-armed many times" `Quick (fun () ->
               timer_rearm_many (sim_rig ()));
+          Alcotest.test_case "equal deadlines fire in arming order" `Quick
+            (fun () -> equal_deadline_ties (sim_rig ()));
           Alcotest.test_case "join/leave actions" `Quick (fun () ->
               join_leave_actions (sim_rig ()));
           Alcotest.test_case "trace records activity" `Quick
@@ -332,6 +361,8 @@ let () =
               timer_rearm_semantics (udp_rig ~base_port:48700 ()));
           Alcotest.test_case "live key re-armed many times" `Quick (fun () ->
               timer_rearm_many (udp_rig ~base_port:48730 ()));
+          Alcotest.test_case "equal deadlines fire in arming order" `Quick
+            (fun () -> equal_deadline_ties (udp_rig ~base_port:48760 ()));
           Alcotest.test_case "join/leave actions" `Quick (fun () ->
               join_leave_actions (udp_rig ~base_port:48710 ()));
           Alcotest.test_case "counts as the simulator does" `Quick

@@ -833,6 +833,142 @@ let prop_engine_reschedule_is_cancel_schedule =
     (fun ops ->
       drive_engine ~in_place:true ops = drive_engine ~in_place:false ops)
 
+(* The engine as a wall clock's timer queue.  [advance] moves the clock
+   without firing, so events fall overdue; [run ~until] then fires them
+   at the clock, in (time, seq) order, and the clock never moves back.
+   A sorted-list model predicts every firing, its clock, [next_time] and
+   [pending] under random interleavings of schedule, reschedule, cancel,
+   bursts (which grow and then shrink the calendar, so it resizes while
+   events are overdue), advance, run ~until (behind the clock too) and
+   next_time.  Delays are multiples of 1/4 s, so ties are common. *)
+
+type wop =
+  | W_schedule of int * int (* slot, delay (quarters) *)
+  | W_reschedule of int * int
+  | W_cancel of int
+  | W_burst of int * int (* count, spread of their delays (quarters) *)
+  | W_advance of int
+  | W_run_until of int (* quarters past now; negative is behind it *)
+  | W_next_time
+
+let pp_wop = function
+  | W_schedule (i, d) -> Printf.sprintf "schedule(%d,%d)" i d
+  | W_reschedule (i, d) -> Printf.sprintf "reschedule(%d,%d)" i d
+  | W_cancel i -> Printf.sprintf "cancel(%d)" i
+  | W_burst (n, s) -> Printf.sprintf "burst(%d,%d)" n s
+  | W_advance d -> Printf.sprintf "advance(+%d)" d
+  | W_run_until d -> Printf.sprintf "until(%+d)" d
+  | W_next_time -> "next_time"
+
+let gen_wop =
+  let open QCheck.Gen in
+  let slot = int_bound (slots - 1) and delay = int_bound 12 in
+  frequency
+    [
+      (3, map2 (fun i d -> W_schedule (i, d)) slot delay);
+      (3, map2 (fun i d -> W_reschedule (i, d)) slot delay);
+      (1, map (fun i -> W_cancel i) slot);
+      (1, map2 (fun n s -> W_burst (n, s)) (int_range 10 80) (int_range 1 40));
+      (3, map (fun d -> W_advance d) (int_bound 16));
+      (2, map (fun d -> W_run_until d) (int_range (-4) 8));
+      (2, return W_next_time);
+    ]
+
+let wall_clock_matches_model ops =
+  let e = Engine.create () in
+  let quarters n = 0.25 *. float_of_int n in
+  (* The model: pending (time, seq, id), sorted; its own clock. *)
+  let model = ref [] and clock = ref 0. and seq = ref 0 and ids = ref 0 in
+  let fired = ref [] and last = ref 0. in
+  let expect what b = if not b then QCheck.Test.fail_reportf "%s" what in
+  let watch_clock () =
+    expect "clock moved back" (Engine.now e >= !last);
+    last := Engine.now e
+  in
+  let enqueue time id =
+    let key = (time, !seq, id) in
+    incr seq;
+    model := List.merge compare !model [ key ]
+  in
+  let drop id = model := List.filter (fun (_, _, i) -> i <> id) !model in
+  let schedule d =
+    let id = !ids in
+    incr ids;
+    let h =
+      Engine.schedule_kind e ~kind:Engine.kind_timer ~delay:(quarters d)
+        (fun () ->
+          watch_clock ();
+          fired := (id, Engine.now e) :: !fired)
+    in
+    enqueue (!clock +. quarters d) id;
+    (h, id)
+  in
+  (* Fire the model's events due by [until], each at max(clock, time). *)
+  let model_run until =
+    let due, rest = List.partition (fun (t, _, _) -> t <= until) !model in
+    model := rest;
+    List.map
+      (fun (t, _, id) ->
+        clock := Float.max !clock t;
+        (id, !clock))
+      due
+  in
+  let check_fired what expected =
+    expect what (List.rev !fired = expected);
+    fired := []
+  in
+  let timers = Array.make slots None in
+  List.iter
+    (fun op ->
+      (match op with
+      | W_schedule (i, d) -> timers.(i) <- Some (schedule d)
+      | W_reschedule (i, d) -> (
+          match timers.(i) with
+          | Some (h, id) when Engine.is_pending h ->
+              Engine.reschedule e h ~delay:(quarters d);
+              drop id;
+              enqueue (!clock +. quarters d) id
+          | _ -> ())
+      | W_cancel i ->
+          Option.iter
+            (fun (h, id) ->
+              Engine.cancel e h;
+              drop id)
+            timers.(i)
+      | W_burst (n, spread) ->
+          for k = 0 to n - 1 do
+            ignore (schedule (k * 7 mod (spread + 1)))
+          done
+      | W_advance d ->
+          Engine.advance e (Engine.now e +. quarters d);
+          clock := !clock +. quarters d
+      | W_run_until d ->
+          let until = Engine.now e +. quarters d in
+          Engine.run ~until e;
+          let expected = model_run until in
+          clock := Float.max !clock until;
+          check_fired "run ~until fired out of order" expected
+      | W_next_time ->
+          let want =
+            match !model with (t, _, _) :: _ -> t | [] -> infinity
+          in
+          expect "next_time" (Engine.next_time e = want));
+      watch_clock ();
+      expect "clock" (Engine.now e = !clock);
+      expect "pending" (Engine.pending e = List.length !model))
+    ops;
+  Engine.run e;
+  check_fired "final drain fired out of order" (model_run infinity);
+  true
+
+let prop_engine_wall_clock =
+  QCheck.Test.make ~count:500
+    ~name:"engine: advance/overdue firing matches a sorted-list model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_wop ops))
+       QCheck.Gen.(list_size (1 -- 60) gen_wop))
+    wall_clock_matches_model
+
 (* A timer moved from before [until] to after it neither fires, counts
    nor drags the clock past [until]; moved back, it fires once. *)
 let engine_reschedule_past_until () =
@@ -1066,6 +1202,7 @@ let () =
           Alcotest.test_case "reschedule past until" `Quick
             engine_reschedule_past_until;
           qtest prop_engine_reschedule_is_cancel_schedule;
+          qtest prop_engine_wall_clock;
         ] );
       ( "route-properties",
         [ qtest prop_route_triangle; qtest prop_route_delegation_equivalence ] );

@@ -348,7 +348,6 @@ let manifest_zero_entries () =
   in
   go []
 
-module Heap = Lbrm_util.Heap
 module Metrics = Lbrm_util.Metrics
 module Codec = Lbrm_wire.Codec
 
@@ -422,34 +421,6 @@ let measurements : (string list * (unit -> float)) list =
           note i
         done;
         words_per_op ~iters note );
-    ( [ "Heap.put" ],
-      fun () ->
-        (* Constant priority: float_of_int in the loop would box a
-           float per iteration and charge the harness's allocation to
-           the heap.  Ties break FIFO, so the cycle still exercises the
-           full put/pop path. *)
-        let h = Heap.create ~dummy:(-1) in
-        for i = 1 to 100 do
-          Heap.put h ~prio:1.0 i;
-          ignore (Heap.pop_exn h)
-        done;
-        words_per_op ~iters (fun i ->
-            Heap.put h ~prio:1.0 i;
-            ignore (Heap.pop_exn h)) );
-    ( [ "Heap.move" ],
-      fun () ->
-        (* The UDP runtime's re-arm: live entries moved back and forth
-           between two constant priorities, so no float is boxed in the
-           loop. *)
-        let h = Heap.create ~dummy:(-1) in
-        let hs = Array.init 64 (fun i -> Heap.add h ~prio:1.0 i) in
-        let move i =
-          Heap.move h hs.(i land 63) ~prio:(if i land 1 = 1 then 1.0 else 2.0)
-        in
-        for i = 1 to 100 do
-          move i
-        done;
-        words_per_op ~iters move );
     ( [
         "Replication.member_index";
         "Replication.note_floor";
@@ -525,12 +496,9 @@ let measurements : (string list * (unit -> float)) list =
         let host =
           H.create
             {
-              H.now = (fun () -> 0.);
+              H.engine = Lbrm_sim.Engine.create ();
               unicast = (fun () ~dst:_ _ -> 0);
               multicast = (fun () ~group:_ ~ttl:_ _ -> 0);
-              arm = (fun _ _ -> ());
-              rearm = (fun _ _ -> ());
-              disarm = ignore;
               join = (fun ~group:_ _ -> ());
               leave = (fun ~group:_ _ -> ());
             }
@@ -554,10 +522,10 @@ let measurements : (string list * (unit -> float)) list =
         let agent = H.add host 1 () (H.meter (Metrics.create ())) handlers in
         let msg = Lbrm_wire.Message.Nack { seqs = [ 1 ] } in
         for _ = 1 to 100 do
-          H.receive host agent ~src:2 msg
+          H.receive host agent ~now:0. ~src:2 msg
         done;
         words_per_op ~iters (fun _ ->
-            H.receive host agent ~src:2 msg) );
+            H.receive host agent ~now:0. ~src:2 msg) );
     ( [ "Engine.reschedule" ],
       fun () ->
         (* The MaxIT watchdog's pattern: live timers re-keyed on every

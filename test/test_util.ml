@@ -45,7 +45,7 @@ let seqno_prop_antisym =
 
 let heap_ordering () =
   let h = Heap.create ~dummy:0. in
-  List.iter (fun p -> ignore (Heap.add h ~prio:p p)) [ 5.; 1.; 3.; 2.; 4. ];
+  List.iter (fun p -> Heap.add h ~prio:p p) [ 5.; 1.; 3.; 2.; 4. ];
   let out = ref [] in
   let rec drain () =
     match Heap.pop h with
@@ -61,32 +61,20 @@ let heap_ordering () =
 
 let heap_fifo_ties () =
   let h = Heap.create ~dummy:"" in
-  ignore (Heap.add h ~prio:1. "a");
-  ignore (Heap.add h ~prio:1. "b");
-  ignore (Heap.add h ~prio:1. "c");
+  Heap.add h ~prio:1. "a";
+  Heap.add h ~prio:1. "b";
+  Heap.add h ~prio:1. "c";
   let next () = snd (Option.get (Heap.pop h)) in
   Alcotest.check Alcotest.string "fifo a" "a" (next ());
   Alcotest.check Alcotest.string "fifo b" "b" (next ());
   Alcotest.check Alcotest.string "fifo c" "c" (next ())
-
-let heap_remove () =
-  let h = Heap.create ~dummy:"" in
-  let _a = Heap.add h ~prio:1. "a" in
-  let b = Heap.add h ~prio:2. "b" in
-  let _c = Heap.add h ~prio:3. "c" in
-  checkb "remove live" true (Heap.remove h b);
-  checkb "remove again" false (Heap.remove h b);
-  checki "size" 2 (Heap.size h);
-  Alcotest.check Alcotest.string "a first" "a" (snd (Option.get (Heap.pop h)));
-  Alcotest.check Alcotest.string "c second" "c" (snd (Option.get (Heap.pop h)));
-  checkb "empty" true (Heap.is_empty h)
 
 let heap_prop_sorted =
   QCheck.Test.make ~name:"heap: pops are sorted"
     QCheck.(list (float_bound_inclusive 1000.))
     (fun prios ->
       let h = Heap.create ~dummy:0. in
-      List.iter (fun p -> ignore (Heap.add h ~prio:p p)) prios;
+      List.iter (fun p -> Heap.add h ~prio:p p) prios;
       let rec drain acc =
         match Heap.pop h with
         | Some (p, _) -> drain (p :: acc)
@@ -95,140 +83,9 @@ let heap_prop_sorted =
       let out = drain [] in
       List.sort Float.compare prios = out)
 
-let heap_prop_remove_consistent =
-  QCheck.Test.make ~name:"heap: removal keeps remaining pops sorted"
-    QCheck.(list (pair (float_bound_inclusive 100.) bool))
-    (fun entries ->
-      let h = Heap.create ~dummy:0. in
-      let handles =
-        List.map (fun (p, kill) -> (Heap.add h ~prio:p p, p, kill)) entries
-      in
-      let kept =
-        List.filter_map
-          (fun (hd, p, kill) ->
-            if kill then begin
-              ignore (Heap.remove h hd);
-              None
-            end
-            else Some p)
-          handles
-      in
-      let rec drain acc =
-        match Heap.pop h with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = List.sort Float.compare kept)
-
-(* Model-based test: a random interleaving of add / put / remove / pop
-   must agree with a sorted-list reference model at every pop, and
-   handles must report liveness correctly after removal. *)
-let heap_prop_model =
-  let model_min model =
-    (* (prio, id) with id doubling as FIFO tie-break (ids increase) *)
-    List.fold_left
-      (fun acc (p, v) ->
-        match acc with
-        | Some (bp, bv) when bp < p || (bp = p && bv < v) -> acc
-        | _ -> Some (p, v))
-      None model
-  in
-  QCheck.Test.make ~count:300
-    ~name:"heap: random add/put/remove/pop matches sorted-list model"
-    QCheck.(list (pair (int_bound 3) (float_bound_inclusive 50.)))
-    (fun ops ->
-      let h = Heap.create ~dummy:(-1) in
-      let model = ref [] in
-      let handles = ref [] in
-      let next_id = ref 0 in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      let drop_value v =
-        model := List.filter (fun (_, v') -> v' <> v) !model;
-        handles := List.filter (fun (_, v') -> v' <> v) !handles
-      in
-      let pop_once () =
-        match (Heap.pop h, model_min !model) with
-        | None, None -> ()
-        | Some (p, v), Some (ep, ev) ->
-            check (p = ep && v = ev);
-            drop_value ev
-        | _ -> check false
-      in
-      List.iter
-        (fun (tag, p) ->
-          match tag with
-          | 0 ->
-              let v = !next_id in
-              incr next_id;
-              let hd = Heap.add h ~prio:p v in
-              model := (p, v) :: !model;
-              handles := (hd, v) :: !handles
-          | 1 ->
-              let v = !next_id in
-              incr next_id;
-              Heap.put h ~prio:p v;
-              model := (p, v) :: !model
-          | 2 -> (
-              match !handles with
-              | [] -> ()
-              | hs ->
-                  let hd, v = List.nth hs (int_of_float p mod List.length hs) in
-                  let was_live = Heap.is_live hd in
-                  check (Heap.remove h hd = was_live);
-                  check (not (Heap.is_live hd));
-                  check (Heap.remove h hd = false);
-                  check (Heap.value hd = v);
-                  if was_live then drop_value v else check true)
-          | _ -> pop_once ())
-        ops;
-      check (Heap.size h = List.length !model);
-      while not (Heap.is_empty h) || !model <> [] do
-        pop_once ();
-        if not !ok then model := [] (* abort on first mismatch *)
-      done;
-      !ok)
-
-(* [move] must order an entry exactly as remove-then-add does.  Two
-   heaps run one random program of add/put/move/pop over a few handle
-   slots, one moving in place, the other removing and re-adding the
-   value; priorities are small integers so ties are common. *)
-let heap_prop_move =
-  let slots = 4 in
-  QCheck.Test.make ~count:300 ~name:"heap: move = remove + add"
-    QCheck.(list (triple (int_bound 3) (int_bound (slots - 1)) (int_bound 6)))
-    (fun ops ->
-      let run ~in_place =
-        let h = Heap.create ~dummy:(-1) in
-        let hs = Array.make slots None in
-        let out = ref [] in
-        List.iteri
-          (fun id (tag, i, p) ->
-            let prio = float_of_int p in
-            match tag with
-            | 0 -> hs.(i) <- Some (Heap.add h ~prio id)
-            | 1 -> Heap.put h ~prio id
-            | 2 -> (
-                match hs.(i) with
-                | Some hd when Heap.is_live hd ->
-                    if in_place then Heap.move h hd ~prio
-                    else begin
-                      ignore (Heap.remove h hd);
-                      hs.(i) <- Some (Heap.add h ~prio (Heap.value hd))
-                    end
-                | _ -> ())
-            | _ -> out := Heap.pop h :: !out)
-          ops;
-        while not (Heap.is_empty h) do
-          out := Heap.pop h :: !out
-        done;
-        !out
-      in
-      run ~in_place:true = run ~in_place:false)
-
-(* Slot blanking: once an entry leaves the heap (pop or remove), the
-   backing array and node pool must not keep its value alive.  Weak
-   pointers observe collection while the heap itself stays live. *)
+(* Slot blanking: once an entry is popped, the backing array must not
+   keep its value alive.  Weak pointers observe collection while the
+   heap itself stays live. *)
 let heap_no_retention () =
   let h = Heap.create ~dummy:(ref (-1)) in
   let n = 64 in
@@ -237,12 +94,7 @@ let heap_no_retention () =
     for i = 0 to n - 1 do
       let v = ref i in
       Weak.set w i (Some v);
-      if i land 1 = 0 then Heap.put h ~prio:(float_of_int i) v
-      else begin
-        let hd = Heap.add h ~prio:(float_of_int i) v in
-        if i land 3 = 1 then ignore (Heap.remove h hd)
-        (* else: handle dropped here, entry drained below *)
-      end
+      Heap.add h ~prio:(float_of_int i) v
     done
   in
   fill ();
@@ -257,7 +109,8 @@ let heap_no_retention () =
   checki "no freed slot retains its value" 0 !live;
   (* Keep the heap reachable past the check: the collection above must
      be due to slot blanking, not the heap itself dying. *)
-  checki "heap still alive and empty" 0 (Heap.size (Sys.opaque_identity h))
+  checkb "heap still alive and empty" true
+    (Heap.pop (Sys.opaque_identity h) = None)
 
 (* ---- Rng ---- *)
 
@@ -482,13 +335,9 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick heap_ordering;
           Alcotest.test_case "FIFO ties" `Quick heap_fifo_ties;
-          Alcotest.test_case "remove" `Quick heap_remove;
-          Alcotest.test_case "no retention after pop/remove" `Quick
+          Alcotest.test_case "no retention after pop" `Quick
             heap_no_retention;
           qtest heap_prop_sorted;
-          qtest heap_prop_remove_consistent;
-          qtest heap_prop_model;
-          qtest heap_prop_move;
         ] );
       ( "rng",
         [

@@ -17,8 +17,9 @@
                         libraries; ordering operators only at types
                         whose structural order is deterministic.
      [hashtbl-order]    no Hashtbl.fold/iter whose element type flows
-                        into an Io.action list without an intervening
-                        sort.
+                        into an Io.action list, or whose result is an
+                        argument of a call that takes an Io.out,
+                        without an intervening sort.
      [catch-all]        no `try ... with _ ->` (or a named-but-unused
                         exception variable) anywhere; no Obj.magic
                         anywhere ([obj-magic]).
@@ -135,8 +136,12 @@ let mentions_channel ty =
       | _ -> false)
     ty
 
+(* Inside lib/core the paths read [Lbrm.Io.action] and [Lbrm.Io.out]. *)
 let mentions_io_action ty =
-  type_mentions (fun p -> String.equal (norm_path p) "Io.action") ty
+  type_mentions (fun p -> Lint_common.path_ends_with p [ "Io"; "action" ]) ty
+
+let mentions_io_out ty =
+  type_mentions (fun p -> Lint_common.path_ends_with p [ "Io"; "out" ]) ty
 
 (* Types at which the structural order of polymorphic comparison
    operators is deterministic and representation-independent. *)
@@ -459,8 +464,8 @@ let inspect ctx e =
                 corrupt packets"
          | _ -> ());
       (* [hashtbl-order] *)
-      if ctx.protocol && ctx.sorted_depth = 0 then
-        match is_hashtbl_traversal f with
+      if ctx.protocol && ctx.sorted_depth = 0 then begin
+        (match is_hashtbl_traversal f with
         | Some name
           when mentions_io_action e.exp_type
                || List.exists subexpr_mentions_action plain_args ->
@@ -469,7 +474,25 @@ let inspect ctx e =
                  "%s feeds Io.actions in hash-bucket order; sort the elements \
                   first (bucket order is not part of the protocol)"
                  name)
-        | _ -> ())
+        | _ -> ());
+        (* A traversal handed to a call that pushes into an Io.out:
+           the callee emits in whatever order the traversal gave. *)
+        if List.exists (fun a -> mentions_io_out a.exp_type) plain_args then
+          List.iter
+            (fun a ->
+              match a.exp_desc with
+              | Texp_apply (g, _) -> (
+                  match is_hashtbl_traversal g with
+                  | Some name ->
+                      emit ctx ~loc:a.exp_loc ~rule:"hashtbl-order"
+                        (Printf.sprintf
+                           "%s result passed to a call that pushes into an \
+                            Io.out, in hash-bucket order; sort it first"
+                           name)
+                  | None -> ())
+              | _ -> ())
+            plain_args
+      end)
   | Texp_sequence (e1, _) when is_decode_app e1 ->
       emit ctx ~loc:e1.exp_loc ~rule:"decode-totality"
         "decode result discarded in sequence; match both Ok and Error"
