@@ -72,11 +72,20 @@ let durable_floor t =
   | None -> Option.value ~default:0 (Log_store.highest_contiguous t.store)
   | Some _ -> t.floor
 
+(* One [Fs_error] from the disk tier disables it in place: the logger
+   counts it, traces it, and keeps serving from memory.  A failure the
+   fs deferred (a group commit's fsync) surfaces at whichever archive
+   call comes next, a spill, a lookup or a compaction. *)
+let degrade t ~at ~seq =
+  t.archive <- None;
+  t.archive_write_errors <- t.archive_write_errors + 1;
+  if Trace.is_on t.sink then
+    Trace.emit t.sink ~at ~node:t.self (Trace.Archive_degraded { seq })
+
 let create cfg ~self ~source ?parent ?(replicas = []) ?succ ?archive ~rng
     ?(sink = Trace.null ()) () =
   (* The eviction hook closes over the logger record (created below) so
-     a failing disk tier can be disabled in place: one [Fs_error] and
-     the logger counts it, traces it, and keeps serving from memory. *)
+     a failing disk tier can be disabled in place. *)
   let cell = ref None in
   let on_evict =
     match archive with
@@ -102,11 +111,7 @@ let create cfg ~self ~source ?parent ?(replicas = []) ?succ ?archive ~rng
                           (Trace.Segment_rotated
                              { segment = Archive.last_sealed a })
                     with Archive.Fs_error _ ->
-                      t.archive <- None;
-                      t.archive_write_errors <- t.archive_write_errors + 1;
-                      if Trace.is_on t.sink then
-                        Trace.emit t.sink ~at:e.logged_at ~node:t.self
-                          (Trace.Archive_degraded { seq = e.seq }))))
+                      degrade t ~at:e.logged_at ~seq:e.seq)))
   in
   let t =
     {
@@ -162,14 +167,18 @@ let successor t = t.succ
 let compact_archive t ~now ~floor =
   match t.archive with
   | None -> 0
-  | Some a ->
-      let removed = Archive.compact a ~floor in
-      List.iter
-        (fun id ->
-          if Trace.is_on t.sink then
-            trace t ~now (Trace.Segment_compacted { segment = id }))
-        removed;
-      List.length removed
+  | Some a -> (
+      match Archive.compact a ~floor with
+      | removed ->
+          List.iter
+            (fun id ->
+              if Trace.is_on t.sink then
+                trace t ~now (Trace.Segment_compacted { segment = id }))
+            removed;
+          List.length removed
+      | exception Archive.Fs_error _ ->
+          degrade t ~at:now ~seq:floor;
+          0)
 
 let designated_for t =
   Hashtbl.fold (fun e () acc -> e :: acc) t.designated []
@@ -275,7 +284,10 @@ let lookup t ~now seq =
               if Trace.is_on t.sink then
                 trace t ~now (Trace.Archive_read { seq });
               Some { Log_store.seq; epoch; payload; logged_at = now }
-          | None -> None))
+          | None -> None
+          | exception Archive.Fs_error _ ->
+              degrade t ~at:now ~seq;
+              None))
 
 (* The two shapes a repair takes: unicast to one requester, or a
    site-scoped re-multicast (§2.2.1). *)
@@ -430,6 +442,8 @@ let replicated_seq t =
           if Seqno.(s < acc) then s else acc)
         (replica_seq t r) rest
 
+let descending a b = Seqno.compare b a
+
 (* A Replica_ack raised the replicated mark above [from]: the retry
    timers of the seqs it now covers would only fire to find no laggard,
    so cancel them (and only timers that are armed).  The cost is the
@@ -445,8 +459,8 @@ let cancel_replicated t ~from =
       Io.push t.out (Cancel_timer (K_replica_retry seq))
     end
   in
-  (* Cancels go out highest seq first, or in the reverse of the armed
-     set's fold order. *)
+  (* Cancels go out highest seq first on either path; the armed set is
+     sorted only when two or more of its seqs settle. *)
   let armed = Hashtbl.length t.retry_armed in
   if span <= 0 || armed = 0 then ()
   else if span <= armed then
@@ -454,10 +468,13 @@ let cancel_replicated t ~from =
       cancel (Seqno.add from i)
     done
   else
-    Hashtbl.fold
-      (fun seq () acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
-      t.retry_armed []
-    |> List.rev |> List.iter cancel
+    match
+      Hashtbl.fold
+        (fun seq () acc -> if Seqno.(seq <= floor) then seq :: acc else acc)
+        t.retry_armed []
+    with
+    | ([] | [ _ ]) as seqs -> List.iter cancel seqs
+    | seqs -> List.iter cancel (List.sort descending seqs)
 
 let log_ack t =
   Message.Log_ack

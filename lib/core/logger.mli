@@ -85,8 +85,9 @@ val designated_for : t -> int list
 (** Epochs for which this logger volunteered as Designated Acker. *)
 
 val archive_write_errors : t -> int
-(** Disk-tier write failures absorbed (the tier is disabled on the
-    first one). *)
+(** Disk-tier failures absorbed (the tier is disabled on the first
+    one, whether a spill, a lookup or a compaction raised it: a failed
+    fsync the fs deferred surfaces at the next call). *)
 
 val archive_reads : t -> int
 (** Retransmission lookups that missed the in-memory store and were
@@ -106,7 +107,8 @@ val durable_floor : t -> Lbrm_util.Seqno.t
 val compact_archive : t -> now:float -> floor:Lbrm_util.Seqno.t -> int
 (** Reclaim archive segments wholly at or below [floor] (whole-segment
     compaction), emitting {!Trace.Segment_compacted} per segment;
-    returns how many were reclaimed.  0 without a disk tier. *)
+    returns how many were reclaimed.  0 without a disk tier, or when
+    the compaction fails and the tier is disabled. *)
 
 val successor : t -> address option
 (** Ring replication: this member's next hop ([None] = tail, or not a

@@ -1,16 +1,54 @@
-(* The real filesystem behind Lbrm.Archive.fs.
+(* The real filesystem behind Lbrm.Archive.fs: cached O_APPEND
+   handles and group commit (the rules are in file_ops.mli).
 
-   lib/core is sans-IO: the archive asks for seven primitive file
-   operations and this module supplies them with Unix.  Each call
-   opens, operates and closes.  Appends are not a cold path: a logger
-   spills every packet its store evicts, so in a replicated deposit
-   stream each durable packet costs about 2.4 appends.  The success
-   paths of [append] and [fsync] therefore allocate nothing — no
-   wrapper closure, no [Fun.protect] — and close their descriptor on
-   every path.  File handles are still not cached: that needs
-   crash-consistency bookkeeping of its own (a handle must close when
-   its path is fsynced or removed).  Unix and Sys errors surface as
-   Archive.Fs_error, which Archive.open_ converts to Error. *)
+   Appends are not a cold path: a logger spills every packet its store
+   evicts, about 2.4 appends per durable packet in a replicated deposit
+   stream, and the archive fsyncs its active segment before every
+   low-water (L) manifest record.  So the write-through path allocates
+   nothing, and inside a group the L records of a drain wait behind
+   one fsync of the segment under them.
+
+   An append writes through inside a group only when its path's own
+   fsync is the only one deferred: an L record appended while another
+   path's fsync is deferred must wait for it, and [Archive.sync]
+   defers both the segment's and the manifest's.  A failed deferred
+   fsync drops every held byte, since which of them depended on it is
+   not known. *)
+
+module Metrics = Lbrm_util.Metrics
+
+let metrics = Metrics.create ()
+let opens = Metrics.counter metrics "file_ops.opens"
+let writes = Metrics.counter metrics "file_ops.writes"
+let fsyncs = Metrics.counter metrics "file_ops.fsyncs"
+let commits = Metrics.counter metrics "file_ops.commits"
+
+(* What this module knows about one path.  An entry exists while the
+   path has a cached handle, a deferred fsync, held bytes or a failure
+   to report. *)
+type entry = {
+  path : string;
+  mutable fd : Unix.file_descr; (* the cached descriptor, iff [cached] *)
+  mutable cached : bool;
+  mutable held : Bytes.t; (* its first [held_len] bytes are held back *)
+  mutable held_len : int;
+  mutable pending : bool; (* the open group deferred an fsync *)
+  mutable dirty : bool; (* on [dirty] *)
+  mutable error : string; (* reported by the next call, or "" *)
+}
+
+let entries : (string, entry) Hashtbl.t = Hashtbl.create 16
+let depth = ref 0
+
+(* Entries the open group deferred an fsync for or held bytes of,
+   newest first, and how many of them have [pending] set. *)
+let dirty = ref []
+let pending = ref 0
+
+(* Held buffers of forgotten entries, reused by new ones: the active
+   segment's entry is forgotten at every fsync, and a fresh buffer for
+   each group would cost its growth again. *)
+let spare = ref []
 
 let fail name path e =
   raise
@@ -32,11 +70,245 @@ let close_failed name path fd e =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   fail name path e
 
+let entry path =
+  match Hashtbl.find entries path with
+  | e -> e
+  | exception Not_found ->
+      let held =
+        match !spare with
+        | b :: rest ->
+            spare := rest;
+            b
+        | [] -> Bytes.empty
+      in
+      let e =
+        {
+          path;
+          fd = Unix.stdin;
+          cached = false;
+          held;
+          held_len = 0;
+          pending = false;
+          dirty = false;
+          error = "";
+        }
+      in
+      Hashtbl.replace entries path e;
+      e
+
+let forget e =
+  if not (e.cached || e.dirty || String.length e.error > 0) then begin
+    Hashtbl.remove entries e.path;
+    if Bytes.length e.held > 0 && List.compare_length_with !spare 4 < 0 then
+      spare := e.held :: !spare;
+    e.held <- Bytes.empty
+  end
+
+(* Raise the failure left for [e], once. *)
+let report e =
+  let msg = e.error in
+  e.error <- "";
+  forget e;
+  raise (Lbrm.Archive.Fs_error msg)
+
+let check e = if String.length e.error > 0 then report e
+
+let rec push fd data off len =
+  if off < len then begin
+    Metrics.incr writes;
+    push fd data (off + Unix.write_substring fd data off (len - off)) len
+  end
+
+let open_handle e =
+  match
+    Unix.openfile e.path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
+  with
+  | exception Unix.Unix_error (err, _, _) -> fail "append" e.path err
+  | fd ->
+      Metrics.incr opens;
+      e.fd <- fd;
+      e.cached <- true
+
+(* Close the cached handle without syncing it. *)
+let release e =
+  if e.cached then begin
+    e.cached <- false;
+    try Unix.close e.fd with Unix.Unix_error _ -> ()
+  end
+
+let write e data len =
+  if not e.cached then open_handle e;
+  match push e.fd data 0 len with
+  | () -> ()
+  | exception Unix.Unix_error (err, _, _) ->
+      release e;
+      forget e;
+      fail "append" e.path err
+
+(* The kernel fsync of [fd], which is then closed. *)
+let sync_fd path fd =
+  Metrics.incr fsyncs;
+  match Unix.fsync fd with
+  | () -> close "fsync" path fd
+  | exception Unix.Unix_error (err, _, _) -> close_failed "fsync" path fd err
+
+(* The kernel fsync of a path with no cached handle. *)
+let sync_path path =
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error (err, _, _) -> fail "fsync" path err
+  | fd ->
+      Metrics.incr opens;
+      sync_fd path fd
+
+(* The kernel fsync of [e]'s path, through its cached handle if it has
+   one (which it then closes). *)
+let sync_now e =
+  if e.cached then begin
+    e.cached <- false;
+    sync_fd e.path e.fd
+  end
+  else sync_path e.path
+
+(* Every deferred fsync, once per path, then the held bytes, one write
+   per path.  Never raises: a failure stays on its path. *)
+let commit () =
+  Metrics.incr commits;
+  let touched = List.rev !dirty in
+  dirty := [];
+  pending := 0;
+  let failed =
+    List.fold_left
+      (fun failed e ->
+        if not e.pending then failed
+        else begin
+          e.pending <- false;
+          match sync_now e with
+          | () -> failed
+          | exception Lbrm.Archive.Fs_error msg ->
+              e.error <- msg;
+              if String.length failed = 0 then msg else failed
+        end)
+      "" touched
+  in
+  List.iter
+    (fun e ->
+      e.dirty <- false;
+      let len = e.held_len in
+      e.held_len <- 0;
+      if len > 0 then begin
+        if String.length failed > 0 then begin
+          if String.length e.error = 0 then
+            e.error <-
+              Printf.sprintf "append %s: held back by a failed fsync (%s)"
+                e.path failed
+        end
+        else
+          match write e (Bytes.unsafe_to_string e.held) len with
+          | () -> ()
+          | exception Lbrm.Archive.Fs_error msg -> e.error <- msg
+      end;
+      forget e)
+    touched
+
+let begin_group () = incr depth
+
+let end_group () =
+  if !depth <= 0 then invalid_arg "File_ops.end_group: no group is open";
+  decr depth;
+  match !dirty with [] -> () | _ :: _ -> if !depth = 0 then commit ()
+
+(* Before any call but [append]: report a failure left for [path], and
+   commit first when the open group holds bytes of it. *)
+let settle path =
+  match Hashtbl.find_opt entries path with
+  | None -> ()
+  | Some e ->
+      check e;
+      if e.held_len > 0 then begin
+        commit ();
+        check e
+      end
+
+(* Before a truncate or a remove: [settle], commit a deferred fsync of
+   [path] too, and close its handle. *)
+let drop path =
+  settle path;
+  match Hashtbl.find_opt entries path with
+  | None -> ()
+  | Some e ->
+      if e.pending then begin
+        commit ();
+        check e
+      end;
+      release e;
+      forget e
+
+let[@lint.hot] append path data =
+  let e = entry path in
+  check e;
+  let len = String.length data in
+  if
+    !depth = 0
+    || (e.pending && !pending = 1 && e.held_len = 0)
+  then write e data len
+  else begin
+    let need = e.held_len + len in
+    if need > Bytes.length e.held then begin
+      let grown =
+        (Bytes.create (Stdlib.max need (2 * Bytes.length e.held))
+        [@lint.alloc "held bytes outgrow their buffer, kept for reuse"])
+      in
+      Bytes.blit e.held 0 grown 0 e.held_len;
+      e.held <- grown
+    end;
+    Bytes.blit_string data 0 e.held e.held_len len;
+    e.held_len <- need;
+    if not e.dirty then begin
+      e.dirty <- true;
+      dirty := (e :: !dirty [@lint.alloc "first hold of a path in this group"])
+    end
+  end
+
+let fsync path =
+  settle path;
+  if !depth > 0 then begin
+    let e = entry path in
+    if not e.pending then begin
+      e.pending <- true;
+      incr pending;
+      if not e.dirty then begin
+        e.dirty <- true;
+        dirty := e :: !dirty
+      end
+    end
+  end
+  else
+    match Hashtbl.find entries path with
+    | exception Not_found -> sync_path path
+    | e ->
+        (* Outside a group an entry holds nothing but a cached handle. *)
+        let cached = e.cached and fd = e.fd in
+        e.cached <- false;
+        forget e;
+        if cached then sync_fd path fd else sync_path path
+
+let exists path =
+  settle path;
+  match Hashtbl.find_opt entries path with
+  | Some e when e.cached -> true
+  | _ -> Sys.file_exists path
+
+let size path =
+  settle path;
+  wrap "stat" path (fun () -> (Unix.stat path).Unix.st_size)
+
 let read_at path ~pos ~len =
+  settle path;
   wrap "read" path (fun () ->
       if not (Sys.file_exists path) then ""
       else begin
         let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+        Metrics.incr opens;
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
@@ -53,38 +325,13 @@ let read_at path ~pos ~len =
             Bytes.sub_string buf 0 got)
       end)
 
-let rec push fd data off len =
-  if off < len then
-    push fd data (off + Unix.write_substring fd data off (len - off)) len
+let truncate path ~len =
+  drop path;
+  wrap "truncate" path (fun () -> Unix.truncate path len)
 
-let append path data =
-  match
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-  with
-  | exception Unix.Unix_error (e, _, _) -> fail "append" path e
-  | fd -> (
-      match push fd data 0 (String.length data) with
-      | () -> close "append" path fd
-      | exception Unix.Unix_error (e, _, _) -> close_failed "append" path fd e)
-
-let fsync path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error (e, _, _) -> fail "fsync" path e
-  | fd -> (
-      match Unix.fsync fd with
-      | () -> close "fsync" path fd
-      | exception Unix.Unix_error (e, _, _) -> close_failed "fsync" path fd e)
+let remove path =
+  drop path;
+  wrap "remove" path (fun () -> Unix.unlink path)
 
 let real : Lbrm.Archive.fs =
-  {
-    exists = Sys.file_exists;
-    size =
-      (fun path ->
-        wrap "stat" path (fun () -> (Unix.stat path).Unix.st_size));
-    read_at;
-    append;
-    truncate =
-      (fun path ~len -> wrap "truncate" path (fun () -> Unix.truncate path len));
-    remove = (fun path -> wrap "remove" path (fun () -> Unix.unlink path));
-    fsync;
-  }
+  { exists; size; read_at; append; truncate; remove; fsync }

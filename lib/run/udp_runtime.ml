@@ -213,13 +213,14 @@ let transport io =
   }
 
 let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
-    ?(pool_slots = 256) ?(slot_size = Lbrm_wire.Codec.slot_size)
+    ?(pool_slots = 0) ?(slot_size = Lbrm_wire.Codec.slot_size)
     ?(use_mmsg = true) ?(use_gso = true)
     ?(sink = Trace.null ()) ?suspect_after ?dead_after () =
   let batch = max 1 (min batch Sockmsg.batch_max) in
   (* The receive ring owns [batch] slots for the process lifetime and
-     the transmit stage leases up to [batch] more, so the pool must
-     always have that many plus headroom for application retainers. *)
+     the transmit stage leases up to [batch] more; nothing else leases
+     (an oversize message borrows one slot and returns it at once), so
+     the pool needs that many plus a little headroom. *)
   let pool_slots = max pool_slots ((2 * batch) + 8) in
   let pool = Buf_pool.create ~slots:pool_slots ~slot_size () in
   let started = Sockmsg.monotonic_now () in
@@ -364,7 +365,7 @@ let add_agent t ~port handlers =
 
 (* --- receive ---------------------------------------------------------- *)
 
-let drain_socket { io = t; host } agent =
+let receive_all { io = t; host } agent =
   let ep = Agent_host.endpoint agent in
   let continue = ref true in
   while !continue do
@@ -405,12 +406,32 @@ let drain_socket { io = t; host } agent =
         end
       done
     end
-  done;
-  flush_tx t
+  done
+
+(* A receive drain and a timer run are each one group commit on the
+   disk tier (File_ops): the fsyncs the archives ask for run once per
+   path at the group's end, before the low-water records that wait on
+   them.  Datagrams staged earlier may leave before that commit: acks
+   report the tiered memory+disk floor, which never waited for an
+   fsync.  The group closes when a handler raises too. *)
+let in_group f x y =
+  File_ops.begin_group ();
+  match f x y with
+  | () -> File_ops.end_group ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      File_ops.end_group ();
+      Printexc.raise_with_backtrace e bt
+
+let drain_socket t agent =
+  in_group receive_all t agent;
+  flush_tx t.io
 
 let fire_due_timers t =
   read_clock t.io;
-  Engine.run ~until:t.io.clock t.io.engine;
+  in_group
+    (fun engine until -> Engine.run ~until engine)
+    t.io.engine t.io.clock;
   flush_tx t.io
 
 let rec drain_readable t = function

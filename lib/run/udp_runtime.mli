@@ -53,7 +53,15 @@
     probability — real loopback never loses packets, and exercising
     recovery is the point of the demo.  Injected loss is counted apart
     from {!encode_failures} (unencodable messages, which also raise
-    {!Lbrm.Trace.Encode_failed}). *)
+    {!Lbrm.Trace.Encode_failed}).
+
+    {b Disk tier}: each receive drain and each timer run is one
+    {!File_ops} group, closed before the drain's last transmit flush
+    and also when a handler raises.  The archives' fsyncs run once per
+    path at the group's end, ahead of the low-water records that wait
+    on them.  Datagrams flushed earlier in the drain may leave before
+    that commit: acks report the tiered memory+disk floor, which never
+    waited for an fsync. *)
 
 type t
 
@@ -88,8 +96,9 @@ val create :
   unit ->
   t
 (** Defaults: 127.0.0.1, no loss, batch 64 (clamped to
-    {!Sockmsg.batch_max}), 256 pool slots of 2048 bytes (raised if
-    needed to cover the rx ring and tx stage), mmsg and GSO on where
+    {!Sockmsg.batch_max}), pool slots of 2048 bytes, [2 * batch + 8] of
+    them (the rx ring, the tx stage and headroom; a larger
+    [pool_slots] is honoured, a smaller one raised), mmsg and GSO on where
     available, no trace sink, peer liveness thresholds from
     {!Peer_manager}.  [~use_mmsg:false] forces the portable
     per-datagram fallback (the benchmark baseline); [~use_gso:false]

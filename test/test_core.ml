@@ -1111,19 +1111,21 @@ let archive_real_fs () =
    duplicate, an explicit rotate, enough records for low-water records
    and rotations, a compaction, a reopen — and the MD5 of every file it
    leaves.  Any change to how records, sidecars or manifest entries are
-   encoded must leave these digests as they are. *)
-let archive_format_pinned () =
-  let fs = Lbrm.Archive.in_memory () in
+   encoded must leave these digests as they are.  [pinned_history]
+   runs the history over [fs] at [base], calls [after_lwm] right after
+   its first low-water record, and returns the reopened archive. *)
+let pinned_history ?(after_lwm = ignore) ~fs base =
   let a =
     Result.get_ok
       (Lbrm.Archive.open_ ~segment_bytes:160 ~index_stride:2 ~lwm_stride:4 ~fs
-         "pin.log")
+         base)
   in
   let append seq =
     Lbrm.Archive.append a ~seq ~epoch:(seq mod 5)
       ~payload:(String.init (seq mod 23) (fun i -> Char.chr (97 + ((seq + i) mod 26))))
   in
   List.iter append [ 3; 1; 2; 6; 5; 4 ];
+  after_lwm ();
   Lbrm.Archive.append a ~seq:2 ~epoch:7 ~payload:"duplicate";
   Lbrm.Archive.rotate a;
   List.iter append [ 9; 7; 8; 12; 10; 11; 13; 15; 14; 16; 18; 17; 20; 19 ];
@@ -1132,13 +1134,28 @@ let archive_format_pinned () =
   List.iter append [ 22; 21; 23; 24 ];
   Lbrm.Archive.close a;
   (* A lost sidecar is rebuilt from its data file on reopen. *)
-  fs.remove "pin.log.000003.idx";
+  fs.Lbrm.Archive.remove (base ^ ".000003.idx");
   let b =
     Result.get_ok
       (Lbrm.Archive.open_ ~segment_bytes:160 ~index_stride:2 ~lwm_stride:4 ~fs
-         "pin.log")
+         base)
   in
   checki "floor" 24 (Lbrm.Archive.low_water b);
+  b
+
+let pinned_digests =
+  [
+    ("pin.log.manifest", "8b3e9b5790fb19da44fcca5bfacab3c4");
+    ("pin.log.000003.seg", "757c833c04162d8e290a2dd0f6be9d52");
+    ("pin.log.000003.idx", "fc123137bd78f811ef092c5f3e3250f3");
+    ("pin.log.000004.seg", "8dfd0e7395793a75db0c291da7cb8826");
+    ("pin.log.000004.idx", "ffc8d6e0edf0a18398d2b6aa9a838a9c");
+    ("pin.log.000005.seg", "72fc7ec875b79ed13feda6a4d9205de6");
+  ]
+
+let archive_format_pinned () =
+  let fs = Lbrm.Archive.in_memory () in
+  let b = pinned_history ~fs "pin.log" in
   let digests =
     List.map
       (fun path ->
@@ -1147,20 +1164,93 @@ let archive_format_pinned () =
       (Lbrm.Archive.files b)
   in
   Alcotest.(check (list (pair string string)))
-    "file digests"
-    [
-      ("pin.log.manifest", "8b3e9b5790fb19da44fcca5bfacab3c4");
-      ("pin.log.000003.seg", "757c833c04162d8e290a2dd0f6be9d52");
-      ("pin.log.000003.idx", "fc123137bd78f811ef092c5f3e3250f3");
-      ("pin.log.000004.seg", "8dfd0e7395793a75db0c291da7cb8826");
-      ("pin.log.000004.idx", "ffc8d6e0edf0a18398d2b6aa9a838a9c");
-      ("pin.log.000005.seg", "72fc7ec875b79ed13feda6a4d9205de6");
-    ]
-    digests;
+    "file digests" pinned_digests digests;
   checkb "compacted files removed" false
     (List.exists fs.exists
        [ "pin.log.000001.seg"; "pin.log.000001.idx"; "pin.log.000002.seg" ]);
   Lbrm.Archive.close b
+
+let tmp_dir () =
+  let dir = Filename.temp_file "lbrm_archive" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  dir
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* On disk, around the fs. *)
+let disk_size path = (Unix.stat path).Unix.st_size
+
+(* Group commit changes when bytes reach disk, never which: the pinned
+   history over the real fs leaves the pinned files whether it runs
+   inside groups or outside.  Inside, the first low-water record is
+   held until the group ends. *)
+let archive_group_commit_same_files () =
+  let module File_ops = Lbrm_run.File_ops in
+  let run ~grouped =
+    let dir = tmp_dir () in
+    let base = Filename.concat dir "pin.log" in
+    let manifest = base ^ ".manifest" in
+    let after_lwm () =
+      if grouped then begin
+        (* The activate record only: the low-water record waits for the
+           fsync of the segment under it, which waits for the end. *)
+        checki "low-water record held" 23 (disk_size manifest);
+        File_ops.end_group ();
+        checki "low-water record written at end_group" 46 (disk_size manifest);
+        File_ops.begin_group ()
+      end
+      else checki "low-water record written at once" 46 (disk_size manifest)
+    in
+    if grouped then File_ops.begin_group ();
+    let b = pinned_history ~after_lwm ~fs:File_ops.real base in
+    if grouped then File_ops.end_group ();
+    let digests =
+      List.map
+        (fun path ->
+          (Filename.basename path, Digest.to_hex (Digest.file path)))
+        (Lbrm.Archive.files b)
+    in
+    Lbrm.Archive.close b;
+    remove_dir dir;
+    digests
+  in
+  let plain = run ~grouped:false in
+  Alcotest.(check (list (pair string string)))
+    "ungrouped: the pinned files" pinned_digests plain;
+  Alcotest.(check (list (pair string string)))
+    "grouped: the same files" plain (run ~grouped:true)
+
+(* A cached handle lives until its path is fsynced: after [close], the
+   archive's files may be removed behind the fs and the archive rebuilt
+   at the same base, and the new records land in the new files. *)
+let archive_real_fs_rebuilt () =
+  let fs = Lbrm_run.File_ops.real in
+  let dir = tmp_dir () in
+  let base = Filename.concat dir "rebuilt.log" in
+  let a = Result.get_ok (Lbrm.Archive.open_ ~fs base) in
+  for seq = 1 to 5 do
+    Lbrm.Archive.append a ~seq ~epoch:0 ~payload:(Printf.sprintf "old-%d" seq)
+  done;
+  let files = Lbrm.Archive.files a in
+  Lbrm.Archive.close a;
+  List.iter Sys.remove files;
+  let b = Result.get_ok (Lbrm.Archive.open_ ~fs base) in
+  for seq = 1 to 3 do
+    Lbrm.Archive.append b ~seq ~epoch:1 ~payload:(Printf.sprintf "new-%d" seq)
+  done;
+  Lbrm.Archive.close b;
+  let c = Result.get_ok (Lbrm.Archive.open_ ~fs base) in
+  checki "only the new records" 3 (Lbrm.Archive.count c);
+  (match Lbrm.Archive.find c 2 with
+  | Some (1, "new-2") -> ()
+  | _ -> Alcotest.fail "new record not in the new files");
+  checkb "new segment holds them" true
+    (disk_size (Lbrm.Archive.active_path c) > 0);
+  Lbrm.Archive.close c;
+  remove_dir dir
 
 let archive_real_fsync_errors () =
   (* A failed fsync must surface: the archive fsyncs the active segment
@@ -1172,6 +1262,30 @@ let archive_real_fsync_errors () =
   | exception Lbrm.Archive.Fs_error msg ->
       checkb "names the call and the path" true
         (String.starts_with ~prefix:"fsync /dev/null: " msg)
+
+(* A deferred fsync that fails keeps the bytes held behind it out of
+   their file, and the next call on that file raises, once. *)
+let archive_real_deferred_fsync_errors () =
+  let module File_ops = Lbrm_run.File_ops in
+  let fs = File_ops.real in
+  let path = Filename.temp_file "lbrm_held" ".seg" in
+  File_ops.begin_group ();
+  fs.fsync "/dev/null";
+  fs.append path "held behind the fsync";
+  File_ops.end_group ();
+  checki "held bytes kept out" 0 (disk_size path);
+  (match fs.size path with
+  | _ -> Alcotest.fail "dropped bytes went unreported"
+  | exception Lbrm.Archive.Fs_error msg ->
+      checkb "names the path" true
+        (String.starts_with ~prefix:("append " ^ path) msg));
+  checki "reported once" 0 (fs.size path);
+  (match fs.exists "/dev/null" with
+  | _ -> Alcotest.fail "deferred fsync failure went unreported"
+  | exception Lbrm.Archive.Fs_error msg ->
+      checkb "names the call and the path" true
+        (String.starts_with ~prefix:"fsync /dev/null: " msg));
+  fs.remove path
 
 let logger_serves_from_archive () =
   (* Bounded memory + archive: old packets evicted from RAM are still
@@ -1701,6 +1815,12 @@ let () =
             archive_real_fs;
           Alcotest.test_case "on-disk format pinned" `Quick
             archive_format_pinned;
+          Alcotest.test_case "grouped and ungrouped runs leave the same files"
+            `Quick archive_group_commit_same_files;
+          Alcotest.test_case "real fs rebuilt after close" `Quick
+            archive_real_fs_rebuilt;
+          Alcotest.test_case "real fs deferred fsync failure sticks" `Quick
+            archive_real_deferred_fsync_errors;
           Alcotest.test_case "real fs fsync surfaces errors" `Quick
             archive_real_fsync_errors;
           Alcotest.test_case "logger serves from disk" `Quick

@@ -404,6 +404,29 @@ let primary_replicates_seq_logged_off_the_group () =
   checkb "replica retry armed" true
     (List.mem_assoc (Io.K_replica_retry 1) (timers_set a))
 
+(* Replica-retry cancels go out highest seq first, whether the ack's
+   newly covered span is walked or the armed set is scanned. *)
+let replica_retry_cancels_descend () =
+  let l =
+    Logger.create plain ~self:2 ~source:1 ~replicas:[ 3 ] ~rng:(rng ()) ()
+  in
+  for seq = 1 to 12 do
+    ignore
+      (Logger.handle_message l ~now:0. ~src:1
+         (Message.Log_deposit { seq; epoch = 0; payload = p "x" }))
+  done;
+  let cancels ack =
+    Logger.handle_message l ~now:0.1 ~src:3 (Message.Replica_ack { seq = ack })
+    |> List.filter_map (function
+         | Io.Cancel_timer (Io.K_replica_retry s) -> Some s
+         | _ -> None)
+  in
+  Alcotest.(check (list int)) "span of 3, 12 armed" [ 3; 2; 1 ] (cancels 3);
+  Alcotest.(check (list int))
+    "span of 97, 9 armed"
+    [ 12; 11; 10; 9; 8; 7; 6; 5; 4 ]
+    (cancels 100)
+
 (* End to end, every strategy makes the whole stream durable. *)
 let durable_reaches_last_seq () =
   List.iter
@@ -529,6 +552,61 @@ let archive_degrades_gracefully () =
       | [ Message.Nack _ ] -> ()
       | _ -> Alcotest.fail "expected a repair or an uplink chase")
 
+(* A failure that surfaces on a disk-tier lookup or compaction (a
+   group commit's deferred fsync reports at the next call on its path)
+   degrades the tier the way a failed spill does, instead of escaping
+   the logger. *)
+let archive_degrades_on_read_and_compact () =
+  let broken = ref false in
+  let logger () =
+    let fs = Lbrm.Archive.in_memory () in
+    let failing =
+      {
+        fs with
+        Lbrm.Archive.read_at =
+          (fun path ~pos ~len ->
+            if !broken then raise (Lbrm.Archive.Fs_error "deferred fsync");
+            fs.Lbrm.Archive.read_at path ~pos ~len);
+        remove =
+          (fun path ->
+            if !broken then raise (Lbrm.Archive.Fs_error "deferred fsync");
+            fs.Lbrm.Archive.remove path);
+      }
+    in
+    let archive =
+      Result.get_ok
+        (Lbrm.Archive.open_ ~segment_bytes:64 ~fs:failing "archive.log")
+    in
+    let collector = T.Collector.create () in
+    let cfg = { plain with retention = Log_store.Keep_last 3 } in
+    let l =
+      Logger.create cfg ~self:5 ~source:1 ~parent:2 ~archive ~rng:(rng ())
+        ~sink:(T.Collector.sink collector) ()
+    in
+    broken := false;
+    for seq = 1 to 10 do
+      ignore
+        (Logger.handle_message l ~now:0. ~src:1
+           (Message.Data { seq; epoch = 0; payload = p "payload" }))
+    done;
+    broken := true;
+    (l, collector)
+  in
+  let degraded_at seq (l, collector) =
+    checki "counted" 1 (Logger.archive_write_errors l);
+    checkb "tier detached" false (Logger.archive_enabled l);
+    checkb "degradation traced" true
+      (List.exists
+         (fun (r : T.record) -> r.T.ev = T.Archive_degraded { seq })
+         (T.Collector.records collector))
+  in
+  let ((l, _) as lookup) = logger () in
+  ignore (Logger.handle_message l ~now:1. ~src:10 (Message.Nack { seqs = [ 2 ] }));
+  degraded_at 2 lookup;
+  let ((l, _) as compaction) = logger () in
+  checki "nothing reclaimed" 0 (Logger.compact_archive l ~now:1. ~floor:6);
+  degraded_at 6 compaction
+
 (* ---- satellite: end-to-end memory → disk fall-through ------------------ *)
 
 (* The paper's 50-site deployment under tail loss, with in-memory stores
@@ -626,6 +704,8 @@ let () =
         ] );
       ( "primary",
         [
+          Alcotest.test_case "replica-retry cancels descend" `Quick
+            replica_retry_cancels_descend;
           Alcotest.test_case "replicates a seq logged off the group" `Quick
             primary_replicates_seq_logged_off_the_group;
           Alcotest.test_case "every strategy makes the stream durable" `Quick
@@ -651,6 +731,8 @@ let () =
         [
           Alcotest.test_case "degrades gracefully on Fs_error" `Quick
             archive_degrades_gracefully;
+          Alcotest.test_case "degrades on a failed lookup or compaction"
+            `Quick archive_degrades_on_read_and_compact;
           Alcotest.test_case "memory → disk fall-through, end to end" `Slow
             tier_fallthrough_end_to_end;
         ] );
