@@ -2,18 +2,20 @@
    handles and group commit (the rules are in file_ops.mli).
 
    Appends are not a cold path: a logger spills every packet its store
-   evicts, about 2.4 appends per durable packet in a replicated deposit
+   evicts, about 2.9 appends per durable packet in a replicated deposit
    stream, and the archive fsyncs its active segment before every
-   low-water (L) manifest record.  So the write-through path allocates
-   nothing, and inside a group the L records of a drain wait behind
-   one fsync of the segment under them.
+   low-water (L) manifest record.  So an append outside a group writes
+   through a cached handle and allocates nothing, and inside a group it
+   is copied into its path's held buffer.
 
-   An append writes through inside a group only when its path's own
-   fsync is the only one deferred: an L record appended while another
-   path's fsync is deferred must wait for it, and [Archive.sync]
-   defers both the segment's and the manifest's.  A failed deferred
-   fsync drops every held byte, since which of them depended on it is
-   not known. *)
+   A path is tied once it holds a byte that came while another path's
+   fsync was deferred, such as an L record behind its segment's fsync.
+   Settling an untied path writes its held bytes alone: they depend on
+   no deferred fsync, so the segment's next fsync stays deferred and
+   the L records of a drain share one kernel fsync.  Settling a tied
+   path commits the whole group.  A failed deferred fsync drops every
+   byte still held, since which of them depended on it is not
+   known. *)
 
 module Metrics = Lbrm_util.Metrics
 
@@ -33,6 +35,7 @@ type entry = {
   mutable held : Bytes.t; (* its first [held_len] bytes are held back *)
   mutable held_len : int;
   mutable pending : bool; (* the open group deferred an fsync *)
+  mutable tied : bool; (* see the header *)
   mutable dirty : bool; (* on [dirty] *)
   mutable error : string; (* reported by the next call, or "" *)
 }
@@ -40,15 +43,16 @@ type entry = {
 let entries : (string, entry) Hashtbl.t = Hashtbl.create 16
 let depth = ref 0
 
-(* Entries the open group deferred an fsync for or held bytes of,
-   newest first, and how many of them have [pending] set. *)
+(* Entries the open group deferred an fsync for or held bytes of, and
+   how many of them have [pending] set. *)
 let dirty = ref []
 let pending = ref 0
 
-(* Held buffers of forgotten entries, reused by new ones: the active
-   segment's entry is forgotten at every fsync, and a fresh buffer for
-   each group would cost its growth again. *)
-let spare = ref []
+(* The largest held buffer of a forgotten entry, for the next new one:
+   the active segment's entry goes whenever a commit fsyncs it and
+   holds nothing after, and growing a fresh buffer each time cost 11
+   words per durable packet on udp_deposit. *)
+let spare = ref Bytes.empty
 
 let fail name path e =
   raise
@@ -74,33 +78,27 @@ let entry path =
   match Hashtbl.find entries path with
   | e -> e
   | exception Not_found ->
-      let held =
-        match !spare with
-        | b :: rest ->
-            spare := rest;
-            b
-        | [] -> Bytes.empty
-      in
       let e =
         {
           path;
           fd = Unix.stdin;
           cached = false;
-          held;
+          held = !spare;
           held_len = 0;
           pending = false;
+          tied = false;
           dirty = false;
           error = "";
         }
       in
+      spare := Bytes.empty;
       Hashtbl.replace entries path e;
       e
 
 let forget e =
   if not (e.cached || e.dirty || String.length e.error > 0) then begin
     Hashtbl.remove entries e.path;
-    if Bytes.length e.held > 0 && List.compare_length_with !spare 4 < 0 then
-      spare := e.held :: !spare;
+    if Bytes.length e.held > Bytes.length !spare then spare := e.held;
     e.held <- Bytes.empty
   end
 
@@ -136,14 +134,21 @@ let release e =
     try Unix.close e.fd with Unix.Unix_error _ -> ()
   end
 
+(* Write through [e]'s handle, opening it first if need be; a failed
+   write closes the handle.  The caller decides what becomes of [e]. *)
 let write e data len =
   if not e.cached then open_handle e;
   match push e.fd data 0 len with
   | () -> ()
   | exception Unix.Unix_error (err, _, _) ->
       release e;
-      forget e;
       fail "append" e.path err
+
+(* Write [e]'s held bytes and empty its buffer. *)
+let flush e =
+  let len = e.held_len in
+  e.held_len <- 0;
+  write e (Bytes.unsafe_to_string e.held) len
 
 (* The kernel fsync of [fd], which is then closed. *)
 let sync_fd path fd =
@@ -173,7 +178,7 @@ let sync_now e =
    per path.  Never raises: a failure stays on its path. *)
 let commit () =
   Metrics.incr commits;
-  let touched = List.rev !dirty in
+  let touched = !dirty in
   dirty := [];
   pending := 0;
   let failed =
@@ -193,20 +198,21 @@ let commit () =
   List.iter
     (fun e ->
       e.dirty <- false;
-      let len = e.held_len in
-      e.held_len <- 0;
-      if len > 0 then begin
+      e.tied <- false;
+      if e.held_len > 0 then begin
         if String.length failed > 0 then begin
+          e.held_len <- 0;
           if String.length e.error = 0 then
             e.error <-
               Printf.sprintf "append %s: held back by a failed fsync (%s)"
                 e.path failed
         end
         else
-          match write e (Bytes.unsafe_to_string e.held) len with
+          match flush e with
           | () -> ()
           | exception Lbrm.Archive.Fs_error msg -> e.error <- msg
       end;
+      (* Kept while it has a failure to report. *)
       forget e)
     touched
 
@@ -218,16 +224,19 @@ let end_group () =
   match !dirty with [] -> () | _ :: _ -> if !depth = 0 then commit ()
 
 (* Before any call but [append]: report a failure left for [path], and
-   commit first when the open group holds bytes of it. *)
+   write what the open group holds of it, alone if it is untied and
+   by committing the group if it is tied. *)
 let settle path =
   match Hashtbl.find_opt entries path with
   | None -> ()
   | Some e ->
       check e;
-      if e.held_len > 0 then begin
-        commit ();
-        check e
-      end
+      if e.held_len > 0 then
+        if e.tied then begin
+          commit ();
+          check e
+        end
+        else flush e
 
 (* Before a truncate or a remove: [settle], commit a deferred fsync of
    [path] too, and close its handle. *)
@@ -247,10 +256,12 @@ let[@lint.hot] append path data =
   let e = entry path in
   check e;
   let len = String.length data in
-  if
-    !depth = 0
-    || (e.pending && !pending = 1 && e.held_len = 0)
-  then write e data len
+  if !depth = 0 then begin
+    try write e data len
+    with Lbrm.Archive.Fs_error _ as x ->
+      forget e;
+      raise x
+  end
   else begin
     let need = e.held_len + len in
     if need > Bytes.length e.held then begin
@@ -263,6 +274,7 @@ let[@lint.hot] append path data =
     end;
     Bytes.blit_string data 0 e.held e.held_len len;
     e.held_len <- need;
+    if !pending > Bool.to_int e.pending then e.tied <- true;
     if not e.dirty then begin
       e.dirty <- true;
       dirty := (e :: !dirty [@lint.alloc "first hold of a path in this group"])

@@ -20,26 +20,28 @@
     run); groups nest, and only the outermost {!end_group} commits.
     While a group is open:
     - [fsync p] is deferred: it only marks [p];
-    - an append to [p] is held in a per-path buffer, unless [p]'s own
-      fsync is the only one deferred and nothing of [p] is held, in
-      which case it writes through: those bytes may reach disk before
-      the fsync, which recovery handles, and cannot depend on a write
-      of another path;
+    - every append is held in a per-path buffer; a path whose held
+      bytes include one appended while another path's fsync was
+      deferred is {e tied} to the group;
     - [exists], [size], [read_at], [truncate], [remove] and [fsync] on a
-      path with held bytes commit first, and so do [truncate] and
-      [remove] of a path with a deferred fsync;
+      path with held bytes write them first: alone if the path is not
+      tied (they depend on no deferred fsync), by committing the group
+      if it is; [truncate] and [remove] of a path with a deferred fsync
+      commit too;
     - the commit runs every deferred fsync, once per path, then writes
       the held bytes, one write per path.
     The archive appends a low-water record right after the fsync of the
-    data under it, so the record reaches its file only after that
-    fsync, and the low-water records of one group share one fsync.
-    Outside a group every call runs at once, as it always did.
+    data under it, so the record is tied and reaches its file only
+    after that fsync; the data appended after the fsync is not tied,
+    so the segment's next fsync stays deferred and the low-water
+    records of one group share one fsync.  Outside a group every call
+    runs at once, as it always did.
 
     {b Errors that stick.}  A commit never raises.  A deferred fsync
-    that fails keeps every held byte out of its file, since which of
-    them depended on it is not known; a held write that fails loses its
-    bytes.  Each such failure stays on its path (the failed one, and
-    every path whose bytes were dropped), and the next call on that
+    that fails keeps every byte still held out of its file, since which
+    of them depended on it is not known; a held write that fails loses
+    its bytes.  Each such failure stays on its path (the failed one,
+    and every path whose bytes were dropped), and the next call on that
     path raises it as {!Lbrm.Archive.Fs_error}, once — where an inline
     failure would have raised, so a logger degrades its disk tier the
     same way. *)

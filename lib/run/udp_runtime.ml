@@ -213,14 +213,13 @@ let transport io =
   }
 
 let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
-    ?(pool_slots = 0) ?(slot_size = Lbrm_wire.Codec.slot_size)
+    ?(pool_slots = 256) ?(slot_size = Lbrm_wire.Codec.slot_size)
     ?(use_mmsg = true) ?(use_gso = true)
     ?(sink = Trace.null ()) ?suspect_after ?dead_after () =
   let batch = max 1 (min batch Sockmsg.batch_max) in
   (* The receive ring owns [batch] slots for the process lifetime and
-     the transmit stage leases up to [batch] more; nothing else leases
-     (an oversize message borrows one slot and returns it at once), so
-     the pool needs that many plus a little headroom. *)
+     the transmit stage leases up to [batch] more, so the pool must
+     always have that many plus headroom for application retainers. *)
   let pool_slots = max pool_slots ((2 * batch) + 8) in
   let pool = Buf_pool.create ~slots:pool_slots ~slot_size () in
   let started = Sockmsg.monotonic_now () in

@@ -96,9 +96,8 @@ val create :
   unit ->
   t
 (** Defaults: 127.0.0.1, no loss, batch 64 (clamped to
-    {!Sockmsg.batch_max}), pool slots of 2048 bytes, [2 * batch + 8] of
-    them (the rx ring, the tx stage and headroom; a larger
-    [pool_slots] is honoured, a smaller one raised), mmsg and GSO on where
+    {!Sockmsg.batch_max}), 256 pool slots of 2048 bytes (raised if
+    needed to cover the rx ring and tx stage), mmsg and GSO on where
     available, no trace sink, peer liveness thresholds from
     {!Peer_manager}.  [~use_mmsg:false] forces the portable
     per-datagram fallback (the benchmark baseline); [~use_gso:false]

@@ -1186,18 +1186,36 @@ let disk_size path = (Unix.stat path).Unix.st_size
 (* Group commit changes when bytes reach disk, never which: the pinned
    history over the real fs leaves the pinned files whether it runs
    inside groups or outside.  Inside, the first low-water record is
-   held until the group ends. *)
+   held until the group ends.  File_ops.metrics shows what it saves:
+   fewer fsyncs inside groups, and far fewer opens than appends. *)
 let archive_group_commit_same_files () =
   let module File_ops = Lbrm_run.File_ops in
+  let kernel name = Lbrm_util.Metrics.count File_ops.metrics name in
+  let appends = ref 0 in
+  let fs =
+    {
+      File_ops.real with
+      append =
+        (fun path data ->
+          incr appends;
+          File_ops.real.append path data);
+    }
+  in
   let run ~grouped =
+    let fsyncs = kernel "file_ops.fsyncs" in
     let dir = tmp_dir () in
     let base = Filename.concat dir "pin.log" in
     let manifest = base ^ ".manifest" in
     let after_lwm () =
       if grouped then begin
-        (* The activate record only: the low-water record waits for the
-           fsync of the segment under it, which waits for the end. *)
-        checki "low-water record held" 23 (disk_size manifest);
+        (* The low-water record waits for the fsync of the segment
+           under it, which waits for the end, and the activate record
+           ahead of it in the manifest waits with it. *)
+        checkb "low-water record held" false (Sys.file_exists manifest);
+        (* The segment's records came while no fsync was deferred: the
+           fsync wrote them alone instead of committing the group. *)
+        checkb "records under it written" true
+          (disk_size (base ^ ".000001.seg") > 0);
         File_ops.end_group ();
         checki "low-water record written at end_group" 46 (disk_size manifest);
         File_ops.begin_group ()
@@ -1205,8 +1223,9 @@ let archive_group_commit_same_files () =
       else checki "low-water record written at once" 46 (disk_size manifest)
     in
     if grouped then File_ops.begin_group ();
-    let b = pinned_history ~after_lwm ~fs:File_ops.real base in
+    let b = pinned_history ~after_lwm ~fs base in
     if grouped then File_ops.end_group ();
+    let fsyncs = kernel "file_ops.fsyncs" - fsyncs in
     let digests =
       List.map
         (fun path ->
@@ -1215,13 +1234,39 @@ let archive_group_commit_same_files () =
     in
     Lbrm.Archive.close b;
     remove_dir dir;
-    digests
+    (digests, fsyncs)
   in
-  let plain = run ~grouped:false in
+  let plain, plain_fsyncs = run ~grouped:false in
   Alcotest.(check (list (pair string string)))
     "ungrouped: the pinned files" pinned_digests plain;
+  let grouped, grouped_fsyncs = run ~grouped:true in
   Alcotest.(check (list (pair string string)))
-    "grouped: the same files" plain (run ~grouped:true)
+    "grouped: the same files" plain grouped;
+  checkb "fewer fsyncs inside groups" true (grouped_fsyncs < plain_fsyncs);
+  (* Shaped like a logger's spills: 512 in-order appends, a low-water
+     record every 32, in groups of 64 as a receive drain would make. *)
+  let drains ~grouped =
+    let fsyncs = kernel "file_ops.fsyncs" and opens = kernel "file_ops.opens" in
+    appends := 0;
+    let dir = tmp_dir () in
+    let a =
+      Result.get_ok (Lbrm.Archive.open_ ~fs (Filename.concat dir "drain.log"))
+    in
+    for seq = 1 to 512 do
+      if grouped && seq mod 64 = 1 then File_ops.begin_group ();
+      Lbrm.Archive.append a ~seq ~epoch:0 ~payload:"spilled";
+      if grouped && seq mod 64 = 0 then File_ops.end_group ()
+    done;
+    let fsyncs = kernel "file_ops.fsyncs" - fsyncs
+    and opens = kernel "file_ops.opens" - opens in
+    Lbrm.Archive.close a;
+    remove_dir dir;
+    checkb "an open per 20 appends at most" true (20 * opens < !appends);
+    fsyncs
+  in
+  let plain_fsyncs = drains ~grouped:false in
+  checki "ungrouped: an fsync per low-water record" 16 plain_fsyncs;
+  checki "grouped: one per drain" 8 (drains ~grouped:true)
 
 (* A cached handle lives until its path is fsynced: after [close], the
    archive's files may be removed behind the fs and the archive rebuilt
@@ -1286,6 +1331,63 @@ let archive_real_deferred_fsync_errors () =
       checkb "names the call and the path" true
         (String.starts_with ~prefix:"fsync /dev/null: " msg));
   fs.remove path
+
+(* Inside a group the low-water record is tied to the segment's
+   deferred fsync: when [Archive.sync] asks for the manifest's fsync,
+   the record reaches disk only with the segment's kernel fsync before
+   it, never alone. *)
+let archive_real_lwm_waits_for_fsync () =
+  let module File_ops = Lbrm_run.File_ops in
+  let fsyncs () = Lbrm_util.Metrics.count File_ops.metrics "file_ops.fsyncs" in
+  let dir = tmp_dir () in
+  let base = Filename.concat dir "tied.log" in
+  File_ops.begin_group ();
+  let a =
+    Fun.protect ~finally:File_ops.end_group (fun () ->
+        let a =
+          Result.get_ok
+            (Lbrm.Archive.open_ ~lwm_stride:4 ~fs:File_ops.real base)
+        in
+        for seq = 1 to 4 do
+          Lbrm.Archive.append a ~seq ~epoch:0 ~payload:"under the mark"
+        done;
+        let before = fsyncs () in
+        Lbrm.Archive.sync a;
+        checki "low-water record on disk" 46 (disk_size (base ^ ".manifest"));
+        checki "after the segment's fsync" 1 (fsyncs () - before);
+        a)
+  in
+  Lbrm.Archive.close a;
+  remove_dir dir
+
+(* A held write that fails at the commit stays on its path too: the
+   next call there raises it, once.  Writing to /dev/full fails with
+   ENOSPC; the second path's directory is gone by the commit, so its
+   open fails. *)
+let archive_real_held_write_errors () =
+  let module File_ops = Lbrm_run.File_ops in
+  let fs = File_ops.real in
+  let dir = tmp_dir () in
+  let gone = Filename.concat dir "gone.seg" in
+  let raises what path call =
+    match call path with
+    | _ -> Alcotest.fail (what ^ " went unreported")
+    | exception Lbrm.Archive.Fs_error msg ->
+        checkb "names the call and the path" true
+          (String.starts_with ~prefix:("append " ^ path ^ ": ") msg)
+  in
+  File_ops.begin_group ();
+  fs.append "/dev/full" "held, then refused";
+  fs.append gone "held, then its directory goes";
+  Unix.rmdir dir;
+  File_ops.end_group ();
+  raises "failed held write" "/dev/full" fs.exists;
+  checkb "reported once" true (fs.exists "/dev/full");
+  raises "failed held open" gone fs.exists;
+  checkb "reported once" false (fs.exists gone);
+  (* Outside a group the write fails at once. *)
+  raises "failed write" "/dev/full" (fun p -> fs.append p "refused");
+  checkb "nothing left to report" true (fs.exists "/dev/full")
 
 let logger_serves_from_archive () =
   (* Bounded memory + archive: old packets evicted from RAM are still
@@ -1821,6 +1923,10 @@ let () =
             archive_real_fs_rebuilt;
           Alcotest.test_case "real fs deferred fsync failure sticks" `Quick
             archive_real_deferred_fsync_errors;
+          Alcotest.test_case "real fs low-water record waits for its fsync"
+            `Quick archive_real_lwm_waits_for_fsync;
+          Alcotest.test_case "real fs held write failure sticks" `Quick
+            archive_real_held_write_errors;
           Alcotest.test_case "real fs fsync surfaces errors" `Quick
             archive_real_fsync_errors;
           Alcotest.test_case "logger serves from disk" `Quick
