@@ -140,3 +140,10 @@ let validate t =
 let deposit_delay t ~attempt =
   let d = t.deposit_timeout *. (t.deposit_backoff ** float_of_int attempt) in
   if d > t.deposit_timeout_max then t.deposit_timeout_max else d
+
+let rchannel_window t =
+  let rec total k acc =
+    if k >= t.rchannel_copies then acc
+    else total (k + 1) (acc +. (t.h_min *. (t.backoff ** float_of_int k)))
+  in
+  total 0 0.

@@ -126,3 +126,9 @@ val deposit_delay : t -> attempt:int -> float
 (** Retry delay for 0-based deposit [attempt]:
     [deposit_timeout · deposit_backoff^attempt] capped at
     [deposit_timeout_max]. *)
+
+val rchannel_window : t -> float
+(** How long a fresh packet can still appear on the §7 retransmission
+    channel: the sum of its [rchannel_copies] backed-off copy gaps,
+    [h_min · backoff^k].  Receivers and loggers that join the channel on
+    loss wait this long before NACKing. *)

@@ -214,15 +214,6 @@ let ask_parent t ~now seqs =
         (fun s -> Io.push t.out (Set_timer (K_uplink_nack s, timeout)))
         fresh
 
-(* Time a packet can still appear on the retransmission channel. *)
-let rchannel_window t =
-  let rec total k acc =
-    if k >= t.cfg.rchannel_copies then acc
-    else
-      total (k + 1) (acc +. (t.cfg.h_min *. (t.cfg.backoff ** float_of_int k)))
-  in
-  total 0 0.
-
 let note_gaps t newly_missing =
   (* Pull our own losses from the parent so the site log stays complete;
      a short delay batches bursts (and is the paper's "only one request
@@ -248,7 +239,7 @@ let note_gaps t newly_missing =
         | Some channel ->
             t.on_rchannel <- true;
             Io.push t.out (Join channel);
-            rchannel_window t +. t.cfg.nack_delay
+            Config.rchannel_window t.cfg +. t.cfg.nack_delay
       in
       List.iter
         (fun s -> Io.push t.out (Set_timer (K_uplink_nack s, delay)))

@@ -1,12 +1,19 @@
-(** The per-gap recovery ladder shared by {!Receiver} and the aggregate
-    population ([Lbrm_run.Population]).
+(** The receive-side recovery ladder: everything a receiving machine does
+    about a missing packet.  {!Receiver} and the aggregate population
+    ([Lbrm_run.Population]) only feed it gaps and repairs.
 
     One pursuit per missing seq (§2.2): NACK the nearest logger, retry
     there while [attempts < (level + 1) * nack_retry_limit], climb the
     hierarchy (secondary → … → primary), ask the source [Who_is_primary]
     (§2.2.3) and finally give up.  A flush sends one NACK per level,
-    seqs ascending.  The MaxIT silence watchdog and its latest query
-    ([Nack {seqs = []}]) live here too.
+    seqs ascending.  With a §7 retransmission channel configured, a new
+    gap joins the channel and delays its first flush by the channel's
+    window; the channel is left once nothing is pursued.  After
+    [retrans_retry_limit] unanswered level-0 rounds, or past
+    [rediscovery_silence] with nothing heard, the nearest logger is
+    dropped and an expanding-ring search (§2.2.1) looks for a new one.
+    The MaxIT silence watchdog and its latest query ([Nack {seqs = []}])
+    live here too.
 
     The only parameter is [missing seq]: how many receivers this machine
     stands for still miss [seq] — 0 or 1 for a receiver, the gap's
@@ -16,8 +23,8 @@
     carrying every seq whose copy count exceeds [c], so a secondary's
     request-count window can choose a site remulticast (§2.2.1).
 
-    The ladder has no buffer of its own: every call that acts pushes
-    into the [Io.out] of the machine that embeds it. *)
+    The ladder has no buffer of its own: every call pushes into the
+    [Io.out] of the machine that embeds it. *)
 
 type address = Lbrm_wire.Message.address
 type seq = Lbrm_util.Seqno.t
@@ -31,50 +38,39 @@ val create :
   loggers:address list ->
   missing:(seq -> int) ->
   write_off:(seq -> unit) ->
+  highest:(unit -> seq) ->
   t
 (** [loggers]: the hierarchy, nearest first, non-empty.  [write_off] is
-    told each seq the ladder abandons. *)
+    told each seq the ladder abandons.  [highest ()] is the highest seq
+    known to exist (0 if none); the watchdog reads it. *)
 
-val loggers : t -> address list
-val set_loggers : t -> address list -> unit  (** ignores [[]] *)
+val start : t -> Io.out -> unit
+(** Arm the MaxIT silence watchdog. *)
 
-val logger_at : t -> int -> address option
+val arrival :
+  t -> Io.out -> now:float -> src:address -> Lbrm_wire.Message.t -> unit
+(** Every message, before the embedder looks at its payload: Data,
+    Heartbeat and Retrans re-arm the watchdog (a Retrans from the
+    nearest logger also proves it alive); [Primary_is] and
+    [Discovery_reply] are consumed here. *)
 
-val primary_is : t -> Io.out -> address -> unit
-(** Replace the last level and re-send every pursuit. *)
+val open_ : t -> Io.out -> now:float -> seq list -> unit
+(** Pursue the seqs not yet pursued: report the gap, arm the flush and,
+    with a channel configured, join it. *)
 
-val drop_nearest : t -> unit
-(** Drop level 0 (keeping one level); pursuits move one level nearer. *)
+val close : t -> Io.out -> now:float -> seq -> unit
+(** [seq] was repaired; nothing happens if it was not pursued. *)
 
-val adopt_nearest : t -> Io.out -> address -> unit
-(** Put a logger first and re-send every pursuit to it from level 0. *)
+val handle_timer : t -> Io.out -> now:float -> Io.timer_key -> unit
+(** [K_nack_flush], [K_nack_escalate], [K_discovery] and [K_silence];
+    other keys are ignored. *)
 
-val open_ : t -> now:float -> seq list -> seq list
-(** Pursue the seqs not yet pursued and return them; the caller arms
-    [K_nack_flush]. *)
+val loggers : t -> address list  (** the hierarchy, nearest first *)
 
-val close : t -> Io.out -> now:float -> seq -> bool
-(** [seq] was repaired; [false] (and nothing pushed) if it was not
-    pursued. *)
-
-val flush : t -> Io.out -> now:float -> unit  (** [K_nack_flush] *)
-
-val escalate : t -> Io.out -> now:float -> seq -> unit
-(** [K_nack_escalate seq]: retry, climb, [Who_is_primary] (re-armed at
-    [2 * nack_timeout]), abandon. *)
-
-val unanswered_at_nearest : t -> seq -> bool
-(** [seq] is pursued at level 0 and still missing. *)
-
-val heard : t -> now:float -> Io.action  (** re-arms the watchdog *)
-
-val arm_silence : t -> Io.action
-
-val silence : t -> Io.out -> now:float -> highest:seq -> unit
-(** [K_silence], before re-arming: report it and, once the flow is
-    known, send the nearest logger a latest query. *)
-
-val last_heard : t -> float
 val nacks_sent : t -> int  (** wire NACKs, copies and latest queries *)
 
 val gave_up : t -> int  (** pursuits abandoned *)
+
+val rediscoveries : t -> int  (** nearest loggers replaced *)
+
+val discovering : t -> bool  (** an expanding-ring search is in flight *)

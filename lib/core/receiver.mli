@@ -1,17 +1,14 @@
 (** The LBRM receiver.
 
     Detects loss two ways (§2): a gap in sequence numbers, or silence —
-    no packet of any kind for MaxIT.  Missing packets are requested from
-    the nearest logging server; if a level of the hierarchy fails to
-    repair within the retry budget the receiver escalates to the next
-    level (secondary → … → primary), finally asking the source
-    [Who_is_primary] in case the primary moved (§2.2.3).  That ladder is
-    {!Pursuit}, shared with the aggregate population; a receiver stands
-    for one member, so each seq it misses goes out in one NACK copy.
-    What stays here: delivery, the §7 retransmission channel (which
-    delays the first flush and is left once nothing is missing) and
-    expanding-ring rediscovery of a nearest logger that stopped
-    answering (§2.2.1).
+    no packet of any kind for MaxIT.  Everything done about a missing
+    packet is {!Pursuit}, shared with the aggregate population: NACKing
+    the nearest logging server, climbing the hierarchy (secondary → … →
+    primary) and asking the source [Who_is_primary] (§2.2.3), the §7
+    retransmission channel, and expanding-ring rediscovery of a nearest
+    logger that stopped answering (§2.2.1).  A receiver stands for one
+    member, so each seq it misses goes out in one NACK copy.  What stays
+    here is the gap tracker and delivery.
 
     The receiver is {e receiver-reliable}: payloads are delivered to the
     application immediately and unordered; recovery of a given packet
@@ -48,9 +45,6 @@ val handle_timer : t -> now:float -> Io.timer_key -> Io.out
 
 (** {2 Introspection} *)
 
-val highest_seen : t -> seq
-(** Highest sequence number known to exist (0 if none). *)
-
 val missing : t -> seq list
 val delivered : t -> int
 (** Count of payloads handed to the application. *)
@@ -60,9 +54,6 @@ val recovered : t -> int
 
 val gave_up : t -> int
 val nacks_sent : t -> int
-val set_loggers : t -> address list -> unit
-(** Replace the recovery hierarchy (after discovery). *)
-
 val loggers : t -> address list
 (** Current recovery hierarchy, nearest first. *)
 
@@ -72,6 +63,3 @@ val rediscoveries : t -> int
 
 val discovering : t -> bool
 (** Whether an expanding-ring search is currently in flight. *)
-
-val last_heard : t -> float
-(** Time anything was last received from the flow. *)

@@ -2,16 +2,12 @@ module Message = Lbrm_wire.Message
 module Site_population = Lbrm_sim.Site_population
 module Trace = Lbrm.Trace
 module Pursuit = Lbrm.Pursuit
-open Lbrm.Io
 
 type address = Message.address
 
 (* One pursuit per distinct missing seq, whatever its multiplicity: the
-   shared ladder reads [Site_population.remaining] as its missing count.
-   No rediscovery: a population pins its hierarchy, so a dead secondary
-   is escalated past, not replaced. *)
+   shared ladder reads [Site_population.remaining] as its missing count. *)
 type t = {
-  cfg : Lbrm.Config.t;
   self : address;
   sink : Trace.sink;
   model : Site_population.t;
@@ -23,7 +19,6 @@ type t = {
 let create ?(sink = Trace.null ()) ~cfg ~self ~source ~loggers ~model ~on_feed
     () =
   {
-    cfg;
     self;
     sink;
     model;
@@ -34,22 +29,15 @@ let create ?(sink = Trace.null ()) ~cfg ~self ~source ~loggers ~model ~on_feed
     pursuit =
       Pursuit.create ~sink cfg ~self ~source ~loggers
         ~missing:(fun seq -> Site_population.remaining model ~seq)
-        ~write_off:(fun seq -> ignore (Site_population.abandon model ~seq));
+        ~write_off:(fun seq -> ignore (Site_population.abandon model ~seq))
+        ~highest:(fun () -> Site_population.highest model);
     on_feed;
     out = Lbrm.Io.out ();
   }
 
 let model t = t.model
 let missing t = Site_population.missing t.model
-let nacks_sent t = Pursuit.nacks_sent t.pursuit
 let trace t ~now ev = Trace.emit t.sink ~at:now ~node:t.self ev
-
-let open_pursuits t ~now seqs =
-  match Pursuit.open_ t.pursuit ~now seqs with
-  | [] -> ()
-  | fresh ->
-      Lbrm.Io.push t.out (Notify (N_gap fresh));
-      Lbrm.Io.push t.out (Set_timer (K_nack_flush, t.cfg.nack_delay))
 
 (* --- data-plane arrivals ----------------------------------------------- *)
 
@@ -86,13 +74,13 @@ let on_payload t ~now ~src ~seq msg =
   let at = Lbrm.Io.length t.out in
   (match outcome.opened with
   | [] -> ()
-  | pairs -> open_pursuits t ~now (List.map fst pairs));
+  | pairs -> Pursuit.open_ t.pursuit t.out ~now (List.map fst pairs));
   let from = Lbrm.Io.length t.out in
   (if outcome.still_missing > 0 then begin
-     if outcome.first then open_pursuits t ~now [ seq ]
+     if outcome.first then Pursuit.open_ t.pursuit t.out ~now [ seq ]
    end
    else if outcome.newly_delivered > 0 || outcome.first then
-     ignore (Pursuit.close t.pursuit t.out ~now seq : bool));
+     Pursuit.close t.pursuit t.out ~now seq);
   Lbrm.Io.hoist t.out ~at ~from
 
 let on_heartbeat t ~now ~src ~seq ~payload msg =
@@ -106,42 +94,29 @@ let on_heartbeat t ~now ~src ~seq ~payload msg =
       done;
       if seq <> 0 then
         let newly = Site_population.on_heartbeat t.model ~seq in
-        open_pursuits t ~now (List.map fst newly)
+        Pursuit.open_ t.pursuit t.out ~now (List.map fst newly)
 
-(* The watchdog re-arm goes first; the arrival paths never read
-   [last_heard]. *)
 let handle_message t ~now ~src msg =
-  let out = t.out in
-  Lbrm.Io.begin_call out;
+  Lbrm.Io.begin_call t.out;
+  Pursuit.arrival t.pursuit t.out ~now ~src msg;
   (match msg with
   | Message.Data { seq; _ } | Message.Retrans { seq; _ } ->
-      Lbrm.Io.push out (Pursuit.heard t.pursuit ~now);
       on_payload t ~now ~src ~seq msg
   | Message.Heartbeat { seq; payload; _ } ->
-      Lbrm.Io.push out (Pursuit.heard t.pursuit ~now);
       on_heartbeat t ~now ~src ~seq ~payload msg
-  | Message.Primary_is { logger } -> Pursuit.primary_is t.pursuit out logger
   | _ -> ());
-  out
+  t.out
 
 let start t ~now =
   ignore now;
   Lbrm.Io.begin_call t.out;
-  Lbrm.Io.push t.out (Pursuit.arm_silence t.pursuit);
+  Pursuit.start t.pursuit t.out;
   t.out
 
 let handle_timer t ~now key =
-  let out = t.out in
-  Lbrm.Io.begin_call out;
-  (match key with
-  | K_nack_flush -> Pursuit.flush t.pursuit out ~now
-  | K_nack_escalate seq -> Pursuit.escalate t.pursuit out ~now seq
-  | K_silence ->
-      Pursuit.silence t.pursuit out ~now
-        ~highest:(Site_population.highest t.model);
-      Lbrm.Io.push out (Pursuit.arm_silence t.pursuit)
-  | _ -> ());
-  out
+  Lbrm.Io.begin_call t.out;
+  Pursuit.handle_timer t.pursuit t.out ~now key;
+  t.out
 
 let handlers ?on_notice t =
   {

@@ -3,21 +3,18 @@
     Wraps a {!Lbrm_sim.Site_population} statistical model in the wire
     protocol: one agent stands in for the whole site population on the
     data group.  Recovery is {!Lbrm.Pursuit}, the ladder {!Lbrm.Receiver}
-    runs, with [Site_population.remaining] as its missing count: one
-    pursuit per {e distinct} gap, and a gap missed by [m] receivers goes
-    out in [min m remcast_request_threshold] NACK copies per round so the
+    runs — NACKs, escalation, the §7 retransmission channel and
+    expanding-ring rediscovery of a dead nearest logger (§2.2.1) — with
+    [Site_population.remaining] as its missing count: one pursuit per
+    {e distinct} gap, and a gap missed by [m] receivers goes out in
+    [min m remcast_request_threshold] NACK copies per round so the
     logger's unicast-vs-site-remulticast choice (§2.2.1) still sees it.
     This module keeps only the model adapter: every arriving payload is
     offered to the model, which samples how many receivers (and which
     tracers) get it; sampled tracer outcomes go to [on_feed] so the
-    embedding can inject them into real receiver machines.
-
-    Deliberate simplifications, documented here and in DESIGN.md: the
-    population pins its logger hierarchy (no expanding-ring
-    rediscovery — escalation past a dead secondary reaches the primary
-    instead) and does not subscribe to the §7 retransmission channel.
-    Statistical acknowledgement needs no adaptation: designated ackers
-    are secondary loggers, which stay real machines. *)
+    embedding can inject them into real receiver machines.  Statistical
+    acknowledgement needs no adaptation: designated ackers are secondary
+    loggers, which stay real machines. *)
 
 type address = Lbrm_wire.Message.address
 
@@ -55,5 +52,3 @@ val model : t -> Lbrm_sim.Site_population.t
 (** The model's delivery ledger: delivered, recovered, gave up. *)
 
 val missing : t -> int  (** receivers-still-missing over live gaps *)
-
-val nacks_sent : t -> int  (** wire NACK messages *)

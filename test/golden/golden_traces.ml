@@ -18,6 +18,12 @@ let line name (events : T.record list) =
   Printf.printf "%s %s records=%d\n" name (T.digest events)
     (List.length events)
 
+(* The ledger a scenario must end on: every receiver, tracer and
+   population member has every packet. *)
+let nothing_missing name d =
+  let n = Lbrm_run.Scenario.total_missing d in
+  if n <> 0 then failwith (Printf.sprintf "%s: %d packets still missing" name n)
+
 let lossy_events () =
   let collector = T.Collector.create () in
   let d =
@@ -32,9 +38,10 @@ let lossy_events () =
 
 (* test_population.ml's fault scenario (site partition, population
    crash/restart), traced, plus two faults at site 0: its secondary
-   logger goes down, which pushes population NACKs up the hierarchy (the
-   partition alone heals inside one level's retry budget), and later a
-   partition longer than MaxIT fires the population's silence watchdog. *)
+   logger goes down, which makes the population replace it by
+   expanding-ring rediscovery (the partition alone heals inside one
+   level's retry budget), and later a partition longer than MaxIT fires
+   the population's silence watchdog. *)
 let population_faults_events () =
   let collector = T.Collector.create () in
   let d =
@@ -55,14 +62,14 @@ let population_faults_events () =
   Lbrm_run.Scenario.run d ~until:90.;
   let events = T.Collector.records collector in
   let pop_nodes = Array.to_list (Array.map snd d.populations) in
-  let escalated (r : T.record) =
+  let adopted (r : T.record) =
     match r.ev with
-    | T.Nack_sent { level; _ } ->
-        level >= 1 && List.mem r.node pop_nodes
+    | T.Rediscovery (T.D_adopted _) -> List.mem r.node pop_nodes
     | _ -> false
   in
-  if T.Query.count escalated events = 0 then
-    failwith "population_faults: no population NACK escalated past level 0";
+  if T.Query.count adopted events = 0 then
+    failwith "population_faults: no population adopted a new nearest logger";
+  nothing_missing "population_faults" d;
   events
 
 (* The regional tier (3 regions x 3 sites x 2 receivers) under uniform
@@ -124,6 +131,7 @@ let restart_all_ring_events () =
           nodes));
   S.drive_periodic d ~interval:0.1 ~count:80 ();
   S.run d ~until:40.;
+  nothing_missing "restart_all_ring" d;
   T.Collector.records collector
 
 let () =

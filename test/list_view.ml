@@ -72,7 +72,8 @@ end
 module Pursuit = struct
   include Lbrm.Pursuit
 
-  let flush t ~now = into (fun out -> flush t out ~now)
+  let open_ t ~now seqs = into (fun out -> open_ t out ~now seqs)
+  let handle_timer t ~now key = into (fun out -> handle_timer t out ~now key)
 end
 
 (* The source's sub-machines return the event the source acts on, if

@@ -1183,6 +1183,13 @@ let remove_dir dir =
 (* On disk, around the fs. *)
 let disk_size path = (Unix.stat path).Unix.st_size
 
+(* Run [f] inside a File_ops group that is closed however [f] ends: the
+   group is process-wide, and one left open by a failed assertion would
+   hold the writes of every later real-fs case. *)
+let in_group f =
+  Lbrm_run.File_ops.begin_group ();
+  Fun.protect ~finally:Lbrm_run.File_ops.end_group f
+
 (* Group commit changes when bytes reach disk, never which: the pinned
    history over the real fs leaves the pinned files whether it runs
    inside groups or outside.  Inside, the first low-water record is
@@ -1217,14 +1224,14 @@ let archive_group_commit_same_files () =
         checkb "records under it written" true
           (disk_size (base ^ ".000001.seg") > 0);
         File_ops.end_group ();
-        checki "low-water record written at end_group" 46 (disk_size manifest);
-        File_ops.begin_group ()
+        Fun.protect ~finally:File_ops.begin_group (fun () ->
+            checki "low-water record written at end_group" 46
+              (disk_size manifest))
       end
       else checki "low-water record written at once" 46 (disk_size manifest)
     in
-    if grouped then File_ops.begin_group ();
-    let b = pinned_history ~after_lwm ~fs base in
-    if grouped then File_ops.end_group ();
+    let history () = pinned_history ~after_lwm ~fs base in
+    let b = if grouped then in_group history else history () in
     let fsyncs = kernel "file_ops.fsyncs" - fsyncs in
     let digests =
       List.map
@@ -1252,10 +1259,13 @@ let archive_group_commit_same_files () =
     let a =
       Result.get_ok (Lbrm.Archive.open_ ~fs (Filename.concat dir "drain.log"))
     in
-    for seq = 1 to 512 do
-      if grouped && seq mod 64 = 1 then File_ops.begin_group ();
-      Lbrm.Archive.append a ~seq ~epoch:0 ~payload:"spilled";
-      if grouped && seq mod 64 = 0 then File_ops.end_group ()
+    for drain = 0 to 7 do
+      let spill () =
+        for seq = (64 * drain) + 1 to 64 * (drain + 1) do
+          Lbrm.Archive.append a ~seq ~epoch:0 ~payload:"spilled"
+        done
+      in
+      if grouped then in_group spill else spill ()
     done;
     let fsyncs = kernel "file_ops.fsyncs" - fsyncs
     and opens = kernel "file_ops.opens" - opens in
@@ -1314,10 +1324,9 @@ let archive_real_deferred_fsync_errors () =
   let module File_ops = Lbrm_run.File_ops in
   let fs = File_ops.real in
   let path = Filename.temp_file "lbrm_held" ".seg" in
-  File_ops.begin_group ();
-  fs.fsync "/dev/null";
-  fs.append path "held behind the fsync";
-  File_ops.end_group ();
+  in_group (fun () ->
+      fs.fsync "/dev/null";
+      fs.append path "held behind the fsync");
   checki "held bytes kept out" 0 (disk_size path);
   (match fs.size path with
   | _ -> Alcotest.fail "dropped bytes went unreported"
@@ -1341,9 +1350,8 @@ let archive_real_lwm_waits_for_fsync () =
   let fsyncs () = Lbrm_util.Metrics.count File_ops.metrics "file_ops.fsyncs" in
   let dir = tmp_dir () in
   let base = Filename.concat dir "tied.log" in
-  File_ops.begin_group ();
   let a =
-    Fun.protect ~finally:File_ops.end_group (fun () ->
+    in_group (fun () ->
         let a =
           Result.get_ok
             (Lbrm.Archive.open_ ~lwm_stride:4 ~fs:File_ops.real base)
@@ -1376,11 +1384,10 @@ let archive_real_held_write_errors () =
         checkb "names the call and the path" true
           (String.starts_with ~prefix:("append " ^ path ^ ": ") msg)
   in
-  File_ops.begin_group ();
-  fs.append "/dev/full" "held, then refused";
-  fs.append gone "held, then its directory goes";
-  Unix.rmdir dir;
-  File_ops.end_group ();
+  in_group (fun () ->
+      fs.append "/dev/full" "held, then refused";
+      fs.append gone "held, then its directory goes";
+      Unix.rmdir dir);
   raises "failed held write" "/dev/full" fs.exists;
   checkb "reported once" true (fs.exists "/dev/full");
   raises "failed held open" gone fs.exists;
@@ -1770,14 +1777,14 @@ let prop_flush_nacks_fit_slot =
           { cfg with remcast_request_threshold = most }
           ~self:9 ~source:1 ~loggers:[ 2 ]
           ~missing:(fun s -> 1 + (s mod most))
-          ~write_off:ignore
+          ~write_off:ignore ~highest:(fun () -> 0)
       in
-      ignore (Lbrm.Pursuit.open_ pursuit ~now:0. seqs);
+      ignore (List_view.Pursuit.open_ pursuit ~now:0. seqs);
       let nacks =
         List.filter_map
           (function
             | Io.Send (_, (Message.Nack _ as m)) -> Some m | _ -> None)
-          (List_view.Pursuit.flush pursuit ~now:0.)
+          (List_view.Pursuit.handle_timer pursuit ~now:0. Io.K_nack_flush)
       in
       let fits m =
         match Lbrm_wire.Codec.encode m with

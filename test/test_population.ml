@@ -144,8 +144,9 @@ let model_conservation () =
 module Io = Lbrm.Io
 module Message = Lbrm_wire.Message
 
-(* The ladder's observable output: NACK and Who_is_primary sends, and
-   the K_nack_* timer actions. *)
+(* The ladder's observable output: NACK, Who_is_primary and discovery
+   sends, the channel's Join/Leave, and the K_nack_* and K_discovery
+   timer actions. *)
 let ladder_action = function
   | Io.Send (Io.To_addr a, Message.Nack { seqs }) ->
       Some
@@ -159,6 +160,17 @@ let ladder_action = function
   | Io.Cancel_timer Io.K_nack_flush -> Some "cancel flush"
   | Io.Cancel_timer (Io.K_nack_escalate s) ->
       Some (Printf.sprintf "cancel escalate %d" s)
+  | Io.Send (Io.To_group { group; ttl }, Message.Discovery_query { nonce }) ->
+      Some
+        (Printf.sprintf "discovery_query->g%d ttl %s nonce %d" group
+           (Option.fold ~none:"-" ~some:string_of_int ttl)
+           nonce)
+  | Io.Set_timer (Io.K_discovery n, d) ->
+      Some (Printf.sprintf "set discovery %d %g" n d)
+  | Io.Cancel_timer (Io.K_discovery n) ->
+      Some (Printf.sprintf "cancel discovery %d" n)
+  | Io.Join g -> Some (Printf.sprintf "join g%d" g)
+  | Io.Leave g -> Some (Printf.sprintf "leave g%d" g)
   | _ -> None
 
 type ladder_op =
@@ -169,6 +181,8 @@ type ladder_op =
   | Flush
   | Escalate of int
   | Silence
+  | Reply of int * int  (** discovery nonce, the logger that answers *)
+  | Ring of int  (** a discovery round's timeout, by nonce *)
 
 let show_op = function
   | Data s -> Printf.sprintf "Data %d" s
@@ -178,14 +192,19 @@ let show_op = function
   | Flush -> "Flush"
   | Escalate s -> Printf.sprintf "Escalate %d" s
   | Silence -> "Silence"
+  | Reply (n, l) -> Printf.sprintf "Reply (%d, %d)" n l
+  | Ring n -> Printf.sprintf "Ring %d" n
 
-(* A retry limit of 1..3 per level and a stream of up to 120 steps over
-   seqs 1..10: short enough that one seq regularly climbs the whole
-   two-level hierarchy to Who_is_primary and abandonment. *)
+(* A retry limit of 1..3 per level, 1..4 unanswered level-0 rounds
+   before rediscovery, the channel on or off, and a stream of up to 120
+   steps over seqs 1..10: short enough that one seq regularly climbs the
+   whole two-level hierarchy to Who_is_primary and abandonment, and that
+   a dead nearest logger is replaced.  A search's rounds carry nonces
+   1..4 (TTL 1, 2, 4, 8). *)
 let ladder_case =
   let open QCheck.Gen in
-  let seq = int_range 1 10 in
-  pair (int_range 1 3)
+  let seq = int_range 1 10 and nonce = int_range 1 4 in
+  quad (int_range 1 3) (int_range 1 4) bool
     (list_size (int_range 1 120)
        (frequency
           [
@@ -196,26 +215,29 @@ let ladder_case =
             (4, return Flush);
             (6, map (fun s -> Escalate s) (int_range 1 6));
             (1, return Silence);
+            (2, map2 (fun n l -> Reply (n, l)) nonce (int_range 4 5));
+            (2, map (fun n -> Ring n) nonce);
           ]))
 
 (* A receiver and a one-member lossless population, fed the same
    arrivals and timer firings, must run the same ladder: one NACK copy
-   per gap, identical sends and timer actions in the same order.
-   Rediscovery (receiver-only) is kept from firing. *)
+   per gap, identical sends, channel subscriptions, rediscovery steps
+   and timer actions in the same order.  The silence deadline is short
+   enough for the watchdog to start a search within a case. *)
 let receiver_population_differential =
   QCheck.Test.make ~count:300
     ~name:"receiver and 1-member population NACK alike"
     (QCheck.make
-       ~print:QCheck.Print.(pair int (list show_op))
+       ~print:QCheck.Print.(quad int int bool (list show_op))
        ladder_case)
-    (fun (nack_retry_limit, ops) ->
+    (fun (nack_retry_limit, retrans_retry_limit, channel, ops) ->
       let cfg =
         {
           Lbrm.Config.default with
           nack_retry_limit;
-          retrans_retry_limit = max_int;
-          rediscovery_silence = 1e9;
-          rchannel_group = None;
+          retrans_retry_limit;
+          rediscovery_silence = 20.;
+          rchannel_group = (if channel then Some 7 else None);
         }
       in
       let self = 9 and source = 1 and loggers = [ 2; 3 ] in
@@ -257,6 +279,9 @@ let receiver_population_differential =
           | Flush -> timer Io.K_nack_flush
           | Escalate seq -> timer (Io.K_nack_escalate seq)
           | Silence -> timer Io.K_silence
+          | Reply (nonce, logger) ->
+              msg logger (Message.Discovery_reply { nonce; logger })
+          | Ring nonce -> timer (Io.K_discovery nonce)
         in
         ( List.rev_append (List.filter_map ladder_action ra) rs,
           List.rev_append (List.filter_map ladder_action pa) ps )
@@ -276,14 +301,14 @@ let copy_rule () =
   let missing = function 1 -> 1 | 2 -> 2 | 3 -> 5 | _ -> 0 in
   let pursuit =
     Lbrm.Pursuit.create cfg ~self:9 ~source:1 ~loggers:[ 2 ] ~missing
-      ~write_off:ignore
+      ~write_off:ignore ~highest:(fun () -> 0)
   in
-  ignore (Lbrm.Pursuit.open_ pursuit ~now:0. [ 1; 2; 3 ]);
+  ignore (List_view.Pursuit.open_ pursuit ~now:0. [ 1; 2; 3 ]);
   let nacks =
     List.filter_map
       (function
         | Io.Send (_, Message.Nack { seqs }) -> Some seqs | _ -> None)
-      (List_view.Pursuit.flush pursuit ~now:0.)
+      (List_view.Pursuit.handle_timer pursuit ~now:0. Io.K_nack_flush)
   in
   Alcotest.(check (list (list int)))
     "copy c carries the seqs wanting more than c copies"

@@ -636,6 +636,34 @@ let measurements : (string list * (unit -> float)) list =
           hop i
         done;
         words_per_op ~iters hop );
+    ( [ "Pursuit.arrival" ],
+      fun () ->
+        (* The receive-side ladder's look at every message: Data re-arms
+           the watchdog; a Retrans from the nearest logger also clears
+           its failure count, one from another logger only re-arms.
+           Each writes the arrival time into the ladder's float slot
+           and pushes the prebuilt re-arm action. *)
+        let pursuit =
+          Lbrm.Pursuit.create Lbrm.Config.default ~self:9 ~source:1
+            ~loggers:[ 2; 3 ] ~missing:(fun _ -> 0) ~write_off:ignore
+            ~highest:(fun () -> 0)
+        in
+        let out = Lbrm.Io.out () in
+        let retrans =
+          Lbrm_wire.Message.Retrans
+            { seq = 42; epoch = 1; payload = Lbrm_wire.Payload.of_string "r" }
+        in
+        let arrive i =
+          Lbrm.Io.begin_call out;
+          Lbrm.Pursuit.arrival pursuit out
+            ~now:(if i land 1 = 1 then 1.0 else 2.0)
+            ~src:(2 + (i mod 3 / 2))
+            (if i mod 3 = 0 then data_msg else retrans)
+        in
+        for i = 1 to 100 do
+          arrive i
+        done;
+        words_per_op ~iters arrive );
     ( [ "Metrics.incr"; "Metrics.add" ],
       fun () ->
         let m = Metrics.create () in
