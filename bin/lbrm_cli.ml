@@ -490,10 +490,6 @@ let udp base_port packets loss seconds batch pool_slots slot_size no_mmsg
      leases %d (fallbacks %d, peak %d); encode failures %d, oversize %d\n"
     gso_d mmsg_d single_d st.U.pool_leases st.U.pool_fallbacks
     st.U.pool_max_outstanding st.U.encode_failures st.U.oversize;
-  let conn, act, susp, dead = Lbrm_run.Peer_manager.counts (U.peers rt) in
-  Printf.printf
-    "peers: %d connecting, %d active, %d suspect, %d dead\n"
-    conn act susp dead;
   U.close rt;
   if !ok then begin
     print_endline "OK: receiver-reliable delivery over real sockets.";

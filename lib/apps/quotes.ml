@@ -77,10 +77,6 @@ module Terminal = struct
 
   let quote t s = Hashtbl.find_opt t.quotes s
 
-  let symbols t =
-    Hashtbl.fold (fun s _ acc -> s :: acc) t.quotes []
-    |> List.sort String.compare
-
   let updates_applied t = t.applied
   let superseded_dropped t = t.dropped
 end

@@ -39,7 +39,6 @@ module Terminal : sig
       prices). *)
 
   val quote : t -> string -> quote option
-  val symbols : t -> string list
   val updates_applied : t -> int
   val superseded_dropped : t -> int
   (** Late repairs ignored because a newer quote had already arrived. *)

@@ -108,10 +108,6 @@ module Server = struct
   let modify_with_content t ~url ~content =
     let line = modify t ~url ~content in
     line ^ "\n" ^ content
-
-  let urls t =
-    Hashtbl.fold (fun url _ acc -> url :: acc) t.docs []
-    |> List.sort String.compare
 end
 
 module Client = struct

@@ -59,8 +59,6 @@ module Server : sig
   val modify_with_content : t -> url:string -> content:string -> string
   (** §4.3's "simple extension": the payload carries the updated
       document itself, so caches refresh without a reload round trip. *)
-
-  val urls : t -> string list
 end
 
 (** The browser side: page cache with invalidation flags. *)

@@ -140,8 +140,6 @@ type t = {
   mutable rotations : int;
   mutable compactions : int;
   mutable last_sealed : int; (* id of the most recently sealed segment, 0 if none *)
-  mutable reads : int; (* successful disk-tier record reads *)
-  mutable misses : int; (* lookups that found nothing *)
 }
 
 let seg_path base id = Printf.sprintf "%s.%06d.seg" base id
@@ -515,8 +513,6 @@ let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?(lwm_stride = 32)
         rotations = 0;
         compactions = 0;
         last_sealed = 0;
-        reads = 0;
-        misses = 0;
       }
     in
     let sealed_ids =
@@ -662,30 +658,24 @@ let[@lint.hot] append t ~seq ~epoch ~payload =
 (* ---------- lookup ---------- *)
 
 let find t seq =
-  let result =
-    match locate t seq with
-    | pos when pos >= 0 -> (
-        match read_data_record t t.active_seg pos with
-        | Some (s, epoch, payload) when Int.equal s seq -> Some (epoch, payload)
-        | _ -> None)
-    | _ ->
-        let rec search = function
-          | [] -> None
-          | s :: rest -> (
-              match sealed_locate t s seq with
-              | Some (pos, _len) -> (
-                  match read_data_record t (seg_path t.base s.s_id) pos with
-                  | Some (sq, epoch, payload) when Int.equal sq seq ->
-                      Some (epoch, payload)
-                  | _ -> None)
-              | None -> search rest)
-        in
-        search t.sealed
-  in
-  (match result with
-  | Some _ -> t.reads <- t.reads + 1
-  | None -> t.misses <- t.misses + 1);
-  result
+  match locate t seq with
+  | pos when pos >= 0 -> (
+      match read_data_record t t.active_seg pos with
+      | Some (s, epoch, payload) when Int.equal s seq -> Some (epoch, payload)
+      | _ -> None)
+  | _ ->
+      let rec search = function
+        | [] -> None
+        | s :: rest -> (
+            match sealed_locate t s seq with
+            | Some (pos, _len) -> (
+                match read_data_record t (seg_path t.base s.s_id) pos with
+                | Some (sq, epoch, payload) when Int.equal sq seq ->
+                    Some (epoch, payload)
+                | _ -> None)
+            | None -> search rest)
+      in
+      search t.sealed
 
 (* ---------- compaction ---------- *)
 
@@ -712,14 +702,11 @@ let sync t =
   if t.fs.exists t.manifest then t.fs.fsync t.manifest
 
 let close t = sync t
-let path t = t.base
 let active_path t = t.active_seg
 let active_size t = t.active_size
 let low_water t = t.contig
 let rotations t = t.rotations
 let compactions t = t.compactions
-let reads t = t.reads
-let misses t = t.misses
 let last_sealed t = t.last_sealed
 let segments t = List.map (fun s -> s.s_id) t.sealed @ [ t.active_id ]
 

@@ -132,9 +132,6 @@ val sync : t -> unit
 val close : t -> unit
 (** Alias for {!sync}: the archive holds no open handles of its own. *)
 
-val path : t -> string
-(** The base path passed to {!open_}. *)
-
 val active_path : t -> string
 (** Path of the current active segment's data file (tests use this to
     inflict torn tails). *)
@@ -157,12 +154,6 @@ val compactions : t -> int
 
 val last_sealed : t -> int
 (** Id of the most recently sealed live segment (0 if none). *)
-
-val reads : t -> int
-(** Successful {!find} record reads since open (disk-tier hits). *)
-
-val misses : t -> int
-(** {!find} lookups since open that found nothing. *)
 
 val iter : (seq:Lbrm_util.Seqno.t -> epoch:int -> payload:string -> unit) -> t -> unit
 (** All archived packets, sealed segments first (ascending id) then the

@@ -170,30 +170,35 @@ let open_ t out ~now seqs =
           let window = Config.rchannel_window t.cfg in
           Io.push out (Set_timer (K_nack_flush, window +. t.cfg.nack_delay)))
 
+(* Every pursuit ends here, repaired, abandoned or no longer missed:
+   once nothing is pursued, leave the §7 channel. *)
+let drop t out seq =
+  Hashtbl.remove t.pursuits seq;
+  match t.cfg.rchannel_group with
+  | Some channel when t.on_rchannel && Hashtbl.length t.pursuits = 0 ->
+      t.on_rchannel <- false;
+      Io.push out (Leave channel)
+  | _ -> ()
+
 (* In-order arrivals close nothing: skip the hash when nothing is
    pursued. *)
 let close t out ~now seq =
   if Hashtbl.length t.pursuits > 0 then
     match Hashtbl.find_opt t.pursuits seq with
     | None -> ()
-    | Some p -> (
-        Hashtbl.remove t.pursuits seq;
+    | Some p ->
         Io.push out (Cancel_timer (K_nack_escalate seq));
         Io.push out
           (Notify (N_recovered { seq; latency = now -. p.detected_at }));
-        match t.cfg.rchannel_group with
-        | Some channel when t.on_rchannel && Hashtbl.length t.pursuits = 0 ->
-            t.on_rchannel <- false;
-            Io.push out (Leave channel)
-        | _ -> ())
+        drop t out seq
 
 let abandon t out ~now seq =
-  Hashtbl.remove t.pursuits seq;
   t.write_off seq;
   t.gave_up <- t.gave_up + 1;
   if Trace.is_on t.sink then trace t ~now (Trace.Gave_up { seq });
   Io.push out (Cancel_timer (K_nack_escalate seq));
-  Io.push out (Notify (N_gave_up seq))
+  Io.push out (Notify (N_gave_up seq));
+  drop t out seq
 
 let copies t seq =
   Stdlib.max 1 (Stdlib.min (t.missing seq) t.cfg.remcast_request_threshold)
@@ -277,7 +282,7 @@ let climb t out ~now seq =
   match Hashtbl.find_opt t.pursuits seq with
   | None -> ()
   | Some p ->
-      if t.missing seq = 0 then Hashtbl.remove t.pursuits seq
+      if t.missing seq = 0 then drop t out seq
       else if p.attempts < (p.level + 1) * t.cfg.nack_retry_limit then begin
         (* Retry at the same level. *)
         p.needs_send <- true;

@@ -54,7 +54,6 @@ type event =
   | Pop_arrival of { seq : seq; members : int; missed : int }
   | Pop_repair of { seq : seq; repaired : int; remaining : int }
   | Encode_failed of { kind : string; size : int }
-  | Peer_state of { peer : address; before : string; after : string }
   | Ring_forwarded of { seq : seq; dest : address }
   | Quorum_acked of { seq : seq; floor : seq }
   | Ack_floor of { durable : seq; acked : seq }
@@ -240,11 +239,6 @@ let event_fields buf ev =
       add
         (Printf.sprintf {|"ev":"encode_failed","kind":"%s","size":%d|} kind
            size)
-  | Peer_state { peer; before; after } ->
-      add
-        (Printf.sprintf
-           {|"ev":"peer_state","peer":%d,"before":"%s","after":"%s"|} peer
-           before after)
   | Ring_forwarded { seq; dest } ->
       add (Printf.sprintf {|"ev":"ring_forwarded","seq":%d,"dest":%d|} seq dest)
   | Quorum_acked { seq; floor } ->

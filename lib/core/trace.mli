@@ -77,10 +77,6 @@ type event =
       (** a runtime refused to ship a message that would not fit its
           transmit slot ([size] is the oversized body); distinct from
           injected loss *)
-  | Peer_state of { peer : address; before : string; after : string }
-      (** a runtime peer-liveness transition (labels from
-          [Peer_manager.state_label]); string-typed so the trace
-          vocabulary does not depend on the runtime layer *)
   | Ring_forwarded of { seq : seq; dest : address }
       (** ring replication: a member logged a deposit and forwarded it
           to its successor [dest] *)

@@ -19,14 +19,12 @@ module Emitter = struct
     max_silence : float;
     mutable last : Entity.state;
     mutable sent : int;
-    mutable seen : int;
   }
 
   let create ~model ~threshold ?(max_silence = 5.) initial =
-    { model; threshold; max_silence; last = initial; sent = 1; seen = 0 }
+    { model; threshold; max_silence; last = initial; sent = 1 }
 
   let observe t ~truth =
-    t.seen <- t.seen + 1;
     let predicted = extrapolate t.model t.last ~at:truth.Entity.timestamp in
     let drifted =
       Vec3.distance predicted.position truth.Entity.position > t.threshold
@@ -40,7 +38,5 @@ module Emitter = struct
     end
     else `Quiet
 
-  let last_sent t = t.last
   let updates_sent t = t.sent
-  let observations t = t.seen
 end

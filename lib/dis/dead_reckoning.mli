@@ -31,8 +31,5 @@ module Emitter : sig
       the prediction has drifted too far (or appearance changed, or
       [max_silence] expired). *)
 
-  val last_sent : t -> Entity.state
-
   val updates_sent : t -> int
-  val observations : t -> int
 end

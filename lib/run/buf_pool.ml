@@ -42,7 +42,6 @@ let create ?(slots = 256) ?(slot_size = Lbrm_wire.Codec.slot_size) () =
 
 let region t = t.region
 let slot_size t = t.slot_size
-let slots t = t.nslots
 let pooled b = b.slot >= 0
 
 let[@lint.hot] lease t =

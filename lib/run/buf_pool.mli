@@ -33,8 +33,6 @@ val region : t -> Bytes.t
 
 val slot_size : t -> int
 
-val slots : t -> int
-
 val lease : t -> buf
 (** A free pooled slot (its preallocated handle — no allocation), or a
     fresh fallback buffer when the pool is exhausted. *)

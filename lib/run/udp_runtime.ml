@@ -38,7 +38,9 @@ type io = {
   batch : int;
   pool : Buf_pool.t;
   region : Bytes.t; (* = Buf_pool.region pool *)
-  peers : Peer_manager.t;
+  (* Each group's member ports, ascending.  A join or leave replaces
+     the array, never mutates it, so [fan_out] walks it in place. *)
+  groups : (int, int array) Hashtbl.t;
   sink : Trace.sink;
   runtime_metrics : Metrics.t;
   by_socket : (Unix.file_descr, agent) Hashtbl.t; (* for the select loop *)
@@ -47,8 +49,8 @@ type io = {
   sockaddr_of : int -> Unix.sockaddr; (* cached ADDR_INET per port *)
   (* The last clock reading, taken once per receive batch, send call,
      perform and loop turn; the engine's clock follows it.  Stored
-     boxed: every peer update and handler of that batch or fan-out
-     gets the same box instead of boxing a reading of its own. *)
+     boxed: every handler of that batch gets the same box instead of
+     boxing a reading of its own. *)
   mutable clock : float;
   (* Transmit stage: up to [batch] encoded datagrams (pooled slots, all
      bound to [tx_fd]'s socket) flushed in one sendmmsg. *)
@@ -128,10 +130,8 @@ let send_oversize t ep ~dst msg =
       Sockmsg.send_one ep.socket t.jumbo ~off:0 ~len (t.sockaddr_of dst)
 
 (* Every datagram that reaches the kernel bumps [t.sent]; the transport
-   reports the difference to the host as the "sent.<kind>" count.  The
-   caller has read the clock for this send call. *)
+   reports the difference to the host as the "sent.<kind>" count. *)
 let send_datagram t ep ~dst msg =
-  Peer_manager.note_sent t.peers ~port:dst ~now:t.clock;
   if t.loss > 0. && Rng.bernoulli t.rng ~p:t.loss then
     t.dropped <- t.dropped + 1
   else begin
@@ -182,16 +182,38 @@ let send_datagram t ep ~dst msg =
     end
   end
 
+(* --- groups ------------------------------------------------------------ *)
+
+let members t ~group =
+  match Hashtbl.find t.groups group with
+  | ports -> ports
+  | exception Not_found -> [||]
+
+let join_group t ~group ~port =
+  let ports = members t ~group in
+  if not (Array.mem port ports) then begin
+    let ports = Array.append ports [| port |] in
+    Array.sort Int.compare ports;
+    Hashtbl.replace t.groups group ports
+  end
+
+let leave_group t ~group ~port =
+  let ports = members t ~group in
+  if Array.mem port ports then
+    Hashtbl.replace t.groups group
+      (Array.of_list (List.filter (( <> ) port) (Array.to_list ports)))
+
 (* Unicast fan-out over every member but the sender, walking the group's
-   port array in place; TTL scoping is meaningless here.  A receiver
-   that sees no loss never speaks, so its peer state decays to Dead:
-   senders never gate on receiver health. *)
+   port array in place; TTL scoping is meaningless here.  Every member
+   gets every datagram: a receiver that sees no loss never speaks, and
+   senders never gate on receiver health.  The clock reading also
+   advances the engine that arms this call's timers. *)
 let[@lint.hot] fan_out t ep ~group msg =
-  let members = Peer_manager.members t.peers ~group in
+  let ports = members t ~group in
   let before = t.sent in
   read_clock t;
-  for i = 0 to Array.length members - 1 do
-    let port = members.(i) in
+  for i = 0 to Array.length ports - 1 do
+    let port = ports.(i) in
     if port <> ep.port then send_datagram t ep ~dst:port msg
   done;
   t.sent - before
@@ -206,16 +228,14 @@ let transport io =
         send_datagram io ep ~dst msg;
         io.sent - before);
     multicast = (fun ep ~group ~ttl:_ msg -> fan_out io ep ~group msg);
-    join =
-      (fun ~group port ->
-        Peer_manager.join io.peers ~group ~port ~now:(elapsed io));
-    leave = (fun ~group port -> Peer_manager.leave io.peers ~group ~port);
+    join = (fun ~group port -> join_group io ~group ~port);
+    leave = (fun ~group port -> leave_group io ~group ~port);
   }
 
 let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
     ?(pool_slots = 256) ?(slot_size = Lbrm_wire.Codec.slot_size)
     ?(use_mmsg = true) ?(use_gso = true)
-    ?(sink = Trace.null ()) ?suspect_after ?dead_after () =
+    ?(sink = Trace.null ()) () =
   let batch = max 1 (min batch Sockmsg.batch_max) in
   (* The receive ring owns [batch] slots for the process lifetime and
      the transmit stage leases up to [batch] more, so the pool must
@@ -229,24 +249,6 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
     | None -> (0, false)
   in
   let runtime_metrics = Metrics.create () in
-  let peers =
-    Peer_manager.create ?suspect_after ?dead_after
-      ~on_transition:(fun ~port ~before ~after ->
-        Metrics.incr
-          (Metrics.counter runtime_metrics
-             ("peer.to_" ^ Peer_manager.state_label after));
-        if Trace.is_on sink then
-          Trace.emit sink
-            ~at:(Sockmsg.monotonic_now () -. started)
-            ~node:port
-            (Trace.Peer_state
-               {
-                 peer = port;
-                 before = Peer_manager.state_label before;
-                 after = Peer_manager.state_label after;
-               }))
-      ()
-  in
   let addr_cache = Hashtbl.create 64 in
   let sockaddr_of port =
     try Hashtbl.find addr_cache port
@@ -278,7 +280,7 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
       batch;
       pool;
       region = Buf_pool.region pool;
-      peers;
+      groups = Hashtbl.create 8;
       sink;
       runtime_metrics;
       by_socket = Hashtbl.create 16;
@@ -314,13 +316,10 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
 let now t = elapsed t.io
 let mmsg_active t = t.io.use_mmsg
 let gso_active t = t.io.use_mmsg && t.io.use_gso && Sockmsg.gso_available ()
-let peers t = t.io.peers
 let runtime_metrics t = t.io.runtime_metrics
 
-let join t ~group ~port =
-  Peer_manager.join t.io.peers ~group ~port ~now:(now t)
-
-let leave t ~group ~port = Peer_manager.leave t.io.peers ~group ~port
+let join t ~group ~port = join_group t.io ~group ~port
+let leave t ~group ~port = leave_group t.io ~group ~port
 let datagrams_sent t = t.io.sent
 let datagrams_dropped t = t.io.dropped
 let encode_failures t = t.io.encode_failures
@@ -397,7 +396,6 @@ let receive_all { io = t; host } agent =
             Codec.decode_bytes_exn t.reader t.region ~pos:t.rx_offs.(i) ~len
           with
           | msg ->
-              Peer_manager.note_recv t.peers ~port:src_port ~now:t.clock;
               Agent_host.receive host agent ~now:t.clock ~src:src_port msg
           | exception Codec.Malformed _ ->
               (* malformed datagram: drop *)
@@ -445,7 +443,6 @@ let run_for t ~seconds =
   let stop_at = now t +. seconds in
   while now t < stop_at do
     fire_due_timers t;
-    Peer_manager.tick t.io.peers ~now:(now t);
     let timeout =
       let now = now t in
       let until_stop = stop_at -. now

@@ -31,16 +31,15 @@
     datagram that raises it on decode is dropped and counted in
     [rx.malformed], never dispatched; a message that raises it on
     encode is counted in {!encode_failures}.  The clock is read once
-    per receive batch and once per send call, and that one reading is
-    what {!Peer_manager} records for every datagram of it.  Slots,
-    length/port arrays and metric counter handles are all
-    preallocated.
+    per receive batch and once per send call, and every handler of it
+    gets that one reading.  Slots, length/port arrays and metric
+    counter handles are all preallocated.
 
-    {b Peers}: a {!Peer_manager} tracks every remote endpoint's
-    liveness (Connecting/Active/Suspect/Dead) from received traffic;
-    transitions surface as {!Lbrm.Trace.Peer_state} events and runtime
-    metrics.  Liveness is observability only: no send is gated on it.
-    Group membership lives in the same registry.
+    {b Groups}: each group is an ascending array of member ports, set
+    by {!join} and {!leave} and replaced, never mutated, on each
+    change.  The runtime keeps no per-peer liveness: LBRM detects a
+    dead source or logger by itself (heartbeat silence, NACK timeouts,
+    rediscovery), and a receiver that sees no loss never speaks.
 
     {b Multicast emulation}: the sealed environment offers no
     multicast-capable network, so group sends fan out as unicast
@@ -91,15 +90,12 @@ val create :
   ?use_mmsg:bool ->
   ?use_gso:bool ->
   ?sink:Lbrm.Trace.sink ->
-  ?suspect_after:float ->
-  ?dead_after:float ->
   unit ->
   t
 (** Defaults: 127.0.0.1, no loss, batch 64 (clamped to
     {!Sockmsg.batch_max}), 256 pool slots of 2048 bytes (raised if
     needed to cover the rx ring and tx stage), mmsg and GSO on where
-    available, no trace sink, peer liveness thresholds from
-    {!Peer_manager}.  [~use_mmsg:false] forces the portable
+    available, no trace sink.  [~use_mmsg:false] forces the portable
     per-datagram fallback (the benchmark baseline); [~use_gso:false]
     keeps batching but disables the GSO transmit tier. *)
 
@@ -118,6 +114,8 @@ val add_agent : t -> port:int -> Handlers.t -> unit
     the port is taken. *)
 
 val join : t -> group:int -> port:int -> unit
+(** Add [port] to [group]'s fan-out; a second join is a no-op. *)
+
 val leave : t -> group:int -> port:int -> unit
 
 val perform : t -> port:int -> Lbrm.Io.out -> unit
@@ -139,12 +137,9 @@ val encode_failures : t -> int
 val stats : t -> stats
 (** Full transport counters (batching, pool, truncation). *)
 
-val peers : t -> Peer_manager.t
-(** The live peer registry (liveness states, group index). *)
-
 val runtime_metrics : t -> Lbrm_util.Metrics.t
-(** Runtime-level counters: peer transitions, [tx.encode_failed],
-    [rx.truncated], [rx.malformed]. *)
+(** Runtime-level counters: [tx.encode_failed], [rx.truncated],
+    [rx.malformed]. *)
 
 val agent_metrics : t -> (int * Lbrm_util.Metrics.t) list
 (** Per-agent registries, ascending by port: one ["sent.<kind>"] per

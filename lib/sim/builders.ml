@@ -18,12 +18,10 @@ let backbone_delay = 17e-3
 let dis_wan ~sites ~hosts_per_site () =
   assert (sites > 0 && hosts_per_site > 0);
   let topo = Topo.create () in
-  let backbone = Topo.add_node topo ~label:"backbone" Router in
-  let mk_site i =
-    let gateway =
-      Topo.add_node topo ~label:(Printf.sprintf "gw%d" i) Router
-    in
-    let edge = Topo.add_node topo ~label:(Printf.sprintf "edge%d" i) Router in
+  let backbone = Topo.add_node topo Router in
+  let mk_site _ =
+    let gateway = Topo.add_node topo Router in
+    let edge = Topo.add_node topo Router in
     let _bb =
       Topo.add_duplex topo ~bandwidth:backbone_bandwidth ~delay:backbone_delay
         backbone edge
@@ -33,10 +31,8 @@ let dis_wan ~sites ~hosts_per_site () =
         gateway edge
     in
     let hosts =
-      Array.init hosts_per_site (fun j ->
-          let h =
-            Topo.add_node topo ~label:(Printf.sprintf "s%dh%d" i j) Host
-          in
+      Array.init hosts_per_site (fun _ ->
+          let h = Topo.add_node topo Host in
           let _ =
             Topo.add_duplex topo ~bandwidth:lan_bandwidth ~delay:lan_delay
               gateway h
@@ -63,10 +59,10 @@ let site_of_host w h =
 
 let lan ~hosts () =
   let topo = Topo.create () in
-  let switch = Topo.add_node topo ~label:"switch" Router in
+  let switch = Topo.add_node topo Router in
   let hs =
-    Array.init hosts (fun i ->
-        let h = Topo.add_node topo ~label:(Printf.sprintf "h%d" i) Host in
+    Array.init hosts (fun _ ->
+        let h = Topo.add_node topo Host in
         let _ =
           Topo.add_duplex topo ~bandwidth:lan_bandwidth ~delay:lan_delay
             switch h

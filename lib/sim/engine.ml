@@ -486,11 +486,3 @@ let pending t = t.size
 let events_processed t = t.processed
 let kind_fired t ~kind = t.kind_fired.(kind)
 let kind_wait t ~kind = t.kind_wait.(kind)
-
-let kind_stats t =
-  let acc = ref [] in
-  for k = max_kinds - 1 downto 0 do
-    if t.kind_fired.(k) > 0 then
-      acc := (k, t.kind_fired.(k), t.kind_wait.(k)) :: !acc
-  done;
-  !acc

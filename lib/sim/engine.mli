@@ -119,7 +119,3 @@ val kind_fired : t -> kind:int -> int
 
 val kind_wait : t -> kind:int -> float
 (** Total virtual seconds events of this kind spent queued. *)
-
-val kind_stats : t -> (int * int * float) list
-(** [(kind, fired, total_wait)] for every kind with at least one firing,
-    ascending by kind. *)

@@ -22,14 +22,6 @@ let link_up ~at link = { at; what = Link_up link }
 let outage ~at ~downtime node =
   [ crash ~at node; restart ~at:(at +. downtime) node ]
 
-let cut topo ~a ~b ~t0 ~t1 =
-  let dir ~src ~dst =
-    match Topo.find_link topo ~src ~dst with
-    | Some l -> [ link_down ~at:t0 l; link_up ~at:t1 l ]
-    | None -> []
-  in
-  dir ~src:a ~dst:b @ dir ~src:b ~dst:a
-
 let partition_site (wan : Builders.wan) ~site ~t0 ~t1 =
   (* Severing the tail circuit in both directions isolates the whole
      site: its hosts hang off the gateway, which reaches the rest of

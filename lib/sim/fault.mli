@@ -28,9 +28,6 @@ val link_up : at:float -> Topo.link -> event
 val outage : at:float -> downtime:float -> Topo.node_id -> event list
 (** Crash at [at], restart [downtime] later. *)
 
-val cut : Topo.t -> a:Topo.node_id -> b:Topo.node_id -> t0:float -> t1:float -> event list
-(** Take both directions of the [a]–[b] link pair down over [t0, t1]. *)
-
 val partition_site : Builders.wan -> site:int -> t0:float -> t1:float -> event list
 (** Transient partition of a whole site: both directions of its tail
     circuit go down at [t0] and heal at [t1]. *)

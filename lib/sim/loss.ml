@@ -76,11 +76,3 @@ let rec drops t ~rng ~now =
   | Gilbert g -> gilbert_drops g ~rng ~now
   | Bursts arr -> in_burst arr now
   | Combine ts -> List.exists (fun m -> drops m ~rng ~now) ts
-
-let rec describe = function
-  | None_ -> "none"
-  | Bernoulli p -> Printf.sprintf "bernoulli(%.3g)" p
-  | Gilbert g ->
-      Printf.sprintf "gilbert(good=%.3gs bad=%.3gs)" g.mean_good g.mean_bad
-  | Bursts arr -> Printf.sprintf "bursts(%d windows)" (Array.length arr)
-  | Combine ts -> String.concat "+" (List.map describe ts)

@@ -35,6 +35,3 @@ val combine : t list -> t
 val drops : t -> rng:Lbrm_util.Rng.t -> now:float -> bool
 (** Sample the model at virtual time [now] (monotone non-decreasing
     calls expected for stateful models). *)
-
-val describe : t -> string
-(** Short human-readable description, for traces. *)

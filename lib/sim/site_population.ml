@@ -81,7 +81,6 @@ let is_fully_delivered t ~seq =
   && seq <= highest t && seq >= 1
 
 let tracer_fed t = Array.copy t.tracer_fed
-let tracer_missed t = t.agree_actual
 
 let agreement_z t =
   if t.agree_var <= 0. then 0.

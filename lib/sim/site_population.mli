@@ -103,12 +103,9 @@ val tracer_fed : t -> int array
     receiver machine fed exactly these packets must report the same
     delivery count — an exact, not statistical, check. *)
 
-val tracer_missed : t -> int
-(** Total tracer miss events across all sampling rounds. *)
-
 val agreement_z : t -> float
-(** Z-statistic of {!tracer_missed} against its expectation under the
-    realized aggregate draws (hypergeometric mean/variance accumulated
-    per sampling event).  Near 0 when tracers and aggregate agree; 0
-    when no losses were sampled.  |z| beyond low single digits means the
-    joint sampler is broken. *)
+(** Z-statistic of the tracers' total miss events against their
+    expectation under the realized aggregate draws (hypergeometric
+    mean/variance accumulated per sampling event).  Near 0 when tracers
+    and aggregate agree; 0 when no losses were sampled.  |z| beyond low
+    single digits means the joint sampler is broken. *)

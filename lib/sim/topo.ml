@@ -3,7 +3,6 @@ type kind = Host | Router
 
 type node = {
   kind : kind;
-  node_label : string;
   mutable out : link list;
   mutable up : bool;
 }
@@ -43,12 +42,9 @@ type t = { mutable nodes : node array; mutable n : int; mutable state_epoch : in
 
 let create () = { nodes = [||]; n = 0; state_epoch = 0 }
 
-let add_node t ?label kind =
+let add_node t kind =
   let id = t.n in
-  let node_label =
-    match label with Some l -> l | None -> Printf.sprintf "n%d" id
-  in
-  let node = { kind; node_label; out = []; up = true } in
+  let node = { kind; out = []; up = true } in
   if Array.length t.nodes = t.n then begin
     let nodes = Array.make (max 8 (2 * t.n)) node in
     Array.blit t.nodes 0 nodes 0 t.n;
@@ -61,7 +57,6 @@ let add_node t ?label kind =
 
 let node_count t = t.n
 let kind t id = t.nodes.(id).kind
-let label t id = t.nodes.(id).node_label
 let state_epoch t = t.state_epoch
 let node_up t id = t.nodes.(id).up
 
@@ -110,10 +105,7 @@ let find_link t ~src ~dst =
 let link_src l = l.src
 let link_dst l = l.dst
 let link_delay l = l.fl.delay
-let link_bandwidth l = l.fl.bandwidth
-let link_loss l = l.loss
 let set_link_loss l loss = l.loss <- loss
-let link_jitter l = l.fl.jitter
 let set_link_jitter l jitter = l.fl.jitter <- jitter
 let link_up l = l.link_up
 
@@ -172,20 +164,3 @@ let bytes_delivered l = l.bytes
 let drops_loss l = l.lost
 let drops_queue l = l.queue_drops
 let drops_down l = l.down_drops
-
-let reset_counters t =
-  for i = 0 to t.n - 1 do
-    List.iter
-      (fun l ->
-        l.sent <- 0;
-        l.delivered <- 0;
-        l.bytes <- 0;
-        l.lost <- 0;
-        l.queue_drops <- 0;
-        l.down_drops <- 0)
-      t.nodes.(i).out
-  done
-
-let pp_link fmt l =
-  Format.fprintf fmt "%d->%d (bw=%.3g delay=%.3g sent=%d lost=%d)" l.src l.dst
-    l.fl.bandwidth l.fl.delay l.sent l.lost

@@ -24,12 +24,11 @@ type link
 
 val create : unit -> t
 
-val add_node : t -> ?label:string -> kind -> node_id
+val add_node : t -> kind -> node_id
 (** New node; ids are dense from 0. *)
 
 val node_count : t -> int
 val kind : t -> node_id -> kind
-val label : t -> node_id -> string
 
 (** {2 Fault state}
 
@@ -90,10 +89,7 @@ val find_link : t -> src:node_id -> dst:node_id -> link option
 val link_src : link -> node_id
 val link_dst : link -> node_id
 val link_delay : link -> float
-val link_bandwidth : link -> float
-val link_loss : link -> Loss.t
 val set_link_loss : link -> Loss.t -> unit
-val link_jitter : link -> float
 val set_link_jitter : link -> float -> unit
 
 (** {2 Link transmission bookkeeping}
@@ -124,6 +120,3 @@ val bytes_delivered : link -> int
 val drops_loss : link -> int
 val drops_queue : link -> int
 val drops_down : link -> int
-val reset_counters : t -> unit
-
-val pp_link : Format.formatter -> link -> unit

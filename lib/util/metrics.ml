@@ -92,5 +92,3 @@ let pp ppf t =
   List.iter
     (fun (name, v) -> Format.fprintf ppf "%s %a@." name pp_value v)
     (snapshot t)
-
-let is_empty t = Hashtbl.length t.tbl = 0

@@ -13,7 +13,6 @@
 type t
 
 val create : unit -> t
-val is_empty : t -> bool
 
 (** {2 Handles} *)
 

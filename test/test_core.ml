@@ -1803,6 +1803,42 @@ let prop_flush_nacks_fit_slot =
       in
       List.for_all fits nacks && List.equal Int.equal copy0 seqs)
 
+(* With a §7 channel, a gap the ladder abandons leaves the channel: a
+   pursuit that ends without a repair still unsubscribes once nothing
+   else is pursued. *)
+let pursuit_abandon_leaves_channel () =
+  let cfg = { cfg with rchannel_group = Some 7; nack_retry_limit = 1 } in
+  let pursuit =
+    Lbrm.Pursuit.create cfg ~self:9 ~source:1 ~loggers:[ 2 ]
+      ~missing:(fun _ -> 1)
+      ~write_off:ignore
+      ~highest:(fun () -> 5)
+  in
+  (* Fire every ladder timer the actions arm, in the order armed. *)
+  let rec run acc = function
+    | [] -> List.rev acc
+    | action :: rest ->
+        let fired =
+          match action with
+          | Io.Set_timer (((Io.K_nack_flush | Io.K_nack_escalate _) as key), _)
+            ->
+              List_view.Pursuit.handle_timer pursuit ~now:0. key
+          | _ -> []
+        in
+        run (action :: acc) (rest @ fired)
+  in
+  let channel =
+    List.filter_map
+      (function
+        | Io.Join g -> Some (Printf.sprintf "join %d" g)
+        | Io.Leave g -> Some (Printf.sprintf "leave %d" g)
+        | _ -> None)
+      (run [] (List_view.Pursuit.open_ pursuit ~now:0. [ 5 ]))
+  in
+  checki "the gap was abandoned" 1 (Lbrm.Pursuit.gave_up pursuit);
+  Alcotest.(check (list string))
+    "joined, then left" [ "join 7"; "leave 7" ] channel
+
 let () =
   Alcotest.run "core"
     [
@@ -1880,6 +1916,8 @@ let () =
           Alcotest.test_case "rediscovery on prolonged silence" `Quick
             receiver_silence_triggers_rediscovery;
           qtest prop_flush_nacks_fit_slot;
+          Alcotest.test_case "abandoned gap leaves the channel" `Quick
+            pursuit_abandon_leaves_channel;
         ] );
       ( "logger",
         [

@@ -1,123 +1,13 @@
-(* Unit tests for the production transport's parts: the Peer_manager
-   liveness state machine, the Buf_pool free-list (qcheck churn), and
-   Sockmsg batch roundtrips over real loopback sockets (skipped where
-   the environment provides none). *)
+(* Unit tests for the production transport's parts: the Buf_pool
+   free-list (qcheck churn) and Sockmsg batch roundtrips over real
+   loopback sockets (skipped where the environment provides none). *)
 
-module P = Lbrm_run.Peer_manager
 module Buf_pool = Lbrm_run.Buf_pool
 module Sockmsg = Lbrm_run.Sockmsg
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 let qtest = QCheck_alcotest.to_alcotest
-
-let state_t =
-  Alcotest.testable
-    (fun ppf s -> Format.pp_print_string ppf (P.state_label s))
-    (fun a b -> a == b)
-
-let check_state = Alcotest.check (Alcotest.option state_t)
-
-(* --- Peer_manager ------------------------------------------------------ *)
-
-let pm_lifecycle () =
-  let pm = P.create ~suspect_after:3.0 ~dead_after:30.0 () in
-  P.ensure pm ~port:9001 ~now:0.0;
-  check_state "registered" (Some P.Connecting) (P.state pm ~port:9001);
-  P.note_recv pm ~port:9001 ~now:0.5;
-  check_state "rx activates" (Some P.Active) (P.state pm ~port:9001);
-  P.tick pm ~now:1.0;
-  check_state "short silence stays active" (Some P.Active)
-    (P.state pm ~port:9001);
-  P.tick pm ~now:4.0;
-  check_state "silence > suspect_after" (Some P.Suspect)
-    (P.state pm ~port:9001);
-  P.tick pm ~now:31.0;
-  check_state "silence > dead_after" (Some P.Dead) (P.state pm ~port:9001);
-  P.note_recv pm ~port:9001 ~now:32.0;
-  check_state "dead peer revives on rx" (Some P.Active)
-    (P.state pm ~port:9001)
-
-let pm_connecting_ages () =
-  (* A peer that never spoke still decays: Connecting -> Suspect -> Dead
-     on the same silence clock. *)
-  let pm = P.create ~suspect_after:3.0 ~dead_after:30.0 () in
-  P.ensure pm ~port:9002 ~now:0.0;
-  P.tick pm ~now:4.0;
-  check_state "silent connecting peer" (Some P.Suspect)
-    (P.state pm ~port:9002);
-  P.tick pm ~now:31.0;
-  check_state "then dead" (Some P.Dead) (P.state pm ~port:9002)
-
-let pm_transitions_observed () =
-  let log = ref [] in
-  let pm =
-    P.create ~suspect_after:3.0 ~dead_after:30.0
-      ~on_transition:(fun ~port ~before ~after ->
-        log := (port, P.state_label before, P.state_label after) :: !log)
-      ()
-  in
-  P.ensure pm ~port:7 ~now:0.0;
-  P.note_recv pm ~port:7 ~now:0.0;
-  P.tick pm ~now:4.0;
-  P.tick pm ~now:31.0;
-  P.note_recv pm ~port:7 ~now:32.0;
-  Alcotest.(check (list (triple int string string)))
-    "full causal chain"
-    [
-      (7, "connecting", "active");
-      (7, "active", "suspect");
-      (7, "suspect", "dead");
-      (7, "dead", "active");
-    ]
-    (List.rev !log)
-
-let pm_sends_never_gate () =
-  (* Receiver-reliable stance: outgoing traffic is bookkeeping only and
-     never refreshes liveness. *)
-  let pm = P.create ~suspect_after:3.0 ~dead_after:30.0 () in
-  P.note_recv pm ~port:5 ~now:0.0;
-  P.note_sent pm ~port:5 ~now:2.9;
-  P.note_sent pm ~port:5 ~now:3.5;
-  P.tick pm ~now:4.0;
-  check_state "sends do not keep a peer alive" (Some P.Suspect)
-    (P.state pm ~port:5);
-  Alcotest.(check (option (pair int int)))
-    "traffic counted" (Some (2, 1))
-    (P.traffic pm ~port:5)
-
-let pm_fanout_reaches_every_member () =
-  let pm = P.create ~suspect_after:1.0 ~dead_after:5.0 () in
-  List.iter (fun p -> P.join pm ~group:1 ~port:p ~now:0.0) [ 13; 11; 12 ];
-  P.note_recv pm ~port:11 ~now:4.8 (* stays active *);
-  P.note_recv pm ~port:12 ~now:3.0 (* suspect at sweep *);
-  (* 13 never speaks: silent since 0.0 -> dead at 6.0 *)
-  P.tick pm ~now:6.0;
-  check_state "suspect keeps receiving" (Some P.Suspect) (P.state pm ~port:12);
-  check_state "silent member died" (Some P.Dead) (P.state pm ~port:13);
-  Alcotest.(check (array int))
-    "dead member still a fan-out target, ascending order" [| 11; 12; 13 |]
-    (P.members pm ~group:1);
-  Alcotest.(check (array int)) "unknown group" [||] (P.members pm ~group:2);
-  checki "group_size counts every state" 3 (P.group_size pm ~group:1);
-  checkb "dead member still a member" true (P.member pm ~group:1 ~port:13);
-  P.leave pm ~group:1 ~port:11;
-  checkb "leave removes" false (P.member pm ~group:1 ~port:11);
-  checki "group shrinks" 2 (P.group_size pm ~group:1)
-
-let pm_counts () =
-  let pm = P.create ~suspect_after:1.0 ~dead_after:5.0 () in
-  P.ensure pm ~port:1 ~now:10.0;
-  P.note_recv pm ~port:2 ~now:9.9;
-  P.note_recv pm ~port:3 ~now:8.0;
-  P.note_recv pm ~port:4 ~now:1.0;
-  P.tick pm ~now:10.0;
-  let connecting, active, suspect, dead = P.counts pm in
-  checki "connecting" 1 connecting;
-  checki "active" 1 active;
-  checki "suspect" 1 suspect;
-  checki "dead" 1 dead;
-  checki "known" 4 (P.known pm)
 
 (* --- Buf_pool ----------------------------------------------------------- *)
 
@@ -422,20 +312,6 @@ let measurements : (string list * (unit -> float)) list =
         let per = words_per_op ~iters encode in
         Buf_pool.release pool b;
         per );
-    ( [ "Peer_manager.note_recv"; "Peer_manager.note_sent" ],
-      fun () ->
-        (* A known peer: one lookup each, and the caller's clock box is
-           stored as it is. *)
-        let pm = P.create () in
-        let now = 1.5 in
-        let note _ =
-          P.note_recv pm ~port:7 ~now;
-          P.note_sent pm ~port:7 ~now
-        in
-        for i = 1 to 100 do
-          note i
-        done;
-        words_per_op ~iters note );
     ( [
         "Replication.member_index";
         "Replication.note_floor";
@@ -884,18 +760,6 @@ let trend_gate_durable () =
 let () =
   Alcotest.run "transport"
     [
-      ( "peer_manager",
-        [
-          Alcotest.test_case "lifecycle" `Quick pm_lifecycle;
-          Alcotest.test_case "connecting ages out" `Quick pm_connecting_ages;
-          Alcotest.test_case "transitions observed" `Quick
-            pm_transitions_observed;
-          Alcotest.test_case "sends never gate liveness" `Quick
-            pm_sends_never_gate;
-          Alcotest.test_case "fan-out reaches every member" `Quick
-            pm_fanout_reaches_every_member;
-          Alcotest.test_case "counts" `Quick pm_counts;
-        ] );
       ( "buf_pool",
         [
           Alcotest.test_case "slots distinct" `Quick pool_slots_distinct;
