@@ -1,6 +1,7 @@
 (* Unit tests for the production transport's parts: the Buf_pool
-   free-list (qcheck churn) and Sockmsg batch roundtrips over real
-   loopback sockets (skipped where the environment provides none). *)
+   free-list (qcheck churn), and Sockmsg batch roundtrips and the UDP
+   runtime's group fan-out over real loopback sockets (skipped where the
+   environment provides none). *)
 
 module Buf_pool = Lbrm_run.Buf_pool
 module Sockmsg = Lbrm_run.Sockmsg
@@ -201,6 +202,73 @@ let sockmsg_monotonic_clock () =
     checkb "non-decreasing" true (t >= !prev);
     prev := t
   done
+
+(* --- Group fan-out over the UDP runtime -------------------------------- *)
+
+module U = Lbrm_run.Udp_runtime
+
+let counting_agent rt ~port =
+  let seen = ref 0 and none = Lbrm.Io.out () in
+  U.add_agent rt ~port
+    {
+      Lbrm_run.Handlers.on_message =
+        (fun ~now:_ ~src:_ _ ->
+          incr seen;
+          none);
+      on_timer = (fun ~now:_ _ -> none);
+      on_deliver = None;
+      on_notice = None;
+    };
+  seen
+
+let multicast rt ~port ~group =
+  U.perform rt ~port
+    (Lbrm.Io.of_list [ Lbrm.Io.send ~group Lbrm_wire.Message.Who_is_primary ])
+
+(* A group send reaches every member but the sender, once.  A repeated
+   join adds no copy, a leave removes the member, and an unknown group
+   reaches nobody.  Members are walked in ascending port order whatever
+   the join order: with injected loss, the copies that arrive are the
+   ones a model drawing one loss decision per member, ascending, lets
+   through. *)
+let fanout_reaches_every_member () =
+  require_sockets ();
+  let rt = U.create () in
+  let a = 49310 and b = 49311 and c = 49312 in
+  let seen = List.map (fun port -> counting_agent rt ~port) [ a; b; c ] in
+  List.iter (fun port -> U.join rt ~group:1 ~port) [ c; a; b; c ];
+  multicast rt ~port:a ~group:1;
+  multicast rt ~port:a ~group:2;
+  U.leave rt ~group:1 ~port:b;
+  multicast rt ~port:a ~group:1;
+  U.run_for rt ~seconds:0.05;
+  U.close rt;
+  checki "one datagram per other member" 3 (U.datagrams_sent rt);
+  Alcotest.(check (list int)) "received" [ 0; 1; 2 ] (List.map ( ! ) seen);
+  let loss = 0.5 and seed = 11 and rounds = 8 in
+  let rt = U.create ~loss ~seed () in
+  let sender = 49350 and ports = [ 49354; 49351; 49353; 49352 ] in
+  ignore (counting_agent rt ~port:sender);
+  let seen = List.map (fun port -> (port, counting_agent rt ~port)) ports in
+  List.iter (fun port -> U.join rt ~group:1 ~port) ports;
+  for _ = 1 to rounds do
+    multicast rt ~port:sender ~group:1
+  done;
+  U.run_for rt ~seconds:0.05;
+  U.close rt;
+  let sorted = List.sort Int.compare ports in
+  let model = Lbrm_util.Rng.create ~seed in
+  let expected = Array.make (List.length sorted) 0 in
+  for _ = 1 to rounds do
+    List.iteri
+      (fun i _ ->
+        if not (Lbrm_util.Rng.bernoulli model ~p:loss) then
+          expected.(i) <- expected.(i) + 1)
+      sorted
+  done;
+  Alcotest.(check (list int))
+    "copies through loss, drawn in ascending order" (Array.to_list expected)
+    (List.map (fun port -> !(List.assoc port seen)) sorted)
 
 (* --- Gc cross-check for the hot-path manifest --------------------------- *)
 
@@ -776,6 +844,11 @@ let () =
             sockmsg_fallback_roundtrip;
           Alcotest.test_case "gso roundtrip" `Quick sockmsg_gso_roundtrip;
           Alcotest.test_case "monotonic clock" `Quick sockmsg_monotonic_clock;
+        ] );
+      ( "group_fanout",
+        [
+          Alcotest.test_case "fan-out reaches every member" `Quick
+            fanout_reaches_every_member;
         ] );
       ( "hot_paths",
         [
