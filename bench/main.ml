@@ -16,7 +16,7 @@ module Engine = Lbrm_sim.Engine
 module Net = Lbrm_sim.Net
 module Topo = Lbrm_sim.Topo
 module Loss = Lbrm_sim.Loss
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Builders = Lbrm_sim.Builders
 module Message = Lbrm_wire.Message
 module Rng = Lbrm_util.Rng
@@ -335,7 +335,7 @@ let latency_run ~logging =
   | None -> ());
   Scenario.drive_periodic d ~interval:0.5 ~count:60 ();
   Scenario.run d ~until:120.;
-  let sample = Trace.sample (Scenario.trace d) "recovery_latency" in
+  let sample = Metrics.sample (Scenario.metrics d) "recovery_latency" in
   ( Stats.Sample.median sample,
     Stats.Sample.percentile sample 99.,
     Stats.Sample.count sample,
@@ -449,10 +449,10 @@ let statack_run ~enabled =
     (Loss.burst_windows [ (9.95, 10.05) ]);
   Scenario.drive_periodic d ~interval:2.5 ~count:8 ();
   Scenario.run d ~until:60.;
-  let trace = Scenario.trace d in
+  let metrics = Scenario.metrics d in
   ( !last_delivery -. 10.,
-    Trace.get trace "sent.nack",
-    Trace.get trace "statack.remulticast",
+    Metrics.count metrics "sent.nack",
+    Metrics.count metrics "statack.remulticast",
     Scenario.total_missing d )
 
 let e_statack () =
@@ -499,7 +499,7 @@ let e_wb_lbrm () =
     d.receivers;
   Scenario.drive_periodic d ~interval:1. ~count:30 ();
   Scenario.run d ~until:120.;
-  let s = Trace.sample (Scenario.trace d) "recovery_latency" in
+  let s = Metrics.sample (Scenario.metrics d) "recovery_latency" in
   (Stats.Sample.median s, Stats.Sample.percentile s 99., Stats.Sample.count s)
 
 let e_wb_srm () =
@@ -517,11 +517,12 @@ let e_wb_srm () =
     wan.sites;
   let engine = Engine.create ~seed:23 () in
   let net = Net.create ~engine ~topo:wan.topo ~size_of:Srm.size_of () in
-  let trace = Trace.create () in
+  let metrics = Metrics.create () in
   let source = wan.sites.(0).hosts.(0) in
   let members = List.filter (fun h -> h <> source) (Builders.all_hosts wan) in
   let t =
-    Srm.deploy ~net ~trace ~config:Srm.default_config ~group:1 ~source ~members
+    Srm.deploy ~net ~metrics ~config:Srm.default_config ~group:1 ~source
+      ~members
   in
   for i = 1 to 30 do
     ignore
@@ -529,12 +530,12 @@ let e_wb_srm () =
            Srm.send t "payload-of-similar-length-128B-xxxxxxxxxxxxxxxxxxx"))
   done;
   Engine.run ~until:120. engine;
-  let s = Trace.sample trace "srm.recovery_latency" in
+  let s = Metrics.sample metrics "srm.recovery_latency" in
   ( Stats.Sample.median s,
     Stats.Sample.percentile s 99.,
     Stats.Sample.count s,
-    Trace.get trace "srm.dup_request",
-    Trace.get trace "srm.dup_repair" )
+    Metrics.count metrics "srm.dup_request",
+    Metrics.count metrics "srm.dup_repair" )
 
 let e_wb () =
   section "e_wb" "LBRM vs wb-style recovery latency and redundancy (6)";
@@ -592,7 +593,7 @@ let e_cry () =
     let wan = Builders.dis_wan ~sites:10 ~hosts_per_site:4 () in
     let engine = Engine.create ~seed:29 () in
     let net = Net.create ~engine ~topo:wan.topo ~size_of:Srm.size_of () in
-    let trace = Trace.create () in
+    let metrics = Metrics.create () in
     let source = wan.sites.(0).hosts.(0) in
     let members =
       List.filter (fun h -> h <> source) (Builders.all_hosts wan)
@@ -604,7 +605,7 @@ let e_cry () =
     | Some l -> Topo.set_link_loss l (Loss.bernoulli 0.2)
     | None -> ());
     let t =
-      Srm.deploy ~net ~trace ~config:Srm.default_config ~group:1 ~source
+      Srm.deploy ~net ~metrics ~config:Srm.default_config ~group:1 ~source
         ~members
     in
     let tail = wan.sites.(healthy_site).Builders.tail_down in
@@ -640,7 +641,7 @@ let posack_acks_per_packet ~receivers:n =
   let wan = Builders.dis_wan ~sites ~hosts_per_site:per_site () in
   let engine = Engine.create ~seed:31 () in
   let net = Net.create ~engine ~topo:wan.topo ~size_of:Pos_ack.size_of () in
-  let trace = Trace.create () in
+  let metrics = Metrics.create () in
   let source = wan.sites.(0).hosts.(0) in
   let receivers =
     List.filteri
@@ -648,7 +649,7 @@ let posack_acks_per_packet ~receivers:n =
       (List.filter (fun h -> h <> source) (Builders.all_hosts wan))
   in
   let t =
-    Pos_ack.deploy ~net ~trace ~config:Pos_ack.default_config ~group:1 ~source
+    Pos_ack.deploy ~net ~metrics ~config:Pos_ack.default_config ~group:1 ~source
       ~receivers
   in
   let packets = 3 in
@@ -676,7 +677,7 @@ let lbrm_acks_per_packet ~sites =
   let packets = 3 in
   Scenario.drive_periodic d ~interval:1. ~count:packets ();
   Scenario.run d ~until:30.;
-  float_of_int (Trace.get (Scenario.trace d) "sent.stat_ack")
+  float_of_int (Metrics.count (Scenario.metrics d) "sent.stat_ack")
   /. float_of_int packets
 
 let e_implosion () =
@@ -765,10 +766,10 @@ let piggyback_run ~enabled =
   in
   Scenario.drive_periodic d ~interval:2.0 ~count:30 ~payload_size:64 ();
   Scenario.run d ~until:120.;
-  let trace = Scenario.trace d in
-  let lat = Trace.sample trace "recovery_latency" in
-  ( Trace.get trace "sent.nack",
-    Trace.get trace "sent.retrans",
+  let metrics = Scenario.metrics d in
+  let lat = Metrics.sample metrics "recovery_latency" in
+  ( Metrics.count metrics "sent.nack",
+    Metrics.count metrics "sent.retrans",
     (if Stats.Sample.count lat > 0 then Stats.Sample.median lat else 0.),
     Scenario.total_missing d )
 
@@ -847,10 +848,10 @@ let pacer_run ~adaptive =
   in
   loop ();
   Scenario.run d ~until:240.;
-  let trace = Scenario.trace d in
+  let metrics = Scenario.metrics d in
   ( !in_window,
     !total,
-    Trace.get trace "sent.nack",
+    Metrics.count metrics "sent.nack",
     Lbrm.Pacer.backoffs pacer,
     Scenario.total_missing d )
 
@@ -887,8 +888,8 @@ let tailbw_run ~policy =
   let flows = 40 in
   let wan = Builders.dis_wan ~sites:2 ~hosts_per_site:4 () in
   let engine = Engine.create ~seed:47 () in
-  let trace = Trace.create () in
-  let mux = Lbrm_run.Mux.create ~engine ~topo:wan.topo ~trace in
+  let metrics = Metrics.create () in
+  let mux = Lbrm_run.Mux.create ~engine ~topo:wan.topo ~metrics in
   let rng = Rng.create ~seed:9 in
   let tail = wan.sites.(1).Builders.tail_down in
   let hb_bytes = ref 0 and data_bytes = ref 0 in
@@ -996,9 +997,9 @@ let rchannel_run ~enabled =
       | _ -> ());
   Scenario.drive_periodic d ~interval:1.0 ~count:40 ();
   Scenario.run d ~until:120.;
-  let trace = Scenario.trace d in
-  let lat = Trace.sample trace "recovery_latency" in
-  ( Trace.get trace "sent.nack",
+  let metrics = Scenario.metrics d in
+  let lat = Metrics.sample metrics "recovery_latency" in
+  ( Metrics.count metrics "sent.nack",
     (if Stats.Sample.count lat > 0 then Stats.Sample.median lat else 0.),
     !repair_bytes,
     Scenario.total_missing d )

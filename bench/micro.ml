@@ -502,8 +502,8 @@ let bench_chaos () =
   let module Sample = Lbrm_util.Stats.Sample in
   let p = Chaos.primary_crash () in
   let s = Chaos.secondary_crash () in
-  let fl = Lbrm_sim.Trace.sample p.Chaos.trace "failover_latency" in
-  let rl = Lbrm_sim.Trace.sample s.Chaos.trace "rediscovery_latency" in
+  let fl = Lbrm_util.Metrics.sample p.Chaos.metrics "failover_latency" in
+  let rl = Lbrm_util.Metrics.sample s.Chaos.metrics "rediscovery_latency" in
   let violations =
     List.length p.Chaos.violations + List.length s.Chaos.violations
   in
@@ -527,8 +527,8 @@ let bench_chaos_strategy ~replication () =
   let module Chaos = Lbrm_run.Chaos in
   let module Sample = Lbrm_util.Stats.Sample in
   let p = Chaos.primary_crash ~replication () in
-  let fl = Lbrm_sim.Trace.sample p.Chaos.trace "failover_latency" in
-  let wl = Lbrm_sim.Trace.sample p.Chaos.trace "window_of_loss" in
+  let fl = Lbrm_util.Metrics.sample p.Chaos.metrics "failover_latency" in
+  let wl = Lbrm_util.Metrics.sample p.Chaos.metrics "window_of_loss" in
   ( p.Chaos.delivered,
     [
       ("violations", float_of_int (List.length p.Chaos.violations));

@@ -86,7 +86,7 @@ let simulate sites receivers loss packets interval seed stat_ack duration
     (Lbrm_sim.Net.mcast_cache_hits net)
     (Lbrm_sim.Net.mcast_tree_builds net);
   print_newline ();
-  Format.printf "%a@." Lbrm_sim.Trace.pp (Lbrm_run.Scenario.trace d);
+  Format.printf "%a@." Lbrm_util.Metrics.pp (Lbrm_run.Scenario.metrics d);
   if complete then 0 else 1
 
 let simulate_cmd =
@@ -210,15 +210,15 @@ let chaos seed soak h_min replication =
         o.C.name
         (if C.passed o then "PASS" else "FAIL")
         o.C.delivered o.C.failovers o.C.rediscoveries;
-      let fl = Lbrm_sim.Trace.sample o.C.trace "failover_latency" in
+      let fl = Lbrm_util.Metrics.sample o.C.metrics "failover_latency" in
       if Lbrm_util.Stats.Sample.count fl > 0 then
         Printf.printf "  failover latency    : %.3f s\n"
           (Lbrm_util.Stats.Sample.median fl);
-      let wl = Lbrm_sim.Trace.sample o.C.trace "window_of_loss" in
+      let wl = Lbrm_util.Metrics.sample o.C.metrics "window_of_loss" in
       if Lbrm_util.Stats.Sample.count wl > 0 then
         Printf.printf "  window of loss      : %.0f packets re-deposited\n"
           (Lbrm_util.Stats.Sample.median wl);
-      let rl = Lbrm_sim.Trace.sample o.C.trace "rediscovery_latency" in
+      let rl = Lbrm_util.Metrics.sample o.C.metrics "rediscovery_latency" in
       if Lbrm_util.Stats.Sample.count rl > 0 then
         Printf.printf "  rediscovery latency : median %.3f s, p99 %.3f s \
                        (%d samples)\n"

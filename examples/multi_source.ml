@@ -16,7 +16,7 @@ module Engine = Lbrm_sim.Engine
 module Builders = Lbrm_sim.Builders
 module Topo = Lbrm_sim.Topo
 module Loss = Lbrm_sim.Loss
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Rng = Lbrm_util.Rng
 module Pdu = Lbrm_dis.Pdu
 module Entity = Lbrm_dis.Entity
@@ -35,8 +35,8 @@ let () =
     (fun site -> Topo.set_link_loss site.Builders.tail_down (Loss.bernoulli 0.15))
     wan.sites;
   let engine = Engine.create ~seed:101 () in
-  let trace = Trace.create () in
-  let mux = Mux.create ~engine ~topo:wan.topo ~trace in
+  let metrics = Metrics.create () in
+  let mux = Mux.create ~engine ~topo:wan.topo ~metrics in
   let rng = Rng.create ~seed:11 in
   let primary_node = Builders.host wan ~site:0 2 in
   let logger_node site = wan.sites.(site).Builders.hosts.(0) in
@@ -144,9 +144,9 @@ let () =
   Printf.printf "flows fully delivered          : %s\n"
     (if !complete then "all" else "NOT ALL");
   Printf.printf "repairs served                 : %d\n"
-    (Trace.get trace "loss.recovered");
+    (Metrics.count metrics "loss.recovered");
   Printf.printf "NACKs sent                     : %d\n"
-    (Trace.get trace "sent.nack");
+    (Metrics.count metrics "sent.nack");
   if !complete then
     print_endline
       "\nOK: per-entity groups, shared per-site logging processes."

@@ -9,7 +9,7 @@
 
 module Scenario = Lbrm_run.Scenario
 module Loss = Lbrm_sim.Loss
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Stats = Lbrm_util.Stats
 
 let () =
@@ -35,21 +35,21 @@ let () =
   Printf.printf "packets still missing         : %d\n"
     (Scenario.total_missing d);
 
-  let trace = Scenario.trace d in
+  let metrics = Scenario.metrics d in
   Printf.printf "\nrecovery activity\n";
   Printf.printf "  gaps detected               : %d\n"
-    (Trace.get trace "loss.gaps");
+    (Metrics.count metrics "loss.gaps");
   Printf.printf "  packets repaired            : %d\n"
-    (Trace.get trace "loss.recovered");
-  let lat = Trace.sample trace "recovery_latency" in
+    (Metrics.count metrics "loss.recovered");
+  let lat = Metrics.sample metrics "recovery_latency" in
   if Stats.Sample.count lat > 0 then
     Printf.printf "  recovery latency            : mean %.1f ms, p99 %.1f ms\n"
       (1e3 *. Stats.Sample.mean lat)
       (1e3 *. Stats.Sample.percentile lat 99.);
   Printf.printf "  NACKs sent                  : %d\n"
-    (Trace.get trace "sent.nack");
+    (Metrics.count metrics "sent.nack");
   Printf.printf "  repairs sent                : %d\n"
-    (Trace.get trace "sent.retrans");
+    (Metrics.count metrics "sent.retrans");
   Printf.printf "  heartbeats sent by source   : %d\n"
     (Lbrm.Source.heartbeats_sent d.source);
   Printf.printf "\nsource buffer: %d payloads retained, released through seq %d\n"

@@ -13,7 +13,7 @@ module Quotes = Lbrm_apps.Quotes
 module Loss = Lbrm_sim.Loss
 module Engine = Lbrm_sim.Engine
 module Rng = Lbrm_util.Rng
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 
 let symbols = [ "ACME"; "GLOBEX"; "INITECH"; "HOOLI"; "PIEDPIPER" ]
 
@@ -79,7 +79,7 @@ let () =
   Printf.printf "quote updates applied            : %d\n" applied;
   Printf.printf "late repairs dropped (superseded): %d\n" dropped;
   Printf.printf "packets repaired by loggers      : %d\n"
-    (Trace.get (Scenario.trace d) "loss.recovered");
+    (Metrics.count (Scenario.metrics d) "loss.recovered");
   if !consistent = terminals_total then
     print_endline "\nOK: every broker sees the closing prices."
   else begin

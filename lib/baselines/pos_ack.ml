@@ -1,6 +1,6 @@
 module Engine = Lbrm_sim.Engine
 module Net = Lbrm_sim.Net
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Topo = Lbrm_sim.Topo
 
 type msg =
@@ -26,7 +26,7 @@ type pending = {
 
 type t = {
   net : msg Net.t;
-  trace : Trace.t;
+  metrics : Metrics.t;
   cfg : config;
   group : int;
   source : Topo.node_id;
@@ -49,7 +49,7 @@ let rec arm_rto t seq =
                p.retries <- p.retries + 1;
                Hashtbl.iter
                  (fun node () ->
-                   Trace.incr t.trace "posack.retrans";
+                   Metrics.incr (Metrics.counter t.metrics "posack.retrans");
                    Net.unicast t.net ~src:t.source ~dst:node
                      (Retrans { seq; payload = p.payload }))
                  p.missing;
@@ -60,24 +60,25 @@ let source_handle t msg =
   match msg with
   | Ack { seq; receiver } -> (
       t.acks <- t.acks + 1;
-      Trace.incr t.trace "posack.acks";
+      Metrics.incr (Metrics.counter t.metrics "posack.acks");
       match Hashtbl.find_opt t.pending seq with
       | None -> ()
       | Some p ->
           Hashtbl.remove p.missing receiver;
           if Hashtbl.length p.missing = 0 then begin
-            Trace.incr t.trace "posack.complete";
-            Trace.observe t.trace "posack.completion_latency"
+            Metrics.incr (Metrics.counter t.metrics "posack.complete");
+            Metrics.observe
+              (Metrics.sample t.metrics "posack.completion_latency")
               (Engine.now (engine t) -. p.sent_at);
             Hashtbl.remove t.pending seq
           end)
   | Data _ | Retrans _ -> ()
 
-let deploy ~net ~trace ~config ~group ~source ~receivers =
+let deploy ~net ~metrics ~config ~group ~source ~receivers =
   let t =
     {
       net;
-      trace;
+      metrics;
       cfg = config;
       group;
       source;

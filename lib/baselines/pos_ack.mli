@@ -27,7 +27,7 @@ type t
 
 val deploy :
   net:msg Lbrm_sim.Net.t ->
-  trace:Lbrm_sim.Trace.t ->
+  metrics:Lbrm_util.Metrics.t ->
   config:config ->
   group:int ->
   source:Lbrm_sim.Topo.node_id ->
@@ -41,6 +41,6 @@ val acked_by_all : t -> int -> bool
 val acks_at_source : t -> int
 (** Total ACK packets the source has processed. *)
 
-(** Trace keys: "posack.acks" (= {!acks_at_source}),
+(** Metrics written: "posack.acks" (= {!acks_at_source}),
     "posack.retrans", "posack.complete" (packets fully acknowledged),
     and the "posack.completion_latency" sample (send → last ACK). *)

@@ -1,6 +1,6 @@
 module Engine = Lbrm_sim.Engine
 module Net = Lbrm_sim.Net
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Topo = Lbrm_sim.Topo
 module Rng = Lbrm_util.Rng
 module Gap_tracker = Lbrm_util.Gap_tracker
@@ -49,7 +49,7 @@ type member = {
 
 type t = {
   net : msg Net.t;
-  trace : Trace.t;
+  metrics : Metrics.t;
   cfg : config;
   group : int;
   source : Topo.node_id;
@@ -76,10 +76,12 @@ let deliver t m seq payload ~recovered =
   if not (Hashtbl.mem m.store seq) then begin
     Hashtbl.replace m.store seq payload;
     if recovered then begin
-      Trace.incr t.trace "srm.recovered";
+      Metrics.incr (Metrics.counter t.metrics "srm.recovered");
       match Hashtbl.find_opt m.detect_at seq with
       | Some at ->
-          Trace.observe t.trace "srm.recovery_latency" (now t -. at);
+          Metrics.observe
+            (Metrics.sample t.metrics "srm.recovery_latency")
+            (now t -. at);
           Hashtbl.remove m.detect_at seq
       | None -> ()
     end
@@ -113,8 +115,8 @@ let rec schedule_request t m ~seq ~backoff =
         Hashtbl.remove m.req_timers seq;
         if not (Hashtbl.mem m.store seq) then begin
           if count t.req_counts seq > 1 then
-            Trace.incr t.trace "srm.dup_request";
-          Trace.incr t.trace "srm.request_mcast";
+            Metrics.incr (Metrics.counter t.metrics "srm.dup_request");
+          Metrics.incr (Metrics.counter t.metrics "srm.request_mcast");
           Net.multicast t.net ~src:m.node ~group:t.group (Request { seq });
           (* Re-arm with backoff in case neither request nor repair
              survives. *)
@@ -141,8 +143,8 @@ let schedule_repair t m ~seq ~requester =
           match Hashtbl.find_opt m.store seq with
           | Some payload ->
               if count t.rep_counts seq > 1 then
-                Trace.incr t.trace "srm.dup_repair";
-              Trace.incr t.trace "srm.repair_mcast";
+                Metrics.incr (Metrics.counter t.metrics "srm.dup_repair");
+              Metrics.incr (Metrics.counter t.metrics "srm.repair_mcast");
               Net.multicast t.net ~src:m.node ~group:t.group
                 (Repair { seq; payload })
           | None -> ())
@@ -162,7 +164,7 @@ let member_handle t m ~src msg =
   | Session { highest } ->
       note_missing t m (Gap_tracker.note_exists m.tracker highest)
   | Request { seq } ->
-      Trace.incr t.trace "srm.member_msgs";
+      Metrics.incr (Metrics.counter t.metrics "srm.member_msgs");
       if Hashtbl.mem m.store seq then schedule_repair t m ~seq ~requester:src
       else begin
         (* Someone else asked first: suppress our own pending request by
@@ -180,7 +182,7 @@ let member_handle t m ~src msg =
             then note_missing t m (Gap_tracker.note_exists m.tracker seq)
       end
   | Repair { seq; payload } ->
-      Trace.incr t.trace "srm.member_msgs";
+      Metrics.incr (Metrics.counter t.metrics "srm.member_msgs");
       deliver t m seq payload ~recovered:true;
       ignore (Gap_tracker.note m.tracker seq);
       cancel_request t m seq;
@@ -188,11 +190,11 @@ let member_handle t m ~src msg =
 
 (* --- deployment --------------------------------------------------------- *)
 
-let deploy ~net ~trace ~config ~group ~source ~members =
+let deploy ~net ~metrics ~config ~group ~source ~members =
   let t =
     {
       net;
-      trace;
+      metrics;
       cfg = config;
       group;
       source;
@@ -211,12 +213,12 @@ let deploy ~net ~trace ~config ~group ~source ~members =
   Net.set_handler net source (fun ~src:_ msg ->
       match msg with
       | Request { seq } -> (
-          Trace.incr trace "srm.member_msgs";
+          Metrics.incr (Metrics.counter metrics "srm.member_msgs");
           match Hashtbl.find_opt t.source_store seq with
           | Some payload ->
               if count t.rep_counts seq > 1 then
-                Trace.incr trace "srm.dup_repair";
-              Trace.incr trace "srm.repair_mcast";
+                Metrics.incr (Metrics.counter metrics "srm.dup_repair");
+              Metrics.incr (Metrics.counter metrics "srm.repair_mcast");
               Net.multicast net ~src:source ~group (Repair { seq; payload })
           | None -> ())
       | Data _ | Session _ | Repair _ -> ());

@@ -42,7 +42,7 @@ type t
 
 val deploy :
   net:msg Lbrm_sim.Net.t ->
-  trace:Lbrm_sim.Trace.t ->
+  metrics:Lbrm_util.Metrics.t ->
   config:config ->
   group:int ->
   source:Lbrm_sim.Topo.node_id ->
@@ -60,7 +60,7 @@ val delivered_count : t -> Lbrm_sim.Topo.node_id -> int
 val all_have : t -> int -> bool
 (** Every member holds the given sequence number. *)
 
-(** Trace keys written: "srm.request_mcast", "srm.repair_mcast",
+(** Metrics written: "srm.request_mcast", "srm.repair_mcast",
     "srm.dup_request", "srm.dup_repair", "srm.member_msgs" (multicast
     control messages processed across members), and the
     "srm.recovery_latency" sample. *)

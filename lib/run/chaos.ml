@@ -1,4 +1,4 @@
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Ev = Lbrm.Trace
 module Fault = Lbrm_sim.Fault
 module Topo = Lbrm_sim.Topo
@@ -14,7 +14,7 @@ type outcome = {
   rediscoveries : int;
   delivered : int;
   durable : int;
-  trace : Trace.t;
+  metrics : Metrics.t;
   events : Ev.record list;
   digest : string;
 }
@@ -25,11 +25,11 @@ let passed o = o.violations = []
    values in insertion order, full float precision): two runs of the
    same seeded scenario must produce byte-identical metric streams, and
    this digest is how the soak asserts it. *)
-let digest_of_trace trace =
+let digest_of_metrics metrics =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "c %s %d\n" k v))
-    (Trace.counters trace);
+    (Metrics.counters metrics);
   List.iter
     (fun (k, s) ->
       Buffer.add_string buf (Printf.sprintf "s %s" k);
@@ -37,7 +37,7 @@ let digest_of_trace trace =
         (fun v -> Buffer.add_string buf (Printf.sprintf " %.17g" v))
         (Sample.values s);
       Buffer.add_char buf '\n')
-    (Trace.samples trace);
+    (Metrics.samples metrics);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Per-(receiver, seq) delivery counts.  A restarted receiver has no
@@ -108,7 +108,7 @@ let common_violations d tk =
        [ Printf.sprintf "%d duplicate deliveries" tk.dups ]
      else [])
   @
-  let gave_up = Trace.get (Scenario.trace d) "loss.gave_up" in
+  let gave_up = Metrics.count (Scenario.metrics d) "loss.gave_up" in
   if gave_up > 0 then [ Printf.sprintf "%d recoveries abandoned" gave_up ]
   else []
 
@@ -125,7 +125,7 @@ let strategy_name base = function
 
 let finish base (d : Scenario.deployment) tk collector extra =
   let name = strategy_name base d.cfg.Lbrm.Config.replication in
-  let trace = Scenario.trace d in
+  let metrics = Scenario.metrics d in
   let events = Ev.Collector.records collector in
   let violations = common_violations d tk @ extra in
   {
@@ -133,11 +133,11 @@ let finish base (d : Scenario.deployment) tk collector extra =
     violations;
     failovers = Lbrm.Source.failovers d.Scenario.source;
     rediscoveries = rediscovery_count d;
-    delivered = Trace.get trace "app.delivered";
+    delivered = Metrics.count metrics "app.delivered";
     durable = Lbrm.Source.durable d.Scenario.source;
-    trace;
+    metrics;
     events;
-    digest = digest_of_trace trace;
+    digest = digest_of_metrics metrics;
   }
 
 (* Short heartbeats and generous retry budgets: gaps must surface and
@@ -187,7 +187,9 @@ let promoted_once d collector ~crash_at =
   let promotions = Ev.Query.promotions (Ev.Collector.records collector) in
   (match promotions with
   | { Ev.at; _ } :: _ ->
-      Trace.observe (Scenario.trace d) "failover_latency" (at -. crash_at)
+      Metrics.observe
+        (Metrics.sample (Scenario.metrics d) "failover_latency")
+        (at -. crash_at)
   | [] -> ());
   ( promotions,
     match promotions with
@@ -223,7 +225,8 @@ let primary_crash ?(seed = 11) ?h_min ?replication () =
      retained packets the source re-deposits with the new leader. *)
   (match promotions with
   | { Ev.ev = Ev.Failover_step (Ev.F_promoted { redeposits; _ }); _ } :: _ ->
-      Trace.observe (Scenario.trace d) "window_of_loss"
+      Metrics.observe
+        (Metrics.sample (Scenario.metrics d) "window_of_loss")
         (float_of_int redeposits)
   | _ -> ());
   finish "primary_crash" d tk collector extra
@@ -303,7 +306,7 @@ let primary_crash_spill ?(seed = 11) ?h_min ?replication () =
         else []
   in
   let tier_extra =
-    if Trace.get (Scenario.trace d) "archive.read" = 0 then
+    if Metrics.count (Scenario.metrics d) "archive.read" = 0 then
       [ "no retransmission was ever served from the disk tier" ]
     else []
   in
@@ -331,7 +334,7 @@ let secondary_crash ?(seed = 12) ?h_min ?replication () =
     ~on_restart:(fun node -> forget_node tk node)
     (Fault.outage ~at:crash_at ~downtime:(restart_at -. crash_at) victim);
   Scenario.run d ~until:horizon;
-  let trace = Scenario.trace d in
+  let metrics = Scenario.metrics d in
   (* Rejoin is asserted as a trace query: each orphaned receiver must
      have a D_adopted rediscovery record after the crash instant. *)
   let adoptions =
@@ -340,7 +343,9 @@ let secondary_crash ?(seed = 12) ?h_min ?replication () =
   in
   List.iter
     (fun (r : Ev.record) ->
-      Trace.observe trace "rediscovery_latency" (r.Ev.at -. crash_at))
+      Metrics.observe
+        (Metrics.sample metrics "rediscovery_latency")
+        (r.Ev.at -. crash_at))
     adoptions;
   let orphans = Scenario.site_receivers d ~site:lossy_site in
   let extra =

@@ -19,8 +19,9 @@
       fail-over, …).
 
     Fail-over and rediscovery latencies are recorded as
-    ["failover_latency"] / ["rediscovery_latency"] samples on the
-    deployment's {!Lbrm_sim.Trace}, where benchmarks pick them up.
+    ["failover_latency"] / ["rediscovery_latency"] samples in the
+    deployment's {!Lbrm_util.Metrics} registry, where benchmarks pick
+    them up.
 
     Every scenario also runs with a {!Lbrm.Trace.Collector} sink shared
     by all state machines; the scenario-specific expectations
@@ -37,20 +38,17 @@ type outcome = {
   delivered : int;  (** total application deliveries *)
   durable : int;
       (** the source's durable floor at the end ({!Lbrm.Source.durable}) *)
-  trace : Lbrm_sim.Trace.t;
+  metrics : Lbrm_util.Metrics.t;
   events : Lbrm.Trace.record list;
       (** the merged typed trace of every node, in emission order —
           the stream {!Lbrm.Timeline.build} consumes *)
   digest : string;
-      (** hex digest of the canonical counter/sample rendering — equal
+      (** hex digest of [metrics]: counters and samples name-sorted,
+          sample values in insertion order at full precision — equal
           seeds must yield equal digests *)
 }
 
 val passed : outcome -> bool
-
-val digest_of_trace : Lbrm_sim.Trace.t -> string
-(** The digest {!outcome.digest} is computed with: counters and samples
-    name-sorted, sample values in insertion order at full precision. *)
 
 val primary_crash :
   ?seed:int ->

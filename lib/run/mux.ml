@@ -1,6 +1,5 @@
 module Net = Lbrm_sim.Net
 module Engine = Lbrm_sim.Engine
-module Trace = Lbrm_sim.Trace
 module Message = Lbrm_wire.Message
 module Codec = Lbrm_wire.Codec
 
@@ -33,23 +32,23 @@ let decode s =
 
 type t = {
   net : envelope Net.t;
-  trace : Trace.t;
+  metrics : Lbrm_util.Metrics.t;
   meter : Agent_host.meter;
   (* flow -> the host running that flow's sub-agents *)
   flows : (int, Lbrm_sim.Topo.node_id Agent_host.t) Hashtbl.t;
 }
 
-let create ~engine ~topo ~trace =
+let create ~engine ~topo ~metrics =
   {
     net = Net.create ~engine ~topo ~size_of:wire_size ();
-    trace;
-    meter = Agent_host.meter trace;
+    metrics;
+    meter = Agent_host.meter metrics;
     flows = Hashtbl.create 16;
   }
 
 let net t = t.net
 let engine t = Net.engine t.net
-let trace t = t.trace
+let metrics t = t.metrics
 let now t = Engine.now (engine t)
 let join t ~group ~node = Net.join t.net ~group node
 

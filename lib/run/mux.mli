@@ -8,8 +8,9 @@
     front of an ordinary message — and each host runs one sub-agent per
     flow, with timers and traffic namespaced by flow.  Each flow is one
     {!Agent_host} over the simulator transport ({!Sim_runtime.host}), so
-    timers are [kind_timer] engine events and the shared trace gets
-    everything {!Sim_runtime} counts.
+    timers are [kind_timer] engine events and the shared
+    {!Lbrm_util.Metrics} registry gets everything {!Sim_runtime}
+    counts.
 
     Conventions: each flow's {!Lbrm.Config.t} must use multicast group
     ids unique to that flow (simplest: [group = 2 * flow],
@@ -28,11 +29,14 @@ type t
 (** A multiplexed deployment over one simulated topology. *)
 
 val create :
-  engine:Lbrm_sim.Engine.t -> topo:Lbrm_sim.Topo.t -> trace:Lbrm_sim.Trace.t -> t
+  engine:Lbrm_sim.Engine.t ->
+  topo:Lbrm_sim.Topo.t ->
+  metrics:Lbrm_util.Metrics.t ->
+  t
 
 val net : t -> envelope Lbrm_sim.Net.t
 val engine : t -> Lbrm_sim.Engine.t
-val trace : t -> Lbrm_sim.Trace.t
+val metrics : t -> Lbrm_util.Metrics.t
 
 val attach :
   t -> node:Lbrm_sim.Topo.node_id -> flow:int -> Handlers.t -> unit

@@ -1,10 +1,10 @@
 module Builders = Lbrm_sim.Builders
 module Engine = Lbrm_sim.Engine
 module Net = Lbrm_sim.Net
-module Trace = Lbrm_sim.Trace
 module Site_population = Lbrm_sim.Site_population
 module Message = Lbrm_wire.Message
 module Rng = Lbrm_util.Rng
+module Metrics = Lbrm_util.Metrics
 
 type node_id = Lbrm_sim.Topo.node_id
 
@@ -87,7 +87,7 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
     Net.create ?mcast_cache_size:mcast_cache ~engine ~topo:wan.topo
       ~size_of:Message.wire_size ()
   in
-  let runtime = Sim_runtime.create ~net ~trace:(Trace.create ()) () in
+  let runtime = Sim_runtime.create ~net ~trace:(Metrics.create ()) () in
   let rng = Rng.split (Engine.rng engine) in
   let host site i = Builders.host wan ~site i in
   let source_node = host 0 1 and primary_node = host 0 2 in
@@ -440,7 +440,7 @@ let drive_poisson d ~mean_interval ~until ?(payload_size = 128) () =
   arm ()
 
 let run d ~until = Sim_runtime.run ~until d.runtime
-let trace d = Sim_runtime.trace d.runtime
+let metrics d = Sim_runtime.metrics d.runtime
 
 let delivered_everywhere d seq =
   let seen_at (_, node) =
@@ -479,8 +479,9 @@ let total_missing d =
    "archive.compactions" / "archive.segments" family tracks segment
    lifecycle across the live archive handles. *)
 let record_archive_stats d =
-  let tr = Sim_runtime.trace d.runtime in
-  let add name n = if n > 0 then Trace.incr ~by:n tr name in
+  let add name n =
+    if n > 0 then Metrics.add (Metrics.counter (metrics d) name) n
+  in
   let loggers =
     (d.primary :: List.map fst d.replicas)
     @ Array.to_list (Array.map fst d.secondaries)

@@ -186,7 +186,7 @@ val drive_poisson :
     every two minutes, §2.1.2). *)
 
 val run : deployment -> until:float -> unit
-val trace : deployment -> Lbrm_sim.Trace.t
+val metrics : deployment -> Lbrm_util.Metrics.t
 
 val delivered_everywhere : deployment -> Lbrm_util.Seqno.t -> bool
 (** Every receiver has the payload with that sequence number (checked
@@ -199,7 +199,7 @@ val total_missing : deployment -> int
     a packet missed by [m] modeled receivers counts [m]). *)
 
 val record_archive_stats : deployment -> unit
-(** Fold disk-tier counters into the deployment's {!trace} metrics:
+(** Fold disk-tier counters into the deployment's {!metrics}:
     ["archive.read"] (retransmissions the currently installed loggers
     served from disk) and the ["archive.rotations"] /
     ["archive.compactions"] / ["archive.segments"] segment-lifecycle

@@ -1,10 +1,9 @@
 module Net = Lbrm_sim.Net
 module Engine = Lbrm_sim.Engine
-module Trace = Lbrm_sim.Trace
 
 type t = {
   net : Lbrm_wire.Message.t Net.t;
-  trace : Trace.t;
+  metrics : Lbrm_util.Metrics.t;
   meter : Agent_host.meter;
   host : Lbrm_sim.Topo.node_id Agent_host.t;
 }
@@ -25,17 +24,17 @@ let host net ~wrap =
       leave = (fun ~group node -> Net.leave net ~group node);
     }
 
-let create ~net ~trace () =
+let create ~net ~trace:metrics () =
   {
     net;
-    trace;
-    meter = Agent_host.meter trace;
+    metrics;
+    meter = Agent_host.meter metrics;
     host = host net ~wrap:Fun.id;
   }
 
 let net t = t.net
 let engine t = Net.engine t.net
-let trace t = t.trace
+let metrics t = t.metrics
 let now t = Engine.now (engine t)
 let join t ~group ~node = Net.join t.net ~group node
 

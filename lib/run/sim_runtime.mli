@@ -6,13 +6,19 @@
     the agent's node, timers become [kind_timer] engine events keyed
     per-agent (re-arming a live key replaces it), deliveries and notices
     invoke the agent's callbacks.  Every agent counts into the shared
-    {!Lbrm_sim.Trace} ("sent.<kind>", "recv.<kind>", "app.delivered",
-    "loss.recovered", "recovery_latency", …). *)
+    {!Lbrm_util.Metrics} registry ("sent.<kind>", "recv.<kind>",
+    "app.delivered", "loss.recovered", "recovery_latency", …). *)
 
 type t
 
 val create :
-  net:Lbrm_wire.Message.t Lbrm_sim.Net.t -> trace:Lbrm_sim.Trace.t -> unit -> t
+  net:Lbrm_wire.Message.t Lbrm_sim.Net.t ->
+  trace:Lbrm_util.Metrics.t ->
+  unit ->
+  t
+(** [trace] is the registry every agent counts into ({!metrics}).  The
+    label keeps the registry's old name because the benchmark harness
+    passes it. *)
 
 val host :
   'm Lbrm_sim.Net.t ->
@@ -23,7 +29,7 @@ val host :
 
 val net : t -> Lbrm_wire.Message.t Lbrm_sim.Net.t
 val engine : t -> Lbrm_sim.Engine.t
-val trace : t -> Lbrm_sim.Trace.t
+val metrics : t -> Lbrm_util.Metrics.t
 
 val add_agent : t -> node:Lbrm_sim.Topo.node_id -> Handlers.t -> unit
 (** Install an agent on a host node.  At most one agent per node. *)

@@ -81,14 +81,13 @@ let snapshot =
                 max = Stats.Sample.max s;
               }))
 
-let pp_value ppf = function
-  | V_int n -> Format.fprintf ppf "%d" n
-  | V_float f -> Format.fprintf ppf "%g" f
-  | V_summary { count; mean; p50; p99; max } ->
-      Format.fprintf ppf "n=%d mean=%g p50=%g p99=%g max=%g" count mean p50 p99
-        max
-
 let pp ppf t =
+  List.iter (fun (k, v) -> Format.fprintf ppf "%-32s %d@." k v) (counters t);
   List.iter
-    (fun (name, v) -> Format.fprintf ppf "%s %a@." name pp_value v)
-    (snapshot t)
+    (fun (k, s) ->
+      if Stats.Sample.count s > 0 then
+        Format.fprintf ppf "%-32s n=%d mean=%.4g p50=%.4g p99=%.4g@." k
+          (Stats.Sample.count s) (Stats.Sample.mean s)
+          (Stats.Sample.percentile s 50.)
+          (Stats.Sample.percentile s 99.))
+    (samples t)

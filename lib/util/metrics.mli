@@ -47,5 +47,8 @@ type snapshot_value =
 val snapshot : t -> (string * snapshot_value) list
 (** Sorted by metric name. *)
 
-val pp_value : Format.formatter -> snapshot_value -> unit
 val pp : Format.formatter -> t -> unit
+(** One line per counter ([%-32s %d]), then one per non-empty sample
+    set ([n= mean= p50= p99=] at [%.4g]), each group sorted by name;
+    gauges and empty samples are left out.  The [lbrm simulate]
+    report. *)

@@ -5,7 +5,7 @@ module Net = Lbrm_sim.Net
 module Loss = Lbrm_sim.Loss
 module Topo = Lbrm_sim.Topo
 module Builders = Lbrm_sim.Builders
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Srm = Lbrm_baselines.Srm
 module Pos_ack = Lbrm_baselines.Pos_ack
 
@@ -16,13 +16,13 @@ let mk_wan ~sites ~hosts_per_site ~seed size_of =
   let wan = Builders.dis_wan ~sites ~hosts_per_site () in
   let engine = Engine.create ~seed () in
   let net = Net.create ~engine ~topo:wan.topo ~size_of () in
-  let trace = Trace.create () in
-  (wan, engine, net, trace)
+  let metrics = Metrics.create () in
+  (wan, engine, net, metrics)
 
 (* ---- SRM ---- *)
 
 let srm_deploy ~sites ~hosts_per_site ~seed =
-  let wan, engine, net, trace =
+  let wan, engine, net, metrics =
     mk_wan ~sites ~hosts_per_site ~seed Srm.size_of
   in
   let source = wan.sites.(0).hosts.(0) in
@@ -30,9 +30,9 @@ let srm_deploy ~sites ~hosts_per_site ~seed =
     List.filter (fun h -> h <> source) (Builders.all_hosts wan)
   in
   let t =
-    Srm.deploy ~net ~trace ~config:Srm.default_config ~group:1 ~source ~members
+    Srm.deploy ~net ~metrics ~config:Srm.default_config ~group:1 ~source ~members
   in
-  (wan, engine, trace, t, source, members)
+  (wan, engine, metrics, t, source, members)
 
 let srm_lossless_delivery () =
   let _, engine, _, t, _, members = srm_deploy ~sites:3 ~hosts_per_site:3 ~seed:1 in
@@ -45,7 +45,7 @@ let srm_lossless_delivery () =
   checkb "seq 3 everywhere" true (Srm.all_have t 3)
 
 let srm_recovers_losses () =
-  let wan, engine, trace, t, _, _ =
+  let wan, engine, metrics, t, _, _ =
     srm_deploy ~sites:4 ~hosts_per_site:3 ~seed:2
   in
   (* Site 2 loses a window; session messages reveal it; the group repairs. *)
@@ -54,13 +54,13 @@ let srm_recovers_losses () =
   ignore (Engine.schedule engine ~delay:3.0 (fun () -> Srm.send t "later"));
   Engine.run ~until:30. engine;
   checkb "everyone recovered seq 1" true (Srm.all_have t 1);
-  checkb "requests were multicast" true (Trace.get trace "srm.request_mcast" >= 1);
-  checkb "repairs were multicast" true (Trace.get trace "srm.repair_mcast" >= 1)
+  checkb "requests were multicast" true (Metrics.count metrics "srm.request_mcast" >= 1);
+  checkb "repairs were multicast" true (Metrics.count metrics "srm.repair_mcast" >= 1)
 
 let srm_repairs_are_global () =
   (* The defining wb property (§6): a loss confined to one site still
      makes every member process multicast repair traffic. *)
-  let wan, engine, trace, t, _, _ =
+  let wan, engine, metrics, t, _, _ =
     srm_deploy ~sites:5 ~hosts_per_site:4 ~seed:3
   in
   Topo.set_link_loss wan.sites.(4).tail_down (Loss.burst_windows [ (0.9, 1.1) ]);
@@ -71,7 +71,7 @@ let srm_repairs_are_global () =
   (* 19 members (5*4 minus source) plus source; a request + repair pair
      multicast to all of them means >= ~2 * member count control
      deliveries, even though only site 4 lost anything. *)
-  let msgs = Trace.get trace "srm.member_msgs" in
+  let msgs = Metrics.count metrics "srm.member_msgs" in
   checkb
     (Printf.sprintf "global control load (%d msgs) despite local loss" msgs)
     true (msgs >= 20)
@@ -79,7 +79,7 @@ let srm_repairs_are_global () =
 let srm_suppression_limits_duplicates () =
   (* All 8 receivers of a site lose the same packet: randomized timers
      should suppress most duplicate requests. *)
-  let wan, engine, trace, t, _, _ =
+  let wan, engine, metrics, t, _, _ =
     srm_deploy ~sites:2 ~hosts_per_site:8 ~seed:4
   in
   Topo.set_link_loss wan.sites.(1).tail_down (Loss.burst_windows [ (0.9, 1.1) ]);
@@ -87,26 +87,26 @@ let srm_suppression_limits_duplicates () =
   ignore (Engine.schedule engine ~delay:3.0 (fun () -> Srm.send t "y"));
   Engine.run ~until:30. engine;
   checkb "recovered" true (Srm.all_have t 1);
-  let reqs = Trace.get trace "srm.request_mcast" in
+  let reqs = Metrics.count metrics "srm.request_mcast" in
   checkb (Printf.sprintf "suppression held requests to %d (< 8)" reqs) true
     (reqs >= 1 && reqs < 8)
 
 (* ---- Positive ACK ---- *)
 
 let posack_deploy ~sites ~hosts_per_site ~seed =
-  let wan, engine, net, trace =
+  let wan, engine, net, metrics =
     mk_wan ~sites ~hosts_per_site ~seed Pos_ack.size_of
   in
   let source = wan.sites.(0).hosts.(0) in
   let receivers = List.filter (fun h -> h <> source) (Builders.all_hosts wan) in
   let t =
-    Pos_ack.deploy ~net ~trace ~config:Pos_ack.default_config ~group:1 ~source
+    Pos_ack.deploy ~net ~metrics ~config:Pos_ack.default_config ~group:1 ~source
       ~receivers
   in
-  (wan, engine, trace, t, List.length receivers)
+  (wan, engine, metrics, t, List.length receivers)
 
 let posack_ack_implosion () =
-  let _, engine, trace, t, receivers =
+  let _, engine, metrics, t, receivers =
     posack_deploy ~sites:5 ~hosts_per_site:5 ~seed:5
   in
   Pos_ack.send t "hello";
@@ -114,10 +114,10 @@ let posack_ack_implosion () =
   checkb "fully acked" true (Pos_ack.acked_by_all t 1);
   (* The implosion: one ACK per receiver arrives at the source. *)
   checki "one ack per receiver" receivers (Pos_ack.acks_at_source t);
-  checki "completion counted" 1 (Trace.get trace "posack.complete")
+  checki "completion counted" 1 (Metrics.count metrics "posack.complete")
 
 let posack_retransmits_to_silent () =
-  let wan, engine, trace, t, _ =
+  let wan, engine, metrics, t, _ =
     posack_deploy ~sites:3 ~hosts_per_site:3 ~seed:6
   in
   Topo.set_link_loss wan.sites.(2).tail_down (Loss.burst_windows [ (0.0, 0.2) ]);
@@ -125,26 +125,26 @@ let posack_retransmits_to_silent () =
   Engine.run ~until:10. engine;
   checkb "eventually complete" true (Pos_ack.acked_by_all t 1);
   checkb "unicast retransmissions happened" true
-    (Trace.get trace "posack.retrans" >= 1)
+    (Metrics.count metrics "posack.retrans" >= 1)
 
 
 let srm_session_messages_reveal_loss () =
   (* The last packet of a burst is lost: no later data packet exists to
      open a gap, so only the fixed-interval session message (the wb-style
      "fixed heartbeat", 6) can reveal it. *)
-  let wan, engine, trace, t, _, _ = srm_deploy ~sites:2 ~hosts_per_site:3 ~seed:8 in
+  let wan, engine, metrics, t, _, _ = srm_deploy ~sites:2 ~hosts_per_site:3 ~seed:8 in
   Topo.set_link_loss wan.sites.(1).tail_down (Loss.burst_windows [ (2.9, 3.1) ]);
   ignore (Engine.schedule engine ~delay:1. (fun () -> Srm.send t "one"));
   ignore (Engine.schedule engine ~delay:2. (fun () -> Srm.send t "two"));
   ignore (Engine.schedule engine ~delay:3. (fun () -> Srm.send t "three"));
   Engine.run ~until:30. engine;
   checkb "final packet recovered" true (Srm.all_have t 3);
-  checkb "recovery happened" true (Trace.get trace "srm.recovered" >= 1)
+  checkb "recovery happened" true (Metrics.count metrics "srm.recovered" >= 1)
 
 let posack_gives_up_after_retries () =
   (* A permanently dead receiver: the sender burns its retry budget and
      abandons the packet rather than retrying forever. *)
-  let wan, engine, trace, t, _ = posack_deploy ~sites:2 ~hosts_per_site:2 ~seed:9 in
+  let wan, engine, metrics, t, _ = posack_deploy ~sites:2 ~hosts_per_site:2 ~seed:9 in
   (* Cut one receiver off for good. *)
   let dead = wan.sites.(1).hosts.(1) in
   (match Topo.find_link wan.topo ~src:wan.sites.(1).gateway ~dst:dead with
@@ -157,9 +157,9 @@ let posack_gives_up_after_retries () =
      distinguishes from genuine completion. *)
   checkb "tracking abandoned" true (Pos_ack.acked_by_all t 1);
   checkb "retried up to the budget" true
-    (Trace.get trace "posack.retrans"
+    (Metrics.count metrics "posack.retrans"
      >= Pos_ack.default_config.Pos_ack.max_retries);
-  checki "never counted complete" 0 (Trace.get trace "posack.complete")
+  checki "never counted complete" 0 (Metrics.count metrics "posack.complete")
 
 let () =
   Alcotest.run "baselines"

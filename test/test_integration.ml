@@ -2,7 +2,7 @@
 
 module Scenario = Lbrm_run.Scenario
 module Loss = Lbrm_sim.Loss
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Topo = Lbrm_sim.Topo
 
 let check = Alcotest.check
@@ -46,7 +46,7 @@ let random_loss_recovery () =
       (Scenario.delivered_everywhere d seq)
   done;
   checkb "some recovery happened" true
-    (Trace.get (Scenario.trace d) "loss.recovered" > 0)
+    (Metrics.count (Scenario.metrics d) "loss.recovered" > 0)
 
 let burst_loss_recovery () =
   (* One site's tail goes completely dark for 3 s; heartbeats after the
@@ -153,7 +153,7 @@ let statistical_ack_remulticast () =
   Scenario.run d ~until:60.;
   checki "no missing" 0 (Scenario.total_missing d);
   checkb "stat-ack re-multicast fired" true
-    (Trace.get (Scenario.trace d) "statack.remulticast" >= 1)
+    (Metrics.count (Scenario.metrics d) "statack.remulticast" >= 1)
 
 let primary_failover () =
   (* Kill the primary logger mid-run: deposits time out, the source
@@ -179,7 +179,7 @@ let primary_failover () =
   Scenario.drive_periodic d ~interval:1.0 ~count:15 ();
   Scenario.run d ~until:60.;
   checkb "fail-over happened" true
-    (Trace.get (Scenario.trace d) "failover.promoted" >= 1);
+    (Metrics.count (Scenario.metrics d) "failover.promoted" >= 1);
   let replica, _ = List.hd d.replicas in
   checkb "replica got promoted to primary" true (Lbrm.Logger.is_primary replica);
   checkb "source now deposits at the replica" true
@@ -198,7 +198,7 @@ let silence_detection () =
     (Loss.burst_windows [ (3.0, 1e9) ]);
   Scenario.run d ~until:30.;
   checkb "silence noticed" true
-    (Trace.get (Scenario.trace d) "loss.silence" >= 1)
+    (Metrics.count (Scenario.metrics d) "loss.silence" >= 1)
 
 let heartbeat_keeps_receivers_fresh () =
   (* After a single data packet, receivers keep hearing heartbeats and
@@ -207,7 +207,7 @@ let heartbeat_keeps_receivers_fresh () =
   let d = Scenario.standard ~cfg ~sites:2 ~receivers_per_site:2 () in
   Scenario.drive_periodic d ~interval:1.0 ~count:1 ();
   Scenario.run d ~until:300.;
-  checki "no silence" 0 (Trace.get (Scenario.trace d) "loss.silence");
+  checki "no silence" 0 (Metrics.count (Scenario.metrics d) "loss.silence");
   checkb "heartbeats flowed" true (Lbrm.Source.heartbeats_sent d.source > 5)
 
 
@@ -313,11 +313,11 @@ let bounded_retention_gives_up_gracefully () =
   in
   Scenario.drive_periodic d ~interval:1.0 ~count:20 ();
   Scenario.run d ~until:120.;
-  let trace = Scenario.trace d in
+  let metrics = Scenario.metrics d in
   checkb "some packets were unrecoverable" true
-    (Trace.get trace "loss.gave_up" > 0);
+    (Metrics.count metrics "loss.gave_up" > 0);
   checkb "recent packets recovered" true
-    (Trace.get trace "loss.recovered" > 0);
+    (Metrics.count metrics "loss.recovered" > 0);
   (* Nothing is left pending: every gap was repaired or abandoned. *)
   checki "no pursuit left open" 0 (Scenario.total_missing d)
 
@@ -375,7 +375,7 @@ let piggyback_heartbeats_end_to_end () =
   Scenario.drive_periodic d ~interval:2.0 ~count:15 ~payload_size:64 ();
   Scenario.run d ~until:60.;
   checki "nothing missing" 0 (Scenario.total_missing d);
-  checki "no NACKs needed" 0 (Trace.get (Scenario.trace d) "sent.nack")
+  checki "no NACKs needed" 0 (Metrics.count (Scenario.metrics d) "sent.nack")
 
 let retransmission_channel () =
   (* 7 first bullet: receivers subscribe to a retransmission channel on
@@ -389,10 +389,10 @@ let retransmission_channel () =
   in
   Scenario.drive_periodic d ~interval:1.0 ~count:20 ();
   Scenario.run d ~until:90.;
-  let trace = Scenario.trace d in
+  let metrics = Scenario.metrics d in
   checki "nothing missing" 0 (Scenario.total_missing d);
-  let gaps = Trace.get trace "loss.gaps" in
-  let nacks = Trace.get trace "sent.nack" in
+  let gaps = Metrics.count metrics "loss.gaps" in
+  let nacks = Metrics.count metrics "sent.nack" in
   checkb "losses actually occurred" true (gaps > 10);
   checkb
     (Printf.sprintf "channel absorbed recovery (%d NACKs for %d gaps)" nacks

@@ -7,7 +7,7 @@ module Engine = Lbrm_sim.Engine
 module Builders = Lbrm_sim.Builders
 module Topo = Lbrm_sim.Topo
 module Loss = Lbrm_sim.Loss
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Message = Lbrm_wire.Message
 module Rng = Lbrm_util.Rng
 
@@ -42,7 +42,7 @@ let envelope_roundtrip () =
 
 (* Two flows across two sites.  The host [shared] is simultaneously the
    *secondary* logger of flow 1 and the *primary* logger of flow 2.
-   Returns the engine and trace for the accounting checks below. *)
+   Returns the engine and metrics for the accounting checks below. *)
 let dual_role_run () =
   let cfg_of flow =
     {
@@ -55,8 +55,8 @@ let dual_role_run () =
   let cfg1 = cfg_of 1 and cfg2 = cfg_of 2 in
   let wan = Builders.dis_wan ~sites:2 ~hosts_per_site:5 () in
   let engine = Engine.create ~seed:61 () in
-  let trace = Trace.create () in
-  let mux = Mux.create ~engine ~topo:wan.topo ~trace in
+  let metrics = Metrics.create () in
+  let mux = Mux.create ~engine ~topo:wan.topo ~metrics in
   let rng = Rng.create ~seed:5 in
   let shared = Builders.host wan ~site:1 0 in
 
@@ -169,7 +169,7 @@ let dual_role_run () =
   (* Flow isolation: flow-1's secondary never logged flow-2 data. *)
   checkb "no cross-flow contamination" true
     (Lbrm.Log_store.count (Lbrm.Logger.store secondary1) = 6);
-  (engine, trace)
+  (engine, metrics)
 
 let dual_role_logger () = ignore (dual_role_run ())
 
@@ -184,10 +184,10 @@ let timers_are_timer_events () =
 
 (* The flows count everything Sim_runtime counts, notices included. *)
 let counts_like_sim_runtime () =
-  let _, trace = dual_role_run () in
+  let _, metrics = dual_role_run () in
   checkb "recovered deliveries counted" true
-    (Trace.get trace "app.recovered" > 0);
-  checkb "gaps counted" true (Trace.get trace "loss.gaps" > 0)
+    (Metrics.count metrics "app.recovered" > 0);
+  checkb "gaps counted" true (Metrics.count metrics "loss.gaps" > 0)
 
 let () =
   Alcotest.run "mux"

@@ -636,7 +636,7 @@ let tier_fallthrough_end_to_end () =
       Scenario.record_archive_stats d;
       checki (label ^ ": every gap closed") 0 (Scenario.total_missing d);
       checkb (label ^ ": retransmissions served from disk") true
-        (Lbrm_sim.Trace.get (Scenario.trace d) "archive.read" > 0))
+        (Lbrm_util.Metrics.count (Scenario.metrics d) "archive.read" > 0))
     [ Config.R_primary; Config.R_ring; Config.R_quorum ]
 
 (* ---- the chaos suite raced under every strategy ----------------------- *)

@@ -11,7 +11,6 @@ module Scenario = Lbrm_run.Scenario
 module Engine = Lbrm_sim.Engine
 module Net = Lbrm_sim.Net
 module Builders = Lbrm_sim.Builders
-module Trace = Lbrm_sim.Trace
 module Metrics = Lbrm_util.Metrics
 module Message = Lbrm_wire.Message
 module Io = Lbrm.Io
@@ -35,8 +34,8 @@ let sim_rig () =
   let topo, _, hosts = Builders.lan ~hosts:3 () in
   let engine = Engine.create ~seed:71 () in
   let net = Net.create ~engine ~topo ~size_of:Message.wire_size () in
-  let trace = Trace.create () in
-  let rt = Sim_runtime.create ~net ~trace () in
+  let metrics = Metrics.create () in
+  let rt = Sim_runtime.create ~net ~trace:metrics () in
   {
     addr = (fun i -> hosts.(i));
     add = (fun i h -> Sim_runtime.add_agent rt ~node:hosts.(i) h);
@@ -45,7 +44,7 @@ let sim_rig () =
     run_for =
       (fun s -> Sim_runtime.run ~until:(Sim_runtime.now rt +. s) rt);
     slack = 0.;
-    count = Trace.get trace;
+    count = Metrics.count metrics;
     close = ignore;
   }
 

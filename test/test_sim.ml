@@ -6,7 +6,6 @@ module Topo = Lbrm_sim.Topo
 module Route = Lbrm_sim.Route
 module Net = Lbrm_sim.Net
 module Builders = Lbrm_sim.Builders
-module Trace = Lbrm_sim.Trace
 module Rng = Lbrm_util.Rng
 
 let checki = Alcotest.check Alcotest.int
@@ -577,25 +576,6 @@ let builder_shape () =
     (Builders.site_of_host wan wan.sites.(2).hosts.(1));
   Alcotest.check (Alcotest.option Alcotest.int) "router is not in a site" None
     (Builders.site_of_host wan wan.backbone)
-
-(* ---- Trace ---- *)
-
-let trace_counters () =
-  let t = Trace.create () in
-  Trace.incr t "x";
-  Trace.incr ~by:4 t "x";
-  Trace.incr t "y";
-  checki "x" 5 (Trace.get t "x");
-  checki "absent" 0 (Trace.get t "z");
-  Trace.observe t "lat" 1.;
-  Trace.observe t "lat" 3.;
-  checkf 1e-9 "sample mean" 2.
-    (Lbrm_util.Stats.Sample.mean (Trace.sample t "lat"));
-  checkb "get never registers" false
-    (List.mem_assoc "z" (Trace.counters t));
-  Alcotest.(check (list string))
-    "counters by name" [ "x"; "y" ]
-    (List.map fst (Trace.counters t))
 
 let prop_route_triangle =
   (* On random dis_wan topologies, routed distances obey symmetry (all
@@ -1253,7 +1233,6 @@ let () =
             net_mcast_cache_cap;
         ] );
       ("builders", [ Alcotest.test_case "dis_wan shape" `Quick builder_shape ]);
-      ("trace", [ Alcotest.test_case "counters and samples" `Quick trace_counters ]);
       ( "faults",
         [
           Alcotest.test_case "up/down flips bump the state epoch" `Quick

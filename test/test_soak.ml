@@ -7,7 +7,7 @@
 module Scenario = Lbrm_run.Scenario
 module Loss = Lbrm_sim.Loss
 module Topo = Lbrm_sim.Topo
-module Trace = Lbrm_sim.Trace
+module Metrics = Lbrm_util.Metrics
 module Builders = Lbrm_sim.Builders
 
 let checki = Alcotest.check Alcotest.int
@@ -64,7 +64,7 @@ let jitter_reordering_tolerated () =
   (* Reordering inside the NACK delay must not spray NACKs: allow a few
      (deep reorder beyond 50 ms exists) but far fewer than the inversion
      count. *)
-  let nacks = Trace.get (Scenario.trace d) "sent.nack" in
+  let nacks = Metrics.count (Scenario.metrics d) "sent.nack" in
   checkb (Printf.sprintf "NACKs bounded (%d)" nacks) true (nacks < 100)
 
 let combined_faults_soak () =
@@ -108,7 +108,7 @@ let combined_faults_soak () =
   Scenario.drive_periodic d ~interval:1. ~count:50 ();
   Scenario.run d ~until:240.;
   checkb "fail-over happened" true
-    (Trace.get (Scenario.trace d) "failover.promoted" >= 1);
+    (Metrics.count (Scenario.metrics d) "failover.promoted" >= 1);
   checki "everything delivered everywhere despite the mayhem" 0
     (Scenario.total_missing d);
   Array.iter
@@ -123,9 +123,9 @@ let long_idle_stability () =
   let d = Scenario.standard ~cfg ~seed:97 ~sites:2 ~receivers_per_site:2 () in
   Scenario.drive_periodic d ~interval:1. ~count:1 ();
   Scenario.run d ~until:3600.;
-  let trace = Scenario.trace d in
-  checki "no NACKs over an idle hour" 0 (Trace.get trace "sent.nack");
-  checki "no silence alarms" 0 (Trace.get trace "loss.silence");
+  let metrics = Scenario.metrics d in
+  checki "no NACKs over an idle hour" 0 (Metrics.count metrics "sent.nack");
+  checki "no silence alarms" 0 (Metrics.count metrics "loss.silence");
   (* ~111 heartbeats/hour at h_max=32s, plus the warm-up ramp. *)
   let hb = Lbrm.Source.heartbeats_sent d.source in
   checkb (Printf.sprintf "heartbeats settled at 1/h_max (%d)" hb) true
@@ -148,7 +148,7 @@ let many_sites_scale () =
   Scenario.drive_periodic d ~interval:1. ~count:20 ();
   Scenario.run d ~until:90.;
   checki "200 receivers all complete" 0 (Scenario.total_missing d);
-  let acks = Trace.get (Scenario.trace d) "sent.stat_ack" in
+  let acks = Metrics.count (Scenario.metrics d) "sent.stat_ack" in
   checkb
     (Printf.sprintf "ACK load stays ~k per packet (%d for 20 packets)" acks)
     true

@@ -500,7 +500,7 @@ let measurements : (string list * (unit -> float)) list =
             ~size_of:Lbrm_wire.Message.wire_size ()
         in
         let rt =
-          Sim_runtime.create ~net ~trace:(Lbrm_sim.Trace.create ()) ()
+          Sim_runtime.create ~net ~trace:(Lbrm_util.Metrics.create ()) ()
         in
         let node = hosts.(0) in
         let out = Lbrm.Io.out () in

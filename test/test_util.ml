@@ -5,6 +5,7 @@ module Heap = Lbrm_util.Heap
 module Rng = Lbrm_util.Rng
 module Stats = Lbrm_util.Stats
 module Gap_tracker = Lbrm_util.Gap_tracker
+module Metrics = Lbrm_util.Metrics
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -321,6 +322,55 @@ let tracker_prop_missing_is_complement =
       in
       Gap_tracker.missing t = expect)
 
+(* ---- Metrics ---- *)
+
+let metrics_counters_and_samples () =
+  let m = Metrics.create () in
+  let x = Metrics.counter m "x" in
+  Metrics.incr x;
+  Metrics.add x 4;
+  Metrics.incr (Metrics.counter m "y");
+  checki "x" 5 (Metrics.count m "x");
+  checki "absent" 0 (Metrics.count m "z");
+  Metrics.observe (Metrics.sample m "lat") 1.;
+  Metrics.observe (Metrics.sample m "lat") 3.;
+  checkf "sample mean" 2. (Stats.Sample.mean (Metrics.sample m "lat"));
+  checkb "count never registers" false
+    (List.mem_assoc "z" (Metrics.counters m));
+  Alcotest.(check (list string))
+    "counters by name" [ "x"; "y" ]
+    (List.map fst (Metrics.counters m))
+
+let metrics_shape_is_fixed () =
+  let m = Metrics.create () in
+  ignore (Metrics.counter m "c");
+  ignore (Metrics.sample m "s");
+  let raises what f =
+    checkb what true
+      (match f () with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+  in
+  raises "counter as sample" (fun () -> ignore (Metrics.sample m "c"));
+  raises "counter as gauge" (fun () -> ignore (Metrics.gauge m "c"));
+  raises "sample as counter" (fun () -> ignore (Metrics.counter m "s"))
+
+let metrics_pp () =
+  let m = Metrics.create () in
+  Metrics.add (Metrics.counter m "sent.nack") 12;
+  Metrics.incr (Metrics.counter m "app.delivered");
+  ignore (Metrics.sample m "empty");
+  Metrics.set (Metrics.gauge m "gauge") 1.5;
+  List.iter
+    (Metrics.observe (Metrics.sample m "recovery_latency"))
+    [ 0.5; 0.25; 1. ];
+  Alcotest.(check string)
+    "counters, then non-empty samples"
+    "app.delivered                    1\n\
+     sent.nack                        12\n\
+     recovery_latency                 n=3 mean=0.5833 p50=0.5 p99=0.99\n"
+    (Format.asprintf "%a" Metrics.pp m)
+
 let () =
   Alcotest.run "util"
     [
@@ -364,5 +414,13 @@ let () =
           Alcotest.test_case "forget_below" `Quick tracker_forget_below;
           qtest tracker_prop_complete_stream;
           qtest tracker_prop_missing_is_complement;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "counters and samples" `Quick
+            metrics_counters_and_samples;
+          Alcotest.test_case "a name keeps its shape" `Quick
+            metrics_shape_is_fixed;
+          Alcotest.test_case "pp: simulate report format" `Quick metrics_pp;
         ] );
     ]
