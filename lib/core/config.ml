@@ -33,24 +33,17 @@ type t = {
   deposit_retry_limit : int;
   source_retain_max : int;
   remcast_request_threshold : int;
-  remcast_window : float;
-  site_ttl : int;
-  uplink_nack_timeout : float;
   retention : Log_store.retention;
   stat_ack_enabled : bool;
   k_ackers : int;
   epoch_interval : float;
   t_wait_init : float;
-  t_wait_alpha : float;
   remcast_site_threshold : float;
   estimate_alpha : float;
-  hotlist_threshold : int;
   discovery_group : int;
   discovery_max_ttl : int;
-  discovery_round_timeout : float;
   (* retransmission channel (7, first bullet) *)
   rchannel_group : int option;
-  rchannel_copies : int;
   (* disk tier *)
   archive_segment_bytes : int;
   archive_index_stride : int;
@@ -79,23 +72,16 @@ let default =
     deposit_retry_limit = 5;
     source_retain_max = 65536;
     remcast_request_threshold = 3;
-    remcast_window = 0.05;
-    site_ttl = 2;
-    uplink_nack_timeout = 0.3;
     retention = Log_store.Keep_all;
     stat_ack_enabled = true;
     k_ackers = 20;
     epoch_interval = 30.;
     t_wait_init = 0.2;
-    t_wait_alpha = 0.125;
     remcast_site_threshold = 2.;
     estimate_alpha = 0.125;
-    hotlist_threshold = 5;
     discovery_group = 0;
     discovery_max_ttl = 8;
-    discovery_round_timeout = 0.05;
     rchannel_group = None;
-    rchannel_copies = 3;
     archive_segment_bytes = 262144;
     archive_index_stride = 8;
     archive_lwm_stride = 32;
@@ -119,9 +105,6 @@ let validate t =
     err "remcast_site_threshold must be >= 0"
   else if t.estimate_alpha <= 0. || t.estimate_alpha > 1. then
     err "estimate_alpha must be in (0,1]"
-  else if t.t_wait_alpha <= 0. || t.t_wait_alpha > 1. then
-    err "t_wait_alpha must be in (0,1]"
-  else if t.rchannel_copies <= 0 then err "rchannel_copies must be positive"
   else if t.deposit_timeout <= 0. then err "deposit_timeout must be positive"
   else if t.deposit_backoff < 1. then
     err "deposit_backoff must be >= 1 (got %g)" t.deposit_backoff
@@ -141,9 +124,12 @@ let deposit_delay t ~attempt =
   let d = t.deposit_timeout *. (t.deposit_backoff ** float_of_int attempt) in
   if d > t.deposit_timeout_max then t.deposit_timeout_max else d
 
+(* Copies of each packet placed on the retransmission channel (n). *)
+let rchannel_copies = 3
+
 let rchannel_window t =
   let rec total k acc =
-    if k >= t.rchannel_copies then acc
+    if k >= rchannel_copies then acc
     else total (k + 1) (acc +. (t.h_min *. (t.backoff ** float_of_int k)))
   in
   total 0 0.

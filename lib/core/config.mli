@@ -73,33 +73,24 @@ type t = {
   remcast_request_threshold : int;
       (** a secondary re-multicasts a repair once this many requests for
           the same packet arrive in a window (§2.2.1) *)
-  remcast_window : float;  (** request-counting window, seconds *)
-  site_ttl : int;  (** TTL confining a repair to the site *)
-  uplink_nack_timeout : float;  (** secondary → parent retry interval *)
   retention : Log_store.retention;
   (* statistical acknowledgement (§2.3) *)
   stat_ack_enabled : bool;
   k_ackers : int;  (** desired designated-acker count (5–20) *)
   epoch_interval : float;  (** seconds between Acker Selection Packets *)
   t_wait_init : float;  (** initial ACK-collection wait *)
-  t_wait_alpha : float;  (** EWMA gain of the t_wait estimator *)
   remcast_site_threshold : float;
       (** re-multicast when missing ACKs represent at least this many
           sites *)
   estimate_alpha : float;  (** EWMA gain of the N_sl estimator (1/8) *)
-  hotlist_threshold : int;
-      (** unsolicited ACKs before a faulty logger is ignored (§2.3.3) *)
   (* discovery (§2.2.1) *)
   discovery_group : int;
   discovery_max_ttl : int;
-  discovery_round_timeout : float;
   (* retransmission channel (§7, first bullet) *)
   rchannel_group : int option;
       (** separate multicast channel on which the source re-multicasts
           every packet a few times with exponential backoff; receivers
           subscribe on loss instead of NACKing.  [None] disables. *)
-  rchannel_copies : int;
-      (** copies of each packet placed on the channel (n) *)
   (* disk tier *)
   archive_segment_bytes : int;
       (** rotate the archive's active segment once it reaches this many
@@ -126,6 +117,9 @@ val deposit_delay : t -> attempt:int -> float
 (** Retry delay for 0-based deposit [attempt]:
     [deposit_timeout · deposit_backoff^attempt] capped at
     [deposit_timeout_max]. *)
+
+val rchannel_copies : int
+(** Copies of each packet placed on the §7 retransmission channel (n). *)
 
 val rchannel_window : t -> float
 (** How long a fresh packet can still appear on the §7 retransmission

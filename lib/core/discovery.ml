@@ -12,6 +12,9 @@ let create cfg = { cfg; state = Idle; nonce = 0 }
 let result t = match t.state with Done r -> r | Idle | Searching _ -> None
 let finished t = match t.state with Done _ -> true | Idle | Searching _ -> false
 
+(* Wait for replies to a ring of TTL 1, seconds. *)
+let discovery_round_timeout = 0.05
+
 let query t out ~ttl =
   t.nonce <- t.nonce + 1;
   t.state <- Searching { nonce = t.nonce; ttl };
@@ -21,7 +24,7 @@ let query t out ~ttl =
   (* Wider rings deserve proportionally longer waits. *)
   Io.push out
     (Set_timer
-       (K_discovery t.nonce, t.cfg.discovery_round_timeout *. float_of_int ttl))
+       (K_discovery t.nonce, discovery_round_timeout *. float_of_int ttl))
 
 let start t out ~now =
   ignore now;

@@ -186,6 +186,9 @@ let designated_for t =
 
 (* --- upward recovery (secondary's own completeness) ------------------- *)
 
+(* Secondary → parent retry interval, seconds. *)
+let uplink_nack_timeout = 0.3
+
 (* One upward request per seq per timeout window, whether triggered by
    our own gap-chase or by a receiver's NACK — this is what keeps the
    paper's "one retransmission request per site" true. *)
@@ -194,7 +197,7 @@ let ask_parent t ~now seqs =
     List.filter
       (fun s ->
         match Hashtbl.find_opt t.uplink_asked s with
-        | Some at -> now -. at >= 0.9 *. t.cfg.uplink_nack_timeout
+        | Some at -> now -. at >= 0.9 *. uplink_nack_timeout
         | None -> true)
       seqs
   in
@@ -209,9 +212,9 @@ let ask_parent t ~now seqs =
             trace t ~now (Trace.Uplink_nack { dest = parent; seqs });
           reply t parent (Message.Nack { seqs }))
         (Lbrm_wire.Codec.nack_batches fresh);
-      let timeout = t.cfg.uplink_nack_timeout in
       List.iter
-        (fun s -> Io.push t.out (Set_timer (K_uplink_nack s, timeout)))
+        (fun s ->
+          Io.push t.out (Set_timer (K_uplink_nack s, uplink_nack_timeout)))
         fresh
 
 let note_gaps t newly_missing =
@@ -287,11 +290,14 @@ let unicast_repair t ~now dest (e : Log_store.entry) =
     trace t ~now (Trace.Retrans { seq = e.seq; mode = Trace.R_unicast dest });
   Io.send_to dest (retrans_msg e)
 
+(* TTL confining a repair to the site. *)
+let site_ttl = 2
+
 let site_repair t ~now (e : Log_store.entry) =
   t.remulticasts <- t.remulticasts + 1;
   if Trace.is_on t.sink then
     trace t ~now (Trace.Retrans { seq = e.seq; mode = Trace.R_site_mcast });
-  Io.send ~ttl:t.cfg.site_ttl ~group:t.cfg.group (retrans_msg e)
+  Io.send ~ttl:site_ttl ~group:t.cfg.group (retrans_msg e)
 
 (* Decide unicast vs site-scoped multicast for a repair (§2.2.1): a
    *secondary* logger re-multicasts into its site when enough requests
@@ -300,6 +306,10 @@ let site_repair t ~now (e : Log_store.entry) =
    packets it had to recover.  The primary never scope-multicasts:
    requesters are spread across sites, and mass loss at the source's
    side is the statistical-acknowledgement machinery's job (§2.3). *)
+
+(* Request-counting window, seconds. *)
+let remcast_window = 0.05
+
 let serve t ~now ~requester (e : Log_store.entry) =
   let w = request_window t e.seq in
   w.count <- w.count + 1;
@@ -310,12 +320,12 @@ let serve t ~now ~requester (e : Log_store.entry) =
   in
   t.requests_served <- t.requests_served + 1;
   if w.count = 1 then
-    Io.push t.out (Set_timer (K_remcast e.seq, t.cfg.remcast_window));
+    Io.push t.out (Set_timer (K_remcast e.seq, remcast_window));
   if (not (is_primary t)) && w.count >= threshold && not w.multicast_done
   then begin
     w.multicast_done <- true;
     Io.push t.out (site_repair t ~now e);
-    Io.push t.out (Set_timer (K_remcast e.seq, t.cfg.remcast_window))
+    Io.push t.out (Set_timer (K_remcast e.seq, remcast_window))
   end
   else Io.push t.out (unicast_repair t ~now requester e)
 

@@ -196,7 +196,7 @@ let on_rchannel_due t ~now seq k =
       push t
         (Io.send ~group:channel
            (Message.Retrans { seq; epoch = current_epoch t; payload }));
-      if k + 1 >= t.cfg.rchannel_copies then Hashtbl.remove t.rchannel_buf seq
+      if k + 1 >= Config.rchannel_copies then Hashtbl.remove t.rchannel_buf seq
       else
         let gap = t.cfg.backoff ** float_of_int (k + 1) in
         push t (Set_timer (K_rchannel (seq, k + 1), t.cfg.h_min *. gap))

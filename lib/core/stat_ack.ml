@@ -36,6 +36,9 @@ type t = {
   mutable remulticasts_sent : int;
 }
 
+(* Unsolicited ACKs before a faulty logger is ignored (§2.3.3). *)
+let hotlist_threshold = 5
+
 let create (cfg : Config.t) ~self ~retained ?initial_estimate
     ?(sink = Trace.null ()) () =
   {
@@ -51,7 +54,7 @@ let create (cfg : Config.t) ~self ~retained ?initial_estimate
     epochs = Hashtbl.create 4;
     p_acks = Hashtbl.create 4;
     pending = Hashtbl.create 64;
-    hotlist = Group_estimate.Hotlist.create ~threshold:cfg.hotlist_threshold;
+    hotlist = Group_estimate.Hotlist.create ~threshold:hotlist_threshold;
     probing =
       (match initial_estimate with
       | Some _ -> None
@@ -161,13 +164,16 @@ let refine_estimate t ~p_epoch ~k' =
           ~p_ack
   | _ -> ()
 
+(* EWMA gain of the t_wait estimator. *)
+let t_wait_alpha = 0.125
+
 let update_t_wait t rtt_new =
   (* t'_wait = alpha * rtt_new + (1 - alpha) * t_wait, capped at twice
      the old value so a straggler cannot blow the timer up (§2.3.2's
      2·t_wait listening bound). *)
   let rtt_new = Float.min rtt_new (2. *. t.t_wait) in
   t.t_wait <-
-    (t.cfg.t_wait_alpha *. rtt_new) +. ((1. -. t.cfg.t_wait_alpha) *. t.t_wait)
+    (t_wait_alpha *. rtt_new) +. ((1. -. t_wait_alpha) *. t.t_wait)
 
 let is_designated t ~epoch ~logger =
   match Hashtbl.find_opt t.epochs epoch with

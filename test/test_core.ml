@@ -342,7 +342,7 @@ let statack_hotlist_unsolicited () =
   settle_first_epoch sa ~ackers:[ 101 ];
   ignore (Stat_ack.on_data_sent sa ~now:1. 5);
   (* 999 never volunteered; after enough unsolicited acks it is ignored. *)
-  for _ = 1 to cfg.hotlist_threshold do
+  for _ = 1 to 5 (* Stat_ack's hotlist threshold *) do
     ignore
       (Stat_ack.on_message sa ~now:1.01
          (Message.Stat_ack { epoch = 1; seq = 5; logger = 999 }))
@@ -768,7 +768,7 @@ let logger_remulticast_threshold () =
   let r3 = Logger.handle_message l ~now:0.52 ~src:12 (Message.Nack { seqs = [ 1 ] }) in
   (match multicasts r3 with
   | [ (_, Some ttl, Message.Retrans { seq = 1; _ }) ] ->
-      checki "site ttl" cfg.site_ttl ttl
+      checki "site ttl" 2 ttl
   | _ -> Alcotest.fail "expected site-scoped re-multicast");
   checki "one remulticast" 1 (Logger.remulticasts l)
 
