@@ -47,7 +47,7 @@ let () =
   in
   let engine = Lbrm_run.Sim_runtime.engine d.runtime in
   let rng = Rng.create ~seed:7 in
-  let pop = Dis.population ~rng ~dynamics:0 ~terrain:60 () in
+  let pop = Dis.population ~rng ~dynamics:0 ~terrain:60 in
 
   (* Poisson terrain changes, mean one per entity per 120 s. *)
   let send_update (e : Entity.state) =

@@ -4,9 +4,11 @@ module Probing = struct
     | Repeating of { estimates : float list; remaining : int }
     | Finished of float
 
+  (* The first probe's reply probability, and its growth per round. *)
+  let p0 = 0.01
+  let growth = 4.
+
   type t = {
-    p0 : float; [@warning "-69"]
-    growth : float;
     target_replies : int;
     repeats : int;
     mutable round : int;
@@ -16,10 +18,9 @@ module Probing = struct
 
   type decision = Probe of { round : int; p : float } | Done of float
 
-  let create ?(p0 = 0.01) ?(growth = 4.) ?(target_replies = 10) ?(repeats = 4)
-      () =
-    assert (p0 > 0. && p0 <= 1. && growth > 1. && target_replies > 0);
-    { p0; growth; target_replies; repeats; round = 0; p = p0; phase = Growing }
+  let create ?(target_replies = 10) ?(repeats = 4) () =
+    assert (target_replies > 0);
+    { target_replies; repeats; round = 0; p = p0; phase = Growing }
 
   let start t = Probe { round = t.round; p = t.p }
 
@@ -42,7 +43,7 @@ module Probing = struct
           end
         end
         else begin
-          t.p <- Float.min 1. (t.p *. t.growth);
+          t.p <- Float.min 1. (t.p *. growth);
           t.round <- t.round + 1;
           Probe { round = t.round; p = t.p }
         end

@@ -21,10 +21,8 @@ module Probing : sig
     | Probe of { round : int; p : float }  (** send this probe next *)
     | Done of float  (** final estimate *)
 
-  val create :
-    ?p0:float -> ?growth:float -> ?target_replies:int -> ?repeats:int ->
-    unit -> t
-  (** Defaults: initial probability 0.01, ×4 growth per round, stop
+  val create : ?target_replies:int -> ?repeats:int -> unit -> t
+  (** Initial probability 0.01, ×4 growth per round.  Defaults: stop
       growing at ≥ 10 replies, then 4 further repeats of the final
       probability (5 probes total at that p). *)
 

@@ -38,7 +38,8 @@ let count_in_gap ~fixed ~h_min ~h_max ~backoff ~dt =
   in
   if dt <= 0. then 0 else loop 0. h_min 0
 
-let traffic_model ?(h_max = 32.) ?(backoff = 2.) p =
+let traffic_model p =
+  let h_max = 32. and backoff = 2. in
   let dynamic_pps = float_of_int p.dynamic_entities *. p.dynamic_update_rate in
   let terrain_data_pps =
     float_of_int p.terrain_entities /. p.terrain_change_interval
@@ -75,7 +76,8 @@ let speed_for = function
     ->
       0.
 
-let population ~rng ~dynamics ~terrain ?(area = 50_000.) () =
+let population ~rng ~dynamics ~terrain =
+  let area = 50_000. in
   let place () =
     Vec3.make (Rng.float rng area) (Rng.float rng area) 0.
   in

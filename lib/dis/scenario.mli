@@ -26,11 +26,10 @@ type traffic = {
   variable_heartbeat_pps : float;  (** keep-alives under LBRM's scheme *)
 }
 
-val traffic_model :
-  ?h_max:float -> ?backoff:float -> params -> traffic
+val traffic_model : params -> traffic
 (** Closed-form packet rates.  Heartbeat rates use
     {!Lbrm.Heartbeat}-identical arithmetic: per-entity heartbeats in a
-    mean inter-update gap, times entity count.  Defaults h_max = 32,
+    mean inter-update gap, times entity count, at h_max = 32 and
     backoff = 2. *)
 
 val heartbeat_fraction : traffic -> float
@@ -43,11 +42,9 @@ type population = {
 }
 
 val population :
-  rng:Lbrm_util.Rng.t -> dynamics:int -> terrain:int ->
-  ?area:float -> unit -> population
-(** Scaled-down population scattered uniformly over an [area]-metre
-    square (default 50 km), dynamic entities with random headings at
-    realistic speeds. *)
+  rng:Lbrm_util.Rng.t -> dynamics:int -> terrain:int -> population
+(** Scaled-down population scattered uniformly over a 50 km square,
+    dynamic entities with random headings at realistic speeds. *)
 
 val next_terrain_event :
   rng:Lbrm_util.Rng.t -> params -> population -> after:float ->

@@ -9,6 +9,6 @@ let dot a b = (a.x *. b.x) +. (a.y *. b.y) +. (a.z *. b.z)
 let norm v = sqrt (dot v v)
 let distance a b = norm (sub a b)
 
-let equal ?(eps = 1e-9) a b = distance a b <= eps
+let equal a b = distance a b <= 1e-9
 
 let pp fmt v = Format.fprintf fmt "(%.2f, %.2f, %.2f)" v.x v.y v.z

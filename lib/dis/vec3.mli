@@ -10,5 +10,7 @@ val scale : float -> t -> t
 val dot : t -> t -> float
 val norm : t -> float
 val distance : t -> t -> float
-val equal : ?eps:float -> t -> t -> bool
+val equal : t -> t -> bool
+(** Within 1e-9 of each other. *)
+
 val pp : Format.formatter -> t -> unit

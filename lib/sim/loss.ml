@@ -1,8 +1,6 @@
 module Rng = Lbrm_util.Rng
 
 type gilbert_state = {
-  loss_good : float;
-  loss_bad : float;
   mean_good : float;
   mean_bad : float;
   mutable bad : bool;
@@ -20,12 +18,10 @@ type t =
 let none = None_
 let bernoulli p = Bernoulli p
 
-let gilbert ?(loss_good = 0.) ?(loss_bad = 1.) ~mean_good ~mean_bad () =
+let gilbert ~mean_good ~mean_bad =
   assert (mean_good > 0. && mean_bad > 0.);
   Gilbert
     {
-      loss_good;
-      loss_bad;
       mean_good;
       mean_bad;
       bad = false;
@@ -51,8 +47,8 @@ let gilbert_drops g ~rng ~now =
     let mean = if g.bad then g.mean_bad else g.mean_good in
     g.until <- g.until +. Rng.exponential rng ~mean
   done;
-  let p = if g.bad then g.loss_bad else g.loss_good in
-  Rng.bernoulli rng ~p
+  (* The good state loses nothing and the bad state everything. *)
+  g.bad
 
 let in_burst (arr : (float * float) array) (now : float) =
   (* Binary search for the last window starting at or before now. *)

@@ -14,16 +14,10 @@ val none : t
 val bernoulli : float -> t
 (** Independent loss with probability [p]. *)
 
-val gilbert :
-  ?loss_good:float ->
-  ?loss_bad:float ->
-  mean_good:float ->
-  mean_bad:float ->
-  unit ->
-  t
+val gilbert : mean_good:float -> mean_bad:float -> t
 (** Two-state continuous-time Gilbert–Elliott channel.  Sojourn times in
     the good/bad states are exponential with the given means (seconds);
-    loss probabilities default to 0 (good) and 1 (bad). *)
+    the good state loses nothing and the bad state every packet. *)
 
 val burst_windows : (float * float) list -> t
 (** Deterministic outage: drop every packet whose send time falls in one

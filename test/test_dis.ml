@@ -208,7 +208,7 @@ let stow97_traffic_claims () =
 
 let population_shape () =
   let rng = Rng.create ~seed:12 in
-  let pop = Scenario.population ~rng ~dynamics:50 ~terrain:30 () in
+  let pop = Scenario.population ~rng ~dynamics:50 ~terrain:30 in
   checki "dynamics" 50 (Array.length pop.dynamics);
   checki "terrain" 30 (Array.length pop.terrain);
   Array.iter
@@ -229,7 +229,7 @@ let population_shape () =
 
 let terrain_events_flow () =
   let rng = Rng.create ~seed:13 in
-  let pop = Scenario.population ~rng ~dynamics:0 ~terrain:20 () in
+  let pop = Scenario.population ~rng ~dynamics:0 ~terrain:20 in
   let t = ref 0. in
   let events = ref 0 in
   (* Mean inter-event time is 120/20 = 6 s; 100 draws span ~600 s. *)

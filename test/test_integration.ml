@@ -282,7 +282,7 @@ let gilbert_channel_recovery () =
   let d =
     Scenario.standard ~cfg:plain_cfg ~seed:37 ~sites:3 ~receivers_per_site:3
       ~tail_loss:(fun _ ->
-        Loss.gilbert ~mean_good:5. ~mean_bad:0.5 ())
+        Loss.gilbert ~mean_good:5. ~mean_bad:0.5)
       ()
   in
   Scenario.drive_periodic d ~interval:0.5 ~count:40 ();

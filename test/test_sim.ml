@@ -147,7 +147,7 @@ let loss_burst_windows () =
 
 let loss_gilbert_burstiness () =
   let rng = Rng.create ~seed:6 in
-  let model = Loss.gilbert ~mean_good:10. ~mean_bad:1. () in
+  let model = Loss.gilbert ~mean_good:10. ~mean_bad:1. in
   (* Sample a long trace at 10 Hz: loss rate should be near the bad-state
      fraction 1/11, and losses should cluster (many consecutive). *)
   let drops = ref 0 and runs = ref 0 and in_run = ref false in

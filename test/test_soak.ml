@@ -88,10 +88,10 @@ let combined_faults_soak () =
         if site = 4 then
           Loss.combine
             [
-              Loss.gilbert ~mean_good:8. ~mean_bad:0.5 ();
+              Loss.gilbert ~mean_good:8. ~mean_bad:0.5;
               Loss.burst_windows [ (20., 35.) ];
             ]
-        else Loss.gilbert ~mean_good:10. ~mean_bad:0.3 ())
+        else Loss.gilbert ~mean_good:10. ~mean_bad:0.3)
       ()
   in
   (* Kill the primary's LAN at t = 25. *)
