@@ -6,18 +6,17 @@
    - udp_unbatched:   the pre-optimization per-packet path — one fresh
                       encode, one fresh sockaddr, one sendto and one
                       recvfrom syscall per datagram
-   - udp_batched:     recvmmsg/sendmmsg over Buf_pool slots, encoded and
-                      decoded in place by the codec's cores through a
-                      kept writer and reader, as the runtime does; the
-                      [speedup_vs_unbatched] extra is the acceptance ratio
+   - udp_batched:     recvmmsg/sendmmsg over the fixed slots of one
+                      region, encoded and decoded in place by the codec's
+                      cores through a kept writer and reader, as the
+                      runtime does; the [speedup_vs_unbatched] extra is
+                      the acceptance ratio
    - encode_fresh /   per-datagram serialization cost: a fresh string
-     encode_pooled    per message vs Codec.encode_at_exn into a leased
+     encode_pooled    per message vs Codec.encode_at_exn into a fixed
                       slot (0 words/op)
    - decode_fresh /   per-datagram parse cost: copy into a fresh buffer
      decode_pooled    then decode vs Codec.decode_bytes_exn in place from
-                      the region (only the message: 8 words/op)
-   - pool_cycle:      bare lease/release (the steady-state buffer path —
-                      0 words/op)
+                      a fixed slot (only the message: 8 words/op)
 
    Full run:   dune exec bench/udp_bench.exe      (writes BENCH_udp.json)
    Smoke run:  dune exec bench/udp_bench.exe -- --smoke
@@ -30,7 +29,6 @@ module Codec = Lbrm_wire.Codec
 module Message = Lbrm_wire.Message
 module Payload = Lbrm_wire.Payload
 module Sockmsg = Lbrm_run.Sockmsg
-module Buf_pool = Lbrm_run.Buf_pool
 
 let suite = Bench_common.suite "lbrm-udp-transport"
 let slot = 2048
@@ -75,8 +73,7 @@ let pump_batched ~use_gso ~packets () =
   let tx = make_socket () and rx = make_socket () in
   let dst_port = port_of rx in
   let batch = Sockmsg.batch_max in
-  let pool = Buf_pool.create ~slots:(2 * batch) ~slot_size:slot () in
-  let region = Buf_pool.region pool in
+  let region = Bytes.create (2 * batch * slot) in
   let tx_offs = Array.init batch (fun i -> i * slot) in
   let rx_offs = Array.init batch (fun i -> (batch + i) * slot) in
   let tx_lens = Array.make batch 0 and tx_ports = Array.make batch dst_port in
@@ -188,21 +185,18 @@ let bench_encode_fresh ~ops () =
   done;
   (ops, [ ("wire_bytes", float_of_int (!bytes / max 1 ops)) ])
 
+(* The fixed-slot rows encode into and decode from slot 1 of a
+   two-slot region, as the runtime does into its transmit stage and
+   from its receive ring. *)
 let bench_encode_pooled ~ops () =
-  let pool = Buf_pool.create ~slots:4 ~slot_size:slot () in
+  let region = Bytes.create (2 * slot) in
   let w = Codec.Writer.create () in
   for _ = 1 to ops do
-    let b = Buf_pool.lease pool in
-    (match
-       Codec.encode_at_exn w b.Buf_pool.bytes ~pos:b.Buf_pool.off
-         ~limit:(b.Buf_pool.off + b.Buf_pool.cap)
-         msg
-     with
+    match Codec.encode_at_exn w region ~pos:slot ~limit:(2 * slot) msg with
     | _ -> ()
-    | exception Codec.Malformed _ -> ());
-    Buf_pool.release pool b
+    | exception Codec.Malformed _ -> ()
   done;
-  (ops, [ ("fallbacks", float_of_int (Buf_pool.fallback_allocs pool)) ])
+  (ops, [])
 
 let bench_decode_fresh ~ops () =
   let wire = match Codec.encode msg with Ok s -> s | Error _ -> assert false in
@@ -220,41 +214,21 @@ let bench_decode_fresh ~ops () =
   (ops, [])
 
 let bench_decode_pooled ~ops () =
-  let pool = Buf_pool.create ~slots:4 ~slot_size:slot () in
-  let b = Buf_pool.lease pool in
+  let region = Bytes.create (2 * slot) in
   let len =
-    match
-      Codec.encode_at b.Buf_pool.bytes ~pos:b.Buf_pool.off
-        ~limit:(b.Buf_pool.off + b.Buf_pool.cap)
-        msg
-    with
+    match Codec.encode_at region ~pos:slot ~limit:(2 * slot) msg with
     | Ok n -> n
     | Error _ -> assert false
   in
   let r = Codec.Reader.create "" in
   let ok = ref 0 in
   for _ = 1 to ops do
-    match
-      Codec.decode_bytes_exn r b.Buf_pool.bytes ~pos:b.Buf_pool.off ~len
-    with
+    match Codec.decode_bytes_exn r region ~pos:slot ~len with
     | _ -> incr ok
     | exception Codec.Malformed _ -> ()
   done;
-  Buf_pool.release pool b;
   assert (!ok = ops);
   (ops, [])
-
-let bench_pool_cycle ~ops () =
-  let pool = Buf_pool.create ~slots:8 ~slot_size:slot () in
-  for _ = 1 to ops do
-    let b = Buf_pool.lease pool in
-    Buf_pool.release pool b
-  done;
-  ( ops,
-    [
-      ("fallbacks", float_of_int (Buf_pool.fallback_allocs pool));
-      ("max_outstanding", float_of_int (Buf_pool.max_outstanding pool));
-    ] )
 
 (* ---------------------------------------------------------------------- *)
 
@@ -296,7 +270,6 @@ let () =
   ignore (run "encode_pooled" (bench_encode_pooled ~ops:(scale 400_000)));
   ignore (run "decode_fresh" (bench_decode_fresh ~ops:(scale 400_000)));
   ignore (run "decode_pooled" (bench_decode_pooled ~ops:(scale 400_000)));
-  ignore (run "pool_cycle" (bench_pool_cycle ~ops:(scale 1_000_000)));
   match json with
   | Some path ->
       Bench_common.emit_json suite path;

@@ -16,7 +16,7 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 
 let simulate sites receivers loss packets interval seed stat_ack duration
-    population mcast_cache keep_last archive_segment_bytes =
+    population keep_last archive_segment_bytes =
   let cfg =
     {
       Lbrm.Config.default with
@@ -41,7 +41,7 @@ let simulate sites receivers loss packets interval seed stat_ack duration
       ~initial_estimate:(float_of_int sites)
       ~tail_loss:(fun _ ->
         if loss > 0. then Lbrm_sim.Loss.bernoulli loss else Lbrm_sim.Loss.none)
-      ?site_population ?mcast_cache ~archive ()
+      ?site_population ~archive ()
   in
   Lbrm_run.Scenario.drive_periodic d ~interval ~count:packets ();
   Lbrm_run.Scenario.run d ~until:duration;
@@ -129,15 +129,6 @@ let simulate_cmd =
              tracer cross-checks) — scales a run to millions of receivers \
              without per-receiver agents.  0 disables.")
   in
-  let mcast_cache =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "mcast-cache" ] ~docv:"ENTRIES"
-          ~doc:
-            "Pruned multicast-tree cache capacity (default 512); trees are \
-             keyed by (source, membership fingerprint) and evicted LRU.")
-  in
   let keep_last =
     Arg.(
       value
@@ -165,8 +156,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run an LBRM deployment on the simulated WAN")
     Term.(
       const simulate $ sites $ receivers $ loss $ packets $ interval $ seed
-      $ stat_ack $ duration $ population $ mcast_cache $ keep_last
-      $ archive_segment_bytes)
+      $ stat_ack $ duration $ population $ keep_last $ archive_segment_bytes)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                               *)
@@ -385,8 +375,7 @@ let trace_cmd =
 (* udp                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let udp base_port packets loss seconds batch pool_slots slot_size no_mmsg
-    no_gso =
+let udp base_port packets loss seconds batch slot_size no_mmsg =
   let module U = Lbrm_run.Udp_runtime in
   let module H = Lbrm_run.Handlers in
   let cfg =
@@ -404,8 +393,7 @@ let udp base_port packets loss seconds batch pool_slots slot_size no_mmsg
   let secondary_port = base_port + 2 in
   let recv_ports = [ base_port + 3; base_port + 4; base_port + 5 ] in
   let rt =
-    U.create ~loss ~seed:7 ~batch ~pool_slots ~slot_size
-      ~use_mmsg:(not no_mmsg) ~use_gso:(not no_gso) ()
+    U.create ~loss ~seed:7 ~batch ~slot_size ~use_mmsg:(not no_mmsg) ()
   in
   let source =
     Lbrm.Source.create cfg ~self:src_port ~primary:primary_port ()
@@ -457,10 +445,10 @@ let udp base_port packets loss seconds batch pool_slots slot_size no_mmsg
   Printf.printf
     "live UDP session on 127.0.0.1:%d-%d, %.0f%% injected datagram loss\n"
     base_port (base_port + 5) (100. *. loss);
-  Printf.printf "transport: mmsg %s, gso %s, batch %d, pool %d x %dB\n"
+  Printf.printf "transport: mmsg %s, gso %s, batch %d, slots %dB\n"
     (if U.mmsg_active rt then "on" else "off")
     (if U.gso_active rt then "on" else "off")
-    batch pool_slots slot_size;
+    batch slot_size;
   (* Send packets spaced over the first half of the run. *)
   let gap = seconds /. 2. /. float_of_int packets in
   for i = 1 to packets do
@@ -486,10 +474,9 @@ let udp base_port packets loss seconds batch pool_slots slot_size no_mmsg
     st.U.tx_datagrams st.U.tx_batches st.U.rx_datagrams st.U.rx_batches;
   let gso_d, mmsg_d, single_d = Lbrm_run.Sockmsg.tx_tiers () in
   Printf.printf
-    "transport: tx tiers gso %d / sendmmsg %d / per-datagram %d; pool \
-     leases %d (fallbacks %d, peak %d); encode failures %d, oversize %d\n"
-    gso_d mmsg_d single_d st.U.pool_leases st.U.pool_fallbacks
-    st.U.pool_max_outstanding st.U.encode_failures st.U.oversize;
+    "transport: tx tiers gso %d / sendmmsg %d / per-datagram %d; encode \
+     failures %d, oversize %d\n"
+    gso_d mmsg_d single_d st.U.encode_failures st.U.oversize;
   U.close rt;
   if !ok then begin
     print_endline "OK: receiver-reliable delivery over real sockets.";
@@ -522,11 +509,6 @@ let udp_cmd =
       value & opt int 64
       & info [ "batch" ] ~doc:"Datagrams staged per batched syscall (1-64).")
   in
-  let pool_slots =
-    Arg.(
-      value & opt int 256
-      & info [ "pool-slots" ] ~doc:"Preallocated transport buffers.")
-  in
   let slot_size =
     Arg.(
       value & opt int 2048
@@ -538,17 +520,11 @@ let udp_cmd =
       & info [ "no-mmsg" ]
           ~doc:"Force the portable per-datagram sendto/recvfrom fallback.")
   in
-  let no_gso =
-    Arg.(
-      value & flag
-      & info [ "no-gso" ]
-          ~doc:"Disable the UDP GSO transmit tier (keep sendmmsg batching).")
-  in
   Cmd.v
     (Cmd.info "udp" ~doc:"Run a live LBRM session over loopback UDP")
     Term.(
-      const udp $ base_port $ packets $ loss $ seconds $ batch $ pool_slots
-      $ slot_size $ no_mmsg $ no_gso)
+      const udp $ base_port $ packets $ loss $ seconds $ batch $ slot_size
+      $ no_mmsg)
 
 (* ------------------------------------------------------------------ *)
 (* traffic                                                             *)

@@ -11,8 +11,6 @@
 val invalidation : path:string -> string
 (** Payload the file server multicasts when a file changes. *)
 
-val parse_invalidation : string -> (string, string) result
-
 module Client : sig
   type t
 

@@ -94,8 +94,6 @@ type action =
           retransmission channel joins on demand) *)
   | Leave of int  (** unsubscribe *)
 
-val pp_timer_key : Format.formatter -> timer_key -> unit
-val pp_notice : Format.formatter -> notice -> unit
 val pp_action : Format.formatter -> action -> unit
 
 val send : ?ttl:int -> group:int -> Lbrm_wire.Message.t -> action

@@ -279,8 +279,6 @@ let jsonl_of_records records =
 
 let digest records = Digest.to_hex (Digest.string (jsonl_of_records records))
 
-let pp_record ppf r = Fmt.string ppf (to_jsonl r)
-
 (* --- queries ---------------------------------------------------------- *)
 
 module Query = struct

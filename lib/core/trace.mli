@@ -154,8 +154,6 @@ val jsonl_of_records : record list -> string
 val digest : record list -> string
 (** MD5 hex of {!jsonl_of_records} — the golden-trace fingerprint. *)
 
-val pp_record : Format.formatter -> record -> unit
-
 val mode_label : retrans_mode -> string
 (** ["unicast"], ["site_mcast"], ["rchannel"] or ["stat_remcast"]. *)
 

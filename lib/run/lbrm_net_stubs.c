@@ -2,7 +2,7 @@
  *
  * recvmmsg/sendmmsg drain and flush up to LBRM_BATCH_MAX datagrams per
  * syscall, scattering into / gathering from caller-provided offsets of
- * one shared backing region (the Buf_pool region), so the OCaml hot
+ * one shared backing region (the runtime's fixed slots), so the OCaml hot
  * path performs no per-datagram allocation: lengths and source ports
  * travel through preallocated int arrays written in place.
  *

@@ -61,8 +61,8 @@ let swap node m entries =
    tracers — which is the [Rng.split] order; then it joins, then starts
    everything. *)
 let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
-    ?on_notice ?on_source_notice ~logging ?sink ?site_population ?mcast_cache
-    ~archive ?sites_per_region ~sites ~receivers_per_site () =
+    ?on_notice ?on_source_notice ~logging ?sink ?site_population ~archive
+    ?sites_per_region ~sites ~receivers_per_site () =
   let regional_slot = 3 + replica_count in
   let reserved =
     if Option.is_some sites_per_region then regional_slot + 1
@@ -83,10 +83,7 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
         wan.sites)
     tail_loss;
   let engine = Engine.create ~seed () in
-  let net =
-    Net.create ?mcast_cache_size:mcast_cache ~engine ~topo:wan.topo
-      ~size_of:Message.wire_size ()
-  in
+  let net = Net.create ~engine ~topo:wan.topo ~size_of:Message.wire_size () in
   let runtime = Sim_runtime.create ~net ~trace:(Metrics.create ()) () in
   let rng = Rng.split (Engine.rng engine) in
   let host site i = Builders.host wan ~site i in
@@ -366,12 +363,12 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
 
 let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
     ?initial_estimate ?tail_loss ?on_deliver ?on_notice ?on_source_notice
-    ?(logging = `Distributed) ?sink ?site_population ?mcast_cache
-    ?(archive = false) ~sites ~receivers_per_site () =
+    ?(logging = `Distributed) ?sink ?site_population ?(archive = false) ~sites
+    ~receivers_per_site () =
   assert (sites > 0 && receivers_per_site >= 0);
   build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
-    ?on_notice ?on_source_notice ~logging ?sink ?site_population ?mcast_cache
-    ~archive ~sites ~receivers_per_site ()
+    ?on_notice ?on_source_notice ~logging ?sink ?site_population ~archive
+    ~sites ~receivers_per_site ()
 
 (* A three-level logger hierarchy (the paper's §7 "multi-level hierarchy
    of logging servers" future-work item): receivers NACK their site
@@ -422,22 +419,6 @@ let drive_periodic d ~interval ~count ?(payload_size = 128) () =
       (Engine.schedule_kind engine ~kind:Engine.kind_app ~delay:(interval *. float_of_int i) (fun () ->
            send d (payload_of_size payload_size i)))
   done
-
-let drive_poisson d ~mean_interval ~until ?(payload_size = 128) () =
-  let engine = Sim_runtime.engine d.runtime in
-  let rng = Rng.split (Engine.rng engine) in
-  let counter = ref 0 in
-  let rec arm () =
-    let delay = Rng.exponential rng ~mean:mean_interval in
-    ignore
-      (Engine.schedule_kind engine ~kind:Engine.kind_app ~delay (fun () ->
-           if Engine.now engine <= until then begin
-             incr counter;
-             send d (payload_of_size payload_size !counter);
-             arm ()
-           end))
-  in
-  arm ()
 
 let run d ~until = Sim_runtime.run ~until d.runtime
 let metrics d = Sim_runtime.metrics d.runtime

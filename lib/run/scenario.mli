@@ -70,7 +70,6 @@ val standard :
   ?logging:[ `Distributed | `Centralized ] ->
   ?sink:Lbrm.Trace.sink ->
   ?site_population:population_spec ->
-  ?mcast_cache:int ->
   ?archive:bool ->
   sites:int ->
   receivers_per_site:int ->
@@ -95,9 +94,8 @@ val standard :
     receivers); populations join the data group, coexist with full
     per-receiver agents, and survive crash/restart via rebuilders
     (restart = fresh model, true rejoin).  Population-free deployments
-    are bit-identical to before the option existed.  [mcast_cache] caps
-    the network's pruned multicast-tree cache
-    ({!Lbrm_sim.Net.create}).  All agents are started.
+    are bit-identical to before the option existed.  All agents are
+    started.
 
     [archive] attaches a disk tier (over a per-node persistent
     in-memory fs) to every logger — primary, replicas and site
@@ -177,13 +175,6 @@ val drive_periodic :
 (** Schedule [count] sends, one every [interval] seconds, starting one
     interval from now.  Payloads default to 128 bytes (Table 3's
     size). *)
-
-val drive_poisson :
-  deployment -> mean_interval:float -> until:float -> ?payload_size:int ->
-  unit -> unit
-(** Schedule sends with exponential inter-arrival times until virtual
-    time [until] — the DIS terrain-update model (state changes roughly
-    every two minutes, §2.1.2). *)
 
 val run : deployment -> until:float -> unit
 val metrics : deployment -> Lbrm_util.Metrics.t

@@ -14,7 +14,7 @@
 
     Receive drains up to {!batch_max} datagrams per [recvmmsg].  All
     batched paths scatter into / gather from caller-chosen offsets of
-    one shared backing region (the {!Buf_pool} region) with no
+    one shared backing region (the runtime's fixed slots) with no
     per-datagram allocation.  Where the stubs are unavailable
     (non-Linux) — or when batching is disabled to benchmark the
     difference — every entry point falls back to portable
@@ -92,5 +92,5 @@ val send_batch :
 
 val send_one :
   Unix.file_descr -> Bytes.t -> off:int -> len:int -> Unix.sockaddr -> unit
-(** One-shot send (pool-exhaustion overflow path), with the same
+(** One-shot send (the oversize path), with the same
     wait-and-retry behaviour on a full socket buffer. *)

@@ -20,12 +20,10 @@ type stats = {
   rx_batches : int;
   rx_datagrams : int;
   rx_truncated : int;
-  pool_leases : int;
   pool_fallbacks : int;
-  pool_max_outstanding : int;
 }
 
-(* Everything the transport touches: sockets, pool, tx stage, rx ring,
+(* Everything the transport touches: sockets, slot region, tx stage, rx ring,
    and the engine whose queue holds the agents' timers.  The agent host
    sits on top in [t]. *)
 type io = {
@@ -34,10 +32,12 @@ type io = {
   rng : Rng.t;
   started : float; (* monotonic epoch *)
   use_mmsg : bool;
-  use_gso : bool;
   batch : int;
-  pool : Buf_pool.t;
-  region : Bytes.t; (* = Buf_pool.region pool *)
+  slot_size : int;
+  (* [2 * batch] slots of [slot_size] bytes: the receive ring's slot [i]
+     at [i * slot_size], the transmit stage's slot [i] at
+     [(batch + i) * slot_size]. *)
+  region : Bytes.t;
   (* Each group's member ports, ascending.  A join or leave replaces
      the array, never mutates it, so [fan_out] walks it in place. *)
   groups : (int, int array) Hashtbl.t;
@@ -52,17 +52,17 @@ type io = {
      boxed: every handler of that batch gets the same box instead of
      boxing a reading of its own. *)
   mutable clock : float;
-  (* Transmit stage: up to [batch] encoded datagrams (pooled slots, all
-     bound to [tx_fd]'s socket) flushed in one sendmmsg. *)
+  (* Transmit stage: up to [batch] datagrams encoded into its fixed
+     slots, all bound to [tx_fd]'s socket, flushed in one sendmmsg.  The
+     stage is flushed as soon as it holds [batch], so it never needs
+     more slots than that. *)
   mutable tx_fd : Unix.file_descr; (* meaningful iff tx_count > 0 *)
-  tx_bufs : Buf_pool.buf array;
   tx_offs : int array;
   tx_lens : int array;
   tx_ports : int array;
   mutable tx_count : int;
-  (* Receive ring: [batch] slots leased once at create and scattered
-     into by every recvmmsg; decoded views alias them until the next
-     drain refills. *)
+  (* Receive ring: [batch] fixed slots scattered into by every
+     recvmmsg; decoded views alias them until the next drain refills. *)
   rx_offs : int array;
   rx_lens : int array;
   rx_ports : int array;
@@ -96,12 +96,9 @@ let read_clock io =
 
 let flush_tx t =
   if t.tx_count > 0 then begin
-    Sockmsg.send_batch ~use_mmsg:t.use_mmsg ~use_gso:t.use_gso t.tx_fd t.region
+    Sockmsg.send_batch ~use_mmsg:t.use_mmsg ~use_gso:true t.tx_fd t.region
       ~offs:t.tx_offs ~lens:t.tx_lens ~ports:t.tx_ports ~count:t.tx_count
       ~ip:t.ip ~sockaddr:t.sockaddr_of;
-    for i = 0 to t.tx_count - 1 do
-      Buf_pool.release t.pool t.tx_bufs.(i)
-    done;
     t.tx_batches <- t.tx_batches + 1;
     t.tx_datagrams <- t.tx_datagrams + t.tx_count;
     t.tx_count <- 0
@@ -115,7 +112,7 @@ let encode_failure t ep msg =
       (Trace.Encode_failed
          { kind = Message.kind msg; size = Message.body_size msg })
 
-(* Messages too big for a pool slot (jumbo application payloads) take a
+(* Messages too big for a transmit slot (jumbo application payloads) take a
    growable-scratch + one-shot-send slow path rather than failing: the
    scratch grows to the message's exact size, then the encode core
    writes into it. *)
@@ -138,48 +135,22 @@ let send_datagram t ep ~dst msg =
     (* The stage is bound to one socket per flush; agents interleave
        rarely (only via nested perform), so this almost never fires. *)
     if t.tx_count > 0 && t.tx_fd <> ep.socket then flush_tx t;
-    let b = Buf_pool.lease t.pool in
-    if Message.body_size msg > b.Buf_pool.cap then begin
-      Buf_pool.release t.pool b;
-      send_oversize t ep ~dst msg
-    end
-    else if Buf_pool.pooled b then begin
+    if Message.body_size msg > t.slot_size then send_oversize t ep ~dst msg
+    else
+      let i = t.tx_count in
+      let off = t.tx_offs.(i) in
       match
-        Codec.encode_at_exn t.writer b.Buf_pool.bytes ~pos:b.Buf_pool.off
-          ~limit:(b.Buf_pool.off + b.Buf_pool.cap)
-          msg
+        Codec.encode_at_exn t.writer t.region ~pos:off
+          ~limit:(off + t.slot_size) msg
       with
-      | exception Codec.Malformed _ ->
-          Buf_pool.release t.pool b;
-          encode_failure t ep msg
+      | exception Codec.Malformed _ -> encode_failure t ep msg
       | size ->
           t.tx_fd <- ep.socket;
-          let i = t.tx_count in
-          t.tx_bufs.(i) <-
-            (b [@lint.owns "staged for flush_tx, which releases after sendmmsg"]);
-          t.tx_offs.(i) <- b.Buf_pool.off;
           t.tx_lens.(i) <- size;
           t.tx_ports.(i) <- dst;
           t.tx_count <- i + 1;
           t.sent <- t.sent + 1;
           if t.tx_count >= t.batch then flush_tx t
-    end
-    else begin
-      (* Pool exhausted: encode into the fallback buffer and send it
-         one-shot (it is not region-backed, so it cannot join a batch). *)
-      (match
-         Codec.encode_at_exn t.writer b.Buf_pool.bytes ~pos:0
-           ~limit:b.Buf_pool.cap msg
-       with
-      | exception Codec.Malformed _ -> encode_failure t ep msg
-      | size ->
-          t.sent <- t.sent + 1;
-          Sockmsg.send_one ep.socket b.Buf_pool.bytes ~off:0 ~len:size
-            (t.sockaddr_of dst));
-      (* Fallback buffers are not pooled, so this is a contractual no-op,
-         but it closes the lease/release bracket on this path too. *)
-      Buf_pool.release t.pool b
-    end
   end
 
 (* --- groups ------------------------------------------------------------ *)
@@ -233,15 +204,10 @@ let transport io =
   }
 
 let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
-    ?(pool_slots = 256) ?(slot_size = Lbrm_wire.Codec.slot_size)
-    ?(use_mmsg = true) ?(use_gso = true)
+    ?(slot_size = Lbrm_wire.Codec.slot_size) ?(use_mmsg = true)
     ?(sink = Trace.null ()) () =
   let batch = max 1 (min batch Sockmsg.batch_max) in
-  (* The receive ring owns [batch] slots for the process lifetime and
-     the transmit stage leases up to [batch] more, so the pool must
-     always have that many plus headroom for application retainers. *)
-  let pool_slots = max pool_slots ((2 * batch) + 8) in
-  let pool = Buf_pool.create ~slots:pool_slots ~slot_size () in
+  let slot_size = max 64 slot_size in
   let started = Sockmsg.monotonic_now () in
   let ip, ip_known =
     match Sockmsg.ipv4_of_string bind_ip with
@@ -257,18 +223,6 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
       Hashtbl.add addr_cache port a;
       a
   in
-  let rx_bufs =
-    Array.init batch (fun _ ->
-        (Buf_pool.lease pool
-        [@lint.owns "rx ring slot, held for the runtime's lifetime"]))
-  in
-  assert (Array.for_all Buf_pool.pooled rx_bufs);
-  (* Seed value for the stage arrays; only indices < tx_count are live. *)
-  let[@lint.owns "seed value for the tx stage arrays; released right here"] b0 =
-    Buf_pool.lease pool
-  in
-  let tx_bufs = Array.make batch b0 in
-  Buf_pool.release pool b0;
   let io =
     {
       ip;
@@ -276,10 +230,9 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
       rng = Rng.create ~seed;
       started;
       use_mmsg = use_mmsg && Sockmsg.mmsg_available && ip_known;
-      use_gso;
       batch;
-      pool;
-      region = Buf_pool.region pool;
+      slot_size;
+      region = Bytes.create (2 * batch * slot_size);
       groups = Hashtbl.create 8;
       sink;
       runtime_metrics;
@@ -289,12 +242,11 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
       sockaddr_of;
       clock = 0.;
       tx_fd = Unix.stdin;
-      tx_bufs;
-      tx_offs = Array.make batch 0;
+      tx_offs = Array.init batch (fun i -> (batch + i) * slot_size);
       tx_lens = Array.make batch 0;
       tx_ports = Array.make batch 0;
       tx_count = 0;
-      rx_offs = Array.map (fun b -> b.Buf_pool.off) rx_bufs;
+      rx_offs = Array.init batch (fun i -> i * slot_size);
       rx_lens = Array.make batch 0;
       rx_ports = Array.make batch 0;
       sent = 0;
@@ -315,7 +267,7 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
 
 let now t = elapsed t.io
 let mmsg_active t = t.io.use_mmsg
-let gso_active t = t.io.use_mmsg && t.io.use_gso && Sockmsg.gso_available ()
+let gso_active t = t.io.use_mmsg && Sockmsg.gso_available ()
 let runtime_metrics t = t.io.runtime_metrics
 
 let join t ~group ~port = join_group t.io ~group ~port
@@ -335,9 +287,7 @@ let stats { io = t; _ } =
     rx_batches = t.rx_batches;
     rx_datagrams = t.rx_datagrams;
     rx_truncated = t.rx_truncated;
-    pool_leases = Buf_pool.leases t.pool;
-    pool_fallbacks = Buf_pool.fallback_allocs t.pool;
-    pool_max_outstanding = Buf_pool.max_outstanding t.pool;
+    pool_fallbacks = 0;
   }
 
 let agent_metrics t =
@@ -369,7 +319,7 @@ let receive_all { io = t; host } agent =
   while !continue do
     let n =
       Sockmsg.recv_batch ~use_mmsg:t.use_mmsg ep.socket t.region
-        ~offs:t.rx_offs ~slot:(Buf_pool.slot_size t.pool) ~count:t.batch
+        ~offs:t.rx_offs ~slot:t.slot_size ~count:t.batch
         ~lens:t.rx_lens ~ports:t.rx_ports
     in
     if n = 0 then continue := false
@@ -385,7 +335,7 @@ let receive_all { io = t; host } agent =
           Metrics.incr (Metrics.counter t.runtime_metrics "rx.truncated")
         end
         else begin
-          (* Decode in place from slot [i] of the pool region through
+          (* Decode in place from receive slot [i] through
              the kept reader.  Payload views alias the slot, which is
              safe because all of this datagram's actions — including
              re-encoding forwards (the transmit stage copies bytes

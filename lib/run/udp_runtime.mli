@@ -14,12 +14,13 @@
     timer.
 
     {b Batched syscalls}: receive scatters up to [batch] datagrams per
-    [recvmmsg] into a ring of {!Buf_pool} slots and decodes each in
+    [recvmmsg] into a ring of [batch] fixed slots and decodes each in
     place ({!Lbrm_wire.Codec.decode_bytes_exn}); transmit encodes into
-    leased slots ({!Lbrm_wire.Codec.encode_at_exn}) and flushes up to
-    [batch] per staged batch, where {!Sockmsg} tiers each flush: runs
-    of equal-size datagrams to one peer (retransmission bursts) leave
-    as single UDP GSO super-datagrams, mixed stretches via [sendmmsg].
+    [batch] more fixed slots ({!Lbrm_wire.Codec.encode_at_exn}) and
+    flushes up to [batch] per staged batch, where {!Sockmsg} tiers each
+    flush: runs of equal-size datagrams to one peer (retransmission
+    bursts) leave as single UDP GSO super-datagrams, mixed stretches via
+    [sendmmsg].
     Where the stubs are unavailable (or [~use_mmsg:false]), the same
     paths fall back to portable per-datagram [sendto]/[recvfrom] inside
     {!Sockmsg}.
@@ -75,9 +76,9 @@ type stats = {
   rx_batches : int;
   rx_datagrams : int;
   rx_truncated : int;  (** datagrams bigger than a receive slot *)
-  pool_leases : int;
-  pool_fallbacks : int;  (** pool-exhaustion heap allocations *)
-  pool_max_outstanding : int;
+  pool_fallbacks : int;
+      (** always 0: the rx ring and tx stage have fixed slots, so no
+          datagram falls back to a heap buffer *)
 }
 
 val create :
@@ -85,19 +86,17 @@ val create :
   ?loss:float ->
   ?seed:int ->
   ?batch:int ->
-  ?pool_slots:int ->
   ?slot_size:int ->
   ?use_mmsg:bool ->
-  ?use_gso:bool ->
   ?sink:Lbrm.Trace.sink ->
   unit ->
   t
 (** Defaults: 127.0.0.1, no loss, batch 64 (clamped to
-    {!Sockmsg.batch_max}), 256 pool slots of 2048 bytes (raised if
-    needed to cover the rx ring and tx stage), mmsg and GSO on where
-    available, no trace sink.  [~use_mmsg:false] forces the portable
-    per-datagram fallback (the benchmark baseline); [~use_gso:false]
-    keeps batching but disables the GSO transmit tier. *)
+    {!Sockmsg.batch_max}), slots of 2048 bytes (at least 64), mmsg and
+    GSO on where available, no trace sink.  The runtime holds one region
+    of [2 * batch] slots: the receive ring, then the transmit stage.
+    [~use_mmsg:false] forces the portable per-datagram fallback (the
+    benchmark baseline). *)
 
 val now : t -> float
 (** Seconds since {!create} (monotonic clock). *)
@@ -107,7 +106,7 @@ val mmsg_active : t -> bool
 
 val gso_active : t -> bool
 (** Whether flushes may take the UDP GSO transmit tier (batching on,
-    not disabled, kernel support probed). *)
+    kernel support probed). *)
 
 val add_agent : t -> port:int -> Handlers.t -> unit
 (** Bind a socket and install the agent.  Raises [Unix.Unix_error] if
@@ -135,7 +134,7 @@ val encode_failures : t -> int
     a peer stack, never injected loss. *)
 
 val stats : t -> stats
-(** Full transport counters (batching, pool, truncation). *)
+(** Full transport counters (batching, oversize, truncation). *)
 
 val runtime_metrics : t -> Lbrm_util.Metrics.t
 (** Runtime-level counters: [tx.encode_failed], [rx.truncated],

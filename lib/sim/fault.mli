@@ -21,7 +21,6 @@ type event = { at : float; what : action }
 (** {2 Schedule constructors} *)
 
 val crash : at:float -> Topo.node_id -> event
-val restart : at:float -> Topo.node_id -> event
 val link_down : at:float -> Topo.link -> event
 val link_up : at:float -> Topo.link -> event
 

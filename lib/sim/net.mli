@@ -26,11 +26,8 @@ val create :
   'msg t
 (** [size_of] gives the on-wire size in bytes, for bandwidth modeling.
     [mcast_cache_size] caps the total number of cached pruned multicast
-    trees across all groups (default {!default_cache_size}); least
-    recently used entries are evicted past the cap. *)
-
-val default_cache_size : int
-(** Default pruned-tree cache capacity (512 entries). *)
+    trees across all groups (default 512); least recently used entries
+    are evicted past the cap. *)
 
 val engine : 'msg t -> Engine.t
 val topo : 'msg t -> Topo.t
@@ -46,13 +43,10 @@ val is_member : 'msg t -> group:int -> Topo.node_id -> bool
 
 val unicast : 'msg t -> ?ttl:int -> src:Topo.node_id -> dst:Topo.node_id -> 'msg -> unit
 (** Send point-to-point (default [ttl] 64).  [dst = src] is local
-    loopback, delivered after {!loopback_delay}. *)
+    loopback, delivered after 50 µs. *)
 
 val multicast : 'msg t -> ?ttl:int -> src:Topo.node_id -> group:int -> 'msg -> unit
 (** Send to all current members of the group except the sender itself. *)
-
-val loopback_delay : float
-(** Delay for self-addressed packets (50 µs). *)
 
 val one_way_delay : 'msg t -> Topo.node_id -> Topo.node_id -> float
 (** Propagation delay along the routed path (no queueing). *)

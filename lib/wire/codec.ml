@@ -295,7 +295,7 @@ let[@lint.hot] write_body w (m : Message.t) =
   | Quorum_ack { seq } -> Writer.u32 w seq
 
 (* The encode core: serialize straight into [buf.[pos .. limit)]
-   through the caller's kept writer (the UDP runtime fills pooled
+   through the caller's kept writer (the UDP runtime fills its
    sendmmsg slots this way) and return the size.  [body_size] is exact,
    so the slot bound is checked once up front and the writer can never
    grow — on [Malformed] the buffer is untouched. *)

@@ -30,7 +30,6 @@ type error =
   | Bad_value of string  (** field failed validation *)
   | Trailing of int  (** bytes left over after a full message *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 exception Malformed of error
@@ -52,10 +51,6 @@ module Writer : sig
 
   val contents : t -> string
   (** Copy of the written bytes. *)
-
-  val ensure : t -> int -> unit
-  (** Reserve room for [n] more bytes (one growth check for a batch of
-      writes). *)
 
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
@@ -111,7 +106,7 @@ val promote_max : int
     must truncate before encoding. *)
 
 val slot_size : int
-(** Bytes in one datagram slot of the UDP runtime's buffer pool (2048);
+(** Bytes in one datagram slot of the UDP runtime (2048);
     a message longer than that is dropped on receive as truncated. *)
 
 val nack_seqs_max : int
@@ -154,7 +149,7 @@ val decode_exn : Reader.t -> string -> pos:int -> len:int -> Message.t
     the bytes are not one well-formed message. *)
 
 val decode_bytes_exn : Reader.t -> Bytes.t -> pos:int -> len:int -> Message.t
-(** Same, reading directly from a byte buffer (e.g. a pooled receive
+(** Same, reading directly from a byte buffer (e.g. a receive
     slot) without copying it to a string first.  Payload views alias
     the buffer: they are invalidated when it is refilled, so retainers
     must {!Payload.to_owned} first. *)

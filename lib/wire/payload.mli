@@ -28,10 +28,6 @@ val view : string -> off:int -> len:int -> t
 
 val length : t -> int
 
-val is_whole : t -> bool
-(** The view covers its entire backing string (so it can be handed out
-    without copying). *)
-
 val to_owned : t -> string
 (** The payload bytes as a string safe to retain indefinitely.  Copies
     iff the view is a proper sub-window of its backing buffer. *)

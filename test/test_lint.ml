@@ -1,8 +1,8 @@
 (* lbrm-lint's own tests: drive lint_core in-process over the
    deliberately-violating fixture library (test/lint_fixtures/) and
    assert the exact findings — rule, file, line — for the single-pass
-   rules and all three dataflow passes ([hot-alloc] via the fixture
-   manifest, [pool-leak], [dead-telemetry]).  The clean fixture must
+   rules and both dataflow passes ([hot-alloc] via the fixture
+   manifest, [dead-telemetry]).  The clean fixture must
    produce nothing.  ~all_rules:true makes the protocol-plane rules
    apply to the fixture paths; ~root:".." resolves the cmt load paths
    (tests run from _build/default/test). *)
@@ -67,22 +67,6 @@ let expected =
     ("sans-io", fx "bad_io.ml", 6);
     ("sans-io", fx "bad_io.ml", 7);
     ("sans-io", fx "bad_io.ml", 8);
-    ("pool-leak", fx "bad_pool.ml", 10);
-    (* never released *)
-    ("pool-leak", fx "bad_pool.ml", 14);
-    (* released on some paths *)
-    ("pool-leak", fx "bad_pool.ml", 20);
-    (* double release *)
-    ("pool-leak", fx "bad_pool.ml", 22);
-    (* unbound lease *)
-    ("pool-leak", fx "bad_pool.ml", 26);
-    (* stored via Hashtbl.add *)
-    ("pool-leak", fx "bad_pool.ml", 29);
-    (* captured lease never released *)
-    ("pool-leak", fx "bad_pool.ml", 30);
-    (* closure capture itself *)
-    ("pool-leak", fx "bad_pool.ml", 34);
-    (* raise leaks the lease *)
     ("sans-io", fx "bad_rng.ml", 6);
     ("sans-io", fx "bad_rng.ml", 7);
     ("sans-io", fx "bad_rng.ml", 8);

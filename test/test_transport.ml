@@ -1,98 +1,12 @@
-(* Unit tests for the production transport's parts: the Buf_pool
-   free-list (qcheck churn), and Sockmsg batch roundtrips and the UDP
-   runtime's group fan-out over real loopback sockets (skipped where the
-   environment provides none). *)
+(* Unit tests for the production transport's parts: Sockmsg batch
+   roundtrips and the UDP runtime's group fan-out over real loopback
+   sockets (skipped where the environment provides none), and the
+   hot-path allocation gates. *)
 
-module Buf_pool = Lbrm_run.Buf_pool
 module Sockmsg = Lbrm_run.Sockmsg
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
-let qtest = QCheck_alcotest.to_alcotest
-
-(* --- Buf_pool ----------------------------------------------------------- *)
-
-let pool_slots_distinct () =
-  let pool = Buf_pool.create ~slots:8 ~slot_size:128 () in
-  let bufs = List.init 8 (fun _ -> Buf_pool.lease pool) in
-  checki "pool drained" 0 (Buf_pool.free_count pool);
-  List.iter
-    (fun b ->
-      checkb "pooled" true (Buf_pool.pooled b);
-      checkb "in region" true (b.Buf_pool.bytes == Buf_pool.region pool);
-      checki "slot-aligned offset" 0 (b.Buf_pool.off mod 128))
-    bufs;
-  let offs = List.map (fun b -> b.Buf_pool.off) bufs in
-  checki "distinct offsets" 8 (List.length (List.sort_uniq Int.compare offs));
-  List.iter (Buf_pool.release pool) bufs;
-  checki "all returned" 8 (Buf_pool.free_count pool);
-  checki "outstanding zero" 0 (Buf_pool.outstanding pool);
-  checki "max outstanding" 8 (Buf_pool.max_outstanding pool)
-
-let pool_exhaustion_fallback () =
-  let pool = Buf_pool.create ~slots:2 ~slot_size:64 () in
-  let a = Buf_pool.lease pool and b = Buf_pool.lease pool in
-  let c = Buf_pool.lease pool in
-  checkb "fallback is not pooled" false (Buf_pool.pooled c);
-  checki "fallback marked" (-1) c.Buf_pool.slot;
-  checki "fallback counted" 1 (Buf_pool.fallback_allocs pool);
-  checki "fallback capacity matches slots" 64 c.Buf_pool.cap;
-  Buf_pool.release pool c;
-  checki "fallback release is a no-op" 0 (Buf_pool.free_count pool);
-  Buf_pool.release pool a;
-  Buf_pool.release pool b;
-  checki "pool intact after fallback churn" 2 (Buf_pool.free_count pool)
-
-let pool_double_release_refused () =
-  let pool = Buf_pool.create ~slots:4 ~slot_size:64 () in
-  let a = Buf_pool.lease pool in
-  Buf_pool.release pool a;
-  Buf_pool.release pool a;
-  checki "double release counted" 1 (Buf_pool.double_releases pool);
-  checki "free list not corrupted" 4 (Buf_pool.free_count pool);
-  (* The same slot can still cycle normally afterwards. *)
-  let b = Buf_pool.lease pool in
-  checkb "slot reusable" true (Buf_pool.pooled b);
-  Buf_pool.release pool b;
-  checki "still intact" 4 (Buf_pool.free_count pool)
-
-(* Random lease/release churn: whatever the interleaving, no slot is
-   ever leased twice concurrently, and returning everything restores the
-   full free list with zero double-release complaints. *)
-let pool_churn_qcheck =
-  QCheck.Test.make ~count:200 ~name:"buf_pool: churn preserves invariants"
-    QCheck.(list (int_range 0 5))
-    (fun ops ->
-      let slots = 6 in
-      let pool = Buf_pool.create ~slots ~slot_size:32 () in
-      let held = ref [] in
-      let live_offsets () =
-        List.filter_map
-          (fun b ->
-            if Buf_pool.pooled b then Some b.Buf_pool.off else None)
-          !held
-      in
-      List.iter
-        (fun op ->
-          if op mod 2 = 0 then held := Buf_pool.lease pool :: !held
-          else
-            match !held with
-            | [] -> ()
-            | b :: rest ->
-                Buf_pool.release pool b;
-                held := rest;
-          let offs = live_offsets () in
-          if
-            List.length offs
-            <> List.length (List.sort_uniq Int.compare offs)
-          then QCheck.Test.fail_report "slot leased twice concurrently";
-          if Buf_pool.outstanding pool > slots then
-            QCheck.Test.fail_report "outstanding exceeds pool size")
-        ops;
-      List.iter (Buf_pool.release pool) !held;
-      Buf_pool.free_count pool = slots
-      && Buf_pool.outstanding pool = 0
-      && Buf_pool.double_releases pool = 0)
 
 (* --- Sockmsg over real sockets ------------------------------------------ *)
 
@@ -329,10 +243,10 @@ let words_per_op ~iters f =
   done;
   (Gc.minor_words () -. before) /. float_of_int iters
 
-(* Each measurement warms its op up (pools, tables) and returns the
+(* Each measurement warms its op up (buffers, tables) and returns the
    words per op of [iters] steady-state calls.  One measurement may
-   vouch for several manifest entries when the ops only make sense as a
-   cycle (lease/release, put/pop). *)
+   vouch for several manifest entries when the ops only make sense
+   together (push/truncate, the floor bookkeeping). *)
 (* A real append into a temp file through the cached handle, outside a
    group: the write-through path allocates nothing.  The handle is
    released through the fs before the file goes. *)
@@ -350,25 +264,15 @@ let file_append_per_op () =
 let measurements : (string list * (unit -> float)) list =
   [
     ([ "File_ops.append" ], file_append_per_op);
-    ( [ "Buf_pool.lease"; "Buf_pool.release" ],
-      fun () ->
-        let pool = Buf_pool.create ~slots:4 ~slot_size:2048 () in
-        for _ = 1 to 100 do
-          Buf_pool.release pool (Buf_pool.lease pool)
-        done;
-        words_per_op ~iters (fun _ ->
-            Buf_pool.release pool (Buf_pool.lease pool)) );
     ( [ "Codec.encode_at_exn" ],
       fun () ->
-        (* A 128-byte Data message into a pooled slot through a kept
+        (* A 128-byte Data message into a 2048-byte slot through a kept
            writer: the size comes back as an int, so nothing is boxed. *)
-        let pool = Buf_pool.create ~slots:4 ~slot_size:2048 () in
-        let b = Buf_pool.lease pool in
+        let slot = Bytes.create 2048 in
         let w = Codec.Writer.create () in
         let encode _ =
           match
-            Codec.encode_at_exn w b.Buf_pool.bytes ~pos:b.Buf_pool.off
-              ~limit:(b.Buf_pool.off + b.Buf_pool.cap)
+            Codec.encode_at_exn w slot ~pos:0 ~limit:(Bytes.length slot)
               data_msg
           with
           | n -> ignore (Sys.opaque_identity n)
@@ -377,9 +281,7 @@ let measurements : (string list * (unit -> float)) list =
         for i = 1 to 100 do
           encode i
         done;
-        let per = words_per_op ~iters encode in
-        Buf_pool.release pool b;
-        per );
+        words_per_op ~iters encode );
     ( [
         "Replication.member_index";
         "Replication.note_floor";
@@ -828,15 +730,6 @@ let trend_gate_durable () =
 let () =
   Alcotest.run "transport"
     [
-      ( "buf_pool",
-        [
-          Alcotest.test_case "slots distinct" `Quick pool_slots_distinct;
-          Alcotest.test_case "exhaustion falls back" `Quick
-            pool_exhaustion_fallback;
-          Alcotest.test_case "double release refused" `Quick
-            pool_double_release_refused;
-          qtest pool_churn_qcheck;
-        ] );
       ( "sockmsg",
         [
           Alcotest.test_case "mmsg roundtrip" `Quick sockmsg_mmsg_roundtrip;

@@ -86,6 +86,18 @@ let send s payload =
   U.perform s.rt ~port:s.src_port
     (Lbrm.Source.send s.source ~now:(U.now s.rt) payload)
 
+(* Run until every receiver has delivered [count] packets or 6 s have
+   passed: recovery of a trailing loss can need a couple of heartbeat
+   rounds under wall-clock scheduling. *)
+let settle s ~count =
+  let complete () =
+    List.for_all (fun (r, _) -> Lbrm.Receiver.delivered r = count) s.receivers
+  in
+  let deadline = U.now s.rt +. 6.0 in
+  while (not (complete ())) && U.now s.rt < deadline do
+    U.run_for s.rt ~seconds:0.2
+  done
+
 let lossless_udp () =
   require_sockets ();
   let s = make_session ~base_port:48100 ~loss:0. ~receiver_count:3 () in
@@ -107,8 +119,9 @@ let lossy_udp_recovers () =
     send s (Printf.sprintf "udp-%d" i);
     U.run_for s.rt ~seconds:0.05
   done;
-  (* Give loss detection (heartbeats) and NACK service time to finish. *)
-  U.run_for s.rt ~seconds:1.5;
+  (* Give loss detection (heartbeats) and NACK service time to finish,
+     bounded: a loaded host can stretch recovery past a fixed wait. *)
+  settle s ~count:8;
   List.iter
     (fun (r, port) ->
       checki (Printf.sprintf "receiver %d complete" port) 8
@@ -166,15 +179,7 @@ let fallback_path_recovers () =
     send s (Printf.sprintf "fb-%d" i);
     U.run_for s.rt ~seconds:0.05
   done;
-  (* Settle until complete (bounded): recovery of a trailing loss can
-     need a couple of heartbeat rounds under wall-clock scheduling. *)
-  let complete () =
-    List.for_all (fun (r, _) -> Lbrm.Receiver.delivered r = 5) s.receivers
-  in
-  let deadline = U.now s.rt +. 6.0 in
-  while (not (complete ())) && U.now s.rt < deadline do
-    U.run_for s.rt ~seconds:0.2
-  done;
+  settle s ~count:5;
   List.iter
     (fun (r, port) ->
       checki (Printf.sprintf "receiver %d complete" port) 5
@@ -352,7 +357,7 @@ let malformed_dropped () =
   checki "only the well-formed one dispatched" 1 !seen;
   checki "and counted as received" 1 recv
 
-(* A message bigger than the sender's pool slot leaves through the
+(* A message bigger than the sender's transmit slot leaves through the
    oversize path; a receiver with big enough slots reads it, and one
    whose slots are too small drops it as truncated. *)
 let oversize_sent_truncated_dropped () =
@@ -383,6 +388,64 @@ let oversize_sent_truncated_dropped () =
   checki "read whole by a big-slot receiver" 1 !seen_big;
   checki "truncated at a small-slot receiver" 1 truncated;
   checki "and not dispatched there" 0 !seen_trunc
+
+(* The region holds the receive ring and then the transmit stage,
+   [batch] fixed slots each.  A sends three full stages and a partial
+   one in one perform, B sends ten more, and C answers every datagram
+   with two, so C's transmit stage fills while its receive ring still
+   holds datagrams not yet decoded.  Every payload must reach C intact,
+   and every datagram must leave through a staged batch. *)
+let fixed_slots_keep_payloads () =
+  require_sockets ();
+  let batch = 8 in
+  let rt = U.create ~batch () in
+  let a = 48840 and b = 48841 and c = 48842 in
+  ignore (counting_agent rt ~port:a);
+  ignore (counting_agent rt ~port:b);
+  let got = ref [] in
+  U.add_agent rt ~port:c
+    {
+      H.on_message =
+        (fun ~now:_ ~src:_ msg ->
+          (match msg with
+          | Lbrm_wire.Message.Data { payload; _ } ->
+              got := Lbrm_wire.Payload.to_owned payload :: !got
+          | _ -> ());
+          Lbrm.Io.of_list
+            [
+              Lbrm.Io.send_to a Lbrm_wire.Message.Who_is_primary;
+              Lbrm.Io.send_to b Lbrm_wire.Message.Who_is_primary;
+            ]);
+      on_timer = (fun ~now:_ _ -> Lbrm.Io.out ());
+      on_deliver = None;
+      on_notice = None;
+    };
+  (* 300 distinct bytes per seq. *)
+  let payload seq =
+    Printf.sprintf "%04d%s" seq (String.make 296 (Char.chr (65 + (seq mod 26))))
+  in
+  let data seq =
+    let payload = Lbrm_wire.Payload.of_string (payload seq) in
+    Lbrm.Io.send_to c (Lbrm_wire.Message.Data { seq; epoch = 0; payload })
+  in
+  let from_a = (3 * batch) + 5 and from_b = 10 in
+  U.perform rt ~port:a
+    (Lbrm.Io.of_list (List.init from_a (fun i -> data (i + 1))));
+  U.perform rt ~port:b
+    (Lbrm.Io.of_list (List.init from_b (fun i -> data (from_a + i + 1))));
+  let total = from_a + from_b in
+  let deadline = U.now rt +. 2.0 in
+  while List.length !got < total && U.now rt < deadline do
+    U.run_for rt ~seconds:0.05
+  done;
+  let st = U.stats rt in
+  U.close rt;
+  Alcotest.(check (list string))
+    "every payload, byte for byte"
+    (List.init total (fun i -> payload (i + 1)))
+    (List.sort String.compare !got);
+  checki "every datagram through a staged batch" st.sent st.tx_datagrams;
+  checki "and C answered each with two" (3 * total) st.sent
 
 (* The fan-out sends one copy to every member but the sender. *)
 let multicast_skips_sender () =
@@ -423,5 +486,7 @@ let () =
             oversize_sent_truncated_dropped;
           Alcotest.test_case "notices recorded under loss" `Quick
             lossy_udp_records_notices;
+          Alcotest.test_case "fixed slots keep every payload" `Quick
+            fixed_slots_keep_payloads;
         ] );
     ]

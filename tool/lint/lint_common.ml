@@ -1,8 +1,8 @@
 (* Shared plumbing for the lbrm-lint passes: the finding type every
    pass emits, path normalisation over dune's wrapped-library name
    mangling, and helpers for reading the `lint.*` source attributes
-   ([@lint.hot], [@lint.alloc "reason"], [@lint.owns "reason"],
-   [@@lint.telemetry]) out of the typed AST. *)
+   ([@lint.hot], [@lint.alloc "reason"], [@@lint.telemetry]) out of
+   the typed AST. *)
 
 type finding = { file : string; line : int; rule : string; msg : string }
 
@@ -48,9 +48,9 @@ let has_suffix ~suffix s =
   let n = String.length s and m = String.length suffix in
   n >= m && String.equal (String.sub s (n - m) m) suffix
 
-(* Does the normalised path end with [components]?  "Buf_pool.lease"
-   matches `Buf_pool.lease`, `Lbrm_run.Buf_pool.lease` and the wrapped
-   `Lbrm_run__Buf_pool.lease`, but not `My_buf_pool.lease`. *)
+(* Does the normalised path end with [components]?  "Metrics.incr"
+   matches `Metrics.incr`, `Lbrm_util.Metrics.incr` and the wrapped
+   `Lbrm_util__Metrics.incr`, but not `My_metrics.incr`. *)
 let path_ends_with p components =
   let want = String.concat "." components in
   let n = norm_path p in
@@ -90,5 +90,4 @@ let attr_string attrs name =
 
 let attr_hot = "lint.hot"
 let attr_alloc = "lint.alloc"
-let attr_owns = "lint.owns"
 let attr_telemetry = "lint.telemetry"

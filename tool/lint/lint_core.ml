@@ -2,10 +2,9 @@
 
    This module is the driver: it walks the .cmt files dune produces
    for every library, runs the single-pass rule list below, hands each
-   typed structure to the dataflow passes (Lint_alloc [hot-alloc],
-   Lint_pool [pool-leak], Lint_telemetry [dead-telemetry] — all built
-   on the shared Lint_cfg evaluator), applies the allowlist, and
-   reports.
+   typed structure to the dataflow passes (Lint_alloc [hot-alloc], on
+   the Lint_cfg evaluator, and Lint_telemetry [dead-telemetry]),
+   applies the allowlist, and reports.
 
    The rule-list pass enforces the repo invariants described in
    DESIGN.md "Static invariants":
@@ -606,10 +605,9 @@ let lint_cmt ?(all_rules = false) ?(root = ".") ?manifest ?telemetry path =
         | Some entries -> Lint_alloc.check_structure ~manifest:entries ~src str
         | None -> []
       in
-      let pool = Lint_pool.check_structure ~src str in
       Option.iter (fun acc -> Lint_telemetry.scan_structure acc ~src str)
         telemetry;
-      List.sort compare_finding (ctx.out @ alloc @ pool)
+      List.sort compare_finding (ctx.out @ alloc)
   | _ -> []
 
 let cmts_of_dir dir =
