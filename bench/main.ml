@@ -487,16 +487,15 @@ let e_wb_lbrm () =
   in
   (* Independent 10% loss on every receiver's LAN drop: the site logger
      keeps a complete log, so repairs are local. *)
-  Array.iter
-    (fun (_, node) ->
-      match Lbrm_sim.Builders.site_of_host d.wan node with
-      | Some site -> (
-          let gw = d.wan.sites.(site).Builders.gateway in
-          match Topo.find_link d.wan.topo ~src:gw ~dst:node with
+  Array.iteri
+    (fun site s ->
+      List.iter
+        (fun (_, node) ->
+          match Topo.find_link d.wan.topo ~src:s.Builders.gateway ~dst:node with
           | Some l -> Topo.set_link_loss l (Loss.bernoulli 0.1)
           | None -> ())
-      | None -> ())
-    d.receivers;
+        (Scenario.site_receivers d ~site))
+    d.wan.sites;
   Scenario.drive_periodic d ~interval:1. ~count:30 ();
   Scenario.run d ~until:120.;
   let s = Metrics.sample (Scenario.metrics d) "recovery_latency" in

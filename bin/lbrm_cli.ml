@@ -377,7 +377,6 @@ let trace_cmd =
 
 let udp base_port packets loss seconds batch slot_size no_mmsg =
   let module U = Lbrm_run.Udp_runtime in
-  let module H = Lbrm_run.Handlers in
   let cfg =
     {
       Lbrm.Config.default with
@@ -388,60 +387,10 @@ let udp base_port packets loss seconds batch slot_size no_mmsg =
       (* faster loss detection for a short wall-clock demo *)
     }
   in
-  let src_port = base_port in
-  let primary_port = base_port + 1 in
-  let secondary_port = base_port + 2 in
-  let recv_ports = [ base_port + 3; base_port + 4; base_port + 5 ] in
   let rt =
     U.create ~loss ~seed:7 ~batch ~slot_size ~use_mmsg:(not no_mmsg) ()
   in
-  let source =
-    Lbrm.Source.create cfg ~self:src_port ~primary:primary_port ()
-  in
-  let primary =
-    Lbrm.Logger.create cfg ~self:primary_port ~source:src_port
-      ~rng:(Lbrm_util.Rng.create ~seed:1) ()
-  in
-  let secondary =
-    Lbrm.Logger.create cfg ~self:secondary_port ~source:src_port
-      ~parent:primary_port
-      ~rng:(Lbrm_util.Rng.create ~seed:2) ()
-  in
-  let delivered = Hashtbl.create 16 in
-  let receivers =
-    List.map
-      (fun port ->
-        let r =
-          Lbrm.Receiver.create cfg ~self:port ~source:src_port
-            ~loggers:[ secondary_port; primary_port ]
-        in
-        let on_deliver ~now:_ ~seq ~payload:_ ~recovered =
-          let seen =
-            match Hashtbl.find_opt delivered port with
-            | Some s -> s
-            | None ->
-                let s = Hashtbl.create 16 in
-                Hashtbl.replace delivered port s;
-                s
-          in
-          Hashtbl.replace seen seq recovered
-        in
-        U.add_agent rt ~port (H.of_receiver ~on_deliver r);
-        (r, port))
-      recv_ports
-  in
-  U.add_agent rt ~port:src_port (H.of_source source);
-  U.add_agent rt ~port:primary_port (H.of_logger primary);
-  U.add_agent rt ~port:secondary_port (H.of_logger secondary);
-  let group = cfg.group in
-  U.join rt ~group ~port:primary_port;
-  U.join rt ~group ~port:secondary_port;
-  List.iter (fun p -> U.join rt ~group ~port:p) recv_ports;
-  U.perform rt ~port:src_port (Lbrm.Source.start source ~now:(U.now rt));
-  List.iter
-    (fun (r, port) ->
-      U.perform rt ~port (Lbrm.Receiver.start r ~now:(U.now rt)))
-    receivers;
+  let d = Lbrm_run.Scenario.loopback ~cfg ~base_port ~receivers:3 rt in
   Printf.printf
     "live UDP session on 127.0.0.1:%d-%d, %.0f%% injected datagram loss\n"
     base_port (base_port + 5) (100. *. loss);
@@ -452,23 +401,22 @@ let udp base_port packets loss seconds batch slot_size no_mmsg =
   (* Send packets spaced over the first half of the run. *)
   let gap = seconds /. 2. /. float_of_int packets in
   for i = 1 to packets do
-    U.perform rt ~port:src_port
-      (Lbrm.Source.send source ~now:(U.now rt) (Printf.sprintf "payload-%d" i));
+    Lbrm_run.Scenario.send d (Printf.sprintf "payload-%d" i);
     U.run_for rt ~seconds:gap
   done;
   U.run_for rt ~seconds:(seconds /. 2.);
   let ok = ref true in
-  List.iter
+  Array.iter
     (fun (r, port) ->
       let got = Lbrm.Receiver.delivered r in
       let rec_ = Lbrm.Receiver.recovered r in
       Printf.printf "receiver :%d  delivered %d/%d (%d via recovery)\n" port
         got packets rec_;
       if got <> packets then ok := false)
-    receivers;
-  Printf.printf "datagrams sent %d, artificially dropped %d\n"
-    (U.datagrams_sent rt) (U.datagrams_dropped rt);
+    d.receivers;
   let st = U.stats rt in
+  Printf.printf "datagrams sent %d, artificially dropped %d\n" st.U.sent
+    st.U.dropped;
   Printf.printf
     "transport: tx %d datagrams in %d batches, rx %d in %d batches\n"
     st.U.tx_datagrams st.U.tx_batches st.U.rx_datagrams st.U.rx_batches;

@@ -282,27 +282,15 @@ let digest records = Digest.to_hex (Digest.string (jsonl_of_records records))
 (* --- queries ---------------------------------------------------------- *)
 
 module Query = struct
-  let count pred records =
-    List.fold_left (fun acc r -> if pred r then acc + 1 else acc) 0 records
-
-  let filter = List.filter
-  let find_first pred records = List.find_opt pred records
-
   let promotions records =
-    filter
+    List.filter
       (fun r ->
         match r.ev with Failover_step (F_promoted _) -> true | _ -> false)
       records
 
   let rediscovery_adoptions records =
-    filter
+    List.filter
       (fun r ->
         match r.ev with Rediscovery (D_adopted _) -> true | _ -> false)
       records
-
-  let gave_up records =
-    filter (fun r -> match r.ev with Gave_up _ -> true | _ -> false) records
-
-  let by_node node records = filter (fun r -> r.node = node) records
-  let since at records = filter (fun r -> r.at >= at) records
 end

@@ -163,12 +163,6 @@ val mode_label : retrans_mode -> string
     every orphan adopts a live logger) are expressed over these instead
     of bespoke machine counters. *)
 module Query : sig
-  val count : (record -> bool) -> record list -> int
-  val filter : (record -> bool) -> record list -> record list
-  val find_first : (record -> bool) -> record list -> record option
   val promotions : record list -> record list
   val rediscovery_adoptions : record list -> record list
-  val gave_up : record list -> record list
-  val by_node : address -> record list -> record list
-  val since : float -> record list -> record list
 end

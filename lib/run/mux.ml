@@ -1,34 +1,10 @@
 module Net = Lbrm_sim.Net
 module Engine = Lbrm_sim.Engine
 module Message = Lbrm_wire.Message
-module Codec = Lbrm_wire.Codec
 
 type envelope = { flow : int; msg : Message.t }
 
 let wire_size e = 4 + Message.wire_size e.msg
-
-(* One exactly-sized buffer: the flow prefix, then the message written
-   in place after it. *)
-let encode e =
-  let buf = Bytes.create (4 + Message.body_size e.msg) in
-  let w = Codec.Writer.wrap buf in
-  Codec.Writer.u32 w e.flow;
-  match Codec.encode_at_exn w buf ~pos:4 ~limit:(Bytes.length buf) e.msg with
-  | _ -> Ok (Bytes.unsafe_to_string buf)
-  | exception Codec.Malformed err -> Error err
-
-let decode s =
-  if String.length s < 4 then Error Codec.Truncated
-  else
-    let r = Codec.Reader.create s in
-    match Codec.Reader.u32 r with
-    | Error e -> Error e
-    | Ok flow -> (
-        (* Parse the message in place after the flow prefix — no
-           substring copy; payloads are views over [s]. *)
-        match Codec.decode ~pos:4 s with
-        | Ok msg -> Ok { flow; msg }
-        | Error e -> Error e)
 
 type t = {
   net : envelope Net.t;

@@ -22,9 +22,6 @@ type envelope = { flow : int; msg : Lbrm_wire.Message.t }
 val wire_size : envelope -> int
 (** Message wire size + 4 flow-id bytes. *)
 
-val encode : envelope -> (string, Lbrm_wire.Codec.error) result
-val decode : string -> (envelope, Lbrm_wire.Codec.error) result
-
 type t
 (** A multiplexed deployment over one simulated topology. *)
 

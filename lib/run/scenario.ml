@@ -14,8 +14,20 @@ let population_spec ?(tracers = 2) ?(lan_loss = 0.005) ~members () =
   assert (members >= 1 && tracers >= 0 && tracers <= members);
   { members; tracers; lan_loss }
 
-type deployment = {
-  runtime : Sim_runtime.t;
+(* What the role factories need of a runtime, on protocol addresses. *)
+type transport = {
+  address : node_id -> node_id; (* a layout host's address *)
+  install : node_id -> Handlers.t -> unit;
+  join : group:int -> node_id -> unit;
+  perform : node_id -> Lbrm.Io.out -> unit;
+  now : unit -> float;
+  inject : node_id -> src:node_id -> Message.t -> unit;
+  rng : Rng.t; (* every machine's stream splits from it *)
+}
+
+type 'rt t = {
+  runtime : 'rt;
+  transport : transport;
   wan : Builders.wan;
   cfg : Lbrm.Config.t;
   source : Lbrm.Source.t;
@@ -41,10 +53,12 @@ type deployment = {
   archives : (node_id, Lbrm.Archive.t) Hashtbl.t;
 }
 
+type deployment = Sim_runtime.t t
+
 let swap node m entries =
   List.map (fun (m0, n) -> if n = node then (m, n) else (m0, n)) entries
 
-(* The one deployment builder behind {!standard} and {!hierarchical}.
+(* The one deployment builder, over the runtime [connect] makes.
    Host layout per site: host 0 is the site's secondary logger; at site
    0, hosts 1 and 2 are the source and the primary and hosts
    3…2+replica_count its replicas; with a regional tier
@@ -54,13 +68,13 @@ let swap node m entries =
    tracers.
 
    Each role has one factory that makes the machine and installs it with
-   [Sim_runtime.replace_agent] (removing an absent agent is a no-op), so
+   [t.install] (which replaces any agent there), so
    the build and the restart rebuilders share it.  The build makes
    machines in role order — source, primary, replicas, regionals,
    secondaries, receivers, then per site the population model and its
    tracers — which is the [Rng.split] order; then it joins, then starts
    everything. *)
-let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
+let build ~connect ~cfg ~replica_count ?initial_estimate ?tail_loss ?on_deliver
     ?on_notice ?on_source_notice ~logging ?sink ?site_population ~archive
     ?sites_per_region ~sites ~receivers_per_site () =
   let regional_slot = 3 + replica_count in
@@ -82,19 +96,15 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
           Lbrm_sim.Topo.set_link_loss site.Builders.tail_down (f i))
         wan.sites)
     tail_loss;
-  let engine = Engine.create ~seed () in
-  let net = Net.create ~engine ~topo:wan.topo ~size_of:Message.wire_size () in
-  let runtime = Sim_runtime.create ~net ~trace:(Metrics.create ()) () in
-  let rng = Rng.split (Engine.rng engine) in
-  let host site i = Builders.host wan ~site i in
+  let runtime, ({ rng; _ } as t) = connect wan in
+  let host site i = t.address (Builders.host wan ~site i) in
   let source_node = host 0 1 and primary_node = host 0 2 in
   let replica_nodes = List.init replica_count (fun i -> host 0 (3 + i)) in
   let source =
     Lbrm.Source.create cfg ~self:source_node ~primary:primary_node
       ~replicas:replica_nodes ?initial_estimate ?sink ()
   in
-  Sim_runtime.replace_agent runtime ~node:source_node
-    (Handlers.of_source ?on_notice:on_source_notice source);
+  t.install source_node (Handlers.of_source ?on_notice:on_source_notice source);
   (* At build time this is [primary_node]; at a restart it is whoever
      fail-over left in the role while the node was down. *)
   let current_primary () = Lbrm.Source.primary source in
@@ -173,7 +183,7 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
         Lbrm.Logger.create cfg ~self:node ~source:source_node ~parent ?succ
           ?archive:(open_archive node) ~rng:(Rng.split rng) ?sink ()
     in
-    Sim_runtime.replace_agent runtime ~node (Handlers.of_logger l);
+    t.install node (Handlers.of_logger l);
     l
   in
   let delivered = Hashtbl.create 64 in
@@ -196,14 +206,14 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
       | Some f -> f node ~now ~seq ~payload ~recovered
       | None -> ()
     in
-    Sim_runtime.replace_agent runtime ~node
+    t.install node
       (Handlers.of_receiver ~on_deliver:deliver ?on_notice:(notice node) r);
     (r, node)
   in
   (* An aggregate population: one protocol agent standing in for
      [members] receivers, feeding its [tracers] real cross-check
-     receivers (via Sim_runtime.inject) exactly the loss outcomes the
-     model sampled for them. *)
+     receivers (through [t.inject]) exactly the loss outcomes the model
+     sampled for them. *)
   let population ~rng spec site =
     let node = host site pop_base in
     let model =
@@ -214,13 +224,10 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
       Population.create ?sink ~cfg ~self:node ~source:source_node
         ~loggers:(hierarchy site) ~model
         ~on_feed:(fun ~tracer ~now:_ ~src msg ->
-          Sim_runtime.inject runtime
-            ~node:(host site (pop_base + 1 + tracer))
-            ~src msg)
+          t.inject (host site (pop_base + 1 + tracer)) ~src msg)
         ()
     in
-    Sim_runtime.replace_agent runtime ~node
-      (Population.handlers ?on_notice:(notice node) p);
+    t.install node (Population.handlers ?on_notice:(notice node) p);
     (p, node)
   in
   let primary = logger ~rng ~parent:primary_node primary_node in
@@ -273,7 +280,7 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
      loggers answer discovery.  Population agents listen on the data
      group for their whole site; tracer receivers join nothing — they
      see multicast traffic only through the population's sampled feed. *)
-  let join group (_, node) = Sim_runtime.join runtime ~group ~node in
+  let join group (_, node) = t.join ~group node in
   let join_logger l =
     join cfg.group l;
     join cfg.discovery_group l
@@ -285,21 +292,19 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
   Array.iter (join cfg.group) receivers;
   Array.iter (join cfg.group) populations;
   let start_receiver (r, node) =
-    Sim_runtime.perform runtime ~node
-      (Lbrm.Receiver.start r ~now:(Sim_runtime.now runtime))
+    t.perform node (Lbrm.Receiver.start r ~now:(t.now ()))
   in
   let start_population (p, node) =
-    Sim_runtime.perform runtime ~node
-      (Population.start p ~now:(Sim_runtime.now runtime))
+    t.perform node (Population.start p ~now:(t.now ()))
   in
-  Sim_runtime.perform runtime ~node:source_node
-    (Lbrm.Source.start source ~now:(Sim_runtime.now runtime));
+  t.perform source_node (Lbrm.Source.start source ~now:(t.now ()));
   Array.iter start_receiver receivers;
   Array.iter start_population populations;
   Array.iter start_receiver tracer_receivers;
   let d =
     {
       runtime;
+      transport = t;
       wan;
       cfg;
       source;
@@ -342,16 +347,17 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
       rebuild node (fun () ->
           d.secondaries.(site) <- secondary ~rng:fault_rng site))
     secondaries;
-  let rebuild_receiver into i (_, node) =
+  let rebuild_receiver into per_site i (_, node) =
     rebuild node (fun () ->
-        let site = Option.get (Builders.site_of_host wan node) in
-        into.(i) <- receiver ~site node;
+        into.(i) <- receiver ~site:(i / per_site) node;
         start_receiver into.(i))
   in
-  Array.iteri (rebuild_receiver d.receivers) receivers;
-  Array.iteri (rebuild_receiver d.tracer_receivers) tracer_receivers;
+  Array.iteri (rebuild_receiver d.receivers receivers_per_site) receivers;
   Option.iter
     (fun spec ->
+      Array.iteri
+        (rebuild_receiver d.tracer_receivers spec.tracers)
+        tracer_receivers;
       Array.iteri
         (fun site (_, node) ->
           rebuild node (fun () ->
@@ -361,14 +367,32 @@ let build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
     site_population;
   d
 
+(* Layout hosts are topology nodes; streams split from the engine's. *)
+let simulated ~seed wan =
+  let engine = Engine.create ~seed () in
+  let net =
+    Net.create ~engine ~topo:wan.Builders.topo ~size_of:Message.wire_size ()
+  in
+  let rt = Sim_runtime.create ~net ~trace:(Metrics.create ()) () in
+  ( rt,
+    {
+      address = Fun.id;
+      install = (fun node h -> Sim_runtime.replace_agent rt ~node h);
+      join = (fun ~group node -> Sim_runtime.join rt ~group ~node);
+      perform = (fun node out -> Sim_runtime.perform rt ~node out);
+      now = (fun () -> Sim_runtime.now rt);
+      inject = (fun node ~src msg -> Sim_runtime.inject rt ~node ~src msg);
+      rng = Rng.split (Engine.rng engine);
+    } )
+
 let standard ?(cfg = Lbrm.Config.default) ?(seed = 42) ?(replica_count = 0)
     ?initial_estimate ?tail_loss ?on_deliver ?on_notice ?on_source_notice
     ?(logging = `Distributed) ?sink ?site_population ?(archive = false) ~sites
     ~receivers_per_site () =
   assert (sites > 0 && receivers_per_site >= 0);
-  build ~cfg ~seed ~replica_count ?initial_estimate ?tail_loss ?on_deliver
-    ?on_notice ?on_source_notice ~logging ?sink ?site_population ~archive
-    ~sites ~receivers_per_site ()
+  build ~connect:(simulated ~seed) ~cfg ~replica_count ?initial_estimate
+    ?tail_loss ?on_deliver ?on_notice ?on_source_notice ~logging ?sink
+    ?site_population ~archive ~sites ~receivers_per_site ()
 
 (* A three-level logger hierarchy (the paper's §7 "multi-level hierarchy
    of logging servers" future-work item): receivers NACK their site
@@ -378,9 +402,27 @@ let hierarchical ?(cfg = Lbrm.Config.default) ?(seed = 42) ?initial_estimate
     ?tail_loss ?on_deliver ?on_notice ?sink ~regions ~sites_per_region
     ~receivers_per_site () =
   assert (regions > 0 && sites_per_region > 0 && receivers_per_site >= 0);
-  build ~cfg ~seed ~replica_count:0 ?initial_estimate ?tail_loss ?on_deliver
-    ?on_notice ~logging:`Distributed ?sink ~archive:false ~sites_per_region
-    ~sites:(regions * sites_per_region) ~receivers_per_site ()
+  build ~connect:(simulated ~seed) ~cfg ~replica_count:0 ?initial_estimate
+    ?tail_loss ?on_deliver ?on_notice ~logging:`Distributed ?sink
+    ~archive:false ~sites_per_region ~sites:(regions * sites_per_region)
+    ~receivers_per_site ()
+
+(* One site's hosts are consecutive nodes: host [i] gets [base_port + i]. *)
+let loopback ~cfg ~base_port ~receivers rt =
+  let udp wan =
+    ( rt,
+      {
+        address = (fun node -> base_port + node - Builders.host wan ~site:0 0);
+        install = (fun port h -> Udp_runtime.add_agent rt ~port h);
+        join = (fun ~group port -> Udp_runtime.join rt ~group ~port);
+        perform = (fun port out -> Udp_runtime.perform rt ~port out);
+        now = (fun () -> Udp_runtime.now rt);
+        inject = (fun _ ~src:_ _ -> invalid_arg "Scenario.loopback");
+        rng = Rng.create ~seed:42;
+      } )
+  in
+  build ~connect:udp ~cfg ~replica_count:0 ~logging:`Distributed
+    ~archive:false ~sites:1 ~receivers_per_site:receivers ()
 
 let schedule_faults ?(on_crash = fun _ -> ()) ?(on_restart = fun _ -> ()) d
     events =
@@ -398,14 +440,12 @@ let schedule_faults ?(on_crash = fun _ -> ()) ?(on_restart = fun _ -> ()) d
     events
 
 let site_receivers d ~site =
-  let hosts = d.wan.sites.(site).Builders.hosts in
-  Array.to_list d.receivers
-  |> List.filter (fun (_, node) -> Array.exists (fun h -> h = node) hosts)
+  let per_site = Array.length d.receivers / Array.length d.wan.sites in
+  Array.to_list (Array.sub d.receivers (site * per_site) per_site)
 
 let send d payload =
-  let now = Sim_runtime.now d.runtime in
-  Sim_runtime.perform d.runtime ~node:d.source_node
-    (Lbrm.Source.send d.source ~now payload)
+  let t = d.transport in
+  t.perform d.source_node (Lbrm.Source.send d.source ~now:(t.now ()) payload)
 
 let payload_of_size n i =
   let base = Printf.sprintf "packet-%d:" i in

@@ -1,10 +1,17 @@
-(** Canonical simulated LBRM deployments and workload drivers.
+(** Canonical LBRM deployments and workload drivers.
 
     {!standard} builds the paper's reference scenario: one source, a
     primary logger (plus optional replicas) at the source's site, one
     secondary logger per site, and a population of receivers behind the
     tail circuits (§2.2.2's 50 sites × 20 receivers is
-    [standard ~sites:50 ~receivers_per_site:20 ()]). *)
+    [standard ~sites:50 ~receivers_per_site:20 ()]).
+
+    One builder serves both runtimes: its role factories install, join,
+    perform, read the clock and feed population tracers through a
+    {!transport}, made over a fresh {!Sim_runtime} by {!standard} and
+    {!hierarchical}, over a caller's {!Udp_runtime} by {!loopback}.
+    Replicas, archives, populations, tail loss, the regional tier and
+    fault schedules are simulator-only. *)
 
 type node_id = Lbrm_sim.Topo.node_id
 
@@ -18,9 +25,15 @@ val population_spec :
   ?tracers:int -> ?lan_loss:float -> members:int -> unit -> population_spec
 (** Defaults: 2 tracers, 0.5% LAN loss. *)
 
-type deployment = {
-  runtime : Sim_runtime.t;
+type transport
+(** A runtime's operations, and its map from layout hosts to addresses. *)
+
+type 'rt t = {
+  runtime : 'rt;
+  transport : transport;  (** what {!send} performs through *)
   wan : Lbrm_sim.Builders.wan;
+      (** the layout; every [node_id] below is a protocol address: a
+          topology node in the simulator, a port over loopback *)
   cfg : Lbrm.Config.t;
   source : Lbrm.Source.t;
   source_node : node_id;
@@ -51,6 +64,9 @@ type deployment = {
           logger's reopened handle replaces the crashed one here, while
           the backing in-memory fs persists across the crash *)
 }
+
+type deployment = Sim_runtime.t t
+(** A simulated deployment. *)
 
 val standard :
   ?cfg:Lbrm.Config.t ->
@@ -133,6 +149,16 @@ val hierarchical :
     logger re-homes on the current primary, a site secondary on its
     regional. *)
 
+val loopback :
+  cfg:Lbrm.Config.t ->
+  base_port:int ->
+  receivers:int ->
+  Udp_runtime.t ->
+  Udp_runtime.t t
+(** {!standard}'s one-site layout, started on the caller's runtime: host
+    [i] listens on [base_port + i] (the secondary on [base_port], the
+    source, the primary, then receiver [j] on [base_port + 3 + j]). *)
+
 (** {2 Fault injection}
 
     Crashing a node marks its host down in the topology (in-flight and
@@ -158,17 +184,17 @@ val schedule_faults :
     crash/rebuild handling — hooks for harnesses that time fail-over or
     track delivery incarnations. *)
 
-val site_receivers : deployment -> site:int -> (Lbrm.Receiver.t * node_id) list
+val site_receivers : _ t -> site:int -> (Lbrm.Receiver.t * node_id) list
 (** Receivers whose host is at the given site. *)
 
 val payload_of_size : int -> int -> string
 (** [payload_of_size n i] is an [n]-byte payload identifying packet
     [i] — the generator the workload drivers use. *)
 
-val send : deployment -> string -> unit
-(** Immediately multicast one application payload from the source
-    (usable only between {!Sim_runtime.run} slices or inside scheduled
-    callbacks). *)
+val send : _ t -> string -> unit
+(** Immediately multicast one application payload from the source (in
+    the simulator, only between {!Sim_runtime.run} slices or inside
+    scheduled callbacks). *)
 
 val drive_periodic :
   deployment -> interval:float -> count:int -> ?payload_size:int -> unit -> unit
@@ -179,12 +205,12 @@ val drive_periodic :
 val run : deployment -> until:float -> unit
 val metrics : deployment -> Lbrm_util.Metrics.t
 
-val delivered_everywhere : deployment -> Lbrm_util.Seqno.t -> bool
+val delivered_everywhere : _ t -> Lbrm_util.Seqno.t -> bool
 (** Every receiver has the payload with that sequence number (checked
     via per-receiver delivery bookkeeping), every tracer receiver too,
     and every aggregate population reports it fully delivered. *)
 
-val total_missing : deployment -> int
+val total_missing : _ t -> int
 (** Sum of currently missing packets across receivers — individual,
     tracer, and aggregate (population gaps are multiplicity-weighted:
     a packet missed by [m] modeled receivers counts [m]). *)

@@ -272,9 +272,6 @@ let runtime_metrics t = t.io.runtime_metrics
 
 let join t ~group ~port = join_group t.io ~group ~port
 let leave t ~group ~port = leave_group t.io ~group ~port
-let datagrams_sent t = t.io.sent
-let datagrams_dropped t = t.io.dropped
-let encode_failures t = t.io.encode_failures
 
 let stats { io = t; _ } =
   {

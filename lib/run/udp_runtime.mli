@@ -31,8 +31,8 @@
     itself.  {!Lbrm_wire.Codec.Malformed} is the malformed path: a
     datagram that raises it on decode is dropped and counted in
     [rx.malformed], never dispatched; a message that raises it on
-    encode is counted in {!encode_failures}.  The clock is read once
-    per receive batch and once per send call, and every handler of it
+    encode is counted in {!stats}' [encode_failures].  The clock is read
+    once per receive batch and once per send call, and every handler of it
     gets that one reading.  Slots, length/port arrays and metric
     counter handles are all preallocated.
 
@@ -51,8 +51,8 @@
 
     {b Loss injection}: [loss] drops outgoing datagrams with the given
     probability — real loopback never loses packets, and exercising
-    recovery is the point of the demo.  Injected loss is counted apart
-    from {!encode_failures} (unencodable messages, which also raise
+    recovery is the point of the demo.  Injected loss ([dropped]) is
+    counted apart from [encode_failures] (unencodable messages, which also raise
     {!Lbrm.Trace.Encode_failed}).
 
     {b Disk tier}: each receive drain and each timer run is one
@@ -124,14 +124,6 @@ val perform : t -> port:int -> Lbrm.Io.out -> unit
 
 val run_for : t -> seconds:float -> unit
 (** Drive the event loop for a wall-clock duration. *)
-
-val datagrams_sent : t -> int
-val datagrams_dropped : t -> int
-(** By the loss-injection hook. *)
-
-val encode_failures : t -> int
-(** Messages refused by validation before reaching the wire — a bug in
-    a peer stack, never injected loss. *)
 
 val stats : t -> stats
 (** Full transport counters (batching, oversize, truncation). *)

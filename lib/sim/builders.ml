@@ -50,13 +50,6 @@ let all_hosts w =
   Array.to_list w.sites
   |> List.concat_map (fun s -> Array.to_list s.hosts)
 
-let site_of_host w h =
-  let found = ref None in
-  Array.iteri
-    (fun i s -> if Array.exists (fun x -> x = h) s.hosts then found := Some i)
-    w.sites;
-  !found
-
 let lan ~hosts () =
   let topo = Topo.create () in
   let switch = Topo.add_node topo Router in

@@ -31,9 +31,6 @@ val host : wan -> site:int -> int -> Topo.node_id
 
 val all_hosts : wan -> Topo.node_id list
 
-val site_of_host : wan -> Topo.node_id -> int option
-(** Which site a host belongs to. *)
-
 val lan : hosts:int -> unit -> Topo.t * Topo.node_id * Topo.node_id array
 (** Single-switch LAN of {!dis_wan}'s LAN links (10 Mbit/s, 0.9 ms):
     returns (topology, switch router, hosts). *)

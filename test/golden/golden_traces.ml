@@ -67,7 +67,7 @@ let population_faults_events () =
     | T.Rediscovery (T.D_adopted _) -> List.mem r.node pop_nodes
     | _ -> false
   in
-  if T.Query.count adopted events = 0 then
+  if not (List.exists adopted events) then
     failwith "population_faults: no population adopted a new nearest logger";
   nothing_missing "population_faults" d;
   events

@@ -208,7 +208,7 @@ let primary_crash_exactly_one_promote () =
     losses;
   (* the F_suspected step precedes the promotion *)
   let first_suspect =
-    T.Query.find_first
+    List.find_opt
       (fun r ->
         match r.T.ev with
         | T.Failover_step T.F_suspected -> true
@@ -225,32 +225,12 @@ let secondary_crash_rejoin_query () =
   check bool "adoptions recorded" true
     (T.Query.rediscovery_adoptions o.Chaos.events <> [])
 
-(* ---- queries over synthetic streams ----------------------------------- *)
-
-let query_helpers () =
-  let r at node ev = { T.at; node; ev } in
-  let records =
-    [
-      r 1.0 1 (T.Send { seq = 1 });
-      r 2.0 2 (T.Gave_up { seq = 4 });
-      r 3.0 1 (T.Send { seq = 2 });
-    ]
-  in
-  check int "count" 2
-    (T.Query.count
-       (fun r -> match r.T.ev with T.Send _ -> true | _ -> false)
-       records);
-  check int "by_node" 2 (List.length (T.Query.by_node 1 records));
-  check int "since" 2 (List.length (T.Query.since 2.0 records));
-  check int "gave_up" 1 (List.length (T.Query.gave_up records))
-
 let () =
   Alcotest.run "trace"
     [
       ( "encoding",
         [
           Alcotest.test_case "jsonl goldens" `Quick jsonl_goldens;
-          Alcotest.test_case "query helpers" `Quick query_helpers;
         ] );
       ( "sinks",
         [

@@ -157,7 +157,7 @@ let fanout_reaches_every_member () =
   multicast rt ~port:a ~group:1;
   U.run_for rt ~seconds:0.05;
   U.close rt;
-  checki "one datagram per other member" 3 (U.datagrams_sent rt);
+  checki "one datagram per other member" 3 (U.stats rt).sent;
   Alcotest.(check (list int)) "received" [ 0; 1; 2 ] (List.map ( ! ) seen);
   let loss = 0.5 and seed = 11 and rounds = 8 in
   let rt = U.create ~loss ~seed () in

@@ -4,6 +4,7 @@
 
 module U = Lbrm_run.Udp_runtime
 module H = Lbrm_run.Handlers
+module Scenario = Lbrm_run.Scenario
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -37,100 +38,55 @@ let cfg =
     deposit_timeout = 0.2;
   }
 
-type session = {
-  rt : U.t;
-  source : Lbrm.Source.t;
-  src_port : int;
-  receivers : (Lbrm.Receiver.t * int) list;
-}
-
 let make_session ?(cfg = cfg) ?use_mmsg ~base_port ~loss ~receiver_count () =
-  let rt = U.create ~loss ~seed:3 ?use_mmsg () in
-  let src_port = base_port in
-  let primary_port = base_port + 1 in
-  let secondary_port = base_port + 2 in
-  let source = Lbrm.Source.create cfg ~self:src_port ~primary:primary_port () in
-  let primary =
-    Lbrm.Logger.create cfg ~self:primary_port ~source:src_port
-      ~rng:(Lbrm_util.Rng.create ~seed:1) ()
-  in
-  let secondary =
-    Lbrm.Logger.create cfg ~self:secondary_port ~source:src_port
-      ~parent:primary_port
-      ~rng:(Lbrm_util.Rng.create ~seed:2) ()
-  in
-  U.add_agent rt ~port:src_port (H.of_source source);
-  U.add_agent rt ~port:primary_port (H.of_logger primary);
-  U.add_agent rt ~port:secondary_port (H.of_logger secondary);
-  let receivers =
-    List.init receiver_count (fun i ->
-        let port = base_port + 3 + i in
-        let r =
-          Lbrm.Receiver.create cfg ~self:port ~source:src_port
-            ~loggers:[ secondary_port; primary_port ]
-        in
-        U.add_agent rt ~port (H.of_receiver r);
-        (r, port))
-  in
-  let group = cfg.group in
-  U.join rt ~group ~port:primary_port;
-  U.join rt ~group ~port:secondary_port;
-  List.iter (fun (_, p) -> U.join rt ~group ~port:p) receivers;
-  U.perform rt ~port:src_port (Lbrm.Source.start source ~now:(U.now rt));
-  List.iter
-    (fun (r, port) -> U.perform rt ~port (Lbrm.Receiver.start r ~now:(U.now rt)))
-    receivers;
-  { rt; source; src_port; receivers }
-
-let send s payload =
-  U.perform s.rt ~port:s.src_port
-    (Lbrm.Source.send s.source ~now:(U.now s.rt) payload)
+  Scenario.loopback ~cfg ~base_port ~receivers:receiver_count
+    (U.create ~loss ~seed:3 ?use_mmsg ())
 
 (* Run until every receiver has delivered [count] packets or 6 s have
    passed: recovery of a trailing loss can need a couple of heartbeat
    rounds under wall-clock scheduling. *)
-let settle s ~count =
+let settle (s : U.t Scenario.t) ~count =
   let complete () =
-    List.for_all (fun (r, _) -> Lbrm.Receiver.delivered r = count) s.receivers
+    Array.for_all (fun (r, _) -> Lbrm.Receiver.delivered r = count) s.receivers
   in
-  let deadline = U.now s.rt +. 6.0 in
-  while (not (complete ())) && U.now s.rt < deadline do
-    U.run_for s.rt ~seconds:0.2
+  let deadline = U.now s.runtime +. 6.0 in
+  while (not (complete ())) && U.now s.runtime < deadline do
+    U.run_for s.runtime ~seconds:0.2
   done
 
 let lossless_udp () =
   require_sockets ();
   let s = make_session ~base_port:48100 ~loss:0. ~receiver_count:3 () in
   for i = 1 to 5 do
-    send s (Printf.sprintf "udp-%d" i);
-    U.run_for s.rt ~seconds:0.03
+    Scenario.send s (Printf.sprintf "udp-%d" i);
+    U.run_for s.runtime ~seconds:0.03
   done;
-  U.run_for s.rt ~seconds:0.3;
-  List.iter
+  U.run_for s.runtime ~seconds:0.3;
+  Array.iter
     (fun (r, _) -> checki "all delivered" 5 (Lbrm.Receiver.delivered r))
     s.receivers;
-  checkb "no drops injected" true (U.datagrams_dropped s.rt = 0);
-  U.close s.rt
+  checkb "no drops injected" true ((U.stats s.runtime).dropped = 0);
+  U.close s.runtime
 
 let lossy_udp_recovers () =
   require_sockets ();
   let s = make_session ~base_port:48200 ~loss:0.3 ~receiver_count:3 () in
   for i = 1 to 8 do
-    send s (Printf.sprintf "udp-%d" i);
-    U.run_for s.rt ~seconds:0.05
+    Scenario.send s (Printf.sprintf "udp-%d" i);
+    U.run_for s.runtime ~seconds:0.05
   done;
   (* Give loss detection (heartbeats) and NACK service time to finish,
      bounded: a loaded host can stretch recovery past a fixed wait. *)
   settle s ~count:8;
-  List.iter
+  Array.iter
     (fun (r, port) ->
       checki (Printf.sprintf "receiver %d complete" port) 8
         (Lbrm.Receiver.delivered r))
     s.receivers;
-  checkb "losses were actually injected" true (U.datagrams_dropped s.rt > 0);
+  checkb "losses were actually injected" true ((U.stats s.runtime).dropped > 0);
   checkb "recovery actually happened" true
-    (List.exists (fun (r, _) -> Lbrm.Receiver.recovered r > 0) s.receivers);
-  U.close s.rt
+    (Array.exists (fun (r, _) -> Lbrm.Receiver.recovered r > 0) s.receivers);
+  U.close s.runtime
 
 (* A live session accounts for notices as the simulator does: the gaps
    the receivers noticed and the latency of each repair. *)
@@ -138,11 +94,11 @@ let lossy_udp_records_notices () =
   require_sockets ();
   let s = make_session ~base_port:48830 ~loss:0.3 ~receiver_count:3 () in
   for i = 1 to 8 do
-    send s (Printf.sprintf "udp-%d" i);
-    U.run_for s.rt ~seconds:0.05
+    Scenario.send s (Printf.sprintf "udp-%d" i);
+    U.run_for s.runtime ~seconds:0.05
   done;
-  U.run_for s.rt ~seconds:1.5;
-  let registries = List.map snd (U.agent_metrics s.rt) in
+  U.run_for s.runtime ~seconds:1.5;
+  let registries = List.map snd (U.agent_metrics s.runtime) in
   let gaps =
     List.fold_left
       (fun n m -> n + Lbrm_util.Metrics.count m "loss.gaps")
@@ -157,8 +113,8 @@ let lossy_udp_records_notices () =
         | None -> n)
       0 registries
   in
-  U.close s.rt;
-  checkb "losses were actually injected" true (U.datagrams_dropped s.rt > 0);
+  U.close s.runtime;
+  checkb "losses were actually injected" true ((U.stats s.runtime).dropped > 0);
   checkb "gaps counted" true (gaps > 0);
   checkb "recovery latency sampled" true (latencies > 0)
 
@@ -174,18 +130,18 @@ let fallback_path_recovers () =
     make_session ~cfg ~use_mmsg:false ~base_port:48400 ~loss:0.3
       ~receiver_count:2 ()
   in
-  checkb "portable path active" false (U.mmsg_active s.rt);
+  checkb "portable path active" false (U.mmsg_active s.runtime);
   for i = 1 to 5 do
-    send s (Printf.sprintf "fb-%d" i);
-    U.run_for s.rt ~seconds:0.05
+    Scenario.send s (Printf.sprintf "fb-%d" i);
+    U.run_for s.runtime ~seconds:0.05
   done;
   settle s ~count:5;
-  List.iter
+  Array.iter
     (fun (r, port) ->
       checki (Printf.sprintf "receiver %d complete" port) 5
         (Lbrm.Receiver.delivered r))
     s.receivers;
-  U.close s.rt
+  U.close s.runtime
 
 let encode_failure_is_not_loss () =
   require_sockets ();
@@ -214,9 +170,10 @@ let encode_failure_is_not_loss () =
            (Lbrm.Io.To_addr 48601, Lbrm_wire.Message.Replica_ack { seq = 1 });
        ]);
   U.run_for rt ~seconds:0.05;
-  checki "encode failure counted" 1 (U.encode_failures rt);
-  checki "not counted as loss" 0 (U.datagrams_dropped rt);
-  checki "valid sibling still sent" 1 (U.datagrams_sent rt);
+  let st = U.stats rt in
+  checki "encode failure counted" 1 st.encode_failures;
+  checki "not counted as loss" 0 st.dropped;
+  checki "valid sibling still sent" 1 st.sent;
   let m = U.runtime_metrics rt in
   checki "tx.encode_failed metric" 1
     (Lbrm_util.Metrics.value (Lbrm_util.Metrics.counter m "tx.encode_failed"));
@@ -233,63 +190,84 @@ let burst_600_recovered () =
   let cfg = { cfg with recover_from_start = true } in
   let s = make_session ~cfg ~base_port:48900 ~loss:0. ~receiver_count:0 () in
   for i = 1 to 600 do
-    send s (Printf.sprintf "burst-%d" i);
-    if i mod 50 = 0 then U.run_for s.rt ~seconds:0.01
+    Scenario.send s (Printf.sprintf "burst-%d" i);
+    if i mod 50 = 0 then U.run_for s.runtime ~seconds:0.01
   done;
-  U.run_for s.rt ~seconds:0.1;
+  U.run_for s.runtime ~seconds:0.1;
   let port = 48903 in
   let r =
-    Lbrm.Receiver.create cfg ~self:port ~source:s.src_port
-      ~loggers:[ 48902; 48901 ]
+    Lbrm.Receiver.create cfg ~self:port ~source:s.source_node
+      ~loggers:[ snd s.secondaries.(0); s.primary_node ]
   in
-  U.add_agent s.rt ~port (H.of_receiver r);
-  U.join s.rt ~group:cfg.group ~port;
-  U.perform s.rt ~port (Lbrm.Receiver.start r ~now:(U.now s.rt));
-  send s "burst-601";
+  U.add_agent s.runtime ~port (H.of_receiver r);
+  U.join s.runtime ~group:cfg.group ~port;
+  U.perform s.runtime ~port (Lbrm.Receiver.start r ~now:(U.now s.runtime));
+  Scenario.send s "burst-601";
   let rec wait n =
     if n > 0 && Lbrm.Receiver.delivered r < 601 then begin
-      U.run_for s.rt ~seconds:0.1;
+      U.run_for s.runtime ~seconds:0.1;
       wait (n - 1)
     end
   in
   wait 30;
-  let truncated = (U.stats s.rt).rx_truncated in
-  U.close s.rt;
+  let truncated = (U.stats s.runtime).rx_truncated in
+  U.close s.runtime;
   checki "nothing arrived truncated" 0 truncated;
   checki "every packet delivered" 601 (Lbrm.Receiver.delivered r);
   checkb "the gap took more than one NACK" true
     (Lbrm.Receiver.nacks_sent r >= 2)
+
+(* The loopback deployment is the simulated one under the address
+   map: host [i] of the one site listens on [base_port + i]. *)
+let loopback_matches_simulated () =
+  require_sockets ();
+  let base_port = 48500 and receivers = 3 in
+  let sim = Scenario.standard ~cfg ~sites:1 ~receivers_per_site:receivers () in
+  let udp = Scenario.loopback ~cfg ~base_port ~receivers (U.create ()) in
+  U.close udp.runtime;
+  let hosts = sim.wan.sites.(0).hosts in
+  let port node =
+    base_port + Option.get (Array.find_index (( = ) node) hosts)
+  in
+  let ports = List.map port in
+  Alcotest.(check (list int))
+    "receiver ports"
+    (ports (List.map snd (Array.to_list sim.receivers)))
+    (List.map snd (Array.to_list udp.receivers));
+  Array.iter2
+    (fun (rs, _) (ru, _) ->
+      Alcotest.(check (list int))
+        "receiver loggers"
+        (ports (Lbrm.Receiver.loggers rs))
+        (Lbrm.Receiver.loggers ru))
+    sim.receivers udp.receivers;
+  let loggers (d : _ Scenario.t) =
+    (d.primary, d.primary_node) :: Array.to_list d.secondaries
+  in
+  List.iter2
+    (fun (ls, ns) (lu, nu) ->
+      checki "logger port" (port ns) nu;
+      checkb "logger is_primary" (Lbrm.Logger.is_primary ls)
+        (Lbrm.Logger.is_primary lu))
+    (loggers sim) (loggers udp);
+  checki "source port" (port sim.source_node) udp.source_node;
+  checki "source's primary"
+    (port (Lbrm.Source.primary sim.source))
+    (Lbrm.Source.primary udp.source)
 
 (* LBRM receivers send nothing while they see no loss.  The fan-out must
    keep sending a silent receiver data and heartbeats, or it could not
    even detect a gap. *)
 let silent_receiver_keeps_receiving () =
   require_sockets ();
-  let rt = U.create () in
-  let src_port = 48700 and logger_port = 48701 and port = 48702 in
-  let source = Lbrm.Source.create cfg ~self:src_port ~primary:logger_port () in
-  let logger =
-    Lbrm.Logger.create cfg ~self:logger_port ~source:src_port
-      ~rng:(Lbrm_util.Rng.create ~seed:1) ()
-  in
-  let r =
-    Lbrm.Receiver.create cfg ~self:port ~source:src_port
-      ~loggers:[ logger_port ]
-  in
-  U.add_agent rt ~port:src_port (H.of_source source);
-  U.add_agent rt ~port:logger_port (H.of_logger logger);
-  U.add_agent rt ~port (H.of_receiver r);
-  U.join rt ~group:cfg.group ~port:logger_port;
-  U.join rt ~group:cfg.group ~port;
-  U.perform rt ~port:src_port (Lbrm.Source.start source ~now:(U.now rt));
-  U.perform rt ~port (Lbrm.Receiver.start r ~now:(U.now rt));
+  let s = make_session ~base_port:48300 ~loss:0. ~receiver_count:1 () in
   for i = 1 to 60 do
-    U.perform rt ~port:src_port
-      (Lbrm.Source.send source ~now:(U.now rt) (Printf.sprintf "quiet-%d" i));
-    U.run_for rt ~seconds:0.05
+    Scenario.send s (Printf.sprintf "quiet-%d" i);
+    U.run_for s.runtime ~seconds:0.05
   done;
-  U.run_for rt ~seconds:0.2;
-  U.close rt;
+  U.run_for s.runtime ~seconds:0.2;
+  U.close s.runtime;
+  let r = fst s.receivers.(0) in
   checki "every packet delivered" 60 (Lbrm.Receiver.delivered r);
   checki "no NACK needed" 0 (Lbrm.Receiver.nacks_sent r)
 
@@ -459,7 +437,7 @@ let multicast_skips_sender () =
        [ Lbrm.Io.send ~group:1 Lbrm_wire.Message.Who_is_primary ]);
   U.run_for rt ~seconds:0.05;
   U.close rt;
-  checki "one datagram per other member" 2 (U.datagrams_sent rt);
+  checki "one datagram per other member" 2 (U.stats rt).sent;
   Alcotest.(check (list int)) "received" [ 0; 1; 1 ] (List.map ( ! ) seen)
 
 let () =
@@ -488,5 +466,7 @@ let () =
             lossy_udp_records_notices;
           Alcotest.test_case "fixed slots keep every payload" `Quick
             fixed_slots_keep_payloads;
+          Alcotest.test_case "loopback layout matches simulator" `Quick
+            loopback_matches_simulated;
         ] );
     ]
