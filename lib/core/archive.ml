@@ -31,7 +31,9 @@
 
    The low-water mark ('L' records) persists the highest seq L such that
    1..L are all on disk; it deliberately excludes the in-memory store so
-   a floor recovered after a crash never overstates what survived.
+   a floor recovered after a crash never overstates what survived.  It
+   is written once the data under it is stable: at a seal, a compaction
+   and a sync.
 
    [append] runs for every packet a logger's store evicts, so it keeps
    its allocation to the record itself: each record (data or manifest)
@@ -126,14 +128,11 @@ type t = {
   fs : fs;
   segment_bytes : int;
   index_stride : int;
-  lwm_stride : int;
   mutable sealed : sealed list; (* ascending id order *)
   mutable active_id : int;
   mutable active_seg : string; (* active segment path, set with active_id *)
   active_index : (Seqno.t, int) Hashtbl.t; (* seq -> record offset *)
   mutable active_size : int; (* valid bytes in the active segment *)
-  mutable active_min : Seqno.t;
-  mutable active_max : Seqno.t;
   mutable sealed_records : int;
   mutable contig : Seqno.t; (* 1..contig all on disk (or compacted away) *)
   mutable persisted_lwm : Seqno.t;
@@ -409,13 +408,12 @@ let rec advance_contig t =
     advance_contig t
   end
 
-let persist_lwm t =
+(* The records backing the mark must hit stable storage before the
+   mark itself: a crash may then lose the L record (the floor
+   understates, which is safe) but never the data under a surviving L
+   record (which would overstate). *)
+let log_lwm t =
   if t.contig > t.persisted_lwm then begin
-    (* The records backing the mark must hit stable storage before the
-       mark itself: a crash may then lose the L record (the floor
-       understates, which is safe) but never the data under a surviving
-       L record (which would overstate). *)
-    if t.fs.exists t.active_seg then t.fs.fsync t.active_seg;
     log_manifest t ~kind:kind_lwm ~a:t.contig ~b:0 ~c:0 ~d:0;
     t.persisted_lwm <- t.contig
   end
@@ -431,9 +429,7 @@ let scan_active t =
   let valid =
     scan_segment t sp (fun ~seq ~epoch:_ ~payload:_ ~pos ->
         if not (Hashtbl.mem t.active_index seq) then
-          Hashtbl.replace t.active_index seq pos;
-        if seq < t.active_min then t.active_min <- seq;
-        if seq > t.active_max then t.active_max <- seq)
+          Hashtbl.replace t.active_index seq pos)
   in
   let flen = if t.fs.exists sp then t.fs.size sp else 0 in
   if flen > valid then t.fs.truncate sp ~len:valid;
@@ -448,8 +444,7 @@ let rescan_and_seal t id =
   t.sealed_records <- t.sealed_records + s.s_count;
   if id > t.last_sealed then t.last_sealed <- id
 
-let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?(lwm_stride = 32)
-    ~fs base =
+let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?lwm_stride:_ ~fs base =
   try
     let mpath = manifest_path base in
     let mlen = if fs.exists mpath then fs.size mpath else 0 in
@@ -499,14 +494,11 @@ let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?(lwm_stride = 32)
         fs;
         segment_bytes;
         index_stride;
-        lwm_stride;
         sealed = [];
         active_id = 0;
         active_seg = "";
         active_index = Hashtbl.create 256;
         active_size = 0;
-        active_min = max_int;
-        active_max = -1;
         sealed_records = 0;
         contig = !lwm;
         persisted_lwm = !lwm;
@@ -534,6 +526,7 @@ let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?(lwm_stride = 32)
         t.sealed_records <- t.sealed_records + s.s_count;
         if id > t.last_sealed then t.last_sealed <- id)
       sealed_ids;
+    (* A fresh segment is scanned too: a crash may lose its activate record. *)
     (match List.rev open_ids with
     | [] ->
         let id = !max_id + 1 in
@@ -541,8 +534,8 @@ let open_ ?(segment_bytes = 262144) ?(index_stride = 8) ?(lwm_stride = 32)
         log_manifest t ~kind:kind_activate ~a:id ~b:0 ~c:0 ~d:0
     | id :: stale ->
         List.iter (fun sid -> rescan_and_seal t sid) (List.rev stale);
-        activate t id;
-        scan_active t);
+        activate t id);
+    scan_active t;
     advance_contig t;
     Ok t
   with Fs_error e | Sys_error e -> Error e
@@ -618,11 +611,11 @@ let seal_active t =
     t.rotations <- t.rotations + 1;
     activate t (t.active_id + 1);
     log_manifest t ~kind:kind_activate ~a:t.active_id ~b:0 ~c:0 ~d:0;
+    (* All under the floor is fsynced: the mark rides the manifest's. *)
+    log_lwm t;
     t.fs.fsync t.manifest;
     Hashtbl.reset t.active_index;
-    t.active_size <- 0;
-    t.active_min <- max_int;
-    t.active_max <- -1
+    t.active_size <- 0
   end
 
 let rotate = seal_active
@@ -649,10 +642,7 @@ let[@lint.hot] append t ~seq ~epoch ~payload =
     t.active_size <- pos + len;
     (Hashtbl.replace t.active_index seq pos
      [@lint.alloc "the record's index bucket, reset at the next seal"]);
-    if seq < t.active_min then t.active_min <- seq;
-    if seq > t.active_max then t.active_max <- seq;
-    if t.contig + 1 = seq then advance_contig t;
-    if t.contig - t.persisted_lwm >= t.lwm_stride then persist_lwm t
+    if t.contig + 1 = seq then advance_contig t
   end
 
 (* ---------- lookup ---------- *)
@@ -679,13 +669,23 @@ let find t seq =
 
 (* ---------- compaction ---------- *)
 
+let sync t =
+  if t.fs.exists t.active_seg then t.fs.fsync t.active_seg;
+  log_lwm t;
+  if t.fs.exists t.manifest then t.fs.fsync t.manifest
+
+(* The compact records and the mark are stable before any file goes:
+   a reopen bridges a compacted range only through a persisted mark. *)
 let compact t ~floor =
   let gone, keep = List.partition (fun s -> s.s_max <= floor) t.sealed in
+  List.iter
+    (fun s -> log_manifest t ~kind:kind_compact ~a:s.s_id ~b:0 ~c:0 ~d:0)
+    gone;
+  if not (List.is_empty gone) then sync t;
   List.iter
     (fun s ->
       t.fs.remove (seg_path t.base s.s_id);
       t.fs.remove (idx_path t.base s.s_id);
-      log_manifest t ~kind:kind_compact ~a:s.s_id ~b:0 ~c:0 ~d:0;
       t.sealed_records <- t.sealed_records - s.s_count;
       t.compactions <- t.compactions + 1)
     gone;
@@ -695,11 +695,6 @@ let compact t ~floor =
 (* ---------- stats & plumbing ---------- *)
 
 let count t = t.sealed_records + Hashtbl.length t.active_index
-
-let sync t =
-  if t.fs.exists t.active_seg then t.fs.fsync t.active_seg;
-  persist_lwm t;
-  if t.fs.exists t.manifest then t.fs.fsync t.manifest
 
 let close t = sync t
 let active_path t = t.active_seg

@@ -18,10 +18,10 @@
 
     Sealed segments whose every sequence number is at or below the
     retention floor can be reclaimed wholesale with {!compact}.  A
-    persisted low-water mark (manifest records, throttled by
-    [lwm_stride]) tracks the highest L with 1..L all {e on disk}, so a
-    logger restarted after a crash can report a floor that never
-    overstates what actually survived.
+    low-water mark (a manifest record at each seal, compaction and
+    {!sync}, behind the fsync of the data under it) tracks the highest
+    L with 1..L all {e on disk}, so a logger restarted after a crash
+    can report a floor that never overstates what actually survived.
 
     lib/core is sans-IO, so the archive never touches the filesystem
     directly: every operation goes through an injected {!fs} record.
@@ -72,12 +72,12 @@ val open_ :
     either are truncated (data before them is preserved).
     [segment_bytes] (default 256 KiB) bounds each segment;
     [index_stride] (default 8) is the sparse-index sampling interval;
-    [lwm_stride] (default 32) throttles low-water manifest records. *)
+    [lwm_stride] is ignored, and due for deletion. *)
 
 val append : t -> seq:Lbrm_util.Seqno.t -> epoch:int -> payload:string -> unit
 (** Persist one packet, rotating the active segment first if it is
-    full (fsync of the active segment is left to {!sync}; sealing
-    fsyncs the sealed segment and its sidecar).  Re-appending a
+    full (the active segment is fsynced when sealed, by {!compact}
+    and by {!sync}; sealing fsyncs the sidecar too).  Re-appending a
     sequence number already held by {e any} live segment — active or
     sealed, including segments recovered across a reopen — is a
     no-op.
@@ -115,19 +115,21 @@ val compact : t -> floor:Lbrm_util.Seqno.t -> int list
 (** Remove every sealed segment whose maximum sequence number is at or
     below [floor] — whole-segment reclamation only, the active segment
     is never touched — returning the reclaimed segment ids in
-    ascending order.  The low-water mark is {e not} rewound: floors
-    only ever advance, and a compacted-away prefix is by definition one
-    nobody needs again. *)
+    ascending order.  The compact records and the low-water mark are
+    made stable before any file goes, so a reopen bridges the reclaimed
+    range.  The mark is {e not} rewound: floors only ever advance, and
+    a compacted-away prefix is by definition one nobody needs again. *)
 
 val low_water : t -> Lbrm_util.Seqno.t
-(** Highest L such that sequences 1..L are all durably archived (or
-    were archived and since compacted).  Persisted through the manifest
-    so it survives restart; deliberately excludes any in-memory store
-    so a recovered floor never overstates what survived a crash. *)
+(** Highest L such that sequences 1..L are all archived (or were
+    archived and since compacted), counting records not yet fsynced;
+    it excludes any in-memory store.  A crash keeps the last persisted
+    mark plus what the reopen scan finds above it, so a recovered
+    floor never overstates what survived. *)
 
 val sync : t -> unit
-(** Fsync the active segment and the manifest, persisting the current
-    low-water mark first. *)
+(** Fsync the active segment, persist the current low-water mark, and
+    fsync the manifest. *)
 
 val close : t -> unit
 (** Alias for {!sync}: the archive holds no open handles of its own. *)

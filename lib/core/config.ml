@@ -115,7 +115,6 @@ let validate t =
     err "archive_segment_bytes must be >= 64 (got %d)" t.archive_segment_bytes
   else if t.archive_index_stride < 1 then
     err "archive_index_stride must be positive"
-  else if t.archive_lwm_stride < 1 then err "archive_lwm_stride must be positive"
   else Ok t
 
 (* Retry delay for deposit attempt [attempt] (0-based): exponential

@@ -99,8 +99,8 @@ type t = {
       (** sealed-segment sparse-index sampling interval: one in-memory
           checkpoint per this many sidecar entries *)
   archive_lwm_stride : int;
-      (** persist the archive low-water mark once it has advanced this
-          many sequence numbers past the last persisted value *)
+      (** ignored, and due for deletion: the archive persists its
+          low-water mark at each seal, compaction and sync *)
 }
 
 val default : t

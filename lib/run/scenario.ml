@@ -142,8 +142,7 @@ let build ~connect ~cfg ~replica_count ?initial_estimate ?tail_loss ?on_deliver
       match
         Lbrm.Archive.open_
           ~segment_bytes:cfg.Lbrm.Config.archive_segment_bytes
-          ~index_stride:cfg.Lbrm.Config.archive_index_stride
-          ~lwm_stride:cfg.Lbrm.Config.archive_lwm_stride ~fs
+          ~index_stride:cfg.Lbrm.Config.archive_index_stride ~fs
           (Printf.sprintf "logger-%d.log" node)
       with
       | Ok a ->

@@ -1108,26 +1108,26 @@ let archive_real_fs () =
   List.iter (fun f -> if Sys.file_exists f then Sys.remove f) leftovers
 
 (* The on-disk format, pinned: a fixed history — out-of-order seqs, a
-   duplicate, an explicit rotate, enough records for low-water records
-   and rotations, a compaction, a reopen — and the MD5 of every file it
-   leaves.  Any change to how records, sidecars or manifest entries are
-   encoded must leave these digests as they are.  [pinned_history]
-   runs the history over [fs] at [base], calls [after_lwm] right after
-   its first low-water record, and returns the reopened archive. *)
+   duplicate, an explicit rotate, enough records for rotations (each
+   writes a low-water record), a compaction, a reopen — and the MD5 of
+   every file it leaves.  Any change to how records, sidecars or
+   manifest entries are encoded must leave these digests as they are.
+   [pinned_history] runs the history over [fs] at [base], calls
+   [after_lwm] right after its first seal, which writes its first
+   low-water record, and returns the reopened archive. *)
 let pinned_history ?(after_lwm = ignore) ~fs base =
   let a =
     Result.get_ok
-      (Lbrm.Archive.open_ ~segment_bytes:160 ~index_stride:2 ~lwm_stride:4 ~fs
-         base)
+      (Lbrm.Archive.open_ ~segment_bytes:160 ~index_stride:2 ~fs base)
   in
   let append seq =
     Lbrm.Archive.append a ~seq ~epoch:(seq mod 5)
       ~payload:(String.init (seq mod 23) (fun i -> Char.chr (97 + ((seq + i) mod 26))))
   in
   List.iter append [ 3; 1; 2; 6; 5; 4 ];
-  after_lwm ();
   Lbrm.Archive.append a ~seq:2 ~epoch:7 ~payload:"duplicate";
   Lbrm.Archive.rotate a;
+  after_lwm ();
   List.iter append [ 9; 7; 8; 12; 10; 11; 13; 15; 14; 16; 18; 17; 20; 19 ];
   checki "compacted two segments" 2
     (List.length (Lbrm.Archive.compact a ~floor:12));
@@ -1137,15 +1137,14 @@ let pinned_history ?(after_lwm = ignore) ~fs base =
   fs.Lbrm.Archive.remove (base ^ ".000003.idx");
   let b =
     Result.get_ok
-      (Lbrm.Archive.open_ ~segment_bytes:160 ~index_stride:2 ~lwm_stride:4 ~fs
-         base)
+      (Lbrm.Archive.open_ ~segment_bytes:160 ~index_stride:2 ~fs base)
   in
   checki "floor" 24 (Lbrm.Archive.low_water b);
   b
 
 let pinned_digests =
   [
-    ("pin.log.manifest", "8b3e9b5790fb19da44fcca5bfacab3c4");
+    ("pin.log.manifest", "12dc5e1d64220ce14097d3b484ede347");
     ("pin.log.000003.seg", "757c833c04162d8e290a2dd0f6be9d52");
     ("pin.log.000003.idx", "fc123137bd78f811ef092c5f3e3250f3");
     ("pin.log.000004.seg", "8dfd0e7395793a75db0c291da7cb8826");
@@ -1192,9 +1191,11 @@ let in_group f =
 
 (* Group commit changes when bytes reach disk, never which: the pinned
    history over the real fs leaves the pinned files whether it runs
-   inside groups or outside.  Inside, the first low-water record is
-   held until the group ends.  File_ops.metrics shows what it saves:
-   fewer fsyncs inside groups, and far fewer opens than appends. *)
+   inside groups or outside.  Inside, the first seal's manifest fsync
+   is held until the group ends.  File_ops.metrics shows what it saves
+   and what it costs: fewer writes inside groups, as many fsyncs (the
+   low-water record rides the seal's), and far fewer opens than
+   appends. *)
 let archive_group_commit_same_files () =
   let module File_ops = Lbrm_run.File_ops in
   let kernel name = Lbrm_util.Metrics.count File_ops.metrics name in
@@ -1214,21 +1215,23 @@ let archive_group_commit_same_files () =
     let base = Filename.concat dir "pin.log" in
     let manifest = base ^ ".manifest" in
     let after_lwm () =
+      let synced () = kernel "file_ops.fsyncs" - fsyncs in
+      (* The seal's manifest records (activate, seal, activate,
+         low-water) reach the file only after the kernel fsyncs of the
+         segment and the sidecar under the mark. *)
+      checki "low-water record written" 92 (disk_size manifest);
+      (* The segment's records came while no fsync was deferred: the
+         fsync wrote them alone instead of committing the group. *)
+      checkb "records under it written" true
+        (disk_size (base ^ ".000001.seg") > 0);
       if grouped then begin
-        (* The low-water record waits for the fsync of the segment
-           under it, which waits for the end, and the activate record
-           ahead of it in the manifest waits with it. *)
-        checkb "low-water record held" false (Sys.file_exists manifest);
-        (* The segment's records came while no fsync was deferred: the
-           fsync wrote them alone instead of committing the group. *)
-        checkb "records under it written" true
-          (disk_size (base ^ ".000001.seg") > 0);
+        (* The manifest's own fsync waits for the end. *)
+        checki "segment and sidecar fsynced" 2 (synced ());
         File_ops.end_group ();
         Fun.protect ~finally:File_ops.begin_group (fun () ->
-            checki "low-water record written at end_group" 46
-              (disk_size manifest))
+            checki "manifest fsynced at end_group" 3 (synced ()))
       end
-      else checki "low-water record written at once" 46 (disk_size manifest)
+      else checki "segment, sidecar and manifest fsynced" 3 (synced ())
     in
     let history () = pinned_history ~after_lwm ~fs base in
     let b = if grouped then in_group history else history () in
@@ -1249,15 +1252,19 @@ let archive_group_commit_same_files () =
   let grouped, grouped_fsyncs = run ~grouped:true in
   Alcotest.(check (list (pair string string)))
     "grouped: the same files" plain grouped;
-  checkb "fewer fsyncs inside groups" true (grouped_fsyncs < plain_fsyncs);
-  (* Shaped like a logger's spills: 512 in-order appends, a low-water
-     record every 32, in groups of 64 as a receive drain would make. *)
+  checki "as many fsyncs inside groups" plain_fsyncs grouped_fsyncs;
+  (* Shaped like a logger's spills: 512 in-order appends, in groups of
+     64 as a receive drain would make, into segments of 128 records, so
+     three seals write a low-water record each. *)
   let drains ~grouped =
-    let fsyncs = kernel "file_ops.fsyncs" and opens = kernel "file_ops.opens" in
+    let fsyncs = kernel "file_ops.fsyncs" and opens = kernel "file_ops.opens"
+    and writes = kernel "file_ops.writes" in
     appends := 0;
     let dir = tmp_dir () in
     let a =
-      Result.get_ok (Lbrm.Archive.open_ ~fs (Filename.concat dir "drain.log"))
+      Result.get_ok
+        (Lbrm.Archive.open_ ~segment_bytes:3200 ~fs
+           (Filename.concat dir "drain.log"))
     in
     for drain = 0 to 7 do
       let spill () =
@@ -1268,15 +1275,19 @@ let archive_group_commit_same_files () =
       if grouped then in_group spill else spill ()
     done;
     let fsyncs = kernel "file_ops.fsyncs" - fsyncs
-    and opens = kernel "file_ops.opens" - opens in
+    and opens = kernel "file_ops.opens" - opens
+    and writes = kernel "file_ops.writes" - writes in
     Lbrm.Archive.close a;
     remove_dir dir;
     checkb "an open per 20 appends at most" true (20 * opens < !appends);
-    fsyncs
+    (fsyncs, writes)
   in
-  let plain_fsyncs = drains ~grouped:false in
-  checki "ungrouped: an fsync per low-water record" 16 plain_fsyncs;
-  checki "grouped: one per drain" 8 (drains ~grouped:true)
+  let plain_fsyncs, plain_writes = drains ~grouped:false in
+  checki "ungrouped: segment, sidecar and manifest per seal" 9 plain_fsyncs;
+  let grouped_fsyncs, grouped_writes = drains ~grouped:true in
+  checki "grouped: the same three per seal" 9 grouped_fsyncs;
+  checkb "fewer writes inside groups" true
+    (0 < grouped_writes && grouped_writes < plain_writes)
 
 (* A cached handle lives until its path is fsynced: after [close], the
    archive's files may be removed behind the fs and the archive rebuilt
@@ -1353,8 +1364,7 @@ let archive_real_lwm_waits_for_fsync () =
   let a =
     in_group (fun () ->
         let a =
-          Result.get_ok
-            (Lbrm.Archive.open_ ~lwm_stride:4 ~fs:File_ops.real base)
+          Result.get_ok (Lbrm.Archive.open_ ~fs:File_ops.real base)
         in
         for seq = 1 to 4 do
           Lbrm.Archive.append a ~seq ~epoch:0 ~payload:"under the mark"

@@ -11,9 +11,10 @@
      serial-arithmetic ordering is exercised where it matters.
    - Archive's segmented disk tier vs a plain Map, over random
      append/find/rotate/compact/reopen streams on the in-memory fs fake,
-     including injected Fs_error on data appends and crash-with-torn-tail
-     reopens: the recovered archive must equal the oracle minus exactly
-     the torn records, and the low-water mark must never overstate what
+     including injected Fs_error on data appends and crashes that cut
+     every file to its fsynced length plus a prefix of the rest: the
+     recovered archive must equal the oracle minus exactly the lost
+     records, and the low-water mark must never overstate what
      survived. *)
 
 module Log_store = Lbrm.Log_store
@@ -333,24 +334,90 @@ let prop_gap_tracker =
 (* ---- Archive vs Map oracle across rotation, compaction, crash --------- *)
 
 (* Geometry chosen so a random stream exercises everything: ~4 records
-   per 160-byte segment (frequent rotation), a sparse index sampling
-   every 2nd entry, and a low-water stride of 3 so persisted L records
-   appear mid-stream (where a torn tail could contradict them). *)
+   per 160-byte segment (frequent rotation, and with it persisted L
+   records mid-stream, where a lost tail could contradict them) and a
+   sparse index sampling every 2nd entry. *)
 let a_seg_bytes = 160
-let a_lwm_stride = 3
 let a_max_seq = 48
 let a_reclen payload = 18 + String.length payload
 
 let a_pay seq salt =
   Printf.sprintf "%d#%d#%s" seq salt (String.make (seq mod 23) 'x')
 
+(* A crash fs over [Archive.in_memory]: per path, the length its last
+   fsync made stable and the end of every append since.  [crash pick]
+   cuts every path (segments, sidecars, manifest) to its stable length
+   plus a prefix of its tail, [pick n] choosing among [n] cuts: none,
+   each record boundary, and one cut inside the tail's last record.
+   Truncation and removal take effect at once.  It returns the cuts
+   that lost bytes, as "path kept/size", to name the crash point. *)
+type image = { mutable stable : int; mutable ends : int list (* newest first *) }
+
+let crash_fs () =
+  let mem = Archive.in_memory () in
+  let images : (string, image) Hashtbl.t = Hashtbl.create 8 in
+  let image path =
+    match Hashtbl.find_opt images path with
+    | Some i -> i
+    | None ->
+        let i = { stable = 0; ends = [] } in
+        Hashtbl.replace images path i;
+        i
+  in
+  let fs =
+    {
+      mem with
+      Archive.append =
+        (fun path data ->
+          mem.Archive.append path data;
+          let i = image path in
+          i.ends <- mem.size path :: i.ends);
+      truncate =
+        (fun path ~len ->
+          mem.truncate path ~len;
+          let i = image path in
+          i.stable <- Stdlib.min i.stable len;
+          i.ends <-
+            (if len > i.stable then len :: List.filter (fun e -> e < len) i.ends
+             else []));
+      remove =
+        (fun path ->
+          mem.remove path;
+          Hashtbl.remove images path);
+      fsync =
+        (fun path ->
+          let i = image path in
+          i.stable <- mem.size path;
+          i.ends <- []);
+    }
+  in
+  let crash pick =
+    Hashtbl.fold (fun path i acc -> (path, i) :: acc) images []
+    |> List.sort (fun (p, _) (q, _) -> String.compare p q)
+    |> List.filter_map (fun (path, i) ->
+           let size = mem.size path in
+           let last = match i.ends with _ :: e :: _ -> e | _ -> i.stable in
+           let cuts =
+             Array.of_list ((i.stable :: List.rev i.ends) @ [ (last + size) / 2 ])
+           in
+           let cut = if size > i.stable then cuts.(pick (Array.length cuts)) else size in
+           i.stable <- cut;
+           i.ends <- [];
+           if cut >= size then None
+           else begin
+             mem.truncate path ~len:cut;
+             Some (Printf.sprintf "%s %d/%d" path cut size)
+           end)
+    |> String.concat ", "
+  in
+  (fs, crash)
+
 type arec = { a_seq : int; a_pos : int; a_len : int }
 
 (* The oracle mirrors the archive's layout decisions (rotation points,
-   record offsets) but keeps its *contents* as a plain Map; [a_fsynced]
-   tracks the prefix of the active segment on stable storage, which is
-   where torn-tail cuts are clamped (a crash can only lose data the
-   archive never fsynced). *)
+   record offsets) but keeps its *contents* as a plain Map.  The
+   persisted mark follows the archive's rule: it moves at a seal, at a
+   compaction that reclaims anything, and at a close. *)
 type amodel = {
   mutable a_kv : (int * string) IntMap.t;  (* live seq -> epoch, payload *)
   mutable a_gone : IntSet.t;  (* seqs reclaimed by compaction *)
@@ -358,7 +425,6 @@ type amodel = {
   mutable a_active : arec list;  (* append order = offset order *)
   mutable a_active_id : int;
   mutable a_active_size : int;
-  mutable a_fsynced : int;
   mutable a_contig : int;
   mutable a_persisted : int;
 }
@@ -371,7 +437,6 @@ let amodel () =
     a_active = [];
     a_active_id = 1;
     a_active_size = 0;
-    a_fsynced = 0;
     a_contig = 0;
     a_persisted = 0;
   }
@@ -390,7 +455,7 @@ let m_seal m =
     m.a_active_id <- m.a_active_id + 1;
     m.a_active <- [];
     m.a_active_size <- 0;
-    m.a_fsynced <- 0
+    m.a_persisted <- m.a_contig
   end
 
 let m_append m ~seq ~epoch ~payload =
@@ -401,19 +466,14 @@ let m_append m ~seq ~epoch ~payload =
       m.a_active @ [ { a_seq = seq; a_pos = m.a_active_size; a_len = len } ];
     m.a_active_size <- m.a_active_size + len;
     m.a_kv <- IntMap.add seq (epoch, payload) m.a_kv;
-    if m.a_contig + 1 = seq then m_advance m;
-    if m.a_contig - m.a_persisted >= a_lwm_stride then begin
-      (* persist_lwm fsyncs the active segment before the L record, so
-         everything backing the persisted mark is stable from here on *)
-      m.a_persisted <- m.a_contig;
-      m.a_fsynced <- m.a_active_size
-    end
+    if m.a_contig + 1 = seq then m_advance m
   end
 
 let m_compact m ~floor =
   let gone, keep =
     List.partition (fun (_, seqs) -> IntSet.max_elt seqs <= floor) m.a_sealed
   in
+  if gone <> [] then m.a_persisted <- m.a_contig;
   List.iter
     (fun (_, seqs) ->
       IntSet.iter
@@ -443,6 +503,26 @@ let a_check m arch ctx =
         (Archive.low_water arch) s
   done
 
+(* What a reopened archive owes whatever the crash took, checked
+   against the archive alone before the oracle is consulted: every seq
+   up to the floor is found (with a valid checksum, which [find]
+   checks) or was compacted, and every payload found is one appended
+   at that seq. *)
+let a_check_recovered arch ~appended ~gone ctx =
+  let floor = Archive.low_water arch in
+  for s = 1 to a_max_seq + 2 do
+    match Archive.find arch s with
+    | None ->
+        if s <= floor && not (IntSet.mem s gone) then
+          QCheck.Test.fail_reportf
+            "%s: floor %d overstates: %d neither found nor compacted" ctx floor
+            s
+    | Some found ->
+        if not (List.mem found (Hashtbl.find_all appended s)) then
+          QCheck.Test.fail_reportf "%s: %d found with a payload never appended"
+            ctx s
+  done
+
 (* Full sweep, run after every reopen and at the end. *)
 let a_check_full m arch ctx =
   a_check m arch ctx;
@@ -460,8 +540,9 @@ let a_check_full m arch ctx =
       QCheck.Test.fail_reportf "%s: mem %d diverged" ctx s
   done
 
+(* QCHECK_LONG=1 runs it [long_factor] times longer (a CI step). *)
 let prop_archive =
-  QCheck.Test.make ~count:150
+  QCheck.Test.make ~count:150 ~long_factor:20
     ~name:"archive: segments + manifest = Map across rotate/compact/crash"
     QCheck.(
       list_of_size
@@ -469,36 +550,40 @@ let prop_archive =
         (triple (int_range 0 9) (int_range 0 47) (int_range 0 200)))
     (fun cmds ->
       let fail_next = ref false in
-      let base_fs = Archive.in_memory () in
+      let crash_fs, crash = crash_fs () in
       (* Injected data-append failures: all-or-nothing, segment files
          only (manifest and sidecar writes stay healthy). *)
       let fs =
         {
-          base_fs with
+          crash_fs with
           Archive.append =
             (fun path data ->
               if !fail_next && Filename.check_suffix path ".seg" then begin
                 fail_next := false;
                 raise (Archive.Fs_error "injected append failure")
               end;
-              base_fs.Archive.append path data);
+              crash_fs.Archive.append path data);
         }
       in
-      let reopen () =
+      let reopen ctx =
         match
-          Archive.open_ ~segment_bytes:a_seg_bytes ~index_stride:2
-            ~lwm_stride:a_lwm_stride ~fs "model-archive"
+          Archive.open_ ~segment_bytes:a_seg_bytes ~index_stride:2 ~fs
+            "model-archive"
         with
         | Ok a -> a
-        | Error e -> QCheck.Test.fail_reportf "open failed: %s" e
+        | Error e -> QCheck.Test.fail_reportf "%s: open failed: %s" ctx e
       in
-      let arch = ref (reopen ()) in
+      let arch = ref (reopen "first open") in
       let m = amodel () in
-      List.iter
-        (fun (op, a, b) ->
+      (* Every (epoch, payload) an append wrote, by seq. *)
+      let appended = Hashtbl.create 64 in
+      List.iteri
+        (fun i (op, a, b) ->
           let seq = (a mod a_max_seq) + 1 in
           if op <= 3 then begin
             let epoch = b mod 3 and payload = a_pay seq b in
+            if not (IntMap.mem seq m.a_kv) then
+              Hashtbl.add appended seq (epoch, payload);
             Archive.append !arch ~seq ~epoch ~payload;
             m_append m ~seq ~epoch ~payload
           end
@@ -542,39 +627,29 @@ let prop_archive =
             (* clean close + reopen: nothing may be lost *)
             Archive.close !arch;
             m.a_persisted <- m.a_contig;
-            m.a_fsynced <- m.a_active_size;
-            m.a_contig <- m.a_persisted;
-            m_advance m;
-            arch := reopen ();
+            arch := reopen "clean reopen";
+            a_check_recovered !arch ~appended ~gone:m.a_gone "clean reopen";
             a_check_full m !arch "clean reopen"
           end
           else begin
-            (* crash: tear the active segment's un-fsynced tail at a
-               random point inside (or at the boundary of) a random
-               record, abandon the handle without closing, reopen *)
-            (match m.a_active with
-            | [] -> ()
-            | recs ->
-                let victim = List.nth recs (a mod List.length recs) in
-                let raw = victim.a_pos + (b mod (victim.a_len + 1)) in
-                let cut = Stdlib.max raw m.a_fsynced in
-                base_fs.Archive.truncate (Archive.active_path !arch) ~len:cut;
-                let keep, lost =
-                  List.partition (fun r -> r.a_pos + r.a_len <= cut) recs
-                in
-                List.iter
-                  (fun r -> m.a_kv <- IntMap.remove r.a_seq m.a_kv)
-                  lost;
-                m.a_active <- keep;
-                m.a_active_size <-
-                  (match List.rev keep with
-                  | [] -> 0
-                  | r :: _ -> r.a_pos + r.a_len);
-                m.a_fsynced <- m.a_active_size);
+            (* crash: abandon the handle without closing; every file
+               keeps what was fsynced plus a prefix of the rest *)
+            let rng = Random.State.make [| a; b |] in
+            let cuts = crash (Random.State.int rng) in
+            let ctx = Printf.sprintf "crash at command %d [%s]" i cuts in
+            let kept = fs.Archive.size (Archive.active_path !arch) in
+            let keep, lost =
+              List.partition (fun r -> r.a_pos + r.a_len <= kept) m.a_active
+            in
+            List.iter (fun r -> m.a_kv <- IntMap.remove r.a_seq m.a_kv) lost;
+            m.a_active <- keep;
+            m.a_active_size <-
+              (match List.rev keep with [] -> 0 | r :: _ -> r.a_pos + r.a_len);
             m.a_contig <- m.a_persisted;
             m_advance m;
-            arch := reopen ();
-            a_check_full m !arch "crash reopen"
+            arch := reopen ctx;
+            a_check_recovered !arch ~appended ~gone:m.a_gone ctx;
+            a_check_full m !arch ctx
           end;
           a_check m !arch "step")
         cmds;
@@ -593,7 +668,7 @@ let archive_torn_tail_every_boundary () =
     let fs = Archive.in_memory () in
     let a =
       Result.get_ok
-        (Archive.open_ ~segment_bytes:100_000 ~lwm_stride:1_000 ~fs "torn")
+        (Archive.open_ ~segment_bytes:100_000 ~fs "torn")
     in
     for s = 1 to 6 do
       Archive.append a ~seq:s ~epoch:1 ~payload:(a_pay s 0)
@@ -621,7 +696,7 @@ let archive_torn_tail_every_boundary () =
       fs.Archive.truncate (Archive.active_path a) ~len:cut;
       let a =
         Result.get_ok
-          (Archive.open_ ~segment_bytes:100_000 ~lwm_stride:1_000 ~fs "torn")
+          (Archive.open_ ~segment_bytes:100_000 ~fs "torn")
       in
       let survivors = first_lost - 1 in
       checki (label ^ ": count") survivors (Archive.count a);
@@ -643,6 +718,29 @@ let archive_torn_tail_every_boundary () =
       end)
     cuts
 
+(* A compaction persists the mark over stable records only, and the
+   mark bridges the range it reclaimed: after a crash that keeps no
+   unsynced byte anywhere, the floor still covers the compacted segment
+   and the active records under it. *)
+let archive_compaction_mark () =
+  let fs, crash = crash_fs () in
+  let open_ () = Result.get_ok (Archive.open_ ~segment_bytes:100_000 ~fs "cm") in
+  let a = open_ () in
+  for s = 1 to 9 do
+    Archive.append a ~seq:s ~epoch:1 ~payload:(a_pay s 0);
+    if s = 6 then Archive.rotate a
+  done;
+  Alcotest.(check (list int)) "reclaimed" [ 1 ] (Archive.compact a ~floor:6);
+  let cuts = crash (fun _ -> 0) in
+  let a = open_ () in
+  Alcotest.(check int) "floor" 9 (Archive.low_water a);
+  for s = 7 to 9 do
+    match Archive.find a s with
+    | Some (1, p) when String.equal p (a_pay s 0) -> ()
+    | _ -> Alcotest.failf "record %d under the mark lost [%s]" s cuts
+  done;
+  Alcotest.(check string) "nothing left unsynced" "" cuts
+
 let () =
   Alcotest.run "model"
     [
@@ -654,5 +752,7 @@ let () =
           qtest prop_archive;
           Alcotest.test_case "torn tail at every boundary" `Quick
             archive_torn_tail_every_boundary;
+          Alcotest.test_case "compaction's mark covers stable records" `Quick
+            archive_compaction_mark;
         ] );
     ]
