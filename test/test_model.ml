@@ -351,7 +351,10 @@ let a_pay seq salt =
    each record boundary, and one cut inside the tail's last record.
    Truncation and removal take effect at once.  It returns the cuts
    that lost bytes, as "path kept/size", to name the crash point. *)
-type image = { mutable stable : int; mutable ends : int list (* newest first *) }
+type image = {
+  mutable stable : int;
+  mutable ends : int list; (* newest first *)
+}
 
 let crash_fs () =
   let mem = Archive.in_memory () in
@@ -398,9 +401,12 @@ let crash_fs () =
            let size = mem.size path in
            let last = match i.ends with _ :: e :: _ -> e | _ -> i.stable in
            let cuts =
-             Array.of_list ((i.stable :: List.rev i.ends) @ [ (last + size) / 2 ])
+             Array.of_list
+               ((i.stable :: List.rev i.ends) @ [ (last + size) / 2 ])
            in
-           let cut = if size > i.stable then cuts.(pick (Array.length cuts)) else size in
+           let cut =
+             if size > i.stable then cuts.(pick (Array.length cuts)) else size
+           in
            i.stable <- cut;
            i.ends <- [];
            if cut >= size then None
@@ -724,7 +730,9 @@ let archive_torn_tail_every_boundary () =
    and the active records under it. *)
 let archive_compaction_mark () =
   let fs, crash = crash_fs () in
-  let open_ () = Result.get_ok (Archive.open_ ~segment_bytes:100_000 ~fs "cm") in
+  let open_ () =
+    Result.get_ok (Archive.open_ ~segment_bytes:100_000 ~fs "cm")
+  in
   let a = open_ () in
   for s = 1 to 9 do
     Archive.append a ~seq:s ~epoch:1 ~payload:(a_pay s 0);
