@@ -418,8 +418,10 @@ let udp base_port packets loss seconds batch slot_size no_mmsg =
   Printf.printf "datagrams sent %d, artificially dropped %d\n" st.U.sent
     st.U.dropped;
   Printf.printf
-    "transport: tx %d datagrams in %d batches, rx %d in %d batches\n"
-    st.U.tx_datagrams st.U.tx_batches st.U.rx_datagrams st.U.rx_batches;
+    "transport: tx %d datagrams in %d batches, rx %d in %d batches, %d \
+     acks merged\n"
+    st.U.tx_datagrams st.U.tx_batches st.U.rx_datagrams st.U.rx_batches
+    st.U.merged;
   let gso_d, mmsg_d, single_d = Lbrm_run.Sockmsg.tx_tiers () in
   Printf.printf
     "transport: tx tiers gso %d / sendmmsg %d / per-datagram %d; encode \

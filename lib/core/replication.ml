@@ -134,9 +134,11 @@ let stop_retries t out seqs =
       Io.push out (Cancel_timer (K_deposit seq)))
     seqs
 
-(* Cancels leave in seq order, not the table's bucket order.  Most acks
-   settle at most one seq, which needs no sort: List.sort allocates its
-   closures even for an empty list. *)
+(* Cancels leave in seq order, not the table's bucket order.  In the
+   simulator most acks settle at most one seq, which needs no sort
+   (List.sort allocates its closures even for an empty list).  Over UDP
+   the transmit stage merges a drain's acks into one, which settles
+   every deposit of that drain and takes the sort. *)
 let stop_retries_upto t out floor =
   match
     Hashtbl.fold

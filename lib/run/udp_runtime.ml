@@ -12,6 +12,7 @@ type agent = endpoint Agent_host.agent
 
 type stats = {
   sent : int;
+  merged : int;
   dropped : int;
   encode_failures : int;
   oversize : int;
@@ -60,6 +61,9 @@ type io = {
   tx_offs : int array;
   tx_lens : int array;
   tx_ports : int array;
+  (* Slot [i]'s message when it is a cumulative ack, else [no_ack]: what
+     a newer ack to the same port may supersede. *)
+  tx_acks : Message.t array;
   mutable tx_count : int;
   (* Receive ring: [batch] fixed slots scattered into by every
      recvmmsg; decoded views alias them until the next drain refills. *)
@@ -67,6 +71,7 @@ type io = {
   rx_lens : int array;
   rx_ports : int array;
   mutable sent : int;
+  mutable merged : int;
   mutable dropped : int;
   mutable encode_failures : int;
   mutable oversize : int;
@@ -126,8 +131,40 @@ let send_oversize t ep ~dst msg =
       t.sent <- t.sent + 1;
       Sockmsg.send_one ep.socket t.jumbo ~off:0 ~len (t.sockaddr_of dst)
 
+(* Stands in the ack column for a staged datagram that is no cumulative
+   ack: [Message.supersedes] never holds against it. *)
+let no_ack = Message.Who_is_primary
+
+let[@lint.hot] rec last_staged_to (ports : int array) dst i =
+  if i < 0 then -1
+  else if Array.unsafe_get ports i = dst then i
+  else last_staged_to ports dst (i - 1)
+
+(* A cumulative ack that supersedes the newest datagram staged to the
+   same port is encoded over it: one datagram leaves where two were
+   asked for.  Only the newest one to the port is replaced, so each port
+   still gets its datagrams in send order, minus acks that their
+   dominator followed at once.  True when [msg] was merged. *)
+let[@lint.hot] merge_ack t ~dst msg =
+  let i = last_staged_to t.tx_ports dst (t.tx_count - 1) in
+  i >= 0
+  && Message.supersedes msg (Array.unsafe_get t.tx_acks i)
+  &&
+  let off = Array.unsafe_get t.tx_offs i in
+  match
+    Codec.encode_at_exn t.writer t.region ~pos:off
+      ~limit:(off + t.slot_size) msg
+  with
+  | exception Codec.Malformed _ -> false
+  | size ->
+      Array.unsafe_set t.tx_lens i size;
+      Array.unsafe_set t.tx_acks i msg;
+      t.merged <- t.merged + 1;
+      true
+
 (* Every datagram that reaches the kernel bumps [t.sent]; the transport
-   reports the difference to the host as the "sent.<kind>" count. *)
+   reports the difference to the host as the "sent.<kind>" count, so a
+   merged ack counts in [t.merged] and not as sent. *)
 let send_datagram t ep ~dst msg =
   if t.loss > 0. && Rng.bernoulli t.rng ~p:t.loss then
     t.dropped <- t.dropped + 1
@@ -135,7 +172,9 @@ let send_datagram t ep ~dst msg =
     (* The stage is bound to one socket per flush; agents interleave
        rarely (only via nested perform), so this almost never fires. *)
     if t.tx_count > 0 && t.tx_fd <> ep.socket then flush_tx t;
-    if Message.body_size msg > t.slot_size then send_oversize t ep ~dst msg
+    let ack = Message.is_cumulative_ack msg in
+    if ack && merge_ack t ~dst msg then ()
+    else if Message.body_size msg > t.slot_size then send_oversize t ep ~dst msg
     else
       let i = t.tx_count in
       let off = t.tx_offs.(i) in
@@ -148,6 +187,7 @@ let send_datagram t ep ~dst msg =
           t.tx_fd <- ep.socket;
           t.tx_lens.(i) <- size;
           t.tx_ports.(i) <- dst;
+          t.tx_acks.(i) <- (if ack then msg else no_ack);
           t.tx_count <- i + 1;
           t.sent <- t.sent + 1;
           if t.tx_count >= t.batch then flush_tx t
@@ -245,11 +285,13 @@ let create ?(bind_ip = "127.0.0.1") ?(loss = 0.) ?(seed = 1) ?(batch = 64)
       tx_offs = Array.init batch (fun i -> (batch + i) * slot_size);
       tx_lens = Array.make batch 0;
       tx_ports = Array.make batch 0;
+      tx_acks = Array.make batch no_ack;
       tx_count = 0;
       rx_offs = Array.init batch (fun i -> i * slot_size);
       rx_lens = Array.make batch 0;
       rx_ports = Array.make batch 0;
       sent = 0;
+      merged = 0;
       dropped = 0;
       encode_failures = 0;
       oversize = 0;
@@ -276,6 +318,7 @@ let leave t ~group ~port = leave_group t.io ~group ~port
 let stats { io = t; _ } =
   {
     sent = t.sent;
+    merged = t.merged;
     dropped = t.dropped;
     encode_failures = t.encode_failures;
     oversize = t.oversize;
@@ -395,13 +438,26 @@ let run_for t ~seconds =
       let until_stop = stop_at -. now
       and until_timer = Engine.next_time t.io.engine -. now in
       let wait = if until_timer < until_stop then until_timer else until_stop in
-      if wait > 0.0005 then wait else 0.0005
+      if wait > 0. then wait else 0.
     in
     match Unix.select t.io.sockets [] [] timeout with
     | readable, _, _ -> drain_readable t readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   fire_due_timers t
+
+module Hot = struct
+  let stage t ~port =
+    let ep =
+      Hashtbl.fold
+        (fun _ a found ->
+          let ep = Agent_host.endpoint a in
+          if ep.port = port then Some ep else found)
+        t.io.by_socket None
+      |> Option.get
+    in
+    fun ~dst msg -> send_datagram t.io ep ~dst msg
+end
 
 let close t =
   flush_tx t.io;

@@ -100,6 +100,27 @@ let kind = function
   | Ring_set _ -> "ring_set"
   | Quorum_ack _ -> "quorum_ack"
 
+let is_cumulative_ack = function
+  | Log_ack _ | Replica_ack _ | Ring_ack _ | Quorum_ack _ -> true
+  | _ -> false
+
+(* Nested matches, not a match on the pair: the hot-path lint counts a
+   tuple scrutinee as a construction. *)
+let[@lint.hot] supersedes next prev =
+  let open Lbrm_util.Seqno in
+  match next with
+  | Log_ack n -> (
+      match prev with
+      | Log_ack p ->
+          n.primary_seq >= p.primary_seq && n.replica_seq >= p.replica_seq
+      | _ -> false)
+  | Replica_ack n -> (
+      match prev with Replica_ack p -> n.seq >= p.seq | _ -> false)
+  | Ring_ack n -> ( match prev with Ring_ack p -> n.seq >= p.seq | _ -> false)
+  | Quorum_ack n -> (
+      match prev with Quorum_ack p -> n.seq >= p.seq | _ -> false)
+  | _ -> false
+
 let is_control = function
   | Data _ | Retrans _ -> false
   | Heartbeat { payload = Some _; _ } -> false

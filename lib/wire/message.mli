@@ -90,5 +90,19 @@ val wire_size : t -> int
 val kind : t -> string
 (** Short tag for traces, e.g. ["data"], ["nack"]. *)
 
+val is_cumulative_ack : t -> bool
+(** [Log_ack], [Replica_ack], [Ring_ack] and [Quorum_ack]: the acks that
+    carry cumulative floors, which every consumer folds with
+    {!Lbrm_util.Seqno.max}. *)
+
+val supersedes : t -> t -> bool
+(** [supersedes next prev] holds when both are the same cumulative ack
+    kind and every floor of [next] is at or above the same floor of
+    [prev] in {!Lbrm_util.Seqno} order.  A consumer that folds its floors
+    with max then ends in the same state after [next] alone as after
+    [prev] then [next], so a transport may replace a [prev] it has not
+    yet sent with [next].  Never true for any other message.
+    Allocation-free. *)
+
 val is_control : t -> bool
 (** Everything except [Data], [Retrans] and payload-bearing heartbeats. *)

@@ -668,9 +668,168 @@ let chaos_deterministic_per_seed () =
 
 (* ---- suite ------------------------------------------------------------ *)
 
+(* ---- merged acks are transparent ---------------------------------- *)
+
+(* The UDP transmit stage replaces a staged cumulative ack with a newer
+   one to the same port that [Message.supersedes] it.  That is safe only
+   if every consumer ends in the same state after [next] alone as after
+   [prev; next]: the same floors, the same armed timers, and the same
+   actions for whatever comes later.  Two machines built alike take the
+   same history, then one hears [prev; next] and the other [next]. *)
+
+let qtest = QCheck_alcotest.to_alcotest
+
+(* Timer keys left armed by a sequence of calls, ascending. *)
+let armed actions =
+  List.fold_left
+    (fun keys -> function
+      | Io.Set_timer (k, _) -> k :: List.filter (( <> ) k) keys
+      | Io.Cancel_timer k -> List.filter (( <> ) k) keys
+      | _ -> keys)
+    [] actions
+  |> List.sort compare
+
+type merge_case = {
+  deposits : int;
+  pre : Message.t option; (* heard by both before the pair *)
+  prev : Message.t;
+  next : Message.t;
+  src : int;
+}
+
+let print_case c =
+  Printf.sprintf "deposits %d, pre %s, prev %s, next %s, src %d" c.deposits
+    (Option.fold ~none:"-" ~some:Message.show c.pre)
+    (Message.show c.prev) (Message.show c.next) c.src
+
+(* [kind a b] builds one ack of the case's kind from two floors; a
+   single-floor kind ignores [b].  [next] lies near [prev], above or
+   below it: the property itself keeps only the pairs that
+   [Message.supersedes] accepts, so a looser [supersedes] is caught. *)
+let gen_case ~srcs kind =
+  let open QCheck.Gen in
+  let floors = pair (int_range 0 12) (int_range 0 12) in
+  let step = int_range (-3) 4 in
+  let* deposits = int_range 1 10
+  and* pre = opt floors
+  and* a, b = floors
+  and* da, db = pair step step
+  and* src = oneofl srcs in
+  let pre = Option.map (fun (a, b) -> kind a b) pre in
+  return
+    {
+      deposits;
+      pre;
+      prev = kind a b;
+      next = kind (max 0 (a + da)) (max 0 (b + db));
+      src;
+    }
+
+let arb_case ~srcs kind = QCheck.make ~print:print_case (gen_case ~srcs kind)
+
+(* The source under one strategy: the durable floor, the released and
+   retained payloads, the last floors it traced, the armed deposit
+   timers, then every armed retry firing and one more send. *)
+let source_merge_transparent name cfg ~srcs kind =
+  qtest
+    (QCheck.Test.make ~count:300 ~max_gen:3000 ~name (arb_case ~srcs kind)
+       (fun c ->
+         QCheck.assume (Message.supersedes c.next c.prev);
+         let run acks =
+           let floors = ref None in
+           let sink =
+             {
+               T.enabled = true;
+               push =
+                 (fun r ->
+                   match r.T.ev with
+                   | T.Ack_floor { durable; acked } ->
+                       floors := Some (durable, acked)
+                   | _ -> ());
+             }
+           in
+           let s =
+             Source.create cfg ~self:1 ~primary:2 ~replicas:[ 3; 4 ] ~sink ()
+           in
+           let history =
+             List.concat
+               (List.init c.deposits (fun i ->
+                    Source.send s ~now:0. (string_of_int i)))
+             @ List.concat_map
+                 (fun m -> Source.handle_message s ~now:0.1 ~src:c.src m)
+                 (Option.to_list c.pre @ acks)
+           in
+           let keys = armed history in
+           let state =
+             (Source.durable s, Source.released s, Source.retained s, !floors)
+           in
+           let later =
+             List.map
+               (fun k -> Source.handle_timer s ~now:0.6 k)
+               (List.filter (function Io.K_deposit _ -> true | _ -> false) keys)
+             @ [ Source.send s ~now:0.7 "later" ]
+           in
+           (state, keys, later)
+         in
+         run [ c.prev; c.next ] = run [ c.next ]))
+
+(* The primary logger's [Replica_ack] branch: the armed replica retries,
+   the retries' firing, and the [Log_ack] that a later ack from each
+   replica draws, which reports both of the logger's floors. *)
+let replica_ack_merge_transparent =
+  qtest
+    (QCheck.Test.make ~count:300 ~max_gen:3000
+       ~name:"primary logger: Replica_ack"
+       (arb_case ~srcs:[ 3; 4 ] (fun seq _ -> Message.Replica_ack { seq }))
+       (fun c ->
+         QCheck.assume (Message.supersedes c.next c.prev);
+         let run acks =
+           let l =
+             Logger.create plain ~self:2 ~source:1 ~replicas:[ 3; 4 ]
+               ~rng:(rng ()) ()
+           in
+           let history =
+             List.concat
+               (List.init c.deposits (fun i ->
+                    Logger.handle_message l ~now:0. ~src:1
+                      (Message.Log_deposit
+                         { seq = i + 1; epoch = 0; payload = p "x" })))
+             @ List.concat_map
+                 (fun m -> Logger.handle_message l ~now:0.1 ~src:c.src m)
+                 (Option.to_list c.pre @ acks)
+           in
+           let keys = armed history in
+           let later =
+             List.map (fun k -> Logger.handle_timer l ~now:0.6 k) keys
+             @ List.map
+                 (fun r ->
+                   Logger.handle_message l ~now:0.7 ~src:r
+                     (Message.Replica_ack { seq = 0 }))
+                 [ 3; 4 ]
+           in
+           (keys, later)
+         in
+         run [ c.prev; c.next ] = run [ c.next ]))
+
+let merge_transparency =
+  let log_ack primary_seq replica_seq =
+    Message.Log_ack { primary_seq; replica_seq }
+  in
+  [
+    source_merge_transparent "source, primary: Log_ack" plain ~srcs:[ 2 ]
+      log_ack;
+    source_merge_transparent "source, ring: Ring_ack" ring_cfg ~srcs:[ 4 ]
+      (fun seq _ -> Message.Ring_ack { seq });
+    source_merge_transparent "source, quorum: Quorum_ack" quorum_cfg
+      ~srcs:[ 2; 3; 4 ]
+      (fun seq _ -> Message.Quorum_ack { seq });
+    replica_ack_merge_transparent;
+  ]
+
 let () =
   Alcotest.run "replication"
     [
+      ("merged acks", merge_transparency);
       ( "backoff",
         [
           Alcotest.test_case "schedule pinned" `Quick backoff_schedule;

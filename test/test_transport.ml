@@ -261,6 +261,9 @@ let file_append_per_op () =
   fs.remove path;
   per
 
+(* Raised by a row that needs loopback sockets where there are none. *)
+exception No_sockets
+
 let measurements : (string list * (unit -> float)) list =
   [
     ([ "File_ops.append" ], file_append_per_op);
@@ -510,6 +513,57 @@ let measurements : (string list * (unit -> float)) list =
           arrive i
         done;
         words_per_op ~iters arrive );
+    ( [ "Message.supersedes" ],
+      fun () ->
+        (* Dominance tests on prebuilt acks: the same kind both ways
+           round, and a kind mismatch. *)
+        let module M = Lbrm_wire.Message in
+        let msgs =
+          [|
+            M.Log_ack { primary_seq = 7; replica_seq = 5 };
+            M.Log_ack { primary_seq = 8; replica_seq = 4 };
+            M.Quorum_ack { seq = 3 };
+            M.Quorum_ack { seq = 9 };
+            M.Ring_ack { seq = 9 };
+          |]
+        in
+        let test i =
+          ignore
+            (Sys.opaque_identity
+               (M.supersedes msgs.(i mod 5) msgs.((i + 1) mod 5)))
+        in
+        for i = 1 to 100 do
+          test i
+        done;
+        words_per_op ~iters test );
+    ( [ "Udp_runtime.last_staged_to"; "Udp_runtime.merge_ack" ],
+      fun () ->
+        (* An ack staged to [b] behind two datagrams to [c]: every later,
+           higher ack to [b] scans past them and is encoded over it.
+           The acks are built before the measured loop. *)
+        if not (Lazy.force sockets_available) then raise No_sockets;
+        let rt = U.create () in
+        let a = 49370 and b = 49371 and c = 49372 in
+        List.iter (fun port -> ignore (counting_agent rt ~port)) [ a; b; c ];
+        let stage = U.Hot.stage rt ~port:a in
+        let acks =
+          Array.init (iters + 101) (fun i ->
+              Lbrm_wire.Message.Log_ack { primary_seq = i; replica_seq = i })
+        in
+        stage ~dst:b acks.(0);
+        stage ~dst:c data_msg;
+        stage ~dst:c data_msg;
+        for i = 1 to 100 do
+          stage ~dst:b acks.(i)
+        done;
+        let per =
+          words_per_op ~iters (fun i -> stage ~dst:b acks.(100 + i))
+        in
+        let st = U.stats rt in
+        U.close rt;
+        checki "every later ack merged" (iters + 100) st.merged;
+        checki "three datagrams staged" 3 st.sent;
+        per );
     ( [ "Metrics.incr"; "Metrics.add" ],
       fun () ->
         let m = Metrics.create () in
@@ -526,6 +580,7 @@ let measurements : (string list * (unit -> float)) list =
 let manifest_zero_allocs () =
   let entries = manifest_zero_entries () in
   checkb "manifest has zero-tagged entries" true (entries <> []);
+  let skipped = ref false in
   List.iter
     (fun fn ->
       match List.find_opt (fun (fns, _) -> List.mem fn fns) measurements with
@@ -535,15 +590,20 @@ let manifest_zero_allocs () =
                "zero-tagged manifest entry %s has no Gc measurement; add one \
                 to test_transport.ml"
                fn)
-      | Some (_, measure) ->
-          let per_op = measure () in
-          if per_op >= 0.02 then
-            Alcotest.fail
-              (Printf.sprintf
-                 "%s allocates %.4f words/op in steady state; the manifest \
-                  tags it zero"
-                 fn per_op))
-    entries
+      | Some (_, measure) -> (
+          match measure () with
+          | exception No_sockets -> skipped := true
+          | per_op ->
+              if per_op >= 0.02 then
+                Alcotest.fail
+                  (Printf.sprintf
+                     "%s allocates %.4f words/op in steady state; the \
+                      manifest tags it zero"
+                     fn per_op)))
+    entries;
+  (* Every other row has run; the ones that stage from a socket wait
+     for a sandbox with loopback sockets. *)
+  if !skipped then Alcotest.skip ()
 
 (* --- Words per delivery on the simulator's two hottest paths ------------- *)
 

@@ -440,6 +440,124 @@ let multicast_skips_sender () =
   checki "one datagram per other member" 2 (U.stats rt).sent;
   Alcotest.(check (list int)) "received" [ 0; 1; 1 ] (List.map ( ! ) seen)
 
+(* Agents that keep every message their [on_message] sees, in arrival
+   order.  Acks carry no payload view, so keeping them is safe. *)
+let recording_agent rt ~port =
+  let got = ref [] and none = Lbrm.Io.out () in
+  U.add_agent rt ~port
+    {
+      H.on_message =
+        (fun ~now:_ ~src:_ msg ->
+          got := msg :: !got;
+          none);
+      on_timer = (fun ~now:_ _ -> none);
+      on_deliver = None;
+      on_notice = None;
+    };
+  fun () ->
+    let msgs = List.rev !got in
+    got := [];
+    msgs
+
+(* A cumulative ack that supersedes the newest datagram staged to its
+   port is encoded over it: one perform per case, and each receiving
+   agent records what arrived.  Merged acks count in [merged], not in
+   [sent]. *)
+let stage_merges_superseded_acks () =
+  require_sockets ();
+  let module M = Lbrm_wire.Message in
+  let rt = U.create () in
+  let a = 48850 and b = 48851 and c = 48852 in
+  ignore (counting_agent rt ~port:a);
+  let at_b = recording_agent rt ~port:b and at_c = recording_agent rt ~port:c in
+  let log_ack p r = M.Log_ack { primary_seq = p; replica_seq = r } in
+  let case name sends ~b:want_b ~c:want_c ~sent ~merged =
+    let before = U.stats rt in
+    U.perform rt ~port:a
+      (Lbrm.Io.of_list
+         (List.map (fun (dst, msg) -> Lbrm.Io.send_to dst msg) sends));
+    let deadline = U.now rt +. 2.0 in
+    let want = List.length want_b + List.length want_c in
+    let got_b = ref [] and got_c = ref [] in
+    while
+      List.length !got_b + List.length !got_c < want && U.now rt < deadline
+    do
+      U.run_for rt ~seconds:0.01;
+      got_b := !got_b @ at_b ();
+      got_c := !got_c @ at_c ()
+    done;
+    U.run_for rt ~seconds:0.02;
+    got_b := !got_b @ at_b ();
+    got_c := !got_c @ at_c ();
+    let after = U.stats rt in
+    let msgs = Alcotest.list (Alcotest.testable M.pp M.equal) in
+    Alcotest.check msgs (name ^ ": at b") want_b !got_b;
+    Alcotest.check msgs (name ^ ": at c") want_c !got_c;
+    checki (name ^ ": sent") sent (after.sent - before.sent);
+    checki (name ^ ": merged") merged (after.merged - before.merged);
+    checki (name ^ ": staged datagrams") sent
+      (after.tx_datagrams - before.tx_datagrams)
+  in
+  case "a dominating run arrives as its last ack"
+    [ (b, log_ack 1 1); (b, log_ack 2 1); (b, log_ack 2 2); (b, log_ack 5 3) ]
+    ~b:[ log_ack 5 3 ] ~c:[] ~sent:1 ~merged:3;
+  case "a lower replica_seq is not merged"
+    [ (b, log_ack 5 5); (b, log_ack 6 4) ]
+    ~b:[ log_ack 5 5; log_ack 6 4 ] ~c:[] ~sent:2 ~merged:0;
+  case "no merge past another datagram to the port"
+    [ (b, log_ack 1 1); (b, M.Who_is_primary); (b, log_ack 2 2) ]
+    ~b:[ log_ack 1 1; M.Who_is_primary; log_ack 2 2 ]
+    ~c:[] ~sent:3 ~merged:0;
+  case "acks to two ports merge per port"
+    [
+      (b, log_ack 1 1);
+      (c, M.Ring_ack { seq = 1 });
+      (b, log_ack 2 2);
+      (c, M.Ring_ack { seq = 4 });
+      (b, log_ack 3 3);
+    ]
+    ~b:[ log_ack 3 3 ] ~c:[ M.Ring_ack { seq = 4 } ] ~sent:2 ~merged:3;
+  case "each cumulative kind merges only with itself"
+    [
+      (b, M.Replica_ack { seq = 1 });
+      (b, M.Replica_ack { seq = 3 });
+      (b, M.Quorum_ack { seq = 4 });
+      (b, M.Quorum_ack { seq = 4 });
+      (b, M.Ring_ack { seq = 5 });
+    ]
+    ~b:
+      [
+        M.Replica_ack { seq = 3 };
+        M.Quorum_ack { seq = 4 };
+        M.Ring_ack { seq = 5 };
+      ]
+    ~c:[] ~sent:3 ~merged:2;
+  U.close rt
+
+(* [run_for] waits no longer than it was asked to: the select timeout is
+   the time left, not a floor under it.  A floor of 0.5 ms made 100 runs
+   of 0.1 ms take at least 50 ms; the best of five rounds stays well
+   below that. *)
+let run_for_stops_at_deadline () =
+  require_sockets ();
+  let rt = U.create () in
+  ignore (counting_agent rt ~port:48860);
+  let round () =
+    let t0 = U.now rt in
+    for _ = 1 to 100 do
+      U.run_for rt ~seconds:1e-4
+    done;
+    U.now rt -. t0
+  in
+  let best =
+    List.fold_left Float.min Float.infinity (List.init 5 (fun _ -> round ()))
+  in
+  U.close rt;
+  checkb
+    (Printf.sprintf "100 runs of 0.1 ms took %.1f ms, under 40 ms"
+       (1e3 *. best))
+    true (best < 0.040)
+
 let () =
   Alcotest.run "udp"
     [
@@ -468,5 +586,9 @@ let () =
             fixed_slots_keep_payloads;
           Alcotest.test_case "loopback layout matches simulator" `Quick
             loopback_matches_simulated;
+          Alcotest.test_case "the stage merges superseded acks" `Quick
+            stage_merges_superseded_acks;
+          Alcotest.test_case "run_for stops at its deadline" `Quick
+            run_for_stops_at_deadline;
         ] );
     ]
